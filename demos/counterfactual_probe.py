@@ -50,9 +50,8 @@ def main():
     w = model.heads["intra_w"].values
     b = model.heads["intra_b"].values
 
-    intra = [cf.gen_intra(feats[i], int(ys[i] - lo), w, b=b)
-             for i in range(n)]
-    pfr, lkld, _ = mt.counterfactual_quality(intra, model)
+    cfs, vals, _, _ = cf.generate_intra_batch(feats, ys - lo, w, b=b)
+    pfr, lkld, _ = mt.counterfactual_quality(model, feats, cfs, vals)
     print(f"\nwithin-task generator: flip rate {pfr:.3f} "
           f"at mean divergence {lkld:.4f}")
 
@@ -61,8 +60,9 @@ def main():
     budget = lkld
     for _ in range(2):
         rng = np.random.default_rng(7)
-        rand = [cf.perturb_random(feats[i], budget, rng) for i in range(n)]
-        pfr_r, lkld_r, _ = mt.counterfactual_quality(rand, model)
+        rand, rand_vals, _, _ = cf.perturb_random(feats, budget, rng)
+        pfr_r, lkld_r, _ = mt.counterfactual_quality(model, feats, rand,
+                                                     rand_vals)
         budget *= lkld / max(lkld_r, 1e-12)
     print(f"random perturbation:   flip rate {pfr_r:.3f} "
           f"at mean divergence {lkld_r:.4f}")
@@ -70,9 +70,10 @@ def main():
           "\nthe necessity signal is in the direction, not the magnitude.")
 
     proj = model.project_old_np(xs)
-    inter = [cf.gen_inter(feats[i], proj[i], beta=0.25, epsilon=0.5)
-             for i in range(n)]
-    _, _, hss = mt.counterfactual_quality(inter, model)
+    inter, inter_vals, _, _ = cf.generate_inter_batch(feats, proj, beta=0.25,
+                                                      epsilon=0.5)
+    _, _, hss = mt.counterfactual_quality(model, feats, inter, inter_vals,
+                                          references=proj)
 
     def cosine(a, c):
         den = np.linalg.norm(a) * np.linalg.norm(c)

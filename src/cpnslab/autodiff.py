@@ -28,8 +28,7 @@ class Tensor:
     them.
     """
 
-    __slots__ = ("values", "grad", "parents", "op", "_backward_fn", "frozen",
-                 "_visited")
+    __slots__ = ("values", "grad", "parents", "op", "_backward_fn", "frozen")
 
     def __init__(self, values, parents=(), op="leaf", backward_fn=None,
                  frozen=False):
@@ -39,7 +38,6 @@ class Tensor:
         self.op = op
         self._backward_fn = backward_fn
         self.frozen = frozen
-        self._visited = False
 
     @property
     def shape(self):
@@ -444,7 +442,6 @@ def backward(root: Tensor):
         node.grad = np.zeros_like(node.values)
     root.grad += 1.0
     for node in reversed(order):
-        node._visited = True
         if node._backward_fn is not None:
             node._backward_fn()
     for node, old in zip(order, saved):
@@ -455,17 +452,6 @@ def zero_grad(root: Tensor):
     """Reset gradients of the root and every ancestor."""
     for node in _toposort(root):
         node.grad = np.zeros_like(node.values)
-        node._visited = False
-
-
-def grad_wrt(node: Tensor):
-    """Accumulated gradient of the backward root with respect to `node`.
-
-    Requires that a backward pass has already visited the node.
-    """
-    if not node._visited:
-        raise UsageError("grad_wrt: node was not part of any backward pass")
-    return node.grad.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +505,6 @@ class ParameterSet:
     def zero_grad(self):
         for t in self._params.values():
             t.grad = np.zeros_like(t.values)
-            t._visited = False
 
     def check_finite(self):
         for name, t in self._params.items():
@@ -528,13 +513,3 @@ class ParameterSet:
 
     def copy_values(self):
         return {name: t.values.copy() for name, t in self._params.items()}
-
-
-def combine(*sets: ParameterSet) -> ParameterSet:
-    """View over several parameter sets; shares the underlying tensors."""
-    merged = ParameterSet()
-    for i, ps in enumerate(sets):
-        for name, t in ps.items():
-            key = name if name not in merged._params else f"{i}/{name}"
-            merged._params[key] = t
-    return merged

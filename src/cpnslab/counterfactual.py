@@ -12,15 +12,11 @@ degenerate). Zero-gradient inputs are degenerate immediately.
 Two reference perturbers (isotropic random, projected gradient) exist for
 baseline comparisons at a matched budget.
 
-All generators are deterministic given their inputs; `perturb_random`
-takes an explicit numpy Generator. A module-level counter records how
-many samples each scope has generated, which lets the trainer assert its
-stage ordering.
+Every generator returns the same four arrays, one row per input row:
+(counterfactuals, metric values, applied scales, degenerate mask). All are
+pure functions of their inputs; `perturb_random` takes an explicit numpy
+Generator.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,52 +25,24 @@ from .errors import ConfigurationError
 
 MAX_HALVINGS = 30
 
-# running totals of generated samples per scope, reset by the trainer at
-# stage boundaries to assert which generator ran when
-CALL_COUNTS = {"intra": 0, "inter": 0, "baseline": 0}
-
-
-def reset_counters():
-    for key in CALL_COUNTS:
-        CALL_COUNTS[key] = 0
-
-
-@dataclass
-class CounterfactualSample:
-    """One generated counterfactual.
-
-    `delta` is the displacement actually applied, so counterfactual =
-    factual + delta always holds; `applied_scale` is the post-backtracking
-    step size (alpha for intra, beta for inter, 0 when degenerate).
-    `kl_value` is the softmax-KL of the counterfactual from the factual
-    under the default constraint metric; alternate metrics report their
-    own value in this field. Inter-scope samples carry the projected
-    old-feature target they were pulled toward in `reference`.
-    """
-
-    scope: str
-    factual: np.ndarray
-    counterfactual: np.ndarray
-    delta: np.ndarray
-    applied_scale: float
-    kl_value: float
-    degenerate: bool
-    reference: np.ndarray = None
+# constraint metric names, shared with the validation in `risk.GenConfig`
+METRICS = ("kl", "mse", "wasserstein")
 
 
 # ---------------------------------------------------------------------------
 # constraint metrics (row-wise, plain numpy)
 
 def _metric_rows(metric, cand, base):
+    if metric not in METRICS:
+        raise ConfigurationError(
+            f"unknown constraint metric {metric!r}; pick one of {METRICS}")
     if metric == "kl":
         return ad.kl_softmax_value(cand, base)
     if metric == "mse":
         return np.mean((cand - base) ** 2, axis=-1)
-    if metric == "wasserstein":
-        # exact 1-D transport between the coordinate distributions
-        return np.mean(np.abs(np.sort(cand, axis=-1) - np.sort(base, axis=-1)),
-                       axis=-1)
-    raise ConfigurationError(f"unknown constraint metric {metric!r}")
+    # exact 1-D transport between the coordinate distributions
+    return np.mean(np.abs(np.sort(cand, axis=-1) - np.sort(base, axis=-1)),
+                   axis=-1)
 
 
 def intra_directions(feats, labels, w, b=None):
@@ -131,7 +99,6 @@ def generate_intra_batch(feats, labels, w, b=None, alpha=1.0, epsilon=0.05,
     scales, degenerate = _backtrack_batch(feats, directions, alpha, epsilon, metric)
     cfs = feats + scales[:, None] * directions
     vals = np.where(degenerate, 0.0, _metric_rows(metric, cfs, feats))
-    CALL_COUNTS["intra"] += len(feats)
     return cfs, vals, scales, degenerate
 
 
@@ -153,45 +120,16 @@ def generate_inter_batch(feats, projected, beta=0.03, epsilon=0.05, metric="kl")
     scales, degenerate = _backtrack_batch(feats, directions, beta, epsilon, metric)
     cfs = feats + scales[:, None] * directions
     vals = np.where(degenerate, 0.0, _metric_rows(metric, cfs, feats))
-    CALL_COUNTS["inter"] += len(feats)
     return cfs, vals, scales, degenerate
 
 
-def _single(scope, feats, cfs, vals, scales, degenerate, reference=None):
-    return CounterfactualSample(
-        scope=scope,
-        factual=feats[0].copy(),
-        counterfactual=cfs[0].copy(),
-        delta=cfs[0] - feats[0],
-        applied_scale=float(scales[0]),
-        kl_value=float(vals[0]),
-        degenerate=bool(degenerate[0]),
-        reference=reference,
-    )
-
-
-def gen_intra(factual, label, w_intra, alpha=1.0, epsilon=0.05, b=None,
-              metric="kl") -> CounterfactualSample:
-    """Single-sample intra-scope generation; see generate_intra_batch."""
-    feats = np.atleast_2d(np.asarray(factual, dtype=np.float64))
-    out = generate_intra_batch(feats, [label], w_intra, b=b, alpha=alpha,
-                               epsilon=epsilon, metric=metric)
-    return _single("intra", feats, *out)
-
-
-def gen_inter(factual, projected, beta=0.03, epsilon=0.05,
-              metric="kl") -> CounterfactualSample:
-    """Single-sample inter-scope generation; see generate_inter_batch."""
-    feats = np.atleast_2d(np.asarray(factual, dtype=np.float64))
-    proj = np.atleast_2d(np.asarray(projected, dtype=np.float64))
-    out = generate_inter_batch(feats, proj, beta=beta, epsilon=epsilon,
-                               metric=metric)
-    return _single("inter", feats, *out, reference=proj[0].copy())
-
-
-def perturb_random(factual, budget_kl, rng) -> CounterfactualSample:
+def perturb_random(factual, budget_kl, rng):
     """Isotropic Gaussian direction at unit initial scale, backtracked
-    under the budget; the reference point for flip-rate comparisons."""
+    under the budget; the reference point for flip-rate comparisons.
+
+    One direction per row, drawn in row order; returns the same four
+    arrays as the generators.
+    """
     if budget_kl <= 0:
         raise ConfigurationError("budget_kl must be positive")
     feats = np.atleast_2d(np.asarray(factual, dtype=np.float64))
@@ -199,18 +137,19 @@ def perturb_random(factual, budget_kl, rng) -> CounterfactualSample:
     scales, degenerate = _backtrack_batch(feats, direction, 1.0, budget_kl)
     cfs = feats + scales[:, None] * direction
     vals = np.where(degenerate, 0.0, _metric_rows("kl", cfs, feats))
-    CALL_COUNTS["baseline"] += len(feats)
-    return _single("intra", feats, cfs, vals, scales, degenerate)
+    return cfs, vals, scales, degenerate
 
 
 def perturb_pgd(factual, label, w_intra, steps=10, step_size=1.0,
-                budget_kl=0.05, b=None) -> CounterfactualSample:
+                budget_kl=0.05, b=None):
     """Iterated gradient ascent with projection back onto the budget ball.
 
     The ball has no closed-form projection, so each violating iterate is
     shrunk toward the factual point by bisection (10 steps) on the
     interpolation coefficient; the feasible end of the bracket is kept,
-    which keeps every emitted iterate strictly inside the budget.
+    which keeps every emitted iterate strictly inside the budget. Takes
+    one factual row; returns the generators' four arrays with one row,
+    the applied scale being 1 unless degenerate.
     """
     if steps < 1:
         raise ConfigurationError("steps must be >= 1")
@@ -237,13 +176,5 @@ def perturb_pgd(factual, label, w_intra, steps=10, step_size=1.0,
             cur = feats + lo * (cur - feats)
     degenerate = not moved or bool(np.all(cur == feats))
     kl = 0.0 if degenerate else float(_metric_rows("kl", cur, feats)[0])
-    CALL_COUNTS["baseline"] += 1
-    return CounterfactualSample(
-        scope="intra",
-        factual=feats[0].copy(),
-        counterfactual=cur[0].copy(),
-        delta=cur[0] - feats[0],
-        applied_scale=0.0 if degenerate else 1.0,
-        kl_value=kl,
-        degenerate=degenerate,
-    )
+    return (cur, np.array([kl]), np.array([0.0 if degenerate else 1.0]),
+            np.array([degenerate]))

@@ -12,7 +12,7 @@ times.
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -29,14 +29,15 @@ from .errors import PropositionViolation
 SUMMARY_HEADER = "method,scenario,seed,last,avg"
 SWEEP_PARAMS = ("lambda", "gamma", "beta", "epsilon", "alpha", "nu")
 
-ABLATION_VARIANTS = (
-    "baseline",
-    "+intra",
-    "+inter_no2stage",
-    "+inter_2stage",
-    "both_no2stage",
-    "full",
-)
+# variant name -> TrainConfig fields it overrides, in table order
+ABLATION_VARIANTS = {
+    "baseline": dict(lam=0.0, gamma=0.0, nu=0.0, stage1_epochs=0),
+    "+intra": dict(lam=0.0, two_stage=True),
+    "+inter_no2stage": dict(nu=0.0, gamma=0.0, two_stage=False),
+    "+inter_2stage": dict(nu=0.0, gamma=0.0, two_stage=True),
+    "both_no2stage": dict(two_stage=False),
+    "full": dict(two_stage=True),
+}
 
 
 @dataclass
@@ -164,6 +165,15 @@ def config_from_dict(doc) -> ExperimentConfig:
     if "data" not in doc:
         raise ConfigurationError("config needs a 'data' section")
 
+    # a value of the wrong type surfaces as TypeError or ValueError inside
+    # the dataclass constructors and their checks
+    try:
+        return _build_config(doc)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad config value: {exc}") from exc
+
+
+def _build_config(doc) -> ExperimentConfig:
     kwargs = {k: doc[k] for k in
               ("run_id", "output_dir", "seeds", "method_label",
                "use_baseline_trainer") if k in doc}
@@ -215,21 +225,20 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # evaluation helpers
 
-def _pooled_accuracy(model, test_sets):
-    hits = total = 0
-    for x, y in test_sets:
-        pred = np.argmax(model.forward_concat_np(x), axis=1)
-        hits += int(np.sum(pred == y))
-        total += len(y)
-    return hits / total if total else float("nan")
+def _seen_set_outputs(model, test_sets):
+    """Predictions per test set and class-mean concatenated features.
 
-
-def _per_task_accuracy(model, test_sets):
-    out = []
+    Each set's features are computed once and dropped after use; only the
+    predictions and the per-class sums are kept.
+    """
+    preds, sums, counts = [], {}, {}
     for x, y in test_sets:
-        pred = np.argmax(model.forward_concat_np(x), axis=1)
-        out.append(float(np.mean(pred == y)))
-    return out
+        feats = model.concat_features_np(x)
+        preds.append(np.argmax(model.cls_logits_np(feats), axis=1))
+        for c in np.unique(y):
+            sums[int(c)] = sums.get(int(c), 0.0) + feats[y == c].sum(axis=0)
+            counts[int(c)] = counts.get(int(c), 0) + int(np.sum(y == c))
+    return preds, {c: sums[c] / counts[c] for c in sums}
 
 
 def _cf_quality_probe(model, x, y, lo, cfgm: MetricsConfig, gen: GenConfig):
@@ -240,16 +249,17 @@ def _cf_quality_probe(model, x, y, lo, cfgm: MetricsConfig, gen: GenConfig):
     feats = model.current_feature_np(xs)
     w = model.heads["intra_w"].values
     b = model.heads["intra_b"].values
-    samples = [cf.gen_intra(feats[i], int(ys[i] - lo), w, b=b,
-                            alpha=gen.alpha, epsilon=gen.epsilon,
-                            metric=gen.metric)
-               for i in range(n)]
-    if model.task_count > 1:
-        proj = model.project_old_np(xs)
-        samples += [cf.gen_inter(feats[i], proj[i], beta=gen.beta,
-                                 epsilon=gen.epsilon, metric=gen.metric)
-                    for i in range(n)]
-    return mt.counterfactual_quality(samples, model)
+    cfs, vals, _, _ = cf.generate_intra_batch(
+        feats, ys - lo, w, b=b, alpha=gen.alpha, epsilon=gen.epsilon,
+        metric=gen.metric)
+    if model.task_count < 2:
+        return mt.counterfactual_quality(model, feats, cfs, vals)
+    proj = model.project_old_np(xs)
+    cfs_e, vals_e, _, _ = cf.generate_inter_batch(
+        feats, proj, beta=gen.beta, epsilon=gen.epsilon, metric=gen.metric)
+    return mt.counterfactual_quality(
+        model, np.concatenate([feats, feats]), np.concatenate([cfs, cfs_e]),
+        np.concatenate([vals, vals_e]), references=proj)
 
 
 def evaluate_task(model, stream, task_index, history, cfgm: MetricsConfig,
@@ -257,16 +267,18 @@ def evaluate_task(model, stream, task_index, history, cfgm: MetricsConfig,
     """Build the EvalRecord after training task `task_index`."""
     seen = stream.tasks[:task_index + 1]
     test_sets = [test for _, test, _ in seen]
-    per_task = _per_task_accuracy(model, test_sets)
-    history.append(_pooled_accuracy(model, test_sets))
+    preds, protos = _seen_set_outputs(model, test_sets)
+    per_task = [float(np.mean(p == y)) for p, (_, y) in zip(preds, test_sets)]
+    hits = sum(int(np.sum(p == y)) for p, (_, y) in zip(preds, test_sets))
+    total = sum(len(y) for _, y in test_sets)
+    history.append(hits / total if total else float("nan"))
     last, avg = mt.incremental_accuracy(history)
 
     old_new = None
     if cfgm.old_new and task_index >= 1:
-        protos = mt.feature_prototypes(model, test_sets)
         _, _, (lo, hi) = stream.tasks[task_index]
-        old_new = mt.old_new_error(model, test_sets[:task_index], (lo, hi),
-                                   protos)
+        old = [(p, y) for p, (_, y) in zip(preds[:task_index], test_sets)]
+        old_new = mt.old_new_error(old, (lo, hi), protos)
 
     cka = None
     if cfgm.cka and task_index >= 1:
@@ -368,14 +380,22 @@ def run_seed(config: ExperimentConfig, seed: int, out_dir=None):
     return records, row
 
 
+def _run_seeds(config: ExperimentConfig, base_dir):
+    """run_seed for every seed of the config, under base_dir/seed-{seed}."""
+    return [run_seed(config, seed,
+                     out_dir=os.path.join(base_dir, f"seed-{seed}"))[1]
+            for seed in config.seeds]
+
+
+def _seed_mean(rows):
+    return (float(np.mean([r["last"] for r in rows])),
+            float(np.mean([r["avg"] for r in rows])))
+
+
 def run_experiment(config: ExperimentConfig):
     """All seeds of a run; writes the run-level summary.csv and returns rows."""
-    rows = []
-    for seed in config.seeds:
-        _, row = run_seed(config, seed)
-        rows.append(row)
     run_dir = os.path.join(config.output_dir, config.run_id)
-    os.makedirs(run_dir, exist_ok=True)
+    rows = _run_seeds(config, run_dir)
     with open(os.path.join(run_dir, "summary.csv"), "w") as fh:
         fh.write(SUMMARY_HEADER + "\n")
         for row in rows:
@@ -388,26 +408,17 @@ def run_experiment(config: ExperimentConfig):
 # sweeps and ablations
 
 def _with_param(config: ExperimentConfig, param, value):
-    """Clone the config with one generator/loss knob changed."""
+    """The config with one generator/loss knob changed."""
     if param not in SWEEP_PARAMS:
         raise ConfigurationError(
             f"unknown sweep parameter {param!r}; pick one of {SWEEP_PARAMS}")
-    train = asdict(config.train)
-    gen = train.pop("gen")
-    train["adam_betas"] = tuple(train["adam_betas"])
-    if param == "lambda":
-        train["lam"] = float(value)
-    elif param in ("gamma", "nu"):
-        train[param] = float(value)
+    train = config.train
+    if param in ("alpha", "beta", "epsilon"):
+        train = replace(train, gen=replace(train.gen, **{param: float(value)}))
     else:
-        gen[param] = float(value)
-    new_train = tr.TrainConfig(gen=GenConfig(**gen), **train)
-    return ExperimentConfig(
-        data=dict(config.data), run_id=config.run_id,
-        output_dir=config.output_dir, seeds=config.seeds,
-        method_label=config.method_label,
-        use_baseline_trainer=config.use_baseline_trainer,
-        model=config.model, train=new_train, metrics=config.metrics)
+        train = replace(train, **{"lam" if param == "lambda" else param:
+                                  float(value)})
+    return replace(config, train=train)
 
 
 def run_sweep(config: ExperimentConfig, param, values):
@@ -418,19 +429,12 @@ def run_sweep(config: ExperimentConfig, param, values):
     if not values:
         raise ConfigurationError("sweep needs at least one value")
     run_dir = os.path.join(config.output_dir, config.run_id)
-    os.makedirs(run_dir, exist_ok=True)
     out_rows = []
     for value in values:
-        sub = _with_param(config, param, value)
-        rows = []
-        for seed in sub.seeds:
-            out_dir = os.path.join(run_dir, f"sweep-{param}",
-                                   f"value-{value}", f"seed-{seed}")
-            _, row = run_seed(sub, seed, out_dir=out_dir)
-            rows.append(row)
-        out_rows.append((float(value),
-                         float(np.mean([r["last"] for r in rows])),
-                         float(np.mean([r["avg"] for r in rows]))))
+        rows = _run_seeds(_with_param(config, param, value),
+                          os.path.join(run_dir, f"sweep-{param}",
+                                       f"value-{value}"))
+        out_rows.append((float(value), *_seed_mean(rows)))
     path = os.path.join(run_dir, f"sweep-{param}.csv")
     with open(path, "w") as fh:
         fh.write("value,last,avg\n")
@@ -443,46 +447,19 @@ def ablation_train_config(base: tr.TrainConfig, variant) -> tr.TrainConfig:
     """The six-variant grid over {intra, inter, two_stage}."""
     if variant not in ABLATION_VARIANTS:
         raise ConfigurationError(f"unknown ablation variant {variant!r}")
-    kw = asdict(base)
-    gen = kw.pop("gen")
-    kw["adam_betas"] = tuple(kw["adam_betas"])
-    if variant == "baseline":
-        kw.update(lam=0.0, gamma=0.0, nu=0.0, stage1_epochs=0)
-    elif variant == "+intra":
-        kw.update(lam=0.0, two_stage=True)
-    elif variant == "+inter_no2stage":
-        kw.update(nu=0.0, gamma=0.0, two_stage=False)
-    elif variant == "+inter_2stage":
-        kw.update(nu=0.0, gamma=0.0, two_stage=True)
-    elif variant == "both_no2stage":
-        kw.update(two_stage=False)
-    else:  # full
-        kw.update(two_stage=True)
-    return tr.TrainConfig(gen=GenConfig(**gen), **kw)
+    return replace(base, **ABLATION_VARIANTS[variant])
 
 
 def run_ablation(config: ExperimentConfig):
     """Six-variant ablation; emits ablation.csv with one row per variant."""
     run_dir = os.path.join(config.output_dir, config.run_id)
-    os.makedirs(run_dir, exist_ok=True)
     table = []
     for variant in ABLATION_VARIANTS:
-        train = ablation_train_config(config.train, variant)
-        sub = ExperimentConfig(
-            data=dict(config.data), run_id=config.run_id,
-            output_dir=config.output_dir, seeds=config.seeds,
-            method_label=variant,
-            use_baseline_trainer=(variant == "baseline"),
-            model=config.model, train=train, metrics=config.metrics)
-        rows = []
-        for seed in sub.seeds:
-            out_dir = os.path.join(run_dir, "ablation", variant,
-                                   f"seed-{seed}")
-            _, row = run_seed(sub, seed, out_dir=out_dir)
-            rows.append(row)
-        table.append((variant,
-                      float(np.mean([r["last"] for r in rows])),
-                      float(np.mean([r["avg"] for r in rows]))))
+        sub = replace(config, method_label=variant,
+                      use_baseline_trainer=(variant == "baseline"),
+                      train=ablation_train_config(config.train, variant))
+        rows = _run_seeds(sub, os.path.join(run_dir, "ablation", variant))
+        table.append((variant, *_seed_mean(rows)))
     path = os.path.join(run_dir, "ablation.csv")
     with open(path, "w") as fh:
         fh.write(SUMMARY_HEADER + "\n")

@@ -126,20 +126,6 @@ def incremental_accuracy(history):
 # ---------------------------------------------------------------------------
 # old-to-new leakage by overlap group
 
-def feature_prototypes(model, labeled_sets):
-    """Class-mean concatenated features over one or more (x, y) sets."""
-    sums, counts = {}, {}
-    for x, y in labeled_sets:
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        feats = model.concat_features_np(x)
-        for c in np.unique(y):
-            block = feats[y == c].sum(axis=0)
-            sums[int(c)] = sums.get(int(c), 0.0) + block
-            counts[int(c)] = counts.get(int(c), 0) + int(np.sum(y == c))
-    return {c: sums[c] / counts[c] for c in sums}
-
-
 def _cosine(a, b):
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
@@ -147,25 +133,24 @@ def _cosine(a, b):
     return float(a @ b) / (na * nb)
 
 
-def old_new_error(model, old_test_sets, new_class_range, prototypes):
+def old_new_error(old_predictions, new_class_range, prototypes):
     """Per-overlap-group rate of old samples predicted as new classes.
 
-    Each old class's overlap is its maximum prototype cosine against the new
-    classes; old classes are split into low/medium/high groups at the
-    tertiles of that overlap distribution, and each group's rate is the
-    fraction of its test samples whose argmax prediction falls inside
+    `old_predictions` holds one (predicted labels, true labels) pair per
+    old test set. Each old class's overlap is its maximum prototype cosine
+    against the new classes; old classes are split into low/medium/high
+    groups at the tertiles of that overlap distribution, and each group's
+    rate is the fraction of its test samples whose prediction falls inside
     new_class_range. Groups left empty by ties come back as NaN.
     """
-    if getattr(model, "task_count", 0) < 2:
-        raise UsageError("old-to-new error needs at least two tasks")
-    if not old_test_sets:
+    if not old_predictions:
         raise UsageError("no old test sets supplied")
     lo, hi = new_class_range
     if not lo < hi:
         raise InputError(f"empty new-class range [{lo}, {hi})")
 
-    xs = [np.asarray(x, dtype=np.float64) for x, _ in old_test_sets]
-    ys = [np.asarray(y, dtype=np.int64) for _, y in old_test_sets]
+    preds = [np.asarray(p, dtype=np.int64) for p, _ in old_predictions]
+    ys = [np.asarray(y, dtype=np.int64) for _, y in old_predictions]
     old_classes = sorted({int(c) for y in ys for c in np.unique(y)})
     new_classes = list(range(lo, hi))
     for c in old_classes + new_classes:
@@ -187,8 +172,7 @@ def old_new_error(model, old_test_sets, new_class_range, prototypes):
 
     hits = {g: 0 for g in OVERLAP_GROUPS}
     totals = {g: 0 for g in OVERLAP_GROUPS}
-    for x, y in zip(xs, ys):
-        pred = np.argmax(model.forward_concat_np(x), axis=1)
+    for pred, y in zip(preds, ys):
         into_new = (pred >= lo) & (pred < hi)
         for c in np.unique(y):
             g = group_of[int(c)]
@@ -228,20 +212,6 @@ def linear_cka(x, y):
     return float(np.linalg.norm(yc.T @ xc) ** 2 / (denom_x * denom_y))
 
 
-def cka_by_layer(model, x, reference_model):
-    """Linear CKA per extractor layer between two models on shared inputs.
-
-    Returns [(layer_index, value)] where layers run through each extractor's
-    hidden activations in order. Both models must have the same extractor
-    layout.
-    """
-    acts_a = model_layer_activations(model, x)
-    acts_b = model_layer_activations(reference_model, x)
-    if len(acts_a) != len(acts_b):
-        raise InputError("models expose different layer counts")
-    return [(i, linear_cka(a, b)) for i, (a, b) in enumerate(zip(acts_a, acts_b))]
-
-
 def extractor_cka(ext_a, ext_b, x):
     """Layerwise linear CKA between two extractors on shared inputs.
 
@@ -255,15 +225,6 @@ def extractor_cka(ext_a, ext_b, x):
         raise InputError(
             f"extractor depths differ: {len(acts_a)} vs {len(acts_b)}")
     return [(i, linear_cka(a, b)) for i, (a, b) in enumerate(zip(acts_a, acts_b))]
-
-
-def model_layer_activations(model, x):
-    """Every extractor's per-layer activations, flattened across extractors."""
-    x = np.asarray(x, dtype=np.float64)
-    acts = []
-    for ext in model.extractors:
-        acts.extend(ext.activations_np(x))
-    return acts
 
 
 # ---------------------------------------------------------------------------
@@ -319,38 +280,44 @@ def masking_curve(model, x, y, dim_tags, ks):
 # ---------------------------------------------------------------------------
 # counterfactual quality
 
-def counterfactual_quality(samples, model, require_hss=False):
-    """(pfr, lkld, hss) over a list of generated counterfactual samples.
+def counterfactual_quality(model, factual, counterfactual, values,
+                           references=None, require_hss=False):
+    """(pfr, lkld, hss) over rows of generated counterfactuals.
 
-    All samples live in the current feature space, so flips are read from
-    the current-task head: PFR is the fraction whose argmax changed between
-    factual and counterfactual. LKLD is the mean constraint-metric value.
-    HSS is the mean cosine between inter-scope counterfactuals and their
-    attached projected references; it is None when no inter samples are
-    present unless require_hss, which then raises.
+    Row i of `counterfactual` was generated from row i of `factual` with
+    constraint-metric value values[i]. All rows live in the current
+    feature space, so flips are read from the current-task head: PFR is
+    the fraction of rows whose argmax changed. LKLD is the mean metric
+    value. The last len(references) rows are inter-scope counterfactuals
+    and `references` holds the projected old features they were pulled
+    toward; HSS is the mean cosine between those rows and their
+    references. It is None when there are no inter rows, unless
+    require_hss, which then raises.
     """
-    samples = list(samples)
-    if not samples:
-        raise InputError("no counterfactual samples supplied")
+    factual = np.atleast_2d(np.asarray(factual, dtype=np.float64))
+    counter = np.atleast_2d(np.asarray(counterfactual, dtype=np.float64))
+    if factual.size == 0:
+        raise InputError("no counterfactual rows supplied")
     w = model.heads["intra_w"].values
     b = model.heads["intra_b"].values
-    factual = np.stack([s.factual for s in samples])
-    counter = np.stack([s.counterfactual for s in samples])
-    if factual.shape[1] != w.shape[1]:
+    if factual.shape[1] != w.shape[1] or counter.shape != factual.shape:
         raise InputError(
-            f"sample dim {factual.shape[1]} does not match head dim {w.shape[1]}")
+            f"factual {factual.shape} and counterfactual {counter.shape} rows "
+            f"do not match head dim {w.shape[1]}")
     pred_f = np.argmax(factual @ w.T + b, axis=1)
     pred_c = np.argmax(counter @ w.T + b, axis=1)
     pfr = float(np.mean(pred_f != pred_c))
-    lkld = float(np.mean([s.kl_value for s in samples]))
-    inter = [s for s in samples if s.scope == "inter" and s.reference is not None]
-    if not inter:
+    lkld = float(np.mean(values))
+    if references is None or not len(references):
         if require_hss:
-            raise UsageError("hss requested but no inter-scope samples present")
-        hss = None
-    else:
-        hss = float(np.mean([_cosine(s.counterfactual, s.reference)
-                             for s in inter]))
+            raise UsageError("hss requested but no inter-scope rows present")
+        return pfr, lkld, None
+    refs = np.atleast_2d(np.asarray(references, dtype=np.float64))
+    if refs.shape[1] != factual.shape[1] or len(refs) > len(counter):
+        raise InputError(f"references {refs.shape} do not fit the "
+                         f"counterfactual rows {counter.shape}")
+    inter = counter[len(counter) - len(refs):]
+    hss = float(np.mean([_cosine(c, r) for c, r in zip(inter, refs)]))
     return pfr, lkld, hss
 
 

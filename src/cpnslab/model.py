@@ -224,8 +224,11 @@ class ExpandableModel:
     def forward_concat_np(self, x):
         if not self.extractors:
             raise UsageError("model has no extractors")
-        z = self.concat_features_np(x)
-        return z @ self.heads["cls_w"].values.T + self.heads["cls_b"].values
+        return self.cls_logits_np(self.concat_features_np(x))
+
+    def cls_logits_np(self, z_concat):
+        """Classifier logits from already-computed concatenated features."""
+        return z_concat @ self.heads["cls_w"].values.T + self.heads["cls_b"].values
 
     def forward_aux_np(self, x):
         if self.task_count < 2:
@@ -265,10 +268,6 @@ class ExpandableModel:
     def cls_graph(self, concat_node: ad.Tensor) -> ad.Tensor:
         return self.head_graph("cls", concat_node)
 
-    def inter_graph(self, concat_node: ad.Tensor) -> ad.Tensor:
-        name = "inter" if self.separate_inter_head else "cls"
-        return self.head_graph(name, concat_node)
-
     def projector_graph(self, zold_node: ad.Tensor) -> ad.Tensor:
         if "proj_w0" not in self.heads:
             raise UsageError("projector is absent on the first task")
@@ -296,18 +295,6 @@ class ExpandableModel:
         ps.adopt("intra_b", self.heads["intra_b"])
         return ps
 
-    def stage2_params(self) -> ad.ParameterSet:
-        """Current extractor, every head, and the projector."""
-        ps = ad.ParameterSet()
-        for name, t in self.extractors[-1].params.items():
-            ps.adopt(f"f{self.current_task}/{name}", t)
-        for key in ("cls_w", "cls_b", "aux_w", "aux_b", "intra_w", "intra_b",
-                    "inter_w", "inter_b",
-                    "proj_w0", "proj_b0", "proj_w1", "proj_b1"):
-            if key in self.heads:
-                ps.adopt(key, self.heads[key])
-        return ps
-
     def all_params(self) -> ad.ParameterSet:
         ps = ad.ParameterSet()
         for ext in self.extractors:
@@ -325,29 +312,6 @@ class ExpandableModel:
                 for name, t in ext.params.items():
                     snap[f"f{ext.task_index}/{name}"] = t.values.copy()
         return snap
-
-
-# ---------------------------------------------------------------------------
-# module-level functional wrappers around the model methods
-
-def expand(model: ExpandableModel, new_class_count: int) -> ExpandableModel:
-    return model.expand(new_class_count)
-
-
-def forward_concat(model: ExpandableModel, x):
-    return model.forward_concat_np(x)
-
-
-def forward_aux(model: ExpandableModel, x):
-    return model.forward_aux_np(x)
-
-
-def forward_intra(model: ExpandableModel, x):
-    return model.forward_intra_np(x)
-
-
-def project_old(model: ExpandableModel, x):
-    return model.project_old_np(x)
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +370,7 @@ def save_checkpoint(model: ExpandableModel, path):
 
 
 def load_checkpoint(path) -> ExpandableModel:
+    """Read a checkpoint; a missing or mistyped field raises FormatError."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -418,7 +383,14 @@ def load_checkpoint(path) -> ExpandableModel:
             else "checkpoint root is not an object")
     if doc.get("format_version") != 1:
         raise FormatError(f"unsupported checkpoint version {doc.get('format_version')!r}")
+    try:
+        return _model_from_doc(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(
+            f"malformed checkpoint field: {type(exc).__name__}: {exc}") from exc
 
+
+def _model_from_doc(doc):
     model = ExpandableModel(
         input_dim=doc["input_dim"],
         feature_dim=doc["feature_dim"],

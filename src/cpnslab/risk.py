@@ -1,5 +1,5 @@
 """Empirical risk over counterfactual pairs, its monotonicity-violation
-companion, interventional estimates, and the differentiable surrogates.
+companion, interventional estimates, and the differentiable surrogate.
 
 Two scopes share one indicator pattern. Per sample the risk adds a
 sufficiency violation (factual representation predicted wrong) and a
@@ -12,9 +12,11 @@ it: a breach is a bug, never data.
 Degenerate counterfactuals (the generator could not move the feature)
 count as automatic necessity violations, the conservative reading.
 
-Training never touches the indicators (no gradient); the two surrogate
-losses below stand in for them, with the perturbation treated as a
-constant during backpropagation so no second-order terms arise.
+Training never touches the indicators (no gradient); one surrogate loss
+stands in for them in both scopes (over the current feature for the intra
+scope, over the combined representation for the inter scope), with the
+perturbation treated as a constant during backpropagation so no
+second-order terms arise.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import counterfactual as cf
-from .errors import InputError, PropositionViolation, UsageError
+from .errors import (ConfigurationError, InputError, PropositionViolation,
+                     UsageError)
 
 
 @dataclass
@@ -36,6 +39,14 @@ class GenConfig:
     beta: float = 0.03
     epsilon: float = 0.05
     metric: str = "kl"
+
+    def __post_init__(self):
+        if self.metric not in cf.METRICS:
+            raise ConfigurationError(
+                f"unknown constraint metric {self.metric!r}; "
+                f"pick one of {cf.METRICS}")
+        if min(self.alpha, self.beta, self.epsilon) <= 0:
+            raise ConfigurationError("alpha, beta and epsilon must be positive")
 
 
 @dataclass
@@ -191,13 +202,6 @@ def empirical_cpns_risk(current_batch, buffer_batch, model,
                          r_inter, m_inter, pns_inter, len(y_all))
 
 
-def monotonicity_violation(current_batch, buffer_batch, model,
-                           cfg: GenConfig | None = None):
-    """(m_intra, m_inter) alone; same pools and conventions as the risk."""
-    report = empirical_cpns_risk(current_batch, buffer_batch, model, cfg)
-    return report.m_intra, report.m_inter
-
-
 def estimate_pns_interventional(eval_set, model, scope,
                                 cfg: GenConfig | None = None,
                                 label_policy="predicted") -> float:
@@ -228,7 +232,7 @@ def estimate_pns_interventional(eval_set, model, scope,
 
 
 # ---------------------------------------------------------------------------
-# differentiable surrogates
+# differentiable surrogate
 
 def surrogate_intra_loss(factual: ad.Tensor, counterfactual_values, labels,
                          w: ad.Tensor, b: ad.Tensor, nu=1.0) -> ad.Tensor:
@@ -240,24 +244,13 @@ def surrogate_intra_loss(factual: ad.Tensor, counterfactual_values, labels,
     enters as a constant offset from the factual node, so gradients reach
     the extractor through both terms without differentiating the
     generator itself.
+
+    The inter scope uses the same loss over the combined representation
+    [frozen block, current feature]; its frozen block is a constant node,
+    so no gradient reaches the frozen extractors.
     """
     suff = ad.softmax_cross_entropy(ad.linear(factual, w, b), labels)
     delta = ad.constant(np.asarray(counterfactual_values) - factual.values)
     cbar = ad.add(factual, delta)
     nec = ad.neglog_complement_prob(ad.linear(cbar, w, b), labels)
     return ad.add_scalars([suff, ad.scale(nec, nu)])
-
-
-def surrogate_inter_loss(z_factual: ad.Tensor, z_counterfactual_values,
-                         labels, w: ad.Tensor, b: ad.Tensor,
-                         nu=1.0) -> ad.Tensor:
-    """Same two-term structure over combined representations.
-
-    The caller guarantees a second task exists (there is no combined
-    representation before that); the counterfactual differs from the
-    factual only in the current-feature block, and the frozen block of
-    z_factual should be a constant node so no gradient reaches frozen
-    extractors.
-    """
-    return surrogate_intra_loss(z_factual, z_counterfactual_values, labels,
-                                w, b, nu=nu)

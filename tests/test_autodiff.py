@@ -403,7 +403,7 @@ def test_grad_wrt_intermediate_matches_fd():
     z = ad.linear(x, w, b)
     root = ad.sum_squares(ad.relu(z))
     ad.backward(root)
-    g = ad.grad_wrt(z)
+    g = z.grad
     zv = xv @ wv.T + bv
     zv[np.abs(zv) < 1e-2] += 0.1  # nudge off the relu kink for fd
     want = numeric_grad(lambda v: float(np.sum(np.maximum(v, 0.0) ** 2)), zv)
@@ -412,22 +412,6 @@ def test_grad_wrt_intermediate_matches_fd():
     # the graph's own intermediate gradient matches its closed form exactly
     np.testing.assert_allclose(g, 2.0 * np.maximum(x.values @ wv.T + bv, 0.0),
                                rtol=1e-12)
-
-
-def test_grad_wrt_before_backward_raises():
-    x = ad.leaf(np.ones(3))
-    z = ad.relu(x)
-    with pytest.raises(UsageError):
-        ad.grad_wrt(z)
-
-
-def test_grad_wrt_returns_copy():
-    x = ad.leaf([1.0, 2.0])
-    root = ad.sum_squares(x)
-    ad.backward(root)
-    g = ad.grad_wrt(x)
-    g[:] = 0.0
-    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,27 @@ def _rand_head(rng, k=4, d=6):
     return rng.normal(size=(k, d)), rng.normal(size=k) * 0.1
 
 
+def intra_one(c, label, w, **kw):
+    """The intra generator on a one-row batch: (cf, value, scale, degenerate)."""
+    return tuple(a[0] for a in cf.generate_intra_batch([c], [label], w, **kw))
+
+
+def inter_one(c, proj, **kw):
+    """The inter generator on a one-row batch: (cf, value, scale, degenerate)."""
+    return tuple(a[0] for a in cf.generate_inter_batch([c], [proj], **kw))
+
+
 # ---------------------------------------------------------------------------
-# gen_intra
+# intra-scope generator
 
 def test_gen_intra_zero_gradient_degenerate():
     w = np.zeros((3, 4))  # flat loss surface: gradient vanishes everywhere
-    s = cf.gen_intra(np.array([1.0, 2.0, 3.0, 4.0]), 1, w)
-    assert s.degenerate
-    np.testing.assert_array_equal(s.counterfactual, s.factual)
-    assert s.kl_value == 0.0
-    assert s.applied_scale == 0.0
+    c = np.array([1.0, 2.0, 3.0, 4.0])
+    cfv, val, scale, degenerate = intra_one(c, 1, w)
+    assert degenerate
+    np.testing.assert_array_equal(cfv, c)
+    assert val == 0.0
+    assert scale == 0.0
 
 
 def test_gen_intra_hand_oracle_2d():
@@ -37,9 +48,9 @@ def test_gen_intra_hand_oracle_2d():
     np.testing.assert_allclose(g, [-2.0 * p1, 0.0], atol=1e-15)
     assert g[0] < 0  # pushes the decisive coordinate down, toward the boundary
 
-    s = cf.gen_intra(c, 0, w, alpha=1.0, epsilon=10.0)
-    np.testing.assert_allclose(s.counterfactual, c + g, atol=1e-15)
-    assert s.applied_scale == 1.0
+    cfv, _, scale, _ = intra_one(c, 0, w, alpha=1.0, epsilon=10.0)
+    np.testing.assert_allclose(cfv, c + g, atol=1e-15)
+    assert scale == 1.0
 
 
 def test_gen_intra_direction_is_exact_autodiff_gradient():
@@ -47,11 +58,11 @@ def test_gen_intra_direction_is_exact_autodiff_gradient():
     w, b = _rand_head(rng)
     c = rng.normal(size=6)
     y = 2
-    s = cf.gen_intra(c, y, w, b=b, alpha=0.5, epsilon=10.0)
+    cfv, _, scale, _ = intra_one(c, y, w, b=b, alpha=0.5, epsilon=10.0)
     node = ad.leaf(c)
     loss = ad.softmax_cross_entropy(ad.linear(node, ad.leaf(w), ad.leaf(b)), y)
     ad.backward(loss)
-    direction = s.delta / s.applied_scale
+    direction = (cfv - c) / scale
     cos = direction @ node.grad / (np.linalg.norm(direction) * np.linalg.norm(node.grad))
     assert abs(cos - 1.0) < 1e-12
     np.testing.assert_allclose(direction, node.grad, rtol=1e-12)
@@ -64,43 +75,45 @@ def test_gen_intra_constraint_satisfied(epsilon):
         w, b = _rand_head(rng)
         c = rng.normal(size=6) * rng.uniform(0.5, 4.0)
         y = int(rng.integers(4))
-        s = cf.gen_intra(c, y, w, b=b, alpha=rng.uniform(0.1, 8.0), epsilon=epsilon)
-        assert s.kl_value <= epsilon
-        if not s.degenerate:
-            kl = float(ad.kl_softmax_value(s.counterfactual, s.factual))
-            assert abs(kl - s.kl_value) < 1e-12
+        cfv, val, _, degenerate = intra_one(
+            c, y, w, b=b, alpha=rng.uniform(0.1, 8.0), epsilon=epsilon)
+        assert val <= epsilon
+        if not degenerate:
+            kl = float(ad.kl_softmax_value(cfv, c))
+            assert abs(kl - val) < 1e-12
 
 
 def test_gen_intra_backtracking_halves_scale():
     rng = np.random.default_rng(2)
     w, b = _rand_head(rng)
     c = rng.normal(size=6) * 3.0
-    s_loose = cf.gen_intra(c, 0, w, b=b, alpha=8.0, epsilon=100.0)
-    s_tight = cf.gen_intra(c, 0, w, b=b, alpha=8.0, epsilon=1e-4)
-    assert s_loose.applied_scale == 8.0
-    assert not s_tight.degenerate
-    assert s_tight.applied_scale < s_loose.applied_scale
+    _, _, loose, _ = intra_one(c, 0, w, b=b, alpha=8.0, epsilon=100.0)
+    _, _, tight, tight_degenerate = intra_one(c, 0, w, b=b, alpha=8.0,
+                                              epsilon=1e-4)
+    assert loose == 8.0
+    assert not tight_degenerate
+    assert tight < loose
     # backtracking is geometric, so the final scale is 8 / 2^k
-    k = np.log2(8.0 / s_tight.applied_scale)
+    k = np.log2(8.0 / tight)
     assert abs(k - round(k)) < 1e-12
 
 
 def test_gen_intra_validates_config():
     w = np.eye(3)
     with pytest.raises(ConfigurationError):
-        cf.gen_intra(np.ones(3), 0, w, alpha=0.0)
+        intra_one(np.ones(3), 0, w, alpha=0.0)
     with pytest.raises(ConfigurationError):
-        cf.gen_intra(np.ones(3), 0, w, epsilon=-1.0)
+        intra_one(np.ones(3), 0, w, epsilon=-1.0)
 
 
 def test_gen_intra_deterministic():
     rng = np.random.default_rng(3)
     w, b = _rand_head(rng)
     c = rng.normal(size=6)
-    a = cf.gen_intra(c, 1, w, b=b)
-    b2 = cf.gen_intra(c, 1, w, b=b)
-    np.testing.assert_array_equal(a.counterfactual, b2.counterfactual)
-    assert a.applied_scale == b2.applied_scale
+    a = intra_one(c, 1, w, b=b)
+    b2 = intra_one(c, 1, w, b=b)
+    np.testing.assert_array_equal(a[0], b2[0])
+    assert a[2] == b2[2]
 
 
 def test_batch_matches_per_sample():
@@ -111,38 +124,39 @@ def test_batch_matches_per_sample():
     cfs, vals, scales, degenerate = cf.generate_intra_batch(
         feats, labels, w, b=b, alpha=2.0, epsilon=0.05)
     for i in range(16):
-        s = cf.gen_intra(feats[i], labels[i], w, b=b, alpha=2.0, epsilon=0.05)
+        cfv, _, scale, deg = intra_one(feats[i], labels[i], w, b=b, alpha=2.0,
+                                       epsilon=0.05)
         # blas reduction order differs between [16,d] and [1,d] matmuls,
         # so agreement is to machine precision rather than bit-exact
-        np.testing.assert_allclose(cfs[i], s.counterfactual, rtol=0, atol=1e-12)
-        assert scales[i] == s.applied_scale
-        assert degenerate[i] == s.degenerate
+        np.testing.assert_allclose(cfs[i], cfv, rtol=0, atol=1e-12)
+        assert scales[i] == scale
+        assert degenerate[i] == deg
 
 
 # ---------------------------------------------------------------------------
-# gen_inter
+# inter-scope generator
 
 def test_gen_inter_collision_is_degenerate():
     c = np.array([1.0, -2.0, 0.5])
-    s = cf.gen_inter(c, c)
-    assert s.degenerate
-    np.testing.assert_array_equal(s.counterfactual, c)
+    cfv, _, _, degenerate = inter_one(c, c)
+    assert degenerate
+    np.testing.assert_array_equal(cfv, c)
 
 
 def test_gen_inter_quarter_beta_is_midpoint():
     rng = np.random.default_rng(5)
     c = rng.normal(size=5)
     proj = rng.normal(size=5)
-    s = cf.gen_inter(c, proj, beta=0.25, epsilon=100.0)
-    np.testing.assert_allclose(s.counterfactual, (c + proj) / 2.0, atol=1e-15)
+    cfv, _, _, _ = inter_one(c, proj, beta=0.25, epsilon=100.0)
+    np.testing.assert_allclose(cfv, (c + proj) / 2.0, atol=1e-15)
 
 
 def test_gen_inter_default_beta_closed_form():
     rng = np.random.default_rng(6)
     c = rng.normal(size=5)
     proj = rng.normal(size=5)
-    s = cf.gen_inter(c, proj, beta=0.03, epsilon=100.0)
-    np.testing.assert_allclose(s.counterfactual, 0.94 * c + 0.06 * proj,
+    cfv, _, _, _ = inter_one(c, proj, beta=0.03, epsilon=100.0)
+    np.testing.assert_allclose(cfv, 0.94 * c + 0.06 * proj,
                                atol=1e-12)
 
 
@@ -152,12 +166,12 @@ def test_gen_inter_closed_form_after_backtracking():
         c = rng.normal(size=6) * rng.uniform(0.5, 5.0)
         proj = rng.normal(size=6) * rng.uniform(0.5, 5.0)
         eps = rng.uniform(1e-4, 0.05)
-        s = cf.gen_inter(c, proj, beta=rng.uniform(0.01, 0.49), epsilon=eps)
-        assert s.kl_value <= eps
-        if not s.degenerate:
-            beta_eff = s.applied_scale
+        cfv, val, beta_eff, degenerate = inter_one(
+            c, proj, beta=rng.uniform(0.01, 0.49), epsilon=eps)
+        assert val <= eps
+        if not degenerate:
             want = (1.0 - 2.0 * beta_eff) * c + 2.0 * beta_eff * proj
-            assert np.abs(s.counterfactual - want).max() < 1e-12
+            assert np.abs(cfv - want).max() < 1e-12
 
 
 @given(st.integers(0, 10_000))
@@ -168,18 +182,20 @@ def test_gen_inter_monotone_interference(seed):
     rng = np.random.default_rng(seed)
     c = rng.normal(size=4) * 2.0
     proj = rng.normal(size=4) * 2.0
-    s = cf.gen_inter(c, proj, beta=rng.uniform(0.01, 0.5), epsilon=0.05)
-    if not s.degenerate and 2.0 * s.applied_scale <= 1.0:
-        assert (np.linalg.norm(s.counterfactual - proj)
+    cfv, _, scale, degenerate = inter_one(c, proj,
+                                          beta=rng.uniform(0.01, 0.5),
+                                          epsilon=0.05)
+    if not degenerate and 2.0 * scale <= 1.0:
+        assert (np.linalg.norm(cfv - proj)
                 <= np.linalg.norm(c - proj) + 1e-12)
 
 
 def test_gen_inter_validates_config():
     c = np.ones(3)
     with pytest.raises(ConfigurationError):
-        cf.gen_inter(c, c, beta=0.0)
+        inter_one(c, c, beta=0.0)
     with pytest.raises(ConfigurationError):
-        cf.gen_inter(c, np.ones(4))
+        inter_one(c, np.ones(4))
 
 
 # ---------------------------------------------------------------------------
@@ -190,27 +206,29 @@ def test_perturb_random_respects_budget_and_seed():
     c = rng.normal(size=6) * 2.0
     for budget in (1e-4, 0.01, 0.1):
         for trial in range(50):
-            s = cf.perturb_random(c, budget, np.random.default_rng(trial))
-            assert s.kl_value <= budget
-    a = cf.perturb_random(c, 0.05, np.random.default_rng(123))
-    b = cf.perturb_random(c, 0.05, np.random.default_rng(123))
-    np.testing.assert_array_equal(a.counterfactual, b.counterfactual)
+            _, vals, _, _ = cf.perturb_random(c, budget,
+                                              np.random.default_rng(trial))
+            assert vals[0] <= budget
+    a, _, _, _ = cf.perturb_random(c, 0.05, np.random.default_rng(123))
+    b, _, _, _ = cf.perturb_random(c, 0.05, np.random.default_rng(123))
+    np.testing.assert_array_equal(a, b)
 
 
 def test_perturb_random_small_budget_stays_close():
     rng = np.random.default_rng(9)
     c = rng.normal(size=6)
-    s = cf.perturb_random(c, 1e-8, np.random.default_rng(0))
-    assert np.linalg.norm(s.counterfactual - c) < 1e-2
+    cfs, _, _, _ = cf.perturb_random(c, 1e-8, np.random.default_rng(0))
+    assert np.linalg.norm(cfs[0] - c) < 1e-2
 
 
 def test_perturb_pgd_single_step_matches_gen_intra():
     rng = np.random.default_rng(10)
     w, b = _rand_head(rng)
     c = rng.normal(size=6)
-    pgd = cf.perturb_pgd(c, 1, w, steps=1, step_size=0.7, budget_kl=100.0, b=b)
-    ref = cf.gen_intra(c, 1, w, b=b, alpha=0.7, epsilon=100.0)
-    np.testing.assert_allclose(pgd.counterfactual, ref.counterfactual, atol=1e-15)
+    pgd, _, _, _ = cf.perturb_pgd(c, 1, w, steps=1, step_size=0.7,
+                                  budget_kl=100.0, b=b)
+    ref, _, _, _ = intra_one(c, 1, w, b=b, alpha=0.7, epsilon=100.0)
+    np.testing.assert_allclose(pgd[0], ref, atol=1e-15)
 
 
 def test_perturb_pgd_respects_budget():
@@ -219,9 +237,10 @@ def test_perturb_pgd_respects_budget():
         w, b = _rand_head(rng)
         c = rng.normal(size=6) * rng.uniform(0.5, 4.0)
         budget = rng.uniform(1e-4, 0.1)
-        s = cf.perturb_pgd(c, int(rng.integers(4)), w, steps=5,
-                           step_size=rng.uniform(0.1, 4.0), budget_kl=budget, b=b)
-        assert s.kl_value <= budget
+        _, vals, _, _ = cf.perturb_pgd(c, int(rng.integers(4)), w, steps=5,
+                                       step_size=rng.uniform(0.1, 4.0),
+                                       budget_kl=budget, b=b)
+        assert vals[0] <= budget
 
 
 def test_perturb_pgd_moves_farther_up_loss_than_single_step():
@@ -241,35 +260,24 @@ def test_perturb_pgd_moves_farther_up_loss_than_single_step():
             ls = logits - logits.max()
             return float(np.log(np.exp(ls).sum()) - ls[y])
 
-        pgd = cf.perturb_pgd(c, y, w, steps=10, step_size=2.0, budget_kl=budget, b=b)
-        one = cf.gen_intra(c, y, w, b=b, alpha=2.0, epsilon=budget)
-        if loss_at(pgd.counterfactual) >= loss_at(one.counterfactual) - 1e-9:
+        pgd, _, _, _ = cf.perturb_pgd(c, y, w, steps=10, step_size=2.0,
+                                      budget_kl=budget, b=b)
+        one, _, _, _ = intra_one(c, y, w, b=b, alpha=2.0, epsilon=budget)
+        if loss_at(pgd[0]) >= loss_at(one) - 1e-9:
             wins += 1
     assert wins >= int(0.9 * trials)
 
 
 # ---------------------------------------------------------------------------
-# counters and metrics
-
-def test_scope_counters_track_generation():
-    cf.reset_counters()
-    rng = np.random.default_rng(13)
-    w, b = _rand_head(rng)
-    feats = rng.normal(size=(8, 6))
-    cf.generate_intra_batch(feats, np.zeros(8, dtype=int), w, b=b)
-    cf.generate_inter_batch(feats, feats + 0.1)
-    cf.perturb_random(feats[0], 0.05, np.random.default_rng(0))
-    assert cf.CALL_COUNTS == {"intra": 8, "inter": 8, "baseline": 1}
-    cf.reset_counters()
-    assert cf.CALL_COUNTS == {"intra": 0, "inter": 0, "baseline": 0}
-
+# constraint metrics
 
 def test_alternate_constraint_metrics():
     rng = np.random.default_rng(14)
     w, b = _rand_head(rng)
     c = rng.normal(size=6) * 3.0
     for metric in ("mse", "wasserstein"):
-        s = cf.gen_intra(c, 0, w, b=b, alpha=4.0, epsilon=1e-3, metric=metric)
-        assert s.kl_value <= 1e-3  # the field reports the active metric
+        _, val, _, _ = intra_one(c, 0, w, b=b, alpha=4.0, epsilon=1e-3,
+                                 metric=metric)
+        assert val <= 1e-3  # the value reports the active metric
     with pytest.raises(ConfigurationError):
-        cf.gen_intra(c, 0, w, metric="cosine")
+        intra_one(c, 0, w, metric="cosine")

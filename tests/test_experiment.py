@@ -306,6 +306,33 @@ class TestCli:
         assert cli.main(["run", cfg_path]) == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides", [
+        {"train": {"batch_size": "32"}},
+        {"model": {"hidden_dims": 5}},
+        {"data": 7},
+        {"seeds": "ab"},
+    ], ids=["batch_size string", "hidden_dims int", "data int",
+            "seeds string"])
+    def test_wrong_typed_config_value_exits_two(self, tmp_path, capsys,
+                                                overrides):
+        cfg_path = write_config(tmp_path,
+                                tiny_doc(tmp_path / "out", **overrides))
+        assert cli.main(["run", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cpnslab: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("gen", [{"metric": "bogus"}, {"alpha": 0.0},
+                                     {"beta": -0.1}, {"epsilon": 0.0}])
+    def test_bad_generator_config_fails_before_any_output(self, tmp_path,
+                                                          gen):
+        doc = tiny_doc(tmp_path / "out")
+        doc["train"]["gen"] = gen
+        cfg_path = write_config(tmp_path, doc)
+        with pytest.raises(ConfigurationError):
+            ex.load_config(cfg_path)
+        assert cli.main(["run", cfg_path]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exits_two(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "nope.json")]) == 2
 

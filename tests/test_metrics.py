@@ -60,15 +60,10 @@ def test_incremental_empty_rejected():
 # ---------------------------------------------------------------------------
 # old-to-new error
 
-class StubModel:
-    """Predictions are supplied per call through a queue of logit builders."""
-
-    def __init__(self, predict_fn, task_count=2):
-        self.task_count = task_count
-        self._fn = predict_fn
-
-    def forward_concat_np(self, x):
-        return self._fn(np.asarray(x))
+def predict(logits_fn, sets):
+    """(argmax predictions, labels) per (x, y) set; logits_fn maps x to
+    logits."""
+    return [(np.argmax(logits_fn(np.asarray(x)), axis=1), y) for x, y in sets]
 
 
 def spread_prototypes(n_old, n_new, dim=8):
@@ -93,10 +88,10 @@ def spread_prototypes(n_old, n_new, dim=8):
 def test_old_new_error_zero_when_never_predicting_new():
     n_old, n_new = 6, 2
     protos = spread_prototypes(n_old, n_new)
-    model = StubModel(lambda x: np.tile(np.eye(n_old + n_new)[0], (len(x), 1)))
+    fn = lambda x: np.tile(np.eye(n_old + n_new)[0], (len(x), 1))
     rng = np.random.default_rng(0)
     sets = [(rng.normal(size=(30, 4)), np.repeat(np.arange(n_old), 5))]
-    rates = mt.old_new_error(model, sets, (n_old, n_old + n_new), protos)
+    rates = mt.old_new_error(predict(fn, sets), (n_old, n_old + n_new), protos)
     assert set(rates) == set(mt.OVERLAP_GROUPS)
     assert all(r == 0.0 for r in rates.values())
 
@@ -107,10 +102,10 @@ def test_old_new_error_uniform_predictor_near_half():
     n_old = n_new = 6
     protos = spread_prototypes(n_old, n_new)
     rng = np.random.default_rng(7)
-    model = StubModel(lambda x: rng.random((len(x), n_old + n_new)))
+    fn = lambda x: rng.random((len(x), n_old + n_new))
     n_per = 400
     sets = [(np.zeros((n_old * n_per, 4)), np.repeat(np.arange(n_old), n_per))]
-    rates = mt.old_new_error(model, sets, (n_old, n_old + n_new), protos)
+    rates = mt.old_new_error(predict(fn, sets), (n_old, n_old + n_new), protos)
     sigma = np.sqrt(0.25 / (2 * n_per))  # each group holds 2 classes
     for rate in rates.values():
         assert abs(rate - 0.5) < 3 * sigma
@@ -135,19 +130,19 @@ def test_old_new_error_groups_by_overlap_tertiles():
         xs.append(np.full((10, 4), float(c)))
         ys.append(np.full(10, c))
     sets = [(np.concatenate(xs), np.concatenate(ys))]
-    rates = mt.old_new_error(StubModel(fn), sets, (n_old, n_old + n_new), protos)
+    rates = mt.old_new_error(predict(fn, sets), (n_old, n_old + n_new), protos)
     assert rates == {"low": 0.0, "medium": 0.0, "high": 1.0}
 
 
 def test_old_new_error_validation():
     protos = spread_prototypes(2, 2)
-    sets = [(np.zeros((2, 4)), np.array([0, 1]))]
+    old = [(np.array([0, 2]), np.array([0, 1]))]
     with pytest.raises(UsageError):
-        mt.old_new_error(StubModel(lambda x: x, task_count=1), sets, (2, 4), protos)
-    with pytest.raises(UsageError):
-        mt.old_new_error(StubModel(lambda x: x), [], (2, 4), protos)
+        mt.old_new_error([], (2, 4), protos)
     with pytest.raises(InputError):
-        mt.old_new_error(StubModel(lambda x: x), sets, (2, 4), {0: np.ones(3)})
+        mt.old_new_error(old, (4, 4), protos)
+    with pytest.raises(InputError):
+        mt.old_new_error(old, (2, 4), {0: np.ones(3)})
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +213,7 @@ def test_cka_by_layer_self_similarity():
     model = ExpandableModel(input_dim=6, feature_dim=4, hidden_dims=(8,), seed=0)
     model.expand(2)
     x = np.random.default_rng(0).normal(size=(25, 6))
-    pairs = mt.cka_by_layer(model, x, model)
+    pairs = mt.extractor_cka(model.extractors[0], model.extractors[0], x)
     assert [l for l, _ in pairs] == [0, 1]
     assert all(v == pytest.approx(1.0, abs=1e-10) for _, v in pairs)
 
@@ -310,30 +305,21 @@ def quality_model():
     return model
 
 
-def make_sample(factual, counterfactual, scope="intra", kl=0.0, reference=None):
-    factual = np.asarray(factual, dtype=np.float64)
-    counterfactual = np.asarray(counterfactual, dtype=np.float64)
-    return cf.CounterfactualSample(
-        scope=scope, factual=factual, counterfactual=counterfactual,
-        delta=counterfactual - factual, applied_scale=1.0, kl_value=kl,
-        degenerate=bool(np.all(factual == counterfactual)),
-        reference=reference)
-
-
 def test_quality_all_degenerate():
     model = quality_model()
-    samples = [make_sample([2.0, 0.0], [2.0, 0.0]) for _ in range(5)]
-    pfr, lkld, hss = mt.counterfactual_quality(samples, model)
+    feats = np.tile([2.0, 0.0], (5, 1))
+    pfr, lkld, hss = mt.counterfactual_quality(model, feats, feats.copy(),
+                                               np.zeros(5))
     assert pfr == 0.0 and lkld == 0.0 and hss is None
     with pytest.raises(UsageError):
-        mt.counterfactual_quality(samples, model, require_hss=True)
+        mt.counterfactual_quality(model, feats, feats.copy(), np.zeros(5),
+                                  require_hss=True)
 
 
 def test_quality_flip_counting_exact():
     model = quality_model()
-    samples = [make_sample([2.0, 0.0], [0.0, 2.0], kl=0.1),
-               make_sample([2.0, 0.0], [3.0, 0.0], kl=0.3)]
-    pfr, lkld, hss = mt.counterfactual_quality(samples, model)
+    pfr, lkld, hss = mt.counterfactual_quality(
+        model, [[2.0, 0.0], [2.0, 0.0]], [[0.0, 2.0], [3.0, 0.0]], [0.1, 0.3])
     assert pfr == 0.5
     assert lkld == pytest.approx(0.2)
     assert hss is None
@@ -342,11 +328,13 @@ def test_quality_flip_counting_exact():
 def test_quality_hss_one_at_full_pull():
     # 2 * beta_eff = 1 moves the counterfactual exactly onto the reference
     model = quality_model()
-    factual = np.array([1.0, -0.5])
-    target = np.array([-2.0, 1.5])
-    sample = cf.gen_inter(factual, target, beta=0.5, epsilon=1e6)
-    np.testing.assert_allclose(sample.counterfactual, target, atol=1e-12)
-    _, _, hss = mt.counterfactual_quality([sample], model)
+    factual = np.array([[1.0, -0.5]])
+    target = np.array([[-2.0, 1.5]])
+    cfs, vals, _, _ = cf.generate_inter_batch(factual, target, beta=0.5,
+                                              epsilon=1e6)
+    np.testing.assert_allclose(cfs, target, atol=1e-12)
+    _, _, hss = mt.counterfactual_quality(model, factual, cfs, vals,
+                                          references=target)
     assert hss == pytest.approx(1.0, abs=1e-12)
 
 
@@ -360,11 +348,11 @@ def test_quality_gradient_beats_random_flips():
         rng = np.random.default_rng(seed)
         feats = rng.normal(size=(60, 2))
         labels = np.argmax(feats, axis=1)
-        grad_samples = [cf.gen_intra(f, int(l), w, alpha=1.0, epsilon=0.05)
-                        for f, l in zip(feats, labels)]
-        rand_samples = [cf.perturb_random(f, 0.05, rng) for f in feats]
-        pfr_g, _, _ = mt.counterfactual_quality(grad_samples, model)
-        pfr_r, _, _ = mt.counterfactual_quality(rand_samples, model)
+        grad, grad_vals, _, _ = cf.generate_intra_batch(
+            feats, labels, w, alpha=1.0, epsilon=0.05)
+        rand, rand_vals, _, _ = cf.perturb_random(feats, 0.05, rng)
+        pfr_g, _, _ = mt.counterfactual_quality(model, feats, grad, grad_vals)
+        pfr_r, _, _ = mt.counterfactual_quality(model, feats, rand, rand_vals)
         flips_grad.append(pfr_g)
         flips_rand.append(pfr_r)
     assert np.mean(flips_grad) > np.mean(flips_rand)
@@ -373,10 +361,13 @@ def test_quality_gradient_beats_random_flips():
 def test_quality_validation():
     model = quality_model()
     with pytest.raises(InputError):
-        mt.counterfactual_quality([], model)
+        mt.counterfactual_quality(model, [], [], [])
+    row = [[1.0, 2.0, 3.0]]
     with pytest.raises(InputError):
-        mt.counterfactual_quality([make_sample([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])],
-                                  model)
+        mt.counterfactual_quality(model, row, row, [0.0])
+    with pytest.raises(InputError):
+        mt.counterfactual_quality(model, [[1.0, 2.0]], [[1.0, 2.0]], [0.0],
+                                  references=[[1.0, 2.0], [3.0, 4.0]])
 
 
 # ---------------------------------------------------------------------------

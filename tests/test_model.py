@@ -1,5 +1,7 @@
 """Expansion, inheritance, head wiring, and checkpoint round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -17,12 +19,17 @@ def _probe(rng, n, dim):
     return rng.normal(size=(n, dim))
 
 
+def trainable(m):
+    """The current extractor, every head and the projector."""
+    return [t for t in m.all_params().tensors() if not t.frozen]
+
+
 # ---------------------------------------------------------------------------
 # expand
 
 def test_expand_base_case():
     m = fresh()
-    md.expand(m, 10)
+    m.expand(10)
     assert m.task_count == 1
     assert m.heads["cls_w"].shape == (10, 4)
     assert m.class_offsets == [(0, 10)]
@@ -74,7 +81,7 @@ def test_expand_rejects_nonpositive_counts():
 
 
 # ---------------------------------------------------------------------------
-# forward_concat
+# forward_concat_np
 
 def _manual_extractor(ext, x):
     h = x
@@ -92,7 +99,7 @@ def test_forward_concat_single_task_degenerate():
     x = _probe(rng, 4, 8)
     f0 = _manual_extractor(m.extractors[0], x)
     want = f0 @ m.heads["cls_w"].values.T + m.heads["cls_b"].values
-    np.testing.assert_array_equal(md.forward_concat(m, x), want)
+    np.testing.assert_array_equal(m.forward_concat_np(x), want)
 
 
 def test_forward_concat_matches_independent_oracle():
@@ -103,7 +110,7 @@ def test_forward_concat_matches_independent_oracle():
     x = _probe(rng, 6, 8)
     z = np.concatenate([_manual_extractor(e, x) for e in m.extractors], axis=1)
     want = z @ m.heads["cls_w"].values.T + m.heads["cls_b"].values
-    np.testing.assert_array_equal(md.forward_concat(m, x), want)
+    np.testing.assert_array_equal(m.forward_concat_np(x), want)
 
 
 def test_forward_concat_zero_new_block_reduces_to_single_task():
@@ -111,27 +118,27 @@ def test_forward_concat_zero_new_block_reduces_to_single_task():
     m = fresh()
     m.expand(3)
     x = _probe(rng, 4, 8)
-    single = md.forward_concat(m, x)
+    single = m.forward_concat_np(x)
     m.expand(3)
     m.heads["cls_w"].values[:, 4:] = 0.0  # silence the new feature block
-    np.testing.assert_array_equal(md.forward_concat(m, x)[:, :3], single)
+    np.testing.assert_array_equal(m.forward_concat_np(x)[:, :3], single)
 
 
 def test_forward_concat_dim_mismatch():
     m = fresh()
     m.expand(3)
     with pytest.raises(InputError):
-        md.forward_concat(m, np.ones(7))
+        m.forward_concat_np(np.ones(7))
 
 
 # ---------------------------------------------------------------------------
-# forward_aux
+# forward_aux_np
 
 def test_forward_aux_requires_second_task():
     m = fresh()
     m.expand(3)
     with pytest.raises(UsageError):
-        md.forward_aux(m, np.ones(8))
+        m.forward_aux_np(np.ones(8))
 
 
 def test_forward_aux_shape_and_oracle():
@@ -140,7 +147,7 @@ def test_forward_aux_shape_and_oracle():
     m.expand(3)
     m.expand(5)
     x = _probe(rng, 2, 8)
-    out = md.forward_aux(m, x)
+    out = m.forward_aux_np(x)
     assert out.shape == (2, 6)  # |C_t| + 1
     c = _manual_extractor(m.extractors[-1], x)
     want = c @ m.heads["aux_w"].values.T + m.heads["aux_b"].values
@@ -163,7 +170,7 @@ def test_aux_loss_gradient_skips_frozen_extractors():
 
 
 # ---------------------------------------------------------------------------
-# forward_intra
+# forward_intra_np
 
 def test_forward_intra_oracle_and_uniform_ce():
     rng = np.random.default_rng(6)
@@ -172,11 +179,11 @@ def test_forward_intra_oracle_and_uniform_ce():
     x = _probe(rng, 3, 8)
     c = _manual_extractor(m.extractors[-1], x)
     want = c @ m.heads["intra_w"].values.T + m.heads["intra_b"].values
-    np.testing.assert_array_equal(md.forward_intra(m, x), want)
+    np.testing.assert_array_equal(m.forward_intra_np(x), want)
 
     m.heads["intra_w"].values[:] = 0.0
     m.heads["intra_b"].values[:] = 0.0
-    logits = md.forward_intra(m, x)
+    logits = m.forward_intra_np(x)
     ce = ad.softmax_cross_entropy(ad.leaf(logits), np.zeros(3, dtype=int))
     assert abs(float(ce.values) - np.log(4.0)) < 1e-12
 
@@ -187,19 +194,19 @@ def test_forward_intra_ignores_frozen_extractors():
     m.expand(3)
     m.expand(3)
     x = _probe(rng, 3, 8)
-    before = md.forward_intra(m, x)
+    before = m.forward_intra_np(x)
     m.extractors[0].params["w0"].values[:] += 100.0  # vandalize frozen weights
-    np.testing.assert_array_equal(md.forward_intra(m, x), before)
+    np.testing.assert_array_equal(m.forward_intra_np(x), before)
 
 
 # ---------------------------------------------------------------------------
-# project_old
+# project_old_np
 
 def test_project_old_requires_second_task():
     m = fresh()
     m.expand(3)
     with pytest.raises(UsageError):
-        md.project_old(m, np.ones(8))
+        m.project_old_np(np.ones(8))
 
 
 def test_project_old_zero_map_and_shape():
@@ -209,11 +216,11 @@ def test_project_old_zero_map_and_shape():
     m.expand(3)
     m.expand(3)
     x = _probe(rng, 5, 8)
-    out = md.project_old(m, x)
+    out = m.project_old_np(x)
     assert out.shape == (5, 4)  # d regardless of t
     m.heads["proj_w1"].values[:] = 0.0
     m.heads["proj_b1"].values[:] = 0.0
-    np.testing.assert_array_equal(md.project_old(m, x), np.zeros((5, 4)))
+    np.testing.assert_array_equal(m.project_old_np(x), np.zeros((5, 4)))
 
 
 def test_projector_fits_realizable_target():
@@ -258,7 +265,7 @@ def test_frozen_features_stable_under_current_task_updates():
     m.expand(3)
     x = _probe(rng, 4, 8)
     before = m.extractors[0].forward_np(x).copy()
-    for t in m.stage2_params().tensors():
+    for t in trainable(m):
         t.values += rng.normal(size=t.values.shape)
     for t in m.stage1_params().tensors():
         t.values += rng.normal(size=t.values.shape)
@@ -282,13 +289,14 @@ def test_stage_param_views():
     m.expand(3)
     m.expand(3)
     s1 = m.stage1_params()
-    s2 = m.stage2_params()
+    everything = m.all_params()
     assert "intra_w" in s1 and "cls_w" not in s1
-    assert "cls_w" in s2 and "aux_w" in s2 and "proj_w0" in s2
-    # stage 2 keeps refining the intra head alongside the base heads
-    assert "intra_w" in s2
+    assert "f1/w0" in s1 and "f0/w0" not in s1
+    assert "cls_w" in everything and "aux_w" in everything
+    assert "proj_w0" in everything and "f0/w0" in everything
     # views share tensors with the model
-    assert s2["cls_w"] is m.heads["cls_w"]
+    assert s1["intra_w"] is m.heads["intra_w"]
+    assert everything["cls_w"] is m.heads["cls_w"]
 
 
 def test_separate_inter_head_flag():
@@ -317,7 +325,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     m.expand(3)
     m.expand(5)
     # make values non-trivial
-    for t in m.stage2_params().tensors():
+    for t in trainable(m):
         t.values += rng.normal(size=t.values.shape)
     p1 = tmp_path / "a.ckpt"
     p2 = tmp_path / "b.ckpt"
@@ -359,3 +367,27 @@ def test_checkpoint_magic_validation(tmp_path):
     garbled.write_text("{not json")
     with pytest.raises(FormatError):
         md.load_checkpoint(garbled)
+
+
+def _drop(key):
+    def edit(doc):
+        del doc[key]
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _drop("heads"),
+    _drop("extractors"),
+    _drop("input_dim"),
+    lambda doc: doc.update(feature_dim="x"),
+], ids=["no heads", "no extractors", "no input_dim", "feature_dim x"])
+def test_checkpoint_missing_or_mistyped_field_is_format_error(tmp_path, edit):
+    m = fresh()
+    m.expand(3)
+    path = tmp_path / "m.ckpt"
+    md.save_checkpoint(m, path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError):
+        md.load_checkpoint(path)

@@ -335,7 +335,7 @@ def test_zeroed_knobs_reduce_to_baseline_bitwise():
         np.testing.assert_array_equal(pa[key], pb[key], err_msg=key)
 
 
-def test_stage_one_generates_no_inter_counterfactuals():
+def test_stage_one_generates_no_inter_counterfactuals(monkeypatch):
     t0, t1 = two_task_data()
     model = small_model(seed=3)
     rng = np.random.default_rng(11)
@@ -345,13 +345,38 @@ def test_stage_one_generates_no_inter_counterfactuals():
                   rng)
     tr.buffer_commit(buf, t0, model)
     model.expand(3)
+    # trainer and risk both look the generator up on the module, so this
+    # wrapper sees every inter-scope call
+    inter_rows = []
+    generate = cf.generate_inter_batch
+
+    def counting(feats, *args, **kwargs):
+        inter_rows.append(len(feats))
+        return generate(feats, *args, **kwargs)
+
+    monkeypatch.setattr(cf, "generate_inter_batch", counting)
     stage1_only = full_cfg(stage1_epochs=2, stage2_epochs=0)
-    before = cf.CALL_COUNTS["inter"]
     tr.train_task(model, t1, buf, stage1_only, rng)
-    assert cf.CALL_COUNTS["inter"] == before
+    assert inter_rows == []
     stage2_only = full_cfg(stage1_epochs=0, stage2_epochs=1)
     tr.train_task(model, t1, buf, stage2_only, rng)
-    assert cf.CALL_COUNTS["inter"] > before
+    assert sum(inter_rows) > 0
+
+
+@pytest.mark.parametrize("use_inter,with_report", [(True, False),
+                                                    (False, True)])
+def test_stage_one_refuses_inter_scope_work(use_inter, with_report):
+    t0, t1 = two_task_data()
+    model = small_model(seed=3)
+    rng = np.random.default_rng(11)
+    buf = tr.RehearsalBuffer(30)
+    model.expand(3)
+    tr.buffer_commit(buf, t0, model)
+    model.expand(3)
+    with pytest.raises(AssertionError, match="stage 1"):
+        tr._run_objective_epochs(model, t1[0], t1[1], buf, full_cfg(), rng,
+                                 [], stage=1, epochs=1, use_intra=False,
+                                 use_inter=use_inter, with_report=with_report)
 
 
 def test_frozen_extractors_bitwise_stable_through_training():
