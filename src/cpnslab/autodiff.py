@@ -1,10 +1,17 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 The graph is built eagerly: every operation returns a `Tensor` node holding
-values, an accumulated gradient buffer, and a backward closure. Nodes are
-either 1-D (a single vector / logit row) or 2-D (a batch, one sample per
-row); reductions always produce a scalar (size-1) node so `backward` has a
-well-defined root. All arithmetic is float64.
+values, a gradient buffer, and a backward closure. Nodes are either 1-D (a
+single vector / logit row) or 2-D (a batch, one sample per row); reductions
+always produce a scalar (size-1) node so `backward` has a well-defined root.
+All arithmetic is float64.
+
+Gradient buffers exist only where `backward` writes them. A leaf
+(`op == "leaf"`: parameters, saliency inputs) owns a zero buffer from
+construction. An interior node starts with `grad = None`; the first
+contribution in `backward` allocates its buffer and later ones add to it.
+A constant never gets one: `backward` does not visit it, and no operation
+computes a contribution for it.
 
 Loss-like operations (`softmax_cross_entropy`, `kl_softmax`,
 `neglog_complement_prob`) accept both the single-sample form and a batched
@@ -22,10 +29,11 @@ from .errors import ConfigurationError, InputError, UsageError
 class Tensor:
     """A node in the computation graph.
 
-    `grad` always has the same shape as `values` and accumulates across
-    backward passes until `zero_grad` resets it. Leaves carry `op == "leaf"`
-    and may be flagged `frozen`, in which case optimizers must not update
-    them.
+    `grad` is None or has the same shape as `values`. Leaves carry
+    `op == "leaf"` and start with a zero buffer, which accumulates across
+    backward passes until `zero_grad` resets it; they may be flagged
+    `frozen`, in which case optimizers must not update them. Interior nodes
+    and constants start with None (see the module docstring).
     """
 
     __slots__ = ("values", "grad", "parents", "op", "_backward_fn", "frozen")
@@ -33,7 +41,7 @@ class Tensor:
     def __init__(self, values, parents=(), op="leaf", backward_fn=None,
                  frozen=False):
         self.values = np.asarray(values, dtype=np.float64)
-        self.grad = np.zeros_like(self.values)
+        self.grad = np.zeros_like(self.values) if op == "leaf" else None
         self.parents = tuple(parents)
         self.op = op
         self._backward_fn = backward_fn
@@ -60,8 +68,8 @@ def leaf(values, frozen=False):
 
 
 def constant(values):
-    """A leaf that participates in forward values only; grad is still
-    allocated but nothing downstream reads it."""
+    """A leaf that participates in forward values only: it has no gradient
+    buffer, `backward` does not visit it, and its grad stays None."""
     return Tensor(values, op="const")
 
 
@@ -70,9 +78,8 @@ def constant(values):
 
 def log_softmax(x):
     """Row-wise (or vector) log softmax with max subtraction."""
-    m = np.max(x, axis=-1, keepdims=True)
-    shifted = x - m
-    lse = np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    shifted = x - x.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     return shifted - lse
 
 
@@ -83,11 +90,26 @@ def softmax(x):
 # ---------------------------------------------------------------------------
 # graph operations
 
+def _accumulate(node: Tensor, g):
+    """Add one gradient contribution to `node`; constants take none.
+
+    The first contribution allocates the buffer as a copy, because `g` may
+    be another node's gradient or a view of it.
+    """
+    if node.op == "const":
+        return
+    if node.grad is None:
+        node.grad = np.array(g, dtype=np.float64)
+    else:
+        node.grad += g
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map `x @ w.T + b`.
 
     `w` is [n_out, n_in]; `x` is a vector [n_in] or a batch [n, n_in].
-    Backward produces exact gradients for x, w and b.
+    Backward produces exact gradients for x, w and b; for a constant x it
+    skips the input product altogether.
     """
     if w.ndim != 2:
         raise ConfigurationError(f"linear: weight must be 2-D, got {w.shape}")
@@ -103,14 +125,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def _backward():
         go = out.grad
+        if x.op != "const":
+            _accumulate(x, go @ w.values)
         if x.ndim == 1:
-            x.grad += go @ w.values
-            w.grad += np.outer(go, x.values)
-            b.grad += go
+            _accumulate(w, np.outer(go, x.values))
+            _accumulate(b, go)
         else:
-            x.grad += go @ w.values
-            w.grad += go.T @ x.values
-            b.grad += go.sum(axis=0)
+            _accumulate(w, go.T @ x.values)
+            _accumulate(b, go.sum(axis=0))
 
     out._backward_fn = _backward
     return out
@@ -122,7 +144,7 @@ def relu(x: Tensor) -> Tensor:
     out = Tensor(np.where(mask, x.values, 0.0), parents=(x,), op="relu")
 
     def _backward():
-        x.grad += out.grad * mask
+        _accumulate(x, out.grad * mask)
 
     out._backward_fn = _backward
     return out
@@ -134,8 +156,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.values + b.values, parents=(a, b), op="add")
 
     def _backward():
-        a.grad += out.grad
-        b.grad += out.grad
+        _accumulate(a, out.grad)
+        _accumulate(b, out.grad)
 
     out._backward_fn = _backward
     return out
@@ -147,8 +169,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.values - b.values, parents=(a, b), op="sub")
 
     def _backward():
-        a.grad += out.grad
-        b.grad -= out.grad
+        _accumulate(a, out.grad)
+        if b.op != "const":
+            _accumulate(b, -out.grad)
 
     out._backward_fn = _backward
     return out
@@ -159,7 +182,7 @@ def scale(a: Tensor, k: float) -> Tensor:
     out = Tensor(a.values * k, parents=(a,), op="scale")
 
     def _backward():
-        a.grad += out.grad * k
+        _accumulate(a, out.grad * k)
 
     out._backward_fn = _backward
     return out
@@ -178,7 +201,7 @@ def add_scalars(terms) -> Tensor:
 
     def _backward():
         for t in terms:
-            t.grad += out.grad.reshape(t.shape) if t.shape else out.grad
+            _accumulate(t, out.grad.reshape(t.shape) if t.shape else out.grad)
 
     out._backward_fn = _backward
     return out
@@ -202,10 +225,7 @@ def concat(parts) -> Tensor:
 
     def _backward():
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if ndim == 1:
-                p.grad += out.grad[lo:hi]
-            else:
-                p.grad += out.grad[:, lo:hi]
+            _accumulate(p, out.grad[lo:hi] if ndim == 1 else out.grad[:, lo:hi])
 
     out._backward_fn = _backward
     return out
@@ -215,7 +235,8 @@ def take_rows(a: Tensor, lo: int, hi: int) -> Tensor:
     """Contiguous row slice a[lo:hi] of a batched node.
 
     Pass-through gradient into the sliced rows; the remaining rows of the
-    parent receive nothing. Used to address the current-task block of a
+    parent receive nothing (zeros, if this is the parent's first
+    contribution). Used to address the current-task block of a
     mixed current+rehearsal batch without a second forward pass.
     """
     if a.ndim != 2:
@@ -226,6 +247,10 @@ def take_rows(a: Tensor, lo: int, hi: int) -> Tensor:
     out = Tensor(a.values[lo:hi].copy(), parents=(a,), op="rows")
 
     def _backward():
+        if a.op == "const":
+            return
+        if a.grad is None:
+            a.grad = np.zeros_like(a.values)
         a.grad[lo:hi] += out.grad
 
     out._backward_fn = _backward
@@ -238,7 +263,7 @@ def sum_squares(a: Tensor) -> Tensor:
                  op="sum_squares")
 
     def _backward():
-        a.grad += 2.0 * a.values * float(out.grad)
+        _accumulate(a, 2.0 * a.values * float(out.grad))
 
     out._backward_fn = _backward
     return out
@@ -265,7 +290,7 @@ def softmax_cross_entropy(logits: Tensor, label, reduction="mean") -> Tensor:
         def _backward():
             g = p.copy()
             g[label] -= 1.0
-            logits.grad += g * float(out.grad)
+            _accumulate(logits, g * float(out.grad))
 
         out._backward_fn = _backward
         return out
@@ -290,7 +315,7 @@ def softmax_cross_entropy(logits: Tensor, label, reduction="mean") -> Tensor:
         g[np.arange(n), labels] -= 1.0
         if reduction == "mean":
             g /= n
-        logits.grad += g * float(out.grad)
+        _accumulate(logits, g * float(out.grad))
 
     out._backward_fn = _backward
     return out
@@ -323,18 +348,11 @@ def kl_softmax(a: Tensor, b: Tensor, reduction="mean") -> Tensor:
     def _backward():
         go = float(out.grad) / denom
         inner = np.sum(p * r, axis=-1, keepdims=True)
-        a.grad += go * p * (r - inner)
-        b.grad += go * (q - p)
+        _accumulate(a, go * p * (r - inner))
+        _accumulate(b, go * (q - p))
 
     out._backward_fn = _backward
     return out
-
-
-def kl_softmax_value(a_vals, b_vals):
-    """Plain-numpy KL(softmax(a) || softmax(b)) per row; no graph."""
-    la = log_softmax(np.asarray(a_vals, dtype=np.float64))
-    lb = log_softmax(np.asarray(b_vals, dtype=np.float64))
-    return np.sum(np.exp(la) * (la - lb), axis=-1)
 
 
 def neglog_complement_prob(logits: Tensor, label, eps=1e-12,
@@ -356,7 +374,7 @@ def neglog_complement_prob(logits: Tensor, label, eps=1e-12,
         def _backward():
             g = -p[label] * p
             g[label] += p[label]
-            logits.grad += (g / s) * float(out.grad)
+            _accumulate(logits, (g / s) * float(out.grad))
 
         out._backward_fn = _backward
         return out
@@ -380,7 +398,7 @@ def neglog_complement_prob(logits: Tensor, label, eps=1e-12,
         go = float(out.grad) / (n if reduction == "mean" else 1.0)
         g = -(py / s)[:, None] * p
         g[np.arange(n), labels] += py / s
-        logits.grad += g * go
+        _accumulate(logits, g * go)
 
     out._backward_fn = _backward
     return out
@@ -398,7 +416,7 @@ def sum_picked(mat: Tensor, idx) -> Tensor:
     def _backward():
         g = np.zeros_like(mat.values)
         g[rows, idx] = float(out.grad)
-        mat.grad += g
+        _accumulate(mat, g)
 
     out._backward_fn = _backward
     return out
@@ -408,20 +426,25 @@ def sum_picked(mat: Tensor, idx) -> Tensor:
 # graph traversal
 
 def _toposort(root: Tensor):
+    """Post-order over the root's ancestors, constants excluded.
+
+    The visiting order fixes the order of float additions into nodes with
+    several consumers, so it is part of the bit-level contract.
+    """
     order = []
-    visited = set()
+    visited = set()  # Tensor hashes by identity
     stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
         for parent in node.parents:
-            if id(parent) not in visited:
+            if parent not in visited and parent.op != "const":
                 stack.append((parent, False))
     return order
 
@@ -430,28 +453,33 @@ def backward(root: Tensor):
     """Propagate gradients from a scalar root to all ancestors.
 
     Each call contributes one fresh gradient; contributions accumulate
-    across calls until `zero_grad` resets them. The pass runs on zeroed
-    buffers and adds prior accumulations back at the end, so repeated
-    calls never feed stale interior gradients downstream.
+    across calls until `zero_grad` resets them. Leaves add into their
+    buffers directly. Interior nodes (those with a backward closure) are
+    set aside to None for the pass, so their first contribution allocates
+    a fresh buffer, and any earlier gradient is added back at the end:
+    repeated calls never feed stale interior gradients downstream.
+    Constants are not visited.
     """
     if root.size != 1:
         raise UsageError(f"backward root must be scalar, got shape {root.shape}")
     order = _toposort(root)
-    saved = [node.grad for node in order]
-    for node in order:
-        node.grad = np.zeros_like(node.values)
-    root.grad += 1.0
-    for node in reversed(order):
-        if node._backward_fn is not None:
-            node._backward_fn()
-    for node, old in zip(order, saved):
-        node.grad = node.grad + old
+    interior = [node for node in order if node._backward_fn is not None]
+    saved = [node.grad for node in interior]
+    for node in interior:
+        node.grad = None
+    _accumulate(root, np.ones_like(root.values))
+    for node in reversed(interior):
+        node._backward_fn()
+    for node, old in zip(interior, saved):
+        if old is not None:
+            node.grad += old
 
 
 def zero_grad(root: Tensor):
-    """Reset gradients of the root and every ancestor."""
+    """Reset gradients of the root and every ancestor: leaves to zeros,
+    interior nodes to None."""
     for node in _toposort(root):
-        node.grad = np.zeros_like(node.values)
+        node.grad = np.zeros_like(node.values) if node.op == "leaf" else None
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ projected old-feature approximation. Both enforce a semantic budget by
 geometric backtracking on the step scale: halve until the divergence
 between softmax-normalized counterfactual and factual drops under epsilon
 (at most 30 halvings, then give up and emit the factual flagged
-degenerate). Zero-gradient inputs are degenerate immediately.
+degenerate). Zero-gradient inputs are degenerate immediately. Each round
+scores only the rows still searching, and a row's metric value is the one
+taken at its accepted scale; nothing is scored twice.
 
 Two reference perturbers (isotropic random, projected gradient) exist for
 baseline comparisons at a matched budget.
@@ -32,17 +34,29 @@ METRICS = ("kl", "mse", "wasserstein")
 # ---------------------------------------------------------------------------
 # constraint metrics (row-wise, plain numpy)
 
-def _metric_rows(metric, cand, base):
+def _reference(metric, base):
+    """What `_metric_rows` compares candidates against, computed once per
+    factual batch: the log-softmax for kl, the sorted rows for wasserstein,
+    the rows themselves for mse."""
     if metric not in METRICS:
         raise ConfigurationError(
             f"unknown constraint metric {metric!r}; pick one of {METRICS}")
     if metric == "kl":
-        return ad.kl_softmax_value(cand, base)
+        return ad.log_softmax(base)
+    if metric == "wasserstein":
+        return np.sort(base, axis=-1)
+    return base
+
+
+def _metric_rows(metric, cand, ref):
+    """Row-wise metric between candidates and `_reference(metric, base)`."""
+    if metric == "kl":
+        la = ad.log_softmax(cand)
+        return (np.exp(la) * (la - ref)).sum(axis=-1)
     if metric == "mse":
-        return np.mean((cand - base) ** 2, axis=-1)
+        return np.mean((cand - ref) ** 2, axis=-1)
     # exact 1-D transport between the coordinate distributions
-    return np.mean(np.abs(np.sort(cand, axis=-1) - np.sort(base, axis=-1)),
-                   axis=-1)
+    return np.mean(np.abs(np.sort(cand, axis=-1) - ref), axis=-1)
 
 
 def intra_directions(feats, labels, w, b=None):
@@ -61,28 +75,36 @@ def intra_directions(feats, labels, w, b=None):
 
 
 def _backtrack_batch(feats, directions, init_scale, epsilon, metric="kl"):
-    """Vectorized scale halving; returns (scales, degenerate mask).
+    """Vectorized scale halving; returns (counterfactuals, metric values,
+    scales, degenerate mask), the generators' four arrays.
 
-    Rows whose direction vanishes, or that stay infeasible after
-    MAX_HALVINGS halvings, come back with scale 0 and degenerate=True.
+    The rows still searching share one scale, halved after each round, and
+    only they are scored. A row is accepted at the first scale whose metric
+    is within epsilon and keeps the metric value of that scale. Rows whose
+    direction vanishes, or that stay infeasible after MAX_HALVINGS
+    halvings, come back as the factual with scale 0, value 0 and
+    degenerate=True.
     """
+    ref = _reference(metric, feats)
     n = len(feats)
-    norms = np.linalg.norm(directions, axis=-1)
-    degenerate = norms == 0.0
     chosen = np.zeros(n)
-    scales = np.full(n, float(init_scale))
-    done = degenerate.copy()
+    vals = np.zeros(n)
+    degenerate = np.ones(n, dtype=bool)
+    live = np.flatnonzero(np.linalg.norm(directions, axis=-1) != 0.0)
+    scale = float(init_scale)
     for _ in range(MAX_HALVINGS + 1):
-        if done.all():
+        if live.size == 0:
             break
-        cand = feats + scales[:, None] * directions
-        feasible = _metric_rows(metric, cand, feats) <= epsilon
-        newly = ~done & feasible
-        chosen[newly] = scales[newly]
-        done |= newly
-        scales = np.where(done, scales, scales / 2.0)
-    degenerate = degenerate | ~done
-    return chosen, degenerate
+        rows = _metric_rows(metric, feats[live] + scale * directions[live],
+                            ref[live])
+        ok = rows <= epsilon
+        accepted = live[ok]
+        chosen[accepted] = scale
+        vals[accepted] = rows[ok]
+        degenerate[accepted] = False
+        live = live[~ok]
+        scale /= 2.0
+    return feats + chosen[:, None] * directions, vals, chosen, degenerate
 
 
 def generate_intra_batch(feats, labels, w, b=None, alpha=1.0, epsilon=0.05,
@@ -96,10 +118,7 @@ def generate_intra_batch(feats, labels, w, b=None, alpha=1.0, epsilon=0.05,
         raise ConfigurationError("alpha and epsilon must be positive")
     feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
     directions = intra_directions(feats, labels, w, b)
-    scales, degenerate = _backtrack_batch(feats, directions, alpha, epsilon, metric)
-    cfs = feats + scales[:, None] * directions
-    vals = np.where(degenerate, 0.0, _metric_rows(metric, cfs, feats))
-    return cfs, vals, scales, degenerate
+    return _backtrack_batch(feats, directions, alpha, epsilon, metric)
 
 
 def generate_inter_batch(feats, projected, beta=0.03, epsilon=0.05, metric="kl"):
@@ -117,10 +136,7 @@ def generate_inter_batch(feats, projected, beta=0.03, epsilon=0.05, metric="kl")
         raise ConfigurationError(
             f"factual {feats.shape} and projected {projected.shape} differ")
     directions = 2.0 * (projected - feats)
-    scales, degenerate = _backtrack_batch(feats, directions, beta, epsilon, metric)
-    cfs = feats + scales[:, None] * directions
-    vals = np.where(degenerate, 0.0, _metric_rows(metric, cfs, feats))
-    return cfs, vals, scales, degenerate
+    return _backtrack_batch(feats, directions, beta, epsilon, metric)
 
 
 def perturb_random(factual, budget_kl, rng):
@@ -134,10 +150,7 @@ def perturb_random(factual, budget_kl, rng):
         raise ConfigurationError("budget_kl must be positive")
     feats = np.atleast_2d(np.asarray(factual, dtype=np.float64))
     direction = rng.standard_normal(feats.shape)
-    scales, degenerate = _backtrack_batch(feats, direction, 1.0, budget_kl)
-    cfs = feats + scales[:, None] * direction
-    vals = np.where(degenerate, 0.0, _metric_rows("kl", cfs, feats))
-    return cfs, vals, scales, degenerate
+    return _backtrack_batch(feats, direction, 1.0, budget_kl)
 
 
 def perturb_pgd(factual, label, w_intra, steps=10, step_size=1.0,
@@ -156,6 +169,7 @@ def perturb_pgd(factual, label, w_intra, steps=10, step_size=1.0,
     if budget_kl <= 0:
         raise ConfigurationError("budget_kl must be positive")
     feats = np.atleast_2d(np.asarray(factual, dtype=np.float64))
+    ref = _reference("kl", feats)
     cur = feats.copy()
     moved = False
     for _ in range(steps):
@@ -164,17 +178,17 @@ def perturb_pgd(factual, label, w_intra, steps=10, step_size=1.0,
             break
         cur = cur + step_size * g
         moved = True
-        if _metric_rows("kl", cur, feats)[0] > budget_kl:
+        if _metric_rows("kl", cur, ref)[0] > budget_kl:
             lo, hi = 0.0, 1.0
             for _ in range(10):
                 mid = (lo + hi) / 2.0
                 point = feats + mid * (cur - feats)
-                if _metric_rows("kl", point, feats)[0] <= budget_kl:
+                if _metric_rows("kl", point, ref)[0] <= budget_kl:
                     lo = mid
                 else:
                     hi = mid
             cur = feats + lo * (cur - feats)
     degenerate = not moved or bool(np.all(cur == feats))
-    kl = 0.0 if degenerate else float(_metric_rows("kl", cur, feats)[0])
+    kl = 0.0 if degenerate else float(_metric_rows("kl", cur, ref)[0])
     return (cur, np.array([kl]), np.array([0.0 if degenerate else 1.0]),
             np.array([degenerate]))

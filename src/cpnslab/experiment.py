@@ -11,8 +11,10 @@ times.
 """
 
 import json
+import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -46,7 +48,7 @@ class MetricsConfig:
     cka: bool = True
     masking: bool = True
     cf_quality: bool = True
-    masking_ks: tuple = (0, 2, 4, 8)
+    masking_ks: tuple[int, ...] = (0, 2, 4, 8)
     probe_limit: int = 64
 
     def __post_init__(self):
@@ -56,9 +58,19 @@ class MetricsConfig:
 
 
 @dataclass
+class TableDataConfig:
+    """The keys of a `kind: "table"` data section; used to check their
+    types, the section itself stays a dict."""
+    path: str
+    B: int
+    I: int
+    split_seed: int = 0
+
+
+@dataclass
 class ModelConfig:
     feature_dim: int = 16
-    hidden_dims: tuple = (32,)
+    hidden_dims: tuple[int, ...] = (32,)
     projector_hidden: Optional[int] = None
     separate_inter_head: bool = False
 
@@ -75,7 +87,7 @@ class ExperimentConfig:
     data: dict
     run_id: str = "run"
     output_dir: str = "output"
-    seeds: tuple = (0,)
+    seeds: tuple[int, ...] = (0,)
     method_label: Optional[str] = None
     use_baseline_trainer: bool = False
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -146,67 +158,95 @@ class ExperimentConfig:
         return stream.tasks[0][0][0].shape[1]
 
 
-def _dict_to_dataclass(name, d, builder, allowed):
-    unknown = set(d) - set(allowed)
+# JSON type a config value must have, by the annotation of its field
+_SCALAR_TYPES = {
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a finite number",
+            lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                       and math.isfinite(v))),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def _check_value(path, value, hint):
+    """Raise ConfigurationError unless `value` has the field type `hint`.
+
+    bool takes only true/false, int only integers (not booleans), float
+    any finite number; tuple[X, ...] takes a list of X and tuple[X, Y] a
+    list of exactly those; Optional[X] also takes null.
+    """
+    if typing.get_origin(hint) is typing.Union:
+        if value is None:
+            return
+        (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        if not isinstance(value, (list, tuple)):
+            raise ConfigurationError(f"{path} must be a list, got {value!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigurationError(
+                f"{path} must have {len(args)} entries, got {value!r}")
+        for i, (item, arg) in enumerate(zip(value, args)):
+            _check_value(f"{path}[{i}]", item, arg)
+        return
+    kind, ok = _SCALAR_TYPES[hint]
+    if not ok(value):
+        raise ConfigurationError(f"{path} must be {kind}, got {value!r}")
+
+
+def _section_values(name, doc, cls):
+    """Check one config section against the fields of dataclass `cls`.
+
+    Returns the keyword arguments for `cls`: lists become tuples, and a
+    field whose type is itself a dataclass is built from its own section.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{name} must be a JSON object, got {doc!r}")
+    unknown = set(doc) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigurationError(f"unknown {name} keys: {sorted(unknown)}")
-    return builder(**d)
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for key, value in doc.items():
+        path = key if name == "config" else f"{name}.{key}"
+        hint = hints[key]
+        if is_dataclass(hint):
+            values[key] = hint(**_section_values(path, value, hint))
+        elif hint is dict:
+            if not isinstance(value, dict):
+                raise ConfigurationError(
+                    f"{path} must be a JSON object, got {value!r}")
+            values[key] = dict(value)
+        else:
+            _check_value(path, value, hint)
+            values[key] = tuple(value) if isinstance(value, list) else value
+    return values
 
 
 def config_from_dict(doc) -> ExperimentConfig:
-    """Build and validate an ExperimentConfig from a parsed JSON document."""
+    """Build and validate an ExperimentConfig from a parsed JSON document.
+
+    Every value must have the JSON type of its field (`_check_value`),
+    data keys included, so a bad document raises ConfigurationError before
+    anything runs.
+    """
     if not isinstance(doc, dict):
         raise ConfigurationError("config document must be a JSON object")
-    allowed = {"data", "run_id", "output_dir", "seeds", "method_label",
-               "use_baseline_trainer", "model", "train", "metrics"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
     if "data" not in doc:
         raise ConfigurationError("config needs a 'data' section")
-
-    # a value of the wrong type surfaces as TypeError or ValueError inside
-    # the dataclass constructors and their checks
+    data = doc["data"]
+    kinds = {"synthetic": dt.SyntheticScmConfig, "table": TableDataConfig}
+    if isinstance(data, dict) and data.get("kind") in kinds:
+        _section_values("data", {k: v for k, v in data.items() if k != "kind"},
+                        kinds[data["kind"]])
+    # a TypeError or ValueError from the dataclass checks is a bad value too
     try:
-        return _build_config(doc)
+        return ExperimentConfig(**_section_values("config", doc, ExperimentConfig))
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad config value: {exc}") from exc
-
-
-def _build_config(doc) -> ExperimentConfig:
-    kwargs = {k: doc[k] for k in
-              ("run_id", "output_dir", "seeds", "method_label",
-               "use_baseline_trainer") if k in doc}
-    kwargs["data"] = dict(doc["data"])
-
-    model_doc = dict(doc.get("model", {}))
-    kwargs["model"] = _dict_to_dataclass(
-        "model", model_doc, ModelConfig,
-        ("feature_dim", "hidden_dims", "projector_hidden",
-         "separate_inter_head"))
-
-    train_doc = dict(doc.get("train", {}))
-    gen_doc = dict(train_doc.pop("gen", {}))
-    gen = _dict_to_dataclass("train.gen", gen_doc, GenConfig,
-                             ("alpha", "beta", "epsilon", "metric"))
-    if "adam_betas" in train_doc:
-        train_doc["adam_betas"] = tuple(train_doc["adam_betas"])
-    allowed_train = ("stage1_epochs", "stage2_epochs", "batch_size", "lr",
-                     "momentum", "weight_decay", "optimizer", "adam_betas",
-                     "adam_eps", "schedule", "lam", "gamma", "nu",
-                     "two_stage", "buffer_capacity", "buffer_policy",
-                     "report_limit")
-    train = _dict_to_dataclass("train", train_doc,
-                               lambda **kw: tr.TrainConfig(gen=gen, **kw),
-                               allowed_train)
-    kwargs["train"] = train
-
-    metrics_doc = dict(doc.get("metrics", {}))
-    kwargs["metrics"] = _dict_to_dataclass(
-        "metrics", metrics_doc, MetricsConfig,
-        ("old_new", "cka", "masking", "cf_quality", "masking_ks",
-         "probe_limit"))
-    return ExperimentConfig(**kwargs)
 
 
 def load_config(path) -> ExperimentConfig:

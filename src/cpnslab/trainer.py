@@ -52,7 +52,7 @@ class TrainConfig:
     momentum: float = 0.95
     weight_decay: float = 1e-5
     optimizer: str = "sgd"              # sgd | adam
-    adam_betas: tuple = ADAM_SHARED_MOMENTUM
+    adam_betas: tuple[float, float] = ADAM_SHARED_MOMENTUM
     adam_eps: float = 1e-8
     schedule: str = "constant"          # constant | cosine
     lam: float = 0.5
@@ -119,7 +119,8 @@ def optimizer_step(params: ad.ParameterSet, state, config: TrainConfig, lr=None)
             t.values -= lr * config.weight_decay * t.values
         if config.optimizer == "sgd":
             buf = state["m"].get(name)
-            buf = g if buf is None else config.momentum * buf + g
+            # a copy on the first step: the momentum must not alias t.grad
+            buf = g.copy() if buf is None else config.momentum * buf + g
             state["m"][name] = buf
             t.values -= lr * buf
         else:

@@ -14,6 +14,8 @@ from conftest import numeric_grad, rel_err
 
 from cpnslab import autodiff as ad
 from cpnslab.errors import ConfigurationError, InputError, UsageError
+from cpnslab.metrics import input_saliency
+from cpnslab.model import ExpandableModel
 
 
 def _rng(seed):
@@ -412,6 +414,108 @@ def test_grad_wrt_intermediate_matches_fd():
     # the graph's own intermediate gradient matches its closed form exactly
     np.testing.assert_allclose(g, 2.0 * np.maximum(x.values @ wv.T + bv, 0.0),
                                rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# gradient buffers: leaves own one, interior nodes get one in backward,
+# constants never
+
+def _eager_backward(root):
+    """Reference pass with a zero buffer on every visited node, as a fully
+    eager engine would run it; the closures then only ever add."""
+    order = ad._toposort(root)
+    for node in order:
+        node.grad = np.zeros_like(node.values)
+    root.grad += 1.0
+    for node in reversed(order):
+        if node._backward_fn is not None:
+            node._backward_fn()
+
+
+def _shared_graph(seed=31):
+    """z = x @ w.T + b feeds two consumers; returns (x, w, b, z, root)."""
+    rng = _rng(seed)
+    x = ad.leaf(rng.normal(size=(3, 4)))
+    w = ad.leaf(rng.normal(size=(5, 4)))
+    b = ad.leaf(rng.normal(size=5))
+    z = ad.linear(x, w, b)
+    root = ad.add_scalars([ad.sum_squares(z), ad.sum_picked(z, [0, 4, 2])])
+    return x, w, b, z, root
+
+
+def test_buffers_exist_only_on_leaves_before_backward():
+    x, w, b, z, root = _shared_graph()
+    assert all(t.grad is not None and not t.grad.any() for t in (x, w, b))
+    assert z.grad is None and root.grad is None
+    ad.zero_grad(root)
+    assert z.grad is None and not x.grad.any()
+
+
+def test_constant_input_gets_no_gradient_and_no_input_product():
+    calls = []
+
+    class Spy(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            calls.append(ufunc.__name__)
+            inputs = tuple(np.asarray(v) for v in inputs)
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    rng = _rng(32)
+    xv, wv, bv = rng.normal(size=(3, 4)), rng.normal(size=(5, 4)), rng.normal(size=5)
+    for make, want_calls in ((ad.constant, []), (ad.leaf, ["matmul"])):
+        x, w, b = make(xv), ad.leaf(wv), ad.leaf(bv)
+        out = ad.linear(x, w, b)
+        w.values = w.values.view(Spy)  # only `go @ w.values` reads it now
+        calls.clear()
+        ad.backward(ad.sum_squares(out))
+        assert calls == want_calls
+        np.testing.assert_array_equal(w.grad, 2.0 * out.values.T @ xv)
+    const = ad.constant(xv)
+    ad.backward(ad.sum_squares(ad.add(ad.leaf(xv), const)))
+    assert const.grad is None
+
+
+def test_shared_interior_node_sums_both_contributions():
+    x, w, b, z, root = _shared_graph()
+    ad.backward(root)
+    want = 2.0 * z.values
+    want[[0, 1, 2], [0, 4, 2]] += 1.0
+    np.testing.assert_array_equal(z.grad, want)
+    np.testing.assert_array_equal(x.grad, want @ w.values)
+    np.testing.assert_array_equal(b.grad, want.sum(axis=0))
+
+
+def test_repeated_backward_doubles_leaf_and_interior_gradients():
+    x, w, b, z, root = _shared_graph()
+    ad.backward(root)
+    once = [t.grad.copy() for t in (x, w, b, z)]
+    ad.backward(root)
+    for t, g in zip((x, w, b, z), once):
+        np.testing.assert_array_equal(t.grad, 2.0 * g)
+
+
+def test_take_rows_into_untouched_parent_zeros_outside_slice():
+    rng = _rng(33)
+    x = ad.leaf(rng.normal(size=(5, 3)))
+    a = ad.linear(x, ad.leaf(rng.normal(size=(2, 3))), ad.leaf(np.zeros(2)))
+    r = ad.take_rows(a, 1, 3)
+    ad.backward(ad.sum_squares(r))
+    np.testing.assert_array_equal(a.grad[1:3], 2.0 * r.values)
+    assert not a.grad[:1].any() and not a.grad[3:].any()
+
+
+def test_lazy_buffers_match_eager_pass_bitwise():
+    # the saliency graph runs every extractor and the concat; lazy buffers
+    # must not move a bit of the input gradient it reports
+    model = ExpandableModel(input_dim=6, feature_dim=4, hidden_dims=(8,), seed=0)
+    model.expand(3)
+    model.expand(2)
+    xv = _rng(34).normal(size=(7, 6))
+    got = input_saliency(model, xv)
+    node = ad.leaf(xv)
+    logits = model.full_graph_logits(node)
+    _eager_backward(ad.sum_picked(logits, np.argmax(logits.values, axis=1)))
+    np.testing.assert_array_equal(got, np.abs(node.grad))
 
 
 # ---------------------------------------------------------------------------

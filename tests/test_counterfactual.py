@@ -15,6 +15,13 @@ def _rand_head(rng, k=4, d=6):
     return rng.normal(size=(k, d)), rng.normal(size=k) * 0.1
 
 
+def kl_rows(a, b):
+    """KL(softmax(a) || softmax(b)) per row, in plain numpy."""
+    la = ad.log_softmax(np.asarray(a, dtype=np.float64))
+    lb = ad.log_softmax(np.asarray(b, dtype=np.float64))
+    return np.sum(np.exp(la) * (la - lb), axis=-1)
+
+
 def intra_one(c, label, w, **kw):
     """The intra generator on a one-row batch: (cf, value, scale, degenerate)."""
     return tuple(a[0] for a in cf.generate_intra_batch([c], [label], w, **kw))
@@ -79,7 +86,7 @@ def test_gen_intra_constraint_satisfied(epsilon):
             c, y, w, b=b, alpha=rng.uniform(0.1, 8.0), epsilon=epsilon)
         assert val <= epsilon
         if not degenerate:
-            kl = float(ad.kl_softmax_value(cfv, c))
+            kl = float(kl_rows(cfv, c))
             assert abs(kl - val) < 1e-12
 
 
@@ -281,3 +288,93 @@ def test_alternate_constraint_metrics():
         assert val <= 1e-3  # the value reports the active metric
     with pytest.raises(ConfigurationError):
         intra_one(c, 0, w, metric="cosine")
+
+
+# ---------------------------------------------------------------------------
+# live-row backtracking against the all-rows reference loop
+
+def _reference_rows(metric, cand, base):
+    if metric == "kl":
+        return kl_rows(cand, base)
+    if metric == "mse":
+        return np.mean((cand - base) ** 2, axis=-1)
+    return np.mean(np.abs(np.sort(cand, axis=-1) - np.sort(base, axis=-1)),
+                   axis=-1)
+
+
+def _reference_backtrack(feats, directions, init_scale, epsilon, metric):
+    """Every round scores every row at its own scale; the values are scored
+    again at the accepted scales. Returns the generators' four arrays."""
+    degenerate = np.linalg.norm(directions, axis=-1) == 0.0
+    chosen = np.zeros(len(feats))
+    scales = np.full(len(feats), float(init_scale))
+    done = degenerate.copy()
+    for _ in range(cf.MAX_HALVINGS + 1):
+        if done.all():
+            break
+        cand = feats + scales[:, None] * directions
+        newly = ~done & (_reference_rows(metric, cand, feats) <= epsilon)
+        chosen[newly] = scales[newly]
+        done |= newly
+        scales = np.where(done, scales, scales / 2.0)
+    degenerate |= ~done
+    cfs = feats + chosen[:, None] * directions
+    vals = np.where(degenerate, 0.0, _reference_rows(metric, cfs, feats))
+    return cfs, vals, chosen, degenerate
+
+
+def _assert_same_and_mixed(got, want, directions, init_scale):
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    _, _, scales, degenerate = want
+    zero = np.linalg.norm(directions, axis=-1) == 0.0
+    assert zero.any(), "no zero-direction row"
+    assert (scales == init_scale).any(), "no row feasible at once"
+    assert ((scales > 0) & (scales < init_scale / 2)).any(), \
+        "no row feasible only after several halvings"
+    assert (degenerate & ~zero).any(), "no row that is never feasible"
+
+
+@pytest.mark.parametrize("metric", cf.METRICS)
+def test_intra_live_rows_match_all_rows_reference(metric):
+    # one-hot features with growing margins: the softmax saturates exactly
+    # at 800 (zero direction) and the direction shrinks as e^-margin
+    margins = np.array([800.0, 40.0, 30.0, 12.0, 6.0, 2.0, 0.5, 0.0])
+    labels = np.arange(len(margins)) % 4
+    feats = np.zeros((len(margins), 4))
+    feats[np.arange(len(margins)), labels] = margins
+    feats[1:] += np.random.default_rng(15).normal(scale=0.01, size=(7, 4))
+    w = np.eye(4)
+    # alpha so large that the widest-margin rows stay infeasible even after
+    # MAX_HALVINGS halvings
+    got = cf.generate_intra_batch(feats, labels, w, alpha=1e9, epsilon=1e-6,
+                                  metric=metric)
+    directions = cf.intra_directions(feats, labels, w)
+    want = _reference_backtrack(feats, directions, 1e9, 1e-6, metric)
+    _assert_same_and_mixed(got, want, directions, 1e9)
+
+
+@pytest.mark.parametrize("metric", cf.METRICS)
+def test_inter_live_rows_match_all_rows_reference(metric):
+    rng = np.random.default_rng(16)
+    feats = rng.normal(size=(8, 4))
+    offsets = np.array([0.0, 1e-13, 1e-9, 1e-5, 1e-3, 1e-1, 1.0, 30.0])
+    projected = feats + offsets[:, None] * rng.normal(size=(8, 4))
+    got = cf.generate_inter_batch(feats, projected, beta=1e6, epsilon=1e-6,
+                                  metric=metric)
+    directions = 2.0 * (projected - feats)
+    want = _reference_backtrack(feats, directions, 1e6, 1e-6, metric)
+    _assert_same_and_mixed(got, want, directions, 1e6)
+
+
+def test_perturb_random_live_rows_match_all_rows_reference():
+    rng = np.random.default_rng(17)
+    # the saturated row is feasible at once, the others after halvings
+    feats = np.vstack([rng.normal(size=(6, 4)), [[800.0, 0.0, 0.0, 0.0]]])
+    got = cf.perturb_random(feats, 1e-12, np.random.default_rng(18))
+    directions = np.random.default_rng(18).standard_normal(feats.shape)
+    want = _reference_backtrack(feats, directions, 1.0, 1e-12, "kl")
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    scales = want[2]
+    assert (scales == 1.0).any() and ((scales > 0) & (scales < 0.5)).any()

@@ -321,6 +321,52 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("cpnslab: ") and "Traceback" not in err
 
+    # values that older parsing coerced into something else, or that failed
+    # only inside run_seed after the output directory existed
+    @pytest.mark.parametrize("section,key,value", [
+        (None, "use_baseline_trainer", "false"),
+        (None, "seeds", "12"),
+        (None, "seeds", [0, 1.5]),
+        ("train", "two_stage", "no"),
+        ("metrics", "old_new", "no"),
+        ("model", "hidden_dims", [16.7]),
+        ("train", "lr", float("nan")),
+        ("train", "lr", float("inf")),
+        ("train", "batch_size", 2.5),
+        ("train", "batch_size", True),
+        ("model", "feature_dim", 2.5),
+        ("train", "adam_betas", [0.9]),
+        ("data", "n_train_per_class", 30.5),
+    ], ids=["baseline flag string", "seeds string", "seeds float",
+            "two_stage string", "old_new string", "hidden_dims float",
+            "lr nan", "lr inf", "batch_size float", "batch_size bool",
+            "feature_dim float", "adam_betas short", "data int float"])
+    def test_mistyped_value_exits_two_before_any_output(self, tmp_path,
+                                                        section, key, value):
+        doc = tiny_doc(tmp_path / "out")
+        (doc if section is None else doc[section])[key] = value
+        cfg_path = write_config(tmp_path, doc)
+        with pytest.raises(ConfigurationError, match=key):
+            ex.load_config(cfg_path)
+        assert cli.main(["run", cfg_path]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("B", 2.5), ("I", "2"), ("split_seed", 1.5), ("path", 7),
+        ("split-seed", 1)])
+    def test_mistyped_table_data_exits_two_before_any_output(self, tmp_path,
+                                                             key, value):
+        table = tmp_path / "t.txt"
+        table.write_text("0 1.0 2.0\n1 3.0 4.0\n")
+        doc = tiny_doc(tmp_path / "out")
+        doc["data"] = {"kind": "table", "path": str(table), "B": 1, "I": 1,
+                       key: value}
+        cfg_path = write_config(tmp_path, doc)
+        with pytest.raises(ConfigurationError, match=key):
+            ex.load_config(cfg_path)
+        assert cli.main(["run", cfg_path]) == 2
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("gen", [{"metric": "bogus"}, {"alpha": 0.0},
                                      {"beta": -0.1}, {"epsilon": 0.0}])
     def test_bad_generator_config_fails_before_any_output(self, tmp_path,

@@ -76,6 +76,16 @@ def test_sgd_momentum_accumulates_over_steps():
     np.testing.assert_array_equal(t.values, [expected])
 
 
+def test_sgd_momentum_does_not_alias_gradient_buffer():
+    cfg = tr.TrainConfig(lr=0.1, momentum=0.9, weight_decay=0.0)
+    ps, t = one_param([0.0, 1.0])
+    state = tr.make_optimizer_state()
+    t.grad[:] = [1.0, -2.0]
+    tr.optimizer_step(ps, state, cfg)
+    t.grad[...] = 0.0  # zeroing in place must leave the momentum alone
+    np.testing.assert_array_equal(state["m"]["p"], [1.0, -2.0])
+
+
 def test_adam_step_one_bias_correction_closed_form():
     # at k=1 the corrected moments are exactly the gradient and its square
     cfg = tr.TrainConfig(optimizer="adam", weight_decay=0.0, lr=1e-2)
