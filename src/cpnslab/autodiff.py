@@ -1,10 +1,12 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 The graph is built eagerly: every operation returns a `Tensor` node holding
-values, a gradient buffer, and a backward closure. Nodes are either 1-D (a
-single vector / logit row) or 2-D (a batch, one sample per row); reductions
-always produce a scalar (size-1) node so `backward` has a well-defined root.
-All arithmetic is float64.
+values, a gradient buffer, and a backward closure. The batched operations
+(`linear`, `concat`, `take_rows`, `sum_picked` and the three losses) take
+2-D nodes, one sample per row, and raise UsageError on anything else; a
+single sample is a one-row batch. Elementwise operations take any shape.
+Reductions always produce a 0-d scalar node, so `backward` has a
+well-defined root. All arithmetic is float64.
 
 Gradient buffers exist only where `backward` writes them. A leaf
 (`op == "leaf"`: parameters, saliency inputs) owns a zero buffer from
@@ -13,10 +15,10 @@ contribution in `backward` allocates its buffer and later ones add to it.
 A constant never gets one: `backward` does not visit it, and no operation
 computes a contribution for it.
 
-Loss-like operations (`softmax_cross_entropy`, `kl_softmax`,
-`neglog_complement_prob`) accept both the single-sample form and a batched
-form with per-row labels, reduced by mean or sum. Log-sum-exp is always
-computed with max subtraction.
+The losses (`softmax_cross_entropy`, `kl_softmax`,
+`neglog_complement_prob`) take a batch of logit rows, with one label per
+row where they need one, and always average over the rows. Log-sum-exp is
+always computed with max subtraction.
 """
 
 from __future__ import annotations
@@ -29,9 +31,11 @@ from .errors import ConfigurationError, InputError, UsageError
 class Tensor:
     """A node in the computation graph.
 
-    `grad` is None or has the same shape as `values`. Leaves carry
-    `op == "leaf"` and start with a zero buffer, which accumulates across
-    backward passes until `zero_grad` resets it; they may be flagged
+    `values` is a float64 array: a batch [n, k] for the batched
+    operations, a 0-d scalar for a reduction. `grad` is None or has the
+    same shape as `values`. Leaves carry `op == "leaf"` and start with a
+    zero buffer, which accumulates across backward passes until
+    `ParameterSet.zero_grad` zeroes it in place; they may be flagged
     `frozen`, in which case optimizers must not update them. Interior nodes
     and constants start with None (see the module docstring).
     """
@@ -90,6 +94,11 @@ def softmax(x):
 # ---------------------------------------------------------------------------
 # graph operations
 
+def _require_batch(node: Tensor, op):
+    if node.ndim != 2:
+        raise UsageError(f"{op}: expects a 2-D batch, got shape {node.shape}")
+
+
 def _accumulate(node: Tensor, g):
     """Add one gradient contribution to `node`; constants take none.
 
@@ -107,10 +116,11 @@ def _accumulate(node: Tensor, g):
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map `x @ w.T + b`.
 
-    `w` is [n_out, n_in]; `x` is a vector [n_in] or a batch [n, n_in].
-    Backward produces exact gradients for x, w and b; for a constant x it
-    skips the input product altogether.
+    `w` is [n_out, n_in] and `x` a batch [n, n_in]. Backward produces exact
+    gradients for x, w and b; for a constant x it skips the input product
+    altogether.
     """
+    _require_batch(x, "linear")
     if w.ndim != 2:
         raise ConfigurationError(f"linear: weight must be 2-D, got {w.shape}")
     n_out, n_in = w.shape
@@ -127,12 +137,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         go = out.grad
         if x.op != "const":
             _accumulate(x, go @ w.values)
-        if x.ndim == 1:
-            _accumulate(w, np.outer(go, x.values))
-            _accumulate(b, go)
-        else:
-            _accumulate(w, go.T @ x.values)
-            _accumulate(b, go.sum(axis=0))
+        _accumulate(w, go.T @ x.values)
+        _accumulate(b, go.sum(axis=0))
 
     out._backward_fn = _backward
     return out
@@ -194,38 +200,35 @@ def add_scalars(terms) -> Tensor:
     if not terms:
         raise UsageError("add_scalars: empty term list")
     for t in terms:
-        if t.size != 1:
+        if t.ndim != 0:
             raise UsageError("add_scalars: all terms must be scalars")
-    vals = sum(float(t.values.reshape(())) for t in terms)
+    vals = sum(float(t.values) for t in terms)
     out = Tensor(np.asarray(vals), parents=tuple(terms), op="add_scalars")
 
     def _backward():
         for t in terms:
-            _accumulate(t, out.grad.reshape(t.shape) if t.shape else out.grad)
+            _accumulate(t, out.grad)
 
     out._backward_fn = _backward
     return out
 
 
 def concat(parts) -> Tensor:
-    """Concatenate vectors (axis 0) or batches (axis 1, same row count)."""
+    """Concatenate batches along the feature axis (same row count)."""
     parts = list(parts)
     if not parts:
         raise UsageError("concat: empty part list")
-    ndim = parts[0].ndim
-    if any(p.ndim != ndim for p in parts):
-        raise ConfigurationError("concat: mixed ranks")
-    axis = 0 if ndim == 1 else 1
-    if ndim == 2 and any(p.shape[0] != parts[0].shape[0] for p in parts):
+    for p in parts:
+        _require_batch(p, "concat")
+    if any(p.shape[0] != parts[0].shape[0] for p in parts):
         raise ConfigurationError("concat: row counts differ")
-    out = Tensor(np.concatenate([p.values for p in parts], axis=axis),
+    out = Tensor(np.concatenate([p.values for p in parts], axis=1),
                  parents=tuple(parts), op="concat")
-    widths = [p.shape[-1] for p in parts]
-    offsets = np.cumsum([0] + widths)
+    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
 
     def _backward():
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, out.grad[lo:hi] if ndim == 1 else out.grad[:, lo:hi])
+            _accumulate(p, out.grad[:, lo:hi])
 
     out._backward_fn = _backward
     return out
@@ -239,8 +242,7 @@ def take_rows(a: Tensor, lo: int, hi: int) -> Tensor:
     contribution). Used to address the current-task block of a
     mixed current+rehearsal batch without a second forward pass.
     """
-    if a.ndim != 2:
-        raise UsageError(f"take_rows: expects a 2-D node, got shape {a.shape}")
+    _require_batch(a, "take_rows")
     lo, hi = int(lo), int(hi)
     if not 0 <= lo <= hi <= a.shape[0]:
         raise InputError(f"take_rows: range [{lo}, {hi}) outside {a.shape[0]} rows")
@@ -269,84 +271,62 @@ def sum_squares(a: Tensor) -> Tensor:
     return out
 
 
-def softmax_cross_entropy(logits: Tensor, label, reduction="mean") -> Tensor:
-    """Cross-entropy of softmax(logits) against an integer label.
-
-    Single form: 1-D logits [K] with one label index -> scalar.
-    Batched form: 2-D logits [n, K] with label array [n] -> scalar,
-    reduced by `reduction` ("mean" or "sum").
-    Backward yields softmax(logits) - onehot(label), scaled by the
-    reduction.
-    """
-    if logits.ndim == 1:
-        k = logits.shape[0]
-        label = int(label)
-        if not 0 <= label < k:
-            raise InputError(f"label {label} out of range for {k} classes")
-        ls = log_softmax(logits.values)
-        out = Tensor(np.asarray(-ls[label]), parents=(logits,), op="ce")
-        p = np.exp(ls)
-
-        def _backward():
-            g = p.copy()
-            g[label] -= 1.0
-            _accumulate(logits, g * float(out.grad))
-
-        out._backward_fn = _backward
-        return out
-
+def _batch_labels(logits: Tensor, label, op):
+    """Check a batch of logit rows against one integer label per row."""
+    _require_batch(logits, op)
     labels = np.asarray(label, dtype=np.int64)
     n, k = logits.shape
     if labels.shape != (n,):
         raise InputError(f"labels shape {labels.shape} does not match batch {n}")
     if labels.min() < 0 or labels.max() >= k:
         raise InputError(f"label out of range for {k} classes")
-    if reduction not in ("mean", "sum"):
-        raise UsageError(f"unknown reduction {reduction!r}")
+    return labels
+
+
+def softmax_cross_entropy(logits: Tensor, label) -> Tensor:
+    """Mean cross-entropy of softmax(logits) against integer labels.
+
+    `logits` is [n, K] and `label` holds one class index per row; the
+    result is a scalar. Backward yields (softmax(logits) - onehot(label)) / n.
+    """
+    labels = _batch_labels(logits, label, "softmax_cross_entropy")
+    n = logits.shape[0]
     ls = log_softmax(logits.values)
     picked = ls[np.arange(n), labels]
-    total = -picked.sum()
-    val = total / n if reduction == "mean" else total
-    out = Tensor(np.asarray(val), parents=(logits,), op="ce")
+    out = Tensor(np.asarray(-picked.sum() / n), parents=(logits,), op="ce")
     p = np.exp(ls)
 
     def _backward():
         g = p.copy()
         g[np.arange(n), labels] -= 1.0
-        if reduction == "mean":
-            g /= n
+        g /= n
         _accumulate(logits, g * float(out.grad))
 
     out._backward_fn = _backward
     return out
 
 
-def kl_softmax(a: Tensor, b: Tensor, reduction="mean") -> Tensor:
-    """KL(softmax(a) || softmax(b)); >= 0, zero iff a - b is constant.
+def kl_softmax(a: Tensor, b: Tensor) -> Tensor:
+    """Mean over rows of KL(softmax(a) || softmax(b)); >= 0, zero iff each
+    row of a - b is constant.
 
-    Differentiable with respect to both arguments. Batched rows are
-    reduced by mean or sum.
+    Both arguments are [n, K] batches, and the loss is differentiable with
+    respect to both.
     """
+    _require_batch(a, "kl_softmax")
     if a.shape != b.shape:
         raise ConfigurationError(f"kl_softmax: shape mismatch {a.shape} vs {b.shape}")
     la = log_softmax(a.values)
     lb = log_softmax(b.values)
     p = np.exp(la)
     r = la - lb
-    row_kl = np.sum(p * r, axis=-1)
-    if a.ndim == 1:
-        val = row_kl
-        denom = 1.0
-    else:
-        if reduction not in ("mean", "sum"):
-            raise UsageError(f"unknown reduction {reduction!r}")
-        denom = a.shape[0] if reduction == "mean" else 1.0
-        val = row_kl.sum() / denom
-    out = Tensor(np.asarray(val), parents=(a, b), op="kl_softmax")
+    n = a.shape[0]
+    out = Tensor(np.asarray(np.sum(p * r, axis=-1).sum() / n),
+                 parents=(a, b), op="kl_softmax")
     q = np.exp(lb)
 
     def _backward():
-        go = float(out.grad) / denom
+        go = float(out.grad) / n
         inner = np.sum(p * r, axis=-1, keepdims=True)
         _accumulate(a, go * p * (r - inner))
         _accumulate(b, go * (q - p))
@@ -355,47 +335,21 @@ def kl_softmax(a: Tensor, b: Tensor, reduction="mean") -> Tensor:
     return out
 
 
-def neglog_complement_prob(logits: Tensor, label, eps=1e-12,
-                           reduction="mean") -> Tensor:
-    """-log(1 - softmax(logits)[label] + eps).
+def neglog_complement_prob(logits: Tensor, label, eps=1e-12) -> Tensor:
+    """Mean over rows of -log(1 - softmax(logits)[label] + eps).
 
     Zero when the label probability is 0; grows as the label probability
-    approaches 1. Same single/batched convention as softmax_cross_entropy.
+    approaches 1. Same batch and label convention as softmax_cross_entropy.
     """
-    if logits.ndim == 1:
-        k = logits.shape[0]
-        label = int(label)
-        if not 0 <= label < k:
-            raise InputError(f"label {label} out of range for {k} classes")
-        p = softmax(logits.values)
-        s = 1.0 - p[label] + eps
-        out = Tensor(np.asarray(-np.log(s)), parents=(logits,), op="nlcp")
-
-        def _backward():
-            g = -p[label] * p
-            g[label] += p[label]
-            _accumulate(logits, (g / s) * float(out.grad))
-
-        out._backward_fn = _backward
-        return out
-
-    labels = np.asarray(label, dtype=np.int64)
-    n, k = logits.shape
-    if labels.shape != (n,):
-        raise InputError(f"labels shape {labels.shape} does not match batch {n}")
-    if labels.min() < 0 or labels.max() >= k:
-        raise InputError(f"label out of range for {k} classes")
-    if reduction not in ("mean", "sum"):
-        raise UsageError(f"unknown reduction {reduction!r}")
+    labels = _batch_labels(logits, label, "neglog_complement_prob")
+    n = logits.shape[0]
     p = softmax(logits.values)
     py = p[np.arange(n), labels]
     s = 1.0 - py + eps
-    total = -np.log(s).sum()
-    val = total / n if reduction == "mean" else total
-    out = Tensor(np.asarray(val), parents=(logits,), op="nlcp")
+    out = Tensor(np.asarray(-np.log(s).sum() / n), parents=(logits,), op="nlcp")
 
     def _backward():
-        go = float(out.grad) / (n if reduction == "mean" else 1.0)
+        go = float(out.grad) / n
         g = -(py / s)[:, None] * p
         g[np.arange(n), labels] += py / s
         _accumulate(logits, g * go)
@@ -406,9 +360,10 @@ def neglog_complement_prob(logits: Tensor, label, eps=1e-12,
 
 def sum_picked(mat: Tensor, idx) -> Tensor:
     """Scalar sum of mat[i, idx[i]]; used for per-sample logit saliency."""
+    _require_batch(mat, "sum_picked")
     idx = np.asarray(idx, dtype=np.int64)
-    if mat.ndim != 2 or idx.shape != (mat.shape[0],):
-        raise UsageError("sum_picked: expects 2-D node and one index per row")
+    if idx.shape != (mat.shape[0],):
+        raise UsageError("sum_picked: expects one index per row")
     rows = np.arange(mat.shape[0])
     out = Tensor(np.asarray(mat.values[rows, idx].sum()), parents=(mat,),
                  op="sum_picked")
@@ -453,8 +408,8 @@ def backward(root: Tensor):
     """Propagate gradients from a scalar root to all ancestors.
 
     Each call contributes one fresh gradient; contributions accumulate
-    across calls until `zero_grad` resets them. Leaves add into their
-    buffers directly. Interior nodes (those with a backward closure) are
+    across calls until `ParameterSet.zero_grad` resets them. Leaves add
+    into their buffers directly. Interior nodes (those with a backward closure) are
     set aside to None for the pass, so their first contribution allocates
     a fresh buffer, and any earlier gradient is added back at the end:
     repeated calls never feed stale interior gradients downstream.
@@ -473,13 +428,6 @@ def backward(root: Tensor):
     for node, old in zip(interior, saved):
         if old is not None:
             node.grad += old
-
-
-def zero_grad(root: Tensor):
-    """Reset gradients of the root and every ancestor: leaves to zeros,
-    interior nodes to None."""
-    for node in _toposort(root):
-        node.grad = np.zeros_like(node.values) if node.op == "leaf" else None
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +479,10 @@ class ParameterSet:
             t.frozen = True
 
     def zero_grad(self):
+        """Zero every gradient buffer in place; the buffers themselves
+        live as long as their tensors."""
         for t in self._params.values():
-            t.grad = np.zeros_like(t.values)
+            t.grad.fill(0.0)
 
     def check_finite(self):
         for name, t in self._params.items():

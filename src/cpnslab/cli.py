@@ -11,6 +11,7 @@ both. Exit codes: 0 success, 2 configuration or data validation failure,
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -64,6 +65,8 @@ def build_parser():
 
 
 def _resolve_threads(args):
+    """The thread cap from --threads or CPNSLAB_THREADS; ValueError if the
+    variable is not an integer."""
     if args.threads is not None:
         return args.threads
     raw = os.environ.get("CPNSLAB_THREADS")
@@ -72,8 +75,7 @@ def _resolve_threads(args):
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"cpnslab: CPNSLAB_THREADS must be an integer, "
-                         f"got {raw!r}")
+        raise ValueError(f"CPNSLAB_THREADS must be an integer, got {raw!r}")
 
 
 def _parse_values(raw):
@@ -89,7 +91,11 @@ def _parse_values(raw):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    threads = _resolve_threads(args)
+    try:
+        threads = _resolve_threads(args)
+    except ValueError as exc:
+        print(f"cpnslab: {exc}", file=sys.stderr)
+        return 2
     if threads is not None:
         if threads < 1:
             print("cpnslab: thread count must be positive", file=sys.stderr)
@@ -112,7 +118,8 @@ def main(argv=None):
         if out:
             config.output_dir = out
         if args.seed is not None:
-            config.seeds = (args.seed,)
+            # through the constructor, so the seed is validated
+            config = dataclasses.replace(config, seeds=(args.seed,))
 
         if args.command == "run":
             rows = ex.run_experiment(config)

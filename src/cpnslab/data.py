@@ -62,6 +62,8 @@ class SyntheticScmConfig:
                 raise ConfigurationError(f"{name} must be a positive integer")
         if self.d_s < 0:
             raise ConfigurationError("d_s must be non-negative")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if not self.d_mc < self.d_c:
             raise ConfigurationError(
                 f"d_mc must be smaller than d_c, got {self.d_mc} >= {self.d_c}")

@@ -98,6 +98,8 @@ class ExperimentConfig:
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ConfigurationError("seed list must be non-empty")
+        if min(self.seeds) < 0:
+            raise ConfigurationError(f"seeds must be non-negative, got {self.seeds}")
         if not self.run_id or "/" in self.run_id:
             raise ConfigurationError(f"bad run id {self.run_id!r}")
         kind = self.data.get("kind")
@@ -242,6 +244,9 @@ def config_from_dict(doc) -> ExperimentConfig:
     if isinstance(data, dict) and data.get("kind") in kinds:
         _section_values("data", {k: v for k, v in data.items() if k != "kind"},
                         kinds[data["kind"]])
+        if data["kind"] == "table" and data.get("split_seed", 0) < 0:
+            raise ConfigurationError(
+                f"data.split_seed must be non-negative, got {data['split_seed']}")
     # a TypeError or ValueError from the dataclass checks is a bad value too
     try:
         return ExperimentConfig(**_section_values("config", doc, ExperimentConfig))
@@ -468,12 +473,15 @@ def run_sweep(config: ExperimentConfig, param, values):
             f"unknown sweep parameter {param!r}; pick one of {SWEEP_PARAMS}")
     if not values:
         raise ConfigurationError("sweep needs at least one value")
+    # every value is checked, and every variant built, before the first run
+    for value in values:
+        _check_value(f"sweep value for {param}", value, float)
+    variants = [_with_param(config, param, value) for value in values]
     run_dir = os.path.join(config.output_dir, config.run_id)
     out_rows = []
-    for value in values:
-        rows = _run_seeds(_with_param(config, param, value),
-                          os.path.join(run_dir, f"sweep-{param}",
-                                       f"value-{value}"))
+    for value, variant in zip(values, variants):
+        rows = _run_seeds(variant, os.path.join(run_dir, f"sweep-{param}",
+                                                f"value-{value}"))
         out_rows.append((float(value), *_seed_mean(rows)))
     path = os.path.join(run_dir, f"sweep-{param}.csv")
     with open(path, "w") as fh:

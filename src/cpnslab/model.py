@@ -286,15 +286,6 @@ class ExpandableModel:
 
     # -- parameter views -------------------------------------------------
 
-    def stage1_params(self) -> ad.ParameterSet:
-        """Current extractor plus the intra head."""
-        ps = ad.ParameterSet()
-        for name, t in self.extractors[-1].params.items():
-            ps.adopt(f"f{self.current_task}/{name}", t)
-        ps.adopt("intra_w", self.heads["intra_w"])
-        ps.adopt("intra_b", self.heads["intra_b"])
-        return ps
-
     def all_params(self) -> ad.ParameterSet:
         ps = ad.ParameterSet()
         for ext in self.extractors:

@@ -27,12 +27,18 @@ from . import counterfactual as cf
 from .errors import ConfigurationError, InputError, NumericsError, UsageError
 from .risk import GenConfig, empirical_cpns_risk, surrogate_intra_loss
 
-# the shared-knob reading (the momentum value doubles as beta1, so one
-# config field drives both optimizers) and the classic pair
+# the shared-knob reading: the momentum value doubles as beta1, so one
+# config field drives both optimizers
 ADAM_SHARED_MOMENTUM = (0.95, 0.999)
-ADAM_CLASSIC = (0.9, 0.999)
 
 LOSS_KEYS = ("cls", "aux", "intra", "inter", "kl", "proj")
+PROJECTOR_HEADS = ("proj_w0", "proj_b0", "proj_w1", "proj_b1")
+# the heads each term of the objective trains, beside the current extractor
+TERM_HEADS = {
+    "cls": ("cls_w", "cls_b", "aux_w", "aux_b"),
+    "intra": ("intra_w", "intra_b"),
+    "inter": ("inter_w", "inter_b") + PROJECTOR_HEADS,
+}
 
 
 @dataclass
@@ -260,8 +266,7 @@ def _projector_loss(model, z_old_values, target_values):
     """Mean squared projector residual; target enters as a plain value."""
     pred = model.projector_graph(ad.constant(z_old_values))
     diff = ad.sub(pred, ad.constant(target_values))
-    n = np.atleast_2d(np.asarray(target_values)).shape[0]
-    return ad.scale(ad.sum_squares(diff), 1.0 / n)
+    return ad.scale(ad.sum_squares(diff), 1.0 / len(target_values))
 
 
 def projector_step(model, batch, lr=None):
@@ -278,14 +283,12 @@ def projector_step(model, batch, lr=None):
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     loss = _projector_loss(model, model.frozen_concat_np(x),
                            model.current_feature_np(x))
-    names = ("proj_w0", "proj_b0", "proj_w1", "proj_b1")
-    for nm in names:
-        head = model.heads[nm]
-        head.grad = np.zeros_like(head.values)
+    heads = [model.heads[nm] for nm in PROJECTOR_HEADS]
+    for head in heads:
+        head.grad.fill(0.0)
     ad.backward(loss)
     if lr is not None:
-        for nm in names:
-            head = model.heads[nm]
+        for head in heads:
             head.values -= float(lr) * head.grad
     return float(loss.values)
 
@@ -305,32 +308,44 @@ def _buffer_minibatch(n_buf, k, rng):
     return rng.choice(n_buf, size=k, replace=False)
 
 
-def _base_param_set(model) -> ad.ParameterSet:
+def _param_set(model, use_cls, use_intra, use_inter) -> ad.ParameterSet:
+    """The current extractor plus the heads the enabled terms train.
+
+    A head the model does not have (aux on the first task, a tied inter
+    head) is skipped. Keeping unused heads out means decoupled weight
+    decay cannot silently move them.
+    """
     ps = ad.ParameterSet()
     for name, tns in model.extractors[-1].params.items():
         ps.adopt(f"f{model.current_task}/{name}", tns)
-    ps.adopt("cls_w", model.heads["cls_w"])
-    ps.adopt("cls_b", model.heads["cls_b"])
-    if "aux_w" in model.heads:
-        ps.adopt("aux_w", model.heads["aux_w"])
-        ps.adopt("aux_b", model.heads["aux_b"])
+    enabled = {"cls": use_cls, "intra": use_intra, "inter": use_inter}
+    for term, heads in TERM_HEADS.items():
+        for name in heads:
+            if enabled[term] and name in model.heads:
+                ps.adopt(name, model.heads[name])
     return ps
 
 
-def _objective_param_set(model, use_intra, use_inter) -> ad.ParameterSet:
-    # only what the enabled objective actually trains; keeping unused heads
-    # out means decoupled weight decay cannot silently move them
-    ps = _base_param_set(model)
-    if use_intra:
-        ps.adopt("intra_w", model.heads["intra_w"])
-        ps.adopt("intra_b", model.heads["intra_b"])
-    if use_inter:
-        if model.separate_inter_head:
-            ps.adopt("inter_w", model.heads["inter_w"])
-            ps.adopt("inter_b", model.heads["inter_b"])
-        for nm in ("proj_w0", "proj_b0", "proj_w1", "proj_b1"):
-            ps.adopt(nm, model.heads[nm])
-    return ps
+def _task_arrays(model, task_data, buffer):
+    """The current task's (x, y), after the preconditions of training."""
+    lo, hi = model.class_offsets[-1]
+    x_cur = np.asarray(task_data[0], dtype=np.float64)
+    y_cur = np.asarray(task_data[1], dtype=np.int64)
+    if len(x_cur) == 0:
+        raise InputError("task data is empty")
+    if y_cur.min() < lo or y_cur.max() >= hi:
+        raise InputError(f"labels outside the current task range [{lo}, {hi})")
+    if model.current_task >= 1 and (buffer is None or len(buffer) == 0):
+        raise ConfigurationError(
+            f"task {model.current_task} requires a non-empty rehearsal buffer")
+    return x_cur, y_cur
+
+
+def _check_frozen(model, snap):
+    after = model.frozen_snapshot()
+    drift = sum(float(np.abs(after[k] - snap[k]).sum()) for k in snap)
+    if drift != 0.0:
+        raise AssertionError(f"frozen extractors drifted by {drift}")
 
 
 def _probe_report(model, x_cur, y_cur, probe_buf, config: TrainConfig):
@@ -364,54 +379,18 @@ def _append_jsonl(path, records):
 # ---------------------------------------------------------------------------
 # the two-stage objective
 
-def _run_stage1_intra(model, x_cur, y_cur, config: TrainConfig, rng, records):
-    """Intra-scope pretraining over the current data only (stage 1)."""
-    t = model.current_task
-    lo = model.class_offsets[-1][0]
-    params = model.stage1_params()
-    state = make_optimizer_state()
-    w_i, b_i = model.heads["intra_w"], model.heads["intra_b"]
-    n = len(x_cur)
-    for epoch in range(config.stage1_epochs):
-        t0 = time.perf_counter()
-        lr = _lr_at(config, epoch, config.stage1_epochs)
-        sums = dict.fromkeys(LOSS_KEYS, 0.0)
-        batches = _epoch_batches(n, config.batch_size, rng)
-        for idx in batches:
-            xb = x_cur[idx]
-            yb_local = y_cur[idx] - lo
-            c_hat = model.current_feature_graph(ad.constant(xb))
-            cfs, _, _, _ = cf.generate_intra_batch(
-                c_hat.values, yb_local, w_i.values, b_i.values,
-                alpha=config.gen.alpha, epsilon=config.gen.epsilon,
-                metric=config.gen.metric)
-            intra_loss = surrogate_intra_loss(c_hat, cfs, yb_local, w_i, b_i,
-                                              nu=config.nu)
-            sums["intra"] += float(intra_loss.values)
-            terms = [intra_loss]
-            if config.gamma > 0:
-                cbar = ad.add(c_hat, ad.constant(cfs - c_hat.values))
-                kl = ad.kl_softmax(c_hat, cbar)
-                sums["kl"] += float(kl.values)
-                terms.append(ad.scale(kl, config.gamma))
-            total = terms[0] if len(terms) == 1 else ad.add_scalars(terms)
-            params.zero_grad()
-            ad.backward(total)
-            optimizer_step(params, state, config, lr=lr)
-        wall = (time.perf_counter() - t0) * 1000.0
-        records.append(_record(t, 1, epoch, sums, len(batches), None, wall))
-
-
 def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
-                          rng, records, stage, epochs, use_intra, use_inter,
-                          with_report):
-    """Mixed current+rehearsal epochs of the (possibly reduced) objective.
+                          rng, records, stage, epochs, use_cls, use_intra,
+                          use_inter, with_report):
+    """Epochs of the objective with the enabled terms; returns the last
+    epoch's report (None without reports).
 
-    With both scopes off this is plain classification plus the auxiliary
-    loss, arithmetically identical to the baseline path. Reports are
-    skipped during stage 1 because producing one would generate
-    inter-scope counterfactuals ahead of their stage; asking for either
-    in stage 1 raises AssertionError.
+    use_cls turns on classification and, from the second task on, the
+    auxiliary loss and the rehearsal rows mixed into each batch; without
+    it a batch holds current rows only and nothing is drawn from the
+    buffer. With both scopes off this is arithmetically the baseline path.
+    A report generates inter-scope counterfactuals, so stage 1 refuses
+    use_inter and with_report alike with AssertionError.
     """
     if stage == 1 and (use_inter or with_report):
         raise AssertionError(
@@ -419,16 +398,14 @@ def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
     t = model.current_task
     lo = model.class_offsets[-1][0]
     cur_count = model.current_class_count
-    params = _objective_param_set(model, use_intra, use_inter)
+    params = _param_set(model, use_cls, use_intra, use_inter)
     state = make_optimizer_state()
     w_i, b_i = model.heads["intra_w"], model.heads["intra_b"]
-    if use_inter and model.separate_inter_head:
-        w_e, b_e = model.heads["inter_w"], model.heads["inter_b"]
-    else:
-        w_e, b_e = model.heads["cls_w"], model.heads["cls_b"]
-    has_buffer = t >= 1
-    probe_buf = buffer.samples() if has_buffer else None
-    buf_x, buf_y = probe_buf if has_buffer else (None, None)
+    inter = "inter" if use_inter and model.separate_inter_head else "cls"
+    w_e, b_e = model.heads[f"{inter}_w"], model.heads[f"{inter}_b"]
+    mixed = use_cls and t >= 1
+    probe_buf = buffer.samples() if mixed else None
+    buf_x, buf_y = probe_buf if mixed else (None, None)
     n = len(x_cur)
     report = None
     for epoch in range(epochs):
@@ -440,18 +417,20 @@ def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
             xb = x_cur[idx]
             yb = y_cur[idx]
             n_c = len(idx)
-            if has_buffer:
+            if mixed:
                 bsel = _buffer_minibatch(len(buf_x), n_c, rng)
                 xb = np.concatenate([xb, buf_x[bsel]])
                 yb = np.concatenate([yb, buf_y[bsel]])
             c_hat = model.current_feature_graph(ad.constant(xb))
-            frozen_np = model.frozen_concat_np(xb) if has_buffer else None
+            frozen_np = model.frozen_concat_np(xb) if mixed else None
             z = (ad.concat([ad.constant(frozen_np), c_hat])
-                 if has_buffer else c_hat)
-            cls_loss = ad.softmax_cross_entropy(model.cls_graph(z), yb)
-            sums["cls"] += float(cls_loss.values)
-            terms = [cls_loss]
-            if has_buffer:
+                 if mixed else c_hat)
+            terms = []
+            if use_cls:
+                cls_loss = ad.softmax_cross_entropy(model.cls_graph(z), yb)
+                sums["cls"] += float(cls_loss.values)
+                terms.append(cls_loss)
+            if mixed:
                 aux_labels = np.where(yb >= lo, yb - lo, cur_count)
                 aux_loss = ad.softmax_cross_entropy(
                     model.head_graph("aux", c_hat), aux_labels)
@@ -459,7 +438,7 @@ def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
                 terms.append(aux_loss)
             kl_terms = []
             if use_intra:
-                c_cur = ad.take_rows(c_hat, 0, n_c) if len(xb) > n_c else c_hat
+                c_cur = ad.take_rows(c_hat, 0, n_c) if mixed else c_hat
                 y_local = yb[:n_c] - lo
                 cfs_i, _, _, _ = cf.generate_intra_batch(
                     c_cur.values, y_local, w_i.values, b_i.values,
@@ -486,8 +465,7 @@ def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
                     kl_terms.append(ad.kl_softmax(
                         c_hat, ad.add(c_hat, ad.constant(cfs_e - c_hat.values))))
             if kl_terms:
-                kl_total = (kl_terms[0] if len(kl_terms) == 1
-                            else ad.add_scalars(kl_terms))
+                kl_total = ad.add_scalars(kl_terms)
                 sums["kl"] += float(kl_total.values)
                 terms.append(ad.scale(kl_total, config.gamma))
             if use_inter:
@@ -511,23 +489,14 @@ def train_task(model, task_data, buffer, config: TrainConfig, rng,
 
     Returns {"task", "records", "final_report"}; the records mirror what
     goes to the JSONL sink, one per epoch, with per-epoch indicator
-    reports during stage 2. The frozen extractor stack is
-    snapshot-checked for exact stability; stage 1 never generates an
-    inter-scope counterfactual (`_run_stage1_intra` has no inter call, and
-    `_run_objective_epochs` refuses one in stage 1).
+    reports during stage 2. Both stages run `_run_objective_epochs` with
+    different terms on: stage 1 trains the intra term alone over current
+    rows (or, with it off, warms the base losses), stage 2 every enabled
+    term. The frozen extractor stack is snapshot-checked for exact
+    stability.
     """
     t = model.current_task
-    lo, hi = model.class_offsets[-1]
-    x_cur = np.asarray(task_data[0], dtype=np.float64)
-    y_cur = np.asarray(task_data[1], dtype=np.int64)
-    if len(x_cur) == 0:
-        raise InputError("task data is empty")
-    if y_cur.min() < lo or y_cur.max() >= hi:
-        raise InputError(f"labels outside the current task range [{lo}, {hi})")
-    if t >= 1 and (buffer is None or len(buffer) == 0):
-        raise ConfigurationError(
-            f"task {t} requires a non-empty rehearsal buffer")
-
+    x_cur, y_cur = _task_arrays(model, task_data, buffer)
     # nu and gamma both zero leaves nothing of the intra objective, and a
     # zero lam nothing of the inter one; dropping the machinery entirely
     # is what makes the baseline reduction exact
@@ -537,29 +506,22 @@ def train_task(model, task_data, buffer, config: TrainConfig, rng,
     records = []
 
     if config.two_stage and config.stage1_epochs > 0:
-        if use_intra:
-            _run_stage1_intra(model, x_cur, y_cur, config, rng, records)
-        else:
-            # nothing to pretrain; warm the base losses instead so delayed
-            # inter-scope training still means something in ablations
-            _run_objective_epochs(model, x_cur, y_cur, buffer, config, rng,
-                                  records, stage=1,
-                                  epochs=config.stage1_epochs,
-                                  use_intra=False, use_inter=False,
-                                  with_report=False)
+        # nothing to pretrain without the intra term; warm the base losses
+        # instead so delayed inter-scope training still means something in
+        # ablations
+        _run_objective_epochs(model, x_cur, y_cur, buffer, config, rng,
+                              records, stage=1, epochs=config.stage1_epochs,
+                              use_cls=not use_intra, use_intra=use_intra,
+                              use_inter=False, with_report=False)
 
     stage2_epochs = config.stage2_epochs + (
         0 if config.two_stage else config.stage1_epochs)
     final_report = _run_objective_epochs(
         model, x_cur, y_cur, buffer, config, rng, records, stage=2,
-        epochs=stage2_epochs, use_intra=use_intra, use_inter=use_inter,
-        with_report=True)
+        epochs=stage2_epochs, use_cls=True, use_intra=use_intra,
+        use_inter=use_inter, with_report=True)
 
-    after = model.frozen_snapshot()
-    drift = sum(float(np.abs(after[k] - snap[k]).sum()) for k in snap)
-    if drift != 0.0:
-        raise AssertionError(f"frozen extractors drifted by {drift}")
-
+    _check_frozen(model, snap)
     if log_path is not None:
         _append_jsonl(log_path, records)
     return {"task": t, "records": records, "final_report": final_report}
@@ -577,19 +539,11 @@ def train_task_baseline(model, task_data, buffer, config: TrainConfig, rng,
     share that machinery.
     """
     t = model.current_task
-    lo, hi = model.class_offsets[-1]
-    x_cur = np.asarray(task_data[0], dtype=np.float64)
-    y_cur = np.asarray(task_data[1], dtype=np.int64)
-    if len(x_cur) == 0:
-        raise InputError("task data is empty")
-    if y_cur.min() < lo or y_cur.max() >= hi:
-        raise InputError(f"labels outside the current task range [{lo}, {hi})")
-    if t >= 1 and (buffer is None or len(buffer) == 0):
-        raise ConfigurationError(
-            f"task {t} requires a non-empty rehearsal buffer")
+    lo = model.class_offsets[-1][0]
+    x_cur, y_cur = _task_arrays(model, task_data, buffer)
     snap = model.frozen_snapshot()
     cur_count = model.current_class_count
-    params = _base_param_set(model)
+    params = _param_set(model, use_cls=True, use_intra=False, use_inter=False)
     state = make_optimizer_state()
     has_buffer = t >= 1
     probe_buf = buffer.samples() if has_buffer else None
@@ -629,10 +583,7 @@ def train_task_baseline(model, task_data, buffer, config: TrainConfig, rng,
         report = _probe_report(model, x_cur, y_cur, probe_buf, config)
         wall = (time.perf_counter() - t0) * 1000.0
         records.append(_record(t, 2, epoch, sums, len(batches), report, wall))
-    after = model.frozen_snapshot()
-    drift = sum(float(np.abs(after[k] - snap[k]).sum()) for k in snap)
-    if drift != 0.0:
-        raise AssertionError(f"frozen extractors drifted by {drift}")
+    _check_frozen(model, snap)
     if log_path is not None:
         _append_jsonl(log_path, records)
     return {"task": t, "records": records, "final_report": report}

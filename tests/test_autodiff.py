@@ -26,7 +26,7 @@ def _rng(seed):
 # linear
 
 def test_linear_identity_passthrough():
-    x = ad.leaf([0.3, -1.2, 4.0])
+    x = ad.leaf([[0.3, -1.2, 4.0]])
     w = ad.leaf(np.eye(3))
     b = ad.leaf(np.zeros(3))
     out = ad.linear(x, w, b)
@@ -34,13 +34,15 @@ def test_linear_identity_passthrough():
 
 
 def test_linear_shape_mismatch_raises():
-    x = ad.leaf(np.ones(3))
+    x = ad.leaf(np.ones((1, 3)))
     w = ad.leaf(np.ones((2, 4)))
     b = ad.leaf(np.zeros(2))
     with pytest.raises(ConfigurationError):
         ad.linear(x, w, b)
     with pytest.raises(ConfigurationError):
-        ad.linear(ad.leaf(np.ones(4)), w, ad.leaf(np.zeros(3)))
+        ad.linear(ad.leaf(np.ones((1, 4))), w, ad.leaf(np.zeros(3)))
+    with pytest.raises(UsageError):  # a single sample is a one-row batch
+        ad.linear(ad.leaf(np.ones(4)), w, b)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -88,12 +90,12 @@ def test_linear_batched_grads_vs_fd():
 # relu
 
 def test_relu_subgradient_at_zero_is_zero():
-    x = ad.leaf([-1.0, 0.0, 2.0])
+    x = ad.leaf([[-1.0, 0.0, 2.0]])
     ones = ad.leaf(np.ones((1, 3)))
     zero = ad.leaf(np.zeros(1))
     root = ad.linear(ad.relu(x), ones, zero)
     ad.backward(root)
-    np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 1.0]])
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -112,21 +114,23 @@ def test_relu_grads_vs_fd_away_from_zero(seed):
 # softmax cross-entropy
 
 def test_ce_uniform_logits_is_log_k():
-    logits = ad.leaf(np.zeros(4))
-    out = ad.softmax_cross_entropy(logits, 2)
+    logits = ad.leaf(np.zeros((1, 4)))
+    out = ad.softmax_cross_entropy(logits, [2])
     assert abs(float(out.values) - np.log(4.0)) < 1e-12
 
 
 def test_ce_label_out_of_range():
     with pytest.raises(InputError):
-        ad.softmax_cross_entropy(ad.leaf(np.zeros(4)), 4)
+        ad.softmax_cross_entropy(ad.leaf(np.zeros((1, 4))), [4])
     with pytest.raises(InputError):
         ad.softmax_cross_entropy(ad.leaf(np.zeros((2, 4))), [0, -1])
+    with pytest.raises(UsageError):  # a single sample is a one-row batch
+        ad.softmax_cross_entropy(ad.leaf(np.zeros(4)), 0)
 
 
 def test_ce_extreme_logits_stay_finite():
-    logits = ad.leaf([1000.0, -1000.0, 0.0])
-    out = ad.softmax_cross_entropy(logits, 1)
+    logits = ad.leaf([[1000.0, -1000.0, 0.0]])
+    out = ad.softmax_cross_entropy(logits, [1])
     ad.backward(out)
     assert np.isfinite(float(out.values))
     assert np.all(np.isfinite(logits.grad))
@@ -135,31 +139,29 @@ def test_ce_extreme_logits_stay_finite():
 @pytest.mark.parametrize("seed", range(5))
 def test_ce_grads_vs_fd(seed):
     rng = _rng(200 + seed)
-    lv = rng.normal(size=5) * 2.0
+    lv = rng.normal(size=(1, 5)) * 2.0
     y = int(rng.integers(5))
     logits = ad.leaf(lv)
-    ad.backward(ad.softmax_cross_entropy(logits, y))
+    ad.backward(ad.softmax_cross_entropy(logits, [y]))
 
     def f(v):
-        s = v - v.max()
+        s = v[0] - v.max()
         return float(np.log(np.exp(s).sum()) - s[y])
 
     assert rel_err(logits.grad, numeric_grad(f, lv)) < 1e-5
 
 
-@pytest.mark.parametrize("reduction", ["mean", "sum"])
-def test_ce_batched_grads_vs_fd(reduction):
+def test_ce_batched_grads_vs_fd():
     rng = _rng(3)
     lv = rng.normal(size=(4, 5))
     ys = rng.integers(5, size=4)
     logits = ad.leaf(lv)
-    ad.backward(ad.softmax_cross_entropy(logits, ys, reduction=reduction))
+    ad.backward(ad.softmax_cross_entropy(logits, ys))
 
     def f(v):
         s = v - v.max(axis=1, keepdims=True)
         lse = np.log(np.exp(s).sum(axis=1))
-        per = lse - s[np.arange(4), ys]
-        return float(per.mean() if reduction == "mean" else per.sum())
+        return float((lse - s[np.arange(4), ys]).mean())
 
     assert rel_err(logits.grad, numeric_grad(f, lv)) < 1e-5
 
@@ -176,7 +178,7 @@ def _kl_np(a, b):
 
 
 def test_kl_zero_on_shifted_logits():
-    a = np.array([0.2, -1.0, 3.0])
+    a = np.array([[0.2, -1.0, 3.0]])
     out = ad.kl_softmax(ad.leaf(a), ad.leaf(a + 5.0))
     assert abs(float(out.values)) < 1e-12
 
@@ -186,15 +188,15 @@ def test_kl_zero_on_shifted_logits():
 @settings(max_examples=200, deadline=None)
 def test_kl_nonnegative(a, b):
     k = min(len(a), len(b))
-    val = float(ad.kl_softmax(ad.leaf(a[:k]), ad.leaf(b[:k])).values)
+    val = float(ad.kl_softmax(ad.leaf([a[:k]]), ad.leaf([b[:k]])).values)
     assert val >= -1e-12
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_kl_grads_both_args_vs_fd(seed):
     rng = _rng(300 + seed)
-    av = rng.normal(size=5)
-    bv = rng.normal(size=5)
+    av = rng.normal(size=(1, 5))
+    bv = rng.normal(size=(1, 5))
     a, b = ad.leaf(av), ad.leaf(bv)
     ad.backward(ad.kl_softmax(a, b))
     assert rel_err(a.grad, numeric_grad(lambda v: _kl_np(v, bv), av)) < 1e-5
@@ -221,18 +223,18 @@ def _nlcp_np(v, y, eps=1e-12):
 
 
 def test_neglog_complement_uniform_two_class():
-    out = ad.neglog_complement_prob(ad.leaf(np.zeros(2)), 0)
+    out = ad.neglog_complement_prob(ad.leaf(np.zeros((1, 2))), [0])
     assert abs(float(out.values) - (-np.log(0.5 + 1e-12))) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_neglog_complement_grads_vs_fd(seed):
     rng = _rng(400 + seed)
-    lv = rng.normal(size=5)
+    lv = rng.normal(size=(1, 5))
     y = int(rng.integers(5))
     logits = ad.leaf(lv)
-    ad.backward(ad.neglog_complement_prob(logits, y))
-    g = numeric_grad(lambda v: _nlcp_np(v, y), lv)
+    ad.backward(ad.neglog_complement_prob(logits, [y]))
+    g = numeric_grad(lambda v: _nlcp_np(v[0], y), lv)
     assert rel_err(logits.grad, g) < 1e-5
 
 
@@ -260,13 +262,13 @@ def test_sum_squares_anchor():
 
 def test_concat_routes_gradients():
     rng = _rng(13)
-    av, bv = rng.normal(size=3), rng.normal(size=2)
+    av, bv = rng.normal(size=(1, 3)), rng.normal(size=(1, 2))
     a, b = ad.leaf(av), ad.leaf(bv)
     ad.backward(ad.sum_squares(ad.concat([a, b])))
-    joint = np.concatenate([av, bv])
+    joint = np.concatenate([av, bv], axis=1)
     g = numeric_grad(lambda v: float(np.sum(v * v)), joint)
-    assert rel_err(a.grad, g[:3]) < 1e-5
-    assert rel_err(b.grad, g[3:]) < 1e-5
+    assert rel_err(a.grad, g[:, :3]) < 1e-5
+    assert rel_err(b.grad, g[:, 3:]) < 1e-5
 
 
 def test_concat_batched_routes_gradients():
@@ -281,6 +283,8 @@ def test_concat_batched_routes_gradients():
 def test_concat_row_mismatch_raises():
     with pytest.raises(ConfigurationError):
         ad.concat([ad.leaf(np.ones((2, 3))), ad.leaf(np.ones((3, 3)))])
+    with pytest.raises(UsageError):  # a single sample is a one-row batch
+        ad.concat([ad.leaf(np.ones(3)), ad.leaf(np.ones(2))])
 
 
 def test_add_sub_scale_composite_vs_fd():
@@ -377,12 +381,13 @@ def test_backward_requires_scalar_root():
 
 
 def test_backward_accumulates_until_zeroed():
-    x = ad.leaf([1.0, 2.0])
+    ps = ad.ParameterSet()
+    x = ps.add("x", [1.0, 2.0])
     root = ad.sum_squares(x)
     ad.backward(root)
     ad.backward(root)
     np.testing.assert_array_equal(x.grad, [4.0, 8.0])
-    ad.zero_grad(root)
+    ps.zero_grad()
     np.testing.assert_array_equal(x.grad, [0.0, 0.0])
     ad.backward(root)
     np.testing.assert_array_equal(x.grad, [2.0, 4.0])
@@ -447,8 +452,6 @@ def test_buffers_exist_only_on_leaves_before_backward():
     x, w, b, z, root = _shared_graph()
     assert all(t.grad is not None and not t.grad.any() for t in (x, w, b))
     assert z.grad is None and root.grad is None
-    ad.zero_grad(root)
-    assert z.grad is None and not x.grad.any()
 
 
 def test_constant_input_gets_no_gradient_and_no_input_product():
@@ -544,6 +547,8 @@ def test_parameterset_order_and_zero_grad():
     ps.add("b", np.zeros(2))
     ps.add("a", np.zeros(2))
     assert ps.names() == ["b", "a"]
+    buffer = ps["a"].grad
     ps["a"].grad += 1.0
     ps.zero_grad()
+    assert ps["a"].grad is buffer  # zeroed in place, not reallocated
     np.testing.assert_array_equal(ps["a"].grad, [0.0, 0.0])

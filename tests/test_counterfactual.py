@@ -66,13 +66,14 @@ def test_gen_intra_direction_is_exact_autodiff_gradient():
     c = rng.normal(size=6)
     y = 2
     cfv, _, scale, _ = intra_one(c, y, w, b=b, alpha=0.5, epsilon=10.0)
-    node = ad.leaf(c)
-    loss = ad.softmax_cross_entropy(ad.linear(node, ad.leaf(w), ad.leaf(b)), y)
+    node = ad.leaf([c])
+    loss = ad.softmax_cross_entropy(ad.linear(node, ad.leaf(w), ad.leaf(b)), [y])
     ad.backward(loss)
     direction = (cfv - c) / scale
-    cos = direction @ node.grad / (np.linalg.norm(direction) * np.linalg.norm(node.grad))
+    grad = node.grad[0]
+    cos = direction @ grad / (np.linalg.norm(direction) * np.linalg.norm(grad))
     assert abs(cos - 1.0) < 1e-12
-    np.testing.assert_allclose(direction, node.grad, rtol=1e-12)
+    np.testing.assert_allclose(direction, grad, rtol=1e-12)
 
 
 @pytest.mark.parametrize("epsilon", [0.01, 0.05, 0.5])

@@ -337,10 +337,13 @@ class TestCli:
         ("model", "feature_dim", 2.5),
         ("train", "adam_betas", [0.9]),
         ("data", "n_train_per_class", 30.5),
+        (None, "seeds", [-1]),
+        ("data", "seed", -1),
     ], ids=["baseline flag string", "seeds string", "seeds float",
             "two_stage string", "old_new string", "hidden_dims float",
             "lr nan", "lr inf", "batch_size float", "batch_size bool",
-            "feature_dim float", "adam_betas short", "data int float"])
+            "feature_dim float", "adam_betas short", "data int float",
+            "seeds negative", "data seed negative"])
     def test_mistyped_value_exits_two_before_any_output(self, tmp_path,
                                                         section, key, value):
         doc = tiny_doc(tmp_path / "out")
@@ -353,7 +356,7 @@ class TestCli:
 
     @pytest.mark.parametrize("key,value", [
         ("B", 2.5), ("I", "2"), ("split_seed", 1.5), ("path", 7),
-        ("split-seed", 1)])
+        ("split-seed", 1), ("split_seed", -1)])
     def test_mistyped_table_data_exits_two_before_any_output(self, tmp_path,
                                                              key, value):
         table = tmp_path / "t.txt"
@@ -393,6 +396,22 @@ class TestCli:
                        "--values", "0.1,zap"])
         assert rc == 2
         assert "zap" in capsys.readouterr().err
+        # a bad value anywhere in the list stops the sweep before any run
+        for param, values, shown in [("epsilon", "nan", "nan"),
+                                     ("epsilon", "0.1,inf", "inf"),
+                                     ("lambda", "0.1,-1", "non-negative")]:
+            rc = cli.main(["sweep", cfg_path, "--param", param,
+                           "--values", values])
+            assert rc == 2
+            assert shown in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_flag_exits_two_before_any_output(self, tmp_path,
+                                                           capsys):
+        cfg_path = write_config(tmp_path, tiny_doc(tmp_path / "out"))
+        assert cli.main(["run", cfg_path, "--seed", "-1"]) == 2
+        assert "seeds" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_out_flag_overrides_config(self, tmp_path):
         cfg_path = write_config(tmp_path, tiny_doc(tmp_path / "ignored"))
@@ -440,6 +459,15 @@ class TestCli:
     def test_nonpositive_threads_exit_two(self, tmp_path):
         cfg_path = write_config(tmp_path, tiny_doc(tmp_path / "out"))
         assert cli.main(["run", cfg_path, "--threads", "0"]) == 2
+
+    def test_non_integer_threads_env_exits_two(self, tmp_path, monkeypatch,
+                                               capsys):
+        monkeypatch.setenv("CPNSLAB_THREADS", "abc")
+        cfg_path = write_config(tmp_path, tiny_doc(tmp_path / "out"))
+        assert cli.main(["run", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cpnslab: ") and "CPNSLAB_THREADS" in err
+        assert not (tmp_path / "out").exists()
 
     def test_eval_prints_accuracy_json(self, tmp_path, capsys):
         doc = tiny_doc(tmp_path / "out")

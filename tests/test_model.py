@@ -267,8 +267,6 @@ def test_frozen_features_stable_under_current_task_updates():
     before = m.extractors[0].forward_np(x).copy()
     for t in trainable(m):
         t.values += rng.normal(size=t.values.shape)
-    for t in m.stage1_params().tensors():
-        t.values += rng.normal(size=t.values.shape)
     np.testing.assert_array_equal(m.extractors[0].forward_np(x), before)
 
 
@@ -288,14 +286,10 @@ def test_stage_param_views():
     m = fresh()
     m.expand(3)
     m.expand(3)
-    s1 = m.stage1_params()
     everything = m.all_params()
-    assert "intra_w" in s1 and "cls_w" not in s1
-    assert "f1/w0" in s1 and "f0/w0" not in s1
     assert "cls_w" in everything and "aux_w" in everything
     assert "proj_w0" in everything and "f0/w0" in everything
-    # views share tensors with the model
-    assert s1["intra_w"] is m.heads["intra_w"]
+    # the view shares tensors with the model
     assert everything["cls_w"] is m.heads["cls_w"]
 
 

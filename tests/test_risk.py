@@ -254,8 +254,8 @@ def test_surrogate_uniform_closed_form():
     k, d, nu = 4, 3, 0.7
     w = ad.leaf(np.zeros((k, d)))
     b = ad.leaf(np.zeros(k))
-    c = ad.leaf(np.ones(d))
-    loss = rk.surrogate_intra_loss(c, np.ones(d) * 2.0, 1, w, b, nu=nu)
+    c = ad.leaf(np.ones((1, d)))
+    loss = rk.surrogate_intra_loss(c, np.ones((1, d)) * 2.0, [1], w, b, nu=nu)
     want = np.log(k) + nu * (-np.log(1.0 - 1.0 / k + 1e-12))
     assert abs(float(loss.values) - want) < 1e-9
 
@@ -264,11 +264,11 @@ def test_surrogate_necessity_term_vanishes_at_zero_prob():
     # drive the true-class probability of the counterfactual to ~0
     w = ad.leaf(np.array([[10.0, 0.0], [-10.0, 0.0]]))
     b = ad.leaf(np.zeros(2))
-    c = ad.leaf(np.array([5.0, 0.0]))
-    cbar = np.array([-5.0, 0.0])  # true class 0 becomes overwhelmingly unlikely
-    loss = rk.surrogate_intra_loss(c, cbar, 0, w, b, nu=1.0)
+    c = ad.leaf(np.array([[5.0, 0.0]]))
+    cbar = np.array([[-5.0, 0.0]])  # true class 0 becomes overwhelmingly unlikely
+    loss = rk.surrogate_intra_loss(c, cbar, [0], w, b, nu=1.0)
     ce_only = float(ad.softmax_cross_entropy(
-        ad.linear(ad.leaf(c.values), w, b), 0).values)
+        ad.linear(ad.leaf(c.values), w, b), [0]).values)
     assert abs(float(loss.values) - ce_only) < 1e-9
 
 
@@ -310,8 +310,9 @@ def test_surrogate_inter_hand_oracle_two_class():
     zbar = np.array([1.0, 0.5, 1.0, 0.2])  # only the current block moved
     y = 0
 
-    node = ad.leaf(z)
-    loss = rk.surrogate_intra_loss(node, zbar, y, ad.leaf(w), ad.leaf(b), nu=nu)
+    node = ad.leaf([z])
+    loss = rk.surrogate_intra_loss(node, [zbar], [y], ad.leaf(w), ad.leaf(b),
+                                   nu=nu)
 
     def soft(v):
         e = np.exp(v - v.max())
@@ -327,8 +328,8 @@ def test_surrogate_inter_counterfactual_equal_factual():
     w = ad.leaf(np.array([[1.0, 0.0], [0.0, 1.0]]))
     b = ad.leaf(np.zeros(2))
     z = np.array([2.0, -1.0])
-    node = ad.leaf(z)
-    loss = rk.surrogate_intra_loss(node, z.copy(), 0, w, b, nu=1.0)
+    node = ad.leaf([z])
+    loss = rk.surrogate_intra_loss(node, [z], [0], w, b, nu=1.0)
 
     def soft(v):
         e = np.exp(v - v.max())

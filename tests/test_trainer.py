@@ -285,6 +285,21 @@ def test_projector_fits_linear_ground_truth():
             model.extractors[-1].params[name].values, vals)
 
 
+def test_projector_step_zeroes_gradients_in_place():
+    model = small_model(seed=3)
+    model.expand(2)
+    model.expand(2)
+    x = np.random.default_rng(1).normal(size=(6, 8))
+    head = model.heads["proj_w0"]
+    buffer = head.grad
+    buffer += 5.0  # stale gradient from an earlier pass
+    tr.projector_step(model, x)
+    once = head.grad.copy()
+    tr.projector_step(model, x)
+    assert head.grad is buffer
+    np.testing.assert_array_equal(head.grad, once)
+
+
 def test_projector_step_requires_second_task():
     model = small_model(seed=2)
     model.expand(2)
@@ -385,8 +400,34 @@ def test_stage_one_refuses_inter_scope_work(use_inter, with_report):
     model.expand(3)
     with pytest.raises(AssertionError, match="stage 1"):
         tr._run_objective_epochs(model, t1[0], t1[1], buf, full_cfg(), rng,
-                                 [], stage=1, epochs=1, use_intra=False,
-                                 use_inter=use_inter, with_report=with_report)
+                                 [], stage=1, epochs=1, use_cls=True,
+                                 use_intra=False, use_inter=use_inter,
+                                 with_report=with_report)
+
+
+def test_stage_one_trains_only_the_extractor_and_intra_head():
+    t0, t1 = two_task_data()
+    model = small_model(seed=3)
+    rng = np.random.default_rng(11)
+    buf = tr.RehearsalBuffer(30)
+    model.expand(3)
+    tr.train_task(model, t0, None, full_cfg(stage1_epochs=1, stage2_epochs=1),
+                  rng)
+    tr.buffer_commit(buf, t0, model)
+    model.expand(3)
+    before = model.all_params().copy_values()
+    twin = np.random.default_rng()
+    twin.bit_generator.state = rng.bit_generator.state
+    cfg = full_cfg(stage1_epochs=2, stage2_epochs=0)
+    res = tr.train_task(model, t1, buf, cfg, rng)
+    assert [r["stage"] for r in res["records"]] == [1, 1]
+    after = model.all_params().copy_values()
+    moved = {k for k in before if not np.array_equal(before[k], after[k])}
+    assert moved == {"f1/w0", "f1/b0", "f1/w1", "f1/b1", "intra_w", "intra_b"}
+    # one permutation per epoch and nothing else: no rehearsal rows drawn
+    for _ in range(cfg.stage1_epochs):
+        twin.permutation(len(t1[0]))
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_frozen_extractors_bitwise_stable_through_training():
