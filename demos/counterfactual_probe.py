@@ -69,7 +69,7 @@ def main():
     print("targeted perturbations of the same size flip far more labels;"
           "\nthe necessity signal is in the direction, not the magnitude.")
 
-    proj = model.project_old_np(xs)
+    proj = model.project_values(model.frozen_concat_np(xs))
     inter, inter_vals, _, _ = cf.generate_inter_batch(feats, proj, beta=0.25,
                                                       epsilon=0.5)
     _, _, hss = mt.counterfactual_quality(model, feats, inter, inter_vals,

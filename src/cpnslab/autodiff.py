@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, UsageError
+from .errors import ConfigurationError, InputError, NumericsError, UsageError
 
 
 class Tensor:
@@ -459,15 +459,6 @@ class ParameterSet:
     def __getitem__(self, name) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name):
-        return name in self._params
-
-    def __len__(self):
-        return len(self._params)
-
-    def names(self):
-        return list(self._params.keys())
-
     def items(self):
         return self._params.items()
 
@@ -485,9 +476,7 @@ class ParameterSet:
             t.grad.fill(0.0)
 
     def check_finite(self):
+        """Raise NumericsError if any parameter value is NaN or infinite."""
         for name, t in self._params.items():
             if not np.all(np.isfinite(t.values)):
-                raise ConfigurationError(f"parameter {name!r} contains non-finite values")
-
-    def copy_values(self):
-        return {name: t.values.copy() for name, t in self._params.items()}
+                raise NumericsError(f"parameter {name!r} contains non-finite values")

@@ -356,13 +356,13 @@ def split_tasks(dataset, B: int, I: int, seed=0) -> TaskStream:
     order = np.random.default_rng(seed).permutation(classes)
     num_incr = (len(classes) - B) // I
     kept = order[:B + num_incr * I]
-    new_id = {int(c): i for i, c in enumerate(kept)}
+    # new id by position in the sorted classes; dropped classes keep -1
+    new_id = np.full(len(classes), -1, dtype=np.int64)
+    new_id[np.searchsorted(classes, kept)] = np.arange(len(kept))
 
     def remap(x, y, members):
         mask = np.isin(y, members)
-        xs, ys = x[mask], y[mask]
-        ys = np.array([new_id[int(c)] for c in ys], dtype=np.int64)
-        return xs, ys
+        return x[mask], new_id[np.searchsorted(classes, y[mask])]
 
     tasks = []
     start = 0

@@ -52,7 +52,10 @@ class MetricsConfig:
     probe_limit: int = 64
 
     def __post_init__(self):
-        self.masking_ks = tuple(int(k) for k in self.masking_ks)
+        ks = self.masking_ks = tuple(int(k) for k in self.masking_ks)
+        if min(ks, default=0) < 0 or any(b <= a for a, b in zip(ks, ks[1:])):
+            raise ConfigurationError(f"masking_ks must be non-negative and "
+                                     f"strictly increasing, got {ks}")
         if self.probe_limit < 1:
             raise ConfigurationError("probe_limit must be positive")
 
@@ -76,8 +79,11 @@ class ModelConfig:
 
     def __post_init__(self):
         self.hidden_dims = tuple(int(v) for v in self.hidden_dims)
-        if self.feature_dim < 1:
-            raise ConfigurationError("feature_dim must be positive")
+        projector = (self.feature_dim if self.projector_hidden is None
+                     else self.projector_hidden)
+        if min(self.feature_dim, projector, *self.hidden_dims) < 1:
+            raise ConfigurationError(
+                "feature_dim, hidden_dims and projector_hidden must be positive")
 
 
 @dataclass
@@ -279,7 +285,7 @@ def _seen_set_outputs(model, test_sets):
     preds, sums, counts = [], {}, {}
     for x, y in test_sets:
         feats = model.concat_features_np(x)
-        preds.append(np.argmax(model.cls_logits_np(feats), axis=1))
+        preds.append(np.argmax(model.head_np("cls", feats), axis=1))
         for c in np.unique(y):
             sums[int(c)] = sums.get(int(c), 0.0) + feats[y == c].sum(axis=0)
             counts[int(c)] = counts.get(int(c), 0) + int(np.sum(y == c))
@@ -299,7 +305,7 @@ def _cf_quality_probe(model, x, y, lo, cfgm: MetricsConfig, gen: GenConfig):
         metric=gen.metric)
     if model.task_count < 2:
         return mt.counterfactual_quality(model, feats, cfs, vals)
-    proj = model.project_old_np(xs)
+    proj = model.project_values(model.frozen_concat_np(xs))
     cfs_e, vals_e, _, _ = cf.generate_inter_batch(
         feats, proj, beta=gen.beta, epsilon=gen.epsilon, metric=gen.metric)
     return mt.counterfactual_quality(
@@ -476,6 +482,8 @@ def run_sweep(config: ExperimentConfig, param, values):
     # every value is checked, and every variant built, before the first run
     for value in values:
         _check_value(f"sweep value for {param}", value, float)
+    if len(set(values)) != len(values):
+        raise ConfigurationError(f"sweep values repeat: {values}")
     variants = [_with_param(config, param, value) for value in values]
     run_dir = os.path.join(config.output_dir, config.run_id)
     out_rows = []

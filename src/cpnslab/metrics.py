@@ -257,7 +257,9 @@ def masking_curve(model, x, y, dim_tags, ks):
     ks = [int(k) for k in ks]
     if any(b <= a for a, b in zip(ks, ks[1:])) or not ks:
         raise InputError(f"ks must be non-empty and strictly increasing: {ks}")
-    if ks[0] < 0 or ks[-1] > len(causal_cols):
+    if ks[0] < 0:
+        raise ConfigurationError(f"ks must be non-negative: {ks}")
+    if ks[-1] > len(causal_cols):
         raise ConfigurationError(
             f"k up to {ks[-1]} exceeds the {len(causal_cols)} annotated dims")
 
@@ -298,14 +300,13 @@ def counterfactual_quality(model, factual, counterfactual, values,
     counter = np.atleast_2d(np.asarray(counterfactual, dtype=np.float64))
     if factual.size == 0:
         raise InputError("no counterfactual rows supplied")
-    w = model.heads["intra_w"].values
-    b = model.heads["intra_b"].values
-    if factual.shape[1] != w.shape[1] or counter.shape != factual.shape:
+    dim = model.heads["intra_w"].values.shape[1]
+    if factual.shape[1] != dim or counter.shape != factual.shape:
         raise InputError(
             f"factual {factual.shape} and counterfactual {counter.shape} rows "
-            f"do not match head dim {w.shape[1]}")
-    pred_f = np.argmax(factual @ w.T + b, axis=1)
-    pred_c = np.argmax(counter @ w.T + b, axis=1)
+            f"do not match head dim {dim}")
+    pred_f = np.argmax(model.head_np("intra", factual), axis=1)
+    pred_c = np.argmax(model.head_np("intra", counter), axis=1)
     pfr = float(np.mean(pred_f != pred_c))
     lkld = float(np.mean(values))
     if references is None or not len(references):

@@ -72,12 +72,7 @@ class FeatureExtractor:
 
     def forward_np(self, x):
         """Plain-numpy forward for frozen/evaluation paths."""
-        h = np.asarray(x, dtype=np.float64)
-        for i in range(self.n_layers):
-            h = h @ self.params[f"w{i}"].values.T + self.params[f"b{i}"].values
-            if i < self.n_layers - 1:
-                h = np.maximum(h, 0.0)
-        return h
+        return self.activations_np(x)[-1]
 
     def activations_np(self, x):
         """Per-layer activations (post-ReLU hiddens, then the feature)."""
@@ -140,11 +135,10 @@ class ExpandableModel:
         lo, hi = self.class_offsets[-1]
         return hi - lo
 
-    def task_of_label(self, label):
-        for t, (lo, hi) in enumerate(self.class_offsets):
-            if lo <= label < hi:
-                return t
-        raise InputError(f"label {label} outside every task range")
+    @property
+    def inter_head(self):
+        """The head the inter-scope terms read: its own or the classifier."""
+        return "inter" if self.separate_inter_head else "cls"
 
     # -- expansion -----------------------------------------------------
 
@@ -201,13 +195,11 @@ class ExpandableModel:
                 f"input dim {x.shape[-1]} does not match model input {self.input_dim}")
         return x
 
-    def features_np(self, x):
-        """Per-extractor features, task order."""
-        x = self._check_input(x)
-        return [ext.forward_np(x) for ext in self.extractors]
-
     def concat_features_np(self, x):
-        return np.concatenate(self.features_np(x), axis=-1)
+        """Per-extractor features in task order, concatenated."""
+        x = self._check_input(x)
+        return np.concatenate([ext.forward_np(x) for ext in self.extractors],
+                              axis=-1)
 
     def current_feature_np(self, x):
         x = self._check_input(x)
@@ -224,25 +216,18 @@ class ExpandableModel:
     def forward_concat_np(self, x):
         if not self.extractors:
             raise UsageError("model has no extractors")
-        return self.cls_logits_np(self.concat_features_np(x))
+        return self.head_np("cls", self.concat_features_np(x))
 
-    def cls_logits_np(self, z_concat):
-        """Classifier logits from already-computed concatenated features."""
-        return z_concat @ self.heads["cls_w"].values.T + self.heads["cls_b"].values
+    def _head(self, name):
+        if f"{name}_w" not in self.heads:
+            raise UsageError(f"the model has no {name} head")
+        return self.heads[f"{name}_w"], self.heads[f"{name}_b"]
 
-    def forward_aux_np(self, x):
-        if self.task_count < 2:
-            raise UsageError("auxiliary head is inactive on the first task")
-        c = self.current_feature_np(x)
-        return c @ self.heads["aux_w"].values.T + self.heads["aux_b"].values
-
-    def forward_intra_np(self, x):
-        c = self.current_feature_np(x)
-        return c @ self.heads["intra_w"].values.T + self.heads["intra_b"].values
-
-    def project_old_np(self, x):
-        z = self.frozen_concat_np(x)
-        return self.project_values(z)
+    def head_np(self, name, z):
+        """Logits of head `name` from already-computed features; the numpy
+        twin of `head_graph`."""
+        w, b = self._head(name)
+        return z @ w.values.T + b.values
 
     def project_values(self, z_old):
         """Apply the projector to already-computed frozen features."""
@@ -252,21 +237,13 @@ class ExpandableModel:
         h = np.maximum(h, 0.0)
         return h @ self.heads["proj_w1"].values.T + self.heads["proj_b1"].values
 
-    def inter_logits_np(self, z_concat):
-        """Inter-scope logits from concatenated features (tied or separate)."""
-        wk, bk = ("inter_w", "inter_b") if self.separate_inter_head else ("cls_w", "cls_b")
-        return np.asarray(z_concat) @ self.heads[wk].values.T + self.heads[bk].values
-
     # -- graph-mode builders (for training) -----------------------------
 
     def current_feature_graph(self, x_node: ad.Tensor) -> ad.Tensor:
         return self.extractors[-1].forward(x_node)
 
     def head_graph(self, name, feat_node: ad.Tensor) -> ad.Tensor:
-        return ad.linear(feat_node, self.heads[f"{name}_w"], self.heads[f"{name}_b"])
-
-    def cls_graph(self, concat_node: ad.Tensor) -> ad.Tensor:
-        return self.head_graph("cls", concat_node)
+        return ad.linear(feat_node, *self._head(name))
 
     def projector_graph(self, zold_node: ad.Tensor) -> ad.Tensor:
         if "proj_w0" not in self.heads:
@@ -282,7 +259,7 @@ class ExpandableModel:
         """
         feats = [ext.forward(x_node) for ext in self.extractors]
         z = feats[0] if len(feats) == 1 else ad.concat(feats)
-        return self.cls_graph(z)
+        return self.head_graph("cls", z)
 
     # -- parameter views -------------------------------------------------
 
@@ -307,10 +284,6 @@ class ExpandableModel:
 
 # ---------------------------------------------------------------------------
 # checkpointing
-
-def _array_out(a):
-    return a.tolist()
-
 
 def _array_in(data, shape):
     arr = np.asarray(data, dtype=np.float64)
@@ -344,14 +317,14 @@ def save_checkpoint(model: ExpandableModel, path):
                 "frozen": ext.frozen,
                 "params": {
                     name: {"shape": list(t.values.shape),
-                           "data": _array_out(t.values)}
+                           "data": t.values.tolist()}
                     for name, t in ext.params.items()
                 },
             }
             for ext in model.extractors
         ],
         "heads": {
-            name: {"shape": list(t.values.shape), "data": _array_out(t.values)}
+            name: {"shape": list(t.values.shape), "data": t.values.tolist()}
             for name, t in model.heads.items()
         },
     }

@@ -117,14 +117,13 @@ def _intra_indicators(model, x, y_global, cfg: GenConfig, label_policy="true"):
         raise InputError("intra scope expects current-task labels only")
     y_local = y - lo
     feats = model.current_feature_np(x)
-    w = model.heads["intra_w"].values
-    b = model.heads["intra_b"].values
-    pred_f = np.argmax(feats @ w.T + b, axis=1)
+    pred_f = np.argmax(model.head_np("intra", feats), axis=1)
     gen_labels = y_local if label_policy == "true" else pred_f
     cfs, _, _, degenerate = cf.generate_intra_batch(
-        feats, gen_labels, w, b=b, alpha=cfg.alpha, epsilon=cfg.epsilon,
+        feats, gen_labels, model.heads["intra_w"].values,
+        b=model.heads["intra_b"].values, alpha=cfg.alpha, epsilon=cfg.epsilon,
         metric=cfg.metric)
-    pred_c = np.argmax(cfs @ w.T + b, axis=1)
+    pred_c = np.argmax(model.head_np("intra", cfs), axis=1)
     factual_correct = pred_f == y_local
     cf_correct = pred_c == y_local
     suff_viol = ~factual_correct
@@ -132,22 +131,19 @@ def _intra_indicators(model, x, y_global, cfg: GenConfig, label_policy="true"):
     return suff_viol, nec_viol, factual_correct, cf_correct
 
 
-def _inter_indicators(model, x, y_global, cfg: GenConfig, label_policy="true"):
-    """Same indicator quadruple over the combined buffer+current pool.
-
-    The inter-scope generator is label-free (it pulls toward the
-    projection), so label_policy only exists for signature symmetry."""
-    del label_policy
+def _inter_indicators(model, x, y_global, cfg: GenConfig):
+    """Same indicator quadruple over the combined buffer+current pool; the
+    inter-scope generator is label-free (it pulls toward the projection)."""
     y = np.asarray(y_global, dtype=np.int64)
     z_old = model.frozen_concat_np(x)
     c_hat = model.current_feature_np(x)
     proj = model.project_values(z_old)
     z_f = np.concatenate([z_old, c_hat], axis=1)
-    pred_f = np.argmax(model.inter_logits_np(z_f), axis=1)
+    pred_f = np.argmax(model.head_np(model.inter_head, z_f), axis=1)
     cfs, _, _, degenerate = cf.generate_inter_batch(
         c_hat, proj, beta=cfg.beta, epsilon=cfg.epsilon, metric=cfg.metric)
     z_c = np.concatenate([z_old, cfs], axis=1)
-    pred_c = np.argmax(model.inter_logits_np(z_c), axis=1)
+    pred_c = np.argmax(model.head_np(model.inter_head, z_c), axis=1)
     factual_correct = pred_f == y
     cf_correct = pred_c == y
     suff_viol = ~factual_correct
@@ -225,7 +221,7 @@ def estimate_pns_interventional(eval_set, model, scope,
     elif scope == "inter":
         if model.task_count < 2:
             raise UsageError("inter scope requires at least two tasks")
-        _, _, fc, cc = _inter_indicators(model, x, y, cfg, label_policy)
+        _, _, fc, cc = _inter_indicators(model, x, y, cfg)
     else:
         raise UsageError(f"unknown scope {scope!r}")
     return float(np.mean(fc) - np.mean(cc))

@@ -27,17 +27,12 @@ from . import counterfactual as cf
 from .errors import ConfigurationError, InputError, NumericsError, UsageError
 from .risk import GenConfig, empirical_cpns_risk, surrogate_intra_loss
 
-# the shared-knob reading: the momentum value doubles as beta1, so one
-# config field drives both optimizers
-ADAM_SHARED_MOMENTUM = (0.95, 0.999)
-
 LOSS_KEYS = ("cls", "aux", "intra", "inter", "kl", "proj")
-PROJECTOR_HEADS = ("proj_w0", "proj_b0", "proj_w1", "proj_b1")
 # the heads each term of the objective trains, beside the current extractor
 TERM_HEADS = {
     "cls": ("cls_w", "cls_b", "aux_w", "aux_b"),
     "intra": ("intra_w", "intra_b"),
-    "inter": ("inter_w", "inter_b") + PROJECTOR_HEADS,
+    "inter": ("inter_w", "inter_b", "proj_w0", "proj_b0", "proj_w1", "proj_b1"),
 }
 
 
@@ -58,7 +53,8 @@ class TrainConfig:
     momentum: float = 0.95
     weight_decay: float = 1e-5
     optimizer: str = "sgd"              # sgd | adam
-    adam_betas: tuple[float, float] = ADAM_SHARED_MOMENTUM
+    # adam's own (beta1, beta2); momentum is read by sgd alone
+    adam_betas: tuple[float, float] = (0.95, 0.999)
     adam_eps: float = 1e-8
     schedule: str = "constant"          # constant | cosine
     lam: float = 0.5
@@ -176,17 +172,6 @@ class RehearsalBuffer:
     def __len__(self):
         return sum(len(v) for v in self._store.values())
 
-    @property
-    def classes(self):
-        return list(self._order)
-
-    def count(self, label):
-        arr = self._store.get(int(label))
-        return 0 if arr is None else len(arr)
-
-    def exemplars(self, label):
-        return self._store[int(label)].copy()
-
     def samples(self):
         """All exemplars as (x, y), classes in first-seen order."""
         if not self._order:
@@ -267,30 +252,6 @@ def _projector_loss(model, z_old_values, target_values):
     pred = model.projector_graph(ad.constant(z_old_values))
     diff = ad.sub(pred, ad.constant(target_values))
     return ad.scale(ad.sum_squares(diff), 1.0 / len(target_values))
-
-
-def projector_step(model, batch, lr=None):
-    """Projector residual on one batch; gradients stay inside the projector.
-
-    The current feature is the stop-gradient target, so this can never
-    bend the extractor toward the projection. Leaves the gradients on the
-    projector parameters; with lr given, also applies one plain
-    gradient-descent update. Returns the scalar loss.
-    """
-    if model.task_count < 2:
-        raise UsageError("the projector exists only from the second task on")
-    x = batch[0] if isinstance(batch, (tuple, list)) else batch
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    loss = _projector_loss(model, model.frozen_concat_np(x),
-                           model.current_feature_np(x))
-    heads = [model.heads[nm] for nm in PROJECTOR_HEADS]
-    for head in heads:
-        head.grad.fill(0.0)
-    ad.backward(loss)
-    if lr is not None:
-        for head in heads:
-            head.values -= float(lr) * head.grad
-    return float(loss.values)
 
 
 # ---------------------------------------------------------------------------
@@ -381,18 +342,18 @@ def _append_jsonl(path, records):
 
 def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
                           rng, records, stage, epochs, use_cls, use_intra,
-                          use_inter, with_report):
+                          use_inter):
     """Epochs of the objective with the enabled terms; returns the last
-    epoch's report (None without reports).
+    epoch's report (None in stage 1).
 
     use_cls turns on classification and, from the second task on, the
     auxiliary loss and the rehearsal rows mixed into each batch; without
     it a batch holds current rows only and nothing is drawn from the
     buffer. With both scopes off this is arithmetically the baseline path.
-    A report generates inter-scope counterfactuals, so stage 1 refuses
-    use_inter and with_report alike with AssertionError.
+    Only stage 2 writes per-epoch reports, which generate inter-scope
+    counterfactuals; stage 1 refuses use_inter with AssertionError.
     """
-    if stage == 1 and (use_inter or with_report):
+    if stage == 1 and use_inter:
         raise AssertionError(
             "inter-scope counterfactuals requested during stage 1")
     t = model.current_task
@@ -401,8 +362,9 @@ def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
     params = _param_set(model, use_cls, use_intra, use_inter)
     state = make_optimizer_state()
     w_i, b_i = model.heads["intra_w"], model.heads["intra_b"]
-    inter = "inter" if use_inter and model.separate_inter_head else "cls"
-    w_e, b_e = model.heads[f"{inter}_w"], model.heads[f"{inter}_b"]
+    if use_inter:  # a separate inter head does not exist on the first task
+        head = model.inter_head
+        w_e, b_e = model.heads[f"{head}_w"], model.heads[f"{head}_b"]
     mixed = use_cls and t >= 1
     probe_buf = buffer.samples() if mixed else None
     buf_x, buf_y = probe_buf if mixed else (None, None)
@@ -427,7 +389,7 @@ def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
                  if mixed else c_hat)
             terms = []
             if use_cls:
-                cls_loss = ad.softmax_cross_entropy(model.cls_graph(z), yb)
+                cls_loss = ad.softmax_cross_entropy(model.head_graph("cls", z), yb)
                 sums["cls"] += float(cls_loss.values)
                 terms.append(cls_loss)
             if mixed:
@@ -476,8 +438,9 @@ def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
             params.zero_grad()
             ad.backward(total)
             optimizer_step(params, state, config, lr=lr)
+        params.check_finite()
         report = (_probe_report(model, x_cur, y_cur, probe_buf, config)
-                  if with_report else None)
+                  if stage == 2 else None)
         wall = (time.perf_counter() - t0) * 1000.0
         records.append(_record(t, stage, epoch, sums, len(batches), report, wall))
     return report
@@ -512,14 +475,14 @@ def train_task(model, task_data, buffer, config: TrainConfig, rng,
         _run_objective_epochs(model, x_cur, y_cur, buffer, config, rng,
                               records, stage=1, epochs=config.stage1_epochs,
                               use_cls=not use_intra, use_intra=use_intra,
-                              use_inter=False, with_report=False)
+                              use_inter=False)
 
     stage2_epochs = config.stage2_epochs + (
         0 if config.two_stage else config.stage1_epochs)
     final_report = _run_objective_epochs(
         model, x_cur, y_cur, buffer, config, rng, records, stage=2,
         epochs=stage2_epochs, use_cls=True, use_intra=use_intra,
-        use_inter=use_inter, with_report=True)
+        use_inter=use_inter)
 
     _check_frozen(model, snap)
     if log_path is not None:
@@ -567,7 +530,7 @@ def train_task_baseline(model, task_data, buffer, config: TrainConfig, rng,
             c_hat = model.current_feature_graph(ad.constant(xb))
             z = (ad.concat([ad.constant(model.frozen_concat_np(xb)), c_hat])
                  if has_buffer else c_hat)
-            cls_loss = ad.softmax_cross_entropy(model.cls_graph(z), yb)
+            cls_loss = ad.softmax_cross_entropy(model.head_graph("cls", z), yb)
             sums["cls"] += float(cls_loss.values)
             terms = [cls_loss]
             if has_buffer:
@@ -580,6 +543,7 @@ def train_task_baseline(model, task_data, buffer, config: TrainConfig, rng,
             params.zero_grad()
             ad.backward(total)
             optimizer_step(params, state, config, lr=lr)
+        params.check_finite()
         report = _probe_report(model, x_cur, y_cur, probe_buf, config)
         wall = (time.perf_counter() - t0) * 1000.0
         records.append(_record(t, 2, epoch, sums, len(batches), report, wall))

@@ -536,7 +536,7 @@ def test_shared_structure_similarity_gap(quality_models):
         xte, _ = stream.tasks[1][1]
         xs = xte[:128]
         feats = model.current_feature_np(xs)
-        proj = model.project_old_np(xs)
+        proj = model.project_values(model.frozen_concat_np(xs))
         inter, inter_vals, _, _ = cf.generate_inter_batch(
             feats, proj, beta=0.25, epsilon=0.5)
         _, _, hss = mt.counterfactual_quality(model, feats, inter, inter_vals,

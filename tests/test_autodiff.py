@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from conftest import numeric_grad, rel_err
 
 from cpnslab import autodiff as ad
-from cpnslab.errors import ConfigurationError, InputError, UsageError
+from cpnslab.errors import (ConfigurationError, InputError, NumericsError,
+                            UsageError)
 from cpnslab.metrics import input_saliency
 from cpnslab.model import ExpandableModel
 
@@ -537,8 +538,9 @@ def test_parameterset_freeze_and_finite_check():
     assert not w.frozen
     ps.freeze()
     assert w.frozen
+    ps.check_finite()
     w.values[0] = np.nan
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(NumericsError, match="'w'"):
         ps.check_finite()
 
 
@@ -546,7 +548,7 @@ def test_parameterset_order_and_zero_grad():
     ps = ad.ParameterSet()
     ps.add("b", np.zeros(2))
     ps.add("a", np.zeros(2))
-    assert ps.names() == ["b", "a"]
+    assert [name for name, _ in ps.items()] == ["b", "a"]
     buffer = ps["a"].grad
     ps["a"].grad += 1.0
     ps.zero_grad()

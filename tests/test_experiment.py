@@ -339,11 +339,20 @@ class TestCli:
         ("data", "n_train_per_class", 30.5),
         (None, "seeds", [-1]),
         ("data", "seed", -1),
+        ("model", "hidden_dims", [0]),
+        ("model", "hidden_dims", [-2]),
+        ("model", "projector_hidden", 0),
+        ("model", "projector_hidden", -1),
+        ("metrics", "masking_ks", [2, 0]),
+        ("metrics", "masking_ks", [-1, 0]),
     ], ids=["baseline flag string", "seeds string", "seeds float",
             "two_stage string", "old_new string", "hidden_dims float",
             "lr nan", "lr inf", "batch_size float", "batch_size bool",
             "feature_dim float", "adam_betas short", "data int float",
-            "seeds negative", "data seed negative"])
+            "seeds negative", "data seed negative", "hidden_dims zero",
+            "hidden_dims negative", "projector_hidden zero",
+            "projector_hidden negative", "masking_ks decreasing",
+            "masking_ks negative"])
     def test_mistyped_value_exits_two_before_any_output(self, tmp_path,
                                                         section, key, value):
         doc = tiny_doc(tmp_path / "out")
@@ -399,7 +408,8 @@ class TestCli:
         # a bad value anywhere in the list stops the sweep before any run
         for param, values, shown in [("epsilon", "nan", "nan"),
                                      ("epsilon", "0.1,inf", "inf"),
-                                     ("lambda", "0.1,-1", "non-negative")]:
+                                     ("lambda", "0.1,-1", "non-negative"),
+                                     ("lambda", "0.1,0.10,1e-1", "repeat")]:
             rc = cli.main(["sweep", cfg_path, "--param", param,
                            "--values", values])
             assert rc == 2

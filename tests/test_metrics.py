@@ -278,6 +278,8 @@ def test_masking_curve_validation():
         mt.masking_curve(model, x, y, ["causal", "noise", "noise"], [0, 2])
     with pytest.raises(InputError):
         mt.masking_curve(model, x, y, ["causal"] * 3, [2, 1])
+    with pytest.raises(ConfigurationError, match="non-negative"):
+        mt.masking_curve(model, x, y, ["causal"] * 3, [-1, 0])
     with pytest.raises(ConfigurationError):
         mt.masking_curve(model, x, y, ["noise"] * 3, [0])
 

@@ -132,13 +132,15 @@ def test_forward_concat_dim_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# forward_aux_np
+# head_np("aux", ...)
 
 def test_forward_aux_requires_second_task():
     m = fresh()
     m.expand(3)
     with pytest.raises(UsageError):
-        m.forward_aux_np(np.ones(8))
+        m.head_np("aux", m.current_feature_np(np.ones((1, 8))))
+    with pytest.raises(UsageError):
+        m.head_graph("aux", ad.leaf(np.ones((1, 4))))
 
 
 def test_forward_aux_shape_and_oracle():
@@ -147,7 +149,7 @@ def test_forward_aux_shape_and_oracle():
     m.expand(3)
     m.expand(5)
     x = _probe(rng, 2, 8)
-    out = m.forward_aux_np(x)
+    out = m.head_np("aux", m.current_feature_np(x))
     assert out.shape == (2, 6)  # |C_t| + 1
     c = _manual_extractor(m.extractors[-1], x)
     want = c @ m.heads["aux_w"].values.T + m.heads["aux_b"].values
@@ -170,7 +172,7 @@ def test_aux_loss_gradient_skips_frozen_extractors():
 
 
 # ---------------------------------------------------------------------------
-# forward_intra_np
+# head_np("intra", ...)
 
 def test_forward_intra_oracle_and_uniform_ce():
     rng = np.random.default_rng(6)
@@ -179,11 +181,12 @@ def test_forward_intra_oracle_and_uniform_ce():
     x = _probe(rng, 3, 8)
     c = _manual_extractor(m.extractors[-1], x)
     want = c @ m.heads["intra_w"].values.T + m.heads["intra_b"].values
-    np.testing.assert_array_equal(m.forward_intra_np(x), want)
+    np.testing.assert_array_equal(m.head_np("intra", m.current_feature_np(x)),
+                                  want)
 
     m.heads["intra_w"].values[:] = 0.0
     m.heads["intra_b"].values[:] = 0.0
-    logits = m.forward_intra_np(x)
+    logits = m.head_np("intra", m.current_feature_np(x))
     ce = ad.softmax_cross_entropy(ad.leaf(logits), np.zeros(3, dtype=int))
     assert abs(float(ce.values) - np.log(4.0)) < 1e-12
 
@@ -194,19 +197,22 @@ def test_forward_intra_ignores_frozen_extractors():
     m.expand(3)
     m.expand(3)
     x = _probe(rng, 3, 8)
-    before = m.forward_intra_np(x)
+    before = m.head_np("intra", m.current_feature_np(x))
     m.extractors[0].params["w0"].values[:] += 100.0  # vandalize frozen weights
-    np.testing.assert_array_equal(m.forward_intra_np(x), before)
+    np.testing.assert_array_equal(m.head_np("intra", m.current_feature_np(x)),
+                                  before)
 
 
 # ---------------------------------------------------------------------------
-# project_old_np
+# project_values over frozen_concat_np
 
 def test_project_old_requires_second_task():
     m = fresh()
     m.expand(3)
     with pytest.raises(UsageError):
-        m.project_old_np(np.ones(8))
+        m.frozen_concat_np(np.ones((1, 8)))
+    with pytest.raises(UsageError):
+        m.project_values(np.ones((1, 4)))
 
 
 def test_project_old_zero_map_and_shape():
@@ -216,11 +222,12 @@ def test_project_old_zero_map_and_shape():
     m.expand(3)
     m.expand(3)
     x = _probe(rng, 5, 8)
-    out = m.project_old_np(x)
+    out = m.project_values(m.frozen_concat_np(x))
     assert out.shape == (5, 4)  # d regardless of t
     m.heads["proj_w1"].values[:] = 0.0
     m.heads["proj_b1"].values[:] = 0.0
-    np.testing.assert_array_equal(m.project_old_np(x), np.zeros((5, 4)))
+    np.testing.assert_array_equal(m.project_values(m.frozen_concat_np(x)),
+                                  np.zeros((5, 4)))
 
 
 def test_projector_fits_realizable_target():
@@ -276,10 +283,6 @@ def test_label_ranges_disjoint_and_complete():
     m.expand(5)
     m.expand(2)
     assert m.class_offsets == [(0, 3), (3, 8), (8, 10)]
-    owners = [m.task_of_label(y) for y in range(10)]
-    assert owners == [0] * 3 + [1] * 5 + [2] * 2
-    with pytest.raises(InputError):
-        m.task_of_label(10)
 
 
 def test_stage_param_views():
@@ -287,8 +290,8 @@ def test_stage_param_views():
     m.expand(3)
     m.expand(3)
     everything = m.all_params()
-    assert "cls_w" in everything and "aux_w" in everything
-    assert "proj_w0" in everything and "f0/w0" in everything
+    names = {name for name, _ in everything.items()}
+    assert {"cls_w", "aux_w", "proj_w0", "f0/w0"} <= names
     # the view shares tensors with the model
     assert everything["cls_w"] is m.heads["cls_w"]
 
@@ -300,14 +303,16 @@ def test_separate_inter_head_flag():
     tied.expand(3)
     tied.expand(3)
     z = tied.concat_features_np(x)
-    np.testing.assert_array_equal(tied.inter_logits_np(z),
+    assert tied.inter_head == "cls" and "inter_w" not in tied.heads
+    np.testing.assert_array_equal(tied.head_np(tied.inter_head, z),
                                   tied.forward_concat_np(x))
     sep = fresh(seed=3, separate_inter_head=True)
     sep.expand(3)
     sep.expand(3)
-    assert "inter_w" in sep.heads
+    assert sep.inter_head == "inter" and "inter_w" in sep.heads
     z = sep.concat_features_np(x)
-    assert not np.array_equal(sep.inter_logits_np(z), sep.forward_concat_np(x))
+    assert not np.array_equal(sep.head_np(sep.inter_head, z),
+                              sep.forward_concat_np(x))
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +336,13 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     x = rng.normal(size=(4, 8))
     np.testing.assert_array_equal(loaded.forward_concat_np(x),
                                   m.forward_concat_np(x))
-    np.testing.assert_array_equal(loaded.forward_aux_np(x), m.forward_aux_np(x))
-    np.testing.assert_array_equal(loaded.project_old_np(x), m.project_old_np(x))
+
+    def aux_and_projection(model):
+        return (model.head_np("aux", model.current_feature_np(x)),
+                model.project_values(model.frozen_concat_np(x)))
+
+    for a, b in zip(aux_and_projection(loaded), aux_and_projection(m)):
+        np.testing.assert_array_equal(a, b)
     assert loaded.extractors[0].frozen
     assert not loaded.extractors[1].frozen
     assert loaded.class_offsets == m.class_offsets

@@ -123,11 +123,11 @@ def test_eight_sample_report_matches_enumeration():
         c = m.extractors[1].forward_np(xk)
         proj = m.project_values(z_old)
         zf = np.concatenate([z_old, c])
-        pf = int(np.argmax(m.inter_logits_np(zf)))
+        pf = int(np.argmax(m.head_np(m.inter_head, zf)))
         cfs, _, _, degenerate = cf.generate_inter_batch(
             [c], [proj], beta=cfg.beta, epsilon=cfg.epsilon)
         zc = np.concatenate([z_old, cfs[0]])
-        pc = int(np.argmax(m.inter_logits_np(zc)))
+        pc = int(np.argmax(m.head_np(m.inter_head, zc)))
         a = 1 if pf != yk else 0
         bb = 1 if (pc == yk or degenerate[0]) else 0
         suff_k += a
