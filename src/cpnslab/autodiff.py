@@ -1,19 +1,22 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 The graph is built eagerly: every operation returns a `Tensor` node holding
-values, a gradient buffer, and a backward closure. The batched operations
+values, a gradient slot, and a backward closure. The batched operations
 (`linear`, `concat`, `take_rows`, `sum_picked` and the three losses) take
 2-D nodes, one sample per row, and raise UsageError on anything else; a
 single sample is a one-row batch. Elementwise operations take any shape.
 Reductions always produce a 0-d scalar node, so `backward` has a
 well-defined root. All arithmetic is float64.
 
-Gradient buffers exist only where `backward` writes them. A leaf
-(`op == "leaf"`: parameters, saliency inputs) owns a zero buffer from
-construction. An interior node starts with `grad = None`; the first
-contribution in `backward` allocates its buffer and later ones add to it.
-A constant never gets one: `backward` does not visit it, and no operation
-computes a contribution for it.
+Every node starts with `grad = None`, and gradients exist only where
+`backward` writes them. Each call gives one fresh gradient: it resets
+every node it reaches to None, and the first contribution to a node then
+allocates its buffer, later ones add to it, so nothing carries over from
+an earlier call. A constant never gets a gradient: `backward` does not
+visit it, and no operation computes a contribution for it.
+
+Parameters are plain `dict[str, Tensor]` maps of leaves; the tensors hold
+no optimizer or freezing state.
 
 The losses (`softmax_cross_entropy`, `kl_softmax`,
 `neglog_complement_prob`) take a batch of logit rows, with one label per
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, NumericsError, UsageError
+from .errors import ConfigurationError, InputError, UsageError
 
 
 class Tensor:
@@ -33,23 +36,18 @@ class Tensor:
 
     `values` is a float64 array: a batch [n, k] for the batched
     operations, a 0-d scalar for a reduction. `grad` is None or has the
-    same shape as `values`. Leaves carry `op == "leaf"` and start with a
-    zero buffer, which accumulates across backward passes until
-    `ParameterSet.zero_grad` zeroes it in place; they may be flagged
-    `frozen`, in which case optimizers must not update them. Interior nodes
-    and constants start with None (see the module docstring).
+    same shape as `values`: the gradient of the last `backward` that
+    reached the node, or None if none has. Leaves carry `op == "leaf"`.
     """
 
-    __slots__ = ("values", "grad", "parents", "op", "_backward_fn", "frozen")
+    __slots__ = ("values", "grad", "parents", "op", "_backward_fn")
 
-    def __init__(self, values, parents=(), op="leaf", backward_fn=None,
-                 frozen=False):
+    def __init__(self, values, parents=(), op="leaf", backward_fn=None):
         self.values = np.asarray(values, dtype=np.float64)
-        self.grad = np.zeros_like(self.values) if op == "leaf" else None
+        self.grad = None
         self.parents = tuple(parents)
         self.op = op
         self._backward_fn = backward_fn
-        self.frozen = frozen
 
     @property
     def shape(self):
@@ -67,13 +65,13 @@ class Tensor:
         return f"Tensor(op={self.op!r}, shape={self.values.shape})"
 
 
-def leaf(values, frozen=False):
-    return Tensor(values, op="leaf", frozen=frozen)
+def leaf(values):
+    return Tensor(values, op="leaf")
 
 
 def constant(values):
-    """A leaf that participates in forward values only: it has no gradient
-    buffer, `backward` does not visit it, and its grad stays None."""
+    """A leaf that participates in forward values only: `backward` does not
+    visit it, and its grad stays None."""
     return Tensor(values, op="const")
 
 
@@ -405,78 +403,20 @@ def _toposort(root: Tensor):
 
 
 def backward(root: Tensor):
-    """Propagate gradients from a scalar root to all ancestors.
+    """Set `grad` on the scalar root and all its ancestors to the gradient
+    of the root.
 
-    Each call contributes one fresh gradient; contributions accumulate
-    across calls until `ParameterSet.zero_grad` resets them. Leaves add
-    into their buffers directly. Interior nodes (those with a backward closure) are
-    set aside to None for the pass, so their first contribution allocates
-    a fresh buffer, and any earlier gradient is added back at the end:
-    repeated calls never feed stale interior gradients downstream.
-    Constants are not visited.
+    Every node reached is reset to None first, so each call gives one fresh
+    gradient and a repeated call on the same graph gives the same one. A
+    leaf the root does not reach keeps whatever it held. Constants are not
+    visited.
     """
     if root.size != 1:
         raise UsageError(f"backward root must be scalar, got shape {root.shape}")
     order = _toposort(root)
-    interior = [node for node in order if node._backward_fn is not None]
-    saved = [node.grad for node in interior]
-    for node in interior:
+    for node in order:
         node.grad = None
     _accumulate(root, np.ones_like(root.values))
-    for node in reversed(interior):
-        node._backward_fn()
-    for node, old in zip(interior, saved):
-        if old is not None:
-            node.grad += old
-
-
-# ---------------------------------------------------------------------------
-# parameters
-
-class ParameterSet:
-    """Ordered, named collection of leaf tensors.
-
-    Frozen entries keep their values fixed for the rest of the run: the
-    optimizer skips them entirely.
-    """
-
-    def __init__(self):
-        self._params: dict[str, Tensor] = {}
-
-    def add(self, name, values, frozen=False) -> Tensor:
-        if name in self._params:
-            raise ConfigurationError(f"duplicate parameter name {name!r}")
-        t = leaf(np.array(values, dtype=np.float64), frozen=frozen)
-        self._params[name] = t
-        return t
-
-    def adopt(self, name, tensor: Tensor):
-        """Register an existing leaf under this set."""
-        if name in self._params:
-            raise ConfigurationError(f"duplicate parameter name {name!r}")
-        self._params[name] = tensor
-
-    def __getitem__(self, name) -> Tensor:
-        return self._params[name]
-
-    def items(self):
-        return self._params.items()
-
-    def tensors(self):
-        return list(self._params.values())
-
-    def freeze(self):
-        for t in self._params.values():
-            t.frozen = True
-
-    def zero_grad(self):
-        """Zero every gradient buffer in place; the buffers themselves
-        live as long as their tensors."""
-        for t in self._params.values():
-            t.grad.fill(0.0)
-
-    def check_finite(self):
-        """Raise NumericsError if any parameter value is NaN or infinite."""
-        for name, t in self._params.items():
-            if not np.all(np.isfinite(t.values)):
-                raise NumericsError(f"parameter {name!r} contains non-finite values")
+    for node in reversed(order):
+        if node._backward_fn is not None:
+            node._backward_fn()

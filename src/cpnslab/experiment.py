@@ -348,8 +348,7 @@ def evaluate_task(model, stream, task_index, history, cfgm: MetricsConfig,
         if ks:
             probe_x = np.concatenate([x for x, _ in test_sets])
             probe_y = np.concatenate([y for _, y in test_sets])
-            curve, _ = mt.masking_curve(model, probe_x, probe_y, tags, ks)
-            masking = curve
+            masking = mt.masking_curve(model, probe_x, probe_y, tags, ks)
 
     quality = None
     if cfgm.cf_quality:

@@ -245,8 +245,7 @@ def masking_curve(model, x, y, dim_tags, ks):
     """Accuracy after zeroing each sample's top-k salient causal dims.
 
     Causal dims are those tagged causal or minimal_causal; they are ranked
-    per sample by input-gradient magnitude. Returns ([(k, acc)], avg_drop)
-    where avg_drop is the mean decrement between consecutive ks.
+    per sample by input-gradient magnitude. Returns [(k, acc)].
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -274,16 +273,14 @@ def masking_curve(model, x, y, dim_tags, ks):
             masked[rows, cols] = 0.0
         pred = np.argmax(model.forward_concat_np(masked), axis=1)
         curve.append((k, float(np.mean(pred == y))))
-    accs = [a for _, a in curve]
-    avg_drop = float(np.mean(-np.diff(accs))) if len(accs) > 1 else 0.0
-    return curve, avg_drop
+    return curve
 
 
 # ---------------------------------------------------------------------------
 # counterfactual quality
 
 def counterfactual_quality(model, factual, counterfactual, values,
-                           references=None, require_hss=False):
+                           references=None):
     """(pfr, lkld, hss) over rows of generated counterfactuals.
 
     Row i of `counterfactual` was generated from row i of `factual` with
@@ -293,8 +290,7 @@ def counterfactual_quality(model, factual, counterfactual, values,
     value. The last len(references) rows are inter-scope counterfactuals
     and `references` holds the projected old features they were pulled
     toward; HSS is the mean cosine between those rows and their
-    references. It is None when there are no inter rows, unless
-    require_hss, which then raises.
+    references. It is None when there are no inter rows.
     """
     factual = np.atleast_2d(np.asarray(factual, dtype=np.float64))
     counter = np.atleast_2d(np.asarray(counterfactual, dtype=np.float64))
@@ -310,8 +306,6 @@ def counterfactual_quality(model, factual, counterfactual, values,
     pfr = float(np.mean(pred_f != pred_c))
     lkld = float(np.mean(values))
     if references is None or not len(references):
-        if require_hss:
-            raise UsageError("hss requested but no inter-scope rows present")
         return pfr, lkld, None
     refs = np.atleast_2d(np.asarray(references, dtype=np.float64))
     if refs.shape[1] != factual.shape[1] or len(refs) > len(counter):

@@ -38,24 +38,18 @@ def _init_bias(rng, n_out, n_in):
 class FeatureExtractor:
     """Small MLP mapping inputs to a d-dimensional feature vector.
 
-    Hidden layers use ReLU; the feature output is linear. Once frozen the
-    parameters never change again, so outputs for a fixed input are
-    bit-stable for the rest of the run.
+    Hidden layers use ReLU; the feature output is linear. `params` maps
+    `w{i}`/`b{i}` to leaves.
     """
 
-    def __init__(self, layer_dims, rng, task_index):
+    def __init__(self, layer_dims, rng):
         if len(layer_dims) < 2:
             raise ConfigurationError("extractor needs at least input and output dims")
         self.layer_dims = list(int(v) for v in layer_dims)
-        self.task_index = int(task_index)
-        self.params = ad.ParameterSet()
+        self.params: dict[str, ad.Tensor] = {}
         for i, (n_in, n_out) in enumerate(zip(layer_dims[:-1], layer_dims[1:])):
-            self.params.add(f"w{i}", _init_matrix(rng, n_out, n_in))
-            self.params.add(f"b{i}", _init_bias(rng, n_out, n_in))
-
-    @property
-    def frozen(self):
-        return all(t.frozen for t in self.params.tensors())
+            self.params[f"w{i}"] = ad.leaf(_init_matrix(rng, n_out, n_in))
+            self.params[f"b{i}"] = ad.leaf(_init_bias(rng, n_out, n_in))
 
     @property
     def n_layers(self):
@@ -90,7 +84,7 @@ class ExpandableModel:
     """Holds the extractor stack, the widening classifier, and the heads.
 
     Task t state after `expand` was called t+1 times:
-      extractors[0..t-1] frozen, extractors[t] trainable;
+      extractors[0..t-1] frozen (by position alone), extractors[t] trainable;
       cls head over (t+1)*d concatenated features -> all seen classes;
       aux head over f_t -> |C_t|+1 logits (absent at t=0);
       intra head over f_t -> |C_t| logits;
@@ -148,11 +142,8 @@ class ExpandableModel:
                 f"new_class_count must be positive, got {new_class_count}")
         t = self.task_count  # index of the task being opened
         d = self.feature_dim
-        for ext in self.extractors:
-            ext.params.freeze()
-
         dims = [self.input_dim, *self.hidden_dims, d]
-        self.extractors.append(FeatureExtractor(dims, self.rng, task_index=t))
+        self.extractors.append(FeatureExtractor(dims, self.rng))
 
         old_total = self.total_classes
         new_total = old_total + new_class_count
@@ -263,32 +254,33 @@ class ExpandableModel:
 
     # -- parameter views -------------------------------------------------
 
-    def all_params(self) -> ad.ParameterSet:
-        ps = ad.ParameterSet()
-        for ext in self.extractors:
-            for name, t in ext.params.items():
-                ps.adopt(f"f{ext.task_index}/{name}", t)
-        for key in sorted(self.heads):
-            ps.adopt(key, self.heads[key])
-        return ps
+    def all_params(self) -> dict[str, ad.Tensor]:
+        """Every parameter by name: `f{t}/{name}` per extractor, then the
+        heads in sorted order."""
+        params = {f"f{t}/{name}": p for t, ext in enumerate(self.extractors)
+                  for name, p in ext.params.items()}
+        params.update((key, self.heads[key]) for key in sorted(self.heads))
+        return params
 
     def frozen_snapshot(self):
         """Copies of every frozen extractor parameter, for stability checks."""
-        snap = {}
-        for ext in self.extractors:
-            if ext.frozen:
-                for name, t in ext.params.items():
-                    snap[f"f{ext.task_index}/{name}"] = t.values.copy()
-        return snap
+        return {f"f{t}/{name}": p.values.copy()
+                for t, ext in enumerate(self.extractors[:-1])
+                for name, p in ext.params.items()}
 
 
 # ---------------------------------------------------------------------------
 # checkpointing
 
-def _array_in(data, shape):
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.shape != tuple(shape):
-        raise FormatError(f"array shape {arr.shape} does not match header {shape}")
+def _array_in(entry, shape=None):
+    """The array of a `{"shape", "data"}` entry; its data must match its
+    header, and the header `shape` when one is given."""
+    arr = np.asarray(entry["data"], dtype=np.float64)
+    if arr.shape != tuple(entry["shape"]):
+        raise FormatError(
+            f"array shape {arr.shape} does not match header {entry['shape']}")
+    if shape is not None and arr.shape != shape:
+        raise FormatError(f"array shape {arr.shape} is not {shape}")
     return arr
 
 
@@ -312,16 +304,16 @@ def save_checkpoint(model: ExpandableModel, path):
         "rng_state": model.rng.bit_generator.state,
         "extractors": [
             {
-                "task_index": ext.task_index,
+                "task_index": t,
                 "layer_dims": ext.layer_dims,
-                "frozen": ext.frozen,
+                "frozen": t < model.task_count - 1,
                 "params": {
-                    name: {"shape": list(t.values.shape),
-                           "data": t.values.tolist()}
-                    for name, t in ext.params.items()
+                    name: {"shape": list(p.values.shape),
+                           "data": p.values.tolist()}
+                    for name, p in ext.params.items()
                 },
             }
-            for ext in model.extractors
+            for t, ext in enumerate(model.extractors)
         ],
         "heads": {
             name: {"shape": list(t.values.shape), "data": t.values.tolist()}
@@ -355,6 +347,8 @@ def load_checkpoint(path) -> ExpandableModel:
 
 
 def _model_from_doc(doc):
+    """Build the model and check that its parts fit: each extractor's
+    position and shapes, the class offsets and the classifier shape."""
     model = ExpandableModel(
         input_dim=doc["input_dim"],
         feature_dim=doc["feature_dim"],
@@ -363,19 +357,33 @@ def _model_from_doc(doc):
         separate_inter_head=doc["separate_inter_head"],
         seed=doc["seed"],
     )
-    model.class_offsets = [tuple(pair) for pair in doc["class_offsets"]]
-    for ext_doc in doc["extractors"]:
+    dims = [model.input_dim, *model.hidden_dims, model.feature_dim]
+    shapes = {}
+    for i, (n_in, n_out) in enumerate(zip(dims[:-1], dims[1:])):
+        shapes[f"w{i}"], shapes[f"b{i}"] = (n_out, n_in), (n_out,)
+    last = len(doc["extractors"]) - 1
+    for t, ext_doc in enumerate(doc["extractors"]):
+        if (ext_doc["task_index"] != t or ext_doc["frozen"] is not (t < last)
+                or ext_doc["layer_dims"] != dims):
+            raise FormatError(f"extractor {t}: task_index, frozen or layer_dims "
+                              f"disagree with its position or the model")
         ext = FeatureExtractor.__new__(FeatureExtractor)
-        ext.layer_dims = list(ext_doc["layer_dims"])
-        ext.task_index = int(ext_doc["task_index"])
-        ext.params = ad.ParameterSet()
-        for name in sorted(ext_doc["params"]):
-            entry = ext_doc["params"][name]
-            ext.params.add(name, _array_in(entry["data"], entry["shape"]),
-                           frozen=ext_doc["frozen"])
+        ext.layer_dims = dims
+        ext.params = {name: ad.leaf(_array_in(ext_doc["params"][name], shape))
+                      for name, shape in shapes.items()}
         model.extractors.append(ext)
     for name in sorted(doc["heads"]):
-        entry = doc["heads"][name]
-        model.heads[name] = ad.leaf(_array_in(entry["data"], entry["shape"]))
+        model.heads[name] = ad.leaf(_array_in(doc["heads"][name]))
+    offsets = model.class_offsets = [tuple(p) for p in doc["class_offsets"]]
+    ends = [hi for _, hi in offsets]
+    if (len(offsets) != model.task_count or any(hi <= lo for lo, hi in offsets)
+            or offsets != list(zip([0, *ends], ends))):
+        raise FormatError(f"class_offsets {doc['class_offsets']!r} are not "
+                          "contiguous ranges from 0, one per extractor")
+    width = model.task_count * model.feature_dim
+    if offsets and (model.heads["cls_w"].shape, model.heads["cls_b"].shape) != (
+            (ends[-1], width), (ends[-1],)):
+        raise FormatError(f"cls head {model.heads['cls_w'].shape} does not "
+                          f"map {width} features to {ends[-1]} classes")
     model.rng.bit_generator.state = doc["rng_state"]
     return model

@@ -211,6 +211,8 @@ def estimate_pns_interventional(eval_set, model, scope,
     spurious positive effect. Pass label_policy="true" for the
     training-aligned generation that the risk report uses.
     """
+    if label_policy not in ("true", "predicted"):
+        raise UsageError(f"unknown label_policy {label_policy!r}")
     cfg = cfg or GenConfig()
     if _is_empty(eval_set):
         raise InputError("eval set is empty")

@@ -100,22 +100,23 @@ def make_optimizer_state():
     return {"step": 0, "m": {}, "v": {}}
 
 
-def optimizer_step(params: ad.ParameterSet, state, config: TrainConfig, lr=None):
-    """One update over every non-frozen parameter in the set.
+def optimizer_step(params: dict[str, ad.Tensor], state, config: TrainConfig,
+                   lr=None):
+    """One update over every parameter in the map.
 
-    Gradients are read from the tensors' grad buffers. Weight decay is
-    decoupled (applied to the value, not folded into the gradient). Any
-    non-finite gradient aborts before a single value is touched.
+    Gradients are read from the tensors' `grad`, so every parameter must
+    have been reached by the last `backward`. Weight decay is decoupled
+    (applied to the value, not folded into the gradient). Any non-finite
+    gradient aborts before a single value is touched.
     """
     lr = config.lr if lr is None else float(lr)
-    live = [(name, t) for name, t in params.items() if not t.frozen]
-    for name, t in live:
+    for name, t in params.items():
         if not np.all(np.isfinite(t.grad)):
             raise NumericsError(
                 f"non-finite gradient in {name!r} at step {state['step'] + 1}")
     state["step"] += 1
     k = state["step"]
-    for name, t in live:
+    for name, t in params.items():
         g = t.grad
         if config.weight_decay > 0.0:
             t.values -= lr * config.weight_decay * t.values
@@ -166,20 +167,17 @@ class RehearsalBuffer:
             raise ConfigurationError(f"unknown buffer policy {policy!r}")
         self.capacity = int(capacity)
         self.policy = policy
-        self._store: dict[int, np.ndarray] = {}
-        self._order: list[int] = []  # classes in first-seen order
+        self._store: dict[int, np.ndarray] = {}  # classes in first-seen order
 
     def __len__(self):
         return sum(len(v) for v in self._store.values())
 
     def samples(self):
         """All exemplars as (x, y), classes in first-seen order."""
-        if not self._order:
+        if not self._store:
             return np.zeros((0, 0)), np.zeros(0, dtype=np.int64)
-        xs = [self._store[c] for c in self._order]
-        ys = [np.full(len(self._store[c]), c, dtype=np.int64)
-              for c in self._order]
-        return np.concatenate(xs), np.concatenate(ys)
+        ys = [np.full(len(v), c, dtype=np.int64) for c, v in self._store.items()]
+        return np.concatenate(list(self._store.values())), np.concatenate(ys)
 
 
 def herding_order(features, m):
@@ -222,14 +220,14 @@ def buffer_commit(buffer: RehearsalBuffer, task_data, model, rng=None):
     for c in new_classes:
         if c in buffer._store:
             raise InputError(f"class {c} already lives in the buffer")
-    order = buffer._order + new_classes
+    order = [*buffer._store, *new_classes]
     if buffer.capacity < len(order):
         raise ConfigurationError(
             f"capacity {buffer.capacity} cannot cover {len(order)} classes")
     q, rem = divmod(buffer.capacity, len(order))
     quota = {c: q + (1 if i < rem else 0) for i, c in enumerate(order)}
-    for c in buffer._order:
-        buffer._store[c] = buffer._store[c][:quota[c]]
+    for c, xc in buffer._store.items():  # reassigning keys keeps their order
+        buffer._store[c] = xc[:quota[c]]
     for c in new_classes:
         xc = x[y == c]
         m = min(quota[c], len(xc))
@@ -240,7 +238,6 @@ def buffer_commit(buffer: RehearsalBuffer, task_data, model, rng=None):
                 raise UsageError("class_balanced_random selection needs an rng")
             sel = rng.permutation(len(xc))[:m]
         buffer._store[c] = xc[np.asarray(sel, dtype=np.int64)].copy()
-    buffer._order = order
     return buffer
 
 
@@ -269,22 +266,22 @@ def _buffer_minibatch(n_buf, k, rng):
     return rng.choice(n_buf, size=k, replace=False)
 
 
-def _param_set(model, use_cls, use_intra, use_inter) -> ad.ParameterSet:
+def _param_set(model, use_cls, use_intra, use_inter) -> dict[str, ad.Tensor]:
     """The current extractor plus the heads the enabled terms train.
 
     A head the model does not have (aux on the first task, a tied inter
     head) is skipped. Keeping unused heads out means decoupled weight
-    decay cannot silently move them.
+    decay cannot silently move them. The frozen extractors are never in
+    it; `_check_frozen` guards that nothing moves them anyway.
     """
-    ps = ad.ParameterSet()
-    for name, tns in model.extractors[-1].params.items():
-        ps.adopt(f"f{model.current_task}/{name}", tns)
+    params = {f"f{model.current_task}/{name}": p
+              for name, p in model.extractors[-1].params.items()}
     enabled = {"cls": use_cls, "intra": use_intra, "inter": use_inter}
     for term, heads in TERM_HEADS.items():
-        for name in heads:
-            if enabled[term] and name in model.heads:
-                ps.adopt(name, model.heads[name])
-    return ps
+        if enabled[term]:
+            params.update((name, model.heads[name]) for name in heads
+                          if name in model.heads)
+    return params
 
 
 def _task_arrays(model, task_data, buffer):
@@ -300,6 +297,13 @@ def _task_arrays(model, task_data, buffer):
         raise ConfigurationError(
             f"task {model.current_task} requires a non-empty rehearsal buffer")
     return x_cur, y_cur
+
+
+def _check_finite(params):
+    """Raise NumericsError if any parameter value is NaN or infinite."""
+    for name, p in params.items():
+        if not np.all(np.isfinite(p.values)):
+            raise NumericsError(f"parameter {name!r} contains non-finite values")
 
 
 def _check_frozen(model, snap):
@@ -435,10 +439,9 @@ def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
                 sums["proj"] += float(proj_loss.values)
                 terms.append(proj_loss)
             total = terms[0] if len(terms) == 1 else ad.add_scalars(terms)
-            params.zero_grad()
             ad.backward(total)
             optimizer_step(params, state, config, lr=lr)
-        params.check_finite()
+        _check_finite(params)
         report = (_probe_report(model, x_cur, y_cur, probe_buf, config)
                   if stage == 2 else None)
         wall = (time.perf_counter() - t0) * 1000.0
@@ -540,10 +543,9 @@ def train_task_baseline(model, task_data, buffer, config: TrainConfig, rng,
                 sums["aux"] += float(aux_loss.values)
                 terms.append(aux_loss)
             total = terms[0] if len(terms) == 1 else ad.add_scalars(terms)
-            params.zero_grad()
             ad.backward(total)
             optimizer_step(params, state, config, lr=lr)
-        params.check_finite()
+        _check_finite(params)
         report = _probe_report(model, x_cur, y_cur, probe_buf, config)
         wall = (time.perf_counter() - t0) * 1000.0
         records.append(_record(t, 2, epoch, sums, len(batches), report, wall))

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from conftest import numeric_grad, rel_err
 
 from cpnslab import autodiff as ad
-from cpnslab.errors import (ConfigurationError, InputError, NumericsError,
-                            UsageError)
+from cpnslab.errors import ConfigurationError, InputError, UsageError
 from cpnslab.metrics import input_saliency
 from cpnslab.model import ExpandableModel
 
@@ -381,19 +380,6 @@ def test_backward_requires_scalar_root():
         ad.backward(ad.relu(x))
 
 
-def test_backward_accumulates_until_zeroed():
-    ps = ad.ParameterSet()
-    x = ps.add("x", [1.0, 2.0])
-    root = ad.sum_squares(x)
-    ad.backward(root)
-    ad.backward(root)
-    np.testing.assert_array_equal(x.grad, [4.0, 8.0])
-    ps.zero_grad()
-    np.testing.assert_array_equal(x.grad, [0.0, 0.0])
-    ad.backward(root)
-    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
-
-
 def test_shared_subgraph_accumulates_once_per_path():
     # y = sum_squares(x) used twice through add_scalars: grads double.
     x = ad.leaf([1.0, 2.0])
@@ -423,8 +409,8 @@ def test_grad_wrt_intermediate_matches_fd():
 
 
 # ---------------------------------------------------------------------------
-# gradient buffers: leaves own one, interior nodes get one in backward,
-# constants never
+# gradient buffers: backward writes one on every node it reaches, fresh on
+# each call; constants never get one
 
 def _eager_backward(root):
     """Reference pass with a zero buffer on every visited node, as a fully
@@ -449,10 +435,17 @@ def _shared_graph(seed=31):
     return x, w, b, z, root
 
 
-def test_buffers_exist_only_on_leaves_before_backward():
+def test_no_node_has_a_gradient_before_backward():
     x, w, b, z, root = _shared_graph()
-    assert all(t.grad is not None and not t.grad.any() for t in (x, w, b))
-    assert z.grad is None and root.grad is None
+    assert all(t.grad is None for t in (x, w, b, z, root))
+
+
+def test_leaf_the_root_does_not_reach_keeps_no_gradient():
+    rng = _rng(35)
+    x, unused = ad.leaf(rng.normal(size=(2, 3))), ad.leaf(rng.normal(size=3))
+    ad.backward(ad.sum_squares(x))
+    assert unused.grad is None
+    np.testing.assert_array_equal(x.grad, 2.0 * x.values)
 
 
 def test_constant_input_gets_no_gradient_and_no_input_product():
@@ -489,13 +482,16 @@ def test_shared_interior_node_sums_both_contributions():
     np.testing.assert_array_equal(b.grad, want.sum(axis=0))
 
 
-def test_repeated_backward_doubles_leaf_and_interior_gradients():
+def test_repeated_backward_gives_the_same_leaf_and_interior_gradients():
     x, w, b, z, root = _shared_graph()
     ad.backward(root)
     once = [t.grad.copy() for t in (x, w, b, z)]
     ad.backward(root)
     for t, g in zip((x, w, b, z), once):
-        np.testing.assert_array_equal(t.grad, 2.0 * g)
+        np.testing.assert_array_equal(t.grad, g)
+    # a second root over the same leaves replaces their gradient, too
+    ad.backward(ad.sum_squares(x))
+    np.testing.assert_array_equal(x.grad, 2.0 * x.values)
 
 
 def test_take_rows_into_untouched_parent_zeros_outside_slice():
@@ -520,37 +516,3 @@ def test_lazy_buffers_match_eager_pass_bitwise():
     logits = model.full_graph_logits(node)
     _eager_backward(ad.sum_picked(logits, np.argmax(logits.values, axis=1)))
     np.testing.assert_array_equal(got, np.abs(node.grad))
-
-
-# ---------------------------------------------------------------------------
-# parameter sets
-
-def test_parameterset_duplicate_name_raises():
-    ps = ad.ParameterSet()
-    ps.add("w", np.ones(2))
-    with pytest.raises(ConfigurationError):
-        ps.add("w", np.ones(2))
-
-
-def test_parameterset_freeze_and_finite_check():
-    ps = ad.ParameterSet()
-    w = ps.add("w", np.ones(2))
-    assert not w.frozen
-    ps.freeze()
-    assert w.frozen
-    ps.check_finite()
-    w.values[0] = np.nan
-    with pytest.raises(NumericsError, match="'w'"):
-        ps.check_finite()
-
-
-def test_parameterset_order_and_zero_grad():
-    ps = ad.ParameterSet()
-    ps.add("b", np.zeros(2))
-    ps.add("a", np.zeros(2))
-    assert [name for name, _ in ps.items()] == ["b", "a"]
-    buffer = ps["a"].grad
-    ps["a"].grad += 1.0
-    ps.zero_grad()
-    assert ps["a"].grad is buffer  # zeroed in place, not reallocated
-    np.testing.assert_array_equal(ps["a"].grad, [0.0, 0.0])

@@ -43,6 +43,16 @@ def write_config(tmp_path, doc, name="cfg.json"):
     return str(path)
 
 
+def _short_cls_column(doc):
+    head = doc["heads"]["cls_w"]
+    head["data"] = [row[:-1] for row in head["data"]]
+    head["shape"][1] -= 1
+
+
+def _set_first_extractor(key, value):
+    return lambda doc: doc["extractors"][0].update({key: value})
+
+
 def sha(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -497,6 +507,30 @@ class TestCli:
     def test_eval_missing_checkpoint_exits_two(self, tmp_path):
         assert cli.main(["eval", str(tmp_path / "no.ckpt"),
                          str(tmp_path / "no.txt")]) == 2
+
+    @pytest.mark.parametrize("edit", [
+        _short_cls_column,
+        _set_first_extractor("layer_dims", [16, 17, 8]),
+        lambda doc: doc.update(class_offsets=[[0, 2], [1, 3]]),
+        _set_first_extractor("frozen", False),
+    ], ids=["cls one column short", "layer_dims", "overlapping offsets",
+            "extractor 0 not frozen"])
+    def test_eval_of_a_checkpoint_whose_parts_disagree_exits_two(
+            self, tmp_path, capsys, edit):
+        model = mdl.ExpandableModel(input_dim=16, feature_dim=8,
+                                    hidden_dims=(16,), seed=0)
+        model.expand(2).expand(2)
+        ckpt = tmp_path / "task-1.ckpt"
+        mdl.save_checkpoint(model, ckpt)
+        doc = json.loads(ckpt.read_text())
+        edit(doc)
+        ckpt.write_text(json.dumps(doc))
+        rng = np.random.default_rng(0)
+        table_path = tmp_path / "eval.txt"
+        dt.save_table(str(table_path), rng.normal(size=(6, 16)),
+                      np.arange(6) % 4, 4)
+        assert cli.main(["eval", str(ckpt), str(table_path)]) == 2
+        assert capsys.readouterr().err.startswith("cpnslab: ")
 
     def test_ablate_writes_six_rows(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, tiny_doc(tmp_path / "out"))

@@ -237,6 +237,18 @@ def test_estimate_scope_validation():
         rk.estimate_pns_interventional((np.empty((0, 2)), np.empty(0)), m, "intra")
 
 
+def test_estimate_rejects_an_unknown_label_policy():
+    m = controlled_model(tasks=2)
+    x = np.ones((2, 2))
+    y = np.array([2, 3])
+    for policy in ("true", "predicted"):
+        rk.estimate_pns_interventional((x, y), m, "intra", label_policy=policy)
+    for scope in ("intra", "inter"):
+        with pytest.raises(UsageError, match="label_policy"):
+            rk.estimate_pns_interventional((x, y), m, scope,
+                                           label_policy="bogus")
+
+
 def test_estimate_bounded():
     rng = np.random.default_rng(21)
     for _ in range(20):

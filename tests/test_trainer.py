@@ -2,6 +2,7 @@
 projector stop-gradient contract, and the two-stage loop invariants
 (bitwise baseline degeneracy, frozen isolation, stage ordering)."""
 
+import itertools
 import json
 
 import numpy as np
@@ -33,9 +34,10 @@ def blob_task(rng, labels, n_per, dim, spread=3.0, sigma=0.5):
 
 
 def one_param(values):
-    ps = ad.ParameterSet()
-    t = ps.add("p", values)
-    return ps, t
+    """A one-entry parameter map whose leaf holds a zero gradient."""
+    t = ad.leaf(values)
+    t.grad = np.zeros_like(t.values)
+    return {"p": t}, t
 
 
 def values_of(ps):
@@ -129,27 +131,21 @@ def test_weight_decay_is_decoupled():
 
 def test_nan_gradient_aborts_without_touching_values():
     cfg = tr.TrainConfig()
-    ps = ad.ParameterSet()
-    a = ps.add("a", [1.0, 2.0])
-    b = ps.add("b", [3.0])
+    (_, a), (_, b) = one_param([1.0, 2.0]), one_param([3.0])
     a.grad[:] = [0.1, 0.2]
     b.grad[:] = [np.nan]
     with pytest.raises(NumericsError, match="b"):
-        tr.optimizer_step(ps, tr.make_optimizer_state(), cfg)
+        tr.optimizer_step({"a": a, "b": b}, tr.make_optimizer_state(), cfg)
     np.testing.assert_array_equal(a.values, [1.0, 2.0])
     np.testing.assert_array_equal(b.values, [3.0])
 
 
-def test_frozen_parameters_never_move():
-    cfg = tr.TrainConfig(lr=0.1, momentum=0.0, weight_decay=0.0)
-    ps = ad.ParameterSet()
-    live = ps.add("live", [1.0])
-    frozen = ps.add("frozen", [1.0], frozen=True)
-    live.grad[:] = [1.0]
-    frozen.grad[:] = [1.0]
-    tr.optimizer_step(ps, tr.make_optimizer_state(), cfg)
-    np.testing.assert_array_equal(frozen.values, [1.0])
-    assert live.values[0] != 1.0
+def test_finite_check_names_the_bad_parameter():
+    params = {"a": ad.leaf([1.0]), "w": ad.leaf([1.0, 2.0])}
+    tr._check_finite(params)
+    params["w"].values[0] = np.nan
+    with pytest.raises(NumericsError, match="'w'"):
+        tr._check_finite(params)
 
 
 def test_cosine_schedule_endpoints():
@@ -274,7 +270,7 @@ def test_projector_exact_fit_gives_zero_loss():
     model = small_model(seed=1)
     model.expand(2)
     model.expand(2)
-    for t in model.extractors[-1].params.tensors():
+    for t in model.extractors[-1].params.values():
         t.values[:] = 0.0
     model.heads["proj_w1"].values[:] = 0.0
     model.heads["proj_b1"].values[:] = 0.0
@@ -303,14 +299,13 @@ def test_projector_fits_linear_ground_truth():
         ad.backward(loss)
         for head in heads:
             head.values -= 0.05 * head.grad
-            head.grad.fill(0.0)
         losses.append(float(loss.values))
     assert losses[-1] < 1e-3
     assert losses[-1] < losses[0] * 1e-2
     # stop-gradient contract: the target is a value, so the current
     # extractor never receives a gradient
-    for t in model.extractors[-1].params.tensors():
-        assert not t.grad.any()
+    for t in model.extractors[-1].params.values():
+        assert t.grad is None
 
 
 def test_projector_loss_requires_second_task():
@@ -455,6 +450,44 @@ def test_frozen_extractors_bitwise_stable_through_training():
     assert snap.keys() == after.keys() and len(snap) > 0
     for key in snap:
         np.testing.assert_array_equal(snap[key], after[key], err_msg=key)
+
+
+@pytest.mark.parametrize("train_fn", [tr.train_task, tr.train_task_baseline])
+def test_frozen_extractor_drift_fails_both_trainers(monkeypatch, train_fn):
+    # no flag keeps the optimizer off a frozen extractor any more; the
+    # snapshot check is the guard, so a nudge from anywhere must trip it
+    t0, t1 = two_task_data()
+    model = small_model(seed=4)
+    buf = tr.RehearsalBuffer(30)
+    model.expand(3)
+    tr.buffer_commit(buf, t0, model)
+    model.expand(3)
+    step = tr.optimizer_step
+
+    def drifting_step(params, state, config, lr=None):
+        step(params, state, config, lr=lr)
+        model.extractors[0].params["w0"].values[0, 0] += 1e-12
+
+    monkeypatch.setattr(tr, "optimizer_step", drifting_step)
+    cfg = full_cfg(stage1_epochs=1, stage2_epochs=1)
+    with pytest.raises(AssertionError, match="frozen extractors drifted"):
+        train_fn(model, t1, buf, cfg, np.random.default_rng(13))
+
+
+def test_param_set_never_holds_a_frozen_extractor():
+    # a separate inter head: every head exists from the second task on
+    model = ExpandableModel(input_dim=8, feature_dim=8, hidden_dims=(16,),
+                            separate_inter_head=True, seed=4)
+    for _ in range(3):
+        model.expand(2)
+    frozen = {id(p) for ext in model.extractors[:-1]
+              for p in ext.params.values()}
+    current = {f"f2/{name}" for name in model.extractors[-1].params}
+    # every (use_cls, use_intra, use_inter) train_task or the baseline pass
+    for flags in itertools.product([False, True], repeat=3):
+        params = tr._param_set(model, *flags)
+        assert current <= params.keys()
+        assert not frozen & {id(p) for p in params.values()}, flags
 
 
 def test_training_converges_on_separable_task():
