@@ -1,27 +1,8 @@
 """cpnslab: desk-scale class-incremental learning with counterfactual
 probability-of-necessity-and-sufficiency regularization and diagnostics.
 
-Submodules load lazily so the CLI can pin BLAS thread counts before
+This module imports nothing, so the CLI can pin BLAS thread counts before
 anything numeric is imported.
 """
 
-import importlib
-
 __version__ = "0.1.0"
-
-_SUBMODULES = ("autodiff", "cli", "counterfactual", "data", "errors",
-               "experiment", "metrics", "model", "risk", "trainer")
-
-__all__ = list(_SUBMODULES) + ["__version__"]
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        module = importlib.import_module(f".{name}", __name__)
-        globals()[name] = module
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(list(globals()) + list(_SUBMODULES)))

@@ -11,8 +11,8 @@ degenerate). Zero-gradient inputs are degenerate immediately. Each round
 scores only the rows still searching, and a row's metric value is the one
 taken at its accepted scale; nothing is scored twice.
 
-Two reference perturbers (isotropic random, projected gradient) exist for
-baseline comparisons at a matched budget.
+One reference perturber, an isotropic random direction under the same
+budget, is the baseline for flip-rate comparisons.
 
 Every generator returns the same four arrays, one row per input row:
 (counterfactuals, metric values, applied scales, degenerate mask). All are
@@ -151,44 +151,3 @@ def perturb_random(factual, budget_kl, rng):
     feats = np.atleast_2d(np.asarray(factual, dtype=np.float64))
     direction = rng.standard_normal(feats.shape)
     return _backtrack_batch(feats, direction, 1.0, budget_kl)
-
-
-def perturb_pgd(factual, label, w_intra, steps=10, step_size=1.0,
-                budget_kl=0.05, b=None):
-    """Iterated gradient ascent with projection back onto the budget ball.
-
-    The ball has no closed-form projection, so each violating iterate is
-    shrunk toward the factual point by bisection (10 steps) on the
-    interpolation coefficient; the feasible end of the bracket is kept,
-    which keeps every emitted iterate strictly inside the budget. Takes
-    one factual row; returns the generators' four arrays with one row,
-    the applied scale being 1 unless degenerate.
-    """
-    if steps < 1:
-        raise ConfigurationError("steps must be >= 1")
-    if budget_kl <= 0:
-        raise ConfigurationError("budget_kl must be positive")
-    feats = np.atleast_2d(np.asarray(factual, dtype=np.float64))
-    ref = _reference("kl", feats)
-    cur = feats.copy()
-    moved = False
-    for _ in range(steps):
-        g = intra_directions(cur, [label], w_intra, b)
-        if np.linalg.norm(g) == 0.0:
-            break
-        cur = cur + step_size * g
-        moved = True
-        if _metric_rows("kl", cur, ref)[0] > budget_kl:
-            lo, hi = 0.0, 1.0
-            for _ in range(10):
-                mid = (lo + hi) / 2.0
-                point = feats + mid * (cur - feats)
-                if _metric_rows("kl", point, ref)[0] <= budget_kl:
-                    lo = mid
-                else:
-                    hi = mid
-            cur = feats + lo * (cur - feats)
-    degenerate = not moved or bool(np.all(cur == feats))
-    kl = 0.0 if degenerate else float(_metric_rows("kl", cur, ref)[0])
-    return (cur, np.array([kl]), np.array([0.0 if degenerate else 1.0]),
-            np.array([degenerate]))

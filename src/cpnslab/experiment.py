@@ -345,7 +345,7 @@ def evaluate_task(model, stream, task_index, history, cfgm: MetricsConfig,
         tags = ann["dim_tags"]
         n_causal = sum(t in ("causal", "minimal_causal") for t in tags)
         ks = [k for k in cfgm.masking_ks if k <= n_causal]
-        if ks:
+        if n_causal and ks:
             probe_x = np.concatenate([x for x, _ in test_sets])
             probe_y = np.concatenate([y for _, y in test_sets])
             masking = mt.masking_curve(model, probe_x, probe_y, tags, ks)

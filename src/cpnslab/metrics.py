@@ -2,16 +2,15 @@
 
 Incremental accuracy (last and average), old-to-new leakage grouped by
 prototype overlap, linear CKA between activation sets, saliency-guided
-masking curves over annotated causal dimensions, counterfactual quality
-(flip rate, latent divergence, historical similarity), and an exact 1-D
-Wasserstein distance for distributional consistency checks.
+masking curves over annotated causal dimensions, and counterfactual
+quality (flip rate, latent divergence, historical similarity).
 
 Everything here is a pure function over model snapshots and arrays; nothing
 mutates the model.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -72,38 +71,7 @@ class EvalRecord:
                 raise InputError(f"cf_quality.hss must lie in [-1, 1], got {hss}")
 
     def to_json_dict(self):
-        return {
-            "task_index": int(self.task_index),
-            "per_task_acc": [float(a) for a in self.per_task_acc],
-            "last_acc": float(self.last_acc),
-            "avg_acc": float(self.avg_acc),
-            "old_new_errors": (None if self.old_new_errors is None else
-                               {k: float(v) for k, v in self.old_new_errors.items()}),
-            "cka_by_layer": (None if self.cka_by_layer is None else
-                             [[int(l), float(v)] for l, v in self.cka_by_layer]),
-            "masking_curve": (None if self.masking_curve is None else
-                              [[int(k), float(a)] for k, a in self.masking_curve]),
-            "cf_quality": (None if self.cf_quality is None else
-                           [float(self.cf_quality[0]), float(self.cf_quality[1]),
-                            None if self.cf_quality[2] is None
-                            else float(self.cf_quality[2])]),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        cf = d.get("cf_quality")
-        return cls(
-            task_index=d["task_index"],
-            per_task_acc=list(d["per_task_acc"]),
-            last_acc=d["last_acc"],
-            avg_acc=d["avg_acc"],
-            old_new_errors=d.get("old_new_errors"),
-            cka_by_layer=(None if d.get("cka_by_layer") is None else
-                          [(l, v) for l, v in d["cka_by_layer"]]),
-            masking_curve=(None if d.get("masking_curve") is None else
-                           [(k, a) for k, a in d["masking_curve"]]),
-            cf_quality=None if cf is None else (cf[0], cf[1], cf[2]),
-        )
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -314,40 +282,3 @@ def counterfactual_quality(model, factual, counterfactual, values,
     inter = counter[len(counter) - len(refs):]
     hss = float(np.mean([_cosine(c, r) for c, r in zip(inter, refs)]))
     return pfr, lkld, hss
-
-
-# ---------------------------------------------------------------------------
-# 1-D Wasserstein
-
-def _w1_single(u, v):
-    # exact W1 between empirical distributions: integrate |F_u - F_v|
-    u = np.sort(u)
-    v = np.sort(v)
-    grid = np.concatenate([u, v])
-    grid.sort(kind="mergesort")
-    deltas = np.diff(grid)
-    if not len(deltas):
-        return 0.0
-    cdf_u = np.searchsorted(u, grid[:-1], side="right") / len(u)
-    cdf_v = np.searchsorted(v, grid[:-1], side="right") / len(v)
-    return float(np.sum(np.abs(cdf_u - cdf_v) * deltas))
-
-
-def wasserstein_1d(a, b):
-    """Exact 1-D W1 distance, averaged over feature dimensions.
-
-    1-D inputs are treated as a single dimension; 2-D inputs are sliced per
-    column and the per-column distances averaged. Sample counts may differ.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.size == 0 or b.size == 0:
-        raise InputError("both sample sets must be non-empty")
-    if a.ndim == 1:
-        a = a[:, None]
-    if b.ndim == 1:
-        b = b[:, None]
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise InputError(f"incompatible shapes {a.shape} vs {b.shape}")
-    return float(np.mean([_w1_single(a[:, j], b[:, j])
-                          for j in range(a.shape[1])]))

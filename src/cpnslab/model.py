@@ -321,7 +321,7 @@ def save_checkpoint(model: ExpandableModel, path):
         },
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
         fh.write("\n")
 
 
@@ -346,9 +346,30 @@ def load_checkpoint(path) -> ExpandableModel:
             f"malformed checkpoint field: {type(exc).__name__}: {exc}") from exc
 
 
+def _head_shapes(model):
+    """The shape of every head `expand` leaves after the model's tasks,
+    worked out from its sizes and class offsets."""
+    t = model.task_count
+    if t == 0:
+        return {}
+    d, h = model.feature_dim, model.projector_hidden
+    lo, total = model.class_offsets[-1]
+    new = total - lo
+    shapes = {"cls_w": (total, t * d), "cls_b": (total,),
+              "intra_w": (new, d), "intra_b": (new,)}
+    if t >= 2:
+        shapes.update(aux_w=(new + 1, d), aux_b=(new + 1,),
+                      proj_w0=(h, (t - 1) * d), proj_b0=(h,),
+                      proj_w1=(d, h), proj_b1=(d,))
+        if model.separate_inter_head:
+            shapes.update(inter_w=(total, t * d), inter_b=(total,))
+    return shapes
+
+
 def _model_from_doc(doc):
     """Build the model and check that its parts fit: each extractor's
-    position and shapes, the class offsets and the classifier shape."""
+    position and shapes, the class offsets, and the set and shapes of the
+    heads."""
     model = ExpandableModel(
         input_dim=doc["input_dim"],
         feature_dim=doc["feature_dim"],
@@ -372,18 +393,18 @@ def _model_from_doc(doc):
         ext.params = {name: ad.leaf(_array_in(ext_doc["params"][name], shape))
                       for name, shape in shapes.items()}
         model.extractors.append(ext)
-    for name in sorted(doc["heads"]):
-        model.heads[name] = ad.leaf(_array_in(doc["heads"][name]))
     offsets = model.class_offsets = [tuple(p) for p in doc["class_offsets"]]
     ends = [hi for _, hi in offsets]
     if (len(offsets) != model.task_count or any(hi <= lo for lo, hi in offsets)
             or offsets != list(zip([0, *ends], ends))):
         raise FormatError(f"class_offsets {doc['class_offsets']!r} are not "
                           "contiguous ranges from 0, one per extractor")
-    width = model.task_count * model.feature_dim
-    if offsets and (model.heads["cls_w"].shape, model.heads["cls_b"].shape) != (
-            (ends[-1], width), (ends[-1],)):
-        raise FormatError(f"cls head {model.heads['cls_w'].shape} does not "
-                          f"map {width} features to {ends[-1]} classes")
+    head_shapes = _head_shapes(model)
+    if set(doc["heads"]) != set(head_shapes):
+        raise FormatError(f"heads {sorted(doc['heads'])} are not the "
+                          f"{sorted(head_shapes)} of a {model.task_count}-task "
+                          "model")
+    for name, shape in sorted(head_shapes.items()):
+        model.heads[name] = ad.leaf(_array_in(doc["heads"][name], shape))
     model.rng.bit_generator.state = doc["rng_state"]
     return model

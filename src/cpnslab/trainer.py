@@ -106,11 +106,14 @@ def optimizer_step(params: dict[str, ad.Tensor], state, config: TrainConfig,
 
     Gradients are read from the tensors' `grad`, so every parameter must
     have been reached by the last `backward`. Weight decay is decoupled
-    (applied to the value, not folded into the gradient). Any non-finite
-    gradient aborts before a single value is touched.
+    (applied to the value, not folded into the gradient). A missing or
+    non-finite gradient aborts before a single value is touched.
     """
     lr = config.lr if lr is None else float(lr)
     for name, t in params.items():
+        if t.grad is None:
+            raise UsageError(f"parameter {name!r} got no gradient from the "
+                             "last backward")
         if not np.all(np.isfinite(t.grad)):
             raise NumericsError(
                 f"non-finite gradient in {name!r} at step {state['step'] + 1}")

@@ -53,6 +53,18 @@ def _set_first_extractor(key, value):
     return lambda doc: doc["extractors"][0].update({key: value})
 
 
+def _drop_heads(*names):
+    def edit(doc):
+        for name in names:
+            del doc["heads"][name]
+    return edit
+
+
+def _set_head(name, rows):
+    return lambda doc: doc["heads"].update(
+        {name: {"shape": [len(rows), len(rows[0])], "data": rows}})
+
+
 def sha(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -147,7 +159,7 @@ class TestRunSeed:
         for t in (0, 1):
             with open(tmp_path / "t" / f"seed-{t and 0}" / f"task-{t}.eval.json") as fh:
                 doc = json.load(fh)
-            record = mt.EvalRecord.from_json_dict(doc)
+            record = mt.EvalRecord(**doc)
             assert record.task_index == t
             assert len(record.per_task_acc) == t + 1
         assert record.cka_by_layer is not None
@@ -197,7 +209,7 @@ class TestRunSeed:
             hits += int(np.sum(pred == y))
             total += len(y)
         with open(tmp_path / "t" / "seed-0" / "task-1.eval.json") as fh:
-            record = mt.EvalRecord.from_json_dict(json.load(fh))
+            record = mt.EvalRecord(**json.load(fh))
         assert hits / total == record.last_acc
 
     def test_distinct_seeds_produce_distinct_streams(self, tmp_path):
@@ -228,15 +240,24 @@ class TestRunSeed:
         y = np.repeat(np.arange(C), n // C)
         centers = rng.normal(scale=4.0, size=(C, d))
         x = centers[y] + rng.normal(size=(n, d))
-        table_path = tmp_path / "tab.txt"
-        dt.save_table(str(table_path), x, y.astype(np.int64), C)
-        doc = tiny_doc(tmp_path)
-        doc["data"] = {"kind": "table", "path": str(table_path),
-                       "B": 2, "I": 2}
-        doc["metrics"] = {"probe_limit": 8}
-        rows = ex.run_experiment(ex.config_from_dict(doc))
-        assert rows[0]["scenario"] == "tab.txt-B2-I2"
-        assert 0.0 <= rows[0]["last"] <= 1.0
+        # untagged, and tagged with no causal dimension: masking needs a
+        # causal tag, and every task still writes its record
+        for case, dim_tags in (("plain", None),
+                               ("no-causal", ["noise"] * 9 + ["spurious"] * 3)):
+            table_path = tmp_path / case / "tab.txt"
+            table_path.parent.mkdir()
+            dt.save_table(str(table_path), x, y.astype(np.int64), C, dim_tags)
+            doc = tiny_doc(tmp_path / case)
+            doc["data"] = {"kind": "table", "path": str(table_path),
+                           "B": 2, "I": 2}
+            doc["metrics"] = {"probe_limit": 8}
+            rows = ex.run_experiment(ex.config_from_dict(doc))
+            assert rows[0]["scenario"] == "tab.txt-B2-I2"
+            assert 0.0 <= rows[0]["last"] <= 1.0
+            seed_dir = tmp_path / case / "t" / "seed-0"
+            for t in range(3):
+                with open(seed_dir / f"task-{t}.eval.json") as fh:
+                    assert json.load(fh)["masking_curve"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +534,13 @@ class TestCli:
         _set_first_extractor("layer_dims", [16, 17, 8]),
         lambda doc: doc.update(class_offsets=[[0, 2], [1, 3]]),
         _set_first_extractor("frozen", False),
+        _drop_heads("aux_w", "aux_b"),
+        _set_head("intra_w", [[0.5, -0.5]]),
+        _set_head("zzz_w", [[0.5, -0.5]]),
+        _drop_heads("proj_w0", "proj_b0", "proj_w1", "proj_b1"),
     ], ids=["cls one column short", "layer_dims", "overlapping offsets",
-            "extractor 0 not frozen"])
+            "extractor 0 not frozen", "aux head missing", "intra_w 1x2",
+            "extra head", "projector missing"])
     def test_eval_of_a_checkpoint_whose_parts_disagree_exits_two(
             self, tmp_path, capsys, edit):
         model = mdl.ExpandableModel(input_dim=16, feature_dim=8,

@@ -140,6 +140,17 @@ def test_nan_gradient_aborts_without_touching_values():
     np.testing.assert_array_equal(b.values, [3.0])
 
 
+def test_missing_gradient_names_the_parameter_without_touching_values():
+    _, a = one_param([1.0, 2.0])
+    a.grad[:] = [0.1, 0.2]
+    p = ad.leaf([1.0])  # no backward has reached it
+    state = tr.make_optimizer_state()
+    with pytest.raises(UsageError, match="'p'"):
+        tr.optimizer_step({"a": a, "p": p}, state, tr.TrainConfig())
+    np.testing.assert_array_equal(a.values, [1.0, 2.0])
+    assert state["step"] == 0
+
+
 def test_finite_check_names_the_bad_parameter():
     params = {"a": ad.leaf([1.0]), "w": ad.leaf([1.0, 2.0])}
     tr._check_finite(params)
