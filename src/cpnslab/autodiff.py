@@ -1,12 +1,22 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
+It serves the rehearsal baseline trainer and the input-saliency
+diagnostic; the regularized trainer differentiates its objective by hand
+(`trainer._objective`), and the tests keep the graph version of that
+objective as its reference.
+
 The graph is built eagerly: every operation returns a `Tensor` node holding
 values, a gradient slot, and a backward closure. The batched operations
-(`linear`, `concat`, `take_rows`, `sum_picked` and the three losses) take
-2-D nodes, one sample per row, and raise UsageError on anything else; a
-single sample is a one-row batch. Elementwise operations take any shape.
-Reductions always produce a 0-d scalar node, so `backward` has a
-well-defined root. All arithmetic is float64.
+(`linear`, `concat`, `sum_picked` and `softmax_cross_entropy`) take 2-D
+nodes, one sample per row, and raise UsageError on anything else; a single
+sample is a one-row batch. Reductions always produce a 0-d scalar node, so
+`backward` has a well-defined root. All arithmetic is float64.
+
+A backward closure takes its node's gradient as its one argument,
+`node._backward_fn(node.grad)`, and holds references to the parents only,
+never to its own node. A graph is then free of reference cycles, and it
+is freed as soon as the last reference to its root goes, without waiting
+for the cyclic garbage collector.
 
 Every node starts with `grad = None`, and gradients exist only where
 `backward` writes them. Each call gives one fresh gradient: it resets
@@ -18,10 +28,9 @@ visit it, and no operation computes a contribution for it.
 Parameters are plain `dict[str, Tensor]` maps of leaves; the tensors hold
 no optimizer or freezing state.
 
-The losses (`softmax_cross_entropy`, `kl_softmax`,
-`neglog_complement_prob`) take a batch of logit rows, with one label per
-row where they need one, and always average over the rows. Log-sum-exp is
-always computed with max subtraction.
+`softmax_cross_entropy` takes a batch of logit rows with one label per row
+and averages over the rows. Log-sum-exp is always computed with max
+subtraction.
 """
 
 from __future__ import annotations
@@ -40,7 +49,8 @@ class Tensor:
     reached the node, or None if none has. Leaves carry `op == "leaf"`.
     """
 
-    __slots__ = ("values", "grad", "parents", "op", "_backward_fn")
+    __slots__ = ("values", "grad", "parents", "op", "_backward_fn",
+                 "__weakref__")
 
     def __init__(self, values, parents=(), op="leaf", backward_fn=None):
         self.values = np.asarray(values, dtype=np.float64)
@@ -115,8 +125,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map `x @ w.T + b`.
 
     `w` is [n_out, n_in] and `x` a batch [n, n_in]. Backward produces exact
-    gradients for x, w and b; for a constant x it skips the input product
-    altogether.
+    gradients for x, w and b, and skips the product of any constant among
+    them altogether.
     """
     _require_batch(x, "linear")
     if w.ndim != 2:
@@ -129,67 +139,26 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ConfigurationError(
             f"linear: input dim {x.shape[-1]} does not match weight cols {n_in}")
     out_vals = x.values @ w.values.T + b.values
-    out = Tensor(out_vals, parents=(x, w, b), op="linear")
 
-    def _backward():
-        go = out.grad
+    def _backward(go):
         if x.op != "const":
             _accumulate(x, go @ w.values)
-        _accumulate(w, go.T @ x.values)
-        _accumulate(b, go.sum(axis=0))
+        if w.op != "const":
+            _accumulate(w, go.T @ x.values)
+        if b.op != "const":
+            _accumulate(b, go.sum(axis=0))
 
-    out._backward_fn = _backward
-    return out
+    return Tensor(out_vals, (x, w, b), "linear", _backward)
 
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x); subgradient at exactly 0 is 0."""
     mask = x.values > 0.0
-    out = Tensor(np.where(mask, x.values, 0.0), parents=(x,), op="relu")
 
-    def _backward():
-        _accumulate(x, out.grad * mask)
+    def _backward(go):
+        _accumulate(x, go * mask)
 
-    out._backward_fn = _backward
-    return out
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ConfigurationError(f"add: shape mismatch {a.shape} vs {b.shape}")
-    out = Tensor(a.values + b.values, parents=(a, b), op="add")
-
-    def _backward():
-        _accumulate(a, out.grad)
-        _accumulate(b, out.grad)
-
-    out._backward_fn = _backward
-    return out
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ConfigurationError(f"sub: shape mismatch {a.shape} vs {b.shape}")
-    out = Tensor(a.values - b.values, parents=(a, b), op="sub")
-
-    def _backward():
-        _accumulate(a, out.grad)
-        if b.op != "const":
-            _accumulate(b, -out.grad)
-
-    out._backward_fn = _backward
-    return out
-
-
-def scale(a: Tensor, k: float) -> Tensor:
-    k = float(k)
-    out = Tensor(a.values * k, parents=(a,), op="scale")
-
-    def _backward():
-        _accumulate(a, out.grad * k)
-
-    out._backward_fn = _backward
-    return out
+    return Tensor(np.where(mask, x.values, 0.0), (x,), "relu", _backward)
 
 
 def add_scalars(terms) -> Tensor:
@@ -201,14 +170,12 @@ def add_scalars(terms) -> Tensor:
         if t.ndim != 0:
             raise UsageError("add_scalars: all terms must be scalars")
     vals = sum(float(t.values) for t in terms)
-    out = Tensor(np.asarray(vals), parents=tuple(terms), op="add_scalars")
 
-    def _backward():
+    def _backward(go):
         for t in terms:
-            _accumulate(t, out.grad)
+            _accumulate(t, go)
 
-    out._backward_fn = _backward
-    return out
+    return Tensor(np.asarray(vals), terms, "add_scalars", _backward)
 
 
 def concat(parts) -> Tensor:
@@ -220,53 +187,14 @@ def concat(parts) -> Tensor:
         _require_batch(p, "concat")
     if any(p.shape[0] != parts[0].shape[0] for p in parts):
         raise ConfigurationError("concat: row counts differ")
-    out = Tensor(np.concatenate([p.values for p in parts], axis=1),
-                 parents=tuple(parts), op="concat")
     offsets = np.cumsum([0] + [p.shape[1] for p in parts])
 
-    def _backward():
+    def _backward(go):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, out.grad[:, lo:hi])
+            _accumulate(p, go[:, lo:hi])
 
-    out._backward_fn = _backward
-    return out
-
-
-def take_rows(a: Tensor, lo: int, hi: int) -> Tensor:
-    """Contiguous row slice a[lo:hi] of a batched node.
-
-    Pass-through gradient into the sliced rows; the remaining rows of the
-    parent receive nothing (zeros, if this is the parent's first
-    contribution). Used to address the current-task block of a
-    mixed current+rehearsal batch without a second forward pass.
-    """
-    _require_batch(a, "take_rows")
-    lo, hi = int(lo), int(hi)
-    if not 0 <= lo <= hi <= a.shape[0]:
-        raise InputError(f"take_rows: range [{lo}, {hi}) outside {a.shape[0]} rows")
-    out = Tensor(a.values[lo:hi].copy(), parents=(a,), op="rows")
-
-    def _backward():
-        if a.op == "const":
-            return
-        if a.grad is None:
-            a.grad = np.zeros_like(a.values)
-        a.grad[lo:hi] += out.grad
-
-    out._backward_fn = _backward
-    return out
-
-
-def sum_squares(a: Tensor) -> Tensor:
-    """Scalar sum of all squared entries."""
-    out = Tensor(np.asarray(np.sum(a.values * a.values)), parents=(a,),
-                 op="sum_squares")
-
-    def _backward():
-        _accumulate(a, 2.0 * a.values * float(out.grad))
-
-    out._backward_fn = _backward
-    return out
+    return Tensor(np.concatenate([p.values for p in parts], axis=1), parts,
+                  "concat", _backward)
 
 
 def _batch_labels(logits: Tensor, label, op):
@@ -291,69 +219,15 @@ def softmax_cross_entropy(logits: Tensor, label) -> Tensor:
     n = logits.shape[0]
     ls = log_softmax(logits.values)
     picked = ls[np.arange(n), labels]
-    out = Tensor(np.asarray(-picked.sum() / n), parents=(logits,), op="ce")
     p = np.exp(ls)
 
-    def _backward():
+    def _backward(go):
         g = p.copy()
         g[np.arange(n), labels] -= 1.0
         g /= n
-        _accumulate(logits, g * float(out.grad))
+        _accumulate(logits, g * float(go))
 
-    out._backward_fn = _backward
-    return out
-
-
-def kl_softmax(a: Tensor, b: Tensor) -> Tensor:
-    """Mean over rows of KL(softmax(a) || softmax(b)); >= 0, zero iff each
-    row of a - b is constant.
-
-    Both arguments are [n, K] batches, and the loss is differentiable with
-    respect to both.
-    """
-    _require_batch(a, "kl_softmax")
-    if a.shape != b.shape:
-        raise ConfigurationError(f"kl_softmax: shape mismatch {a.shape} vs {b.shape}")
-    la = log_softmax(a.values)
-    lb = log_softmax(b.values)
-    p = np.exp(la)
-    r = la - lb
-    n = a.shape[0]
-    out = Tensor(np.asarray(np.sum(p * r, axis=-1).sum() / n),
-                 parents=(a, b), op="kl_softmax")
-    q = np.exp(lb)
-
-    def _backward():
-        go = float(out.grad) / n
-        inner = np.sum(p * r, axis=-1, keepdims=True)
-        _accumulate(a, go * p * (r - inner))
-        _accumulate(b, go * (q - p))
-
-    out._backward_fn = _backward
-    return out
-
-
-def neglog_complement_prob(logits: Tensor, label, eps=1e-12) -> Tensor:
-    """Mean over rows of -log(1 - softmax(logits)[label] + eps).
-
-    Zero when the label probability is 0; grows as the label probability
-    approaches 1. Same batch and label convention as softmax_cross_entropy.
-    """
-    labels = _batch_labels(logits, label, "neglog_complement_prob")
-    n = logits.shape[0]
-    p = softmax(logits.values)
-    py = p[np.arange(n), labels]
-    s = 1.0 - py + eps
-    out = Tensor(np.asarray(-np.log(s).sum() / n), parents=(logits,), op="nlcp")
-
-    def _backward():
-        go = float(out.grad) / n
-        g = -(py / s)[:, None] * p
-        g[np.arange(n), labels] += py / s
-        _accumulate(logits, g * go)
-
-    out._backward_fn = _backward
-    return out
+    return Tensor(np.asarray(-picked.sum() / n), (logits,), "ce", _backward)
 
 
 def sum_picked(mat: Tensor, idx) -> Tensor:
@@ -363,16 +237,14 @@ def sum_picked(mat: Tensor, idx) -> Tensor:
     if idx.shape != (mat.shape[0],):
         raise UsageError("sum_picked: expects one index per row")
     rows = np.arange(mat.shape[0])
-    out = Tensor(np.asarray(mat.values[rows, idx].sum()), parents=(mat,),
-                 op="sum_picked")
 
-    def _backward():
+    def _backward(go):
         g = np.zeros_like(mat.values)
-        g[rows, idx] = float(out.grad)
+        g[rows, idx] = float(go)
         _accumulate(mat, g)
 
-    out._backward_fn = _backward
-    return out
+    return Tensor(np.asarray(mat.values[rows, idx].sum()), (mat,),
+                  "sum_picked", _backward)
 
 
 # ---------------------------------------------------------------------------
@@ -419,4 +291,4 @@ def backward(root: Tensor):
     _accumulate(root, np.ones_like(root.values))
     for node in reversed(order):
         if node._backward_fn is not None:
-            node._backward_fn()
+            node._backward_fn(node.grad)

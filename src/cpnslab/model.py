@@ -55,11 +55,15 @@ class FeatureExtractor:
     def n_layers(self):
         return len(self.layer_dims) - 1
 
-    def forward(self, x: ad.Tensor) -> ad.Tensor:
-        """Graph-mode forward; gradients flow into x and the parameters."""
+    def forward(self, x: ad.Tensor, const=False) -> ad.Tensor:
+        """Graph-mode forward; gradients flow into x, and into the
+        parameters unless `const` makes them constants."""
+        p = self.params
+        if const:
+            p = {name: ad.constant(t.values) for name, t in p.items()}
         h = x
         for i in range(self.n_layers):
-            h = ad.linear(h, self.params[f"w{i}"], self.params[f"b{i}"])
+            h = ad.linear(h, p[f"w{i}"], p[f"b{i}"])
             if i < self.n_layers - 1:
                 h = ad.relu(h)
         return h
@@ -228,7 +232,7 @@ class ExpandableModel:
         h = np.maximum(h, 0.0)
         return h @ self.heads["proj_w1"].values.T + self.heads["proj_b1"].values
 
-    # -- graph-mode builders (for training) -----------------------------
+    # -- graph-mode builders (baseline trainer, saliency) ---------------
 
     def current_feature_graph(self, x_node: ad.Tensor) -> ad.Tensor:
         return self.extractors[-1].forward(x_node)
@@ -236,21 +240,17 @@ class ExpandableModel:
     def head_graph(self, name, feat_node: ad.Tensor) -> ad.Tensor:
         return ad.linear(feat_node, *self._head(name))
 
-    def projector_graph(self, zold_node: ad.Tensor) -> ad.Tensor:
-        if "proj_w0" not in self.heads:
-            raise UsageError("projector is absent on the first task")
-        h = ad.relu(ad.linear(zold_node, self.heads["proj_w0"], self.heads["proj_b0"]))
-        return ad.linear(h, self.heads["proj_w1"], self.heads["proj_b1"])
-
     def full_graph_logits(self, x_node: ad.Tensor) -> ad.Tensor:
-        """Classifier logits with gradients flowing back to the input.
+        """Classifier logits with gradients flowing back to the input only.
 
-        Runs every extractor (frozen ones included) in graph mode; used by
-        input-saliency diagnostics, not by training.
+        Runs every extractor in graph mode with all parameters as
+        constants, so no parameter gets a gradient; used by input-saliency
+        diagnostics, not by training.
         """
-        feats = [ext.forward(x_node) for ext in self.extractors]
+        feats = [ext.forward(x_node, const=True) for ext in self.extractors]
         z = feats[0] if len(feats) == 1 else ad.concat(feats)
-        return self.head_graph("cls", z)
+        w, b = self._head("cls")
+        return ad.linear(z, ad.constant(w.values), ad.constant(b.values))
 
     # -- parameter views -------------------------------------------------
 
@@ -368,8 +368,8 @@ def _head_shapes(model):
 
 def _model_from_doc(doc):
     """Build the model and check that its parts fit: each extractor's
-    position and shapes, the class offsets, and the set and shapes of the
-    heads."""
+    position and the set and shapes of its parameters, the class offsets,
+    and the set and shapes of the heads."""
     model = ExpandableModel(
         input_dim=doc["input_dim"],
         feature_dim=doc["feature_dim"],
@@ -388,6 +388,9 @@ def _model_from_doc(doc):
                 or ext_doc["layer_dims"] != dims):
             raise FormatError(f"extractor {t}: task_index, frozen or layer_dims "
                               f"disagree with its position or the model")
+        if set(ext_doc["params"]) != set(shapes):
+            raise FormatError(f"extractor {t}: params {sorted(ext_doc['params'])} "
+                              f"are not {sorted(shapes)}")
         ext = FeatureExtractor.__new__(FeatureExtractor)
         ext.layer_dims = dims
         ext.params = {name: ad.leaf(_array_in(ext_doc["params"][name], shape))

@@ -12,11 +12,14 @@ it: a breach is a bug, never data.
 Degenerate counterfactuals (the generator could not move the feature)
 count as automatic necessity violations, the conservative reading.
 
-Training never touches the indicators (no gradient); one surrogate loss
-stands in for them in both scopes (over the current feature for the intra
-scope, over the combined representation for the inter scope), with the
-perturbation treated as a constant during backpropagation so no
-second-order terms arise.
+Training never touches the indicators (no gradient). One differentiable
+surrogate stands in for them in both scopes: cross-entropy on the factual
+representation (sufficiency) plus nu times -log(1 - p_label) on the
+counterfactual one (necessity), over the current feature for the intra
+scope and over the combined representation for the inter scope. It is
+part of the trainer's hand-differentiated objective (`trainer._objective`),
+which treats each perturbation as a constant offset, so no second-order
+terms arise.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from . import counterfactual as cf
 from .errors import (ConfigurationError, InputError, PropositionViolation,
                      UsageError)
@@ -227,28 +229,3 @@ def estimate_pns_interventional(eval_set, model, scope,
     else:
         raise UsageError(f"unknown scope {scope!r}")
     return float(np.mean(fc) - np.mean(cc))
-
-
-# ---------------------------------------------------------------------------
-# differentiable surrogate
-
-def surrogate_intra_loss(factual: ad.Tensor, counterfactual_values, labels,
-                         w: ad.Tensor, b: ad.Tensor, nu=1.0) -> ad.Tensor:
-    """Cross-entropy on the factual feature plus nu times the negative
-    log-complement of the true-class probability on the counterfactual.
-
-    The first term drives sufficiency, the second pushes the true-class
-    probability of the counterfactual down (necessity). The perturbation
-    enters as a constant offset from the factual node, so gradients reach
-    the extractor through both terms without differentiating the
-    generator itself.
-
-    The inter scope uses the same loss over the combined representation
-    [frozen block, current feature]; its frozen block is a constant node,
-    so no gradient reaches the frozen extractors.
-    """
-    suff = ad.softmax_cross_entropy(ad.linear(factual, w, b), labels)
-    delta = ad.constant(np.asarray(counterfactual_values) - factual.values)
-    cbar = ad.add(factual, delta)
-    nec = ad.neglog_complement_prob(ad.linear(cbar, w, b), labels)
-    return ad.add_scalars([suff, ad.scale(nec, nu)])

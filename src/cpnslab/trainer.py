@@ -8,9 +8,16 @@ from counterfactual before the shared classifier sees them; stage 2
 optimizes the full objective: classification, auxiliary discrimination,
 both surrogate scopes, the KL budget terms, and the projector fit.
 
+Each step of either stage runs one numpy function, `_objective`, that
+returns the loss values and every trained parameter's gradient; it is
+differentiated by hand, with the arithmetic and summation order of the
+equivalent `autodiff` graph, so it gives that graph's bits. The rehearsal
+baseline, `train_task_baseline`, keeps the autodiff graph.
+
 The knobs degrade exactly: with lam = gamma = nu = 0 and stage 1
 disabled, train_task performs the same arithmetic as
-train_task_baseline, and the tests pin the final parameters bit-for-bit.
+train_task_baseline, and the tests pin the final parameters bit-for-bit;
+with two independent implementations that check means something.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from . import counterfactual as cf
 from .errors import ConfigurationError, InputError, NumericsError, UsageError
-from .risk import GenConfig, empirical_cpns_risk, surrogate_intra_loss
+from .risk import GenConfig, empirical_cpns_risk
 
 LOSS_KEYS = ("cls", "aux", "intra", "inter", "kl", "proj")
 # the heads each term of the objective trains, beside the current extractor
@@ -100,32 +107,32 @@ def make_optimizer_state():
     return {"step": 0, "m": {}, "v": {}}
 
 
-def optimizer_step(params: dict[str, ad.Tensor], state, config: TrainConfig,
-                   lr=None):
-    """One update over every parameter in the map.
+def optimizer_step(params: dict[str, ad.Tensor], grads: dict[str, np.ndarray],
+                   state, config: TrainConfig, lr=None):
+    """One update over every parameter in the map, with its gradient from
+    `grads` under the same name.
 
-    Gradients are read from the tensors' `grad`, so every parameter must
-    have been reached by the last `backward`. Weight decay is decoupled
-    (applied to the value, not folded into the gradient). A missing or
-    non-finite gradient aborts before a single value is touched.
+    Weight decay is decoupled (applied to the value, not folded into the
+    gradient). A missing or non-finite gradient aborts before a single
+    value is touched.
     """
     lr = config.lr if lr is None else float(lr)
-    for name, t in params.items():
-        if t.grad is None:
-            raise UsageError(f"parameter {name!r} got no gradient from the "
-                             "last backward")
-        if not np.all(np.isfinite(t.grad)):
+    for name in params:
+        g = grads.get(name)
+        if g is None:
+            raise UsageError(f"parameter {name!r} got no gradient")
+        if not np.isfinite(g).all():
             raise NumericsError(
                 f"non-finite gradient in {name!r} at step {state['step'] + 1}")
     state["step"] += 1
     k = state["step"]
     for name, t in params.items():
-        g = t.grad
+        g = grads[name]
         if config.weight_decay > 0.0:
             t.values -= lr * config.weight_decay * t.values
         if config.optimizer == "sgd":
             buf = state["m"].get(name)
-            # a copy on the first step: the momentum must not alias t.grad
+            # a copy on the first step: the momentum must not alias g
             buf = g.copy() if buf is None else config.momentum * buf + g
             state["m"][name] = buf
             t.values -= lr * buf
@@ -245,16 +252,6 @@ def buffer_commit(buffer: RehearsalBuffer, task_data, model, rng=None):
 
 
 # ---------------------------------------------------------------------------
-# projector
-
-def _projector_loss(model, z_old_values, target_values):
-    """Mean squared projector residual; target enters as a plain value."""
-    pred = model.projector_graph(ad.constant(z_old_values))
-    diff = ad.sub(pred, ad.constant(target_values))
-    return ad.scale(ad.sum_squares(diff), 1.0 / len(target_values))
-
-
-# ---------------------------------------------------------------------------
 # batch plumbing shared by both code paths (index arithmetic only)
 
 def _epoch_batches(n, batch_size, rng):
@@ -302,6 +299,15 @@ def _task_arrays(model, task_data, buffer):
     return x_cur, y_cur
 
 
+def _take_grads(params):
+    """The gradients the last `backward` left on the leaves, moved off them
+    so that no leaf keeps one."""
+    grads = {}
+    for name, p in params.items():
+        grads[name], p.grad = p.grad, None
+    return grads
+
+
 def _check_finite(params):
     """Raise NumericsError if any parameter value is NaN or infinite."""
     for name, p in params.items():
@@ -345,6 +351,214 @@ def _append_jsonl(path, records):
 
 
 # ---------------------------------------------------------------------------
+# the objective of one step, differentiated by hand
+
+def _check_labels(labels, k):
+    if labels.min() < 0 or labels.max() >= k:
+        raise InputError(f"label out of range for {k} classes")
+
+
+def _sum_in_order(parts):
+    """A gradient with several contributions, summed as `autodiff.backward`
+    sums it: in the given order, the first copied and the rest added in
+    place. A part `(k, g)` comes through a row slice and adds into the
+    first k rows only; it is never the first part."""
+    total = np.array(parts[0])
+    for part in parts[1:]:
+        if isinstance(part, tuple):
+            total[:part[0]] += part[1]
+        else:
+            total += part
+    return total
+
+
+def _ce(logits, labels):
+    """Mean cross-entropy of the softmax rows against the labels:
+    (value, gradient at weight 1, which is (softmax - onehot) / n)."""
+    n = len(labels)
+    rows = np.arange(n)
+    ls = ad.log_softmax(logits)
+    value = float(-ls[rows, labels].sum() / n)
+    g = np.exp(ls)
+    g[rows, labels] -= 1.0
+    g /= n
+    return value, g
+
+
+def _nlcp(logits, labels, weight, eps=1e-12):
+    """Mean -log(1 - softmax[label] + eps) over the rows, the necessity
+    half of the surrogate: (value, gradient at `weight`)."""
+    n = len(labels)
+    rows = np.arange(n)
+    p = ad.softmax(logits)
+    py = p[rows, labels]
+    s = 1.0 - py + eps
+    g = -(py / s)[:, None] * p
+    g[rows, labels] += py / s
+    return float(-np.log(s).sum() / n), g * (weight / n)
+
+
+def _kl(a, b, weight):
+    """Mean KL(softmax(a) || softmax(b)) over the rows: (value, gradient in
+    a, gradient in b), both at `weight`."""
+    n = len(a)
+    la = ad.log_softmax(a)
+    lb = ad.log_softmax(b)
+    p = np.exp(la)
+    r = la - lb
+    row_kl = np.sum(p * r, axis=-1, keepdims=True)
+    go = weight / n
+    return float(row_kl.sum() / n), go * p * (r - row_kl), go * (np.exp(lb) - p)
+
+
+def _objective(model, xb, yb, n_c, frozen, config: TrainConfig, use_cls,
+               use_intra, use_inter):
+    """Loss values and gradients of one step of the objective.
+
+    `xb`/`yb` are the batch, its first `n_c` rows from the current task.
+    `frozen` is the frozen block of the combined representation, or None
+    when the batch holds current rows only; with it come the rehearsal
+    rows' share of the terms and the auxiliary loss. Returns (losses,
+    grads): the value of each enabled term of LOSS_KEYS (inter before its
+    weight lam), and the gradient of the weighted total for every entry of
+    `_param_set`.
+
+    Each value and gradient is computed with the numpy expression of the
+    `autodiff` op the same term would use, and a gradient with several
+    contributions sums them in the order that graph's reverse topological
+    order visits the consumers; the result is the graph's to the bit, and
+    the tests keep the graph as the reference. The counterfactuals enter as
+    constant offsets from the factual representation, so no gradient
+    reaches the generators.
+    """
+    lo = model.class_offsets[-1][0]
+    mixed = frozen is not None
+    heads = {name: h.values for name, h in model.heads.items()}
+    ext = model.extractors[-1]
+    ws = [ext.params[f"w{i}"].values for i in range(ext.n_layers)]
+    acts, masks = [xb], []
+    h = xb
+    for i, w in enumerate(ws):
+        h = h @ w.T + ext.params[f"b{i}"].values
+        if i < len(ws) - 1:
+            masks.append(h > 0.0)
+            h = np.where(masks[-1], h, 0.0)
+            acts.append(h)
+    c_hat = h
+    z = np.concatenate([frozen, c_hat], axis=1) if mixed else c_hat
+    losses, grads = {}, {}
+    # contributions by consumer: into z (c_hat itself when not mixed), into
+    # the current rows of c_hat, and into the classifier
+    z_parts, cur_parts, cls_w_parts, cls_b_parts = [], [], [], []
+    if use_cls:
+        cls_w, cls_b = heads["cls_w"], heads["cls_b"]
+        _check_labels(yb, len(cls_b))
+        losses["cls"], g_cls = _ce(z @ cls_w.T + cls_b, yb)
+        z_parts.append(g_cls @ cls_w)
+        cls_w_parts.append(g_cls.T @ z)
+        cls_b_parts.append(g_cls.sum(axis=0))
+    if mixed:
+        aux_w, aux_b = heads["aux_w"], heads["aux_b"]
+        aux_labels = np.where(yb >= lo, yb - lo, model.current_class_count)
+        _check_labels(aux_labels, len(aux_b))
+        losses["aux"], g_aux = _ce(c_hat @ aux_w.T + aux_b, aux_labels)
+        aux_part = g_aux @ aux_w
+        grads["aux_w"] = g_aux.T @ c_hat
+        grads["aux_b"] = g_aux.sum(axis=0)
+    if use_intra:
+        w_i, b_i = heads["intra_w"], heads["intra_b"]
+        c_cur = c_hat[:n_c] if mixed else c_hat
+        y_local = yb[:n_c] - lo
+        _check_labels(y_local, len(b_i))
+        cfs_i, _, _, _ = cf.generate_intra_batch(
+            c_cur, y_local, w_i, b_i, alpha=config.gen.alpha,
+            epsilon=config.gen.epsilon, metric=config.gen.metric)
+        cbar_i = c_cur + (cfs_i - c_cur)
+        suff, g_suff = _ce(c_cur @ w_i.T + b_i, y_local)
+        nec, g_nec = _nlcp(cbar_i @ w_i.T + b_i, y_local, config.nu)
+        losses["intra"] = suff + nec * config.nu
+        grads["intra_w"] = _sum_in_order([g_suff.T @ c_cur, g_nec.T @ cbar_i])
+        grads["intra_b"] = _sum_in_order([g_suff.sum(axis=0),
+                                          g_nec.sum(axis=0)])
+        cur_parts += [g_suff @ w_i, g_nec @ w_i]
+        if config.gamma > 0:
+            losses["kl"], g_a, g_b = _kl(c_cur, cbar_i, config.gamma)
+            cur_parts += [g_a, g_b]
+    if use_inter:
+        head = model.inter_head
+        w_e, b_e = heads[f"{head}_w"], heads[f"{head}_b"]
+        cfs_e, _, _, _ = cf.generate_inter_batch(
+            c_hat, model.project_values(frozen), beta=config.gen.beta,
+            epsilon=config.gen.epsilon, metric=config.gen.metric)
+        cbar_e = z + (np.concatenate([frozen, cfs_e], axis=1) - z)
+        if head == "cls":  # tied: the sufficiency logits are the cls ones
+            suff, g_suff = losses["cls"], g_cls
+        else:
+            suff, g_suff = _ce(z @ w_e.T + b_e, yb)
+        nec, g_nec = _nlcp(cbar_e @ w_e.T + b_e, yb, config.lam * config.nu)
+        losses["inter"] = suff + nec * config.nu
+        g_suff = g_suff * config.lam
+        z_parts += [g_suff @ w_e, g_nec @ w_e]
+        w_parts = [g_suff.T @ z, g_nec.T @ cbar_e]
+        b_parts = [g_suff.sum(axis=0), g_nec.sum(axis=0)]
+        if head == "cls":
+            cls_w_parts += w_parts
+            cls_b_parts += b_parts
+        else:
+            grads["inter_w"] = _sum_in_order(w_parts)
+            grads["inter_b"] = _sum_in_order(b_parts)
+        if config.gamma > 0:
+            kl_e, g_a_e, g_b_e = _kl(c_hat, c_hat + (cfs_e - c_hat),
+                                     config.gamma)
+            losses["kl"] = losses["kl"] + kl_e
+        # projector fit; the target c_hat enters as a plain value
+        w0, w1 = heads["proj_w0"], heads["proj_w1"]
+        pre = frozen @ w0.T + heads["proj_b0"]
+        mask = pre > 0.0
+        hidden = np.where(mask, pre, 0.0)
+        diff = hidden @ w1.T + heads["proj_b1"] - c_hat
+        k = 1.0 / len(c_hat)
+        losses["proj"] = float(np.sum(diff * diff) * k)
+        g_pred = 2.0 * diff * k
+        grads["proj_w1"] = g_pred.T @ hidden
+        grads["proj_b1"] = g_pred.sum(axis=0)
+        g_pre = (g_pred @ w1) * mask
+        grads["proj_w0"] = g_pre.T @ frozen
+        grads["proj_b0"] = g_pre.sum(axis=0)
+    if use_cls:
+        grads["cls_w"] = _sum_in_order(cls_w_parts)
+        grads["cls_b"] = _sum_in_order(cls_b_parts)
+    # c_hat's gradient sums its consumers' contributions in the order the
+    # graph's backward reaches them: the reverse of the order in which its
+    # depth-first toposort finishes them. That search takes the terms
+    # (cls, aux, intra, inter, kl, proj) last to first, and a consumer
+    # finishes in the last term that uses it, so the consumers come in the
+    # order of that term; inside the kl term the current rows come first.
+    # Unmixed, c_hat is z and the current rows at once, so the cls and
+    # intra contributions reach it one by one.
+    if not mixed:
+        c_parts = z_parts + cur_parts
+    else:
+        z_part = _sum_in_order(z_parts)[:, frozen.shape[1]:]
+        cur = (n_c, _sum_in_order(cur_parts)) if cur_parts else None
+        if not use_inter:
+            c_parts = [z_part, aux_part, cur]
+        elif config.gamma > 0:
+            c_parts = [aux_part, z_part, cur, g_a_e, g_b_e]
+        else:
+            c_parts = [aux_part, cur, z_part]
+        c_parts = [part for part in c_parts if part is not None]
+    g = _sum_in_order(c_parts)
+    prefix = f"f{model.current_task}/"
+    for i in reversed(range(len(ws))):
+        grads[f"{prefix}w{i}"] = g.T @ acts[i]
+        grads[f"{prefix}b{i}"] = g.sum(axis=0)
+        if i:
+            g = (g @ ws[i]) * masks[i - 1]
+    return losses, grads
+
+
+# ---------------------------------------------------------------------------
 # the two-stage objective
 
 def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
@@ -364,14 +578,8 @@ def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
         raise AssertionError(
             "inter-scope counterfactuals requested during stage 1")
     t = model.current_task
-    lo = model.class_offsets[-1][0]
-    cur_count = model.current_class_count
     params = _param_set(model, use_cls, use_intra, use_inter)
     state = make_optimizer_state()
-    w_i, b_i = model.heads["intra_w"], model.heads["intra_b"]
-    if use_inter:  # a separate inter head does not exist on the first task
-        head = model.inter_head
-        w_e, b_e = model.heads[f"{head}_w"], model.heads[f"{head}_b"]
     mixed = use_cls and t >= 1
     probe_buf = buffer.samples() if mixed else None
     buf_x, buf_y = probe_buf if mixed else (None, None)
@@ -390,60 +598,12 @@ def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
                 bsel = _buffer_minibatch(len(buf_x), n_c, rng)
                 xb = np.concatenate([xb, buf_x[bsel]])
                 yb = np.concatenate([yb, buf_y[bsel]])
-            c_hat = model.current_feature_graph(ad.constant(xb))
-            frozen_np = model.frozen_concat_np(xb) if mixed else None
-            z = (ad.concat([ad.constant(frozen_np), c_hat])
-                 if mixed else c_hat)
-            terms = []
-            if use_cls:
-                cls_loss = ad.softmax_cross_entropy(model.head_graph("cls", z), yb)
-                sums["cls"] += float(cls_loss.values)
-                terms.append(cls_loss)
-            if mixed:
-                aux_labels = np.where(yb >= lo, yb - lo, cur_count)
-                aux_loss = ad.softmax_cross_entropy(
-                    model.head_graph("aux", c_hat), aux_labels)
-                sums["aux"] += float(aux_loss.values)
-                terms.append(aux_loss)
-            kl_terms = []
-            if use_intra:
-                c_cur = ad.take_rows(c_hat, 0, n_c) if mixed else c_hat
-                y_local = yb[:n_c] - lo
-                cfs_i, _, _, _ = cf.generate_intra_batch(
-                    c_cur.values, y_local, w_i.values, b_i.values,
-                    alpha=config.gen.alpha, epsilon=config.gen.epsilon,
-                    metric=config.gen.metric)
-                intra_loss = surrogate_intra_loss(c_cur, cfs_i, y_local,
-                                                  w_i, b_i, nu=config.nu)
-                sums["intra"] += float(intra_loss.values)
-                terms.append(intra_loss)
-                if config.gamma > 0:
-                    kl_terms.append(ad.kl_softmax(
-                        c_cur, ad.add(c_cur, ad.constant(cfs_i - c_cur.values))))
-            if use_inter:
-                proj_vals = model.project_values(frozen_np)
-                cfs_e, _, _, _ = cf.generate_inter_batch(
-                    c_hat.values, proj_vals, beta=config.gen.beta,
-                    epsilon=config.gen.epsilon, metric=config.gen.metric)
-                z_cf = np.concatenate([frozen_np, cfs_e], axis=1)
-                inter_loss = surrogate_intra_loss(z, z_cf, yb, w_e, b_e,
-                                                  nu=config.nu)
-                sums["inter"] += float(inter_loss.values)
-                terms.append(ad.scale(inter_loss, config.lam))
-                if config.gamma > 0:
-                    kl_terms.append(ad.kl_softmax(
-                        c_hat, ad.add(c_hat, ad.constant(cfs_e - c_hat.values))))
-            if kl_terms:
-                kl_total = ad.add_scalars(kl_terms)
-                sums["kl"] += float(kl_total.values)
-                terms.append(ad.scale(kl_total, config.gamma))
-            if use_inter:
-                proj_loss = _projector_loss(model, frozen_np, c_hat.values)
-                sums["proj"] += float(proj_loss.values)
-                terms.append(proj_loss)
-            total = terms[0] if len(terms) == 1 else ad.add_scalars(terms)
-            ad.backward(total)
-            optimizer_step(params, state, config, lr=lr)
+            frozen = model.frozen_concat_np(xb) if mixed else None
+            losses, grads = _objective(model, xb, yb, n_c, frozen, config,
+                                       use_cls, use_intra, use_inter)
+            for key, value in losses.items():
+                sums[key] += value
+            optimizer_step(params, grads, state, config, lr=lr)
         _check_finite(params)
         report = (_probe_report(model, x_cur, y_cur, probe_buf, config)
                   if stage == 2 else None)
@@ -547,7 +707,7 @@ def train_task_baseline(model, task_data, buffer, config: TrainConfig, rng,
                 terms.append(aux_loss)
             total = terms[0] if len(terms) == 1 else ad.add_scalars(terms)
             ad.backward(total)
-            optimizer_step(params, state, config, lr=lr)
+            optimizer_step(params, _take_grads(params), state, config, lr=lr)
         _check_finite(params)
         report = _probe_report(model, x_cur, y_cur, probe_buf, config)
         wall = (time.perf_counter() - t0) * 1000.0

@@ -1,0 +1,223 @@
+"""Reference implementations the package no longer runs.
+
+The regularized trainer computes its objective and gradients by hand
+(`trainer._objective`). The graph version of that objective lives here:
+the autodiff ops only it used, the surrogate loss, the projector fit, and
+`graph_objective`, which assembles one training step as an autodiff graph.
+The tests hold the hand-derived objective to it bit for bit, and hold
+these ops to finite differences.
+
+The ops follow the closure convention of `cpnslab.autodiff`: a backward
+closure takes its node's gradient and refers only to the parents.
+"""
+
+import numpy as np
+
+from cpnslab import autodiff as ad
+from cpnslab import counterfactual as cf
+from cpnslab import trainer as tr
+from cpnslab.autodiff import Tensor, _accumulate, _batch_labels, _require_batch
+from cpnslab.errors import ConfigurationError, InputError, UsageError
+
+
+# ---------------------------------------------------------------------------
+# graph ops
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise ConfigurationError(f"add: shape mismatch {a.shape} vs {b.shape}")
+
+    def _backward(go):
+        _accumulate(a, go)
+        _accumulate(b, go)
+
+    return Tensor(a.values + b.values, (a, b), "add", _backward)
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise ConfigurationError(f"sub: shape mismatch {a.shape} vs {b.shape}")
+
+    def _backward(go):
+        _accumulate(a, go)
+        if b.op != "const":
+            _accumulate(b, -go)
+
+    return Tensor(a.values - b.values, (a, b), "sub", _backward)
+
+
+def scale(a: Tensor, k: float) -> Tensor:
+    k = float(k)
+
+    def _backward(go):
+        _accumulate(a, go * k)
+
+    return Tensor(a.values * k, (a,), "scale", _backward)
+
+
+def take_rows(a: Tensor, lo: int, hi: int) -> Tensor:
+    """Contiguous row slice a[lo:hi] of a batched node.
+
+    Pass-through gradient into the sliced rows; the remaining rows of the
+    parent receive nothing (zeros, if this is the parent's first
+    contribution).
+    """
+    _require_batch(a, "take_rows")
+    lo, hi = int(lo), int(hi)
+    if not 0 <= lo <= hi <= a.shape[0]:
+        raise InputError(f"take_rows: range [{lo}, {hi}) outside {a.shape[0]} rows")
+
+    def _backward(go):
+        if a.op == "const":
+            return
+        if a.grad is None:
+            a.grad = np.zeros_like(a.values)
+        a.grad[lo:hi] += go
+
+    return Tensor(a.values[lo:hi].copy(), (a,), "rows", _backward)
+
+
+def sum_squares(a: Tensor) -> Tensor:
+    """Scalar sum of all squared entries."""
+
+    def _backward(go):
+        _accumulate(a, 2.0 * a.values * float(go))
+
+    return Tensor(np.asarray(np.sum(a.values * a.values)), (a,),
+                  "sum_squares", _backward)
+
+
+def kl_softmax(a: Tensor, b: Tensor) -> Tensor:
+    """Mean over rows of KL(softmax(a) || softmax(b)); >= 0, zero iff each
+    row of a - b is constant. Differentiable with respect to both."""
+    _require_batch(a, "kl_softmax")
+    if a.shape != b.shape:
+        raise ConfigurationError(f"kl_softmax: shape mismatch {a.shape} vs {b.shape}")
+    la = ad.log_softmax(a.values)
+    lb = ad.log_softmax(b.values)
+    p = np.exp(la)
+    r = la - lb
+    n = a.shape[0]
+    q = np.exp(lb)
+
+    def _backward(go):
+        go = float(go) / n
+        inner = np.sum(p * r, axis=-1, keepdims=True)
+        _accumulate(a, go * p * (r - inner))
+        _accumulate(b, go * (q - p))
+
+    return Tensor(np.asarray(np.sum(p * r, axis=-1).sum() / n), (a, b),
+                  "kl_softmax", _backward)
+
+
+def neglog_complement_prob(logits: Tensor, label, eps=1e-12) -> Tensor:
+    """Mean over rows of -log(1 - softmax(logits)[label] + eps)."""
+    labels = _batch_labels(logits, label, "neglog_complement_prob")
+    n = logits.shape[0]
+    p = ad.softmax(logits.values)
+    py = p[np.arange(n), labels]
+    s = 1.0 - py + eps
+
+    def _backward(go):
+        go = float(go) / n
+        g = -(py / s)[:, None] * p
+        g[np.arange(n), labels] += py / s
+        _accumulate(logits, g * go)
+
+    return Tensor(np.asarray(-np.log(s).sum() / n), (logits,), "nlcp",
+                  _backward)
+
+
+# ---------------------------------------------------------------------------
+# the objective as a graph
+
+def surrogate_intra_loss(factual: Tensor, counterfactual_values, labels,
+                         w: Tensor, b: Tensor, nu=1.0) -> Tensor:
+    """Cross-entropy on the factual feature plus nu times the negative
+    log-complement of the true-class probability on the counterfactual,
+    which enters as a constant offset from the factual node."""
+    suff = ad.softmax_cross_entropy(ad.linear(factual, w, b), labels)
+    delta = ad.constant(np.asarray(counterfactual_values) - factual.values)
+    cbar = add(factual, delta)
+    nec = neglog_complement_prob(ad.linear(cbar, w, b), labels)
+    return ad.add_scalars([suff, scale(nec, nu)])
+
+
+def projector_graph(model, zold_node: Tensor) -> Tensor:
+    if "proj_w0" not in model.heads:
+        raise UsageError("projector is absent on the first task")
+    h = ad.relu(ad.linear(zold_node, model.heads["proj_w0"],
+                          model.heads["proj_b0"]))
+    return ad.linear(h, model.heads["proj_w1"], model.heads["proj_b1"])
+
+
+def projector_loss(model, z_old_values, target_values):
+    """Mean squared projector residual; target enters as a plain value."""
+    pred = projector_graph(model, ad.constant(z_old_values))
+    diff = sub(pred, ad.constant(target_values))
+    return scale(sum_squares(diff), 1.0 / len(target_values))
+
+
+def graph_objective(model, xb, yb, n_c, frozen, config, use_cls, use_intra,
+                    use_inter):
+    """`trainer._objective` as an autodiff graph: same arguments, same
+    (losses, grads) result. The gradients are taken off the leaves."""
+    lo = model.class_offsets[-1][0]
+    cur_count = model.current_class_count
+    mixed = frozen is not None
+    params = tr._param_set(model, use_cls, use_intra, use_inter)
+    w_i, b_i = model.heads["intra_w"], model.heads["intra_b"]
+    if use_inter:
+        head = model.inter_head
+        w_e, b_e = model.heads[f"{head}_w"], model.heads[f"{head}_b"]
+    losses = {}
+    c_hat = model.current_feature_graph(ad.constant(xb))
+    z = ad.concat([ad.constant(frozen), c_hat]) if mixed else c_hat
+    terms = []
+    if use_cls:
+        cls_loss = ad.softmax_cross_entropy(model.head_graph("cls", z), yb)
+        losses["cls"] = float(cls_loss.values)
+        terms.append(cls_loss)
+    if mixed:
+        aux_labels = np.where(yb >= lo, yb - lo, cur_count)
+        aux_loss = ad.softmax_cross_entropy(model.head_graph("aux", c_hat),
+                                            aux_labels)
+        losses["aux"] = float(aux_loss.values)
+        terms.append(aux_loss)
+    kl_terms = []
+    if use_intra:
+        c_cur = take_rows(c_hat, 0, n_c) if mixed else c_hat
+        y_local = yb[:n_c] - lo
+        cfs_i, _, _, _ = cf.generate_intra_batch(
+            c_cur.values, y_local, w_i.values, b_i.values,
+            alpha=config.gen.alpha, epsilon=config.gen.epsilon,
+            metric=config.gen.metric)
+        intra_loss = surrogate_intra_loss(c_cur, cfs_i, y_local, w_i, b_i,
+                                          nu=config.nu)
+        losses["intra"] = float(intra_loss.values)
+        terms.append(intra_loss)
+        if config.gamma > 0:
+            kl_terms.append(kl_softmax(
+                c_cur, add(c_cur, ad.constant(cfs_i - c_cur.values))))
+    if use_inter:
+        proj_vals = model.project_values(frozen)
+        cfs_e, _, _, _ = cf.generate_inter_batch(
+            c_hat.values, proj_vals, beta=config.gen.beta,
+            epsilon=config.gen.epsilon, metric=config.gen.metric)
+        z_cf = np.concatenate([frozen, cfs_e], axis=1)
+        inter_loss = surrogate_intra_loss(z, z_cf, yb, w_e, b_e, nu=config.nu)
+        losses["inter"] = float(inter_loss.values)
+        terms.append(scale(inter_loss, config.lam))
+        if config.gamma > 0:
+            kl_terms.append(kl_softmax(
+                c_hat, add(c_hat, ad.constant(cfs_e - c_hat.values))))
+    if kl_terms:
+        kl_total = ad.add_scalars(kl_terms)
+        losses["kl"] = float(kl_total.values)
+        terms.append(scale(kl_total, config.gamma))
+    if use_inter:
+        proj_loss = projector_loss(model, frozen, c_hat.values)
+        losses["proj"] = float(proj_loss.values)
+        terms.append(proj_loss)
+    ad.backward(terms[0] if len(terms) == 1 else ad.add_scalars(terms))
+    return losses, tr._take_grads(params)

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from conftest import numeric_grad, rel_err
+import oracles
 
 from cpnslab import autodiff as ad
 from cpnslab import counterfactual as cf
@@ -221,7 +222,7 @@ def _check_grads(pairs, builders, tol=1e-4):
         assert rel_err(tensor.grad, want) < tol
 
 
-def test_gradients_match_finite_differences():
+def test_gradients_match_finite_differences(monkeypatch):
     start = time.perf_counter()
     for j in range(100):
         rng = np.random.default_rng(1000 + j)
@@ -234,7 +235,7 @@ def test_gradients_match_finite_differences():
             t = (ad.leaf(x if x is not None else xv),
                  ad.leaf(w if w is not None else wv),
                  ad.leaf(b if b is not None else bv))
-            return t, ad.sum_squares(ad.linear(*t))
+            return t, oracles.sum_squares(ad.linear(*t))
 
         (x, w, b), root = linear_loss()
         ad.backward(root)
@@ -249,7 +250,7 @@ def test_gradients_match_finite_differences():
         xv = rng.normal(size=(3, 4))
         xv += 0.2 * np.sign(xv)        # keep every entry away from the kink
         x = ad.leaf(xv)
-        root = ad.sum_squares(ad.relu(x))
+        root = oracles.sum_squares(ad.relu(x))
         ad.backward(root)
         want = numeric_grad(
             lambda v: float(np.sum(np.maximum(v, 0.0) ** 2)), xv)
@@ -272,18 +273,20 @@ def test_gradients_match_finite_differences():
         n, c = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         av, bv2 = rng.normal(size=(n, c)), rng.normal(size=(n, c))
         a, b2 = ad.leaf(av), ad.leaf(bv2)
-        ad.backward(ad.kl_softmax(a, b2))
+        ad.backward(oracles.kl_softmax(a, b2))
         ga = numeric_grad(
-            lambda v: float(ad.kl_softmax(ad.leaf(v), ad.leaf(bv2)).values), av)
+            lambda v: float(oracles.kl_softmax(ad.leaf(v), ad.leaf(bv2)).values),
+            av)
         gb = numeric_grad(
-            lambda v: float(ad.kl_softmax(ad.leaf(av), ad.leaf(v)).values), bv2)
+            lambda v: float(oracles.kl_softmax(ad.leaf(av), ad.leaf(v)).values),
+            bv2)
         assert rel_err(a.grad, ga) < 1e-4
         assert rel_err(b2.grad, gb) < 1e-4
 
     # the surrogate loss, with the perturbation offset held fixed so finite
     # differences probe the same function the graph differentiates; both
     # scopes use it, so each scope's seed range is checked
-    loss_fn = rk.surrogate_intra_loss
+    loss_fn = oracles.surrogate_intra_loss
     for kind in ("intra", "inter"):
         for j in range(100):
             rng = np.random.default_rng((5000 if kind == "intra" else 6000) + j)
@@ -308,6 +311,56 @@ def test_gradients_match_finite_differences():
                 {0: lambda v: float(build(f=v)[1].values),
                  1: lambda v: float(build(w=v)[1].values),
                  2: lambda v: float(build(b=v)[1].values)})
+
+    # the trainer's fused objective: every trained parameter's gradient
+    # against differences of the weighted total, with each scope's
+    # counterfactual held at a fixed offset from the factual, as the
+    # objective holds it; both inter-head modes, a 2-layer extractor. The
+    # projector's target is a plain value, so its term is left out of the
+    # differences for the extractor, whose output that target is
+    offsets = {}
+
+    def fixed(scope):
+        def generate(feats, *args, **kwargs):
+            return feats + offsets[scope], None, None, None
+        return generate
+
+    monkeypatch.setattr(cf, "generate_intra_batch", fixed("intra"))
+    monkeypatch.setattr(cf, "generate_inter_batch", fixed("inter"))
+    cfg = tr.TrainConfig(lam=0.7, gamma=1.3, nu=0.9)
+    flags = (True, True, True)
+    weights = {"inter": cfg.lam, "kl": cfg.gamma}
+    for j, separate in enumerate((False, True)):
+        rng = np.random.default_rng(7000 + j)
+        model = mdl.ExpandableModel(6, feature_dim=4, hidden_dims=(5, 4),
+                                    separate_inter_head=separate, seed=j)
+        model.expand(2).expand(2)
+        n_c, n = 3, 5
+        xb = rng.normal(size=(n, 6))
+        yb = np.concatenate([rng.integers(2, 4, n_c), rng.integers(0, 2, n - n_c)])
+        frozen = model.frozen_concat_np(xb)
+        offsets.update(intra=0.1 * rng.normal(size=(n_c, 4)),
+                       inter=0.1 * rng.normal(size=(n, 4)))
+
+        def total(name):
+            losses, _ = tr._objective(model, xb, yb, n_c, frozen, cfg, *flags)
+            if name.startswith("f1/"):
+                del losses["proj"]
+            return sum(weights.get(k, 1.0) * v for k, v in losses.items())
+
+        _, grads = tr._objective(model, xb, yb, n_c, frozen, cfg, *flags)
+        params = tr._param_set(model, *flags)
+        assert grads.keys() == params.keys()
+        for name, p in params.items():
+            base = p.values.copy()
+
+            def at(v):
+                p.values[...] = v
+                return total(name)
+
+            want = numeric_grad(at, base)
+            p.values[...] = base
+            assert rel_err(grads[name], want) < 1e-4, (separate, name)
 
     assert time.perf_counter() - start < 10.0
 

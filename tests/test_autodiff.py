@@ -1,9 +1,13 @@
 """Gradient checks for the reverse-mode engine.
 
-Every differentiable operation is compared against central finite
-differences (h = 1e-5). Individual ops must agree to relative error 1e-5;
-composites (multi-layer perceptron loss) to 1e-4.
+Every differentiable operation, those of `autodiff` and the graph ops kept
+in `oracles` as the trainer's reference, is compared against central
+finite differences (h = 1e-5). Individual ops must agree to relative error
+1e-5; composites (multi-layer perceptron loss) to 1e-4.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import numeric_grad, rel_err
+import oracles
 
 from cpnslab import autodiff as ad
 from cpnslab.errors import ConfigurationError, InputError, UsageError
@@ -73,7 +78,7 @@ def test_linear_batched_grads_vs_fd():
     wv = rng.normal(size=(3, 4))
     bv = rng.normal(size=3)
     x, w, b = ad.leaf(xv), ad.leaf(wv), ad.leaf(bv)
-    root = ad.sum_squares(ad.linear(x, w, b))
+    root = oracles.sum_squares(ad.linear(x, w, b))
     ad.backward(root)
 
     def f(part, which):
@@ -104,7 +109,7 @@ def test_relu_grads_vs_fd_away_from_zero(seed):
     xv = rng.normal(size=6)
     xv[np.abs(xv) < 1e-2] = 0.5  # keep clear of the kink
     x = ad.leaf(xv)
-    root = ad.sum_squares(ad.relu(x))
+    root = oracles.sum_squares(ad.relu(x))
     ad.backward(root)
     g = numeric_grad(lambda v: float(np.sum(np.maximum(v, 0.0) ** 2)), xv)
     assert rel_err(x.grad, g) < 1e-5
@@ -179,7 +184,7 @@ def _kl_np(a, b):
 
 def test_kl_zero_on_shifted_logits():
     a = np.array([[0.2, -1.0, 3.0]])
-    out = ad.kl_softmax(ad.leaf(a), ad.leaf(a + 5.0))
+    out = oracles.kl_softmax(ad.leaf(a), ad.leaf(a + 5.0))
     assert abs(float(out.values)) < 1e-12
 
 
@@ -188,7 +193,7 @@ def test_kl_zero_on_shifted_logits():
 @settings(max_examples=200, deadline=None)
 def test_kl_nonnegative(a, b):
     k = min(len(a), len(b))
-    val = float(ad.kl_softmax(ad.leaf([a[:k]]), ad.leaf([b[:k]])).values)
+    val = float(oracles.kl_softmax(ad.leaf([a[:k]]), ad.leaf([b[:k]])).values)
     assert val >= -1e-12
 
 
@@ -198,7 +203,7 @@ def test_kl_grads_both_args_vs_fd(seed):
     av = rng.normal(size=(1, 5))
     bv = rng.normal(size=(1, 5))
     a, b = ad.leaf(av), ad.leaf(bv)
-    ad.backward(ad.kl_softmax(a, b))
+    ad.backward(oracles.kl_softmax(a, b))
     assert rel_err(a.grad, numeric_grad(lambda v: _kl_np(v, bv), av)) < 1e-5
     assert rel_err(b.grad, numeric_grad(lambda v: _kl_np(av, v), bv)) < 1e-5
 
@@ -208,7 +213,7 @@ def test_kl_batched_grads_vs_fd():
     av = rng.normal(size=(3, 4))
     bv = rng.normal(size=(3, 4))
     a, b = ad.leaf(av), ad.leaf(bv)
-    ad.backward(ad.kl_softmax(a, b))
+    ad.backward(oracles.kl_softmax(a, b))
     assert rel_err(a.grad, numeric_grad(lambda v: _kl_np(v, bv), av)) < 1e-5
     assert rel_err(b.grad, numeric_grad(lambda v: _kl_np(av, v), bv)) < 1e-5
 
@@ -223,7 +228,7 @@ def _nlcp_np(v, y, eps=1e-12):
 
 
 def test_neglog_complement_uniform_two_class():
-    out = ad.neglog_complement_prob(ad.leaf(np.zeros((1, 2))), [0])
+    out = oracles.neglog_complement_prob(ad.leaf(np.zeros((1, 2))), [0])
     assert abs(float(out.values) - (-np.log(0.5 + 1e-12))) < 1e-12
 
 
@@ -233,7 +238,7 @@ def test_neglog_complement_grads_vs_fd(seed):
     lv = rng.normal(size=(1, 5))
     y = int(rng.integers(5))
     logits = ad.leaf(lv)
-    ad.backward(ad.neglog_complement_prob(logits, [y]))
+    ad.backward(oracles.neglog_complement_prob(logits, [y]))
     g = numeric_grad(lambda v: _nlcp_np(v[0], y), lv)
     assert rel_err(logits.grad, g) < 1e-5
 
@@ -243,7 +248,7 @@ def test_neglog_complement_batched_grads_vs_fd():
     lv = rng.normal(size=(4, 3))
     ys = rng.integers(3, size=4)
     logits = ad.leaf(lv)
-    ad.backward(ad.neglog_complement_prob(logits, ys))
+    ad.backward(oracles.neglog_complement_prob(logits, ys))
     g = numeric_grad(
         lambda v: float(np.mean([_nlcp_np(v[i], ys[i]) for i in range(4)])), lv)
     assert rel_err(logits.grad, g) < 1e-5
@@ -254,7 +259,7 @@ def test_neglog_complement_batched_grads_vs_fd():
 
 def test_sum_squares_anchor():
     x = ad.leaf([1.0, 2.0])
-    out = ad.sum_squares(x)
+    out = oracles.sum_squares(x)
     assert float(out.values) == 5.0
     ad.backward(out)
     np.testing.assert_array_equal(x.grad, [2.0, 4.0])
@@ -264,7 +269,7 @@ def test_concat_routes_gradients():
     rng = _rng(13)
     av, bv = rng.normal(size=(1, 3)), rng.normal(size=(1, 2))
     a, b = ad.leaf(av), ad.leaf(bv)
-    ad.backward(ad.sum_squares(ad.concat([a, b])))
+    ad.backward(oracles.sum_squares(ad.concat([a, b])))
     joint = np.concatenate([av, bv], axis=1)
     g = numeric_grad(lambda v: float(np.sum(v * v)), joint)
     assert rel_err(a.grad, g[:, :3]) < 1e-5
@@ -275,7 +280,7 @@ def test_concat_batched_routes_gradients():
     rng = _rng(14)
     av, bv = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
     a, b = ad.leaf(av), ad.leaf(bv)
-    ad.backward(ad.sum_squares(ad.concat([a, b])))
+    ad.backward(oracles.sum_squares(ad.concat([a, b])))
     np.testing.assert_allclose(a.grad, 2.0 * av, rtol=1e-12)
     np.testing.assert_allclose(b.grad, 2.0 * bv, rtol=1e-12)
 
@@ -291,7 +296,8 @@ def test_add_sub_scale_composite_vs_fd():
     rng = _rng(15)
     av, bv = rng.normal(size=4), rng.normal(size=4)
     a, b = ad.leaf(av), ad.leaf(bv)
-    root = ad.sum_squares(ad.add(ad.scale(a, 3.0), ad.sub(a, b)))
+    root = oracles.sum_squares(
+        oracles.add(oracles.scale(a, 3.0), oracles.sub(a, b)))
     ad.backward(root)
 
     def f(x, y):
@@ -314,8 +320,8 @@ def test_sum_picked_grads():
 
 def test_add_scalars_combines_losses():
     x = ad.leaf([1.0, 2.0])
-    t1 = ad.sum_squares(x)
-    t2 = ad.scale(ad.sum_squares(x), 0.5)
+    t1 = oracles.sum_squares(x)
+    t2 = oracles.scale(oracles.sum_squares(x), 0.5)
     root = ad.add_scalars([t1, t2])
     assert abs(float(root.values) - 7.5) < 1e-12
     ad.backward(root)
@@ -383,7 +389,7 @@ def test_backward_requires_scalar_root():
 def test_shared_subgraph_accumulates_once_per_path():
     # y = sum_squares(x) used twice through add_scalars: grads double.
     x = ad.leaf([1.0, 2.0])
-    t = ad.sum_squares(x)
+    t = oracles.sum_squares(x)
     ad.backward(ad.add_scalars([t, t]))
     np.testing.assert_array_equal(x.grad, [4.0, 8.0])
 
@@ -395,7 +401,7 @@ def test_grad_wrt_intermediate_matches_fd():
     bv = rng.normal(size=4)
     x, w, b = ad.leaf(xv), ad.leaf(wv), ad.leaf(bv)
     z = ad.linear(x, w, b)
-    root = ad.sum_squares(ad.relu(z))
+    root = oracles.sum_squares(ad.relu(z))
     ad.backward(root)
     g = z.grad
     zv = xv @ wv.T + bv
@@ -421,7 +427,7 @@ def _eager_backward(root):
     root.grad += 1.0
     for node in reversed(order):
         if node._backward_fn is not None:
-            node._backward_fn()
+            node._backward_fn(node.grad)
 
 
 def _shared_graph(seed=31):
@@ -431,7 +437,7 @@ def _shared_graph(seed=31):
     w = ad.leaf(rng.normal(size=(5, 4)))
     b = ad.leaf(rng.normal(size=5))
     z = ad.linear(x, w, b)
-    root = ad.add_scalars([ad.sum_squares(z), ad.sum_picked(z, [0, 4, 2])])
+    root = ad.add_scalars([oracles.sum_squares(z), ad.sum_picked(z, [0, 4, 2])])
     return x, w, b, z, root
 
 
@@ -443,7 +449,7 @@ def test_no_node_has_a_gradient_before_backward():
 def test_leaf_the_root_does_not_reach_keeps_no_gradient():
     rng = _rng(35)
     x, unused = ad.leaf(rng.normal(size=(2, 3))), ad.leaf(rng.normal(size=3))
-    ad.backward(ad.sum_squares(x))
+    ad.backward(oracles.sum_squares(x))
     assert unused.grad is None
     np.testing.assert_array_equal(x.grad, 2.0 * x.values)
 
@@ -464,11 +470,11 @@ def test_constant_input_gets_no_gradient_and_no_input_product():
         out = ad.linear(x, w, b)
         w.values = w.values.view(Spy)  # only `go @ w.values` reads it now
         calls.clear()
-        ad.backward(ad.sum_squares(out))
+        ad.backward(oracles.sum_squares(out))
         assert calls == want_calls
         np.testing.assert_array_equal(w.grad, 2.0 * out.values.T @ xv)
     const = ad.constant(xv)
-    ad.backward(ad.sum_squares(ad.add(ad.leaf(xv), const)))
+    ad.backward(oracles.sum_squares(oracles.add(ad.leaf(xv), const)))
     assert const.grad is None
 
 
@@ -490,16 +496,38 @@ def test_repeated_backward_gives_the_same_leaf_and_interior_gradients():
     for t, g in zip((x, w, b, z), once):
         np.testing.assert_array_equal(t.grad, g)
     # a second root over the same leaves replaces their gradient, too
-    ad.backward(ad.sum_squares(x))
+    ad.backward(oracles.sum_squares(x))
     np.testing.assert_array_equal(x.grad, 2.0 * x.values)
+
+
+def test_a_dropped_graph_is_freed_without_the_cycle_collector():
+    # closures get their node's gradient as an argument and hold only the
+    # parents, so a graph has no reference cycle to wait for gc with
+    rng = _rng(36)
+    x = ad.leaf(rng.normal(size=(4, 3)))
+    w0, b0 = ad.leaf(rng.normal(size=(5, 3))), ad.leaf(rng.normal(size=5))
+    w1, b1 = ad.leaf(rng.normal(size=(2, 5))), ad.leaf(rng.normal(size=2))
+    gc.disable()
+    try:
+        hidden = ad.relu(ad.linear(x, w0, b0))
+        root = ad.softmax_cross_entropy(ad.linear(hidden, w1, b1), [0, 1, 1, 0])
+        ad.backward(root)
+        ref = weakref.ref(hidden)
+        del hidden
+        assert ref() is not None  # the root still reaches it
+        del root
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert x.grad is not None and w0.grad is not None
 
 
 def test_take_rows_into_untouched_parent_zeros_outside_slice():
     rng = _rng(33)
     x = ad.leaf(rng.normal(size=(5, 3)))
     a = ad.linear(x, ad.leaf(rng.normal(size=(2, 3))), ad.leaf(np.zeros(2)))
-    r = ad.take_rows(a, 1, 3)
-    ad.backward(ad.sum_squares(r))
+    r = oracles.take_rows(a, 1, 3)
+    ad.backward(oracles.sum_squares(r))
     np.testing.assert_array_equal(a.grad[1:3], 2.0 * r.values)
     assert not a.grad[:1].any() and not a.grad[3:].any()
 

@@ -19,6 +19,8 @@ from cpnslab import metrics as mt
 from cpnslab import model as mdl
 from cpnslab.errors import ConfigurationError, ParseError
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 def tiny_doc(out_dir, **overrides):
     doc = {
@@ -51,6 +53,11 @@ def _short_cls_column(doc):
 
 def _set_first_extractor(key, value):
     return lambda doc: doc["extractors"][0].update({key: value})
+
+
+def _add_first_extractor_param(name):
+    return lambda doc: doc["extractors"][0]["params"].update(
+        {name: {"shape": [1], "data": [1.0]}})
 
 
 def _drop_heads(*names):
@@ -233,6 +240,26 @@ class TestRunSeed:
         csv_a = (tmp_path / "a" / "t" / "summary.csv").read_bytes()
         csv_b = (tmp_path / "b" / "t" / "summary.csv").read_bytes()
         assert csv_a == csv_b
+
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_no_leaf_keeps_a_gradient_after_a_run(self, tmp_path, monkeypatch,
+                                                  baseline):
+        built = []
+
+        class Recorded(mdl.ExpandableModel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(ex.mdl, "ExpandableModel", Recorded)
+        with open(os.path.join(ROOT, "configs", "smoke.json")) as fh:
+            doc = json.load(fh)
+        doc.update(output_dir=str(tmp_path), use_baseline_trainer=baseline)
+        ex.run_seed(ex.config_from_dict(doc), 0)
+        assert len(built) == 1
+        held = [name for name, p in built[0].all_params().items()
+                if p.grad is not None]
+        assert held == []
 
     def test_table_backed_stream(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -538,9 +565,10 @@ class TestCli:
         _set_head("intra_w", [[0.5, -0.5]]),
         _set_head("zzz_w", [[0.5, -0.5]]),
         _drop_heads("proj_w0", "proj_b0", "proj_w1", "proj_b1"),
+        _add_first_extractor_param("zzz"),
     ], ids=["cls one column short", "layer_dims", "overlapping offsets",
             "extractor 0 not frozen", "aux head missing", "intra_w 1x2",
-            "extra head", "projector missing"])
+            "extra head", "projector missing", "extra extractor param"])
     def test_eval_of_a_checkpoint_whose_parts_disagree_exits_two(
             self, tmp_path, capsys, edit):
         model = mdl.ExpandableModel(input_dim=16, feature_dim=8,

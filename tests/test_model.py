@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import oracles
+
 from cpnslab import autodiff as ad
 from cpnslab import model as md
 from cpnslab.errors import ConfigurationError, FormatError, InputError, UsageError
@@ -251,9 +253,9 @@ def test_projector_fits_realizable_target():
     first_err = None
     for _ in range(1200):
         zn = ad.constant(z_old)
-        pred = m.projector_graph(zn)
-        loss = ad.scale(ad.sum_squares(ad.sub(pred, ad.constant(target))),
-                        1.0 / len(x))
+        pred = oracles.projector_graph(m, zn)
+        diff = oracles.sub(pred, ad.constant(target))
+        loss = oracles.scale(oracles.sum_squares(diff), 1.0 / len(x))
         if first_err is None:
             first_err = float(loss.values)
         ad.backward(loss)

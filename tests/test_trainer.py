@@ -8,12 +8,15 @@ import json
 import numpy as np
 import pytest
 
+import oracles
+
 from cpnslab import autodiff as ad
 from cpnslab import counterfactual as cf
 from cpnslab import trainer as tr
 from cpnslab.errors import (ConfigurationError, InputError, NumericsError,
                             UsageError)
 from cpnslab.model import ExpandableModel
+from cpnslab.risk import GenConfig
 
 
 def small_model(seed=0, dim=8, feat=8, hidden=(16,)):
@@ -34,10 +37,9 @@ def blob_task(rng, labels, n_per, dim, spread=3.0, sigma=0.5):
 
 
 def one_param(values):
-    """A one-entry parameter map whose leaf holds a zero gradient."""
+    """A one-entry parameter map, its leaf, and a zero gradient for it."""
     t = ad.leaf(values)
-    t.grad = np.zeros_like(t.values)
-    return {"p": t}, t
+    return {"p": t}, t, np.zeros_like(t.values)
 
 
 def values_of(ps):
@@ -60,34 +62,34 @@ def counts(buf, labels):
 
 def test_sgd_zero_grad_zero_momentum_unchanged():
     cfg = tr.TrainConfig(momentum=0.0, weight_decay=0.0)
-    ps, t = one_param([1.0, -2.0])
-    tr.optimizer_step(ps, tr.make_optimizer_state(), cfg)
+    ps, t, g = one_param([1.0, -2.0])
+    tr.optimizer_step(ps, {"p": g}, tr.make_optimizer_state(), cfg)
     np.testing.assert_array_equal(t.values, [1.0, -2.0])
 
 
 def test_adam_zero_grad_unchanged():
     cfg = tr.TrainConfig(optimizer="adam", weight_decay=0.0)
-    ps, t = one_param([0.5, 3.0])
-    tr.optimizer_step(ps, tr.make_optimizer_state(), cfg)
+    ps, t, g = one_param([0.5, 3.0])
+    tr.optimizer_step(ps, {"p": g}, tr.make_optimizer_state(), cfg)
     np.testing.assert_array_equal(t.values, [0.5, 3.0])
 
 
 def test_sgd_single_step_matches_hand_computation():
     cfg = tr.TrainConfig(lr=0.1, momentum=0.0, weight_decay=0.0)
-    ps, t = one_param([1.0, -2.0])
-    t.grad[:] = [0.5, -1.0]
-    tr.optimizer_step(ps, tr.make_optimizer_state(), cfg)
+    ps, t, g = one_param([1.0, -2.0])
+    g[:] = [0.5, -1.0]
+    tr.optimizer_step(ps, {"p": g}, tr.make_optimizer_state(), cfg)
     np.testing.assert_array_equal(t.values, [1.0 - 0.1 * 0.5, -2.0 + 0.1 * 1.0])
 
 
 def test_sgd_momentum_accumulates_over_steps():
     cfg = tr.TrainConfig(lr=0.1, momentum=0.9, weight_decay=0.0)
-    ps, t = one_param([0.0])
+    ps, t, g = one_param([0.0])
     state = tr.make_optimizer_state()
-    t.grad[:] = [1.0]
-    tr.optimizer_step(ps, state, cfg)
-    t.grad[:] = [1.0]
-    tr.optimizer_step(ps, state, cfg)
+    g[:] = [1.0]
+    tr.optimizer_step(ps, {"p": g}, state, cfg)
+    g[:] = [1.0]
+    tr.optimizer_step(ps, {"p": g}, state, cfg)
     expected = 0.0 - 0.1 * 1.0
     expected -= 0.1 * (0.9 * 1.0 + 1.0)
     np.testing.assert_array_equal(t.values, [expected])
@@ -95,23 +97,22 @@ def test_sgd_momentum_accumulates_over_steps():
 
 def test_sgd_momentum_does_not_alias_gradient_buffer():
     cfg = tr.TrainConfig(lr=0.1, momentum=0.9, weight_decay=0.0)
-    ps, t = one_param([0.0, 1.0])
+    ps, t, g = one_param([0.0, 1.0])
     state = tr.make_optimizer_state()
-    t.grad[:] = [1.0, -2.0]
-    tr.optimizer_step(ps, state, cfg)
-    t.grad[...] = 0.0  # zeroing in place must leave the momentum alone
+    g[:] = [1.0, -2.0]
+    tr.optimizer_step(ps, {"p": g}, state, cfg)
+    g[...] = 0.0  # zeroing in place must leave the momentum alone
     np.testing.assert_array_equal(state["m"]["p"], [1.0, -2.0])
 
 
 def test_adam_step_one_bias_correction_closed_form():
     # at k=1 the corrected moments are exactly the gradient and its square
     cfg = tr.TrainConfig(optimizer="adam", weight_decay=0.0, lr=1e-2)
-    ps, t = one_param([1.0, -1.0, 2.0])
+    ps, t, _ = one_param([1.0, -1.0, 2.0])
     g = np.array([0.3, -2.0, 0.001])
-    t.grad[:] = g
     state = tr.make_optimizer_state()
     before = t.values.copy()
-    tr.optimizer_step(ps, state, cfg)
+    tr.optimizer_step(ps, {"p": g}, state, cfg)
     b1, b2 = cfg.adam_betas
     np.testing.assert_allclose(state["m"]["p"] / (1.0 - b1), g, rtol=1e-14)
     np.testing.assert_allclose(state["v"]["p"] / (1.0 - b2), g * g, rtol=1e-14)
@@ -122,8 +123,8 @@ def test_adam_step_one_bias_correction_closed_form():
 def test_weight_decay_is_decoupled():
     # zero gradient still shrinks the value by lr * wd * value
     cfg = tr.TrainConfig(lr=0.1, momentum=0.0, weight_decay=0.5)
-    ps, t = one_param([2.0, -4.0])
-    tr.optimizer_step(ps, tr.make_optimizer_state(), cfg)
+    ps, t, g = one_param([2.0, -4.0])
+    tr.optimizer_step(ps, {"p": g}, tr.make_optimizer_state(), cfg)
     expected = np.array([2.0, -4.0])
     expected = expected - 0.1 * 0.5 * expected
     np.testing.assert_array_equal(t.values, expected)
@@ -131,22 +132,22 @@ def test_weight_decay_is_decoupled():
 
 def test_nan_gradient_aborts_without_touching_values():
     cfg = tr.TrainConfig()
-    (_, a), (_, b) = one_param([1.0, 2.0]), one_param([3.0])
-    a.grad[:] = [0.1, 0.2]
-    b.grad[:] = [np.nan]
+    (_, a, _), (_, b, _) = one_param([1.0, 2.0]), one_param([3.0])
+    grads = {"a": np.array([0.1, 0.2]), "b": np.array([np.nan])}
     with pytest.raises(NumericsError, match="b"):
-        tr.optimizer_step({"a": a, "b": b}, tr.make_optimizer_state(), cfg)
+        tr.optimizer_step({"a": a, "b": b}, grads, tr.make_optimizer_state(),
+                          cfg)
     np.testing.assert_array_equal(a.values, [1.0, 2.0])
     np.testing.assert_array_equal(b.values, [3.0])
 
 
 def test_missing_gradient_names_the_parameter_without_touching_values():
-    _, a = one_param([1.0, 2.0])
-    a.grad[:] = [0.1, 0.2]
-    p = ad.leaf([1.0])  # no backward has reached it
+    _, a, _ = one_param([1.0, 2.0])
+    p = ad.leaf([1.0])  # no gradient was computed for it
     state = tr.make_optimizer_state()
     with pytest.raises(UsageError, match="'p'"):
-        tr.optimizer_step({"a": a, "p": p}, state, tr.TrainConfig())
+        tr.optimizer_step({"a": a, "p": p}, {"a": np.array([0.1, 0.2])},
+                          state, tr.TrainConfig())
     np.testing.assert_array_equal(a.values, [1.0, 2.0])
     assert state["step"] == 0
 
@@ -286,7 +287,7 @@ def test_projector_exact_fit_gives_zero_loss():
     model.heads["proj_w1"].values[:] = 0.0
     model.heads["proj_b1"].values[:] = 0.0
     x = np.random.default_rng(0).normal(size=(5, 8))
-    loss = tr._projector_loss(model, model.frozen_concat_np(x),
+    loss = oracles.projector_loss(model, model.frozen_concat_np(x),
                               model.current_feature_np(x))
     assert float(loss.values) == 0.0
 
@@ -306,7 +307,7 @@ def test_projector_fits_linear_ground_truth():
                                       "proj_b1")]
     losses = []
     for _ in range(4000):
-        loss = tr._projector_loss(model, z_old, target)
+        loss = oracles.projector_loss(model, z_old, target)
         ad.backward(loss)
         for head in heads:
             head.values -= 0.05 * head.grad
@@ -323,7 +324,82 @@ def test_projector_loss_requires_second_task():
     model = small_model(seed=2)
     model.expand(2)
     with pytest.raises(UsageError):
-        tr._projector_loss(model, np.zeros((2, 8)), np.zeros((2, 8)))
+        oracles.projector_loss(model, np.zeros((2, 8)), np.zeros((2, 8)))
+
+
+# ---------------------------------------------------------------------------
+# the hand-derived objective against its graph
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def _objective_model(task, separate, hidden, rng):
+    """A model at `task` (0 or 1) with a 6-row buffer, and that task's 21
+    rows: batches of 8 leave a short last batch of 5, and the buffer is
+    smaller than a batch."""
+    t0, t1 = two_task_data(n_per=7)
+    model = ExpandableModel(input_dim=8, feature_dim=6, hidden_dims=hidden,
+                            separate_inter_head=separate, seed=3)
+    model.expand(3)
+    buf = tr.RehearsalBuffer(6, "class_balanced_random")
+    if task == 0:
+        return model, buf, t0
+    tr.buffer_commit(buf, t0, model, rng=rng)
+    model.expand(3)
+    return model, buf, t1
+
+
+@pytest.mark.parametrize("hidden", [(16,), (16, 8)], ids=["1-layer", "2-layer"])
+@pytest.mark.parametrize("separate", [False, True], ids=["tied", "separate"])
+@pytest.mark.parametrize("task", [0, 1])
+@pytest.mark.parametrize("stage", [1, 2])
+def test_objective_matches_the_graph_bitwise(stage, task, separate, hidden):
+    # every loss value and gradient of every step of an epoch, for each
+    # budget metric and each of nu, gamma, lam off or on; the steps apply
+    # the fused gradients, so later batches see trained parameters
+    knobs = itertools.product(cf.METRICS, [0.0, 0.7], [0.0, 1.3], [0.0, 0.5])
+    for metric, nu, gamma, lam in knobs:
+        rng = np.random.default_rng(17)
+        model, buf, (x, y) = _objective_model(task, separate, hidden, rng)
+        cfg = full_cfg(nu=nu, gamma=gamma, lam=lam, batch_size=8,
+                       gen=GenConfig(metric=metric))
+        use_intra = nu > 0 or gamma > 0
+        flags = ((not use_intra, use_intra, False) if stage == 1
+                 else (True, use_intra, lam > 0 and task >= 1))
+        mixed = flags[0] and task >= 1
+        params = tr._param_set(model, *flags)
+        state = tr.make_optimizer_state()
+        buf_x, buf_y = buf.samples()
+        for idx in tr._epoch_batches(len(x), cfg.batch_size, rng):
+            xb, yb, n_c = x[idx], y[idx], len(idx)
+            if mixed:
+                bsel = tr._buffer_minibatch(len(buf_x), n_c, rng)
+                xb = np.concatenate([xb, buf_x[bsel]])
+                yb = np.concatenate([yb, buf_y[bsel]])
+            frozen = model.frozen_concat_np(xb) if mixed else None
+            args = (model, xb, yb, n_c, frozen, cfg, *flags)
+            want_losses, want = oracles.graph_objective(*args)
+            losses, grads = tr._objective(*args)
+            case = (metric, nu, gamma, lam, n_c)
+            assert losses.keys() == want_losses.keys(), case
+            assert all(_same_bits(losses[k], want_losses[k])
+                       for k in losses), case
+            assert grads.keys() == want.keys() == params.keys(), case
+            for name in params:
+                assert _same_bits(grads[name], want[name]), (case, name)
+            tr.optimizer_step(params, grads, state, cfg)
+
+
+def test_objective_rejects_a_label_outside_its_head():
+    model = small_model(seed=7)
+    model.expand(3)
+    x, y = np.zeros((4, 8)), np.array([0, 1, 2, 3])
+    for flags in ((True, False, False), (False, True, False)):
+        with pytest.raises(InputError, match="out of range"):
+            tr._objective(model, x, y, 4, None, full_cfg(), *flags)
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +551,8 @@ def test_frozen_extractor_drift_fails_both_trainers(monkeypatch, train_fn):
     model.expand(3)
     step = tr.optimizer_step
 
-    def drifting_step(params, state, config, lr=None):
-        step(params, state, config, lr=lr)
+    def drifting_step(params, grads, state, config, lr=None):
+        step(params, grads, state, config, lr=lr)
         model.extractors[0].params["w0"].values[0, 0] += 1e-12
 
     monkeypatch.setattr(tr, "optimizer_step", drifting_step)
@@ -584,8 +660,8 @@ def test_non_finite_parameter_stops_training_at_epoch_end(monkeypatch,
                                                           train_fn):
     step = tr.optimizer_step
 
-    def poisoning_step(params, state, config, lr=None):
-        step(params, state, config, lr=lr)
+    def poisoning_step(params, grads, state, config, lr=None):
+        step(params, grads, state, config, lr=lr)
         params["f0/w0"].values[0, 0] = np.inf
 
     monkeypatch.setattr(tr, "optimizer_step", poisoning_step)
