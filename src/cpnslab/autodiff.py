@@ -1,13 +1,15 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-It serves the rehearsal baseline trainer and the input-saliency
-diagnostic; the regularized trainer differentiates its objective by hand
-(`trainer._objective`), and the tests keep the graph version of that
-objective as its reference.
+It serves the rehearsal baseline trainer, `trainer.train_task_baseline`,
+and nothing else in the package: the regularized trainer differentiates
+its objective by hand (`trainer._objective`) and the input-saliency
+diagnostic is in closed form (`metrics.input_saliency`). The tests build
+the graph versions of both as their reference.
 
 The graph is built eagerly: every operation returns a `Tensor` node holding
-values, a gradient slot, and a backward closure. The batched operations
-(`linear`, `concat`, `sum_picked` and `softmax_cross_entropy`) take 2-D
+values, a gradient slot, and a backward closure. The operations are
+`linear`, `relu`, `concat`, `softmax_cross_entropy` and `add_scalars`.
+The batched ones (`linear`, `concat` and `softmax_cross_entropy`) take 2-D
 nodes, one sample per row, and raise UsageError on anything else; a single
 sample is a one-row batch. Reductions always produce a 0-d scalar node, so
 `backward` has a well-defined root. All arithmetic is float64.
@@ -228,23 +230,6 @@ def softmax_cross_entropy(logits: Tensor, label) -> Tensor:
         _accumulate(logits, g * float(go))
 
     return Tensor(np.asarray(-picked.sum() / n), (logits,), "ce", _backward)
-
-
-def sum_picked(mat: Tensor, idx) -> Tensor:
-    """Scalar sum of mat[i, idx[i]]; used for per-sample logit saliency."""
-    _require_batch(mat, "sum_picked")
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.shape != (mat.shape[0],):
-        raise UsageError("sum_picked: expects one index per row")
-    rows = np.arange(mat.shape[0])
-
-    def _backward(go):
-        g = np.zeros_like(mat.values)
-        g[rows, idx] = float(go)
-        _accumulate(mat, g)
-
-    return Tensor(np.asarray(mat.values[rows, idx].sum()), (mat,),
-                  "sum_picked", _backward)
 
 
 # ---------------------------------------------------------------------------

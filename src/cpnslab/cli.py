@@ -2,8 +2,9 @@
 
 Subcommands: `run <cfg>`, `sweep <cfg> --param p --values v1,v2,...`,
 `ablate <cfg>`, `eval <checkpoint> <data>`. Every subcommand accepts
---seed (replace the config's seed list with one seed), --out (override the
-output directory), and --threads (cap BLAS/OpenMP threads). Environment
+--threads (cap BLAS/OpenMP threads); run, sweep and ablate also accept
+--seed (replace the config's seed list with one seed) and --out (override
+the output directory), which `eval` rejects. Environment
 variables override exactly two things: CPNSLAB_OUT for the output
 directory and CPNSLAB_THREADS for the thread cap; explicit flags win over
 both. Exit codes: 0 success, 2 configuration or data validation failure,
@@ -33,13 +34,16 @@ def build_parser():
                     "probability-of-necessity-and-sufficiency regularization.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def threads(sp):
+        sp.add_argument("--threads", type=int, default=None,
+                        help="cap BLAS/OpenMP thread count")
+
     def common(sp):
         sp.add_argument("--seed", type=int, default=None,
                         help="replace the config seed list with this seed")
         sp.add_argument("--out", default=None,
                         help="override the output directory")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS/OpenMP thread count")
+        threads(sp)
 
     p = sub.add_parser("run", help="run the incremental loop for every seed")
     p.add_argument("config", help="path to a JSON experiment config")
@@ -60,7 +64,7 @@ def build_parser():
     p = sub.add_parser("eval", help="score a checkpoint on a tabular file")
     p.add_argument("checkpoint", help="path to a saved checkpoint")
     p.add_argument("data", help="path to a tabular data file")
-    common(p)
+    threads(p)
     return parser
 
 

@@ -55,15 +55,11 @@ class FeatureExtractor:
     def n_layers(self):
         return len(self.layer_dims) - 1
 
-    def forward(self, x: ad.Tensor, const=False) -> ad.Tensor:
-        """Graph-mode forward; gradients flow into x, and into the
-        parameters unless `const` makes them constants."""
-        p = self.params
-        if const:
-            p = {name: ad.constant(t.values) for name, t in p.items()}
+    def forward(self, x: ad.Tensor) -> ad.Tensor:
+        """Graph-mode forward; gradients flow into x and the parameters."""
         h = x
         for i in range(self.n_layers):
-            h = ad.linear(h, p[f"w{i}"], p[f"b{i}"])
+            h = ad.linear(h, self.params[f"w{i}"], self.params[f"b{i}"])
             if i < self.n_layers - 1:
                 h = ad.relu(h)
         return h
@@ -232,7 +228,7 @@ class ExpandableModel:
         h = np.maximum(h, 0.0)
         return h @ self.heads["proj_w1"].values.T + self.heads["proj_b1"].values
 
-    # -- graph-mode builders (baseline trainer, saliency) ---------------
+    # -- graph-mode builders (rehearsal baseline trainer) ----------------
 
     def current_feature_graph(self, x_node: ad.Tensor) -> ad.Tensor:
         return self.extractors[-1].forward(x_node)
@@ -240,27 +236,7 @@ class ExpandableModel:
     def head_graph(self, name, feat_node: ad.Tensor) -> ad.Tensor:
         return ad.linear(feat_node, *self._head(name))
 
-    def full_graph_logits(self, x_node: ad.Tensor) -> ad.Tensor:
-        """Classifier logits with gradients flowing back to the input only.
-
-        Runs every extractor in graph mode with all parameters as
-        constants, so no parameter gets a gradient; used by input-saliency
-        diagnostics, not by training.
-        """
-        feats = [ext.forward(x_node, const=True) for ext in self.extractors]
-        z = feats[0] if len(feats) == 1 else ad.concat(feats)
-        w, b = self._head("cls")
-        return ad.linear(z, ad.constant(w.values), ad.constant(b.values))
-
     # -- parameter views -------------------------------------------------
-
-    def all_params(self) -> dict[str, ad.Tensor]:
-        """Every parameter by name: `f{t}/{name}` per extractor, then the
-        heads in sorted order."""
-        params = {f"f{t}/{name}": p for t, ext in enumerate(self.extractors)
-                  for name, p in ext.params.items()}
-        params.update((key, self.heads[key]) for key in sorted(self.heads))
-        return params
 
     def frozen_snapshot(self):
         """Copies of every frozen extractor parameter, for stability checks."""

@@ -427,24 +427,18 @@ def _objective(model, xb, yb, n_c, frozen, config: TrainConfig, use_cls,
     `autodiff` op the same term would use, and a gradient with several
     contributions sums them in the order that graph's reverse topological
     order visits the consumers; the result is the graph's to the bit, and
-    the tests keep the graph as the reference. The counterfactuals enter as
-    constant offsets from the factual representation, so no gradient
-    reaches the generators.
+    the tests keep the graph as the reference. (The ReLUs are
+    `np.maximum`, as in `FeatureExtractor.activations_np`; on finite
+    values it gives the bits of the graph's `np.where`.) The
+    counterfactuals enter as constant offsets from the factual
+    representation, so no gradient reaches the generators.
     """
     lo = model.class_offsets[-1][0]
     mixed = frozen is not None
     heads = {name: h.values for name, h in model.heads.items()}
     ext = model.extractors[-1]
-    ws = [ext.params[f"w{i}"].values for i in range(ext.n_layers)]
-    acts, masks = [xb], []
-    h = xb
-    for i, w in enumerate(ws):
-        h = h @ w.T + ext.params[f"b{i}"].values
-        if i < len(ws) - 1:
-            masks.append(h > 0.0)
-            h = np.where(masks[-1], h, 0.0)
-            acts.append(h)
-    c_hat = h
+    *hiddens, c_hat = ext.activations_np(xb)
+    ins = [xb, *hiddens]  # the input of each layer
     z = np.concatenate([frozen, c_hat], axis=1) if mixed else c_hat
     losses, grads = {}, {}
     # contributions by consumer: into z (c_hat itself when not mixed), into
@@ -487,8 +481,11 @@ def _objective(model, xb, yb, n_c, frozen, config: TrainConfig, use_cls,
     if use_inter:
         head = model.inter_head
         w_e, b_e = heads[f"{head}_w"], heads[f"{head}_b"]
+        w0, w1 = heads["proj_w0"], heads["proj_w1"]
+        hidden = np.maximum(frozen @ w0.T + heads["proj_b0"], 0.0)
+        proj = hidden @ w1.T + heads["proj_b1"]
         cfs_e, _, _, _ = cf.generate_inter_batch(
-            c_hat, model.project_values(frozen), beta=config.gen.beta,
+            c_hat, proj, beta=config.gen.beta,
             epsilon=config.gen.epsilon, metric=config.gen.metric)
         cbar_e = z + (np.concatenate([frozen, cfs_e], axis=1) - z)
         if head == "cls":  # tied: the sufficiency logits are the cls ones
@@ -512,17 +509,13 @@ def _objective(model, xb, yb, n_c, frozen, config: TrainConfig, use_cls,
                                      config.gamma)
             losses["kl"] = losses["kl"] + kl_e
         # projector fit; the target c_hat enters as a plain value
-        w0, w1 = heads["proj_w0"], heads["proj_w1"]
-        pre = frozen @ w0.T + heads["proj_b0"]
-        mask = pre > 0.0
-        hidden = np.where(mask, pre, 0.0)
-        diff = hidden @ w1.T + heads["proj_b1"] - c_hat
+        diff = proj - c_hat
         k = 1.0 / len(c_hat)
         losses["proj"] = float(np.sum(diff * diff) * k)
         g_pred = 2.0 * diff * k
         grads["proj_w1"] = g_pred.T @ hidden
         grads["proj_b1"] = g_pred.sum(axis=0)
-        g_pre = (g_pred @ w1) * mask
+        g_pre = (g_pred @ w1) * (hidden > 0.0)
         grads["proj_w0"] = g_pre.T @ frozen
         grads["proj_b0"] = g_pre.sum(axis=0)
     if use_cls:
@@ -550,11 +543,11 @@ def _objective(model, xb, yb, n_c, frozen, config: TrainConfig, use_cls,
         c_parts = [part for part in c_parts if part is not None]
     g = _sum_in_order(c_parts)
     prefix = f"f{model.current_task}/"
-    for i in reversed(range(len(ws))):
-        grads[f"{prefix}w{i}"] = g.T @ acts[i]
+    for i in reversed(range(ext.n_layers)):
+        grads[f"{prefix}w{i}"] = g.T @ ins[i]
         grads[f"{prefix}b{i}"] = g.sum(axis=0)
         if i:
-            g = (g @ ws[i]) * masks[i - 1]
+            g = (g @ ext.params[f"w{i}"].values) * (ins[i] > 0.0)
     return losses, grads
 
 

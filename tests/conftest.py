@@ -1,4 +1,5 @@
-"""Shared test helpers: numeric differentiation oracle and error metrics."""
+"""Shared test helpers: numeric differentiation oracle, error metrics and
+a by-name view of a model's parameters."""
 
 import numpy as np
 
@@ -31,3 +32,12 @@ def rel_err(got, want):
     want = np.asarray(want, dtype=np.float64)
     denom = max(np.abs(want).max(), 1e-12) if want.size else 1e-12
     return np.abs(got - want).max() / denom
+
+
+def all_params(model):
+    """Every parameter of the model by name: `f{t}/{name}` per extractor,
+    then the heads in sorted order."""
+    params = {f"f{t}/{name}": p for t, ext in enumerate(model.extractors)
+              for name, p in ext.params.items()}
+    params.update((key, model.heads[key]) for key in sorted(model.heads))
+    return params

@@ -1,11 +1,13 @@
 """Reference implementations the package no longer runs.
 
 The regularized trainer computes its objective and gradients by hand
-(`trainer._objective`). The graph version of that objective lives here:
-the autodiff ops only it used, the surrogate loss, the projector fit, and
-`graph_objective`, which assembles one training step as an autodiff graph.
-The tests hold the hand-derived objective to it bit for bit, and hold
-these ops to finite differences.
+(`trainer._objective`), and `metrics.input_saliency` its input gradient
+in closed form. Their graph versions live here: the autodiff ops only
+they used, the surrogate loss, the projector fit, `graph_objective`,
+which assembles one training step as an autodiff graph, and
+`graph_saliency`, the predicted logit's input gradient through every
+extractor. The tests hold the hand-derived versions to them bit for bit,
+and hold these ops to finite differences.
 
 The ops follow the closure convention of `cpnslab.autodiff`: a backward
 closure takes its node's gradient and refers only to the parents.
@@ -126,6 +128,47 @@ def neglog_complement_prob(logits: Tensor, label, eps=1e-12) -> Tensor:
 
     return Tensor(np.asarray(-np.log(s).sum() / n), (logits,), "nlcp",
                   _backward)
+
+
+def sum_picked(mat: Tensor, idx) -> Tensor:
+    """Scalar sum of mat[i, idx[i]]; used for per-sample logit saliency."""
+    _require_batch(mat, "sum_picked")
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.shape != (mat.shape[0],):
+        raise UsageError("sum_picked: expects one index per row")
+    rows = np.arange(mat.shape[0])
+
+    def _backward(go):
+        g = np.zeros_like(mat.values)
+        g[rows, idx] = float(go)
+        _accumulate(mat, g)
+
+    return Tensor(np.asarray(mat.values[rows, idx].sum()), (mat,),
+                  "sum_picked", _backward)
+
+
+# ---------------------------------------------------------------------------
+# input saliency as a graph
+
+def graph_saliency(model, x, backward=ad.backward):
+    """`metrics.input_saliency` as an autodiff graph: every extractor and
+    the classifier run with their parameters as constants, so the input is
+    the one node that gets a gradient. `backward` runs the pass."""
+    node = ad.leaf(np.asarray(x, dtype=np.float64))
+    feats = []
+    for ext in model.extractors:
+        h = node
+        for i in range(ext.n_layers):
+            h = ad.linear(h, ad.constant(ext.params[f"w{i}"].values),
+                          ad.constant(ext.params[f"b{i}"].values))
+            if i < ext.n_layers - 1:
+                h = ad.relu(h)
+        feats.append(h)
+    z = feats[0] if len(feats) == 1 else ad.concat(feats)
+    logits = ad.linear(z, ad.constant(model.heads["cls_w"].values),
+                       ad.constant(model.heads["cls_b"].values))
+    backward(sum_picked(logits, np.argmax(logits.values, axis=1)))
+    return np.abs(node.grad)
 
 
 # ---------------------------------------------------------------------------

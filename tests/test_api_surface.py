@@ -1,8 +1,10 @@
-"""Every public module-level function or class of the package has a caller.
+"""Every public function, class and method of the package has a caller.
 
-A name counts as used when it appears in `src/`, `demos/` or `perfbench/`
-outside its own definition. Test-only API fails here: delete it, or name
-it below with the reason it stays.
+A public definition is a module-level function or class, or a method or
+property of a module-level class, whose name does not start with an
+underscore. It counts as used when its name appears in `src/`, `demos/`
+or `perfbench/` outside its own definition. Test-only API fails here:
+delete it, or name it below with the reason it stays.
 """
 
 import ast
@@ -32,20 +34,26 @@ def _sources():
                         yield path, fh.read()
 
 
+def _public(nodes, kinds):
+    return [node for node in nodes
+            if isinstance(node, kinds) and not node.name.startswith("_")]
+
+
 def _public_definitions():
-    """(path, name, first line, last line) of each public top-level def."""
+    """(path, name, first line, last line) of each public top-level def
+    and each public method of a top-level class."""
     for name in sorted(os.listdir(PACKAGE)):
         if not name.endswith(".py"):
             continue
         path = os.path.join(PACKAGE, name)
         with open(path) as fh:
             tree = ast.parse(fh.read())
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                first = min([node.lineno]
-                            + [d.lineno for d in node.decorator_list])
-                yield path, node.name, first, node.end_lineno
+        found = _public(tree.body, (ast.FunctionDef, ast.ClassDef))
+        for cls in _public(tree.body, ast.ClassDef):
+            found += _public(cls.body, ast.FunctionDef)
+        for node in found:
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            yield path, node.name, first, node.end_lineno
 
 
 def test_every_public_definition_is_used_outside_its_own_def():

@@ -7,6 +7,7 @@ finite differences (h = 1e-5). Individual ops must agree to relative error
 """
 
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -61,7 +62,7 @@ def test_linear_component_grads_vs_fd(seed):
     bv = rng.normal(size=n_out)
     for i in range(n_out):
         x, w, b = ad.leaf(xv), ad.leaf(wv), ad.leaf(bv)
-        root = ad.sum_picked(ad.linear(x, w, b), [i])
+        root = oracles.sum_picked(ad.linear(x, w, b), [i])
         ad.backward(root)
 
         gx = numeric_grad(lambda v: (v @ wv.T + bv)[0, i], xv)
@@ -312,7 +313,7 @@ def test_sum_picked_grads():
     mv = rng.normal(size=(3, 4))
     idx = [1, 0, 3]
     m = ad.leaf(mv)
-    ad.backward(ad.sum_picked(m, idx))
+    ad.backward(oracles.sum_picked(m, idx))
     want = np.zeros_like(mv)
     want[np.arange(3), idx] = 1.0
     np.testing.assert_array_equal(m.grad, want)
@@ -437,7 +438,8 @@ def _shared_graph(seed=31):
     w = ad.leaf(rng.normal(size=(5, 4)))
     b = ad.leaf(rng.normal(size=5))
     z = ad.linear(x, w, b)
-    root = ad.add_scalars([oracles.sum_squares(z), ad.sum_picked(z, [0, 4, 2])])
+    root = ad.add_scalars([oracles.sum_squares(z),
+                           oracles.sum_picked(z, [0, 4, 2])])
     return x, w, b, z, root
 
 
@@ -534,13 +536,18 @@ def test_take_rows_into_untouched_parent_zeros_outside_slice():
 
 def test_lazy_buffers_match_eager_pass_bitwise():
     # the saliency graph runs every extractor and the concat; lazy buffers
-    # must not move a bit of the input gradient it reports
-    model = ExpandableModel(input_dim=6, feature_dim=4, hidden_dims=(8,), seed=0)
-    model.expand(3)
-    model.expand(2)
-    xv = _rng(34).normal(size=(7, 6))
-    got = input_saliency(model, xv)
-    node = ad.leaf(xv)
-    logits = model.full_graph_logits(node)
-    _eager_backward(ad.sum_picked(logits, np.argmax(logits.values, axis=1)))
-    np.testing.assert_array_equal(got, np.abs(node.grad))
+    # must not move a bit of the input gradient it reports, and the closed
+    # form must give the same bits, which from three tasks on holds only
+    # in the graph's order of summation over the extractors
+    for hidden_dims, tasks in itertools.product([(), (16,)], [1, 2, 3, 5]):
+        model = ExpandableModel(input_dim=6, feature_dim=8,
+                                hidden_dims=hidden_dims, seed=tasks)
+        for _ in range(tasks):
+            model.expand(3)
+        xv = _rng(34).normal(size=(64, 6))
+        want = oracles.graph_saliency(model, xv, backward=_eager_backward)
+        case = f"hidden_dims={hidden_dims}, tasks={tasks}"
+        np.testing.assert_array_equal(oracles.graph_saliency(model, xv), want,
+                                      err_msg=case)
+        np.testing.assert_array_equal(input_saliency(model, xv), want,
+                                      err_msg=case)

@@ -12,6 +12,8 @@ import os
 import numpy as np
 import pytest
 
+from conftest import all_params
+
 from cpnslab import cli
 from cpnslab import data as dt
 from cpnslab import experiment as ex
@@ -257,7 +259,7 @@ class TestRunSeed:
         doc.update(output_dir=str(tmp_path), use_baseline_trainer=baseline)
         ex.run_seed(ex.config_from_dict(doc), 0)
         assert len(built) == 1
-        held = [name for name, p in built[0].all_params().items()
+        held = [name for name, p in all_params(built[0]).items()
                 if p.grad is not None]
         assert held == []
 
@@ -555,6 +557,15 @@ class TestCli:
     def test_eval_missing_checkpoint_exits_two(self, tmp_path):
         assert cli.main(["eval", str(tmp_path / "no.ckpt"),
                          str(tmp_path / "no.txt")]) == 2
+
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--out", "o"]])
+    def test_eval_rejects_the_run_options(self, tmp_path, flag):
+        # eval writes no run directory and draws no seed; a flag it would
+        # ignore is refused instead
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", str(tmp_path / "no.ckpt"),
+                      str(tmp_path / "no.txt"), *flag])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("edit", [
         _short_cls_column,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import all_params
 
 from cpnslab import autodiff as ad
 from cpnslab import model as md
@@ -24,7 +25,7 @@ def _probe(rng, n, dim):
 def trainable(m):
     """The current extractor, every head and the projector."""
     frozen = m.frozen_snapshot()
-    return [t for name, t in m.all_params().items() if name not in frozen]
+    return [t for name, t in all_params(m).items() if name not in frozen]
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +293,7 @@ def test_stage_param_views():
     m = fresh()
     m.expand(3)
     m.expand(3)
-    everything = m.all_params()
+    everything = all_params(m)
     names = {name for name, _ in everything.items()}
     assert {"cls_w", "aux_w", "proj_w0", "f0/w0"} <= names
     # the view shares tensors with the model

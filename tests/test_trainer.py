@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import all_params
 
 from cpnslab import autodiff as ad
 from cpnslab import counterfactual as cf
@@ -448,8 +449,8 @@ def test_zeroed_knobs_reduce_to_baseline_bitwise():
     cfg = baseline_cfg()
     m_cpns, _ = run_two_tasks(tr.train_task, cfg)
     m_base, _ = run_two_tasks(tr.train_task_baseline, cfg)
-    pa = values_of(m_cpns.all_params())
-    pb = values_of(m_base.all_params())
+    pa = values_of(all_params(m_cpns))
+    pb = values_of(all_params(m_base))
     assert pa.keys() == pb.keys()
     for key in pa:
         np.testing.assert_array_equal(pa[key], pb[key], err_msg=key)
@@ -507,13 +508,13 @@ def test_stage_one_trains_only_the_extractor_and_intra_head():
                   rng)
     tr.buffer_commit(buf, t0, model)
     model.expand(3)
-    before = values_of(model.all_params())
+    before = values_of(all_params(model))
     twin = np.random.default_rng()
     twin.bit_generator.state = rng.bit_generator.state
     cfg = full_cfg(stage1_epochs=2, stage2_epochs=0)
     res = tr.train_task(model, t1, buf, cfg, rng)
     assert [r["stage"] for r in res["records"]] == [1, 1]
-    after = values_of(model.all_params())
+    after = values_of(all_params(model))
     moved = {k for k in before if not np.array_equal(before[k], after[k])}
     assert moved == {"f1/w0", "f1/b0", "f1/w1", "f1/b1", "intra_w", "intra_b"}
     # one permutation per epoch and nothing else: no rehearsal rows drawn
@@ -649,8 +650,8 @@ def test_training_is_deterministic_given_seeds():
     cfg = full_cfg(buffer_capacity=6)  # buffer smaller than the batch size
     m1, _ = run_two_tasks(tr.train_task, cfg)
     m2, _ = run_two_tasks(tr.train_task, cfg)
-    p1 = values_of(m1.all_params())
-    p2 = values_of(m2.all_params())
+    p1 = values_of(all_params(m1))
+    p2 = values_of(all_params(m2))
     for key in p1:
         np.testing.assert_array_equal(p1[key], p2[key], err_msg=key)
 
