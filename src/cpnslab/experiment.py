@@ -276,15 +276,27 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # evaluation helpers
 
-def _seen_set_outputs(model, test_sets):
-    """Predictions per test set and class-mean concatenated features.
+def _extend_activations(model, test_sets, acts):
+    """Bring acts[j][t], extractor t's `activations_np` on test set j, up
+    to every extractor of the model and every set in `test_sets`.
 
-    Each set's features are computed once and dropped after use; only the
-    predictions and the per-class sums are kept.
+    An extractor is final once its task is trained (`trainer._check_frozen`
+    enforces it), so entries already in `acts` stay valid and only the
+    missing ones are computed: after task t, extractor t on sets 0..t and
+    extractors 0..t-1 on set t, 2t+1 forwards.
     """
+    for j, (x, _) in enumerate(test_sets):
+        if j == len(acts):
+            acts.append([])
+        done = len(acts[j])
+        acts[j].extend(ext.activations_np(x) for ext in model.extractors[done:])
+
+
+def _seen_set_outputs(model, acts, test_sets):
+    """Predictions per test set and class-mean concatenated features."""
     preds, sums, counts = [], {}, {}
-    for x, y in test_sets:
-        feats = model.concat_features_np(x)
+    for set_acts, (_, y) in zip(acts, test_sets):
+        feats = np.concatenate([a[-1] for a in set_acts], axis=1)
         preds.append(np.argmax(model.head_np("cls", feats), axis=1))
         for c in np.unique(y):
             sums[int(c)] = sums.get(int(c), 0.0) + feats[y == c].sum(axis=0)
@@ -313,16 +325,26 @@ def _cf_quality_probe(model, x, y, lo, cfgm: MetricsConfig, gen: GenConfig):
         np.concatenate([vals, vals_e]), references=proj)
 
 
-def evaluate_task(model, stream, task_index, history, cfgm: MetricsConfig,
-                  gen: GenConfig) -> mt.EvalRecord:
-    """Build the EvalRecord after training task `task_index`."""
+def evaluate_task(model, stream, task_index, history, acts,
+                  cfgm: MetricsConfig, gen: GenConfig) -> mt.EvalRecord:
+    """Build the EvalRecord after training task `task_index`.
+
+    `history` and `acts` carry state from one task's evaluation to the
+    next, so both start empty and see every task of one run in order:
+    `history` gains this task's pooled accuracy, and `acts[j][t]`,
+    extractor t's activations on test set j, gains the 2t+1 entries the
+    new extractor and the new test set add (`_extend_activations`). The
+    accuracies, the prototypes, the saliency and the k = 0 masking point
+    read `acts`; only the masked passes (k > 0) run every extractor again.
+    """
     seen = stream.tasks[:task_index + 1]
     test_sets = [test for _, test, _ in seen]
-    preds, protos = _seen_set_outputs(model, test_sets)
+    _extend_activations(model, test_sets, acts)
+    preds, protos = _seen_set_outputs(model, acts, test_sets)
     per_task = [float(np.mean(p == y)) for p, (_, y) in zip(preds, test_sets)]
     hits = sum(int(np.sum(p == y)) for p, (_, y) in zip(preds, test_sets))
     total = sum(len(y) for _, y in test_sets)
-    history.append(hits / total if total else float("nan"))
+    history.append(hits / total)
     last, avg = mt.incremental_accuracy(history)
 
     old_new = None
@@ -346,9 +368,7 @@ def evaluate_task(model, stream, task_index, history, cfgm: MetricsConfig,
         n_causal = sum(t in ("causal", "minimal_causal") for t in tags)
         ks = [k for k in cfgm.masking_ks if k <= n_causal]
         if n_causal and ks:
-            probe_x = np.concatenate([x for x, _ in test_sets])
-            probe_y = np.concatenate([y for _, y in test_sets])
-            masking = mt.masking_curve(model, probe_x, probe_y, tags, ks)
+            masking = mt.masking_curve(model, test_sets, acts, tags, ks)
 
     quality = None
     if cfgm.cf_quality:
@@ -378,9 +398,15 @@ def run_seed(config: ExperimentConfig, seed: int, out_dir=None):
     """One full incremental pass; returns (records, summary_row_dict).
 
     Artifacts land under out_dir (default output_dir/run_id/seed-{seed}):
-    epochs.jsonl, task-{t}.eval.json, task-{t}.ckpt, summary.csv.
+    epochs.jsonl, task-{t}.eval.json, task-{t}.ckpt, summary.csv. A
+    stream with an empty train or test split in any task raises
+    ConfigurationError before out_dir is made.
     """
     stream = config.build_stream(seed)
+    for t, (train, test, _) in enumerate(stream.tasks):
+        for split, (_, y) in (("train", train), ("test", test)):
+            if not len(y):
+                raise ConfigurationError(f"task {t}: empty {split} split")
     if out_dir is None:
         out_dir = os.path.join(config.output_dir, config.run_id,
                                f"seed-{seed}")
@@ -403,6 +429,7 @@ def run_seed(config: ExperimentConfig, seed: int, out_dir=None):
                 else tr.train_task)
 
     history = []
+    acts = []
     records = []
     for t, (train_split, _, (lo, hi)) in enumerate(stream.tasks):
         model.expand(hi - lo)
@@ -410,8 +437,8 @@ def run_seed(config: ExperimentConfig, seed: int, out_dir=None):
                           config.train, rng, log_path=log_path)
         tr.buffer_commit(buffer, train_split, model, rng=rng)
 
-        record = evaluate_task(model, stream, t, history, config.metrics,
-                               config.train.gen)
+        record = evaluate_task(model, stream, t, history, acts,
+                               config.metrics, config.train.gen)
         final_report = result.get("final_report")
         if final_report is not None and not check_proposition1(final_report):
             raise PropositionViolation(

@@ -197,24 +197,29 @@ def extractor_cka(ext_a, ext_b, x):
 # ---------------------------------------------------------------------------
 # saliency masking
 
-def input_saliency(model, x):
-    """|d logit_pred / d x| per sample and input dimension, in closed form.
+def input_saliency(model, acts):
+    """|d logit_pred / d x| per sample and input dimension, in closed form,
+    and the predicted class per sample.
 
-    The gradient of the predicted logit in the concatenated features is
-    the predicted class's row of the classifier weight; its d-wide block t
-    is the gradient in extractor t's feature. Each block goes back through
-    its extractor's layers as `g @ w_i`, and below a hidden layer times
-    that layer's ReLU mask `acts > 0`. The extractors' input gradients are
-    summed in task order 0..T-1, the order in which the autodiff graph of
-    the same logit adds them, so the result is that graph's to the bit;
-    from three extractors on another order moves bits. The tests keep the
-    graph as the reference.
+    `acts[t]` is extractor t's `activations_np` on the rows, one entry per
+    extractor in task order. The gradient of the predicted logit in the
+    concatenated features is the predicted class's row of the classifier
+    weight; its d-wide block t is the gradient in extractor t's feature.
+    Each block goes back through its extractor's layers as `g @ w_i`, and
+    below a hidden layer times that layer's ReLU mask `acts > 0`. The
+    extractors' input gradients are summed in task order 0..T-1, the order
+    in which the autodiff graph of the same logit adds them, so the result
+    is that graph's to the bit; from three extractors on another order
+    moves bits. The tests keep the graph as the reference. Returns
+    (saliency, predicted classes).
     """
-    x = model._check_input(x)
+    if len(acts) != model.task_count:
+        raise InputError(f"{len(acts)} activation sets for "
+                         f"{model.task_count} extractors")
     d = model.feature_dim
-    acts = [ext.activations_np(x) for ext in model.extractors]
     logits = model.head_np("cls", np.concatenate([a[-1] for a in acts], axis=1))
-    g_feat = model.heads["cls_w"].values[np.argmax(logits, axis=1)]
+    pred = np.argmax(logits, axis=1)
+    g_feat = model.heads["cls_w"].values[pred]
     for t, (ext, a) in enumerate(zip(model.extractors, acts)):
         g = g_feat[:, t * d:(t + 1) * d]
         for i in reversed(range(ext.n_layers)):
@@ -222,17 +227,20 @@ def input_saliency(model, x):
             if i:
                 g = g * (a[i - 1] > 0.0)
         grad = g if t == 0 else grad + g
-    return np.abs(grad)
+    return np.abs(grad), pred
 
 
-def masking_curve(model, x, y, dim_tags, ks):
+def masking_curve(model, test_sets, acts, dim_tags, ks):
     """Accuracy after zeroing each sample's top-k salient causal dims.
 
     Causal dims are those tagged causal or minimal_causal; they are ranked
-    per sample by input-gradient magnitude. Returns [(k, acc)].
+    per sample by input-gradient magnitude. `test_sets` holds (x, y)
+    pairs and `acts[j][t]` is extractor t's `activations_np` on test set
+    j, so the unmasked forward is not run again: the saliency and the
+    k = 0 predictions come from those activations. Each set is masked and
+    scored on its own, and the hits are summed over the sets, which gives
+    the accuracy over all their rows exactly. Returns [(k, acc)].
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
     causal_cols = np.array([i for i, t in enumerate(dim_tags)
                             if t in ("causal", "minimal_causal")], dtype=np.int64)
     if len(causal_cols) == 0:
@@ -245,19 +253,30 @@ def masking_curve(model, x, y, dim_tags, ks):
     if ks[-1] > len(causal_cols):
         raise ConfigurationError(
             f"k up to {ks[-1]} exceeds the {len(causal_cols)} annotated dims")
+    if len(acts) != len(test_sets):
+        raise InputError(f"{len(acts)} activation sets for "
+                         f"{len(test_sets)} test sets")
 
-    sal = input_saliency(model, x)[:, causal_cols]
-    order = np.argsort(-sal, axis=1)  # per-sample causal cols, most salient first
-    curve = []
-    for k in ks:
-        masked = x.copy()
-        if k:
-            rows = np.repeat(np.arange(len(x)), k)
-            cols = causal_cols[order[:, :k]].ravel()
-            masked[rows, cols] = 0.0
-        pred = np.argmax(model.forward_concat_np(masked), axis=1)
-        curve.append((k, float(np.mean(pred == y))))
-    return curve
+    hits = [0] * len(ks)
+    total = 0
+    for (x, y), set_acts in zip(test_sets, acts):
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.int64)
+        sal, pred = input_saliency(model, set_acts)
+        # per-sample causal cols, most salient first
+        order = np.argsort(-sal[:, causal_cols], axis=1)
+        for i, k in enumerate(ks):
+            masked_pred = pred
+            if k:
+                masked = x.copy()
+                rows = np.repeat(np.arange(len(x)), k)
+                masked[rows, causal_cols[order[:, :k]].ravel()] = 0.0
+                masked_pred = np.argmax(model.forward_concat_np(masked), axis=1)
+            hits[i] += int(np.sum(masked_pred == y))
+        total += len(y)
+    if not total:
+        raise InputError("no test rows to mask")
+    return [(k, h / total) for k, h in zip(ks, hits)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Shared test helpers: numeric differentiation oracle, error metrics and
-a by-name view of a model's parameters."""
+"""Shared test helpers: numeric differentiation oracle, error metrics, a
+by-name view of a model's parameters and every extractor's activations."""
 
 import numpy as np
 
@@ -41,3 +41,9 @@ def all_params(model):
               for name, p in ext.params.items()}
     params.update((key, model.heads[key]) for key in sorted(model.heads))
     return params
+
+
+def activations(model, x):
+    """`activations_np` of every extractor on x, in task order: the
+    per-set entry `metrics.input_saliency` and `masking_curve` read."""
+    return [ext.activations_np(x) for ext in model.extractors]

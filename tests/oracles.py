@@ -7,7 +7,10 @@ they used, the surrogate loss, the projector fit, `graph_objective`,
 which assembles one training step as an autodiff graph, and
 `graph_saliency`, the predicted logit's input gradient through every
 extractor. The tests hold the hand-derived versions to them bit for bit,
-and hold these ops to finite differences.
+and hold these ops to finite differences. `concat_masking_curve` is the
+masking curve as evaluation used to run it, over every test set
+concatenated into one probe; the per-set `metrics.masking_curve` is held
+to it.
 
 The ops follow the closure convention of `cpnslab.autodiff`: a backward
 closure takes its node's gradient and refers only to the parents.
@@ -20,6 +23,7 @@ from cpnslab import counterfactual as cf
 from cpnslab import trainer as tr
 from cpnslab.autodiff import Tensor, _accumulate, _batch_labels, _require_batch
 from cpnslab.errors import ConfigurationError, InputError, UsageError
+from cpnslab.metrics import input_saliency
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +173,31 @@ def graph_saliency(model, x, backward=ad.backward):
                        ad.constant(model.heads["cls_b"].values))
     backward(sum_picked(logits, np.argmax(logits.values, axis=1)))
     return np.abs(node.grad)
+
+
+# ---------------------------------------------------------------------------
+# the masking curve over one concatenated probe
+
+def concat_masking_curve(model, x, y, dim_tags, ks):
+    """`metrics.masking_curve` on one probe: saliency, k = 0 and every
+    masked pass run over all rows of x at once. Takes valid arguments."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    causal_cols = np.array([i for i, t in enumerate(dim_tags)
+                            if t in ("causal", "minimal_causal")], dtype=np.int64)
+    acts = [ext.activations_np(x) for ext in model.extractors]
+    sal = input_saliency(model, acts)[0][:, causal_cols]
+    order = np.argsort(-sal, axis=1)  # per-sample causal cols, most salient first
+    curve = []
+    for k in ks:
+        masked = x.copy()
+        if k:
+            rows = np.repeat(np.arange(len(x)), k)
+            cols = causal_cols[order[:, :k]].ravel()
+            masked[rows, cols] = 0.0
+        pred = np.argmax(model.forward_concat_np(masked), axis=1)
+        curve.append((k, float(np.mean(pred == y))))
+    return curve
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,55 @@ class TestRunSeed:
                     assert json.load(fh)["masking_curve"] is None
 
 
+    def test_evaluation_runs_each_extractor_once_per_test_set(
+            self, tmp_path, monkeypatch):
+        # an extractor is final once its task is trained, so evaluating task
+        # t runs only the new extractor on sets 0..t and the older ones on
+        # the new set t: 2t+1 (extractor, test set) activations, not (t+1)^2
+        # or more
+        doc = tiny_doc(tmp_path)
+        doc["data"]["num_tasks"] = 4
+        cfg = ex.config_from_dict(doc)
+        test_xs = [x for _, (x, _), _ in cfg.build_stream(0).tasks]
+        built, calls, evaluating = [], [], []
+
+        class Recorded(mdl.ExpandableModel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        activations_np = mdl.FeatureExtractor.activations_np
+        evaluate_task = ex.evaluate_task
+
+        def counted_activations(ext, x):
+            x = np.asarray(x)
+            for j, xt in enumerate(test_xs):
+                if evaluating and x.shape == xt.shape and np.array_equal(x, xt):
+                    calls.append((evaluating[0], built[0].extractors.index(ext),
+                                  j, len(x)))
+            return activations_np(ext, x)
+
+        def counted_evaluate(model, stream, task_index, *args):
+            evaluating.append(task_index)
+            try:
+                return evaluate_task(model, stream, task_index, *args)
+            finally:
+                evaluating.pop()
+
+        monkeypatch.setattr(ex.mdl, "ExpandableModel", Recorded)
+        monkeypatch.setattr(mdl.FeatureExtractor, "activations_np",
+                            counted_activations)
+        monkeypatch.setattr(ex, "evaluate_task", counted_evaluate)
+        records, _ = ex.run_seed(cfg, 0, out_dir=str(tmp_path / "run"))
+        assert records[-1].masking_curve is not None
+        for t in range(4):
+            got = sorted(call[1:] for call in calls if call[0] == t)
+            want = sorted([(t, j, len(test_xs[j])) for j in range(t + 1)]
+                          + [(i, t, len(test_xs[t])) for i in range(t)])
+            assert len(got) == 2 * t + 1
+            assert got == want
+
+
 # ---------------------------------------------------------------------------
 # sweeps and ablations
 
@@ -438,6 +487,22 @@ class TestCli:
             ex.load_config(cfg_path)
         assert cli.main(["run", cfg_path]) == 2
         assert not (tmp_path / "out").exists()
+
+    def test_empty_task_split_exits_two_before_any_output(self, tmp_path):
+        # classes 2 and 3 have one row each, and split_seed 1 puts class
+        # 3's row in the train split, so task 1 has no test rows
+        y = np.array([0] * 30 + [1] * 30 + [2, 3])
+        table = tmp_path / "t.txt"
+        dt.save_table(str(table), np.random.default_rng(0).normal(
+            size=(len(y), 4)), y, 4)
+        doc = tiny_doc(tmp_path / "out")
+        doc["data"] = {"kind": "table", "path": str(table), "B": 3, "I": 1,
+                       "split_seed": 1}
+        cfg_path = write_config(tmp_path, doc)
+        with pytest.raises(ConfigurationError, match="task 1: empty test"):
+            ex.run_seed(ex.load_config(cfg_path), 0)
+        assert cli.main(["run", cfg_path]) == 2
+        assert not (tmp_path / "out" / "t" / "seed-0").exists()
 
     @pytest.mark.parametrize("gen", [{"metric": "bogus"}, {"alpha": 0.0},
                                      {"beta": -0.1}, {"epsilon": 0.0}])

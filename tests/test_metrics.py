@@ -10,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import wasserstein_distance
 
+from conftest import activations
+
+import oracles
 from cpnslab import counterfactual as cf
 from cpnslab import metrics as mt
 from cpnslab.errors import ConfigurationError, InputError, UsageError
@@ -236,6 +239,10 @@ def handcrafted_model():
     return model
 
 
+def one_set_curve(model, x, y, tags, ks):
+    return mt.masking_curve(model, [(x, y)], [activations(model, x)], tags, ks)
+
+
 def test_masking_exact_handcrafted_curve():
     model = handcrafted_model()
     rng = np.random.default_rng(0)
@@ -243,10 +250,14 @@ def test_masking_exact_handcrafted_curve():
     x[:, 0] = np.where(np.arange(40) % 2 == 0, 2.0, -2.0)
     y = np.where(x[:, 0] > 0, 0, 1)
     tags = ["causal", "causal", "causal"]
-    curve = mt.masking_curve(model, x, y, tags, [0, 1])
     # dimension 0 carries all saliency; masking it zeroes the logits and the
     # argmax tie resolves to class 0, which is correct for half the samples
-    assert curve == [(0, 1.0), (1, 0.5)]
+    assert one_set_curve(model, x, y, tags, [0, 1]) == [(0, 1.0), (1, 0.5)]
+    # split into unequal sets, the hits still pool over all 40 rows
+    sets = [(x[:7], y[:7]), (x[7:], y[7:])]
+    acts = [activations(model, xs) for xs, _ in sets]
+    assert mt.masking_curve(model, sets, acts, tags, [0, 1]) == [(0, 1.0),
+                                                                 (1, 0.5)]
 
 
 def test_masking_k0_equals_unmasked_accuracy():
@@ -256,7 +267,7 @@ def test_masking_k0_equals_unmasked_accuracy():
     x = rng.normal(size=(30, 5))
     y = rng.integers(0, 3, size=30)
     pred = np.argmax(model.forward_concat_np(x), axis=1)
-    curve = mt.masking_curve(model, x, y, ["causal"] * 5, [0, 2])
+    curve = one_set_curve(model, x, y, ["causal"] * 5, [0, 2])
     assert curve[0] == (0, pytest.approx(float(np.mean(pred == y))))
 
 
@@ -267,8 +278,53 @@ def test_masking_everything_hits_constant_prediction():
     x = rng.normal(size=(200, 4))
     y = rng.integers(0, 2, size=200)
     const_pred = int(np.argmax(model.forward_concat_np(np.zeros((1, 4)))[0]))
-    curve = mt.masking_curve(model, x, y, ["causal"] * 4, [0, 4])
+    curve = one_set_curve(model, x, y, ["causal"] * 4, [0, 4])
     assert curve[1][1] == pytest.approx(float(np.mean(y == const_pred)))
+
+
+def stream_model(tasks, seed):
+    model = ExpandableModel(input_dim=10, feature_dim=6, hidden_dims=(12,),
+                            seed=seed)
+    for _ in range(tasks):
+        model.expand(3)
+    return model
+
+
+def test_per_set_masking_matches_the_concatenated_probe():
+    # 400-row sets: each set's products are, row for row, the bits of the
+    # product over all sets concatenated, so saliency, masking order and
+    # every curve point match the one-probe path exactly
+    tags = ["causal", "noise", "minimal_causal", "causal", "spurious"] * 2
+    for tasks in (3, 4):
+        model = stream_model(tasks, seed=tasks)
+        rng = np.random.default_rng(10 + tasks)
+        sets = [(rng.normal(size=(400, 10)), rng.integers(0, 3 * tasks, 400))
+                for _ in range(tasks)]
+        acts = [activations(model, x) for x, _ in sets]
+        x_all = np.concatenate([x for x, _ in sets])
+        y_all = np.concatenate([y for _, y in sets])
+        ks = [0, 1, 2, 5]
+        curve = mt.masking_curve(model, sets, acts, tags, ks)
+        assert curve == oracles.concat_masking_curve(model, x_all, y_all,
+                                                     tags, ks)
+        per_set = np.concatenate([mt.input_saliency(model, a)[0] for a in acts])
+        whole = mt.input_saliency(model, activations(model, x_all))[0]
+        np.testing.assert_array_equal(per_set, whole)
+        pred = np.argmax(model.forward_concat_np(x_all), axis=1)
+        assert curve[0] == (0, float(np.mean(pred == y_all)))
+
+
+def test_per_set_saliency_on_small_sets_is_close_to_the_concatenated():
+    # below a few hundred rows BLAS may take another kernel for a set's
+    # products than for the concatenated ones, so the last bit can differ
+    # and only closeness is promised; evaluation's test sets are larger
+    model = stream_model(3, seed=7)
+    rng = np.random.default_rng(8)
+    xs = [rng.normal(size=(n, 10)) for n in (1, 37, 150)]
+    per_set = np.concatenate([mt.input_saliency(model, activations(model, x))[0]
+                              for x in xs])
+    whole = mt.input_saliency(model, activations(model, np.concatenate(xs)))[0]
+    np.testing.assert_allclose(per_set, whole, rtol=1e-12, atol=1e-15)
 
 
 def test_masking_curve_validation():
@@ -276,13 +332,20 @@ def test_masking_curve_validation():
     x = np.zeros((4, 3))
     y = np.zeros(4, dtype=int)
     with pytest.raises(ConfigurationError):
-        mt.masking_curve(model, x, y, ["causal", "noise", "noise"], [0, 2])
+        one_set_curve(model, x, y, ["causal", "noise", "noise"], [0, 2])
     with pytest.raises(InputError):
-        mt.masking_curve(model, x, y, ["causal"] * 3, [2, 1])
+        one_set_curve(model, x, y, ["causal"] * 3, [2, 1])
     with pytest.raises(ConfigurationError, match="non-negative"):
-        mt.masking_curve(model, x, y, ["causal"] * 3, [-1, 0])
+        one_set_curve(model, x, y, ["causal"] * 3, [-1, 0])
     with pytest.raises(ConfigurationError):
-        mt.masking_curve(model, x, y, ["noise"] * 3, [0])
+        one_set_curve(model, x, y, ["noise"] * 3, [0])
+    with pytest.raises(InputError, match="activation sets"):
+        mt.masking_curve(model, [(x, y)], [], ["causal"] * 3, [0])
+    with pytest.raises(InputError, match="activation sets"):
+        mt.input_saliency(model, [])
+    empty = np.zeros((0, 3))
+    with pytest.raises(InputError, match="no test rows"):
+        one_set_curve(model, empty, np.zeros(0, dtype=int), ["causal"] * 3, [0])
 
 
 # ---------------------------------------------------------------------------
