@@ -1,10 +1,14 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-It serves the rehearsal baseline trainer, `trainer.train_task_baseline`,
-and nothing else in the package: the regularized trainer differentiates
-its objective by hand (`trainer._objective`) and the input-saliency
-diagnostic is in closed form (`metrics.input_saliency`). The tests build
-the graph versions of both as their reference.
+No run path builds a graph: both trainers differentiate their steps by
+hand (`trainer._objective`, `trainer._baseline_step`) and the
+input-saliency diagnostic is in closed form (`metrics.input_saliency`).
+This module is the tests' reference graph, which they hold those
+hand-derived versions to bit for bit. It stays in the package because
+the benchmark's tracer (`perfbench/spans.py`) wraps `backward` and
+`model.ExpandableModel.current_feature_graph` by name; `Tensor` and
+`leaf` still hold every parameter, and `log_softmax`/`softmax` are the
+numerics the trainer shares.
 
 The graph is built eagerly: every operation returns a `Tensor` node holding
 values, a gradient slot, and a backward closure. The operations are

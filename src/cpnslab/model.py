@@ -228,7 +228,7 @@ class ExpandableModel:
         h = np.maximum(h, 0.0)
         return h @ self.heads["proj_w1"].values.T + self.heads["proj_b1"].values
 
-    # -- graph-mode builders (rehearsal baseline trainer) ----------------
+    # -- graph-mode builders (the tests' reference graphs, no run path) --
 
     def current_feature_graph(self, x_node: ad.Tensor) -> ad.Tensor:
         return self.extractors[-1].forward(x_node)

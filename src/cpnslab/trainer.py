@@ -12,7 +12,10 @@ Each step of either stage runs one numpy function, `_objective`, that
 returns the loss values and every trained parameter's gradient; it is
 differentiated by hand, with the arithmetic and summation order of the
 equivalent `autodiff` graph, so it gives that graph's bits. The rehearsal
-baseline, `train_task_baseline`, keeps the autodiff graph.
+baseline, `train_task_baseline`, steps the same way through its own
+`_baseline_step`, so no training step builds a graph. `optimizer_step`
+updates the trained parameters as one flat vector: `make_optimizer_state`
+lays them out contiguously and re-points their values at views of it.
 
 The knobs degrade exactly: with lam = gamma = nu = 0 and stage 1
 disabled, train_task performs the same arithmetic as
@@ -102,54 +105,99 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 # optimizer
 
-def make_optimizer_state():
-    """Fresh state; slots are allocated lazily per parameter name."""
-    return {"step": 0, "m": {}, "v": {}}
+def make_optimizer_state(params: dict[str, ad.Tensor]):
+    """Fresh state over `params`, whose values move into one flat vector.
+
+    The parameters are laid out in the map's order in one contiguous
+    float64 vector, `state["values"]`, and each leaf's `values` is
+    re-pointed at the reshaped view of its slice, `state["slices"][name]`;
+    the gradient gather buffer and the moment vectors (allocated on the
+    first step) share that layout. A leaf whose `values` is rebound later
+    no longer sees the updates.
+    """
+    names = tuple(params)
+    shapes = tuple(params[name].values.shape for name in names)
+    flat = np.concatenate([params[name].values.ravel() for name in names])
+    slices, lo = {}, 0
+    for name, shape in zip(names, shapes):
+        hi = lo + math.prod(shape)
+        slices[name] = slice(lo, hi)
+        params[name].values = flat[lo:hi].reshape(shape)
+        lo = hi
+    return {"step": 0, "slices": slices, "shapes": shapes, "values": flat,
+            "grad": np.empty_like(flat), "m": None, "v": None}
+
+
+def _gather_grads(params, grads, state):
+    """The gradients in the state's layout, in its reused gather buffer;
+    a missing, misshapen, unknown or non-finite one raises, naming it,
+    before anything moves."""
+    names = state["slices"]
+    if params.keys() != names.keys():
+        raise UsageError("the optimizer state was made for other parameters")
+    try:
+        gs = [grads[name] for name in names]
+    except KeyError:
+        missing = next(name for name in names if name not in grads)
+        raise UsageError(f"parameter {missing!r} got no gradient") from None
+    if len(grads) != len(names):
+        unknown = next(name for name in grads if name not in params)
+        raise UsageError(f"gradient {unknown!r} names no parameter")
+    if tuple(g.shape for g in gs) != state["shapes"]:
+        name = next(name for name, g, shape in zip(names, gs, state["shapes"])
+                    if g.shape != shape)
+        raise UsageError(f"gradient of {name!r} has shape {grads[name].shape}, "
+                         f"not {params[name].values.shape}")
+    g = np.concatenate([g.ravel() for g in gs], out=state["grad"])
+    if not np.isfinite(g).all():
+        name = next(name for name, g in zip(names, gs)
+                    if not np.isfinite(g).all())
+        raise NumericsError(
+            f"non-finite gradient in {name!r} at step {state['step'] + 1}")
+    return g
 
 
 def optimizer_step(params: dict[str, ad.Tensor], grads: dict[str, np.ndarray],
                    state, config: TrainConfig, lr=None):
     """One update over every parameter in the map, with its gradient from
-    `grads` under the same name.
+    `grads` under the same name; `state` is `make_optimizer_state(params)`.
 
-    Weight decay is decoupled (applied to the value, not folded into the
-    gradient). A missing or non-finite gradient aborts before a single
-    value is touched.
+    The gradients are gathered into the flat layout, and weight decay and
+    the SGD-momentum or Adam update each run as single elementwise passes
+    over the flat vectors; every element sees the arithmetic of a
+    per-parameter update. Weight decay is decoupled (applied to the value,
+    not folded into the gradient). A missing, misshapen or non-finite
+    gradient, or one whose name is no parameter, raises naming it before
+    a single value is touched.
     """
     lr = config.lr if lr is None else float(lr)
-    for name in params:
-        g = grads.get(name)
-        if g is None:
-            raise UsageError(f"parameter {name!r} got no gradient")
-        if not np.isfinite(g).all():
-            raise NumericsError(
-                f"non-finite gradient in {name!r} at step {state['step'] + 1}")
+    g = _gather_grads(params, grads, state)
     state["step"] += 1
     k = state["step"]
-    for name, t in params.items():
-        g = grads[name]
-        if config.weight_decay > 0.0:
-            t.values -= lr * config.weight_decay * t.values
-        if config.optimizer == "sgd":
-            buf = state["m"].get(name)
-            # a copy on the first step: the momentum must not alias g
-            buf = g.copy() if buf is None else config.momentum * buf + g
-            state["m"][name] = buf
-            t.values -= lr * buf
+    values = state["values"]
+    if config.weight_decay > 0.0:
+        values -= lr * config.weight_decay * values
+    if config.optimizer == "sgd":
+        m = state["m"]
+        if m is None:
+            # a copy: g is the gather buffer the next step overwrites
+            state["m"] = m = g.copy()
         else:
-            b1, b2 = config.adam_betas
-            m = state["m"].get(name)
-            if m is None:
-                m = np.zeros_like(t.values)
-                state["v"][name] = np.zeros_like(t.values)
-            v = state["v"][name]
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * g * g
-            state["m"][name] = m
-            state["v"][name] = v
-            mhat = m / (1.0 - b1 ** k)
-            vhat = v / (1.0 - b2 ** k)
-            t.values -= lr * mhat / (np.sqrt(vhat) + config.adam_eps)
+            m *= config.momentum
+            m += g
+        values -= lr * m
+    else:
+        b1, b2 = config.adam_betas
+        if state["m"] is None:
+            state["m"], state["v"] = np.zeros_like(g), np.zeros_like(g)
+        m, v = state["m"], state["v"]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        mhat = m / (1.0 - b1 ** k)
+        vhat = v / (1.0 - b2 ** k)
+        values -= lr * mhat / (np.sqrt(vhat) + config.adam_eps)
     return state
 
 
@@ -297,15 +345,6 @@ def _task_arrays(model, task_data, buffer):
         raise ConfigurationError(
             f"task {model.current_task} requires a non-empty rehearsal buffer")
     return x_cur, y_cur
-
-
-def _take_grads(params):
-    """The gradients the last `backward` left on the leaves, moved off them
-    so that no leaf keeps one."""
-    grads = {}
-    for name, p in params.items():
-        grads[name], p.grad = p.grad, None
-    return grads
 
 
 def _check_finite(params):
@@ -572,7 +611,7 @@ def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
             "inter-scope counterfactuals requested during stage 1")
     t = model.current_task
     params = _param_set(model, use_cls, use_intra, use_inter)
-    state = make_optimizer_state()
+    state = make_optimizer_state(params)
     mixed = use_cls and t >= 1
     probe_buf = buffer.samples() if mixed else None
     buf_x, buf_y = probe_buf if mixed else (None, None)
@@ -649,6 +688,52 @@ def train_task(model, task_data, buffer, config: TrainConfig, rng,
     return {"task": t, "records": records, "final_report": final_report}
 
 
+# ---------------------------------------------------------------------------
+# the rehearsal baseline
+
+def _baseline_step(model, xb, yb, frozen, lo, cur_count):
+    """Loss values and gradients of one rehearsal-baseline step.
+
+    The classifier's cross-entropy over [frozen, c_hat] and, when `frozen`
+    is given (from the second task on), the auxiliary cross-entropy on
+    c_hat, whose labels are the current classes from `lo` on and
+    `cur_count` for a rehearsal row. Returns ({"cls"[, "aux"]}, the
+    gradient of their sum for the current extractor, cls and aux).
+
+    Written apart from `_objective` on purpose (see train_task_baseline),
+    with the arithmetic of the equivalent autodiff graph: c_hat's gradient
+    is its slice of the classifier's input gradient plus the auxiliary
+    head's, in that order, and the ReLU passes where its output is
+    positive.
+    """
+    ext = model.extractors[-1]
+    *hiddens, c_hat = ext.activations_np(xb)
+    ins = [xb, *hiddens]  # the input of each layer
+    z = c_hat if frozen is None else np.concatenate([frozen, c_hat], axis=1)
+    cls_w, cls_b = model.heads["cls_w"].values, model.heads["cls_b"].values
+    _check_labels(yb, len(cls_b))
+    losses, grads = {}, {}
+    losses["cls"], g_cls = _ce(z @ cls_w.T + cls_b, yb)
+    grads["cls_w"] = g_cls.T @ z
+    grads["cls_b"] = g_cls.sum(axis=0)
+    g = g_cls @ cls_w
+    if frozen is not None:
+        aux_w, aux_b = model.heads["aux_w"].values, model.heads["aux_b"].values
+        aux_labels = np.where(yb >= lo, yb - lo, cur_count)
+        _check_labels(aux_labels, len(aux_b))
+        losses["aux"], g_aux = _ce(c_hat @ aux_w.T + aux_b, aux_labels)
+        grads["aux_w"] = g_aux.T @ c_hat
+        grads["aux_b"] = g_aux.sum(axis=0)
+        g = g[:, frozen.shape[1]:] + g_aux @ aux_w
+    prefix = f"f{model.current_task}/"
+    for i in reversed(range(ext.n_layers)):
+        grads[f"{prefix}w{i}"] = g.T @ ins[i]
+        grads[f"{prefix}b{i}"] = g.sum(axis=0)
+        if i:
+            g = (g @ ext.params[f"w{i}"].values) * (ins[i] > 0.0)
+    return losses, grads
+
+
 def train_task_baseline(model, task_data, buffer, config: TrainConfig, rng,
                         log_path=None):
     """Rehearsal baseline: classification plus auxiliary loss, one stage.
@@ -658,7 +743,9 @@ def train_task_baseline(model, task_data, buffer, config: TrainConfig, rng,
     on purpose: the degeneracy check compares its final parameters
     bit-for-bit against train_task with the counterfactual machinery
     zeroed, and that check only means something if this path does not
-    share that machinery.
+    share that machinery. Each step is `_baseline_step`, differentiated by
+    hand apart from `_objective`, and one `optimizer_step` over the flat
+    parameter layout.
     """
     t = model.current_task
     lo = model.class_offsets[-1][0]
@@ -666,7 +753,7 @@ def train_task_baseline(model, task_data, buffer, config: TrainConfig, rng,
     snap = model.frozen_snapshot()
     cur_count = model.current_class_count
     params = _param_set(model, use_cls=True, use_intra=False, use_inter=False)
-    state = make_optimizer_state()
+    state = make_optimizer_state(params)
     has_buffer = t >= 1
     probe_buf = buffer.samples() if has_buffer else None
     buf_x, buf_y = probe_buf if has_buffer else (None, None)
@@ -686,21 +773,11 @@ def train_task_baseline(model, task_data, buffer, config: TrainConfig, rng,
                 bsel = _buffer_minibatch(len(buf_x), len(idx), rng)
                 xb = np.concatenate([xb, buf_x[bsel]])
                 yb = np.concatenate([yb, buf_y[bsel]])
-            c_hat = model.current_feature_graph(ad.constant(xb))
-            z = (ad.concat([ad.constant(model.frozen_concat_np(xb)), c_hat])
-                 if has_buffer else c_hat)
-            cls_loss = ad.softmax_cross_entropy(model.head_graph("cls", z), yb)
-            sums["cls"] += float(cls_loss.values)
-            terms = [cls_loss]
-            if has_buffer:
-                aux_labels = np.where(yb >= lo, yb - lo, cur_count)
-                aux_loss = ad.softmax_cross_entropy(
-                    model.head_graph("aux", c_hat), aux_labels)
-                sums["aux"] += float(aux_loss.values)
-                terms.append(aux_loss)
-            total = terms[0] if len(terms) == 1 else ad.add_scalars(terms)
-            ad.backward(total)
-            optimizer_step(params, _take_grads(params), state, config, lr=lr)
+            frozen = model.frozen_concat_np(xb) if has_buffer else None
+            losses, grads = _baseline_step(model, xb, yb, frozen, lo, cur_count)
+            for key, value in losses.items():
+                sums[key] += value
+            optimizer_step(params, grads, state, config, lr=lr)
         _check_finite(params)
         report = _probe_report(model, x_cur, y_cur, probe_buf, config)
         wall = (time.perf_counter() - t0) * 1000.0

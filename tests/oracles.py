@@ -1,16 +1,19 @@
 """Reference implementations the package no longer runs.
 
-The regularized trainer computes its objective and gradients by hand
-(`trainer._objective`), and `metrics.input_saliency` its input gradient
-in closed form. Their graph versions live here: the autodiff ops only
-they used, the surrogate loss, the projector fit, `graph_objective`,
-which assembles one training step as an autodiff graph, and
+Both trainers compute their steps' gradients by hand
+(`trainer._objective`, `trainer._baseline_step`), and
+`metrics.input_saliency` its input gradient in closed form. Their graph
+versions live here: the autodiff ops only they used, the surrogate loss,
+the projector fit, `graph_objective`, which assembles one training step
+as an autodiff graph (with only the cls flag on, it is the baseline's
+step), `take_grads`, which moves its gradients off the leaves, and
 `graph_saliency`, the predicted logit's input gradient through every
 extractor. The tests hold the hand-derived versions to them bit for bit,
 and hold these ops to finite differences. `concat_masking_curve` is the
 masking curve as evaluation used to run it, over every test set
 concatenated into one probe; the per-set `metrics.masking_curve` is held
-to it.
+to it. `per_array_step` is the optimizer step as it ran one parameter at
+a time, before the flat layout; `trainer.optimizer_step` is held to it.
 
 The ops follow the closure convention of `cpnslab.autodiff`: a backward
 closure takes its node's gradient and refers only to the parents.
@@ -22,7 +25,8 @@ from cpnslab import autodiff as ad
 from cpnslab import counterfactual as cf
 from cpnslab import trainer as tr
 from cpnslab.autodiff import Tensor, _accumulate, _batch_labels, _require_batch
-from cpnslab.errors import ConfigurationError, InputError, UsageError
+from cpnslab.errors import (ConfigurationError, InputError, NumericsError,
+                            UsageError)
 from cpnslab.metrics import input_saliency
 
 
@@ -292,4 +296,57 @@ def graph_objective(model, xb, yb, n_c, frozen, config, use_cls, use_intra,
         losses["proj"] = float(proj_loss.values)
         terms.append(proj_loss)
     ad.backward(terms[0] if len(terms) == 1 else ad.add_scalars(terms))
-    return losses, tr._take_grads(params)
+    return losses, take_grads(params)
+
+
+def take_grads(params):
+    """The gradients the last `backward` left on the leaves, moved off them
+    so that no leaf keeps one."""
+    grads = {}
+    for name, p in params.items():
+        grads[name], p.grad = p.grad, None
+    return grads
+
+
+# ---------------------------------------------------------------------------
+# the optimizer, one parameter at a time
+
+def per_array_step(params, grads, state, config, lr=None):
+    """`trainer.optimizer_step` as it ran before the flat layout: a loop
+    over the parameters with per-name moment slots. `state` starts as
+    {"step": 0, "m": {}, "v": {}}."""
+    lr = config.lr if lr is None else float(lr)
+    for name in params:
+        g = grads.get(name)
+        if g is None:
+            raise UsageError(f"parameter {name!r} got no gradient")
+        if not np.isfinite(g).all():
+            raise NumericsError(
+                f"non-finite gradient in {name!r} at step {state['step'] + 1}")
+    state["step"] += 1
+    k = state["step"]
+    for name, t in params.items():
+        g = grads[name]
+        if config.weight_decay > 0.0:
+            t.values -= lr * config.weight_decay * t.values
+        if config.optimizer == "sgd":
+            buf = state["m"].get(name)
+            # a copy on the first step: the momentum must not alias g
+            buf = g.copy() if buf is None else config.momentum * buf + g
+            state["m"][name] = buf
+            t.values -= lr * buf
+        else:
+            b1, b2 = config.adam_betas
+            m = state["m"].get(name)
+            if m is None:
+                m = np.zeros_like(t.values)
+                state["v"][name] = np.zeros_like(t.values)
+            v = state["v"][name]
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            state["m"][name] = m
+            state["v"][name] = v
+            mhat = m / (1.0 - b1 ** k)
+            vhat = v / (1.0 - b2 ** k)
+            t.values -= lr * mhat / (np.sqrt(vhat) + config.adam_eps)
+    return state

@@ -14,6 +14,7 @@ import pytest
 
 from conftest import all_params
 
+from cpnslab import autodiff as ad
 from cpnslab import cli
 from cpnslab import data as dt
 from cpnslab import experiment as ex
@@ -262,6 +263,22 @@ class TestRunSeed:
         held = [name for name, p in all_params(built[0]).items()
                 if p.grad is not None]
         assert held == []
+
+    def test_no_run_path_runs_an_autodiff_backward(self, tmp_path,
+                                                   monkeypatch):
+        # both trainers, evaluation and the checkpoints compute their
+        # gradients by hand; the autodiff graph is the tests' reference
+        def refuse(root):
+            raise AssertionError("autodiff.backward ran during a seed")
+
+        monkeypatch.setattr(ad, "backward", refuse)
+        with open(os.path.join(ROOT, "configs", "smoke.json")) as fh:
+            doc = json.load(fh)
+        for baseline in (False, True):
+            doc.update(output_dir=str(tmp_path / str(baseline)),
+                       use_baseline_trainer=baseline)
+            records, _ = ex.run_seed(ex.config_from_dict(doc), 0)
+            assert len(records) == doc["data"]["num_tasks"]
 
     def test_table_backed_stream(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -64,14 +64,14 @@ def counts(buf, labels):
 def test_sgd_zero_grad_zero_momentum_unchanged():
     cfg = tr.TrainConfig(momentum=0.0, weight_decay=0.0)
     ps, t, g = one_param([1.0, -2.0])
-    tr.optimizer_step(ps, {"p": g}, tr.make_optimizer_state(), cfg)
+    tr.optimizer_step(ps, {"p": g}, tr.make_optimizer_state(ps), cfg)
     np.testing.assert_array_equal(t.values, [1.0, -2.0])
 
 
 def test_adam_zero_grad_unchanged():
     cfg = tr.TrainConfig(optimizer="adam", weight_decay=0.0)
     ps, t, g = one_param([0.5, 3.0])
-    tr.optimizer_step(ps, {"p": g}, tr.make_optimizer_state(), cfg)
+    tr.optimizer_step(ps, {"p": g}, tr.make_optimizer_state(ps), cfg)
     np.testing.assert_array_equal(t.values, [0.5, 3.0])
 
 
@@ -79,14 +79,14 @@ def test_sgd_single_step_matches_hand_computation():
     cfg = tr.TrainConfig(lr=0.1, momentum=0.0, weight_decay=0.0)
     ps, t, g = one_param([1.0, -2.0])
     g[:] = [0.5, -1.0]
-    tr.optimizer_step(ps, {"p": g}, tr.make_optimizer_state(), cfg)
+    tr.optimizer_step(ps, {"p": g}, tr.make_optimizer_state(ps), cfg)
     np.testing.assert_array_equal(t.values, [1.0 - 0.1 * 0.5, -2.0 + 0.1 * 1.0])
 
 
 def test_sgd_momentum_accumulates_over_steps():
     cfg = tr.TrainConfig(lr=0.1, momentum=0.9, weight_decay=0.0)
     ps, t, g = one_param([0.0])
-    state = tr.make_optimizer_state()
+    state = tr.make_optimizer_state(ps)
     g[:] = [1.0]
     tr.optimizer_step(ps, {"p": g}, state, cfg)
     g[:] = [1.0]
@@ -99,11 +99,12 @@ def test_sgd_momentum_accumulates_over_steps():
 def test_sgd_momentum_does_not_alias_gradient_buffer():
     cfg = tr.TrainConfig(lr=0.1, momentum=0.9, weight_decay=0.0)
     ps, t, g = one_param([0.0, 1.0])
-    state = tr.make_optimizer_state()
+    state = tr.make_optimizer_state(ps)
     g[:] = [1.0, -2.0]
     tr.optimizer_step(ps, {"p": g}, state, cfg)
     g[...] = 0.0  # zeroing in place must leave the momentum alone
-    np.testing.assert_array_equal(state["m"]["p"], [1.0, -2.0])
+    p = state["slices"]["p"]
+    np.testing.assert_array_equal(state["m"][p], [1.0, -2.0])
 
 
 def test_adam_step_one_bias_correction_closed_form():
@@ -111,12 +112,13 @@ def test_adam_step_one_bias_correction_closed_form():
     cfg = tr.TrainConfig(optimizer="adam", weight_decay=0.0, lr=1e-2)
     ps, t, _ = one_param([1.0, -1.0, 2.0])
     g = np.array([0.3, -2.0, 0.001])
-    state = tr.make_optimizer_state()
+    state = tr.make_optimizer_state(ps)
     before = t.values.copy()
     tr.optimizer_step(ps, {"p": g}, state, cfg)
     b1, b2 = cfg.adam_betas
-    np.testing.assert_allclose(state["m"]["p"] / (1.0 - b1), g, rtol=1e-14)
-    np.testing.assert_allclose(state["v"]["p"] / (1.0 - b2), g * g, rtol=1e-14)
+    p = state["slices"]["p"]
+    np.testing.assert_allclose(state["m"][p] / (1.0 - b1), g, rtol=1e-14)
+    np.testing.assert_allclose(state["v"][p] / (1.0 - b2), g * g, rtol=1e-14)
     np.testing.assert_allclose(
         before - t.values, cfg.lr * g / (np.abs(g) + cfg.adam_eps), rtol=1e-12)
 
@@ -125,7 +127,7 @@ def test_weight_decay_is_decoupled():
     # zero gradient still shrinks the value by lr * wd * value
     cfg = tr.TrainConfig(lr=0.1, momentum=0.0, weight_decay=0.5)
     ps, t, g = one_param([2.0, -4.0])
-    tr.optimizer_step(ps, {"p": g}, tr.make_optimizer_state(), cfg)
+    tr.optimizer_step(ps, {"p": g}, tr.make_optimizer_state(ps), cfg)
     expected = np.array([2.0, -4.0])
     expected = expected - 0.1 * 0.5 * expected
     np.testing.assert_array_equal(t.values, expected)
@@ -134,10 +136,10 @@ def test_weight_decay_is_decoupled():
 def test_nan_gradient_aborts_without_touching_values():
     cfg = tr.TrainConfig()
     (_, a, _), (_, b, _) = one_param([1.0, 2.0]), one_param([3.0])
+    params = {"a": a, "b": b}
     grads = {"a": np.array([0.1, 0.2]), "b": np.array([np.nan])}
     with pytest.raises(NumericsError, match="b"):
-        tr.optimizer_step({"a": a, "b": b}, grads, tr.make_optimizer_state(),
-                          cfg)
+        tr.optimizer_step(params, grads, tr.make_optimizer_state(params), cfg)
     np.testing.assert_array_equal(a.values, [1.0, 2.0])
     np.testing.assert_array_equal(b.values, [3.0])
 
@@ -145,12 +147,92 @@ def test_nan_gradient_aborts_without_touching_values():
 def test_missing_gradient_names_the_parameter_without_touching_values():
     _, a, _ = one_param([1.0, 2.0])
     p = ad.leaf([1.0])  # no gradient was computed for it
-    state = tr.make_optimizer_state()
+    params = {"a": a, "p": p}
+    state = tr.make_optimizer_state(params)
     with pytest.raises(UsageError, match="'p'"):
-        tr.optimizer_step({"a": a, "p": p}, {"a": np.array([0.1, 0.2])},
-                          state, tr.TrainConfig())
+        tr.optimizer_step(params, {"a": np.array([0.1, 0.2])}, state,
+                          tr.TrainConfig())
     np.testing.assert_array_equal(a.values, [1.0, 2.0])
     assert state["step"] == 0
+
+
+def test_unknown_gradient_is_named_without_touching_values():
+    params = {"a": ad.leaf([1.0, 2.0])}
+    state = tr.make_optimizer_state(params)
+    grads = {"a": np.array([0.1, 0.2]), "stray": np.array([1.0])}
+    with pytest.raises(UsageError, match="'stray'"):
+        tr.optimizer_step(params, grads, state, tr.TrainConfig())
+    np.testing.assert_array_equal(params["a"].values, [1.0, 2.0])
+    assert state["step"] == 0
+
+
+def test_misshapen_gradient_or_foreign_state_is_refused():
+    params = {"a": ad.leaf([1.0, 2.0]), "b": ad.leaf([3.0])}
+    state = tr.make_optimizer_state(params)
+    # same total size, so only the per-parameter shapes tell them apart
+    grads = {"a": np.array([0.1]), "b": np.array([0.2, 0.3])}
+    with pytest.raises(UsageError, match="'a'"):
+        tr.optimizer_step(params, grads, state, tr.TrainConfig())
+    with pytest.raises(UsageError, match="other parameters"):
+        tr.optimizer_step({"a": params["a"]}, {"a": np.zeros(2)}, state,
+                          tr.TrainConfig())
+    np.testing.assert_array_equal(state["values"], [1.0, 2.0, 3.0])
+    assert state["step"] == 0
+
+
+def test_state_lays_the_parameters_out_in_one_vector():
+    params = {"w": ad.leaf(np.arange(6.0).reshape(2, 3)), "b": ad.leaf([6.0]),
+              "v": ad.leaf([7.0, 8.0, 9.0])}
+    state = tr.make_optimizer_state(params)
+    np.testing.assert_array_equal(state["values"], np.arange(10.0))
+    for name, p in params.items():
+        assert np.shares_memory(p.values, state["values"])
+        np.testing.assert_array_equal(
+            p.values.ravel(), state["values"][state["slices"][name]])
+    assert params["w"].values.shape == (2, 3)
+
+
+def test_momentum_does_not_alias_the_reused_gather_buffer():
+    cfg = tr.TrainConfig(lr=0.1, momentum=0.5, weight_decay=0.0)
+    ps, t, _ = one_param([0.0, 0.0])
+    state = tr.make_optimizer_state(ps)
+    tr.optimizer_step(ps, {"p": np.array([1.0, 2.0])}, state, cfg)
+    assert not np.shares_memory(state["m"], state["grad"])
+    tr.optimizer_step(ps, {"p": np.array([4.0, -8.0])}, state, cfg)
+    # aliased, the second gather would overwrite the first step's momentum
+    np.testing.assert_array_equal(state["m"], [0.5 * 1.0 + 4.0,
+                                               0.5 * 2.0 - 8.0])
+
+
+@pytest.mark.parametrize("schedule", ["constant", "cosine"])
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-5])
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_flat_step_matches_the_per_array_step_bitwise(optimizer, weight_decay,
+                                                      schedule):
+    cfg = tr.TrainConfig(optimizer=optimizer, weight_decay=weight_decay,
+                         schedule=schedule, lr=0.05, momentum=0.9)
+    rng = np.random.default_rng(23)
+    shapes = {"one": (1,), "w": (5, 3), "b": (5,), "u": (2, 4)}
+    init = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    flat = {name: ad.leaf(v.copy()) for name, v in init.items()}
+    ref = {name: ad.leaf(v.copy()) for name, v in init.items()}
+    state = tr.make_optimizer_state(flat)
+    ref_state = {"step": 0, "m": {}, "v": {}}
+    steps = 50
+    for k in range(steps):
+        lr = tr._lr_at(cfg, k, steps)
+        grads = {name: rng.normal(scale=10.0 ** rng.integers(-3, 2),
+                                  size=shape)
+                 for name, shape in shapes.items()}
+        tr.optimizer_step(flat, grads, state, cfg, lr=lr)
+        oracles.per_array_step(ref, grads, ref_state, cfg, lr=lr)
+    slots = ("m", "v") if optimizer == "adam" else ("m",)
+    for name in shapes:
+        assert np.array_equal(flat[name].values, ref[name].values), name
+        for slot in slots:
+            assert np.array_equal(state[slot][state["slices"][name]],
+                                  ref_state[slot][name].ravel()), (slot, name)
+    assert not np.array_equal(flat["w"].values, init["w"])
 
 
 def test_finite_check_names_the_bad_parameter():
@@ -338,19 +420,19 @@ def _same_bits(a, b):
 
 
 def _objective_model(task, separate, hidden, rng):
-    """A model at `task` (0 or 1) with a 6-row buffer, and that task's 21
-    rows: batches of 8 leave a short last batch of 5, and the buffer is
+    """A model at `task` (0, 1 or 2) with a 6-row buffer, and that task's
+    21 rows: batches of 8 leave a short last batch of 5, and the buffer is
     smaller than a batch."""
-    t0, t1 = two_task_data(n_per=7)
+    tasks = [*two_task_data(n_per=7),
+             blob_task(np.random.default_rng(43), [6, 7, 8], 7, 8)]
     model = ExpandableModel(input_dim=8, feature_dim=6, hidden_dims=hidden,
                             separate_inter_head=separate, seed=3)
     model.expand(3)
     buf = tr.RehearsalBuffer(6, "class_balanced_random")
-    if task == 0:
-        return model, buf, t0
-    tr.buffer_commit(buf, t0, model, rng=rng)
-    model.expand(3)
-    return model, buf, t1
+    for t in range(task):
+        tr.buffer_commit(buf, tasks[t], model, rng=rng)
+        model.expand(3)
+    return model, buf, tasks[task]
 
 
 @pytest.mark.parametrize("hidden", [(16,), (16, 8)], ids=["1-layer", "2-layer"])
@@ -372,7 +454,7 @@ def test_objective_matches_the_graph_bitwise(stage, task, separate, hidden):
                  else (True, use_intra, lam > 0 and task >= 1))
         mixed = flags[0] and task >= 1
         params = tr._param_set(model, *flags)
-        state = tr.make_optimizer_state()
+        state = tr.make_optimizer_state(params)
         buf_x, buf_y = buf.samples()
         for idx in tr._epoch_batches(len(x), cfg.batch_size, rng):
             xb, yb, n_c = x[idx], y[idx], len(idx)
@@ -401,6 +483,78 @@ def test_objective_rejects_a_label_outside_its_head():
     for flags in ((True, False, False), (False, True, False)):
         with pytest.raises(InputError, match="out of range"):
             tr._objective(model, x, y, 4, None, full_cfg(), *flags)
+
+
+@pytest.mark.parametrize("hidden", [(16,), (16, 8)], ids=["1-layer", "2-layer"])
+@pytest.mark.parametrize("task", [0, 1, 2])
+def test_baseline_step_matches_the_graph_bitwise(task, hidden):
+    # every step of two epochs against the graph of the cls flag alone,
+    # which is the baseline's; the steps apply the gradients, so later
+    # batches see trained parameters
+    rng = np.random.default_rng(19)
+    model, buf, (x, y) = _objective_model(task, False, hidden, rng)
+    cfg = baseline_cfg(batch_size=8)
+    lo, cur_count = model.class_offsets[-1][0], model.current_class_count
+    params = tr._param_set(model, True, False, False)
+    state = tr.make_optimizer_state(params)
+    buf_x, buf_y = buf.samples()
+    sizes = set()
+    for _ in range(2):
+        for idx in tr._epoch_batches(len(x), cfg.batch_size, rng):
+            xb, yb, n_c = x[idx], y[idx], len(idx)
+            if task:
+                bsel = tr._buffer_minibatch(len(buf_x), n_c, rng)
+                xb = np.concatenate([xb, buf_x[bsel]])
+                yb = np.concatenate([yb, buf_y[bsel]])
+            sizes.add((n_c, len(xb)))
+            frozen = model.frozen_concat_np(xb) if task else None
+            want_losses, want = oracles.graph_objective(
+                model, xb, yb, n_c, frozen, cfg, True, False, False)
+            losses, grads = tr._baseline_step(model, xb, yb, frozen, lo,
+                                              cur_count)
+            assert losses.keys() == want_losses.keys(), n_c
+            assert all(_same_bits(losses[k], want_losses[k]) for k in losses)
+            assert grads.keys() == want.keys() == params.keys(), n_c
+            for name in params:
+                assert np.array_equal(grads[name], want[name]), (n_c, name)
+                assert _same_bits(grads[name], want[name]), (n_c, name)
+            tr.optimizer_step(params, grads, state, cfg)
+    # a short last batch, and from task 1 on a buffer smaller than a batch
+    assert sizes == ({(8, 8), (5, 5)} if task == 0
+                     else {(8, 14), (5, 10)})
+
+
+def test_baseline_step_rejects_a_label_outside_its_head():
+    model = small_model(seed=7)
+    model.expand(3)
+    x = np.zeros((4, 8))
+    with pytest.raises(InputError, match="out of range"):
+        tr._baseline_step(model, x, np.array([0, 1, 2, 3]), None, 0, 3)
+    model.expand(3)
+    frozen = model.frozen_concat_np(x)
+    y = np.array([0, 3, 4, 5])
+    tr._baseline_step(model, x, y, frozen, 3, 3)
+    with pytest.raises(InputError, match="out of range"):
+        tr._baseline_step(model, x, np.array([0, 3, 4, 6]), frozen, 3, 3)
+    # a rehearsal row's aux label is the class count, one past the aux
+    # head's last current class; one more is outside the head
+    with pytest.raises(InputError, match="out of range"):
+        tr._baseline_step(model, x, y, frozen, 3, 4)
+
+
+def test_baseline_trainer_runs_no_objective_generator_or_graph(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("called from the baseline trainer")
+
+    # the per-epoch risk report runs the generators on purpose; it is
+    # outside the step and stubbed here
+    monkeypatch.setattr(tr, "_probe_report", lambda *args: None)
+    for owner, name in ((tr, "_objective"), (cf, "generate_intra_batch"),
+                        (cf, "generate_inter_batch"), (ad, "backward"),
+                        (ad, "linear")):
+        monkeypatch.setattr(owner, name, refuse)
+    model, res = run_two_tasks(tr.train_task_baseline, baseline_cfg())
+    assert res["records"][-1]["loss_terms"]["aux"] > 0.0
 
 
 # ---------------------------------------------------------------------------
