@@ -11,11 +11,11 @@ the benchmark's tracer (`perfbench/spans.py`) wraps `backward` and
 numerics the trainer shares.
 
 The graph is built eagerly: every operation returns a `Tensor` node holding
-values, a gradient slot, and a backward closure. The operations are
-`linear`, `relu`, `concat`, `softmax_cross_entropy` and `add_scalars`.
-The batched ones (`linear`, `concat` and `softmax_cross_entropy`) take 2-D
-nodes, one sample per row, and raise UsageError on anything else; a single
-sample is a one-row batch. Reductions always produce a 0-d scalar node, so
+values, a gradient slot, and a backward closure. The operations here are
+the ones an extractor's forward uses, `linear` and `relu`; the tests'
+reference graphs add their own in the same convention. `linear` takes
+2-D nodes, one sample per row, and raises UsageError on anything else; a
+single sample is a one-row batch. A loss is a 0-d scalar node, so
 `backward` has a well-defined root. All arithmetic is float64.
 
 A backward closure takes its node's gradient as its one argument,
@@ -34,16 +34,14 @@ visit it, and no operation computes a contribution for it.
 Parameters are plain `dict[str, Tensor]` maps of leaves; the tensors hold
 no optimizer or freezing state.
 
-`softmax_cross_entropy` takes a batch of logit rows with one label per row
-and averages over the rows. Log-sum-exp is always computed with max
-subtraction.
+Log-sum-exp is always computed with max subtraction.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, UsageError
+from .errors import ConfigurationError, UsageError
 
 
 class Tensor:
@@ -165,75 +163,6 @@ def relu(x: Tensor) -> Tensor:
         _accumulate(x, go * mask)
 
     return Tensor(np.where(mask, x.values, 0.0), (x,), "relu", _backward)
-
-
-def add_scalars(terms) -> Tensor:
-    """Sum of scalar nodes; the usual way a composite loss is assembled."""
-    terms = list(terms)
-    if not terms:
-        raise UsageError("add_scalars: empty term list")
-    for t in terms:
-        if t.ndim != 0:
-            raise UsageError("add_scalars: all terms must be scalars")
-    vals = sum(float(t.values) for t in terms)
-
-    def _backward(go):
-        for t in terms:
-            _accumulate(t, go)
-
-    return Tensor(np.asarray(vals), terms, "add_scalars", _backward)
-
-
-def concat(parts) -> Tensor:
-    """Concatenate batches along the feature axis (same row count)."""
-    parts = list(parts)
-    if not parts:
-        raise UsageError("concat: empty part list")
-    for p in parts:
-        _require_batch(p, "concat")
-    if any(p.shape[0] != parts[0].shape[0] for p in parts):
-        raise ConfigurationError("concat: row counts differ")
-    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
-
-    def _backward(go):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, go[:, lo:hi])
-
-    return Tensor(np.concatenate([p.values for p in parts], axis=1), parts,
-                  "concat", _backward)
-
-
-def _batch_labels(logits: Tensor, label, op):
-    """Check a batch of logit rows against one integer label per row."""
-    _require_batch(logits, op)
-    labels = np.asarray(label, dtype=np.int64)
-    n, k = logits.shape
-    if labels.shape != (n,):
-        raise InputError(f"labels shape {labels.shape} does not match batch {n}")
-    if labels.min() < 0 or labels.max() >= k:
-        raise InputError(f"label out of range for {k} classes")
-    return labels
-
-
-def softmax_cross_entropy(logits: Tensor, label) -> Tensor:
-    """Mean cross-entropy of softmax(logits) against integer labels.
-
-    `logits` is [n, K] and `label` holds one class index per row; the
-    result is a scalar. Backward yields (softmax(logits) - onehot(label)) / n.
-    """
-    labels = _batch_labels(logits, label, "softmax_cross_entropy")
-    n = logits.shape[0]
-    ls = log_softmax(logits.values)
-    picked = ls[np.arange(n), labels]
-    p = np.exp(ls)
-
-    def _backward(go):
-        g = p.copy()
-        g[np.arange(n), labels] -= 1.0
-        g /= n
-        _accumulate(logits, g * float(go))
-
-    return Tensor(np.asarray(-picked.sum() / n), (logits,), "ce", _backward)
 
 
 # ---------------------------------------------------------------------------

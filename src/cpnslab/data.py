@@ -386,19 +386,16 @@ def save_table(path, x, y, n_classes, dim_tags=None):
     """Write samples in the tabular text format; floats keep full precision.
 
     With dim_tags, writes a sidecar file `<path>.factors` holding one tag
-    per dimension.
+    per dimension. The shapes, the label range and the tags are checked
+    first, so bad input raises InputError before any file is written.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if x.ndim != 2 or len(x) != len(y):
         raise InputError(f"bad table shapes: x {x.shape}, y {y.shape}")
     dims = x.shape[1]
-    lines = [f"{HEADER_PREFIX} dims={dims} classes={int(n_classes)}"]
-    for label, row in zip(y, x):
-        lines.append(str(int(label)) + " "
-                     + " ".join(repr(float(v)) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    if len(y) and (y.min() < 0 or y.max() >= n_classes):
+        raise InputError(f"labels outside [0, {n_classes})")
     if dim_tags is not None:
         if len(dim_tags) != dims:
             raise InputError(
@@ -406,6 +403,13 @@ def save_table(path, x, y, n_classes, dim_tags=None):
         for tag in dim_tags:
             if tag not in DIM_TAGS:
                 raise InputError(f"unknown dimension tag {tag!r}")
+    lines = [f"{HEADER_PREFIX} dims={dims} classes={int(n_classes)}"]
+    for label, row in zip(y, x):
+        lines.append(str(int(label)) + " "
+                     + " ".join(repr(float(v)) for v in row))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    if dim_tags is not None:
         with open(str(path) + ".factors", "w") as fh:
             fh.write("\n".join(dim_tags) + "\n")
 

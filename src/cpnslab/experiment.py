@@ -10,11 +10,12 @@ seed; the epoch log is excluded from that promise because it carries wall
 times.
 """
 
+import glob
 import json
 import math
 import os
 import typing
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -33,13 +34,15 @@ SWEEP_PARAMS = ("lambda", "gamma", "beta", "epsilon", "alpha", "nu")
 
 # variant name -> TrainConfig fields it overrides, in table order
 ABLATION_VARIANTS = {
-    "baseline": dict(lam=0.0, gamma=0.0, nu=0.0, stage1_epochs=0),
-    "+intra": dict(lam=0.0, two_stage=True),
-    "+inter_no2stage": dict(nu=0.0, gamma=0.0, two_stage=False),
-    "+inter_2stage": dict(nu=0.0, gamma=0.0, two_stage=True),
-    "both_no2stage": dict(two_stage=False),
-    "full": dict(two_stage=True),
+    "baseline": dict(lam=0.0, gamma=0.0, nu=0.0),
+    "+intra": dict(lam=0.0),
+    "+inter_no2stage": dict(nu=0.0, gamma=0.0),
+    "+inter_2stage": dict(nu=0.0, gamma=0.0),
+    "both_no2stage": {},
+    "full": {},
 }
+# the variants that train in one stage, on the stage-1 epochs as well
+_SINGLE_STAGE_VARIANTS = ("baseline", "+inter_no2stage", "both_no2stage")
 
 
 @dataclass
@@ -62,12 +65,18 @@ class MetricsConfig:
 
 @dataclass
 class TableDataConfig:
-    """The keys of a `kind: "table"` data section; used to check their
-    types, the section itself stays a dict."""
+    """The keys of a `kind: "table"` data section."""
     path: str
     B: int
     I: int
     split_seed: int = 0
+
+    def __post_init__(self):
+        if self.split_seed < 0:
+            raise ConfigurationError(
+                f"data.split_seed must be non-negative, got {self.split_seed}")
+        if not os.path.exists(self.path):
+            raise ConfigurationError(f"table path does not exist: {self.path}")
 
 
 @dataclass
@@ -88,7 +97,8 @@ class ModelConfig:
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description; see docs/formats.md for the JSON."""
+    """Validated experiment description; see docs/formats.md for the JSON.
+    `data` stays a dict; it is checked once, into the config of its kind."""
 
     data: dict
     run_id: str = "run"
@@ -109,29 +119,20 @@ class ExperimentConfig:
         if not self.run_id or "/" in self.run_id:
             raise ConfigurationError(f"bad run id {self.run_id!r}")
         kind = self.data.get("kind")
-        if kind == "synthetic":
-            extra = {k: v for k, v in self.data.items() if k != "kind"}
-            self._scm = dt.SyntheticScmConfig(**extra)
-        elif kind == "table":
-            for key in ("path", "B", "I"):
-                if key not in self.data:
-                    raise ConfigurationError(f"table data needs {key!r}")
-            if not os.path.exists(self.data["path"]):
-                raise ConfigurationError(
-                    f"table path does not exist: {self.data['path']}")
-            self._scm = None
-        else:
+        if kind not in ("synthetic", "table"):
             raise ConfigurationError(
                 f"data.kind must be 'synthetic' or 'table', got {kind!r}")
+        cls = TableDataConfig if kind == "table" else dt.SyntheticScmConfig
+        keys = {k: v for k, v in self.data.items() if k != "kind"}
+        self._source = cls(**_section_values("data", keys, cls))
 
     @property
     def scenario(self):
-        if self._scm is not None:
-            s = self._scm
-            return (f"scm-{s.classes_per_task}x{s.num_tasks}"
-                    f"-ov{s.overlap}-sp{s.spurious_strength}")
-        base = os.path.basename(str(self.data["path"]))
-        return f"{base}-B{self.data['B']}-I{self.data['I']}"
+        s = self._source
+        if isinstance(s, TableDataConfig):
+            return f"{os.path.basename(s.path)}-B{s.B}-I{s.I}"
+        return (f"scm-{s.classes_per_task}x{s.num_tasks}"
+                f"-ov{s.overlap}-sp{s.spurious_strength}")
 
     @property
     def method(self):
@@ -145,19 +146,17 @@ class ExperimentConfig:
         return "baseline" if degenerate else "cpns"
 
     def build_stream(self, seed):
-        if self._scm is not None:
-            fields = asdict(self._scm)
-            fields["seed"] = self._scm.seed + int(seed)
-            return dt.gen_scm_stream(dt.SyntheticScmConfig(**fields))
-        table = dt.load_table(self.data["path"])
+        s = self._source
+        if not isinstance(s, TableDataConfig):
+            return dt.gen_scm_stream(replace(s, seed=s.seed + int(seed)))
+        table = dt.load_table(s.path)
         n = len(table)
         split = max(1, int(0.8 * n))
-        order = np.random.default_rng(self.data.get("split_seed", 0)).permutation(n)
+        order = np.random.default_rng(s.split_seed).permutation(n)
         tr_idx, te_idx = order[:split], order[split:]
         dataset = ((table.x[tr_idx], table.y[tr_idx]),
                    (table.x[te_idx], table.y[te_idx]))
-        stream = dt.split_tasks(dataset, int(self.data["B"]),
-                                int(self.data["I"]), seed=int(seed))
+        stream = dt.split_tasks(dataset, s.B, s.I, seed=int(seed))
         if table.dim_tags is not None:
             stream.factor_annotations = {"dim_tags": table.dim_tags}
         return stream
@@ -243,16 +242,6 @@ def config_from_dict(doc) -> ExperimentConfig:
     """
     if not isinstance(doc, dict):
         raise ConfigurationError("config document must be a JSON object")
-    if "data" not in doc:
-        raise ConfigurationError("config needs a 'data' section")
-    data = doc["data"]
-    kinds = {"synthetic": dt.SyntheticScmConfig, "table": TableDataConfig}
-    if isinstance(data, dict) and data.get("kind") in kinds:
-        _section_values("data", {k: v for k, v in data.items() if k != "kind"},
-                        kinds[data["kind"]])
-        if data["kind"] == "table" and data.get("split_seed", 0) < 0:
-            raise ConfigurationError(
-                f"data.split_seed must be non-negative, got {data['split_seed']}")
     # a TypeError or ValueError from the dataclass checks is a bad value too
     try:
         return ExperimentConfig(**_section_values("config", doc, ExperimentConfig))
@@ -384,23 +373,35 @@ def evaluate_task(model, stream, task_index, history, acts,
 # ---------------------------------------------------------------------------
 # the incremental loop
 
-def _write_json(path, doc):
+def _write_json_lines(path, docs, mode="w"):
+    """Write, or append with mode "a", each doc as one canonical JSON line:
+    sorted keys, no spaces."""
+    with open(path, mode) as fh:
+        for doc in docs:
+            fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+            fh.write("\n")
+
+
+def _write_csv(path, header, rows):
+    """The header line, then one line per row; a float cell is written as
+    its shortest exact repr."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-        fh.write("\n")
-
-
-def _csv_row(method, scenario, seed, last, avg):
-    return f"{method},{scenario},{seed},{repr(float(last))},{repr(float(avg))}"
+        fh.write(header + "\n")
+        for row in rows:
+            cells = (repr(float(v)) if isinstance(v, float) else str(v)
+                     for v in row)
+            fh.write(",".join(cells) + "\n")
 
 
 def run_seed(config: ExperimentConfig, seed: int, out_dir=None):
     """One full incremental pass; returns (records, summary_row_dict).
 
     Artifacts land under out_dir (default output_dir/run_id/seed-{seed}):
-    epochs.jsonl, task-{t}.eval.json, task-{t}.ckpt, summary.csv. A
-    stream with an empty train or test split in any task raises
-    ConfigurationError before out_dir is made.
+    epochs.jsonl, task-{t}.eval.json, task-{t}.ckpt, summary.csv. Files
+    of those names left there by an earlier run are removed first, so a
+    shorter rerun keeps none of the old tasks. A stream with an empty
+    train or test split in any task raises ConfigurationError before
+    out_dir is made.
     """
     stream = config.build_stream(seed)
     for t, (train, test, _) in enumerate(stream.tasks):
@@ -411,9 +412,11 @@ def run_seed(config: ExperimentConfig, seed: int, out_dir=None):
         out_dir = os.path.join(config.output_dir, config.run_id,
                                f"seed-{seed}")
     os.makedirs(out_dir, exist_ok=True)
+    for pattern in ("task-*.eval.json", "task-*.ckpt", "summary.csv",
+                    "epochs.jsonl"):
+        for path in glob.glob(os.path.join(glob.escape(out_dir), pattern)):
+            os.remove(path)
     log_path = os.path.join(out_dir, "epochs.jsonl")
-    if os.path.exists(log_path):
-        os.remove(log_path)
 
     model = mdl.ExpandableModel(
         input_dim=config.input_dim(stream),
@@ -434,7 +437,8 @@ def run_seed(config: ExperimentConfig, seed: int, out_dir=None):
     for t, (train_split, _, (lo, hi)) in enumerate(stream.tasks):
         model.expand(hi - lo)
         result = train_fn(model, train_split, buffer if t else None,
-                          config.train, rng, log_path=log_path)
+                          config.train, rng)
+        _write_json_lines(log_path, result["records"], mode="a")
         tr.buffer_commit(buffer, train_split, model, rng=rng)
 
         record = evaluate_task(model, stream, t, history, acts,
@@ -443,17 +447,17 @@ def run_seed(config: ExperimentConfig, seed: int, out_dir=None):
         if final_report is not None and not check_proposition1(final_report):
             raise PropositionViolation(
                 f"task {t}: violation bound breached at write time")
-        _write_json(os.path.join(out_dir, f"task-{t}.eval.json"),
-                    record.to_json_dict())
+        _write_json_lines(os.path.join(out_dir, f"task-{t}.eval.json"),
+                          [record.to_json_dict()])
         mdl.save_checkpoint(model, os.path.join(out_dir, f"task-{t}.ckpt"))
         records.append(record)
 
-    last, avg = records[-1].last_acc, records[-1].avg_acc
+    # keys in the column order of SUMMARY_HEADER
     row = {"method": config.method, "scenario": config.scenario,
-           "seed": seed, "last": last, "avg": avg}
-    with open(os.path.join(out_dir, "summary.csv"), "w") as fh:
-        fh.write(SUMMARY_HEADER + "\n")
-        fh.write(_csv_row(row["method"], row["scenario"], seed, last, avg) + "\n")
+           "seed": seed, "last": records[-1].last_acc,
+           "avg": records[-1].avg_acc}
+    _write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_HEADER,
+               [row.values()])
     return records, row
 
 
@@ -473,11 +477,8 @@ def run_experiment(config: ExperimentConfig):
     """All seeds of a run; writes the run-level summary.csv and returns rows."""
     run_dir = os.path.join(config.output_dir, config.run_id)
     rows = _run_seeds(config, run_dir)
-    with open(os.path.join(run_dir, "summary.csv"), "w") as fh:
-        fh.write(SUMMARY_HEADER + "\n")
-        for row in rows:
-            fh.write(_csv_row(row["method"], row["scenario"], row["seed"],
-                              row["last"], row["avg"]) + "\n")
+    _write_csv(os.path.join(run_dir, "summary.csv"), SUMMARY_HEADER,
+               [row.values() for row in rows])
     return rows
 
 
@@ -486,9 +487,6 @@ def run_experiment(config: ExperimentConfig):
 
 def _with_param(config: ExperimentConfig, param, value):
     """The config with one generator/loss knob changed."""
-    if param not in SWEEP_PARAMS:
-        raise ConfigurationError(
-            f"unknown sweep parameter {param!r}; pick one of {SWEEP_PARAMS}")
     train = config.train
     if param in ("alpha", "beta", "epsilon"):
         train = replace(train, gen=replace(train.gen, **{param: float(value)}))
@@ -517,19 +515,22 @@ def run_sweep(config: ExperimentConfig, param, values):
         rows = _run_seeds(variant, os.path.join(run_dir, f"sweep-{param}",
                                                 f"value-{value}"))
         out_rows.append((float(value), *_seed_mean(rows)))
-    path = os.path.join(run_dir, f"sweep-{param}.csv")
-    with open(path, "w") as fh:
-        fh.write("value,last,avg\n")
-        for value, last, avg in out_rows:
-            fh.write(f"{repr(value)},{repr(last)},{repr(avg)}\n")
+    _write_csv(os.path.join(run_dir, f"sweep-{param}.csv"), "value,last,avg",
+               out_rows)
     return out_rows
 
 
 def ablation_train_config(base: tr.TrainConfig, variant) -> tr.TrainConfig:
-    """The six-variant grid over {intra, inter, two_stage}."""
+    """The six-variant grid over {intra, inter, two stages}. A single-stage
+    variant, the baseline included, folds the stage-1 epochs into stage 2,
+    so every variant trains the same number of epochs."""
     if variant not in ABLATION_VARIANTS:
         raise ConfigurationError(f"unknown ablation variant {variant!r}")
-    return replace(base, **ABLATION_VARIANTS[variant])
+    config = replace(base, **ABLATION_VARIANTS[variant])
+    if variant in _SINGLE_STAGE_VARIANTS:
+        config = replace(config, stage1_epochs=0, stage2_epochs=(
+            base.stage1_epochs + base.stage2_epochs))
+    return config
 
 
 def run_ablation(config: ExperimentConfig):
@@ -542,11 +543,9 @@ def run_ablation(config: ExperimentConfig):
                       train=ablation_train_config(config.train, variant))
         rows = _run_seeds(sub, os.path.join(run_dir, "ablation", variant))
         table.append((variant, *_seed_mean(rows)))
-    path = os.path.join(run_dir, "ablation.csv")
-    with open(path, "w") as fh:
-        fh.write(SUMMARY_HEADER + "\n")
-        for variant, last, avg in table:
-            fh.write(_csv_row(variant, config.scenario, "mean", last, avg) + "\n")
+    _write_csv(os.path.join(run_dir, "ablation.csv"), SUMMARY_HEADER,
+               [(variant, config.scenario, "mean", last, avg)
+                for variant, last, avg in table])
     return table
 
 

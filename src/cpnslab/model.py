@@ -35,21 +35,33 @@ def _init_bias(rng, n_out, n_in):
     return rng.uniform(-bound, bound, size=n_out)
 
 
+def _layer_table(dims):
+    """The layout table of an MLP with these widths: (weight, bias, rows,
+    fan-in) per linear layer, input first."""
+    return [(f"w{i}", f"b{i}", n_out, n_in)
+            for i, (n_in, n_out) in enumerate(zip(dims[:-1], dims[1:]))]
+
+
+def _draw(rng, table):
+    """Fresh arrays for every layer of a layout table, drawn in its order."""
+    arrays = {}
+    for w, b, rows, fan_in in table:
+        arrays[w] = _init_matrix(rng, rows, fan_in)
+        arrays[b] = _init_bias(rng, rows, fan_in)
+    return arrays
+
+
 class FeatureExtractor:
     """Small MLP mapping inputs to a d-dimensional feature vector.
 
     Hidden layers use ReLU; the feature output is linear. `params` maps
-    `w{i}`/`b{i}` to leaves.
+    `w{i}`/`b{i}` to leaves over the given arrays.
     """
 
-    def __init__(self, layer_dims, rng):
-        if len(layer_dims) < 2:
-            raise ConfigurationError("extractor needs at least input and output dims")
+    def __init__(self, layer_dims, arrays):
         self.layer_dims = list(int(v) for v in layer_dims)
-        self.params: dict[str, ad.Tensor] = {}
-        for i, (n_in, n_out) in enumerate(zip(layer_dims[:-1], layer_dims[1:])):
-            self.params[f"w{i}"] = ad.leaf(_init_matrix(rng, n_out, n_in))
-            self.params[f"b{i}"] = ad.leaf(_init_bias(rng, n_out, n_in))
+        self.params: dict[str, ad.Tensor] = {name: ad.leaf(a)
+                                             for name, a in arrays.items()}
 
     @property
     def n_layers(self):
@@ -136,45 +148,47 @@ class ExpandableModel:
 
     # -- expansion -----------------------------------------------------
 
+    def _head_table(self):
+        """The layout of every head after the model's tasks, in the order
+        `expand` draws them; cls comes first with its full shape."""
+        if not self.class_offsets:
+            return []
+        t, d, h = self.current_task, self.feature_dim, self.projector_hidden
+        total = self.total_classes
+        new = self.current_class_count
+        table = [("cls_w", "cls_b", total, (t + 1) * d),
+                 ("intra_w", "intra_b", new, d)]
+        if t >= 1:
+            table += [("aux_w", "aux_b", new + 1, d),
+                      ("proj_w0", "proj_b0", h, t * d),
+                      ("proj_w1", "proj_b1", d, h)]
+            if self.separate_inter_head:
+                table.append(("inter_w", "inter_b", total, (t + 1) * d))
+        return table
+
     def expand(self, new_class_count):
         if new_class_count <= 0:
             raise ConfigurationError(
                 f"new_class_count must be positive, got {new_class_count}")
-        t = self.task_count  # index of the task being opened
-        d = self.feature_dim
-        dims = [self.input_dim, *self.hidden_dims, d]
-        self.extractors.append(FeatureExtractor(dims, self.rng))
-
+        dims = [self.input_dim, *self.hidden_dims, self.feature_dim]
+        self.extractors.append(
+            FeatureExtractor(dims, _draw(self.rng, _layer_table(dims))))
         old_total = self.total_classes
-        new_total = old_total + new_class_count
-        width = (t + 1) * d
+        self.class_offsets.append((old_total, old_total + new_class_count))
+        (_, _, new_total, width), *rest = self._head_table()
+        # widen the classifier: the old block verbatim, fresh rows below it
         w = np.zeros((new_total, width))
         b = np.zeros(new_total)
-        if t > 0:
-            w[:old_total, :t * d] = self.heads["cls_w"].values
+        if old_total:
+            w[:old_total, :width - self.feature_dim] = (
+                self.heads["cls_w"].values)
             b[:old_total] = self.heads["cls_b"].values
         w[old_total:] = _init_matrix(self.rng, new_class_count, width)
         b[old_total:] = _init_bias(self.rng, new_class_count, width)
         self.heads["cls_w"] = ad.leaf(w)
         self.heads["cls_b"] = ad.leaf(b)
-
-        self.heads["intra_w"] = ad.leaf(_init_matrix(self.rng, new_class_count, d))
-        self.heads["intra_b"] = ad.leaf(_init_bias(self.rng, new_class_count, d))
-
-        if t >= 1:
-            n_aux = new_class_count + 1
-            self.heads["aux_w"] = ad.leaf(_init_matrix(self.rng, n_aux, d))
-            self.heads["aux_b"] = ad.leaf(_init_bias(self.rng, n_aux, d))
-            h = self.projector_hidden
-            self.heads["proj_w0"] = ad.leaf(_init_matrix(self.rng, h, t * d))
-            self.heads["proj_b0"] = ad.leaf(_init_bias(self.rng, h, t * d))
-            self.heads["proj_w1"] = ad.leaf(_init_matrix(self.rng, d, h))
-            self.heads["proj_b1"] = ad.leaf(_init_bias(self.rng, d, h))
-            if self.separate_inter_head:
-                self.heads["inter_w"] = ad.leaf(_init_matrix(self.rng, new_total, width))
-                self.heads["inter_b"] = ad.leaf(_init_bias(self.rng, new_total, width))
-
-        self.class_offsets.append((old_total, new_total))
+        self.heads.update((name, ad.leaf(a))
+                          for name, a in _draw(self.rng, rest).items())
         return self
 
     # -- forward passes (plain numpy) -----------------------------------
@@ -215,8 +229,7 @@ class ExpandableModel:
         return self.heads[f"{name}_w"], self.heads[f"{name}_b"]
 
     def head_np(self, name, z):
-        """Logits of head `name` from already-computed features; the numpy
-        twin of `head_graph`."""
+        """Logits of head `name` from already-computed features."""
         w, b = self._head(name)
         return z @ w.values.T + b.values
 
@@ -228,13 +241,10 @@ class ExpandableModel:
         h = np.maximum(h, 0.0)
         return h @ self.heads["proj_w1"].values.T + self.heads["proj_b1"].values
 
-    # -- graph-mode builders (the tests' reference graphs, no run path) --
+    # -- graph-mode builder (the tests' reference graphs, no run path) ---
 
     def current_feature_graph(self, x_node: ad.Tensor) -> ad.Tensor:
         return self.extractors[-1].forward(x_node)
-
-    def head_graph(self, name, feat_node: ad.Tensor) -> ad.Tensor:
-        return ad.linear(feat_node, *self._head(name))
 
     # -- parameter views -------------------------------------------------
 
@@ -322,29 +332,21 @@ def load_checkpoint(path) -> ExpandableModel:
             f"malformed checkpoint field: {type(exc).__name__}: {exc}") from exc
 
 
-def _head_shapes(model):
-    """The shape of every head `expand` leaves after the model's tasks,
-    worked out from its sizes and class offsets."""
-    t = model.task_count
-    if t == 0:
-        return {}
-    d, h = model.feature_dim, model.projector_hidden
-    lo, total = model.class_offsets[-1]
-    new = total - lo
-    shapes = {"cls_w": (total, t * d), "cls_b": (total,),
-              "intra_w": (new, d), "intra_b": (new,)}
-    if t >= 2:
-        shapes.update(aux_w=(new + 1, d), aux_b=(new + 1,),
-                      proj_w0=(h, (t - 1) * d), proj_b0=(h,),
-                      proj_w1=(d, h), proj_b1=(d,))
-        if model.separate_inter_head:
-            shapes.update(inter_w=(total, t * d), inter_b=(total,))
-    return shapes
+def _arrays_in(entries, table, what):
+    """The arrays of `entries`, which must be exactly the layers of a
+    layout table, each with the table's shape."""
+    shapes = {}
+    for w, b, rows, fan_in in table:
+        shapes[w], shapes[b] = (rows, fan_in), (rows,)
+    if set(entries) != set(shapes):
+        raise FormatError(f"{what} {sorted(entries)} are not {sorted(shapes)}")
+    return {name: _array_in(entries[name], shape)
+            for name, shape in shapes.items()}
 
 
 def _model_from_doc(doc):
-    """Build the model and check that its parts fit: each extractor's
-    position and the set and shapes of its parameters, the class offsets,
+    """Build the model and check that its parts fit: the class offsets,
+    each extractor's position and the set and shapes of its parameters,
     and the set and shapes of the heads."""
     model = ExpandableModel(
         input_dim=doc["input_dim"],
@@ -354,36 +356,24 @@ def _model_from_doc(doc):
         separate_inter_head=doc["separate_inter_head"],
         seed=doc["seed"],
     )
-    dims = [model.input_dim, *model.hidden_dims, model.feature_dim]
-    shapes = {}
-    for i, (n_in, n_out) in enumerate(zip(dims[:-1], dims[1:])):
-        shapes[f"w{i}"], shapes[f"b{i}"] = (n_out, n_in), (n_out,)
     last = len(doc["extractors"]) - 1
+    offsets = [tuple(p) for p in doc["class_offsets"]]
+    ends = [hi for _, hi in offsets]
+    if (len(offsets) != last + 1 or any(hi <= lo for lo, hi in offsets)
+            or offsets != list(zip([0, *ends], ends))):
+        raise FormatError(f"class_offsets {doc['class_offsets']!r} are not "
+                          "contiguous ranges from 0, one per extractor")
+    dims = [model.input_dim, *model.hidden_dims, model.feature_dim]
+    layers = _layer_table(dims)
     for t, ext_doc in enumerate(doc["extractors"]):
         if (ext_doc["task_index"] != t or ext_doc["frozen"] is not (t < last)
                 or ext_doc["layer_dims"] != dims):
             raise FormatError(f"extractor {t}: task_index, frozen or layer_dims "
                               f"disagree with its position or the model")
-        if set(ext_doc["params"]) != set(shapes):
-            raise FormatError(f"extractor {t}: params {sorted(ext_doc['params'])} "
-                              f"are not {sorted(shapes)}")
-        ext = FeatureExtractor.__new__(FeatureExtractor)
-        ext.layer_dims = dims
-        ext.params = {name: ad.leaf(_array_in(ext_doc["params"][name], shape))
-                      for name, shape in shapes.items()}
-        model.extractors.append(ext)
-    offsets = model.class_offsets = [tuple(p) for p in doc["class_offsets"]]
-    ends = [hi for _, hi in offsets]
-    if (len(offsets) != model.task_count or any(hi <= lo for lo, hi in offsets)
-            or offsets != list(zip([0, *ends], ends))):
-        raise FormatError(f"class_offsets {doc['class_offsets']!r} are not "
-                          "contiguous ranges from 0, one per extractor")
-    head_shapes = _head_shapes(model)
-    if set(doc["heads"]) != set(head_shapes):
-        raise FormatError(f"heads {sorted(doc['heads'])} are not the "
-                          f"{sorted(head_shapes)} of a {model.task_count}-task "
-                          "model")
-    for name, shape in sorted(head_shapes.items()):
-        model.heads[name] = ad.leaf(_array_in(doc["heads"][name], shape))
+        arrays = _arrays_in(ext_doc["params"], layers, f"extractor {t}: params")
+        model.extractors.append(FeatureExtractor(dims, arrays))
+    model.class_offsets = offsets
+    heads = _arrays_in(doc["heads"], model._head_table(), "heads")
+    model.heads.update((name, ad.leaf(a)) for name, a in heads.items())
     model.rng.bit_generator.state = doc["rng_state"]
     return model

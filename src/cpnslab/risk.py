@@ -105,8 +105,8 @@ def _build_report(r_intra, m_intra, pns_intra, n_intra,
 # indicator computation
 
 def _intra_indicators(model, x, y_global, cfg: GenConfig, label_policy="true"):
-    """Returns (suff_viol, nec_viol, factual_correct, cf_correct) as
-    boolean arrays over the current-task batch.
+    """Returns (factual_correct, cf_correct, degenerate) as boolean arrays
+    over the current-task batch.
 
     label_policy picks which label the generator ascends: "true" for the
     training-aligned counterfactuals of the risk definition, "predicted"
@@ -126,15 +126,11 @@ def _intra_indicators(model, x, y_global, cfg: GenConfig, label_policy="true"):
         b=model.heads["intra_b"].values, alpha=cfg.alpha, epsilon=cfg.epsilon,
         metric=cfg.metric)
     pred_c = np.argmax(model.head_np("intra", cfs), axis=1)
-    factual_correct = pred_f == y_local
-    cf_correct = pred_c == y_local
-    suff_viol = ~factual_correct
-    nec_viol = cf_correct | degenerate
-    return suff_viol, nec_viol, factual_correct, cf_correct
+    return pred_f == y_local, pred_c == y_local, degenerate
 
 
 def _inter_indicators(model, x, y_global, cfg: GenConfig):
-    """Same indicator quadruple over the combined buffer+current pool; the
+    """Same indicator triple over the combined buffer+current pool; the
     inter-scope generator is label-free (it pulls toward the projection)."""
     y = np.asarray(y_global, dtype=np.int64)
     z_old = model.frozen_concat_np(x)
@@ -146,11 +142,18 @@ def _inter_indicators(model, x, y_global, cfg: GenConfig):
         c_hat, proj, beta=cfg.beta, epsilon=cfg.epsilon, metric=cfg.metric)
     z_c = np.concatenate([z_old, cfs], axis=1)
     pred_c = np.argmax(model.head_np(model.inter_head, z_c), axis=1)
-    factual_correct = pred_f == y
-    cf_correct = pred_c == y
-    suff_viol = ~factual_correct
-    nec_viol = cf_correct | degenerate
-    return suff_viol, nec_viol, factual_correct, cf_correct
+    return pred_f == y, pred_c == y, degenerate
+
+
+def _scope(factual_correct, cf_correct, degenerate):
+    """(r, m, pns) of one scope from its indicator triple: the mean of
+    sufficiency plus necessity violations, the mean of their product, and
+    the factual minus the counterfactual accuracy."""
+    suff = ~factual_correct
+    nec = cf_correct | degenerate
+    r = float(np.mean(suff.astype(np.float64) + nec.astype(np.float64)))
+    m = float(np.mean((suff & nec).astype(np.float64)))
+    return r, m, float(np.mean(factual_correct) - np.mean(cf_correct))
 
 
 def _combine_pool(buffer_batch, current_batch):
@@ -180,24 +183,17 @@ def empirical_cpns_risk(current_batch, buffer_batch, model,
         raise InputError("current batch is empty")
     x_cur = np.asarray(current_batch[0], dtype=np.float64)
     y_cur = np.asarray(current_batch[1], dtype=np.int64)
-    suff, nec, fc, cc = _intra_indicators(model, x_cur, y_cur, cfg)
+    intra = _scope(*_intra_indicators(model, x_cur, y_cur, cfg))
     n = len(y_cur)
-    r_intra = float(np.mean(suff.astype(np.float64) + nec.astype(np.float64)))
-    m_intra = float(np.mean((suff & nec).astype(np.float64)))
-    pns_intra = float(np.mean(fc) - np.mean(cc))
 
     if model.task_count < 2:
-        return _build_report(r_intra, m_intra, pns_intra, n, 0.0, 0.0, 0.0, 0)
+        return _build_report(*intra, n, 0.0, 0.0, 0.0, 0)
 
     if _is_empty(buffer_batch):
         raise InputError("inter scope requested with an empty buffer batch")
     x_all, y_all = _combine_pool(buffer_batch, current_batch)
-    suff, nec, fc, cc = _inter_indicators(model, x_all, y_all, cfg)
-    r_inter = float(np.mean(suff.astype(np.float64) + nec.astype(np.float64)))
-    m_inter = float(np.mean((suff & nec).astype(np.float64)))
-    pns_inter = float(np.mean(fc) - np.mean(cc))
-    return _build_report(r_intra, m_intra, pns_intra, n,
-                         r_inter, m_inter, pns_inter, len(y_all))
+    inter = _scope(*_inter_indicators(model, x_all, y_all, cfg))
+    return _build_report(*intra, n, *inter, len(y_all))
 
 
 def estimate_pns_interventional(eval_set, model, scope,
@@ -221,11 +217,11 @@ def estimate_pns_interventional(eval_set, model, scope,
     x = np.asarray(eval_set[0], dtype=np.float64)
     y = np.asarray(eval_set[1], dtype=np.int64)
     if scope == "intra":
-        _, _, fc, cc = _intra_indicators(model, x, y, cfg, label_policy)
+        indicators = _intra_indicators(model, x, y, cfg, label_policy)
     elif scope == "inter":
         if model.task_count < 2:
             raise UsageError("inter scope requires at least two tasks")
-        _, _, fc, cc = _inter_indicators(model, x, y, cfg)
+        indicators = _inter_indicators(model, x, y, cfg)
     else:
         raise UsageError(f"unknown scope {scope!r}")
-    return float(np.mean(fc) - np.mean(cc))
+    return _scope(*indicators)[2]

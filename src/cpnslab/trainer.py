@@ -15,7 +15,11 @@ equivalent `autodiff` graph, so it gives that graph's bits. The rehearsal
 baseline, `train_task_baseline`, steps the same way through its own
 `_baseline_step`, so no training step builds a graph. `optimizer_step`
 updates the trained parameters as one flat vector: `make_optimizer_state`
-lays them out contiguously and re-points their values at views of it.
+lays them out contiguously and re-points their values at views of it,
+and each training loop copies them back out when it ends.
+
+Training writes no files: both trainers return their per-epoch records,
+and the caller logs them.
 
 The knobs degrade exactly: with lam = gamma = nu = 0 and stage 1
 disabled, train_task performs the same arithmetic as
@@ -25,7 +29,6 @@ with two independent implementations that check means something.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -51,9 +54,9 @@ class TrainConfig:
     """Hyperparameters for one incremental step.
 
     lam weights the inter-scope surrogate, gamma the KL budget terms, nu
-    the necessity half of each surrogate. Single-stage training
-    (two_stage=False) folds the stage-1 budget into stage 2 so epoch
-    totals stay comparable across ablations.
+    the necessity half of each surrogate. stage1_epochs = 0 trains in a
+    single stage; a single-stage ablation folds the stage-1 epochs into
+    stage2_epochs, so epoch totals stay comparable across ablations.
     """
 
     stage1_epochs: int = 20
@@ -70,7 +73,6 @@ class TrainConfig:
     lam: float = 0.5
     gamma: float = 1.0
     nu: float = 1.0
-    two_stage: bool = True
     buffer_capacity: int = 2000
     buffer_policy: str = "herding"      # herding | class_balanced_random
     gen: GenConfig = field(default_factory=GenConfig)
@@ -199,6 +201,14 @@ def optimizer_step(params: dict[str, ad.Tensor], grads: dict[str, np.ndarray],
         vhat = v / (1.0 - b2 ** k)
         values -= lr * mhat / (np.sqrt(vhat) + config.adam_eps)
     return state
+
+
+def _own_values(params):
+    """Copy each parameter out of the optimizer's flat layout once its
+    training loop ends, so a frozen extractor does not keep its task's
+    whole vector, heads included, alive for the rest of the run."""
+    for p in params.values():
+        p.values = p.values.copy()
 
 
 def _lr_at(config: TrainConfig, epoch, total_epochs):
@@ -380,13 +390,6 @@ def _record(task, stage, epoch, sums, n_batches, report, wall_ms):
         "cpns_report": None if report is None else report.to_json_dict(),
         "wall_ms": float(wall_ms),
     }
-
-
-def _append_jsonl(path, records):
-    with open(path, "a") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -641,20 +644,20 @@ def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
                   if stage == 2 else None)
         wall = (time.perf_counter() - t0) * 1000.0
         records.append(_record(t, stage, epoch, sums, len(batches), report, wall))
+    _own_values(params)
     return report
 
 
-def train_task(model, task_data, buffer, config: TrainConfig, rng,
-               log_path=None):
+def train_task(model, task_data, buffer, config: TrainConfig, rng):
     """Run the two-stage objective for the freshly expanded task.
 
-    Returns {"task", "records", "final_report"}; the records mirror what
-    goes to the JSONL sink, one per epoch, with per-epoch indicator
-    reports during stage 2. Both stages run `_run_objective_epochs` with
-    different terms on: stage 1 trains the intra term alone over current
-    rows (or, with it off, warms the base losses), stage 2 every enabled
-    term. The frozen extractor stack is snapshot-checked for exact
-    stability.
+    Returns {"task", "records", "final_report"}: one record per epoch,
+    with per-epoch indicator reports during stage 2; nothing is written
+    to disk. Both stages run `_run_objective_epochs` with different terms
+    on: stage 1 (skipped when stage1_epochs is 0) trains the intra term
+    alone over current rows (or, with it off, warms the base losses),
+    stage 2 every enabled term. The frozen extractor stack is
+    snapshot-checked for exact stability.
     """
     t = model.current_task
     x_cur, y_cur = _task_arrays(model, task_data, buffer)
@@ -666,7 +669,7 @@ def train_task(model, task_data, buffer, config: TrainConfig, rng,
     snap = model.frozen_snapshot()
     records = []
 
-    if config.two_stage and config.stage1_epochs > 0:
+    if config.stage1_epochs > 0:
         # nothing to pretrain without the intra term; warm the base losses
         # instead so delayed inter-scope training still means something in
         # ablations
@@ -675,16 +678,12 @@ def train_task(model, task_data, buffer, config: TrainConfig, rng,
                               use_cls=not use_intra, use_intra=use_intra,
                               use_inter=False)
 
-    stage2_epochs = config.stage2_epochs + (
-        0 if config.two_stage else config.stage1_epochs)
     final_report = _run_objective_epochs(
         model, x_cur, y_cur, buffer, config, rng, records, stage=2,
-        epochs=stage2_epochs, use_cls=True, use_intra=use_intra,
+        epochs=config.stage2_epochs, use_cls=True, use_intra=use_intra,
         use_inter=use_inter)
 
     _check_frozen(model, snap)
-    if log_path is not None:
-        _append_jsonl(log_path, records)
     return {"task": t, "records": records, "final_report": final_report}
 
 
@@ -734,8 +733,7 @@ def _baseline_step(model, xb, yb, frozen, lo, cur_count):
     return losses, grads
 
 
-def train_task_baseline(model, task_data, buffer, config: TrainConfig, rng,
-                        log_path=None):
+def train_task_baseline(model, task_data, buffer, config: TrainConfig, rng):
     """Rehearsal baseline: classification plus auxiliary loss, one stage.
 
     Runs stage1_epochs + stage2_epochs epochs so comparisons against the
@@ -782,7 +780,6 @@ def train_task_baseline(model, task_data, buffer, config: TrainConfig, rng,
         report = _probe_report(model, x_cur, y_cur, probe_buf, config)
         wall = (time.perf_counter() - t0) * 1000.0
         records.append(_record(t, 2, epoch, sums, len(batches), report, wall))
+    _own_values(params)
     _check_frozen(model, snap)
-    if log_path is not None:
-        _append_jsonl(log_path, records)
     return {"task": t, "records": records, "final_report": report}

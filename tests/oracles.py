@@ -3,10 +3,10 @@
 Both trainers compute their steps' gradients by hand
 (`trainer._objective`, `trainer._baseline_step`), and
 `metrics.input_saliency` its input gradient in closed form. Their graph
-versions live here: the autodiff ops only they used, the surrogate loss,
-the projector fit, `graph_objective`, which assembles one training step
-as an autodiff graph (with only the cls flag on, it is the baseline's
-step), `take_grads`, which moves its gradients off the leaves, and
+versions live here: the autodiff ops only they used, `head_graph`, the
+surrogate loss, the projector fit, `graph_objective`, which assembles one
+training step as an autodiff graph (with only the cls flag on, it is the
+baseline's step), `take_grads`, which moves its gradients off the leaves, and
 `graph_saliency`, the predicted logit's input gradient through every
 extractor. The tests hold the hand-derived versions to them bit for bit,
 and hold these ops to finite differences. `concat_masking_curve` is the
@@ -24,7 +24,7 @@ import numpy as np
 from cpnslab import autodiff as ad
 from cpnslab import counterfactual as cf
 from cpnslab import trainer as tr
-from cpnslab.autodiff import Tensor, _accumulate, _batch_labels, _require_batch
+from cpnslab.autodiff import Tensor, _accumulate, _require_batch
 from cpnslab.errors import (ConfigurationError, InputError, NumericsError,
                             UsageError)
 from cpnslab.metrics import input_saliency
@@ -32,6 +32,81 @@ from cpnslab.metrics import input_saliency
 
 # ---------------------------------------------------------------------------
 # graph ops
+
+def head_graph(model, name, feat_node: Tensor) -> Tensor:
+    """Logits of the model's head `name` as a graph node; the graph twin of
+    `ExpandableModel.head_np`."""
+    return ad.linear(feat_node, *model._head(name))
+
+
+def add_scalars(terms) -> Tensor:
+    """Sum of scalar nodes; the usual way a composite loss is assembled."""
+    terms = list(terms)
+    if not terms:
+        raise UsageError("add_scalars: empty term list")
+    for t in terms:
+        if t.ndim != 0:
+            raise UsageError("add_scalars: all terms must be scalars")
+    vals = sum(float(t.values) for t in terms)
+
+    def _backward(go):
+        for t in terms:
+            _accumulate(t, go)
+
+    return Tensor(np.asarray(vals), terms, "add_scalars", _backward)
+
+
+def concat(parts) -> Tensor:
+    """Concatenate batches along the feature axis (same row count)."""
+    parts = list(parts)
+    if not parts:
+        raise UsageError("concat: empty part list")
+    for p in parts:
+        _require_batch(p, "concat")
+    if any(p.shape[0] != parts[0].shape[0] for p in parts):
+        raise ConfigurationError("concat: row counts differ")
+    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
+
+    def _backward(go):
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            _accumulate(p, go[:, lo:hi])
+
+    return Tensor(np.concatenate([p.values for p in parts], axis=1), parts,
+                  "concat", _backward)
+
+
+def _batch_labels(logits: Tensor, label, op):
+    """Check a batch of logit rows against one integer label per row."""
+    _require_batch(logits, op)
+    labels = np.asarray(label, dtype=np.int64)
+    n, k = logits.shape
+    if labels.shape != (n,):
+        raise InputError(f"labels shape {labels.shape} does not match batch {n}")
+    if labels.min() < 0 or labels.max() >= k:
+        raise InputError(f"label out of range for {k} classes")
+    return labels
+
+
+def softmax_cross_entropy(logits: Tensor, label) -> Tensor:
+    """Mean cross-entropy of softmax(logits) against integer labels.
+
+    `logits` is [n, K] and `label` holds one class index per row; the
+    result is a scalar. Backward yields (softmax(logits) - onehot(label)) / n.
+    """
+    labels = _batch_labels(logits, label, "softmax_cross_entropy")
+    n = logits.shape[0]
+    ls = ad.log_softmax(logits.values)
+    picked = ls[np.arange(n), labels]
+    p = np.exp(ls)
+
+    def _backward(go):
+        g = p.copy()
+        g[np.arange(n), labels] -= 1.0
+        g /= n
+        _accumulate(logits, g * float(go))
+
+    return Tensor(np.asarray(-picked.sum() / n), (logits,), "ce", _backward)
+
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
@@ -172,7 +247,7 @@ def graph_saliency(model, x, backward=ad.backward):
             if i < ext.n_layers - 1:
                 h = ad.relu(h)
         feats.append(h)
-    z = feats[0] if len(feats) == 1 else ad.concat(feats)
+    z = feats[0] if len(feats) == 1 else concat(feats)
     logits = ad.linear(z, ad.constant(model.heads["cls_w"].values),
                        ad.constant(model.heads["cls_b"].values))
     backward(sum_picked(logits, np.argmax(logits.values, axis=1)))
@@ -212,11 +287,11 @@ def surrogate_intra_loss(factual: Tensor, counterfactual_values, labels,
     """Cross-entropy on the factual feature plus nu times the negative
     log-complement of the true-class probability on the counterfactual,
     which enters as a constant offset from the factual node."""
-    suff = ad.softmax_cross_entropy(ad.linear(factual, w, b), labels)
+    suff = softmax_cross_entropy(ad.linear(factual, w, b), labels)
     delta = ad.constant(np.asarray(counterfactual_values) - factual.values)
     cbar = add(factual, delta)
     nec = neglog_complement_prob(ad.linear(cbar, w, b), labels)
-    return ad.add_scalars([suff, scale(nec, nu)])
+    return add_scalars([suff, scale(nec, nu)])
 
 
 def projector_graph(model, zold_node: Tensor) -> Tensor:
@@ -248,15 +323,15 @@ def graph_objective(model, xb, yb, n_c, frozen, config, use_cls, use_intra,
         w_e, b_e = model.heads[f"{head}_w"], model.heads[f"{head}_b"]
     losses = {}
     c_hat = model.current_feature_graph(ad.constant(xb))
-    z = ad.concat([ad.constant(frozen), c_hat]) if mixed else c_hat
+    z = concat([ad.constant(frozen), c_hat]) if mixed else c_hat
     terms = []
     if use_cls:
-        cls_loss = ad.softmax_cross_entropy(model.head_graph("cls", z), yb)
+        cls_loss = softmax_cross_entropy(head_graph(model, "cls", z), yb)
         losses["cls"] = float(cls_loss.values)
         terms.append(cls_loss)
     if mixed:
         aux_labels = np.where(yb >= lo, yb - lo, cur_count)
-        aux_loss = ad.softmax_cross_entropy(model.head_graph("aux", c_hat),
+        aux_loss = softmax_cross_entropy(head_graph(model, "aux", c_hat),
                                             aux_labels)
         losses["aux"] = float(aux_loss.values)
         terms.append(aux_loss)
@@ -288,14 +363,14 @@ def graph_objective(model, xb, yb, n_c, frozen, config, use_cls, use_intra,
             kl_terms.append(kl_softmax(
                 c_hat, add(c_hat, ad.constant(cfs_e - c_hat.values))))
     if kl_terms:
-        kl_total = ad.add_scalars(kl_terms)
+        kl_total = add_scalars(kl_terms)
         losses["kl"] = float(kl_total.values)
         terms.append(scale(kl_total, config.gamma))
     if use_inter:
         proj_loss = projector_loss(model, frozen, c_hat.values)
         losses["proj"] = float(proj_loss.values)
         terms.append(proj_loss)
-    ad.backward(terms[0] if len(terms) == 1 else ad.add_scalars(terms))
+    ad.backward(terms[0] if len(terms) == 1 else add_scalars(terms))
     return losses, take_grads(params)
 
 

@@ -126,8 +126,10 @@ def two_stage_pair(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("stage"))
     train = dict(TRAP_TRAIN, buffer_capacity=200)
     staged = _trap_config(out, "staged", train=dict(train))
-    merged = _trap_config(out, "merged", train=dict(train, two_stage=False),
-                          method_label="merged")
+    # one stage on the same epoch budget
+    merged = _trap_config(out, "merged", method_label="merged", train=dict(
+        train, stage1_epochs=0,
+        stage2_epochs=train["stage1_epochs"] + train["stage2_epochs"]))
     _, staged_rows, _ = _run_all_seeds(staged)
     _, merged_rows, _ = _run_all_seeds(merged)
     return staged_rows, merged_rows
@@ -262,9 +264,10 @@ def test_gradients_match_finite_differences(monkeypatch):
         lv = rng.normal(size=(n, c))
         y = rng.integers(0, c, n)
         logits = ad.leaf(lv)
-        ad.backward(ad.softmax_cross_entropy(logits, y))
+        ad.backward(oracles.softmax_cross_entropy(logits, y))
         want = numeric_grad(
-            lambda v: float(ad.softmax_cross_entropy(ad.leaf(v), y).values),
+            lambda v: float(
+                oracles.softmax_cross_entropy(ad.leaf(v), y).values),
             lv)
         assert rel_err(logits.grad, want) < 1e-4
 

@@ -121,22 +121,22 @@ def test_relu_grads_vs_fd_away_from_zero(seed):
 
 def test_ce_uniform_logits_is_log_k():
     logits = ad.leaf(np.zeros((1, 4)))
-    out = ad.softmax_cross_entropy(logits, [2])
+    out = oracles.softmax_cross_entropy(logits, [2])
     assert abs(float(out.values) - np.log(4.0)) < 1e-12
 
 
 def test_ce_label_out_of_range():
     with pytest.raises(InputError):
-        ad.softmax_cross_entropy(ad.leaf(np.zeros((1, 4))), [4])
+        oracles.softmax_cross_entropy(ad.leaf(np.zeros((1, 4))), [4])
     with pytest.raises(InputError):
-        ad.softmax_cross_entropy(ad.leaf(np.zeros((2, 4))), [0, -1])
+        oracles.softmax_cross_entropy(ad.leaf(np.zeros((2, 4))), [0, -1])
     with pytest.raises(UsageError):  # a single sample is a one-row batch
-        ad.softmax_cross_entropy(ad.leaf(np.zeros(4)), 0)
+        oracles.softmax_cross_entropy(ad.leaf(np.zeros(4)), 0)
 
 
 def test_ce_extreme_logits_stay_finite():
     logits = ad.leaf([[1000.0, -1000.0, 0.0]])
-    out = ad.softmax_cross_entropy(logits, [1])
+    out = oracles.softmax_cross_entropy(logits, [1])
     ad.backward(out)
     assert np.isfinite(float(out.values))
     assert np.all(np.isfinite(logits.grad))
@@ -148,7 +148,7 @@ def test_ce_grads_vs_fd(seed):
     lv = rng.normal(size=(1, 5)) * 2.0
     y = int(rng.integers(5))
     logits = ad.leaf(lv)
-    ad.backward(ad.softmax_cross_entropy(logits, [y]))
+    ad.backward(oracles.softmax_cross_entropy(logits, [y]))
 
     def f(v):
         s = v[0] - v.max()
@@ -162,7 +162,7 @@ def test_ce_batched_grads_vs_fd():
     lv = rng.normal(size=(4, 5))
     ys = rng.integers(5, size=4)
     logits = ad.leaf(lv)
-    ad.backward(ad.softmax_cross_entropy(logits, ys))
+    ad.backward(oracles.softmax_cross_entropy(logits, ys))
 
     def f(v):
         s = v - v.max(axis=1, keepdims=True)
@@ -270,7 +270,7 @@ def test_concat_routes_gradients():
     rng = _rng(13)
     av, bv = rng.normal(size=(1, 3)), rng.normal(size=(1, 2))
     a, b = ad.leaf(av), ad.leaf(bv)
-    ad.backward(oracles.sum_squares(ad.concat([a, b])))
+    ad.backward(oracles.sum_squares(oracles.concat([a, b])))
     joint = np.concatenate([av, bv], axis=1)
     g = numeric_grad(lambda v: float(np.sum(v * v)), joint)
     assert rel_err(a.grad, g[:, :3]) < 1e-5
@@ -281,16 +281,16 @@ def test_concat_batched_routes_gradients():
     rng = _rng(14)
     av, bv = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
     a, b = ad.leaf(av), ad.leaf(bv)
-    ad.backward(oracles.sum_squares(ad.concat([a, b])))
+    ad.backward(oracles.sum_squares(oracles.concat([a, b])))
     np.testing.assert_allclose(a.grad, 2.0 * av, rtol=1e-12)
     np.testing.assert_allclose(b.grad, 2.0 * bv, rtol=1e-12)
 
 
 def test_concat_row_mismatch_raises():
     with pytest.raises(ConfigurationError):
-        ad.concat([ad.leaf(np.ones((2, 3))), ad.leaf(np.ones((3, 3)))])
+        oracles.concat([ad.leaf(np.ones((2, 3))), ad.leaf(np.ones((3, 3)))])
     with pytest.raises(UsageError):  # a single sample is a one-row batch
-        ad.concat([ad.leaf(np.ones(3)), ad.leaf(np.ones(2))])
+        oracles.concat([ad.leaf(np.ones(3)), ad.leaf(np.ones(2))])
 
 
 def test_add_sub_scale_composite_vs_fd():
@@ -323,7 +323,7 @@ def test_add_scalars_combines_losses():
     x = ad.leaf([1.0, 2.0])
     t1 = oracles.sum_squares(x)
     t2 = oracles.scale(oracles.sum_squares(x), 0.5)
-    root = ad.add_scalars([t1, t2])
+    root = oracles.add_scalars([t1, t2])
     assert abs(float(root.values) - 7.5) < 1e-12
     ad.backward(root)
     np.testing.assert_allclose(x.grad, 1.5 * np.array([2.0, 4.0]), rtol=1e-12)
@@ -348,7 +348,7 @@ def test_mlp_composite_all_params_vs_fd():
             h = ad.linear(h, ws[i], bs[i])
             if i < 2:
                 h = ad.relu(h)
-        loss = ad.softmax_cross_entropy(h, ys)
+        loss = oracles.softmax_cross_entropy(h, ys)
         ad.backward(loss)
         return float(loss.values), ws, bs
 
@@ -391,7 +391,7 @@ def test_shared_subgraph_accumulates_once_per_path():
     # y = sum_squares(x) used twice through add_scalars: grads double.
     x = ad.leaf([1.0, 2.0])
     t = oracles.sum_squares(x)
-    ad.backward(ad.add_scalars([t, t]))
+    ad.backward(oracles.add_scalars([t, t]))
     np.testing.assert_array_equal(x.grad, [4.0, 8.0])
 
 
@@ -438,7 +438,7 @@ def _shared_graph(seed=31):
     w = ad.leaf(rng.normal(size=(5, 4)))
     b = ad.leaf(rng.normal(size=5))
     z = ad.linear(x, w, b)
-    root = ad.add_scalars([oracles.sum_squares(z),
+    root = oracles.add_scalars([oracles.sum_squares(z),
                            oracles.sum_picked(z, [0, 4, 2])])
     return x, w, b, z, root
 
@@ -512,7 +512,8 @@ def test_a_dropped_graph_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         hidden = ad.relu(ad.linear(x, w0, b0))
-        root = ad.softmax_cross_entropy(ad.linear(hidden, w1, b1), [0, 1, 1, 0])
+        root = oracles.softmax_cross_entropy(ad.linear(hidden, w1, b1),
+                                             [0, 1, 1, 0])
         ad.backward(root)
         ref = weakref.ref(hidden)
         del hidden

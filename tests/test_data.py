@@ -2,6 +2,8 @@
 shortcut trap audited by a linear probe, split arithmetic, and the tabular
 round trip."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -302,6 +304,18 @@ def test_table_bad_header(tmp_path):
 def test_table_missing_file():
     with pytest.raises(InputError):
         dt.load_table("/nonexistent/place/t.tab")
+
+
+@pytest.mark.parametrize("y,tags", [
+    ([0, 2], None), ([-1, 0], None), ([0, 1], ["causal"]),
+    ([0, 1], ["causal", "sparkly"])],
+    ids=["label too large", "label negative", "tags miscounted",
+         "tag unknown"])
+def test_save_table_checks_before_writing(tmp_path, y, tags):
+    path = tmp_path / "t.tab"
+    with pytest.raises(InputError):
+        dt.save_table(path, np.ones((2, 2)), np.array(y), 2, dim_tags=tags)
+    assert not os.listdir(tmp_path)
 
 
 def test_table_bad_sidecar_tag(tmp_path):

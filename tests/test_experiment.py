@@ -184,6 +184,21 @@ class TestRunSeed:
             lines = (tmp_path / rel).read_text().splitlines()
             assert lines[0] == "method,scenario,seed,last,avg"
 
+    def test_rerun_removes_the_stale_artifacts_of_an_earlier_run(self,
+                                                                 tmp_path):
+        seed_dir = tmp_path / "t" / "seed-0"
+        long_doc = tiny_doc(tmp_path)
+        long_doc["data"] = dict(long_doc["data"], num_tasks=3)
+        ex.run_experiment(ex.config_from_dict(long_doc))
+        assert (seed_dir / "task-2.ckpt").exists()
+        (seed_dir / "notes.txt").write_text("kept")
+        ex.run_experiment(ex.config_from_dict(tiny_doc(tmp_path)))
+        assert sorted(os.listdir(seed_dir)) == [
+            "epochs.jsonl", "notes.txt", "summary.csv", "task-0.ckpt",
+            "task-0.eval.json", "task-1.ckpt", "task-1.eval.json"]
+        log = (seed_dir / "epochs.jsonl").read_text().splitlines()
+        assert len(log) == 2 * (2 + 3)
+
     def test_rerun_is_byte_identical_outside_epoch_log(self, tmp_path):
         cfg_path = write_config(tmp_path, tiny_doc(tmp_path / "out"))
         ex.run_experiment(ex.load_config(cfg_path))
@@ -401,18 +416,27 @@ class TestSweepAndAblate:
         from cpnslab.trainer import TrainConfig
         base = TrainConfig(stage1_epochs=4, stage2_epochs=6, lam=0.7,
                            gamma=0.5, nu=0.3)
+        # a single-stage variant trains the 4 + 6 epochs in stage 2
+        two_stages, one_stage = (4, 6), (0, 10)
+
+        def epochs(c):
+            return c.stage1_epochs, c.stage2_epochs
+
         b = ex.ablation_train_config(base, "baseline")
-        assert (b.lam, b.gamma, b.nu, b.stage1_epochs) == (0, 0, 0, 0)
+        assert (b.lam, b.gamma, b.nu) == (0, 0, 0)
+        assert epochs(b) == one_stage
         intra = ex.ablation_train_config(base, "+intra")
-        assert intra.lam == 0.0 and intra.nu == 0.3 and intra.two_stage
+        assert intra.lam == 0.0 and intra.nu == 0.3
+        assert epochs(intra) == two_stages
         i1 = ex.ablation_train_config(base, "+inter_no2stage")
-        assert i1.nu == 0.0 and i1.gamma == 0.0 and not i1.two_stage
+        assert i1.nu == 0.0 and i1.gamma == 0.0 and epochs(i1) == one_stage
         i2 = ex.ablation_train_config(base, "+inter_2stage")
-        assert i2.nu == 0.0 and i2.lam == 0.7 and i2.two_stage
+        assert i2.nu == 0.0 and i2.lam == 0.7 and epochs(i2) == two_stages
         both = ex.ablation_train_config(base, "both_no2stage")
-        assert both.lam == 0.7 and both.nu == 0.3 and not both.two_stage
+        assert both.lam == 0.7 and both.nu == 0.3
+        assert epochs(both) == one_stage
         full = ex.ablation_train_config(base, "full")
-        assert full.lam == 0.7 and full.two_stage
+        assert full.lam == 0.7 and epochs(full) == two_stages
         with pytest.raises(ConfigurationError):
             ex.ablation_train_config(base, "everything")
 
@@ -453,7 +477,8 @@ class TestCli:
         (None, "use_baseline_trainer", "false"),
         (None, "seeds", "12"),
         (None, "seeds", [0, 1.5]),
-        ("train", "two_stage", "no"),
+        ("model", "separate_inter_head", "no"),
+        ("train", "two_stage", False),
         ("metrics", "old_new", "no"),
         ("model", "hidden_dims", [16.7]),
         ("train", "lr", float("nan")),
@@ -472,7 +497,8 @@ class TestCli:
         ("metrics", "masking_ks", [2, 0]),
         ("metrics", "masking_ks", [-1, 0]),
     ], ids=["baseline flag string", "seeds string", "seeds float",
-            "two_stage string", "old_new string", "hidden_dims float",
+            "inter head string", "two_stage unknown",
+            "old_new string", "hidden_dims float",
             "lr nan", "lr inf", "batch_size float", "batch_size bool",
             "feature_dim float", "adam_betas short", "data int float",
             "seeds negative", "data seed negative", "hidden_dims zero",

@@ -145,7 +145,7 @@ def test_forward_aux_requires_second_task():
     with pytest.raises(UsageError):
         m.head_np("aux", m.current_feature_np(np.ones((1, 8))))
     with pytest.raises(UsageError):
-        m.head_graph("aux", ad.leaf(np.ones((1, 4))))
+        oracles.head_graph(m, "aux", ad.leaf(np.ones((1, 4))))
 
 
 def test_forward_aux_shape_and_oracle():
@@ -168,8 +168,8 @@ def test_aux_loss_gradient_skips_frozen_extractors():
     m.expand(3)
     x = ad.leaf(_probe(rng, 4, 8))
     feat = m.current_feature_graph(x)
-    logits = m.head_graph("aux", feat)
-    loss = ad.softmax_cross_entropy(logits, [0, 1, 2, 3])
+    logits = oracles.head_graph(m, "aux", feat)
+    loss = oracles.softmax_cross_entropy(logits, [0, 1, 2, 3])
     ad.backward(loss)
     for name, t in m.extractors[0].params.items():
         assert t.grad is None, f"frozen param {name} got gradient"
@@ -192,7 +192,7 @@ def test_forward_intra_oracle_and_uniform_ce():
     m.heads["intra_w"].values[:] = 0.0
     m.heads["intra_b"].values[:] = 0.0
     logits = m.head_np("intra", m.current_feature_np(x))
-    ce = ad.softmax_cross_entropy(ad.leaf(logits), np.zeros(3, dtype=int))
+    ce = oracles.softmax_cross_entropy(ad.leaf(logits), np.zeros(3, dtype=int))
     assert abs(float(ce.values) - np.log(4.0)) < 1e-12
 
 

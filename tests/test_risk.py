@@ -280,7 +280,7 @@ def test_surrogate_necessity_term_vanishes_at_zero_prob():
     c = ad.leaf(np.array([[5.0, 0.0]]))
     cbar = np.array([[-5.0, 0.0]])  # true class 0 becomes overwhelmingly unlikely
     loss = oracles.surrogate_intra_loss(c, cbar, [0], w, b, nu=1.0)
-    ce_only = float(ad.softmax_cross_entropy(
+    ce_only = float(oracles.softmax_cross_entropy(
         ad.linear(ad.leaf(c.values), w, b), [0]).values)
     assert abs(float(loss.values) - ce_only) < 1e-9
 

@@ -13,6 +13,7 @@ from conftest import all_params
 
 from cpnslab import autodiff as ad
 from cpnslab import counterfactual as cf
+from cpnslab import experiment as ex
 from cpnslab import trainer as tr
 from cpnslab.errors import (ConfigurationError, InputError, NumericsError,
                             UsageError)
@@ -586,16 +587,16 @@ def two_task_data(seed=42, n_per=24):
     return t0, t1
 
 
-def run_two_tasks(train_fn, cfg, model_seed=1, rng_seed=7, log_path=None):
+def run_two_tasks(train_fn, cfg, model_seed=1, rng_seed=7):
     t0, t1 = two_task_data()
     model = small_model(seed=model_seed)
     rng = np.random.default_rng(rng_seed)
     buf = tr.RehearsalBuffer(cfg.buffer_capacity, cfg.buffer_policy)
     model.expand(3)
-    train_fn(model, t0, None, cfg, rng, log_path)
+    train_fn(model, t0, None, cfg, rng)
     tr.buffer_commit(buf, t0, model, rng=rng)
     model.expand(3)
-    res = train_fn(model, t1, buf, cfg, rng, log_path)
+    res = train_fn(model, t1, buf, cfg, rng)
     return model, res
 
 
@@ -769,11 +770,17 @@ def test_labels_outside_current_range_rejected():
         tr.train_task(model, (x, y), None, full_cfg(), np.random.default_rng(0))
 
 
-def test_jsonl_records_follow_the_schema(tmp_path):
-    log = tmp_path / "epochs.jsonl"
+def test_jsonl_records_follow_the_schema():
+    results = []
+
+    def train(*args):
+        results.append(tr.train_task(*args))
+        return results[-1]
+
     cfg = full_cfg(stage1_epochs=1, stage2_epochs=2)
-    run_two_tasks(tr.train_task, cfg, log_path=str(log))
-    lines = log.read_text().strip().split("\n")
+    run_two_tasks(train, cfg)
+    # the lines run_seed appends to epochs.jsonl
+    lines = [json.dumps(rec) for res in results for rec in res["records"]]
     assert len(lines) == 6  # (1 + 2) epochs for each of the two tasks
     for line in lines:
         rec = json.loads(line)
@@ -793,11 +800,20 @@ def test_jsonl_records_follow_the_schema(tmp_path):
 
 
 def test_single_stage_mode_folds_epoch_budget():
-    cfg = full_cfg(stage1_epochs=2, stage2_epochs=3, two_stage=False)
+    cfg = ex.ablation_train_config(full_cfg(stage1_epochs=2, stage2_epochs=3),
+                                   "both_no2stage")
     _, res = run_two_tasks(tr.train_task, cfg)
     records = res["records"]
     assert len(records) == 5
     assert all(r["stage"] == 2 for r in records)
+
+
+@pytest.mark.parametrize("train_fn", [tr.train_task, tr.train_task_baseline])
+def test_trained_parameters_own_their_memory(train_fn):
+    # a view would keep the whole flat optimizer vector of its task alive
+    model, _ = run_two_tasks(train_fn, full_cfg())
+    for name, p in all_params(model).items():
+        assert p.values.flags.owndata, name
 
 
 def test_training_is_deterministic_given_seeds():
