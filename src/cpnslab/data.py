@@ -394,6 +394,9 @@ def save_table(path, x, y, n_classes, dim_tags=None):
     if x.ndim != 2 or len(x) != len(y):
         raise InputError(f"bad table shapes: x {x.shape}, y {y.shape}")
     dims = x.shape[1]
+    if dims < 1 or n_classes < 1:
+        raise InputError(
+            f"dims and classes must be positive, got {dims} and {n_classes}")
     if len(y) and (y.min() < 0 or y.max() >= n_classes):
         raise InputError(f"labels outside [0, {n_classes})")
     if dim_tags is not None:

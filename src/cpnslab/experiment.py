@@ -25,6 +25,7 @@ from . import data as dt
 from . import metrics as mt
 from . import model as mdl
 from . import trainer as tr
+from .atomic import atomic_open
 from .errors import ConfigurationError, ParseError
 from .risk import GenConfig, check_proposition1
 from .errors import PropositionViolation
@@ -375,8 +376,9 @@ def evaluate_task(model, stream, task_index, history, acts,
 
 def _write_json_lines(path, docs, mode="w"):
     """Write, or append with mode "a", each doc as one canonical JSON line:
-    sorted keys, no spaces."""
-    with open(path, mode) as fh:
+    sorted keys, no spaces. A write replaces the file whole
+    (`atomic_open`); an append extends it in place."""
+    with (atomic_open(path) if mode == "w" else open(path, mode)) as fh:
         for doc in docs:
             fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
             fh.write("\n")
@@ -384,8 +386,8 @@ def _write_json_lines(path, docs, mode="w"):
 
 def _write_csv(path, header, rows):
     """The header line, then one line per row; a float cell is written as
-    its shortest exact repr."""
-    with open(path, "w") as fh:
+    its shortest exact repr. The file is replaced whole (`atomic_open`)."""
+    with atomic_open(path) as fh:
         fh.write(header + "\n")
         for row in rows:
             cells = (repr(float(v)) if isinstance(v, float) else str(v)

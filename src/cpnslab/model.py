@@ -20,6 +20,7 @@ import json
 import numpy as np
 
 from . import autodiff as ad
+from .atomic import atomic_open
 from .errors import ConfigurationError, FormatError, InputError, UsageError
 
 CHECKPOINT_MAGIC = "CPNSLAB1"
@@ -55,13 +56,16 @@ class FeatureExtractor:
     """Small MLP mapping inputs to a d-dimensional feature vector.
 
     Hidden layers use ReLU; the feature output is linear. `params` maps
-    `w{i}`/`b{i}` to leaves over the given arrays.
+    `w{i}`/`b{i}` to leaves over the given arrays. `_encoded` is the
+    checkpoint text of `params` with the bytes it encodes, or None
+    (`_params_text`).
     """
 
     def __init__(self, layer_dims, arrays):
         self.layer_dims = list(int(v) for v in layer_dims)
         self.params: dict[str, ad.Tensor] = {name: ad.leaf(a)
                                              for name, a in arrays.items()}
+        self._encoded = None
 
     @property
     def n_layers(self):
@@ -270,13 +274,49 @@ def _array_in(entry, shape=None):
     return arr
 
 
+def _dumps(doc):
+    """Canonical JSON: sorted keys, no spaces."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _array_out(values):
+    return {"shape": list(values.shape), "data": values.tolist()}
+
+
+def _params_text(ext):
+    """The checkpoint text of an extractor's `params`.
+
+    Writing floats as text is most of a checkpoint's cost, and every later
+    checkpoint of a run holds the frozen extractors again. So the text is
+    kept on the extractor with the bytes it encodes and reused while they
+    are unchanged: a run encodes each extractor once, when its task is
+    checkpointed, not again at every later task.
+    """
+    key = [(name, p.values.shape, p.values.tobytes())
+           for name, p in ext.params.items()]
+    if ext._encoded is None or ext._encoded[0] != key:
+        ext._encoded = (key, _dumps({name: _array_out(p.values)
+                                     for name, p in ext.params.items()}))
+    return ext._encoded[1]
+
+
 def save_checkpoint(model: ExpandableModel, path):
     """Write the model as a canonical JSON document.
 
     Serialization is deterministic (sorted keys, fixed separators) and
     floats round-trip bit-exactly, so identical models produce identical
-    bytes.
+    bytes. The file is replaced whole (`atomic_open`). Each extractor's
+    params text comes from `_params_text` and replaces the first
+    `"params":null` of its entry, and the entries replace the first
+    `"extractors":null` of the document: the keys that sort before those
+    hold only booleans and numbers, so the first null is the placeholder.
     """
+    last = model.task_count - 1
+    extractors = ",".join(
+        _dumps({"task_index": t, "layer_dims": ext.layer_dims,
+                "frozen": t < last, "params": None})
+        .replace('"params":null', '"params":' + _params_text(ext), 1)
+        for t, ext in enumerate(model.extractors))
     doc = {
         "magic": CHECKPOINT_MAGIC,
         "format_version": 1,
@@ -288,26 +328,14 @@ def save_checkpoint(model: ExpandableModel, path):
         "seed": model.seed,
         "class_offsets": [list(pair) for pair in model.class_offsets],
         "rng_state": model.rng.bit_generator.state,
-        "extractors": [
-            {
-                "task_index": t,
-                "layer_dims": ext.layer_dims,
-                "frozen": t < model.task_count - 1,
-                "params": {
-                    name: {"shape": list(p.values.shape),
-                           "data": p.values.tolist()}
-                    for name, p in ext.params.items()
-                },
-            }
-            for t, ext in enumerate(model.extractors)
-        ],
-        "heads": {
-            name: {"shape": list(t.values.shape), "data": t.values.tolist()}
-            for name, t in model.heads.items()
-        },
+        "extractors": None,
+        "heads": {name: _array_out(t.values)
+                  for name, t in model.heads.items()},
     }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    text = _dumps(doc).replace('"extractors":null',
+                               f'"extractors":[{extractors}]', 1)
+    with atomic_open(path) as fh:
+        fh.write(text)
         fh.write("\n")
 
 
@@ -340,8 +368,12 @@ def _arrays_in(entries, table, what):
         shapes[w], shapes[b] = (rows, fan_in), (rows,)
     if set(entries) != set(shapes):
         raise FormatError(f"{what} {sorted(entries)} are not {sorted(shapes)}")
-    return {name: _array_in(entries[name], shape)
-            for name, shape in shapes.items()}
+    arrays = {name: _array_in(entries[name], shape)
+              for name, shape in shapes.items()}
+    bad = sorted(name for name, a in arrays.items() if not np.isfinite(a).all())
+    if bad:
+        raise FormatError(f"{what} {bad} hold NaN or inf")
+    return arrays
 
 
 def _model_from_doc(doc):

@@ -254,22 +254,32 @@ def herding_order(features, m):
     Each pick keeps the running exemplar mean closest in squared distance
     to the class mean; ties go to the lowest remaining index. Returns the
     selected row indices in selection order.
+
+    Each pick scores only the untaken rows. They stay compacted at the
+    front of a work copy in ascending index order, so argmin's first
+    minimum is still the lowest index, and each row's score runs the same
+    elementwise steps, `((total + f) / k - mu) ** 2` summed per row, as
+    over all n rows: the order is the same, ties included.
     """
     feats = np.atleast_2d(np.asarray(features, dtype=np.float64))
     n = len(feats)
     m = int(min(m, n))
     mu = feats.mean(axis=0)
     total = np.zeros_like(mu)
-    taken = np.zeros(n, dtype=bool)
+    rest, live = feats.copy(), np.arange(n)
+    work, d2 = np.empty_like(feats), np.empty(n)
     order = []
     for k in range(1, m + 1):
-        cand = (total + feats) / k
-        d2 = np.sum((cand - mu) ** 2, axis=1)
-        d2[taken] = np.inf
-        i = int(np.argmin(d2))
-        order.append(i)
-        total += feats[i]
-        taken[i] = True
+        cand = np.add(total, rest[:n], out=work[:n])
+        cand /= k
+        cand -= mu
+        cand *= cand
+        j = int(np.add.reduce(cand, axis=1, out=d2[:n]).argmin())
+        order.append(int(live[j]))
+        total += rest[j]
+        rest[j:n - 1] = rest[j + 1:n]
+        live[j:n - 1] = live[j + 1:n]
+        n -= 1
     return order
 
 

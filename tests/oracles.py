@@ -14,10 +14,16 @@ masking curve as evaluation used to run it, over every test set
 concatenated into one probe; the per-set `metrics.masking_curve` is held
 to it. `per_array_step` is the optimizer step as it ran one parameter at
 a time, before the flat layout; `trainer.optimizer_step` is held to it.
+`masked_herding_order` is herding as it scored every row at every pick,
+and `plain_checkpoint_text` the checkpoint document as one `json.dumps`
+that encodes every array afresh; `trainer.herding_order` and
+`model.save_checkpoint` are held to them exactly.
 
 The ops follow the closure convention of `cpnslab.autodiff`: a backward
 closure takes its node's gradient and refers only to the parents.
 """
+
+import json
 
 import numpy as np
 
@@ -425,3 +431,55 @@ def per_array_step(params, grads, state, config, lr=None):
             vhat = v / (1.0 - b2 ** k)
             t.values -= lr * mhat / (np.sqrt(vhat) + config.adam_eps)
     return state
+
+
+# ---------------------------------------------------------------------------
+# herding and the checkpoint document, as they ran before their rewrites
+
+def masked_herding_order(features, m):
+    """`trainer.herding_order` scoring all n rows at every pick, with the
+    taken rows' scores set to inf."""
+    feats = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    n = len(feats)
+    m = int(min(m, n))
+    mu = feats.mean(axis=0)
+    total = np.zeros_like(mu)
+    taken = np.zeros(n, dtype=bool)
+    order = []
+    for k in range(1, m + 1):
+        cand = (total + feats) / k
+        d2 = np.sum((cand - mu) ** 2, axis=1)
+        d2[taken] = np.inf
+        i = int(np.argmin(d2))
+        order.append(i)
+        total += feats[i]
+        taken[i] = True
+    return order
+
+
+def plain_checkpoint_text(model):
+    """The bytes `model.save_checkpoint` writes, as one canonical
+    `json.dumps` of the whole document with no text reused."""
+    def array(values):
+        return {"shape": list(values.shape), "data": values.tolist()}
+
+    doc = {
+        "magic": "CPNSLAB1",
+        "format_version": 1,
+        "input_dim": model.input_dim,
+        "feature_dim": model.feature_dim,
+        "hidden_dims": list(model.hidden_dims),
+        "projector_hidden": model.projector_hidden,
+        "separate_inter_head": model.separate_inter_head,
+        "seed": model.seed,
+        "class_offsets": [list(pair) for pair in model.class_offsets],
+        "rng_state": model.rng.bit_generator.state,
+        "extractors": [
+            {"task_index": t, "layer_dims": ext.layer_dims,
+             "frozen": t < model.task_count - 1,
+             "params": {name: array(p.values)
+                        for name, p in ext.params.items()}}
+            for t, ext in enumerate(model.extractors)],
+        "heads": {name: array(t.values) for name, t in model.heads.items()},
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

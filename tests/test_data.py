@@ -318,6 +318,20 @@ def test_save_table_checks_before_writing(tmp_path, y, tags):
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("x,y,n_classes", [
+    (np.ones((2, 0)), [0, 0], 1), (np.ones((0, 0)), [], 1),
+    (np.ones((0, 2)), [], 0)],
+    ids=["no columns", "no rows or columns", "no classes"])
+def test_save_table_refuses_what_load_table_rejects(tmp_path, x, y,
+                                                     n_classes):
+    # load_table rejects dims < 1 and classes < 1, so save_table must not
+    # write such a table
+    with pytest.raises(InputError, match="must be positive"):
+        dt.save_table(tmp_path / "t.tab", x, np.array(y, dtype=np.int64),
+                      n_classes)
+    assert not os.listdir(tmp_path)
+
+
 def test_table_bad_sidecar_tag(tmp_path):
     path = tmp_path / "t.tab"
     dt.save_table(path, np.array([[1.0]]), np.array([0]), 1)

@@ -5,8 +5,10 @@ each, sixteen input dims) so the whole module stays in the seconds range.
 CLI behavior is exercised in-process through cli.main(argv).
 """
 
+import glob
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 
 from conftest import all_params
 
+from cpnslab import atomic
 from cpnslab import autodiff as ad
 from cpnslab import cli
 from cpnslab import data as dt
@@ -73,6 +76,33 @@ def _drop_heads(*names):
 def _set_head(name, rows):
     return lambda doc: doc["heads"].update(
         {name: {"shape": [len(rows), len(rows[0])], "data": rows}})
+
+
+class _StopsMidWrite:
+    """A text file that writes half of its first write and then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        self.fh.flush()
+        raise OSError("disk full")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def _stop_writing(monkeypatch, name):
+    """Make `atomic_open`'s write of the file `name` stop midway."""
+    def fake_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        hit = os.path.basename(path).startswith(f".{name}.")
+        return _StopsMidWrite(fh) if hit else fh
+    monkeypatch.setattr(atomic, "open", fake_open, raising=False)
 
 
 def sha(path):
@@ -222,6 +252,41 @@ class TestRunSeed:
             a.pop("wall_ms")
             b.pop("wall_ms")
             assert a == b
+
+    @pytest.mark.parametrize("name", ["task-1.ckpt", "task-1.eval.json",
+                                      "summary.csv"])
+    def test_a_run_stopped_mid_write_leaves_no_partial_artifact(
+            self, tmp_path, monkeypatch, name):
+        cfg = ex.config_from_dict(tiny_doc(tmp_path))
+        seed_dir = tmp_path / "t" / "seed-0"
+        _stop_writing(monkeypatch, name)
+        with pytest.raises(OSError, match="disk full"):
+            ex.run_seed(cfg, 0)
+        names = sorted(os.listdir(seed_dir))
+        assert name not in names
+        assert not [n for n in names if n.startswith(".")]
+        # what was written before the stop is whole
+        assert {"task-0.ckpt", "task-0.eval.json"} <= set(names)
+        mdl.load_checkpoint(str(seed_dir / "task-0.ckpt"))
+        json.loads((seed_dir / "task-0.eval.json").read_text())
+
+    def test_a_stopped_rewrite_keeps_the_old_file(self, tmp_path,
+                                                  monkeypatch):
+        path = tmp_path / "summary.csv"
+        ex._write_csv(path, "a,b", [(1, 2.5)])
+        before = path.read_bytes()
+        # the temp file is hidden from the `*` globs run_seed cleans with
+        with atomic.atomic_open(path) as fh:
+            fh.write("x")
+            assert glob.glob(str(tmp_path / "*")) == [str(path)]
+            assert len(os.listdir(tmp_path)) == 2
+        assert path.read_text() == "x"
+        ex._write_csv(path, "a,b", [(1, 2.5)])
+        _stop_writing(monkeypatch, "summary.csv")
+        with pytest.raises(OSError, match="disk full"):
+            ex._write_csv(path, "a,b", [(3, 4.5)])
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["summary.csv"]
 
     def test_checkpoint_agrees_with_recorded_accuracy(self, tmp_path):
         cfg = ex.config_from_dict(tiny_doc(tmp_path))
@@ -685,9 +750,11 @@ class TestCli:
         _set_head("zzz_w", [[0.5, -0.5]]),
         _drop_heads("proj_w0", "proj_b0", "proj_w1", "proj_b1"),
         _add_first_extractor_param("zzz"),
+        lambda doc: doc["heads"]["cls_b"]["data"].__setitem__(0, math.nan),
     ], ids=["cls one column short", "layer_dims", "overlapping offsets",
             "extractor 0 not frozen", "aux head missing", "intra_w 1x2",
-            "extra head", "projector missing", "extra extractor param"])
+            "extra head", "projector missing", "extra extractor param",
+            "nan in cls_b"])
     def test_eval_of_a_checkpoint_whose_parts_disagree_exits_two(
             self, tmp_path, capsys, edit):
         model = mdl.ExpandableModel(input_dim=16, feature_dim=8,

@@ -398,3 +398,68 @@ def test_checkpoint_missing_or_mistyped_field_is_format_error(tmp_path, edit):
     path.write_text(json.dumps(doc))
     with pytest.raises(FormatError):
         md.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("kw", [{}, {"separate_inter_head": True}],
+                         ids=["tied inter", "separate inter"])
+def test_checkpoint_bytes_equal_one_plain_dump_across_a_stream(tmp_path, kw):
+    # save_checkpoint reuses each extractor's params text while its bytes
+    # are unchanged; every file must still be the plain document's bytes
+    rng = np.random.default_rng(3)
+    m = fresh(seed=5, **kw)
+    path = tmp_path / "m.ckpt"
+    for classes in (3, 2, 4):
+        m.expand(classes)
+        for t in trainable(m):
+            t.values += rng.normal(size=t.values.shape)
+        md.save_checkpoint(m, path)
+        assert path.read_text() == oracles.plain_checkpoint_text(m)
+    loaded = md.load_checkpoint(path)
+    for name, p in all_params(m).items():
+        np.testing.assert_array_equal(all_params(loaded)[name].values,
+                                      p.values)
+
+
+@pytest.mark.parametrize("change", ["in place", "new array", "reshaped"])
+def test_checkpoint_text_follows_a_changed_frozen_extractor(tmp_path, change):
+    rng = np.random.default_rng(4)
+    m = fresh(seed=2).expand(3).expand(2)
+    for t in all_params(m).values():
+        t.values += rng.normal(size=t.values.shape)
+    path = tmp_path / "m.ckpt"
+    md.save_checkpoint(m, path)
+    text = m.extractors[0]._encoded[1]
+    md.save_checkpoint(m, path)
+    assert m.extractors[0]._encoded[1] is text  # reused, not re-encoded
+    p = m.extractors[0].params["b0"]
+    if change == "in place":
+        p.values[1] = np.nextafter(p.values[1], np.inf)
+    elif change == "new array":
+        p.values = p.values * 2.0
+    else:
+        p.values = p.values.reshape(1, -1)  # same bytes, other shape
+    md.save_checkpoint(m, path)
+    assert path.read_text() == oracles.plain_checkpoint_text(m)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["cls_b", "extractor w1", "proj_w0"])
+def test_checkpoint_with_a_non_finite_array_is_format_error(tmp_path, value,
+                                                            where):
+    path = tmp_path / "m.ckpt"
+    md.save_checkpoint(fresh().expand(3).expand(2), path)
+    doc = json.loads(path.read_text())
+    if where == "cls_b":
+        doc["heads"]["cls_b"]["data"][2] = value
+    elif where == "extractor w1":
+        doc["extractors"][0]["params"]["w1"]["data"][1][0] = value
+    else:
+        doc["heads"]["proj_w0"]["data"][0][3] = value
+    # json writes the NaN / Infinity literals python's reader accepts
+    path.write_text(json.dumps(doc))
+    name = where.split()[-1]
+    with pytest.raises(FormatError, match=f"{name}.*NaN or inf"):
+        md.load_checkpoint(path)
+

@@ -295,6 +295,21 @@ def test_herding_partial_selection_is_prefix_of_full():
     assert tr.herding_order(feats, 5) == tr.herding_order(feats, 12)[:5]
 
 
+@pytest.mark.parametrize("d", [16, 64, 192])
+@pytest.mark.parametrize("m", [1, 41, 150])
+@pytest.mark.parametrize("rows", ["distinct", "duplicated"])
+def test_herding_equals_the_masked_scan_at_benchmark_sizes(d, m, rows):
+    # 150 rows per class as in the benchmark streams; d = 192 rows are
+    # summed in more than one of numpy's 128-element pairwise blocks
+    rng = np.random.default_rng(d + m)
+    feats = rng.normal(size=(150, d))
+    if rows == "duplicated":
+        # exact ties: every pick must still take the lowest tied index
+        feats[75:] = feats[:75]
+        feats[[3, 40, 149]] = feats.mean(axis=0)
+    assert tr.herding_order(feats, m) == oracles.masked_herding_order(feats, m)
+
+
 # ---------------------------------------------------------------------------
 # rehearsal buffer
 
