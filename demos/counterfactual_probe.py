@@ -35,7 +35,7 @@ def train_two_task(seed=0):
     for t, (train, _, (lo, hi)) in enumerate(stream.tasks):
         model.expand(hi - lo)
         tr.train_task(model, train, buffer if t else None, cfg, rng)
-        tr.buffer_commit(buffer, train, model, rng=rng)
+        tr.buffer_commit(buffer, train, model)
     return model, stream
 
 

@@ -28,8 +28,9 @@ Every node starts with `grad = None`, and gradients exist only where
 `backward` writes them. Each call gives one fresh gradient: it resets
 every node it reaches to None, and the first contribution to a node then
 allocates its buffer, later ones add to it, so nothing carries over from
-an earlier call. A constant never gets a gradient: `backward` does not
-visit it, and no operation computes a contribution for it.
+an earlier call. A constant, a node with `op == "const"`, never gets a
+gradient: `backward` does not visit it, and no operation computes a
+contribution for it.
 
 Parameters are plain `dict[str, Tensor]` maps of leaves; the tensors hold
 no optimizer or freezing state.
@@ -50,7 +51,8 @@ class Tensor:
     `values` is a float64 array: a batch [n, k] for the batched
     operations, a 0-d scalar for a reduction. `grad` is None or has the
     same shape as `values`: the gradient of the last `backward` that
-    reached the node, or None if none has. Leaves carry `op == "leaf"`.
+    reached the node, or None if none has. Leaves carry `op == "leaf"`,
+    constants `op == "const"`.
     """
 
     __slots__ = ("values", "grad", "parents", "op", "_backward_fn",
@@ -81,12 +83,6 @@ class Tensor:
 
 def leaf(values):
     return Tensor(values, op="leaf")
-
-
-def constant(values):
-    """A leaf that participates in forward values only: `backward` does not
-    visit it, and its grad stays None."""
-    return Tensor(values, op="const")
 
 
 # ---------------------------------------------------------------------------

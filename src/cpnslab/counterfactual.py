@@ -4,18 +4,18 @@ Two generators produce constrained perturbations of a factual feature
 vector: the intra-scope generator climbs the cross-entropy gradient of the
 current-task head, the inter-scope generator pulls the feature toward the
 projected old-feature approximation. Both enforce a semantic budget by
-geometric backtracking on the step scale: halve until the divergence
-between softmax-normalized counterfactual and factual drops under epsilon
-(at most 30 halvings, then give up and emit the factual flagged
+geometric backtracking on the step scale: halve until the KL divergence
+between the softmax-normalized counterfactual and factual drops under
+epsilon (at most 30 halvings, then give up and emit the factual flagged
 degenerate). Zero-gradient inputs are degenerate immediately. Each round
-scores only the rows still searching, and a row's metric value is the one
+scores only the rows still searching, and a row's KL value is the one
 taken at its accepted scale; nothing is scored twice.
 
 One reference perturber, an isotropic random direction under the same
 budget, is the baseline for flip-rate comparisons.
 
 Every generator returns the same four arrays, one row per input row:
-(counterfactuals, metric values, applied scales, degenerate mask). All are
+(counterfactuals, KL values, applied scales, degenerate mask). All are
 pure functions of their inputs; `perturb_random` takes an explicit numpy
 Generator.
 """
@@ -26,37 +26,6 @@ from . import autodiff as ad
 from .errors import ConfigurationError
 
 MAX_HALVINGS = 30
-
-# constraint metric names, shared with the validation in `risk.GenConfig`
-METRICS = ("kl", "mse", "wasserstein")
-
-
-# ---------------------------------------------------------------------------
-# constraint metrics (row-wise, plain numpy)
-
-def _reference(metric, base):
-    """What `_metric_rows` compares candidates against, computed once per
-    factual batch: the log-softmax for kl, the sorted rows for wasserstein,
-    the rows themselves for mse."""
-    if metric not in METRICS:
-        raise ConfigurationError(
-            f"unknown constraint metric {metric!r}; pick one of {METRICS}")
-    if metric == "kl":
-        return ad.log_softmax(base)
-    if metric == "wasserstein":
-        return np.sort(base, axis=-1)
-    return base
-
-
-def _metric_rows(metric, cand, ref):
-    """Row-wise metric between candidates and `_reference(metric, base)`."""
-    if metric == "kl":
-        la = ad.log_softmax(cand)
-        return (np.exp(la) * (la - ref)).sum(axis=-1)
-    if metric == "mse":
-        return np.mean((cand - ref) ** 2, axis=-1)
-    # exact 1-D transport between the coordinate distributions
-    return np.mean(np.abs(np.sort(cand, axis=-1) - ref), axis=-1)
 
 
 def intra_directions(feats, labels, w, b=None):
@@ -74,18 +43,19 @@ def intra_directions(feats, labels, w, b=None):
     return p @ w
 
 
-def _backtrack_batch(feats, directions, init_scale, epsilon, metric="kl"):
-    """Vectorized scale halving; returns (counterfactuals, metric values,
+def _backtrack_batch(feats, directions, init_scale, epsilon):
+    """Vectorized scale halving; returns (counterfactuals, KL values,
     scales, degenerate mask), the generators' four arrays.
 
     The rows still searching share one scale, halved after each round, and
-    only they are scored. A row is accepted at the first scale whose metric
-    is within epsilon and keeps the metric value of that scale. Rows whose
-    direction vanishes, or that stay infeasible after MAX_HALVINGS
-    halvings, come back as the factual with scale 0, value 0 and
-    degenerate=True.
+    only they are scored: KL(softmax(candidate) || softmax(factual)), with
+    the factual log-softmax taken once per call. A row is accepted at the
+    first scale whose KL is within epsilon and keeps the KL of that scale.
+    Rows whose direction vanishes, or that stay infeasible after
+    MAX_HALVINGS halvings, come back as the factual with scale 0, value 0
+    and degenerate=True.
     """
-    ref = _reference(metric, feats)
+    ref = ad.log_softmax(feats)
     n = len(feats)
     chosen = np.zeros(n)
     vals = np.zeros(n)
@@ -95,8 +65,8 @@ def _backtrack_batch(feats, directions, init_scale, epsilon, metric="kl"):
     for _ in range(MAX_HALVINGS + 1):
         if live.size == 0:
             break
-        rows = _metric_rows(metric, feats[live] + scale * directions[live],
-                            ref[live])
+        la = ad.log_softmax(feats[live] + scale * directions[live])
+        rows = (np.exp(la) * (la - ref[live])).sum(axis=-1)
         ok = rows <= epsilon
         accepted = live[ok]
         chosen[accepted] = scale
@@ -107,21 +77,20 @@ def _backtrack_batch(feats, directions, init_scale, epsilon, metric="kl"):
     return feats + chosen[:, None] * directions, vals, chosen, degenerate
 
 
-def generate_intra_batch(feats, labels, w, b=None, alpha=1.0, epsilon=0.05,
-                         metric="kl"):
+def generate_intra_batch(feats, labels, w, b=None, alpha=1.0, epsilon=0.05):
     """Ascend the head loss under the budget, whole batch at once.
 
-    Returns (counterfactuals, metric values, applied scales, degenerate
-    mask). Degenerate rows carry the factual feature and metric value 0.
+    Returns (counterfactuals, KL values, applied scales, degenerate mask).
+    Degenerate rows carry the factual feature and KL value 0.
     """
     if alpha <= 0 or epsilon <= 0:
         raise ConfigurationError("alpha and epsilon must be positive")
     feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
     directions = intra_directions(feats, labels, w, b)
-    return _backtrack_batch(feats, directions, alpha, epsilon, metric)
+    return _backtrack_batch(feats, directions, alpha, epsilon)
 
 
-def generate_inter_batch(feats, projected, beta=0.03, epsilon=0.05, metric="kl"):
+def generate_inter_batch(feats, projected, beta=0.03, epsilon=0.05):
     """Pull each feature toward its projected old-feature proxy.
 
     The displacement is beta_eff times the exact gradient of the squared
@@ -136,7 +105,7 @@ def generate_inter_batch(feats, projected, beta=0.03, epsilon=0.05, metric="kl")
         raise ConfigurationError(
             f"factual {feats.shape} and projected {projected.shape} differ")
     directions = 2.0 * (projected - feats)
-    return _backtrack_batch(feats, directions, beta, epsilon, metric)
+    return _backtrack_batch(feats, directions, beta, epsilon)
 
 
 def perturb_random(factual, budget_kl, rng):

@@ -13,6 +13,7 @@ spurious dimensions carry the label signal at the configured rate in the
 train split while being label-independent in the test split.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -386,13 +387,16 @@ def save_table(path, x, y, n_classes, dim_tags=None):
     """Write samples in the tabular text format; floats keep full precision.
 
     With dim_tags, writes a sidecar file `<path>.factors` holding one tag
-    per dimension. The shapes, the label range and the tags are checked
-    first, so bad input raises InputError before any file is written.
+    per dimension. The shapes, the finiteness of x, the label range and
+    the tags are checked first, so bad input raises InputError before any
+    file is written, and what is written `load_table` reads back.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if x.ndim != 2 or len(x) != len(y):
         raise InputError(f"bad table shapes: x {x.shape}, y {y.shape}")
+    if not np.isfinite(x).all():
+        raise InputError("table features must be finite")
     dims = x.shape[1]
     if dims < 1 or n_classes < 1:
         raise InputError(
@@ -435,15 +439,18 @@ class Table:
 def load_table(path) -> Table:
     """Parse the tabular text format written by save_table.
 
-    Errors carry 1-based line numbers: unparseable values raise ParseError,
-    dimension or label-range inconsistencies raise FormatError.
+    Errors carry 1-based line numbers: undecodable text and unparseable
+    values raise ParseError; dimension or label-range inconsistencies and
+    non-finite features raise FormatError.
     """
     import os
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})")
     if not lines:
         raise ParseError(f"{path}: empty file, missing header")
     header = lines[0].split()
@@ -476,6 +483,8 @@ def load_table(path) -> Table:
             row = [float(v) for v in fields[1:]]
         except ValueError:
             raise ParseError(f"{path} line {lineno}: non-numeric feature")
+        if not all(map(math.isfinite, row)):
+            raise FormatError(f"{path} line {lineno}: non-finite feature")
         if not 0 <= label < n_classes:
             raise FormatError(
                 f"{path} line {lineno}: label {label} outside "
@@ -489,8 +498,12 @@ def load_table(path) -> Table:
     dim_tags = None
     sidecar = str(path) + ".factors"
     if os.path.exists(sidecar):
-        with open(sidecar) as fh:
-            dim_tags = [t.strip() for t in fh.read().splitlines() if t.strip()]
+        try:
+            with open(sidecar, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{sidecar}: not UTF-8 text ({exc})")
+        dim_tags = [t.strip() for t in text.splitlines() if t.strip()]
         if len(dim_tags) != dims:
             raise FormatError(
                 f"{sidecar}: {len(dim_tags)} tags for {dims} dimensions")

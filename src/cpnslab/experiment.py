@@ -181,24 +181,19 @@ def _check_value(path, value, hint):
     """Raise ConfigurationError unless `value` has the field type `hint`.
 
     bool takes only true/false, int only integers (not booleans), float
-    any finite number; tuple[X, ...] takes a list of X and tuple[X, Y] a
-    list of exactly those; Optional[X] also takes null.
+    any finite number; tuple[X, ...] takes a list of X; Optional[X] also
+    takes null.
     """
     if typing.get_origin(hint) is typing.Union:
         if value is None:
             return
         (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
     if typing.get_origin(hint) is tuple:
-        args = typing.get_args(hint)
+        item_hint = typing.get_args(hint)[0]
         if not isinstance(value, (list, tuple)):
             raise ConfigurationError(f"{path} must be a list, got {value!r}")
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        elif len(value) != len(args):
-            raise ConfigurationError(
-                f"{path} must have {len(args)} entries, got {value!r}")
-        for i, (item, arg) in enumerate(zip(value, args)):
-            _check_value(f"{path}[{i}]", item, arg)
+        for i, item in enumerate(value):
+            _check_value(f"{path}[{i}]", item, item_hint)
         return
     kind, ok = _SCALAR_TYPES[hint]
     if not ok(value):
@@ -252,10 +247,12 @@ def config_from_dict(doc) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -303,13 +300,12 @@ def _cf_quality_probe(model, x, y, lo, cfgm: MetricsConfig, gen: GenConfig):
     w = model.heads["intra_w"].values
     b = model.heads["intra_b"].values
     cfs, vals, _, _ = cf.generate_intra_batch(
-        feats, ys - lo, w, b=b, alpha=gen.alpha, epsilon=gen.epsilon,
-        metric=gen.metric)
+        feats, ys - lo, w, b=b, alpha=gen.alpha, epsilon=gen.epsilon)
     if model.task_count < 2:
         return mt.counterfactual_quality(model, feats, cfs, vals)
     proj = model.project_values(model.frozen_concat_np(xs))
     cfs_e, vals_e, _, _ = cf.generate_inter_batch(
-        feats, proj, beta=gen.beta, epsilon=gen.epsilon, metric=gen.metric)
+        feats, proj, beta=gen.beta, epsilon=gen.epsilon)
     return mt.counterfactual_quality(
         model, np.concatenate([feats, feats]), np.concatenate([cfs, cfs_e]),
         np.concatenate([vals, vals_e]), references=proj)
@@ -428,8 +424,7 @@ def run_seed(config: ExperimentConfig, seed: int, out_dir=None):
         separate_inter_head=config.model.separate_inter_head,
         seed=seed)
     rng = np.random.default_rng(seed + 1)
-    buffer = tr.RehearsalBuffer(config.train.buffer_capacity,
-                                config.train.buffer_policy)
+    buffer = tr.RehearsalBuffer(config.train.buffer_capacity)
     train_fn = (tr.train_task_baseline if config.use_baseline_trainer
                 else tr.train_task)
 
@@ -441,7 +436,7 @@ def run_seed(config: ExperimentConfig, seed: int, out_dir=None):
         result = train_fn(model, train_split, buffer if t else None,
                           config.train, rng)
         _write_json_lines(log_path, result["records"], mode="a")
-        tr.buffer_commit(buffer, train_split, model, rng=rng)
+        tr.buffer_commit(buffer, train_split, model)
 
         record = evaluate_task(model, stream, t, history, acts,
                                config.metrics, config.train.gen)

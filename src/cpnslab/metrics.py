@@ -287,11 +287,11 @@ def counterfactual_quality(model, factual, counterfactual, values,
     """(pfr, lkld, hss) over rows of generated counterfactuals.
 
     Row i of `counterfactual` was generated from row i of `factual` with
-    constraint-metric value values[i]. All rows live in the current
-    feature space, so flips are read from the current-task head: PFR is
-    the fraction of rows whose argmax changed. LKLD is the mean metric
-    value. The last len(references) rows are inter-scope counterfactuals
-    and `references` holds the projected old features they were pulled
+    KL budget value values[i]. All rows live in the current feature
+    space, so flips are read from the current-task head: PFR is the
+    fraction of rows whose argmax changed. LKLD is the mean KL value. The
+    last len(references) rows are inter-scope counterfactuals and
+    `references` holds the projected old features they were pulled
     toward; HSS is the mean cosine between those rows and their
     references. It is None when there are no inter rows.
     """

@@ -340,12 +340,16 @@ def save_checkpoint(model: ExpandableModel, path):
 
 
 def load_checkpoint(path) -> ExpandableModel:
-    """Read a checkpoint; a missing or mistyped field raises FormatError."""
-    with open(path) as fh:
+    """Read a checkpoint; undecodable text or a missing or mistyped field
+    raises FormatError."""
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"checkpoint is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"checkpoint {path} is not UTF-8 text ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("magic") != CHECKPOINT_MAGIC:
         raise FormatError(
             f"bad checkpoint magic: expected {CHECKPOINT_MAGIC!r}, "

@@ -35,18 +35,14 @@ from .errors import (ConfigurationError, InputError, PropositionViolation,
 
 @dataclass
 class GenConfig:
-    """Knobs shared by the two generators when evaluating or training."""
+    """Knobs shared by the two generators when evaluating or training:
+    the intra and inter initial step scales and the KL budget epsilon."""
 
     alpha: float = 1.0
     beta: float = 0.03
     epsilon: float = 0.05
-    metric: str = "kl"
 
     def __post_init__(self):
-        if self.metric not in cf.METRICS:
-            raise ConfigurationError(
-                f"unknown constraint metric {self.metric!r}; "
-                f"pick one of {cf.METRICS}")
         if min(self.alpha, self.beta, self.epsilon) <= 0:
             raise ConfigurationError("alpha, beta and epsilon must be positive")
 
@@ -123,8 +119,7 @@ def _intra_indicators(model, x, y_global, cfg: GenConfig, label_policy="true"):
     gen_labels = y_local if label_policy == "true" else pred_f
     cfs, _, _, degenerate = cf.generate_intra_batch(
         feats, gen_labels, model.heads["intra_w"].values,
-        b=model.heads["intra_b"].values, alpha=cfg.alpha, epsilon=cfg.epsilon,
-        metric=cfg.metric)
+        b=model.heads["intra_b"].values, alpha=cfg.alpha, epsilon=cfg.epsilon)
     pred_c = np.argmax(model.head_np("intra", cfs), axis=1)
     return pred_f == y_local, pred_c == y_local, degenerate
 
@@ -139,7 +134,7 @@ def _inter_indicators(model, x, y_global, cfg: GenConfig):
     z_f = np.concatenate([z_old, c_hat], axis=1)
     pred_f = np.argmax(model.head_np(model.inter_head, z_f), axis=1)
     cfs, _, _, degenerate = cf.generate_inter_batch(
-        c_hat, proj, beta=cfg.beta, epsilon=cfg.epsilon, metric=cfg.metric)
+        c_hat, proj, beta=cfg.beta, epsilon=cfg.epsilon)
     z_c = np.concatenate([z_old, cfs], axis=1)
     pred_c = np.argmax(model.head_np(model.inter_head, z_c), axis=1)
     return pred_f == y, pred_c == y, degenerate

@@ -1,4 +1,4 @@
-"""Two-stage incremental trainer with class-balanced rehearsal.
+"""Two-stage incremental trainer with class-balanced herding rehearsal.
 
 Each task gets a fresh extractor from the expansion step; training here
 never touches the frozen ones, which an exact snapshot check enforces on
@@ -53,10 +53,12 @@ TERM_HEADS = {
 class TrainConfig:
     """Hyperparameters for one incremental step.
 
-    lam weights the inter-scope surrogate, gamma the KL budget terms, nu
-    the necessity half of each surrogate. stage1_epochs = 0 trains in a
-    single stage; a single-stage ablation folds the stage-1 epochs into
-    stage2_epochs, so epoch totals stay comparable across ablations.
+    Every step is SGD with momentum at the constant rate lr, and the
+    rehearsal buffer keeps herding exemplars. lam weights the inter-scope
+    surrogate, gamma the KL budget terms, nu the necessity half of each
+    surrogate. stage1_epochs = 0 trains in a single stage; a single-stage
+    ablation folds the stage-1 epochs into stage2_epochs, so epoch totals
+    stay comparable across ablations.
     """
 
     stage1_epochs: int = 20
@@ -65,16 +67,10 @@ class TrainConfig:
     lr: float = 1e-2
     momentum: float = 0.95
     weight_decay: float = 1e-5
-    optimizer: str = "sgd"              # sgd | adam
-    # adam's own (beta1, beta2); momentum is read by sgd alone
-    adam_betas: tuple[float, float] = (0.95, 0.999)
-    adam_eps: float = 1e-8
-    schedule: str = "constant"          # constant | cosine
     lam: float = 0.5
     gamma: float = 1.0
     nu: float = 1.0
     buffer_capacity: int = 2000
-    buffer_policy: str = "herding"      # herding | class_balanced_random
     gen: GenConfig = field(default_factory=GenConfig)
     report_limit: int = 256
 
@@ -89,15 +85,6 @@ class TrainConfig:
             raise ConfigurationError("momentum must lie in [0, 1)")
         if min(self.weight_decay, self.lam, self.gamma, self.nu) < 0:
             raise ConfigurationError("loss weights must be non-negative")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
-        b1, b2 = self.adam_betas
-        if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
-            raise ConfigurationError("adam betas must lie in [0, 1)")
-        if self.schedule not in ("constant", "cosine"):
-            raise ConfigurationError(f"unknown schedule {self.schedule!r}")
-        if self.buffer_policy not in ("herding", "class_balanced_random"):
-            raise ConfigurationError(f"unknown buffer policy {self.buffer_policy!r}")
         if self.buffer_capacity < 1:
             raise ConfigurationError("buffer_capacity must be at least 1")
         if self.report_limit < 1:
@@ -113,7 +100,7 @@ def make_optimizer_state(params: dict[str, ad.Tensor]):
     The parameters are laid out in the map's order in one contiguous
     float64 vector, `state["values"]`, and each leaf's `values` is
     re-pointed at the reshaped view of its slice, `state["slices"][name]`;
-    the gradient gather buffer and the moment vectors (allocated on the
+    the gradient gather buffer and the momentum vector (allocated on the
     first step) share that layout. A leaf whose `values` is rebound later
     no longer sees the updates.
     """
@@ -127,7 +114,7 @@ def make_optimizer_state(params: dict[str, ad.Tensor]):
         params[name].values = flat[lo:hi].reshape(shape)
         lo = hi
     return {"step": 0, "slices": slices, "shapes": shapes, "values": flat,
-            "grad": np.empty_like(flat), "m": None, "v": None}
+            "grad": np.empty_like(flat), "m": None}
 
 
 def _gather_grads(params, grads, state):
@@ -160,46 +147,33 @@ def _gather_grads(params, grads, state):
 
 
 def optimizer_step(params: dict[str, ad.Tensor], grads: dict[str, np.ndarray],
-                   state, config: TrainConfig, lr=None):
-    """One update over every parameter in the map, with its gradient from
-    `grads` under the same name; `state` is `make_optimizer_state(params)`.
+                   state, config: TrainConfig):
+    """One SGD-momentum step at `config.lr` over every parameter in the
+    map, with its gradient from `grads` under the same name; `state` is
+    `make_optimizer_state(params)`.
 
     The gradients are gathered into the flat layout, and weight decay and
-    the SGD-momentum or Adam update each run as single elementwise passes
-    over the flat vectors; every element sees the arithmetic of a
-    per-parameter update. Weight decay is decoupled (applied to the value,
-    not folded into the gradient). A missing, misshapen or non-finite
-    gradient, or one whose name is no parameter, raises naming it before
-    a single value is touched.
+    the momentum update each run as single elementwise passes over the
+    flat vectors; every element sees the arithmetic of a per-parameter
+    update. Weight decay is decoupled (applied to the value, not folded
+    into the gradient). A missing, misshapen or non-finite gradient, or
+    one whose name is no parameter, raises naming it before a single
+    value is touched.
     """
-    lr = config.lr if lr is None else float(lr)
+    lr = float(config.lr)
     g = _gather_grads(params, grads, state)
     state["step"] += 1
-    k = state["step"]
     values = state["values"]
     if config.weight_decay > 0.0:
         values -= lr * config.weight_decay * values
-    if config.optimizer == "sgd":
-        m = state["m"]
-        if m is None:
-            # a copy: g is the gather buffer the next step overwrites
-            state["m"] = m = g.copy()
-        else:
-            m *= config.momentum
-            m += g
-        values -= lr * m
+    m = state["m"]
+    if m is None:
+        # a copy: g is the gather buffer the next step overwrites
+        state["m"] = m = g.copy()
     else:
-        b1, b2 = config.adam_betas
-        if state["m"] is None:
-            state["m"], state["v"] = np.zeros_like(g), np.zeros_like(g)
-        m, v = state["m"], state["v"]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        mhat = m / (1.0 - b1 ** k)
-        vhat = v / (1.0 - b2 ** k)
-        values -= lr * mhat / (np.sqrt(vhat) + config.adam_eps)
+        m *= config.momentum
+        m += g
+    values -= lr * m
     return state
 
 
@@ -211,30 +185,21 @@ def _own_values(params):
         p.values = p.values.copy()
 
 
-def _lr_at(config: TrainConfig, epoch, total_epochs):
-    if config.schedule == "constant":
-        return config.lr
-    return config.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / max(1, total_epochs)))
-
-
 # ---------------------------------------------------------------------------
 # rehearsal buffer
 
 class RehearsalBuffer:
     """Exemplar store over raw inputs, class-balanced by quota.
 
-    Per-class arrays keep their selection order, so a later quota shrink
+    Per-class arrays keep their herding order, so a later quota shrink
     just drops a suffix and the surviving prefix is still the best one
-    the selection policy found.
+    herding found.
     """
 
-    def __init__(self, capacity, policy="herding"):
+    def __init__(self, capacity):
         if capacity < 1:
             raise ConfigurationError("buffer capacity must be at least 1")
-        if policy not in ("herding", "class_balanced_random"):
-            raise ConfigurationError(f"unknown buffer policy {policy!r}")
         self.capacity = int(capacity)
-        self.policy = policy
         self._store: dict[int, np.ndarray] = {}  # classes in first-seen order
 
     def __len__(self):
@@ -283,12 +248,12 @@ def herding_order(features, m):
     return order
 
 
-def buffer_commit(buffer: RehearsalBuffer, task_data, model, rng=None):
+def buffer_commit(buffer: RehearsalBuffer, task_data, model):
     """Shrink old quotas and admit the finished task's classes.
 
     Quota is capacity // classes-seen, remainder spread over the
-    earliest-seen classes. Herding scores candidates by the model's
-    concatenated features; class_balanced_random needs the rng instead.
+    earliest-seen classes. Herding picks each class's exemplars by the
+    model's concatenated features (`concat_features_np`).
     """
     x = np.asarray(task_data[0], dtype=np.float64)
     y = np.asarray(task_data[1], dtype=np.int64)
@@ -309,12 +274,7 @@ def buffer_commit(buffer: RehearsalBuffer, task_data, model, rng=None):
     for c in new_classes:
         xc = x[y == c]
         m = min(quota[c], len(xc))
-        if buffer.policy == "herding":
-            sel = herding_order(model.concat_features_np(xc), m)
-        else:
-            if rng is None:
-                raise UsageError("class_balanced_random selection needs an rng")
-            sel = rng.permutation(len(xc))[:m]
+        sel = herding_order(model.concat_features_np(xc), m)
         buffer._store[c] = xc[np.asarray(sel, dtype=np.int64)].copy()
     return buffer
 
@@ -518,7 +478,7 @@ def _objective(model, xb, yb, n_c, frozen, config: TrainConfig, use_cls,
         _check_labels(y_local, len(b_i))
         cfs_i, _, _, _ = cf.generate_intra_batch(
             c_cur, y_local, w_i, b_i, alpha=config.gen.alpha,
-            epsilon=config.gen.epsilon, metric=config.gen.metric)
+            epsilon=config.gen.epsilon)
         cbar_i = c_cur + (cfs_i - c_cur)
         suff, g_suff = _ce(c_cur @ w_i.T + b_i, y_local)
         nec, g_nec = _nlcp(cbar_i @ w_i.T + b_i, y_local, config.nu)
@@ -537,8 +497,7 @@ def _objective(model, xb, yb, n_c, frozen, config: TrainConfig, use_cls,
         hidden = np.maximum(frozen @ w0.T + heads["proj_b0"], 0.0)
         proj = hidden @ w1.T + heads["proj_b1"]
         cfs_e, _, _, _ = cf.generate_inter_batch(
-            c_hat, proj, beta=config.gen.beta,
-            epsilon=config.gen.epsilon, metric=config.gen.metric)
+            c_hat, proj, beta=config.gen.beta, epsilon=config.gen.epsilon)
         cbar_e = z + (np.concatenate([frozen, cfs_e], axis=1) - z)
         if head == "cls":  # tied: the sufficiency logits are the cls ones
             suff, g_suff = losses["cls"], g_cls
@@ -632,7 +591,6 @@ def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
     report = None
     for epoch in range(epochs):
         t0 = time.perf_counter()
-        lr = _lr_at(config, epoch, epochs)
         sums = dict.fromkeys(LOSS_KEYS, 0.0)
         batches = _epoch_batches(n, config.batch_size, rng)
         for idx in batches:
@@ -648,7 +606,7 @@ def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
                                        use_cls, use_intra, use_inter)
             for key, value in losses.items():
                 sums[key] += value
-            optimizer_step(params, grads, state, config, lr=lr)
+            optimizer_step(params, grads, state, config)
         _check_finite(params)
         report = (_probe_report(model, x_cur, y_cur, probe_buf, config)
                   if stage == 2 else None)
@@ -771,7 +729,6 @@ def train_task_baseline(model, task_data, buffer, config: TrainConfig, rng):
     epochs = config.stage1_epochs + config.stage2_epochs
     for epoch in range(epochs):
         t0 = time.perf_counter()
-        lr = _lr_at(config, epoch, epochs)
         sums = dict.fromkeys(LOSS_KEYS, 0.0)
         batches = _epoch_batches(n, config.batch_size, rng)
         for idx in batches:
@@ -785,7 +742,7 @@ def train_task_baseline(model, task_data, buffer, config: TrainConfig, rng):
             losses, grads = _baseline_step(model, xb, yb, frozen, lo, cur_count)
             for key, value in losses.items():
                 sums[key] += value
-            optimizer_step(params, grads, state, config, lr=lr)
+            optimizer_step(params, grads, state, config)
         _check_finite(params)
         report = _probe_report(model, x_cur, y_cur, probe_buf, config)
         wall = (time.perf_counter() - t0) * 1000.0

@@ -3,12 +3,12 @@
 Both trainers compute their steps' gradients by hand
 (`trainer._objective`, `trainer._baseline_step`), and
 `metrics.input_saliency` its input gradient in closed form. Their graph
-versions live here: the autodiff ops only they used, `head_graph`, the
-surrogate loss, the projector fit, `graph_objective`, which assembles one
-training step as an autodiff graph (with only the cls flag on, it is the
-baseline's step), `take_grads`, which moves its gradients off the leaves, and
-`graph_saliency`, the predicted logit's input gradient through every
-extractor. The tests hold the hand-derived versions to them bit for bit,
+versions live here: `constant` and the autodiff ops only they used,
+`head_graph`, the surrogate loss, the projector fit, `graph_objective`,
+which assembles one training step as an autodiff graph (with only the cls
+flag on, it is the baseline's step), `take_grads`, which moves its
+gradients off the leaves, and `graph_saliency`, the predicted logit's
+input gradient through every extractor. The tests hold the hand-derived versions to them bit for bit,
 and hold these ops to finite differences. `concat_masking_curve` is the
 masking curve as evaluation used to run it, over every test set
 concatenated into one probe; the per-set `metrics.masking_curve` is held
@@ -38,6 +38,12 @@ from cpnslab.metrics import input_saliency
 
 # ---------------------------------------------------------------------------
 # graph ops
+
+def constant(values) -> Tensor:
+    """A node that participates in forward values only: `backward` does not
+    visit it, and its grad stays None."""
+    return Tensor(values, op="const")
+
 
 def head_graph(model, name, feat_node: Tensor) -> Tensor:
     """Logits of the model's head `name` as a graph node; the graph twin of
@@ -248,14 +254,14 @@ def graph_saliency(model, x, backward=ad.backward):
     for ext in model.extractors:
         h = node
         for i in range(ext.n_layers):
-            h = ad.linear(h, ad.constant(ext.params[f"w{i}"].values),
-                          ad.constant(ext.params[f"b{i}"].values))
+            h = ad.linear(h, constant(ext.params[f"w{i}"].values),
+                          constant(ext.params[f"b{i}"].values))
             if i < ext.n_layers - 1:
                 h = ad.relu(h)
         feats.append(h)
     z = feats[0] if len(feats) == 1 else concat(feats)
-    logits = ad.linear(z, ad.constant(model.heads["cls_w"].values),
-                       ad.constant(model.heads["cls_b"].values))
+    logits = ad.linear(z, constant(model.heads["cls_w"].values),
+                       constant(model.heads["cls_b"].values))
     backward(sum_picked(logits, np.argmax(logits.values, axis=1)))
     return np.abs(node.grad)
 
@@ -294,7 +300,7 @@ def surrogate_intra_loss(factual: Tensor, counterfactual_values, labels,
     log-complement of the true-class probability on the counterfactual,
     which enters as a constant offset from the factual node."""
     suff = softmax_cross_entropy(ad.linear(factual, w, b), labels)
-    delta = ad.constant(np.asarray(counterfactual_values) - factual.values)
+    delta = constant(np.asarray(counterfactual_values) - factual.values)
     cbar = add(factual, delta)
     nec = neglog_complement_prob(ad.linear(cbar, w, b), labels)
     return add_scalars([suff, scale(nec, nu)])
@@ -310,8 +316,8 @@ def projector_graph(model, zold_node: Tensor) -> Tensor:
 
 def projector_loss(model, z_old_values, target_values):
     """Mean squared projector residual; target enters as a plain value."""
-    pred = projector_graph(model, ad.constant(z_old_values))
-    diff = sub(pred, ad.constant(target_values))
+    pred = projector_graph(model, constant(z_old_values))
+    diff = sub(pred, constant(target_values))
     return scale(sum_squares(diff), 1.0 / len(target_values))
 
 
@@ -328,8 +334,8 @@ def graph_objective(model, xb, yb, n_c, frozen, config, use_cls, use_intra,
         head = model.inter_head
         w_e, b_e = model.heads[f"{head}_w"], model.heads[f"{head}_b"]
     losses = {}
-    c_hat = model.current_feature_graph(ad.constant(xb))
-    z = concat([ad.constant(frozen), c_hat]) if mixed else c_hat
+    c_hat = model.current_feature_graph(constant(xb))
+    z = concat([constant(frozen), c_hat]) if mixed else c_hat
     terms = []
     if use_cls:
         cls_loss = softmax_cross_entropy(head_graph(model, "cls", z), yb)
@@ -347,27 +353,26 @@ def graph_objective(model, xb, yb, n_c, frozen, config, use_cls, use_intra,
         y_local = yb[:n_c] - lo
         cfs_i, _, _, _ = cf.generate_intra_batch(
             c_cur.values, y_local, w_i.values, b_i.values,
-            alpha=config.gen.alpha, epsilon=config.gen.epsilon,
-            metric=config.gen.metric)
+            alpha=config.gen.alpha, epsilon=config.gen.epsilon)
         intra_loss = surrogate_intra_loss(c_cur, cfs_i, y_local, w_i, b_i,
                                           nu=config.nu)
         losses["intra"] = float(intra_loss.values)
         terms.append(intra_loss)
         if config.gamma > 0:
             kl_terms.append(kl_softmax(
-                c_cur, add(c_cur, ad.constant(cfs_i - c_cur.values))))
+                c_cur, add(c_cur, constant(cfs_i - c_cur.values))))
     if use_inter:
         proj_vals = model.project_values(frozen)
         cfs_e, _, _, _ = cf.generate_inter_batch(
             c_hat.values, proj_vals, beta=config.gen.beta,
-            epsilon=config.gen.epsilon, metric=config.gen.metric)
+            epsilon=config.gen.epsilon)
         z_cf = np.concatenate([frozen, cfs_e], axis=1)
         inter_loss = surrogate_intra_loss(z, z_cf, yb, w_e, b_e, nu=config.nu)
         losses["inter"] = float(inter_loss.values)
         terms.append(scale(inter_loss, config.lam))
         if config.gamma > 0:
             kl_terms.append(kl_softmax(
-                c_hat, add(c_hat, ad.constant(cfs_e - c_hat.values))))
+                c_hat, add(c_hat, constant(cfs_e - c_hat.values))))
     if kl_terms:
         kl_total = add_scalars(kl_terms)
         losses["kl"] = float(kl_total.values)
@@ -392,11 +397,11 @@ def take_grads(params):
 # ---------------------------------------------------------------------------
 # the optimizer, one parameter at a time
 
-def per_array_step(params, grads, state, config, lr=None):
+def per_array_step(params, grads, state, config):
     """`trainer.optimizer_step` as it ran before the flat layout: a loop
-    over the parameters with per-name moment slots. `state` starts as
-    {"step": 0, "m": {}, "v": {}}."""
-    lr = config.lr if lr is None else float(lr)
+    over the parameters with per-name momentum slots. `state` starts as
+    {"step": 0, "m": {}}."""
+    lr = float(config.lr)
     for name in params:
         g = grads.get(name)
         if g is None:
@@ -405,31 +410,15 @@ def per_array_step(params, grads, state, config, lr=None):
             raise NumericsError(
                 f"non-finite gradient in {name!r} at step {state['step'] + 1}")
     state["step"] += 1
-    k = state["step"]
     for name, t in params.items():
         g = grads[name]
         if config.weight_decay > 0.0:
             t.values -= lr * config.weight_decay * t.values
-        if config.optimizer == "sgd":
-            buf = state["m"].get(name)
-            # a copy on the first step: the momentum must not alias g
-            buf = g.copy() if buf is None else config.momentum * buf + g
-            state["m"][name] = buf
-            t.values -= lr * buf
-        else:
-            b1, b2 = config.adam_betas
-            m = state["m"].get(name)
-            if m is None:
-                m = np.zeros_like(t.values)
-                state["v"][name] = np.zeros_like(t.values)
-            v = state["v"][name]
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * g * g
-            state["m"][name] = m
-            state["v"][name] = v
-            mhat = m / (1.0 - b1 ** k)
-            vhat = v / (1.0 - b2 ** k)
-            t.values -= lr * mhat / (np.sqrt(vhat) + config.adam_eps)
+        buf = state["m"].get(name)
+        # a copy on the first step: the momentum must not alias g
+        buf = g.copy() if buf is None else config.momentum * buf + g
+        state["m"][name] = buf
+        t.values -= lr * buf
     return state
 
 

@@ -233,33 +233,9 @@ def test_perturb_random_small_budget_stays_close():
 
 
 # ---------------------------------------------------------------------------
-# constraint metrics
-
-def test_alternate_constraint_metrics():
-    rng = np.random.default_rng(14)
-    w, b = _rand_head(rng)
-    c = rng.normal(size=6) * 3.0
-    for metric in ("mse", "wasserstein"):
-        _, val, _, _ = intra_one(c, 0, w, b=b, alpha=4.0, epsilon=1e-3,
-                                 metric=metric)
-        assert val <= 1e-3  # the value reports the active metric
-    with pytest.raises(ConfigurationError):
-        intra_one(c, 0, w, metric="cosine")
-
-
-# ---------------------------------------------------------------------------
 # live-row backtracking against the all-rows reference loop
 
-def _reference_rows(metric, cand, base):
-    if metric == "kl":
-        return kl_rows(cand, base)
-    if metric == "mse":
-        return np.mean((cand - base) ** 2, axis=-1)
-    return np.mean(np.abs(np.sort(cand, axis=-1) - np.sort(base, axis=-1)),
-                   axis=-1)
-
-
-def _reference_backtrack(feats, directions, init_scale, epsilon, metric):
+def _reference_backtrack(feats, directions, init_scale, epsilon):
     """Every round scores every row at its own scale; the values are scored
     again at the accepted scales. Returns the generators' four arrays."""
     degenerate = np.linalg.norm(directions, axis=-1) == 0.0
@@ -270,13 +246,13 @@ def _reference_backtrack(feats, directions, init_scale, epsilon, metric):
         if done.all():
             break
         cand = feats + scales[:, None] * directions
-        newly = ~done & (_reference_rows(metric, cand, feats) <= epsilon)
+        newly = ~done & (kl_rows(cand, feats) <= epsilon)
         chosen[newly] = scales[newly]
         done |= newly
         scales = np.where(done, scales, scales / 2.0)
     degenerate |= ~done
     cfs = feats + chosen[:, None] * directions
-    vals = np.where(degenerate, 0.0, _reference_rows(metric, cfs, feats))
+    vals = np.where(degenerate, 0.0, kl_rows(cfs, feats))
     return cfs, vals, chosen, degenerate
 
 
@@ -292,8 +268,7 @@ def _assert_same_and_mixed(got, want, directions, init_scale):
     assert (degenerate & ~zero).any(), "no row that is never feasible"
 
 
-@pytest.mark.parametrize("metric", cf.METRICS)
-def test_intra_live_rows_match_all_rows_reference(metric):
+def test_intra_live_rows_match_all_rows_reference():
     # one-hot features with growing margins: the softmax saturates exactly
     # at 800 (zero direction) and the direction shrinks as e^-margin
     margins = np.array([800.0, 40.0, 30.0, 12.0, 6.0, 2.0, 0.5, 0.0])
@@ -304,23 +279,20 @@ def test_intra_live_rows_match_all_rows_reference(metric):
     w = np.eye(4)
     # alpha so large that the widest-margin rows stay infeasible even after
     # MAX_HALVINGS halvings
-    got = cf.generate_intra_batch(feats, labels, w, alpha=1e9, epsilon=1e-6,
-                                  metric=metric)
+    got = cf.generate_intra_batch(feats, labels, w, alpha=1e9, epsilon=1e-6)
     directions = cf.intra_directions(feats, labels, w)
-    want = _reference_backtrack(feats, directions, 1e9, 1e-6, metric)
+    want = _reference_backtrack(feats, directions, 1e9, 1e-6)
     _assert_same_and_mixed(got, want, directions, 1e9)
 
 
-@pytest.mark.parametrize("metric", cf.METRICS)
-def test_inter_live_rows_match_all_rows_reference(metric):
+def test_inter_live_rows_match_all_rows_reference():
     rng = np.random.default_rng(16)
     feats = rng.normal(size=(8, 4))
     offsets = np.array([0.0, 1e-13, 1e-9, 1e-5, 1e-3, 1e-1, 1.0, 30.0])
     projected = feats + offsets[:, None] * rng.normal(size=(8, 4))
-    got = cf.generate_inter_batch(feats, projected, beta=1e6, epsilon=1e-6,
-                                  metric=metric)
+    got = cf.generate_inter_batch(feats, projected, beta=1e6, epsilon=1e-6)
     directions = 2.0 * (projected - feats)
-    want = _reference_backtrack(feats, directions, 1e6, 1e-6, metric)
+    want = _reference_backtrack(feats, directions, 1e6, 1e-6)
     _assert_same_and_mixed(got, want, directions, 1e6)
 
 
@@ -330,7 +302,7 @@ def test_perturb_random_live_rows_match_all_rows_reference():
     feats = np.vstack([rng.normal(size=(6, 4)), [[800.0, 0.0, 0.0, 0.0]]])
     got = cf.perturb_random(feats, 1e-12, np.random.default_rng(18))
     directions = np.random.default_rng(18).standard_normal(feats.shape)
-    want = _reference_backtrack(feats, directions, 1.0, 1e-12, "kl")
+    want = _reference_backtrack(feats, directions, 1.0, 1e-12)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
     scales = want[2]

@@ -294,6 +294,26 @@ def test_table_label_out_of_range(tmp_path):
         dt.load_table(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "Infinity"])
+def test_table_non_finite_feature_is_format_error(tmp_path, value):
+    path = tmp_path / "t.tab"
+    path.write_text(f"cpns-tab v1 dims=2 classes=3\n0 1.0 2.0\n"
+                    f"1 0.5 {value}\n")
+    with pytest.raises(FormatError, match="line 3: non-finite"):
+        dt.load_table(path)
+
+
+@pytest.mark.parametrize("sidecar", [False, True], ids=["table", "sidecar"])
+def test_table_undecodable_text_is_parse_error(tmp_path, sidecar):
+    path = tmp_path / "t.tab"
+    dt.save_table(path, np.array([[1.0]]), np.array([0]), 1,
+                  dim_tags=["causal"])
+    bad = tmp_path / ("t.tab.factors" if sidecar else "t.tab")
+    bad.write_bytes(b"\xff" + bad.read_bytes())
+    with pytest.raises(ParseError, match=f"{bad}: not UTF-8"):
+        dt.load_table(path)
+
+
 def test_table_bad_header(tmp_path):
     path = tmp_path / "t.tab"
     path.write_text("cpns-tab v2 dims=1 classes=2\n0 1.0\n")
@@ -329,6 +349,16 @@ def test_save_table_refuses_what_load_table_rejects(tmp_path, x, y,
     with pytest.raises(InputError, match="must be positive"):
         dt.save_table(tmp_path / "t.tab", x, np.array(y, dtype=np.int64),
                       n_classes)
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_save_table_refuses_non_finite_features(tmp_path, value):
+    # load_table rejects them, so save_table must not write them
+    x = np.ones((2, 2))
+    x[1, 0] = value
+    with pytest.raises(InputError, match="finite"):
+        dt.save_table(tmp_path / "t.tab", x, np.array([0, 1]), 2)
     assert not os.listdir(tmp_path)
 
 

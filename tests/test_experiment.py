@@ -537,7 +537,8 @@ class TestCli:
         assert err.startswith("cpnslab: ") and "Traceback" not in err
 
     # values that older parsing coerced into something else, or that failed
-    # only inside run_seed after the output directory existed
+    # only inside run_seed after the output directory existed; and keys
+    # that no longer exist, even at what was their default
     @pytest.mark.parametrize("section,key,value", [
         (None, "use_baseline_trainer", "false"),
         (None, "seeds", "12"),
@@ -551,7 +552,12 @@ class TestCli:
         ("train", "batch_size", 2.5),
         ("train", "batch_size", True),
         ("model", "feature_dim", 2.5),
-        ("train", "adam_betas", [0.9]),
+        ("train", "optimizer", "sgd"),
+        ("train", "schedule", "constant"),
+        ("train", "buffer_policy", "herding"),
+        ("train", "adam_eps", 1e-8),
+        ("train", "adam_betas", [0.95, 0.999]),
+        ("train", "gen", {"metric": "kl"}),
         ("data", "n_train_per_class", 30.5),
         (None, "seeds", [-1]),
         ("data", "seed", -1),
@@ -565,7 +571,9 @@ class TestCli:
             "inter head string", "two_stage unknown",
             "old_new string", "hidden_dims float",
             "lr nan", "lr inf", "batch_size float", "batch_size bool",
-            "feature_dim float", "adam_betas short", "data int float",
+            "feature_dim float", "optimizer removed", "schedule removed",
+            "buffer_policy removed", "adam_eps removed", "adam_betas removed",
+            "gen metric removed", "data int float",
             "seeds negative", "data seed negative", "hidden_dims zero",
             "hidden_dims negative", "projector_hidden zero",
             "projector_hidden negative", "masking_ks decreasing",
@@ -740,6 +748,20 @@ class TestCli:
                       str(tmp_path / "no.txt"), *flag])
         assert exc.value.code == 2
 
+    @staticmethod
+    def _eval_inputs(tmp_path):
+        """A two-task checkpoint and a table it can score."""
+        model = mdl.ExpandableModel(input_dim=16, feature_dim=8,
+                                    hidden_dims=(16,), seed=0)
+        model.expand(2).expand(2)
+        ckpt = tmp_path / "task-1.ckpt"
+        mdl.save_checkpoint(model, ckpt)
+        rng = np.random.default_rng(0)
+        table_path = tmp_path / "eval.txt"
+        dt.save_table(str(table_path), rng.normal(size=(6, 16)),
+                      np.arange(6) % 4, 4)
+        return ckpt, table_path
+
     @pytest.mark.parametrize("edit", [
         _short_cls_column,
         _set_first_extractor("layer_dims", [16, 17, 8]),
@@ -757,20 +779,42 @@ class TestCli:
             "nan in cls_b"])
     def test_eval_of_a_checkpoint_whose_parts_disagree_exits_two(
             self, tmp_path, capsys, edit):
-        model = mdl.ExpandableModel(input_dim=16, feature_dim=8,
-                                    hidden_dims=(16,), seed=0)
-        model.expand(2).expand(2)
-        ckpt = tmp_path / "task-1.ckpt"
-        mdl.save_checkpoint(model, ckpt)
+        ckpt, table_path = self._eval_inputs(tmp_path)
         doc = json.loads(ckpt.read_text())
         edit(doc)
         ckpt.write_text(json.dumps(doc))
-        rng = np.random.default_rng(0)
-        table_path = tmp_path / "eval.txt"
-        dt.save_table(str(table_path), rng.normal(size=(6, 16)),
-                      np.arange(6) % 4, 4)
         assert cli.main(["eval", str(ckpt), str(table_path)]) == 2
         assert capsys.readouterr().err.startswith("cpnslab: ")
+
+    @pytest.mark.parametrize("position", ["run config", "eval checkpoint",
+                                          "eval table"])
+    def test_undecodable_input_file_exits_two(self, tmp_path, capsys,
+                                              position):
+        ckpt, table_path = self._eval_inputs(tmp_path)
+        cfg_path = write_config(tmp_path, tiny_doc(tmp_path / "out"))
+        argv = (["run", cfg_path] if position == "run config"
+                else ["eval", str(ckpt), str(table_path)])
+        bad = {"run config": cfg_path, "eval checkpoint": ckpt,
+               "eval table": table_path}[position]
+        with open(bad, "rb") as fh:
+            body = fh.read()
+        with open(bad, "wb") as fh:
+            fh.write(b"\xff" + body)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cpnslab: ") and str(bad) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_eval_of_a_non_finite_table_exits_two(self, tmp_path, capsys):
+        ckpt, table_path = self._eval_inputs(tmp_path)
+        lines = table_path.read_text().splitlines()
+        label, first, *rest = lines[3].split()
+        lines[3] = " ".join([label, "nan", *rest])
+        table_path.write_text("\n".join(lines) + "\n")
+        assert cli.main(["eval", str(ckpt), str(table_path)]) == 2
+        out, err = capsys.readouterr()
+        assert not out and "line 4: non-finite feature" in err
 
     def test_ablate_writes_six_rows(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, tiny_doc(tmp_path / "out"))

@@ -253,9 +253,9 @@ def test_projector_fits_realizable_target():
     params = [m.heads[k] for k in ("proj_w0", "proj_b0", "proj_w1", "proj_b1")]
     first_err = None
     for _ in range(1200):
-        zn = ad.constant(z_old)
+        zn = oracles.constant(z_old)
         pred = oracles.projector_graph(m, zn)
-        diff = oracles.sub(pred, ad.constant(target))
+        diff = oracles.sub(pred, oracles.constant(target))
         loss = oracles.scale(oracles.sum_squares(diff), 1.0 / len(x))
         if first_err is None:
             first_err = float(loss.values)

@@ -18,7 +18,6 @@ from cpnslab import trainer as tr
 from cpnslab.errors import (ConfigurationError, InputError, NumericsError,
                             UsageError)
 from cpnslab.model import ExpandableModel
-from cpnslab.risk import GenConfig
 
 
 def small_model(seed=0, dim=8, feat=8, hidden=(16,)):
@@ -69,13 +68,6 @@ def test_sgd_zero_grad_zero_momentum_unchanged():
     np.testing.assert_array_equal(t.values, [1.0, -2.0])
 
 
-def test_adam_zero_grad_unchanged():
-    cfg = tr.TrainConfig(optimizer="adam", weight_decay=0.0)
-    ps, t, g = one_param([0.5, 3.0])
-    tr.optimizer_step(ps, {"p": g}, tr.make_optimizer_state(ps), cfg)
-    np.testing.assert_array_equal(t.values, [0.5, 3.0])
-
-
 def test_sgd_single_step_matches_hand_computation():
     cfg = tr.TrainConfig(lr=0.1, momentum=0.0, weight_decay=0.0)
     ps, t, g = one_param([1.0, -2.0])
@@ -106,22 +98,6 @@ def test_sgd_momentum_does_not_alias_gradient_buffer():
     g[...] = 0.0  # zeroing in place must leave the momentum alone
     p = state["slices"]["p"]
     np.testing.assert_array_equal(state["m"][p], [1.0, -2.0])
-
-
-def test_adam_step_one_bias_correction_closed_form():
-    # at k=1 the corrected moments are exactly the gradient and its square
-    cfg = tr.TrainConfig(optimizer="adam", weight_decay=0.0, lr=1e-2)
-    ps, t, _ = one_param([1.0, -1.0, 2.0])
-    g = np.array([0.3, -2.0, 0.001])
-    state = tr.make_optimizer_state(ps)
-    before = t.values.copy()
-    tr.optimizer_step(ps, {"p": g}, state, cfg)
-    b1, b2 = cfg.adam_betas
-    p = state["slices"]["p"]
-    np.testing.assert_allclose(state["m"][p] / (1.0 - b1), g, rtol=1e-14)
-    np.testing.assert_allclose(state["v"][p] / (1.0 - b2), g * g, rtol=1e-14)
-    np.testing.assert_allclose(
-        before - t.values, cfg.lr * g / (np.abs(g) + cfg.adam_eps), rtol=1e-12)
 
 
 def test_weight_decay_is_decoupled():
@@ -205,34 +181,26 @@ def test_momentum_does_not_alias_the_reused_gather_buffer():
                                                0.5 * 2.0 - 8.0])
 
 
-@pytest.mark.parametrize("schedule", ["constant", "cosine"])
 @pytest.mark.parametrize("weight_decay", [0.0, 1e-5])
-@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
-def test_flat_step_matches_the_per_array_step_bitwise(optimizer, weight_decay,
-                                                      schedule):
-    cfg = tr.TrainConfig(optimizer=optimizer, weight_decay=weight_decay,
-                         schedule=schedule, lr=0.05, momentum=0.9)
+def test_flat_step_matches_the_per_array_step_bitwise(weight_decay):
+    cfg = tr.TrainConfig(weight_decay=weight_decay, lr=0.05, momentum=0.9)
     rng = np.random.default_rng(23)
     shapes = {"one": (1,), "w": (5, 3), "b": (5,), "u": (2, 4)}
     init = {name: rng.normal(size=shape) for name, shape in shapes.items()}
     flat = {name: ad.leaf(v.copy()) for name, v in init.items()}
     ref = {name: ad.leaf(v.copy()) for name, v in init.items()}
     state = tr.make_optimizer_state(flat)
-    ref_state = {"step": 0, "m": {}, "v": {}}
-    steps = 50
-    for k in range(steps):
-        lr = tr._lr_at(cfg, k, steps)
+    ref_state = {"step": 0, "m": {}}
+    for _ in range(50):
         grads = {name: rng.normal(scale=10.0 ** rng.integers(-3, 2),
                                   size=shape)
                  for name, shape in shapes.items()}
-        tr.optimizer_step(flat, grads, state, cfg, lr=lr)
-        oracles.per_array_step(ref, grads, ref_state, cfg, lr=lr)
-    slots = ("m", "v") if optimizer == "adam" else ("m",)
+        tr.optimizer_step(flat, grads, state, cfg)
+        oracles.per_array_step(ref, grads, ref_state, cfg)
     for name in shapes:
         assert np.array_equal(flat[name].values, ref[name].values), name
-        for slot in slots:
-            assert np.array_equal(state[slot][state["slices"][name]],
-                                  ref_state[slot][name].ravel()), (slot, name)
+        assert np.array_equal(state["m"][state["slices"][name]],
+                              ref_state["m"][name].ravel()), name
     assert not np.array_equal(flat["w"].values, init["w"])
 
 
@@ -242,13 +210,6 @@ def test_finite_check_names_the_bad_parameter():
     params["w"].values[0] = np.nan
     with pytest.raises(NumericsError, match="'w'"):
         tr._check_finite(params)
-
-
-def test_cosine_schedule_endpoints():
-    cfg = tr.TrainConfig(lr=0.4, schedule="cosine")
-    assert tr._lr_at(cfg, 0, 10) == pytest.approx(0.4)
-    assert tr._lr_at(cfg, 10, 10) == pytest.approx(0.0, abs=1e-15)
-    assert tr._lr_at(cfg, 5, 10) == pytest.approx(0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +274,24 @@ def test_herding_equals_the_masked_scan_at_benchmark_sizes(d, m, rows):
 # ---------------------------------------------------------------------------
 # rehearsal buffer
 
+class RawFeatures:
+    """A model stand-in whose features are the inputs themselves, so the
+    buffer herds over the raw rows."""
+
+    @staticmethod
+    def concat_features_np(x):
+        return x
+
+
 def test_quota_splits_capacity_with_remainder_to_earliest():
     rng = np.random.default_rng(1)
-    buf = tr.RehearsalBuffer(10, policy="class_balanced_random")
+    buf = tr.RehearsalBuffer(10)
     x0, y0 = blob_task(rng, [0, 1], 8, 4)
-    tr.buffer_commit(buf, (x0, y0), None, rng=rng)
+    tr.buffer_commit(buf, (x0, y0), RawFeatures())
     assert counts(buf, (0, 1)) == [5, 5]
     first_five = exemplars(buf, 0)
     x1, y1 = blob_task(rng, [2], 8, 4)
-    tr.buffer_commit(buf, (x1, y1), None, rng=rng)
+    tr.buffer_commit(buf, (x1, y1), RawFeatures())
     # 10 over 3 classes: 4, 3, 3 with the extra going to the earliest class
     assert counts(buf, (0, 1, 2)) == [4, 3, 3]
     assert len(buf) == 10
@@ -331,21 +301,21 @@ def test_quota_splits_capacity_with_remainder_to_earliest():
 
 def test_buffer_capacity_hundred_per_class():
     rng = np.random.default_rng(2)
-    buf = tr.RehearsalBuffer(2000, policy="class_balanced_random")
+    buf = tr.RehearsalBuffer(2000)
     for task in range(2):
         labels = list(range(task * 10, task * 10 + 10))
         x, y = blob_task(rng, labels, 110, 4)
-        tr.buffer_commit(buf, (x, y), None, rng=rng)
+        tr.buffer_commit(buf, (x, y), RawFeatures())
     assert len(buf) == 2000
     assert counts(buf, range(20)) == [100] * 20
 
 
 def test_buffer_capacity_below_class_count_rejected():
     rng = np.random.default_rng(3)
-    buf = tr.RehearsalBuffer(2, policy="class_balanced_random")
+    buf = tr.RehearsalBuffer(2)
     x, y = blob_task(rng, [0, 1, 2], 4, 4)
     with pytest.raises(ConfigurationError):
-        tr.buffer_commit(buf, (x, y), None, rng=rng)
+        tr.buffer_commit(buf, (x, y), RawFeatures())
 
 
 def test_buffer_herding_uses_model_features():
@@ -353,7 +323,7 @@ def test_buffer_herding_uses_model_features():
     model = small_model(seed=9)
     model.expand(2)
     x, y = blob_task(rng, [0, 1], 10, 8)
-    buf = tr.RehearsalBuffer(8, policy="herding")
+    buf = tr.RehearsalBuffer(8)
     tr.buffer_commit(buf, (x, y), model)
     for c in (0, 1):
         xc = x[y == c]
@@ -363,11 +333,11 @@ def test_buffer_herding_uses_model_features():
 
 def test_buffer_never_exceeds_capacity_across_commits():
     rng = np.random.default_rng(6)
-    buf = tr.RehearsalBuffer(17, policy="class_balanced_random")
+    buf = tr.RehearsalBuffer(17)
     for task in range(4):
         labels = [2 * task, 2 * task + 1]
         x, y = blob_task(rng, labels, 12, 4)
-        tr.buffer_commit(buf, (x, y), None, rng=rng)
+        tr.buffer_commit(buf, (x, y), RawFeatures())
         assert len(buf) <= 17
         per_class = counts(buf, range(2 * task + 2))
         # balanced up to the remainder
@@ -435,18 +405,18 @@ def _same_bits(a, b):
             and a.tobytes() == b.tobytes())
 
 
-def _objective_model(task, separate, hidden, rng):
-    """A model at `task` (0, 1 or 2) with a 6-row buffer, and that task's
-    21 rows: batches of 8 leave a short last batch of 5, and the buffer is
-    smaller than a batch."""
+def _objective_model(task, separate, hidden):
+    """A model at `task` (0, 1 or 2) with a 6-row herding buffer, and that
+    task's 21 rows: batches of 8 leave a short last batch of 5, and the
+    buffer is smaller than a batch."""
     tasks = [*two_task_data(n_per=7),
              blob_task(np.random.default_rng(43), [6, 7, 8], 7, 8)]
     model = ExpandableModel(input_dim=8, feature_dim=6, hidden_dims=hidden,
                             separate_inter_head=separate, seed=3)
     model.expand(3)
-    buf = tr.RehearsalBuffer(6, "class_balanced_random")
+    buf = tr.RehearsalBuffer(6)
     for t in range(task):
-        tr.buffer_commit(buf, tasks[t], model, rng=rng)
+        tr.buffer_commit(buf, tasks[t], model)
         model.expand(3)
     return model, buf, tasks[task]
 
@@ -456,15 +426,14 @@ def _objective_model(task, separate, hidden, rng):
 @pytest.mark.parametrize("task", [0, 1])
 @pytest.mark.parametrize("stage", [1, 2])
 def test_objective_matches_the_graph_bitwise(stage, task, separate, hidden):
-    # every loss value and gradient of every step of an epoch, for each
-    # budget metric and each of nu, gamma, lam off or on; the steps apply
-    # the fused gradients, so later batches see trained parameters
-    knobs = itertools.product(cf.METRICS, [0.0, 0.7], [0.0, 1.3], [0.0, 0.5])
-    for metric, nu, gamma, lam in knobs:
+    # every loss value and gradient of every step of an epoch, for each of
+    # nu, gamma, lam off or on; the steps apply the fused gradients, so
+    # later batches see trained parameters
+    knobs = itertools.product([0.0, 0.7], [0.0, 1.3], [0.0, 0.5])
+    for nu, gamma, lam in knobs:
         rng = np.random.default_rng(17)
-        model, buf, (x, y) = _objective_model(task, separate, hidden, rng)
-        cfg = full_cfg(nu=nu, gamma=gamma, lam=lam, batch_size=8,
-                       gen=GenConfig(metric=metric))
+        model, buf, (x, y) = _objective_model(task, separate, hidden)
+        cfg = full_cfg(nu=nu, gamma=gamma, lam=lam, batch_size=8)
         use_intra = nu > 0 or gamma > 0
         flags = ((not use_intra, use_intra, False) if stage == 1
                  else (True, use_intra, lam > 0 and task >= 1))
@@ -482,7 +451,7 @@ def test_objective_matches_the_graph_bitwise(stage, task, separate, hidden):
             args = (model, xb, yb, n_c, frozen, cfg, *flags)
             want_losses, want = oracles.graph_objective(*args)
             losses, grads = tr._objective(*args)
-            case = (metric, nu, gamma, lam, n_c)
+            case = (nu, gamma, lam, n_c)
             assert losses.keys() == want_losses.keys(), case
             assert all(_same_bits(losses[k], want_losses[k])
                        for k in losses), case
@@ -508,7 +477,7 @@ def test_baseline_step_matches_the_graph_bitwise(task, hidden):
     # which is the baseline's; the steps apply the gradients, so later
     # batches see trained parameters
     rng = np.random.default_rng(19)
-    model, buf, (x, y) = _objective_model(task, False, hidden, rng)
+    model, buf, (x, y) = _objective_model(task, False, hidden)
     cfg = baseline_cfg(batch_size=8)
     lo, cur_count = model.class_offsets[-1][0], model.current_class_count
     params = tr._param_set(model, True, False, False)
@@ -606,10 +575,10 @@ def run_two_tasks(train_fn, cfg, model_seed=1, rng_seed=7):
     t0, t1 = two_task_data()
     model = small_model(seed=model_seed)
     rng = np.random.default_rng(rng_seed)
-    buf = tr.RehearsalBuffer(cfg.buffer_capacity, cfg.buffer_policy)
+    buf = tr.RehearsalBuffer(cfg.buffer_capacity)
     model.expand(3)
     train_fn(model, t0, None, cfg, rng)
-    tr.buffer_commit(buf, t0, model, rng=rng)
+    tr.buffer_commit(buf, t0, model)
     model.expand(3)
     res = train_fn(model, t1, buf, cfg, rng)
     return model, res
@@ -722,8 +691,8 @@ def test_frozen_extractor_drift_fails_both_trainers(monkeypatch, train_fn):
     model.expand(3)
     step = tr.optimizer_step
 
-    def drifting_step(params, grads, state, config, lr=None):
-        step(params, grads, state, config, lr=lr)
+    def drifting_step(params, grads, state, config):
+        step(params, grads, state, config)
         model.extractors[0].params["w0"].values[0, 0] += 1e-12
 
     monkeypatch.setattr(tr, "optimizer_step", drifting_step)
@@ -846,8 +815,8 @@ def test_non_finite_parameter_stops_training_at_epoch_end(monkeypatch,
                                                           train_fn):
     step = tr.optimizer_step
 
-    def poisoning_step(params, grads, state, config, lr=None):
-        step(params, grads, state, config, lr=lr)
+    def poisoning_step(params, grads, state, config):
+        step(params, grads, state, config)
         params["f0/w0"].values[0, 0] = np.inf
 
     monkeypatch.setattr(tr, "optimizer_step", poisoning_step)
@@ -878,8 +847,6 @@ def test_train_config_validation():
     with pytest.raises(ConfigurationError):
         tr.TrainConfig(momentum=1.0)
     with pytest.raises(ConfigurationError):
-        tr.TrainConfig(optimizer="rmsprop")
-    with pytest.raises(ConfigurationError):
         tr.TrainConfig(lam=-0.1)
     with pytest.raises(ConfigurationError):
-        tr.TrainConfig(buffer_policy="fifo")
+        tr.TrainConfig(buffer_capacity=0)
