@@ -340,28 +340,34 @@ def save_checkpoint(model: ExpandableModel, path):
 
 
 def load_checkpoint(path) -> ExpandableModel:
-    """Read a checkpoint; undecodable text or a missing or mistyped field
-    raises FormatError."""
+    """Read a checkpoint; undecodable text or a missing, mistyped or
+    inconsistent field raises FormatError, its message led by the path."""
+    try:
+        return _read_checkpoint(path)
+    except FormatError as exc:
+        raise FormatError(f"checkpoint {path}: {exc}") from exc
+
+
+def _read_checkpoint(path):
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise FormatError(f"checkpoint is not valid JSON: {exc}") from exc
+            raise FormatError(f"not valid JSON: {exc}") from exc
         except UnicodeDecodeError as exc:
-            raise FormatError(
-                f"checkpoint {path} is not UTF-8 text ({exc})") from exc
+            raise FormatError(f"not UTF-8 text ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("magic") != CHECKPOINT_MAGIC:
         raise FormatError(
-            f"bad checkpoint magic: expected {CHECKPOINT_MAGIC!r}, "
+            f"bad magic: expected {CHECKPOINT_MAGIC!r}, "
             f"got {doc.get('magic')!r}" if isinstance(doc, dict)
-            else "checkpoint root is not an object")
+            else "the root is not an object")
     if doc.get("format_version") != 1:
-        raise FormatError(f"unsupported checkpoint version {doc.get('format_version')!r}")
+        raise FormatError(f"unsupported version {doc.get('format_version')!r}")
     try:
         return _model_from_doc(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(
-            f"malformed checkpoint field: {type(exc).__name__}: {exc}") from exc
+            f"malformed field: {type(exc).__name__}: {exc}") from exc
 
 
 def _arrays_in(entries, table, what):

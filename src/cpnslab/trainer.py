@@ -18,6 +18,14 @@ updates the trained parameters as one flat vector: `make_optimizer_state`
 lays them out contiguously and re-points their values at views of it,
 and each training loop copies them back out when it ends.
 
+Both trainers draw their batches through the same plumbing, which holds
+no counterfactual code. From the second task on a batch appends
+rehearsal rows to the current ones, and the frozen extractors' block of
+its representation is gathered from two tables that the loop computes
+once, over all current rows and all buffer rows (`_rehearsal_tables`):
+the frozen extractors and the buffer do not change within a task, so
+no step runs a frozen extractor.
+
 Training writes no files: both trainers return their per-epoch records,
 and the caller logs them.
 
@@ -205,12 +213,29 @@ class RehearsalBuffer:
     def __len__(self):
         return sum(len(v) for v in self._store.values())
 
-    def samples(self):
-        """All exemplars as (x, y), classes in first-seen order."""
+    def samples(self, limit=None):
+        """The exemplars as (x, y), classes in first-seen order, each in
+        its herding order.
+
+        With `limit`, at most that many rows: the same leading share of
+        every class, a class too short for it leaving its rest to the
+        others, and the rows left over one each to the earliest-seen
+        classes that still have one.
+        """
         if not self._store:
             return np.zeros((0, 0)), np.zeros(0, dtype=np.int64)
-        ys = [np.full(len(v), c, dtype=np.int64) for c, v in self._store.items()]
-        return np.concatenate(list(self._store.values())), np.concatenate(ys)
+        counts = np.array([len(v) for v in self._store.values()])
+        take = counts
+        if limit is not None:
+            take = np.zeros_like(counts)
+            left = min(int(limit), int(counts.sum()))
+            while left:  # one round per rank of the herding order
+                room = np.flatnonzero(take < counts)[:left]
+                take[room] += 1
+                left -= len(room)
+        xs = [v[:k] for v, k in zip(self._store.values(), take)]
+        ys = [np.full(k, c, dtype=np.int64) for c, k in zip(self._store, take)]
+        return np.concatenate(xs), np.concatenate(ys)
 
 
 def herding_order(features, m):
@@ -280,18 +305,52 @@ def buffer_commit(buffer: RehearsalBuffer, task_data, model):
 
 
 # ---------------------------------------------------------------------------
-# batch plumbing shared by both code paths (index arithmetic only)
+# batch plumbing shared by both code paths: the frozen-feature tables and
+# index arithmetic over them and the rows; no counterfactual machinery
 
-def _epoch_batches(n, batch_size, rng):
+def _rehearsal_tables(model, x_cur, buffer):
+    """What a mixed loop draws from: (buf_x, buf_y, frozen_cur,
+    frozen_buf), the buffer's rows and `frozen_concat_np` of every current
+    and every buffer row.
+
+    Within a task no frozen extractor moves (`_check_frozen`) and the
+    buffer is fixed, so a row's frozen features are the same at every
+    step; two products per loop replace one per step. A table row can
+    differ in its last bits from the same row of a batch-sized product
+    (BLAS takes another kernel path for short products), which is why
+    both trainers take their frozen blocks from here.
+    """
+    buf_x, buf_y = buffer.samples()
+    return (buf_x, buf_y, model.frozen_concat_np(x_cur),
+            model.frozen_concat_np(buf_x))
+
+
+def _batches(x_cur, y_cur, tables, batch_size, rng):
+    """One epoch's steps as (xb, yb, n_c, frozen), the batch's first n_c
+    rows from the current task.
+
+    The epoch draws one permutation of the current rows, then one buffer
+    selection per batch. Without `tables` a batch holds current rows only
+    and `frozen` is None. With them (`_rehearsal_tables`) each batch
+    appends as many buffer rows as it has current ones, drawn without
+    replacement (the whole buffer when it is no larger), and `frozen` is
+    the tables' rows for the batch's rows, in its order.
+    """
+    n = len(x_cur)
     perm = rng.permutation(n)
-    return [perm[s:s + batch_size] for s in range(0, n, batch_size)]
-
-
-def _buffer_minibatch(n_buf, k, rng):
-    # the whole buffer when it is smaller than the requested slice
-    if n_buf <= k:
-        return np.arange(n_buf)
-    return rng.choice(n_buf, size=k, replace=False)
+    for s in range(0, n, batch_size):
+        idx = perm[s:s + batch_size]
+        xb, yb, n_c = x_cur[idx], y_cur[idx], len(idx)
+        if tables is None:
+            yield xb, yb, n_c, None
+            continue
+        buf_x, buf_y, frozen_cur, frozen_buf = tables
+        n_buf = len(buf_x)
+        bsel = (np.arange(n_buf) if n_buf <= n_c
+                else rng.choice(n_buf, size=n_c, replace=False))
+        yield (np.concatenate([xb, buf_x[bsel]]),
+               np.concatenate([yb, buf_y[bsel]]), n_c,
+               np.concatenate([frozen_cur[idx], frozen_buf[bsel]]))
 
 
 def _param_set(model, use_cls, use_intra, use_inter) -> dict[str, ad.Tensor]:
@@ -341,17 +400,22 @@ def _check_frozen(model, snap):
         raise AssertionError(f"frozen extractors drifted by {drift}")
 
 
-def _probe_report(model, x_cur, y_cur, probe_buf, config: TrainConfig):
+def _report_pool(model, x_cur, y_cur, buffer, config: TrainConfig):
+    """The rows each per-epoch risk report of a loop scores: the first
+    report_limit current rows, and from the second task on up to
+    report_limit buffer rows with every buffered class's leading
+    exemplars in them (`RehearsalBuffer.samples`)."""
     cap = config.report_limit
     cur = (x_cur[:cap], y_cur[:cap])
-    if model.task_count < 2:
-        return empirical_cpns_risk(cur, None, model, config.gen)
-    bx, by = probe_buf
-    return empirical_cpns_risk(cur, (bx[:cap], by[:cap]), model, config.gen)
+    return cur, (buffer.samples(cap) if model.task_count >= 2 else None)
+
+
+def _probe_report(model, pool, config: TrainConfig):
+    return empirical_cpns_risk(*pool, model, config.gen)
 
 
 def _record(task, stage, epoch, sums, n_batches, report, wall_ms):
-    terms = {k: (sums[k] / n_batches if n_batches else 0.0) for k in LOSS_KEYS}
+    terms = {k: sums[k] / n_batches for k in LOSS_KEYS}
     return {
         "task": int(task),
         "stage": int(stage),
@@ -574,8 +638,11 @@ def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
     use_cls turns on classification and, from the second task on, the
     auxiliary loss and the rehearsal rows mixed into each batch; without
     it a batch holds current rows only and nothing is drawn from the
-    buffer. With both scopes off this is arithmetically the baseline path.
-    Only stage 2 writes per-epoch reports, which generate inter-scope
+    buffer. A mixed loop computes the frozen features of every current
+    and buffer row once, before its first epoch (`_rehearsal_tables`),
+    and its batches come from `_batches`, as the baseline's do; with both
+    scopes off this is arithmetically the baseline path. Only stage 2
+    writes per-epoch reports (`_report_pool`), which generate inter-scope
     counterfactuals; stage 1 refuses use_inter with AssertionError.
     """
     if stage == 1 and use_inter:
@@ -584,34 +651,26 @@ def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
     t = model.current_task
     params = _param_set(model, use_cls, use_intra, use_inter)
     state = make_optimizer_state(params)
-    mixed = use_cls and t >= 1
-    probe_buf = buffer.samples() if mixed else None
-    buf_x, buf_y = probe_buf if mixed else (None, None)
-    n = len(x_cur)
+    tables = (_rehearsal_tables(model, x_cur, buffer)
+              if use_cls and t >= 1 else None)
+    pool = (_report_pool(model, x_cur, y_cur, buffer, config)
+            if stage == 2 else None)
+    n_batches = len(range(0, len(x_cur), config.batch_size))
     report = None
     for epoch in range(epochs):
         t0 = time.perf_counter()
         sums = dict.fromkeys(LOSS_KEYS, 0.0)
-        batches = _epoch_batches(n, config.batch_size, rng)
-        for idx in batches:
-            xb = x_cur[idx]
-            yb = y_cur[idx]
-            n_c = len(idx)
-            if mixed:
-                bsel = _buffer_minibatch(len(buf_x), n_c, rng)
-                xb = np.concatenate([xb, buf_x[bsel]])
-                yb = np.concatenate([yb, buf_y[bsel]])
-            frozen = model.frozen_concat_np(xb) if mixed else None
+        for xb, yb, n_c, frozen in _batches(x_cur, y_cur, tables,
+                                            config.batch_size, rng):
             losses, grads = _objective(model, xb, yb, n_c, frozen, config,
                                        use_cls, use_intra, use_inter)
             for key, value in losses.items():
                 sums[key] += value
             optimizer_step(params, grads, state, config)
         _check_finite(params)
-        report = (_probe_report(model, x_cur, y_cur, probe_buf, config)
-                  if stage == 2 else None)
+        report = _probe_report(model, pool, config) if stage == 2 else None
         wall = (time.perf_counter() - t0) * 1000.0
-        records.append(_record(t, stage, epoch, sums, len(batches), report, wall))
+        records.append(_record(t, stage, epoch, sums, n_batches, report, wall))
     _own_values(params)
     return report
 
@@ -711,7 +770,11 @@ def train_task_baseline(model, task_data, buffer, config: TrainConfig, rng):
     zeroed, and that check only means something if this path does not
     share that machinery. Each step is `_baseline_step`, differentiated by
     hand apart from `_objective`, and one `optimizer_step` over the flat
-    parameter layout.
+    parameter layout. What it does share with `_run_objective_epochs` is
+    the batch plumbing, which holds no counterfactual code: the frozen
+    feature tables (`_rehearsal_tables`), built once from the second task
+    on, and the batches (`_batches`), so both paths feed their steps the
+    same rows and frozen bits.
     """
     t = model.current_task
     lo = model.class_offsets[-1][0]
@@ -720,33 +783,25 @@ def train_task_baseline(model, task_data, buffer, config: TrainConfig, rng):
     cur_count = model.current_class_count
     params = _param_set(model, use_cls=True, use_intra=False, use_inter=False)
     state = make_optimizer_state(params)
-    has_buffer = t >= 1
-    probe_buf = buffer.samples() if has_buffer else None
-    buf_x, buf_y = probe_buf if has_buffer else (None, None)
-    n = len(x_cur)
+    tables = _rehearsal_tables(model, x_cur, buffer) if t >= 1 else None
+    pool = _report_pool(model, x_cur, y_cur, buffer, config)
+    n_batches = len(range(0, len(x_cur), config.batch_size))
     records = []
     report = None
     epochs = config.stage1_epochs + config.stage2_epochs
     for epoch in range(epochs):
         t0 = time.perf_counter()
         sums = dict.fromkeys(LOSS_KEYS, 0.0)
-        batches = _epoch_batches(n, config.batch_size, rng)
-        for idx in batches:
-            xb = x_cur[idx]
-            yb = y_cur[idx]
-            if has_buffer:
-                bsel = _buffer_minibatch(len(buf_x), len(idx), rng)
-                xb = np.concatenate([xb, buf_x[bsel]])
-                yb = np.concatenate([yb, buf_y[bsel]])
-            frozen = model.frozen_concat_np(xb) if has_buffer else None
+        for xb, yb, _, frozen in _batches(x_cur, y_cur, tables,
+                                          config.batch_size, rng):
             losses, grads = _baseline_step(model, xb, yb, frozen, lo, cur_count)
             for key, value in losses.items():
                 sums[key] += value
             optimizer_step(params, grads, state, config)
         _check_finite(params)
-        report = _probe_report(model, x_cur, y_cur, probe_buf, config)
+        report = _probe_report(model, pool, config)
         wall = (time.perf_counter() - t0) * 1000.0
-        records.append(_record(t, 2, epoch, sums, len(batches), report, wall))
+        records.append(_record(t, 2, epoch, sums, n_batches, report, wall))
     _own_values(params)
     _check_frozen(model, snap)
     return {"task": t, "records": records, "final_report": report}

@@ -806,6 +806,16 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_eval_of_a_truncated_checkpoint_exits_two_naming_it(self, tmp_path,
+                                                                capsys):
+        ckpt, table_path = self._eval_inputs(tmp_path)
+        body = ckpt.read_bytes()
+        ckpt.write_bytes(body[:len(body) // 2])
+        assert cli.main(["eval", str(ckpt), str(table_path)]) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err.startswith(f"cpnslab: checkpoint {ckpt}: not valid JSON")
+
     def test_eval_of_a_non_finite_table_exits_two(self, tmp_path, capsys):
         ckpt, table_path = self._eval_inputs(tmp_path)
         lines = table_path.read_text().splitlines()

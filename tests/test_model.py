@@ -1,6 +1,7 @@
 """Expansion, inheritance, head wiring, and checkpoint round-trips."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -374,6 +375,25 @@ def test_checkpoint_magic_validation(tmp_path):
     garbled.write_text("{not json")
     with pytest.raises(FormatError):
         md.load_checkpoint(garbled)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text[:len(text) // 2],
+    lambda text: text.replace("CPNSLAB1", "NOTMAGIC"),
+    lambda text: text.replace('"format_version":1', '"format_version":2'),
+    lambda text: text.replace('"input_dim"', '"input_dimension"'),
+    lambda text: re.sub(r'("cls_b":\{"data":\[)[^,]+', r'\1NaN', text, count=1),
+    lambda text: "[]",
+], ids=["truncated", "magic", "version", "field", "nan", "root"])
+def test_every_checkpoint_format_error_names_the_file(tmp_path, edit):
+    path = tmp_path / "m.ckpt"
+    md.save_checkpoint(fresh().expand(3).expand(2), path)
+    text = path.read_text()
+    path.write_text(edit(text))
+    assert path.read_text() != text
+    with pytest.raises(FormatError,
+                       match=f"^checkpoint {re.escape(str(path))}: "):
+        md.load_checkpoint(path)
 
 
 def _drop(key):

@@ -344,6 +344,54 @@ def test_buffer_never_exceeds_capacity_across_commits():
         assert max(per_class) - min(per_class) <= 1
 
 
+def _uneven_buffer():
+    """A 40-row buffer holding 2, 12 and 13 exemplars of classes 0, 1, 2."""
+    rng = np.random.default_rng(8)
+    buf = tr.RehearsalBuffer(40)
+    (xa, ya), (xb, yb) = blob_task(rng, [0], 2, 4), blob_task(rng, [1], 12, 4)
+    tr.buffer_commit(buf, (np.concatenate([xa, xb]), np.concatenate([ya, yb])),
+                     RawFeatures())
+    tr.buffer_commit(buf, blob_task(rng, [2], 20, 4), RawFeatures())
+    assert counts(buf, (0, 1, 2)) == [2, 12, 13]
+    return buf
+
+
+@pytest.mark.parametrize("limit, want", [
+    (1, [1, 0, 0]), (2, [1, 1, 0]), (3, [1, 1, 1]), (8, [2, 3, 3]),
+    (21, [2, 10, 9]), (26, [2, 12, 12]), (27, [2, 12, 13]),
+    (500, [2, 12, 13])])
+def test_limited_samples_take_a_leading_share_of_every_class(limit, want):
+    # equal shares rank by rank of the herding order; a short class leaves
+    # its rest to the others, and a partial round goes to the earliest
+    buf = _uneven_buffer()
+    x, y = buf.samples(limit)
+    assert [int(np.sum(y == c)) for c in (0, 1, 2)] == want
+    # classes in first-seen order, each its leading exemplars
+    np.testing.assert_array_equal(y, np.repeat([0, 1, 2], want))
+    for c, k in zip((0, 1, 2), want):
+        np.testing.assert_array_equal(x[y == c], exemplars(buf, c)[:k])
+
+
+def test_report_pool_covers_every_buffered_class():
+    # the buffer's classes are stored one after another, so its first
+    # report_limit rows would hold the first class alone
+    rng = np.random.default_rng(9)
+    buf = tr.RehearsalBuffer(400)
+    model = small_model(seed=2, dim=4)
+    model.expand(4)
+    tr.buffer_commit(buf, blob_task(rng, [0, 1, 2, 3], 60, 4), model)
+    model.expand(2)
+    x, y = blob_task(rng, [4, 5], 40, 4)
+    cfg = full_cfg(report_limit=32)
+    (cx, cy), (bx, by) = tr._report_pool(model, x, y, buf, cfg)
+    np.testing.assert_array_equal(cx, x[:32])
+    assert len(by) == 32 and set(by.tolist()) == {0, 1, 2, 3}
+    assert counts(buf, range(4)) == [60] * 4
+    assert [int(np.sum(by == c)) for c in range(4)] == [8] * 4
+    model_first = small_model(seed=2, dim=4).expand(4)
+    assert tr._report_pool(model_first, x, y, None, cfg)[1] is None
+
+
 # ---------------------------------------------------------------------------
 # projector
 
@@ -440,14 +488,9 @@ def test_objective_matches_the_graph_bitwise(stage, task, separate, hidden):
         mixed = flags[0] and task >= 1
         params = tr._param_set(model, *flags)
         state = tr.make_optimizer_state(params)
-        buf_x, buf_y = buf.samples()
-        for idx in tr._epoch_batches(len(x), cfg.batch_size, rng):
-            xb, yb, n_c = x[idx], y[idx], len(idx)
-            if mixed:
-                bsel = tr._buffer_minibatch(len(buf_x), n_c, rng)
-                xb = np.concatenate([xb, buf_x[bsel]])
-                yb = np.concatenate([yb, buf_y[bsel]])
-            frozen = model.frozen_concat_np(xb) if mixed else None
+        tables = tr._rehearsal_tables(model, x, buf) if mixed else None
+        for xb, yb, n_c, frozen in tr._batches(x, y, tables, cfg.batch_size,
+                                               rng):
             args = (model, xb, yb, n_c, frozen, cfg, *flags)
             want_losses, want = oracles.graph_objective(*args)
             losses, grads = tr._objective(*args)
@@ -482,17 +525,12 @@ def test_baseline_step_matches_the_graph_bitwise(task, hidden):
     lo, cur_count = model.class_offsets[-1][0], model.current_class_count
     params = tr._param_set(model, True, False, False)
     state = tr.make_optimizer_state(params)
-    buf_x, buf_y = buf.samples()
+    tables = tr._rehearsal_tables(model, x, buf) if task else None
     sizes = set()
     for _ in range(2):
-        for idx in tr._epoch_batches(len(x), cfg.batch_size, rng):
-            xb, yb, n_c = x[idx], y[idx], len(idx)
-            if task:
-                bsel = tr._buffer_minibatch(len(buf_x), n_c, rng)
-                xb = np.concatenate([xb, buf_x[bsel]])
-                yb = np.concatenate([yb, buf_y[bsel]])
+        for xb, yb, n_c, frozen in tr._batches(x, y, tables, cfg.batch_size,
+                                               rng):
             sizes.add((n_c, len(xb)))
-            frozen = model.frozen_concat_np(xb) if task else None
             want_losses, want = oracles.graph_objective(
                 model, xb, yb, n_c, frozen, cfg, True, False, False)
             losses, grads = tr._baseline_step(model, xb, yb, frozen, lo,
@@ -564,16 +602,32 @@ def full_cfg(**kw):
     return tr.TrainConfig(**kw)
 
 
-def two_task_data(seed=42, n_per=24):
+def two_task_data(seed=42, n_per=24, dim=8):
     rng = np.random.default_rng(seed)
-    t0 = blob_task(rng, [0, 1, 2], n_per, 8)
-    t1 = blob_task(rng, [3, 4, 5], n_per, 8)
+    t0 = blob_task(rng, [0, 1, 2], n_per, dim)
+    t1 = blob_task(rng, [3, 4, 5], n_per, dim)
     return t0, t1
 
 
+# the benchmark configs' extractor widths (input, hidden, feature): there a
+# 16-row product of the 32 -> 16 layer rounds some rows differently from
+# the same rows inside a 72-row product, which the default widths never do
+NARROW = (8, (16,), 8)
+WIDE = (64, (32,), 16)
+
+
 def run_two_tasks(train_fn, cfg, model_seed=1, rng_seed=7):
-    t0, t1 = two_task_data()
-    model = small_model(seed=model_seed)
+    model, res, _, _ = run_two_tasks_keeping(train_fn, cfg, model_seed,
+                                             rng_seed)
+    return model, res
+
+
+def run_two_tasks_keeping(train_fn, cfg, model_seed=1, rng_seed=7,
+                          widths=NARROW):
+    """run_two_tasks, also returning the buffer and the trainer's rng."""
+    dim, hidden, feat = widths
+    t0, t1 = two_task_data(dim=dim)
+    model = small_model(seed=model_seed, dim=dim, feat=feat, hidden=hidden)
     rng = np.random.default_rng(rng_seed)
     buf = tr.RehearsalBuffer(cfg.buffer_capacity)
     model.expand(3)
@@ -581,7 +635,7 @@ def run_two_tasks(train_fn, cfg, model_seed=1, rng_seed=7):
     tr.buffer_commit(buf, t0, model)
     model.expand(3)
     res = train_fn(model, t1, buf, cfg, rng)
-    return model, res
+    return model, res, buf, rng
 
 
 def test_zeroed_knobs_reduce_to_baseline_bitwise():
@@ -593,6 +647,117 @@ def test_zeroed_knobs_reduce_to_baseline_bitwise():
     assert pa.keys() == pb.keys()
     for key in pa:
         np.testing.assert_array_equal(pa[key], pb[key], err_msg=key)
+
+
+def test_zeroed_knobs_reduce_to_baseline_bitwise_at_benchmark_widths():
+    # at these widths a trainer that ran the frozen extractors per batch
+    # instead of gathering from the shared tables would part from the other
+    cfg = baseline_cfg()
+    models = [run_two_tasks_keeping(fn, cfg, widths=WIDE)[0]
+              for fn in (tr.train_task, tr.train_task_baseline)]
+    pa, pb = (values_of(all_params(m)) for m in models)
+    assert pa.keys() == pb.keys()
+    for key in pa:
+        assert _same_bits(pa[key], pb[key]), key
+
+
+# the trainer, its config and how many of the second task's loops mix in
+# rehearsal rows: the baseline's one, stage 2 alone under the full
+# objective, and both stages when no intra term is left for stage 1
+MIXED_LOOPS = [(tr.train_task_baseline, baseline_cfg, {}, 1),
+               (tr.train_task, full_cfg, {}, 1),
+               (tr.train_task, full_cfg, {"nu": 0.0, "gamma": 0.0}, 2)]
+MIXED_IDS = ["baseline", "full", "full, no intra"]
+
+
+@pytest.mark.parametrize("train_fn, make_cfg, kw, loops", MIXED_LOOPS,
+                         ids=MIXED_IDS)
+@pytest.mark.parametrize("batch_size", [5, 16, 100])
+def test_a_mixed_loop_computes_the_frozen_features_twice(
+        monkeypatch, train_fn, make_cfg, kw, loops, batch_size):
+    # once over the task's rows and once over the buffer's, however many
+    # batches the loop runs; the risk reports score frozen features of
+    # their own and are stubbed here
+    monkeypatch.setattr(tr, "_probe_report", lambda *args: None)
+    rows = []
+    frozen_concat_np = ExpandableModel.frozen_concat_np
+
+    def counting(self, x):
+        rows.append(len(x))
+        return frozen_concat_np(self, x)
+
+    monkeypatch.setattr(ExpandableModel, "frozen_concat_np", counting)
+    cfg = make_cfg(batch_size=batch_size, **kw)
+    run_two_tasks(train_fn, cfg)
+    n_cur, n_buf = len(two_task_data()[1][0]), cfg.buffer_capacity
+    assert rows == [n_cur, n_buf] * loops
+
+
+def _mixed_epochs(train_fn, cfg, loops):
+    """How many of the second task's epochs mix in rehearsal rows: all of
+    the baseline's, else stage 2's and, with two mixed loops, stage 1's."""
+    if train_fn is tr.train_task_baseline or loops == 2:
+        return cfg.stage1_epochs + cfg.stage2_epochs
+    return cfg.stage2_epochs
+
+
+@pytest.mark.parametrize("widths", [NARROW, WIDE], ids=["narrow", "wide"])
+@pytest.mark.parametrize("train_fn, make_cfg, kw, loops", MIXED_LOOPS,
+                         ids=MIXED_IDS)
+def test_each_step_gathers_its_frozen_rows_from_the_tables(
+        monkeypatch, train_fn, make_cfg, kw, loops, widths):
+    # every mixed step's frozen block, row by row, is the bits of that row
+    # in one product over all the task's rows or all the buffer's; at the
+    # wide widths a per-batch product differs in some row
+    steps = []
+    step_name = "_objective" if train_fn is tr.train_task else "_baseline_step"
+    step = getattr(tr, step_name)
+
+    def recording(model, xb, yb, *args):
+        frozen = args[1] if step_name == "_objective" else args[0]
+        if frozen is not None:
+            steps.append((xb.copy(), frozen.copy()))
+        return step(model, xb, yb, *args)
+
+    monkeypatch.setattr(tr, step_name, recording)
+    cfg = make_cfg(**kw)
+    model, _, buf, _ = run_two_tasks_keeping(train_fn, cfg, widths=widths)
+    x1 = two_task_data(dim=widths[0])[1][0]
+    table = {}
+    for rows in (x1, buf.samples()[0]):
+        table.update((r.tobytes(), f.tobytes())
+                     for r, f in zip(rows, model.frozen_concat_np(rows)))
+    batches = len(range(0, len(x1), cfg.batch_size))
+    assert len(steps) == _mixed_epochs(train_fn, cfg, loops) * batches
+    for xb, frozen in steps:
+        assert [table[r.tobytes()] for r in xb] == [f.tobytes() for f in frozen]
+
+
+@pytest.mark.parametrize("train_fn, make_cfg, kw, loops", MIXED_LOOPS,
+                         ids=MIXED_IDS)
+def test_the_trainers_draw_the_same_random_stream(train_fn, make_cfg, kw,
+                                                  loops):
+    # one permutation per epoch, then, in a loop that mixes in rehearsal
+    # rows, one draw without replacement per batch, skipped when the
+    # buffer is no larger than the batch; replayed here draw by draw
+    cfg = make_cfg(batch_size=20, buffer_capacity=15, **kw)
+    _, _, buf, rng = run_two_tasks_keeping(train_fn, cfg)
+    (x0, _), (x1, _) = two_task_data()
+    n, epochs = len(x1), cfg.stage1_epochs + cfg.stage2_epochs
+    first_mixed = epochs - _mixed_epochs(train_fn, cfg, loops)
+    assert len(buf) == 15 and n % cfg.batch_size == 12  # both branches
+    want = np.random.default_rng(7)
+    for _ in range(epochs):
+        want.permutation(len(x0))
+    for epoch in range(epochs):
+        perm = want.permutation(n)
+        if epoch < first_mixed:
+            continue
+        for s in range(0, n, cfg.batch_size):
+            k = len(perm[s:s + cfg.batch_size])
+            if len(buf) > k:
+                want.choice(len(buf), size=k, replace=False)
+    assert rng.bit_generator.state == want.bit_generator.state
 
 
 def test_stage_one_generates_no_inter_counterfactuals(monkeypatch):
