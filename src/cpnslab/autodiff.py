@@ -89,10 +89,17 @@ def leaf(values):
 # numerically stable primitives (plain numpy, shared by forward and backward)
 
 def log_softmax(x):
-    """Row-wise (or vector) log softmax with max subtraction."""
-    shifted = x - x.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    return shifted - lse
+    """Row-wise (or vector) log softmax of a float array, with max
+    subtraction.
+
+    The reductions are the ufunc reductions `max`/`sum` call, without
+    their wrappers, and the last subtraction reuses the shifted array; the
+    bits are those of `shifted - lse`.
+    """
+    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    lse = np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    shifted -= lse
+    return shifted
 
 
 def softmax(x):

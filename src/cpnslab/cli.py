@@ -8,7 +8,8 @@ the output directory), which `eval` rejects. Environment
 variables override exactly two things: CPNSLAB_OUT for the output
 directory and CPNSLAB_THREADS for the thread cap; explicit flags win over
 both. Exit codes: 0 success, 2 configuration or data validation failure,
-3 violation-bound breach.
+3 violation-bound breach, 4 training diverged (a non-finite gradient or
+parameter from a valid config).
 """
 
 import argparse
@@ -108,7 +109,7 @@ def main(argv=None):
 
     # deferred so the thread pin above precedes numpy's BLAS setup
     from . import experiment as ex
-    from .errors import (ConfigurationError, CpnslabError,
+    from .errors import (ConfigurationError, CpnslabError, NumericsError,
                          PropositionViolation)
 
     try:
@@ -150,6 +151,9 @@ def main(argv=None):
     except PropositionViolation as exc:
         print(f"cpnslab: invariant breach: {exc}", file=sys.stderr)
         return 3
+    except NumericsError as exc:
+        print(f"cpnslab: training diverged: {exc}", file=sys.stderr)
+        return 4
     except CpnslabError as exc:
         print(f"cpnslab: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,16 @@ between the softmax-normalized counterfactual and factual drops under
 epsilon (at most 30 halvings, then give up and emit the factual flagged
 degenerate). Zero-gradient inputs are degenerate immediately. Each round
 scores only the rows still searching, and a row's KL value is the one
-taken at its accepted scale; nothing is scored twice.
+taken at its accepted scale; nothing is scored twice. Training nearly
+always accepts the first scale, so when no direction vanishes round one
+scores the whole batch as it is, and a batch feasible there returns
+round one's candidates without entering the halving loop.
+
+The trainer already holds some of what a generator computes: the intra
+head's softmax error and the factual log-softmax it needs for its own KL
+term. It passes them as the keyword-only `directions` (intra) and `ref`
+(both generators), and the generator skips computing them; the result
+is the same to the bit.
 
 One reference perturber, an isotropic random direction under the same
 budget, is the baseline for flip-rate comparisons.
@@ -43,59 +52,90 @@ def intra_directions(feats, labels, w, b=None):
     return p @ w
 
 
-def _backtrack_batch(feats, directions, init_scale, epsilon):
+def _kl_rows(cand, ref):
+    """KL(softmax(cand) || softmax(factual)) per row, from the factual
+    log-softmax rows `ref`."""
+    la = ad.log_softmax(cand)
+    return np.add.reduce(np.exp(la) * (la - ref), axis=-1)
+
+
+def _backtrack_batch(feats, directions, init_scale, epsilon, ref=None):
     """Vectorized scale halving; returns (counterfactuals, KL values,
     scales, degenerate mask), the generators' four arrays.
 
     The rows still searching share one scale, halved after each round, and
     only they are scored: KL(softmax(candidate) || softmax(factual)), with
-    the factual log-softmax taken once per call. A row is accepted at the
-    first scale whose KL is within epsilon and keeps the KL of that scale.
-    Rows whose direction vanishes, or that stay infeasible after
-    MAX_HALVINGS halvings, come back as the factual with scale 0, value 0
-    and degenerate=True.
+    the factual log-softmax `ref` taken once per call unless the caller
+    passes it. A row is accepted at the first scale whose KL is within
+    epsilon and keeps the KL of that scale. Rows whose direction vanishes
+    (its squared norm, the sum `np.linalg.norm` takes the root of, is 0),
+    or that stay infeasible after MAX_HALVINGS halvings, come back as the
+    factual with scale 0, value 0 and degenerate=True.
+
+    Fast path: when no direction vanishes, round one scores every row
+    without an index round trip, and if every row is feasible there its
+    candidates are the counterfactuals. Otherwise the loop goes on from
+    round one's results; no round is scored twice.
     """
-    ref = ad.log_softmax(feats)
+    if ref is None:
+        ref = ad.log_softmax(feats)
     n = len(feats)
+    scale = float(init_scale)
+    nonzero = np.add.reduce(directions * directions, axis=-1) != 0.0
+    if nonzero.all():
+        cand = feats + scale * directions
+        rows = _kl_rows(cand, ref)
+        ok = rows <= epsilon
+        if ok.all():
+            return cand, rows, np.full(n, scale), np.zeros(n, dtype=bool)
+        live = np.arange(n)
+    else:
+        live = np.flatnonzero(nonzero)
+        rows = _kl_rows(feats[live] + scale * directions[live], ref[live])
+        ok = rows <= epsilon
     chosen = np.zeros(n)
     vals = np.zeros(n)
     degenerate = np.ones(n, dtype=bool)
-    live = np.flatnonzero(np.linalg.norm(directions, axis=-1) != 0.0)
-    scale = float(init_scale)
-    for _ in range(MAX_HALVINGS + 1):
-        if live.size == 0:
-            break
-        la = ad.log_softmax(feats[live] + scale * directions[live])
-        rows = (np.exp(la) * (la - ref[live])).sum(axis=-1)
-        ok = rows <= epsilon
+    for halvings in range(MAX_HALVINGS + 1):
         accepted = live[ok]
         chosen[accepted] = scale
         vals[accepted] = rows[ok]
         degenerate[accepted] = False
         live = live[~ok]
+        if live.size == 0 or halvings == MAX_HALVINGS:
+            break
         scale /= 2.0
+        rows = _kl_rows(feats[live] + scale * directions[live], ref[live])
+        ok = rows <= epsilon
     return feats + chosen[:, None] * directions, vals, chosen, degenerate
 
 
-def generate_intra_batch(feats, labels, w, b=None, alpha=1.0, epsilon=0.05):
+def generate_intra_batch(feats, labels, w, b=None, alpha=1.0, epsilon=0.05,
+                         *, directions=None, ref=None):
     """Ascend the head loss under the budget, whole batch at once.
 
     Returns (counterfactuals, KL values, applied scales, degenerate mask).
-    Degenerate rows carry the factual feature and KL value 0.
+    Degenerate rows carry the factual feature and KL value 0. A caller
+    that already holds `intra_directions(feats, labels, w, b)` or the
+    factual log-softmax `ad.log_softmax(feats)` passes them as
+    `directions`/`ref`, and they are not computed again.
     """
     if alpha <= 0 or epsilon <= 0:
         raise ConfigurationError("alpha and epsilon must be positive")
     feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
-    directions = intra_directions(feats, labels, w, b)
-    return _backtrack_batch(feats, directions, alpha, epsilon)
+    if directions is None:
+        directions = intra_directions(feats, labels, w, b)
+    return _backtrack_batch(feats, directions, alpha, epsilon, ref)
 
 
-def generate_inter_batch(feats, projected, beta=0.03, epsilon=0.05):
+def generate_inter_batch(feats, projected, beta=0.03, epsilon=0.05, *,
+                         ref=None):
     """Pull each feature toward its projected old-feature proxy.
 
     The displacement is beta_eff times the exact gradient of the squared
     distance, so the closed form c_bar = (1 - 2 beta_eff) c + 2 beta_eff
-    c_tilde holds to machine precision.
+    c_tilde holds to machine precision. `ref` is as for
+    `generate_intra_batch`.
     """
     if beta <= 0 or epsilon <= 0:
         raise ConfigurationError("beta and epsilon must be positive")
@@ -105,7 +145,7 @@ def generate_inter_batch(feats, projected, beta=0.03, epsilon=0.05):
         raise ConfigurationError(
             f"factual {feats.shape} and projected {projected.shape} differ")
     directions = 2.0 * (projected - feats)
-    return _backtrack_batch(feats, directions, beta, epsilon)
+    return _backtrack_batch(feats, directions, beta, epsilon, ref)
 
 
 def perturb_random(factual, budget_kl, rng):

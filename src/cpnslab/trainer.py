@@ -448,16 +448,23 @@ def _sum_in_order(parts):
     return total
 
 
-def _ce(logits, labels):
-    """Mean cross-entropy of the softmax rows against the labels:
-    (value, gradient at weight 1, which is (softmax - onehot) / n)."""
+def _ce_error(logits, labels):
+    """Mean cross-entropy of the softmax rows against the labels, and the
+    error softmax - onehot: (value, error), one log-softmax for both."""
     n = len(labels)
     rows = np.arange(n)
     ls = ad.log_softmax(logits)
-    value = float(-ls[rows, labels].sum() / n)
-    g = np.exp(ls)
-    g[rows, labels] -= 1.0
-    g /= n
+    value = float(-np.add.reduce(ls[rows, labels]) / n)
+    e = np.exp(ls)
+    e[rows, labels] -= 1.0
+    return value, e
+
+
+def _ce(logits, labels):
+    """Mean cross-entropy of the softmax rows against the labels:
+    (value, gradient at weight 1, which is (softmax - onehot) / n)."""
+    value, g = _ce_error(logits, labels)
+    g /= len(labels)
     return value, g
 
 
@@ -469,22 +476,24 @@ def _nlcp(logits, labels, weight, eps=1e-12):
     p = ad.softmax(logits)
     py = p[rows, labels]
     s = 1.0 - py + eps
-    g = -(py / s)[:, None] * p
-    g[rows, labels] += py / s
-    return float(-np.log(s).sum() / n), g * (weight / n)
+    q = py / s
+    g = -q[:, None] * p
+    g[rows, labels] += q
+    return float(-np.add.reduce(np.log(s)) / n), g * (weight / n)
 
 
-def _kl(a, b, weight):
-    """Mean KL(softmax(a) || softmax(b)) over the rows: (value, gradient in
-    a, gradient in b), both at `weight`."""
-    n = len(a)
-    la = ad.log_softmax(a)
+def _kl(la, b, weight):
+    """Mean KL(softmax(a) || softmax(b)) over the rows, from `la`, the
+    log-softmax of a: (value, gradient in a, gradient in b), both at
+    `weight`."""
+    n = len(la)
     lb = ad.log_softmax(b)
     p = np.exp(la)
     r = la - lb
-    row_kl = np.sum(p * r, axis=-1, keepdims=True)
+    row_kl = np.add.reduce(p * r, axis=-1, keepdims=True)
     go = weight / n
-    return float(row_kl.sum() / n), go * p * (r - row_kl), go * (np.exp(lb) - p)
+    return (float(np.add.reduce(row_kl, axis=None) / n),
+            go * p * (r - row_kl), go * (np.exp(lb) - p))
 
 
 def _objective(model, xb, yb, n_c, frozen, config: TrainConfig, use_cls,
@@ -508,6 +517,14 @@ def _objective(model, xb, yb, n_c, frozen, config: TrainConfig, use_cls,
     values it gives the bits of the graph's `np.where`.) The
     counterfactuals enter as constant offsets from the factual
     representation, so no gradient reaches the generators.
+
+    A quantity two consumers need is computed once: the intra head's
+    logits and log-softmax give both the sufficiency loss and, through
+    its softmax error `e = softmax - onehot`, the generator's direction
+    `e @ w_i` and that loss's gradient `e / n`; each generator's factual
+    log-softmax (`ref_i` of the current rows, `ref_e` of c_hat) is passed
+    to it and is the `la` of its scope's KL term. Each one is the array
+    the generator or the term would have computed.
     """
     lo = model.class_offsets[-1][0]
     mixed = frozen is not None
@@ -526,7 +543,7 @@ def _objective(model, xb, yb, n_c, frozen, config: TrainConfig, use_cls,
         losses["cls"], g_cls = _ce(z @ cls_w.T + cls_b, yb)
         z_parts.append(g_cls @ cls_w)
         cls_w_parts.append(g_cls.T @ z)
-        cls_b_parts.append(g_cls.sum(axis=0))
+        cls_b_parts.append(np.add.reduce(g_cls, axis=0))
     if mixed:
         aux_w, aux_b = heads["aux_w"], heads["aux_b"]
         aux_labels = np.where(yb >= lo, yb - lo, model.current_class_count)
@@ -534,25 +551,29 @@ def _objective(model, xb, yb, n_c, frozen, config: TrainConfig, use_cls,
         losses["aux"], g_aux = _ce(c_hat @ aux_w.T + aux_b, aux_labels)
         aux_part = g_aux @ aux_w
         grads["aux_w"] = g_aux.T @ c_hat
-        grads["aux_b"] = g_aux.sum(axis=0)
+        grads["aux_b"] = np.add.reduce(g_aux, axis=0)
     if use_intra:
         w_i, b_i = heads["intra_w"], heads["intra_b"]
         c_cur = c_hat[:n_c] if mixed else c_hat
         y_local = yb[:n_c] - lo
         _check_labels(y_local, len(b_i))
+        # the sufficiency term's softmax error is also the generator's
+        # direction, (softmax - onehot) @ w_i
+        suff, g_suff = _ce_error(c_cur @ w_i.T + b_i, y_local)
+        ref_i = ad.log_softmax(c_cur)
         cfs_i, _, _, _ = cf.generate_intra_batch(
             c_cur, y_local, w_i, b_i, alpha=config.gen.alpha,
-            epsilon=config.gen.epsilon)
+            epsilon=config.gen.epsilon, directions=g_suff @ w_i, ref=ref_i)
+        g_suff /= len(y_local)
         cbar_i = c_cur + (cfs_i - c_cur)
-        suff, g_suff = _ce(c_cur @ w_i.T + b_i, y_local)
         nec, g_nec = _nlcp(cbar_i @ w_i.T + b_i, y_local, config.nu)
         losses["intra"] = suff + nec * config.nu
         grads["intra_w"] = _sum_in_order([g_suff.T @ c_cur, g_nec.T @ cbar_i])
-        grads["intra_b"] = _sum_in_order([g_suff.sum(axis=0),
-                                          g_nec.sum(axis=0)])
+        grads["intra_b"] = _sum_in_order([np.add.reduce(g_suff, axis=0),
+                                          np.add.reduce(g_nec, axis=0)])
         cur_parts += [g_suff @ w_i, g_nec @ w_i]
         if config.gamma > 0:
-            losses["kl"], g_a, g_b = _kl(c_cur, cbar_i, config.gamma)
+            losses["kl"], g_a, g_b = _kl(ref_i, cbar_i, config.gamma)
             cur_parts += [g_a, g_b]
     if use_inter:
         head = model.inter_head
@@ -560,8 +581,10 @@ def _objective(model, xb, yb, n_c, frozen, config: TrainConfig, use_cls,
         w0, w1 = heads["proj_w0"], heads["proj_w1"]
         hidden = np.maximum(frozen @ w0.T + heads["proj_b0"], 0.0)
         proj = hidden @ w1.T + heads["proj_b1"]
+        ref_e = ad.log_softmax(c_hat)
         cfs_e, _, _, _ = cf.generate_inter_batch(
-            c_hat, proj, beta=config.gen.beta, epsilon=config.gen.epsilon)
+            c_hat, proj, beta=config.gen.beta, epsilon=config.gen.epsilon,
+            ref=ref_e)
         cbar_e = z + (np.concatenate([frozen, cfs_e], axis=1) - z)
         if head == "cls":  # tied: the sufficiency logits are the cls ones
             suff, g_suff = losses["cls"], g_cls
@@ -572,7 +595,8 @@ def _objective(model, xb, yb, n_c, frozen, config: TrainConfig, use_cls,
         g_suff = g_suff * config.lam
         z_parts += [g_suff @ w_e, g_nec @ w_e]
         w_parts = [g_suff.T @ z, g_nec.T @ cbar_e]
-        b_parts = [g_suff.sum(axis=0), g_nec.sum(axis=0)]
+        b_parts = [np.add.reduce(g_suff, axis=0),
+                   np.add.reduce(g_nec, axis=0)]
         if head == "cls":
             cls_w_parts += w_parts
             cls_b_parts += b_parts
@@ -580,19 +604,19 @@ def _objective(model, xb, yb, n_c, frozen, config: TrainConfig, use_cls,
             grads["inter_w"] = _sum_in_order(w_parts)
             grads["inter_b"] = _sum_in_order(b_parts)
         if config.gamma > 0:
-            kl_e, g_a_e, g_b_e = _kl(c_hat, c_hat + (cfs_e - c_hat),
+            kl_e, g_a_e, g_b_e = _kl(ref_e, c_hat + (cfs_e - c_hat),
                                      config.gamma)
             losses["kl"] = losses["kl"] + kl_e
         # projector fit; the target c_hat enters as a plain value
         diff = proj - c_hat
         k = 1.0 / len(c_hat)
-        losses["proj"] = float(np.sum(diff * diff) * k)
+        losses["proj"] = float(np.add.reduce(diff * diff, axis=None) * k)
         g_pred = 2.0 * diff * k
         grads["proj_w1"] = g_pred.T @ hidden
-        grads["proj_b1"] = g_pred.sum(axis=0)
+        grads["proj_b1"] = np.add.reduce(g_pred, axis=0)
         g_pre = (g_pred @ w1) * (hidden > 0.0)
         grads["proj_w0"] = g_pre.T @ frozen
-        grads["proj_b0"] = g_pre.sum(axis=0)
+        grads["proj_b0"] = np.add.reduce(g_pre, axis=0)
     if use_cls:
         grads["cls_w"] = _sum_in_order(cls_w_parts)
         grads["cls_b"] = _sum_in_order(cls_b_parts)
@@ -620,7 +644,7 @@ def _objective(model, xb, yb, n_c, frozen, config: TrainConfig, use_cls,
     prefix = f"f{model.current_task}/"
     for i in reversed(range(ext.n_layers)):
         grads[f"{prefix}w{i}"] = g.T @ ins[i]
-        grads[f"{prefix}b{i}"] = g.sum(axis=0)
+        grads[f"{prefix}b{i}"] = np.add.reduce(g, axis=0)
         if i:
             g = (g @ ext.params[f"w{i}"].values) * (ins[i] > 0.0)
     return losses, grads

@@ -16,8 +16,10 @@ measurement; where a choice is load-bearing the reason is stated inline.
 """
 
 import json
+import multiprocessing
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from conftest import numeric_grad, rel_err
 import oracles
 
 from cpnslab import autodiff as ad
+from cpnslab import cli
 from cpnslab import counterfactual as cf
 from cpnslab import data as dt
 from cpnslab import experiment as ex
@@ -82,20 +85,52 @@ def _trap_config(out, run_id, **overrides):
     return ex.config_from_dict(doc)
 
 
-def _run_all_seeds(config):
-    """(records_by_seed, rows, seconds_by_seed) for one method."""
-    records_by_seed, rows, secs = [], [], []
-    for seed in config.seeds:
-        t0 = time.perf_counter()
-        records, row = ex.run_seed(config, seed)
-        secs.append(time.perf_counter() - t0)
-        records_by_seed.append(records)
-        rows.append(row)
-    return records_by_seed, rows, secs
+@pytest.fixture(scope="session")
+def seed_pool():
+    """Two worker processes for the training fixtures' seeds.
+
+    Each seed run is deterministic and independent of the others, so the
+    seeds of a fixture run two at a time. The workers are spawned, not
+    forked, with every BLAS pool pinned to one thread: the variables are
+    set in this process only while the pool starts its workers, which
+    import numpy afterwards. pytest's `filterwarnings = error` holds only
+    in this process, so each worker turns warnings into errors itself.
+    """
+    saved = {var: os.environ.get(var) for var in cli._THREAD_VARS}
+    os.environ.update(dict.fromkeys(cli._THREAD_VARS, "1"))
+    try:
+        pool = multiprocessing.get_context("spawn").Pool(
+            2, initializer=warnings.simplefilter, initargs=("error",))
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                del os.environ[var]
+            else:
+                os.environ[var] = value
+    with pool:
+        yield pool
+
+
+def _timed_seed(config, seed):
+    t0 = time.perf_counter()
+    records, row = ex.run_seed(config, seed)
+    return records, row, time.perf_counter() - t0
+
+
+def _run_all_seeds(pool, *configs):
+    """(records_by_seed, rows, seconds_by_seed) for each config, its seeds
+    in order; every seed of every config is one job of `pool`."""
+    jobs = [(config, seed) for config in configs for seed in config.seeds]
+    # a worker that dies leaves its job unanswered: wait no longer than
+    # every job taking the 300 s a seed may take
+    done = iter(pool.starmap_async(_timed_seed, jobs, chunksize=1)
+                .get(timeout=300.0 * len(jobs)))
+    runs = [[next(done) for _ in config.seeds] for config in configs]
+    return [tuple(list(column) for column in zip(*seeds)) for seeds in runs]
 
 
 @pytest.fixture(scope="session")
-def trap_runs(tmp_path_factory):
+def trap_runs(tmp_path_factory, seed_pool):
     """Baseline and regularized runs on the shortcut-trap stream.
 
     buffer_capacity=2000 holds every training row of this stream, so the
@@ -106,8 +141,8 @@ def trap_runs(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("trap"))
     base = _trap_config(out, "base", use_baseline_trainer=True)
     full = _trap_config(out, "full")
-    base_recs, base_rows, base_secs = _run_all_seeds(base)
-    full_recs, full_rows, full_secs = _run_all_seeds(full)
+    ((base_recs, base_rows, base_secs),
+     (full_recs, full_rows, full_secs)) = _run_all_seeds(seed_pool, base, full)
     return {
         "base": {"records": base_recs, "rows": base_rows, "secs": base_secs},
         "full": {"records": full_recs, "rows": full_rows, "secs": full_secs},
@@ -115,7 +150,7 @@ def trap_runs(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def two_stage_pair(tmp_path_factory):
+def two_stage_pair(tmp_path_factory, seed_pool):
     """Full two-stage training versus the same objective in one stage.
 
     The stream is the trap stream; the buffer is cut to 200 rows because
@@ -130,13 +165,13 @@ def two_stage_pair(tmp_path_factory):
     merged = _trap_config(out, "merged", method_label="merged", train=dict(
         train, stage1_epochs=0,
         stage2_epochs=train["stage1_epochs"] + train["stage2_epochs"]))
-    _, staged_rows, _ = _run_all_seeds(staged)
-    _, merged_rows, _ = _run_all_seeds(merged)
+    (_, staged_rows, _), (_, merged_rows, _) = _run_all_seeds(
+        seed_pool, staged, merged)
     return staged_rows, merged_rows
 
 
 @pytest.fixture(scope="session")
-def similarity_runs(tmp_path_factory):
+def similarity_runs(tmp_path_factory, seed_pool):
     """Two-task high-overlap runs for the layerwise similarity pattern.
 
     The stream pushes literal subspace overlap to 0.9 with a wide spurious
@@ -163,9 +198,19 @@ def similarity_runs(tmp_path_factory):
     full = ex.config_from_dict(doc)
     base = ex.config_from_dict({**doc, "run_id": "sim-base",
                                 "use_baseline_trainer": True})
-    full_recs, _, _ = _run_all_seeds(full)
-    base_recs, _, _ = _run_all_seeds(base)
+    (full_recs, _, _), (base_recs, _, _) = _run_all_seeds(seed_pool, full,
+                                                          base)
     return full_recs, base_recs
+
+
+def test_a_warning_in_a_pooled_seed_fails_the_fixture(tmp_path, seed_pool):
+    # lr = 1e6 overflows a matmul a step before the gradient check would
+    # stop the run with a NumericsError; only a worker that treats
+    # warnings as errors stops at the overflow
+    diverging = _trap_config(str(tmp_path), "warn", seeds=[0],
+                             train=dict(TRAP_TRAIN, lr=1e6))
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        _run_all_seeds(seed_pool, diverging)
 
 
 def _train_two_task_model(seed):

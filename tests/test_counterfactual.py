@@ -307,3 +307,121 @@ def test_perturb_random_live_rows_match_all_rows_reference():
         assert np.array_equal(g, w)
     scales = want[2]
     assert (scales == 1.0).any() and ((scales > 0) & (scales < 0.5)).any()
+
+
+# ---------------------------------------------------------------------------
+# the first-scale fast path and the caller-held intermediates
+
+def _count_scoring_rounds(monkeypatch):
+    rounds = []
+    kl_rows_of = cf._kl_rows
+
+    def counting(cand, ref):
+        rounds.append(len(cand))
+        return kl_rows_of(cand, ref)
+
+    monkeypatch.setattr(cf, "_kl_rows", counting)
+    return rounds
+
+
+def _assert_same(got, want):
+    assert len(got) == len(want) == 4
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_intra_batch_feasible_at_once_returns_round_one(monkeypatch):
+    rng = np.random.default_rng(19)
+    w, b = _rand_head(rng)
+    feats = rng.normal(size=(12, 6))
+    labels = rng.integers(4, size=12)
+    rounds = _count_scoring_rounds(monkeypatch)
+    got = cf.generate_intra_batch(feats, labels, w, b=b, alpha=0.5,
+                                  epsilon=10.0)
+    directions = cf.intra_directions(feats, labels, w, b)
+    _assert_same(got, _reference_backtrack(feats, directions, 0.5, 10.0))
+    assert rounds == [12]
+    assert (got[2] == 0.5).all() and not got[3].any()
+
+
+def test_inter_batch_feasible_at_once_returns_round_one(monkeypatch):
+    rng = np.random.default_rng(20)
+    feats = rng.normal(size=(12, 6))
+    projected = rng.normal(size=(12, 6))
+    rounds = _count_scoring_rounds(monkeypatch)
+    got = cf.generate_inter_batch(feats, projected, beta=0.03, epsilon=10.0)
+    directions = 2.0 * (projected - feats)
+    _assert_same(got, _reference_backtrack(feats, directions, 0.03, 10.0))
+    assert rounds == [12]
+    assert (got[2] == 0.03).all() and not got[3].any()
+
+
+def test_a_batch_that_fails_round_one_continues_from_its_results(
+        monkeypatch):
+    # no direction vanishes, so round one scores the whole batch; the rows
+    # it leaves infeasible go on halving without being scored there again
+    rng = np.random.default_rng(21)
+    feats = rng.normal(size=(10, 4))
+    offsets = np.array([1e-6, 1e-4, 1e-2, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 1e-3])
+    projected = feats + offsets[:, None] * rng.normal(size=(10, 4))
+    rounds = _count_scoring_rounds(monkeypatch)
+    got = cf.generate_inter_batch(feats, projected, beta=0.4, epsilon=1e-3)
+    directions = 2.0 * (projected - feats)
+    want = _reference_backtrack(feats, directions, 0.4, 1e-3)
+    _assert_same(got, want)
+    scales = want[2]
+    assert (scales == 0.4).any() and (scales < 0.4).any()
+    assert not want[3].any()
+    halvings = np.log2(0.4 / scales)
+    # one round per scale down to the smallest accepted, each scoring only
+    # the rows still searching
+    assert len(rounds) == 1 + int(round(halvings.max()))
+    assert rounds[0] == 10
+    assert rounds[1] == int((scales < 0.4).sum())
+
+
+def test_an_underflowing_direction_stays_degenerate():
+    # entries of 1e-170 square to 0 in float64: the squared norm, and so
+    # np.linalg.norm, is exactly 0, and the row is degenerate as if its
+    # direction were 0
+    rng = np.random.default_rng(22)
+    feats = rng.normal(size=(5, 4))
+    feats[2] = 1e-170 * np.array([1.0, -2.0, 3.0, 0.5])
+    projected = feats + 0.1 * rng.normal(size=(5, 4))
+    projected[2] = 0.0
+    directions = 2.0 * (projected - feats)
+    assert (directions[2] != 0.0).all()
+    assert np.linalg.norm(directions[2]) == 0.0
+    got = cf.generate_inter_batch(feats, projected, beta=0.03, epsilon=10.0)
+    want = _reference_backtrack(feats, directions, 0.03, 10.0)
+    _assert_same(got, want)
+    assert want[3].tolist() == [False, False, True, False, False]
+    assert got[2][2] == 0.0 and got[1][2] == 0.0
+    assert np.array_equal(got[0][2], feats[2])
+
+
+@pytest.mark.parametrize("epsilon", [10.0, 1e-3], ids=["at once", "halving"])
+def test_caller_held_intermediates_give_the_same_arrays(epsilon):
+    rng = np.random.default_rng(23)
+    w, b = _rand_head(rng)
+    feats = rng.normal(size=(9, 6)) * 2.0
+    feats[4] = 0.0
+    labels = rng.integers(4, size=9)
+    projected = feats + rng.normal(size=(9, 6))
+    projected[4] = 0.0  # a zero direction
+    ref = ad.log_softmax(feats)
+    directions = cf.intra_directions(feats, labels, w, b)
+    want = cf.generate_intra_batch(feats, labels, w, b, alpha=2.0,
+                                   epsilon=epsilon)
+    _assert_same(cf.generate_intra_batch(feats, labels, w, b, alpha=2.0,
+                                         epsilon=epsilon, ref=ref), want)
+    _assert_same(cf.generate_intra_batch(feats, labels, w, b, alpha=2.0,
+                                         epsilon=epsilon,
+                                         directions=directions), want)
+    _assert_same(cf.generate_intra_batch(feats, labels, w, b, alpha=2.0,
+                                         epsilon=epsilon, ref=ref,
+                                         directions=directions), want)
+    want = cf.generate_inter_batch(feats, projected, beta=0.4,
+                                   epsilon=epsilon)
+    _assert_same(cf.generate_inter_batch(feats, projected, beta=0.4,
+                                         epsilon=epsilon, ref=ref), want)

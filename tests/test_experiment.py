@@ -521,6 +521,20 @@ class TestCli:
         assert cli.main(["run", cfg_path]) == 2
         assert "seed" in capsys.readouterr().err
 
+    # numpy warns of the overflow on the way to the first non-finite
+    # gradient; the warnings are the divergence under test
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_of_a_valid_config_exits_four(self, tmp_path, capsys):
+        doc = tiny_doc(tmp_path / "out")
+        doc["train"]["lr"] = 1e6
+        cfg_path = write_config(tmp_path, doc)
+        assert cli.main(["run", cfg_path]) == 4
+        out, err = capsys.readouterr()
+        assert not out
+        assert err.startswith("cpnslab: training diverged: ")
+        assert "non-finite gradient in 'f0/w0'" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("overrides", [
         {"train": {"batch_size": "32"}},
         {"model": {"hidden_dims": 5}},

@@ -18,6 +18,7 @@ from cpnslab import trainer as tr
 from cpnslab.errors import (ConfigurationError, InputError, NumericsError,
                             UsageError)
 from cpnslab.model import ExpandableModel
+from cpnslab.risk import GenConfig
 
 
 def small_model(seed=0, dim=8, feat=8, hidden=(16,)):
@@ -502,6 +503,46 @@ def test_objective_matches_the_graph_bitwise(stage, task, separate, hidden):
             for name in params:
                 assert _same_bits(grads[name], want[name]), (case, name)
             tr.optimizer_step(params, grads, state, cfg)
+
+
+@pytest.mark.parametrize("stage, want", [(1, 5), (2, 11)])
+def test_a_first_scale_step_takes_each_log_softmax_once(monkeypatch, stage,
+                                                         want):
+    # a stage-1 step, and a mixed stage-2 step with both scopes, the tied
+    # head and gamma > 0, in which every row is feasible at the initial
+    # scale. Each log-softmax is of one quantity: the intra logits (shared
+    # by the sufficiency loss and the generator's direction), each
+    # generator's factual features (shared by the generator and its KL
+    # term), one scoring round per generator, each necessity term's
+    # counterfactual logits, each KL term's counterfactual, and stage 2's
+    # cls and aux logits. Computing the shared ones twice made 7 and 14.
+    model, buf, (x, y) = _objective_model(1, False, (16,))
+    cfg = full_cfg(batch_size=8, gen=GenConfig(epsilon=1e6))
+    assert cfg.gamma > 0 and cfg.lam > 0 and cfg.nu > 0
+    flags = (False, True, False) if stage == 1 else (True, True, True)
+    tables = tr._rehearsal_tables(model, x, buf) if stage == 2 else None
+    xb, yb, n_c, frozen = next(tr._batches(x, y, tables, cfg.batch_size,
+                                           np.random.default_rng(5)))
+    scales = []
+    for name, init in (("generate_intra_batch", cfg.gen.alpha),
+                       ("generate_inter_batch", cfg.gen.beta)):
+        def recording(*args, _generate=getattr(cf, name), _init=init,
+                      **kwargs):
+            out = _generate(*args, **kwargs)
+            scales.append(bool((out[2] == _init).all()))
+            return out
+        monkeypatch.setattr(cf, name, recording)
+    calls = []
+    log_softmax = ad.log_softmax
+
+    def counting(a):
+        calls.append(a.shape)
+        return log_softmax(a)
+
+    monkeypatch.setattr(ad, "log_softmax", counting)
+    tr._objective(model, xb, yb, n_c, frozen, cfg, *flags)
+    assert scales == [True] * stage
+    assert len(calls) == want
 
 
 def test_objective_rejects_a_label_outside_its_head():
