@@ -1,47 +1,54 @@
 """What the two counterfactual generators actually produce.
 
-Trains a two-task model, then generates within-task counterfactuals (label
-flipped under a divergence budget) and cross-task counterfactuals
-(interpolation toward the projected old representation), and compares them
-against random perturbations of the same magnitude.
+Trains a model on the first two tasks of configs/trap-full.json, then
+generates within-task counterfactuals (label flipped under the config's
+divergence budget) and cross-task counterfactuals (interpolation toward
+the projected old representation), and compares them against random
+perturbations of the same magnitude.
 
 Run from the repository root:
 
     python3 demos/counterfactual_probe.py
 """
 
+import os
+from dataclasses import replace
+
 import numpy as np
 
 from cpnslab import counterfactual as cf
-from cpnslab import data as dt
+from cpnslab import experiment as ex
 from cpnslab import metrics as mt
 from cpnslab import model as mdl
 from cpnslab import trainer as tr
 
+CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                      "configs", "trap-full.json")
+
 
 def train_two_task(seed=0):
-    scm = dt.SyntheticScmConfig(num_tasks=2, classes_per_task=4,
-                                input_dim=64, d_c=4, d_mc=1, d_s=4,
-                                overlap=0.7, spurious_strength=0.95,
-                                n_train_per_class=150, n_test_per_class=100,
-                                seed=seed)
-    stream = dt.gen_scm_stream(scm)
-    cfg = tr.TrainConfig(stage1_epochs=8, stage2_epochs=14, batch_size=32,
-                         lr=0.01, buffer_capacity=2000, report_limit=128)
-    model = mdl.ExpandableModel(64, feature_dim=16, hidden_dims=(32,),
-                                seed=seed)
+    """(model, stream, config): a model trained on the first two tasks of
+    configs/trap-full.json's stream, that stream and the config."""
+    config = ex.load_config(CONFIG)
+    config = replace(config, data=dict(config.data, num_tasks=2))
+    stream = config.build_stream(seed)
+    cfg = config.train
+    model = mdl.ExpandableModel(config.input_dim(stream),
+                                config.model.feature_dim,
+                                config.model.hidden_dims, seed=seed)
     buffer = tr.RehearsalBuffer(cfg.buffer_capacity)
     rng = np.random.default_rng(seed + 1)
     for t, (train, _, (lo, hi)) in enumerate(stream.tasks):
         model.expand(hi - lo)
         tr.train_task(model, train, buffer if t else None, cfg, rng)
         tr.buffer_commit(buffer, train, model)
-    return model, stream
+    return model, stream, config
 
 
 def main():
-    print("training a two-task model ...")
-    model, stream = train_two_task()
+    print("training a two-task model on configs/trap-full.json ...")
+    model, stream, config = train_two_task()
+    gen = config.train.gen
     xte, yte = stream.tasks[1][1]
     lo = stream.tasks[1][2][0]
     n = 128
@@ -50,7 +57,8 @@ def main():
     w = model.heads["intra_w"].values
     b = model.heads["intra_b"].values
 
-    cfs, vals, _, _ = cf.generate_intra_batch(feats, ys - lo, w, b=b)
+    cfs, vals, _, _ = cf.generate_intra_batch(feats, ys - lo, w, b, gen.alpha,
+                                              gen.epsilon)
     pfr, lkld, _ = mt.counterfactual_quality(model, feats, cfs, vals)
     print(f"\nwithin-task generator: flip rate {pfr:.3f} "
           f"at mean divergence {lkld:.4f}")
@@ -69,6 +77,8 @@ def main():
     print("targeted perturbations of the same size flip far more labels;"
           "\nthe necessity signal is in the direction, not the magnitude.")
 
+    # the config's inter budget (gen.beta) barely moves a feature; opened
+    # up, the interpolation toward the old representation shows
     proj = model.project_values(model.frozen_concat_np(xs))
     inter, inter_vals, _, _ = cf.generate_inter_batch(feats, proj, beta=0.25,
                                                       epsilon=0.5)

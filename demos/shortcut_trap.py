@@ -2,7 +2,8 @@
 
 The stream's spurious block agrees with the label on 95% of training rows
 and is shuffled at test time, so a learner that leans on it pays at test
-time. This script trains both methods on three seeds, then prints the
+time. This script trains both methods on the seeds of
+configs/trap-baseline.json and configs/trap-full.json, then prints the
 incremental accuracies, the old-to-new error by overlap group, and the
 saliency-masking curve side by side.
 
@@ -11,52 +12,23 @@ Run from the repository root:
     python3 demos/shortcut_trap.py
 """
 
+import os
 import tempfile
 
 import numpy as np
 
 from cpnslab import experiment as ex
 
-
-DATA = {
-    "kind": "synthetic",
-    "num_tasks": 5,
-    "classes_per_task": 4,
-    "input_dim": 64,
-    "d_c": 4,
-    "d_mc": 1,
-    "d_s": 4,
-    "overlap": 0.7,
-    "spurious_strength": 0.95,
-    "n_train_per_class": 150,
-    "n_test_per_class": 100,
-}
-
-TRAIN = {
-    "stage1_epochs": 8,
-    "stage2_epochs": 14,
-    "batch_size": 32,
-    "lr": 0.01,
-    "buffer_capacity": 2000,
-    "report_limit": 128,
-}
-
-SEEDS = [0, 1, 2]
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "configs")
 
 
-def run(out, run_id, baseline):
-    config = ex.config_from_dict({
-        "data": dict(DATA),
-        "run_id": run_id,
-        "output_dir": out,
-        "seeds": SEEDS,
-        "use_baseline_trainer": baseline,
-        "model": {"feature_dim": 16, "hidden_dims": [32]},
-        "train": dict(TRAIN),
-        "metrics": {"masking_ks": [0, 1], "probe_limit": 64},
-    })
+def run(out, name):
+    """Every seed of configs/<name>.json, its output under `out`."""
+    config = ex.load_config(os.path.join(CONFIGS, f"{name}.json"))
+    config.output_dir = out
     records, rows = [], []
-    for seed in SEEDS:
+    for seed in config.seeds:
         recs, row = ex.run_seed(config, seed)
         records.append(recs)
         rows.append(row)
@@ -69,9 +41,10 @@ def seed_mean(rows, key):
 
 def main():
     with tempfile.TemporaryDirectory() as out:
-        print(f"training {len(SEEDS)} seeds per method ...")
-        base_recs, base_rows = run(out, "base", baseline=True)
-        full_recs, full_rows = run(out, "full", baseline=False)
+        print("training configs/trap-baseline.json and "
+              "configs/trap-full.json ...")
+        base_recs, base_rows = run(out, "trap-baseline")
+        full_recs, full_rows = run(out, "trap-full")
 
     print("\nincremental accuracy (seed means)")
     for name, rows in (("baseline", base_rows), ("cpns", full_rows)):

@@ -108,58 +108,60 @@ def main(argv=None):
         _pin_threads(threads)
 
     # deferred so the thread pin above precedes numpy's BLAS setup
+    import numpy as np
+
     from . import experiment as ex
     from .errors import (ConfigurationError, CpnslabError, NumericsError,
                          PropositionViolation)
 
-    try:
-        if args.command == "eval":
-            result = ex.evaluate_checkpoint(args.checkpoint, args.data)
-            print(json.dumps(result, sort_keys=True))
+    # a diverging run's own finite checks report it with exit 4; numpy's
+    # overflow and invalid-value warnings on the way there stay quiet
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            if args.command == "eval":
+                result = ex.evaluate_checkpoint(args.checkpoint, args.data)
+                print(json.dumps(result, sort_keys=True))
+                return 0
+
+            config = ex.load_config(args.config)
+            out = args.out or os.environ.get("CPNSLAB_OUT")
+            if out:
+                config.output_dir = out
+            if args.seed is not None:
+                # through the constructor, so the seed is validated
+                config = dataclasses.replace(config, seeds=(args.seed,))
+
+            if args.command == "run":
+                rows = ex.run_experiment(config)
+                path = os.path.join(config.output_dir, config.run_id,
+                                    "summary.csv")
+                print(f"wrote {len(rows)} seed row(s) to {path}")
+            elif args.command == "sweep":
+                try:
+                    values = _parse_values(args.values)
+                except ValueError:
+                    raise ConfigurationError(
+                        f"--values must be comma-separated numbers, "
+                        f"got {args.values!r}")
+                ex.run_sweep(config, args.param, values)
+                path = os.path.join(config.output_dir, config.run_id,
+                                    f"sweep-{args.param}.csv")
+                print(f"wrote {len(values)} sweep row(s) to {path}")
+            else:  # ablate
+                table = ex.run_ablation(config)
+                path = os.path.join(config.output_dir, config.run_id,
+                                    "ablation.csv")
+                print(f"wrote {len(table)} variant row(s) to {path}")
             return 0
-
-        config = ex.load_config(args.config)
-        out = args.out or os.environ.get("CPNSLAB_OUT")
-        if out:
-            config.output_dir = out
-        if args.seed is not None:
-            # through the constructor, so the seed is validated
-            config = dataclasses.replace(config, seeds=(args.seed,))
-
-        if args.command == "run":
-            rows = ex.run_experiment(config)
-            path = os.path.join(config.output_dir, config.run_id,
-                                "summary.csv")
-            print(f"wrote {len(rows)} seed row(s) to {path}")
-        elif args.command == "sweep":
-            try:
-                values = _parse_values(args.values)
-            except ValueError:
-                raise ConfigurationError(
-                    f"--values must be comma-separated numbers, "
-                    f"got {args.values!r}")
-            ex.run_sweep(config, args.param, values)
-            path = os.path.join(config.output_dir, config.run_id,
-                                f"sweep-{args.param}.csv")
-            print(f"wrote {len(values)} sweep row(s) to {path}")
-        else:  # ablate
-            table = ex.run_ablation(config)
-            path = os.path.join(config.output_dir, config.run_id,
-                                "ablation.csv")
-            print(f"wrote {len(table)} variant row(s) to {path}")
-        return 0
-    except PropositionViolation as exc:
-        print(f"cpnslab: invariant breach: {exc}", file=sys.stderr)
-        return 3
-    except NumericsError as exc:
-        print(f"cpnslab: training diverged: {exc}", file=sys.stderr)
-        return 4
-    except CpnslabError as exc:
-        print(f"cpnslab: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"cpnslab: {exc}", file=sys.stderr)
-        return 2
+        except PropositionViolation as exc:
+            print(f"cpnslab: invariant breach: {exc}", file=sys.stderr)
+            return 3
+        except NumericsError as exc:
+            print(f"cpnslab: training diverged: {exc}", file=sys.stderr)
+            return 4
+        except (CpnslabError, OSError) as exc:
+            print(f"cpnslab: {exc}", file=sys.stderr)
+            return 2
 
 
 def entry():

@@ -110,15 +110,15 @@ def _backtrack_batch(feats, directions, init_scale, epsilon, ref=None):
     return feats + chosen[:, None] * directions, vals, chosen, degenerate
 
 
-def generate_intra_batch(feats, labels, w, b=None, alpha=1.0, epsilon=0.05,
-                         *, directions=None, ref=None):
+def generate_intra_batch(feats, labels, w, b, alpha, epsilon, *,
+                         directions=None, ref=None):
     """Ascend the head loss under the budget, whole batch at once.
 
-    Returns (counterfactuals, KL values, applied scales, degenerate mask).
-    Degenerate rows carry the factual feature and KL value 0. A caller
-    that already holds `intra_directions(feats, labels, w, b)` or the
-    factual log-softmax `ad.log_softmax(feats)` passes them as
-    `directions`/`ref`, and they are not computed again.
+    Returns (counterfactuals, KL values, applied scales, degenerate mask);
+    degenerate rows carry the factual feature and KL value 0, and `b` may
+    be None. A caller that already holds `intra_directions(feats, labels,
+    w, b)` or the factual log-softmax `ad.log_softmax(feats)` passes them
+    as `directions`/`ref`, and they are not computed again.
     """
     if alpha <= 0 or epsilon <= 0:
         raise ConfigurationError("alpha and epsilon must be positive")
@@ -128,8 +128,7 @@ def generate_intra_batch(feats, labels, w, b=None, alpha=1.0, epsilon=0.05,
     return _backtrack_batch(feats, directions, alpha, epsilon, ref)
 
 
-def generate_inter_batch(feats, projected, beta=0.03, epsilon=0.05, *,
-                         ref=None):
+def generate_inter_batch(feats, projected, beta, epsilon, *, ref=None):
     """Pull each feature toward its projected old-feature proxy.
 
     The displacement is beta_eff times the exact gradient of the squared

@@ -26,9 +26,9 @@ from . import metrics as mt
 from . import model as mdl
 from . import trainer as tr
 from .atomic import atomic_open
-from .errors import ConfigurationError, ParseError
+from .errors import (ConfigurationError, NumericsError, ParseError,
+                     PropositionViolation)
 from .risk import GenConfig, check_proposition1
-from .errors import PropositionViolation
 
 SUMMARY_HEADER = "method,scenario,seed,last,avg"
 SWEEP_PARAMS = ("lambda", "gamma", "beta", "epsilon", "alpha", "nu")
@@ -48,10 +48,7 @@ _SINGLE_STAGE_VARIANTS = ("baseline", "+inter_no2stage", "both_no2stage")
 
 @dataclass
 class MetricsConfig:
-    old_new: bool = True
-    cka: bool = True
-    masking: bool = True
-    cf_quality: bool = True
+    """Mask sizes and probe cap; `evaluate_task` runs what the inputs allow."""
     masking_ks: tuple[int, ...] = (0, 2, 4, 8)
     probe_limit: int = 64
 
@@ -292,20 +289,17 @@ def _seen_set_outputs(model, acts, test_sets):
 
 
 def _cf_quality_probe(model, x, y, lo, cfgm: MetricsConfig, gen: GenConfig):
-    n = min(cfgm.probe_limit, len(x))
-    if n == 0:
-        return None
-    xs, ys = x[:n], y[:n]
+    xs, ys = x[:cfgm.probe_limit], y[:cfgm.probe_limit]
     feats = model.current_feature_np(xs)
     w = model.heads["intra_w"].values
     b = model.heads["intra_b"].values
-    cfs, vals, _, _ = cf.generate_intra_batch(
-        feats, ys - lo, w, b=b, alpha=gen.alpha, epsilon=gen.epsilon)
+    cfs, vals, _, _ = cf.generate_intra_batch(feats, ys - lo, w, b, gen.alpha,
+                                              gen.epsilon)
     if model.task_count < 2:
         return mt.counterfactual_quality(model, feats, cfs, vals)
     proj = model.project_values(model.frozen_concat_np(xs))
-    cfs_e, vals_e, _, _ = cf.generate_inter_batch(
-        feats, proj, beta=gen.beta, epsilon=gen.epsilon)
+    cfs_e, vals_e, _, _ = cf.generate_inter_batch(feats, proj, gen.beta,
+                                                  gen.epsilon)
     return mt.counterfactual_quality(
         model, np.concatenate([feats, feats]), np.concatenate([cfs, cfs_e]),
         np.concatenate([vals, vals_e]), references=proj)
@@ -322,6 +316,11 @@ def evaluate_task(model, stream, task_index, history, acts,
     new extractor and the new test set add (`_extend_activations`). The
     accuracies, the prototypes, the saliency and the k = 0 masking point
     read `acts`; only the masked passes (k > 0) run every extractor again.
+
+    Each diagnostic is computed whenever its inputs allow: old-to-new
+    error and CKA from the second task on, the masking curve when the
+    stream's `dim_tags` hold a causal dimension that some `masking_ks`
+    entry fits, and counterfactual quality after every task.
     """
     seen = stream.tasks[:task_index + 1]
     test_sets = [test for _, test, _ in seen]
@@ -333,33 +332,24 @@ def evaluate_task(model, stream, task_index, history, acts,
     history.append(hits / total)
     last, avg = mt.incremental_accuracy(history)
 
-    old_new = None
-    if cfgm.old_new and task_index >= 1:
-        _, _, (lo, hi) = stream.tasks[task_index]
+    (x_cur, y_cur), _, (lo, hi) = stream.tasks[task_index]
+    old_new = cka = None
+    if task_index >= 1:
         old = [(p, y) for p, (_, y) in zip(preds[:task_index], test_sets)]
         old_new = mt.old_new_error(old, (lo, hi), protos)
-
-    cka = None
-    if cfgm.cka and task_index >= 1:
         # balanced probe: an equal prefix from every seen task's test split
         per = max(1, (4 * cfgm.probe_limit) // len(test_sets))
         probe_x = np.concatenate([x[:per] for x, _ in test_sets])
         cka = mt.extractor_cka(model.extractors[task_index - 1],
                                model.extractors[task_index], probe_x)
 
-    masking = None
-    ann = stream.factor_annotations
-    if cfgm.masking and ann and "dim_tags" in ann:
-        tags = ann["dim_tags"]
-        n_causal = sum(t in ("causal", "minimal_causal") for t in tags)
-        ks = [k for k in cfgm.masking_ks if k <= n_causal]
-        if n_causal and ks:
-            masking = mt.masking_curve(model, test_sets, acts, tags, ks)
+    tags = (stream.factor_annotations or {}).get("dim_tags") or ()
+    n_causal = sum(t in ("causal", "minimal_causal") for t in tags)
+    ks = [k for k in cfgm.masking_ks if k <= n_causal]
+    masking = (mt.masking_curve(model, test_sets, acts, tags, ks)
+               if n_causal and ks else None)
 
-    quality = None
-    if cfgm.cf_quality:
-        (x_cur, y_cur), _, (lo, _) = stream.tasks[task_index]
-        quality = _cf_quality_probe(model, x_cur, y_cur, lo, cfgm, gen)
+    quality = _cf_quality_probe(model, x_cur, y_cur, lo, cfgm, gen)
 
     return mt.EvalRecord(
         task_index=task_index, per_task_acc=per_task, last_acc=last,
@@ -433,8 +423,11 @@ def run_seed(config: ExperimentConfig, seed: int, out_dir=None):
     records = []
     for t, (train_split, _, (lo, hi)) in enumerate(stream.tasks):
         model.expand(hi - lo)
-        result = train_fn(model, train_split, buffer if t else None,
-                          config.train, rng)
+        try:
+            result = train_fn(model, train_split, buffer if t else None,
+                              config.train, rng)
+        except NumericsError as exc:
+            raise NumericsError(f"seed {seed}, task {t}: {exc}") from exc
         _write_json_lines(log_path, result["records"], mode="a")
         tr.buffer_commit(buffer, train_split, model)
 
@@ -538,7 +531,10 @@ def run_ablation(config: ExperimentConfig):
         sub = replace(config, method_label=variant,
                       use_baseline_trainer=(variant == "baseline"),
                       train=ablation_train_config(config.train, variant))
-        rows = _run_seeds(sub, os.path.join(run_dir, "ablation", variant))
+        try:
+            rows = _run_seeds(sub, os.path.join(run_dir, "ablation", variant))
+        except NumericsError as exc:
+            raise NumericsError(f"variant {variant}: {exc}") from exc
         table.append((variant, *_seed_mean(rows)))
     _write_csv(os.path.join(run_dir, "ablation.csv"), SUMMARY_HEADER,
                [(variant, config.scenario, "mean", last, avg)

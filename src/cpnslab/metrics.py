@@ -29,9 +29,9 @@ def _check_unit(name, value, slack=1e-9):
 class EvalRecord:
     """One evaluation snapshot taken after a task.
 
-    Accuracy fields are mandatory; the diagnostic fields are None when the
-    stage they need has not happened (no old classes yet, no counterfactual
-    batch requested, and so on).
+    Accuracy fields are mandatory and a run always fills `cf_quality`; the
+    other diagnostics are None when their inputs are missing (no old
+    classes yet, or no causal dimension tag that a mask size fits).
     """
 
     task_index: int

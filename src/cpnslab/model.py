@@ -108,7 +108,7 @@ class ExpandableModel:
       projector: t*d -> d (absent at t=0).
     """
 
-    def __init__(self, input_dim, feature_dim=32, hidden_dims=(64,),
+    def __init__(self, input_dim, feature_dim, hidden_dims,
                  projector_hidden=None, separate_inter_head=False, seed=0):
         self.input_dim = int(input_dim)
         self.feature_dim = int(feature_dim)

@@ -30,7 +30,6 @@ import oracles
 from cpnslab import autodiff as ad
 from cpnslab import cli
 from cpnslab import counterfactual as cf
-from cpnslab import data as dt
 from cpnslab import experiment as ex
 from cpnslab import metrics as mt
 from cpnslab import model as mdl
@@ -41,48 +40,31 @@ from cpnslab import trainer as tr
 # ---------------------------------------------------------------------------
 # shared configuration
 
-# The shortcut-trap stream: a spurious block that agrees with the label on
-# 95% of training rows but is shuffled at test time, plus consecutive-task
-# causal subspaces at cosine 0.7. Wide enough (5 tasks x 4 classes) for the
-# overlap tertiles to be populated.
-TRAP_DATA = {
-    "kind": "synthetic",
-    "num_tasks": 5,
-    "classes_per_task": 4,
-    "input_dim": 64,
-    "d_c": 4,
-    "d_mc": 1,
-    "d_s": 4,
-    "overlap": 0.7,
-    "spurious_strength": 0.95,
-    "n_train_per_class": 150,
-    "n_test_per_class": 100,
-}
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-TRAP_TRAIN = {
-    "stage1_epochs": 8,
-    "stage2_epochs": 14,
-    "batch_size": 32,
-    "lr": 0.01,
-    "buffer_capacity": 2000,
-    "report_limit": 128,
-}
+# The shortcut-trap operating point of configs/trap-full.json: a spurious
+# block that agrees with the label on 95% of training rows but is shuffled
+# at test time, plus consecutive-task causal subspaces at cosine 0.7. Wide
+# enough (5 tasks x 4 classes) for the overlap tertiles to be populated.
+with open(os.path.join(ROOT, "configs", "trap-full.json")) as fh:
+    TRAP = json.load(fh)
 
 TRAP_SEEDS = [0, 1, 2, 3, 4, 5]
 
 
 def _trap_config(out, run_id, **overrides):
-    doc = {
-        "data": dict(TRAP_DATA),
-        "run_id": run_id,
-        "output_dir": out,
-        "seeds": list(TRAP_SEEDS),
-        "model": {"feature_dim": 16, "hidden_dims": [32]},
-        "train": dict(TRAP_TRAIN),
-        "metrics": {"masking_ks": [0, 1], "probe_limit": 64},
-    }
+    """configs/trap-full.json on seeds 0-5 under `out`, with whole
+    top-level sections replaced by `overrides`."""
+    doc = dict(TRAP, run_id=run_id, output_dir=out, seeds=list(TRAP_SEEDS))
     doc.update(overrides)
     return ex.config_from_dict(doc)
+
+
+def _trap_stream(seed, **data):
+    """The trap stream of `seed`, with `data` keys overridden, and the
+    config it comes from."""
+    config = ex.config_from_dict(dict(TRAP, data=dict(TRAP["data"], **data)))
+    return config.build_stream(seed), config
 
 
 @pytest.fixture(scope="session")
@@ -159,7 +141,7 @@ def two_stage_pair(tmp_path_factory, seed_pool):
     comparison loses its signal.
     """
     out = str(tmp_path_factory.mktemp("stage"))
-    train = dict(TRAP_TRAIN, buffer_capacity=200)
+    train = dict(TRAP["train"], buffer_capacity=200)
     staged = _trap_config(out, "staged", train=dict(train))
     # one stage on the same epoch budget
     merged = _trap_config(out, "merged", method_label="merged", train=dict(
@@ -183,21 +165,17 @@ def similarity_runs(tmp_path_factory, seed_pool):
     early layers from diverging before the anchored stage.
     """
     out = str(tmp_path_factory.mktemp("sim"))
-    doc = {
-        "data": dict(TRAP_DATA, num_tasks=2, overlap=0.9, d_s=16),
-        "run_id": "sim",
-        "output_dir": out,
-        "seeds": list(range(12)),
-        "model": {"feature_dim": 16, "hidden_dims": [32, 32],
-                  "separate_inter_head": True},
-        "train": dict(TRAP_TRAIN, stage1_epochs=4, weight_decay=1e-3,
-                      lam=1.8, gen={"beta": 0.12}),
-        "metrics": {"old_new": False, "masking": False, "cf_quality": False,
-                    "probe_limit": 128},
-    }
-    full = ex.config_from_dict(doc)
-    base = ex.config_from_dict({**doc, "run_id": "sim-base",
-                                "use_baseline_trainer": True})
+    overrides = dict(
+        seeds=list(range(12)),
+        data=dict(TRAP["data"], num_tasks=2, overlap=0.9, d_s=16),
+        model=dict(TRAP["model"], hidden_dims=[32, 32],
+                   separate_inter_head=True),
+        train=dict(TRAP["train"], stage1_epochs=4, weight_decay=1e-3,
+                   lam=1.8, gen={"beta": 0.12}),
+        metrics={"probe_limit": 128})
+    full = _trap_config(out, "sim", **overrides)
+    base = _trap_config(out, "sim-base", use_baseline_trainer=True,
+                        **overrides)
     (full_recs, _, _), (base_recs, _, _) = _run_all_seeds(seed_pool, full,
                                                           base)
     return full_recs, base_recs
@@ -208,21 +186,22 @@ def test_a_warning_in_a_pooled_seed_fails_the_fixture(tmp_path, seed_pool):
     # stop the run with a NumericsError; only a worker that treats
     # warnings as errors stops at the overflow
     diverging = _trap_config(str(tmp_path), "warn", seeds=[0],
-                             train=dict(TRAP_TRAIN, lr=1e6))
+                             train=dict(TRAP["train"], lr=1e6))
     with pytest.raises(RuntimeWarning, match="overflow"):
         _run_all_seeds(seed_pool, diverging)
 
 
+def _trap_model(config, stream, seed):
+    """An empty model of the config's shape for `stream`."""
+    return mdl.ExpandableModel(config.input_dim(stream),
+                               config.model.feature_dim,
+                               config.model.hidden_dims, seed=seed)
+
+
 def _train_two_task_model(seed):
-    scm = dt.SyntheticScmConfig(num_tasks=2, classes_per_task=4, input_dim=64,
-                                d_c=4, d_mc=1, d_s=4, overlap=0.7,
-                                spurious_strength=0.95, n_train_per_class=150,
-                                n_test_per_class=100, seed=seed)
-    stream = dt.gen_scm_stream(scm)
-    cfg = tr.TrainConfig(stage1_epochs=8, stage2_epochs=14, batch_size=32,
-                         lr=0.01, buffer_capacity=2000, report_limit=128)
-    model = mdl.ExpandableModel(64, feature_dim=16, hidden_dims=(32,),
-                                seed=seed)
+    stream, config = _trap_stream(seed, num_tasks=2)
+    cfg = config.train
+    model = _trap_model(config, stream, seed)
     buffer = tr.RehearsalBuffer(cfg.buffer_capacity)
     rng = np.random.default_rng(seed + 1)
     for t, (train, _, (lo, hi)) in enumerate(stream.tasks):
@@ -668,17 +647,11 @@ def test_estimates_are_bounded_on_random_inputs():
 
 
 def test_converged_model_shows_strong_intra_effect():
-    scm = dt.SyntheticScmConfig(num_tasks=1, classes_per_task=4, input_dim=64,
-                                d_c=4, d_mc=1, d_s=4, spurious_strength=0.5,
-                                n_train_per_class=150, n_test_per_class=100,
-                                seed=0)
-    stream = dt.gen_scm_stream(scm)
+    stream, config = _trap_stream(0, num_tasks=1, spurious_strength=0.5)
     train, test, (lo, hi) = stream.tasks[0]
-    cfg = tr.TrainConfig(stage1_epochs=8, stage2_epochs=14, batch_size=32,
-                         lr=0.01, buffer_capacity=2000, report_limit=128)
-    model = mdl.ExpandableModel(64, feature_dim=16, hidden_dims=(32,), seed=0)
+    model = _trap_model(config, stream, 0)
     model.expand(hi - lo)
-    tr.train_task(model, train, None, cfg, np.random.default_rng(1))
+    tr.train_task(model, train, None, config.train, np.random.default_rng(1))
     assert rk.estimate_pns_interventional(test, model, "intra") > 0.5
 
 

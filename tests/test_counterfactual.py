@@ -11,6 +11,9 @@ import oracles
 from cpnslab import autodiff as ad
 from cpnslab import counterfactual as cf
 from cpnslab.errors import ConfigurationError
+from cpnslab.risk import GenConfig
+
+GEN = GenConfig()
 
 
 def _rand_head(rng, k=4, d=6):
@@ -24,14 +27,16 @@ def kl_rows(a, b):
     return np.sum(np.exp(la) * (la - lb), axis=-1)
 
 
-def intra_one(c, label, w, **kw):
+def intra_one(c, label, w, b=None, alpha=GEN.alpha, epsilon=GEN.epsilon):
     """The intra generator on a one-row batch: (cf, value, scale, degenerate)."""
-    return tuple(a[0] for a in cf.generate_intra_batch([c], [label], w, **kw))
+    return tuple(a[0] for a in cf.generate_intra_batch([c], [label], w, b,
+                                                       alpha, epsilon))
 
 
-def inter_one(c, proj, **kw):
+def inter_one(c, proj, beta=GEN.beta, epsilon=GEN.epsilon):
     """The inter generator on a one-row batch: (cf, value, scale, degenerate)."""
-    return tuple(a[0] for a in cf.generate_inter_batch([c], [proj], **kw))
+    return tuple(a[0] for a in cf.generate_inter_batch([c], [proj], beta,
+                                                       epsilon))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +284,7 @@ def test_intra_live_rows_match_all_rows_reference():
     w = np.eye(4)
     # alpha so large that the widest-margin rows stay infeasible even after
     # MAX_HALVINGS halvings
-    got = cf.generate_intra_batch(feats, labels, w, alpha=1e9, epsilon=1e-6)
+    got = cf.generate_intra_batch(feats, labels, w, None, 1e9, 1e-6)
     directions = cf.intra_directions(feats, labels, w)
     want = _reference_backtrack(feats, directions, 1e9, 1e-6)
     _assert_same_and_mixed(got, want, directions, 1e9)

@@ -23,7 +23,7 @@ from cpnslab import data as dt
 from cpnslab import experiment as ex
 from cpnslab import metrics as mt
 from cpnslab import model as mdl
-from cpnslab.errors import ConfigurationError, ParseError
+from cpnslab.errors import ConfigurationError, NumericsError, ParseError
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -477,6 +477,17 @@ class TestSweepAndAblate:
         assert methods == list(ex.ABLATION_VARIANTS)
         assert len(table) == 6
 
+    def test_a_diverging_ablation_names_the_variant_seed_and_task(
+            self, tmp_path):
+        doc = tiny_doc(tmp_path)
+        doc["train"]["lr"] = 1e6
+        cfg = ex.config_from_dict(doc)
+        # the first variant diverges; the error says which one, and where
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericsError, match=r"^variant baseline: seed 0, task 0: "):
+            ex.run_ablation(cfg)
+        assert not (tmp_path / "t" / "ablation.csv").exists()
+
     def test_ablation_variant_knobs(self):
         from cpnslab.trainer import TrainConfig
         base = TrainConfig(stage1_epochs=4, stage2_epochs=6, lam=0.7,
@@ -521,9 +532,6 @@ class TestCli:
         assert cli.main(["run", cfg_path]) == 2
         assert "seed" in capsys.readouterr().err
 
-    # numpy warns of the overflow on the way to the first non-finite
-    # gradient; the warnings are the divergence under test
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_of_a_valid_config_exits_four(self, tmp_path, capsys):
         doc = tiny_doc(tmp_path / "out")
         doc["train"]["lr"] = 1e6
@@ -531,7 +539,9 @@ class TestCli:
         assert cli.main(["run", cfg_path]) == 4
         out, err = capsys.readouterr()
         assert not out
-        assert err.startswith("cpnslab: training diverged: ")
+        # one line: numpy's overflow warnings on the way are not repeated
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert err.startswith("cpnslab: training diverged: seed 0, task 0: ")
         assert "non-finite gradient in 'f0/w0'" in err
         assert "Traceback" not in err
 
@@ -559,7 +569,10 @@ class TestCli:
         (None, "seeds", [0, 1.5]),
         ("model", "separate_inter_head", "no"),
         ("train", "two_stage", False),
-        ("metrics", "old_new", "no"),
+        ("metrics", "old_new", True),
+        ("metrics", "cka", True),
+        ("metrics", "masking", True),
+        ("metrics", "cf_quality", True),
         ("model", "hidden_dims", [16.7]),
         ("train", "lr", float("nan")),
         ("train", "lr", float("inf")),
@@ -583,7 +596,8 @@ class TestCli:
         ("metrics", "masking_ks", [-1, 0]),
     ], ids=["baseline flag string", "seeds string", "seeds float",
             "inter head string", "two_stage unknown",
-            "old_new string", "hidden_dims float",
+            "old_new removed", "cka removed", "masking removed",
+            "cf_quality removed", "hidden_dims float",
             "lr nan", "lr inf", "batch_size float", "batch_size bool",
             "feature_dim float", "optimizer removed", "schedule removed",
             "buffer_policy removed", "adam_eps removed", "adam_betas removed",

@@ -399,7 +399,7 @@ def test_quality_gradient_beats_random_flips():
         feats = rng.normal(size=(60, 2))
         labels = np.argmax(feats, axis=1)
         grad, grad_vals, _, _ = cf.generate_intra_batch(
-            feats, labels, w, alpha=1.0, epsilon=0.05)
+            feats, labels, w, None, alpha=1.0, epsilon=0.05)
         rand, rand_vals, _, _ = cf.perturb_random(feats, 0.05, rng)
         pfr_g, _, _ = mt.counterfactual_quality(model, feats, grad, grad_vals)
         pfr_r, _, _ = mt.counterfactual_quality(model, feats, rand, rand_vals)
