@@ -502,8 +502,11 @@ def run_sweep(config: ExperimentConfig, param, values):
     run_dir = os.path.join(config.output_dir, config.run_id)
     out_rows = []
     for value, variant in zip(values, variants):
-        rows = _run_seeds(variant, os.path.join(run_dir, f"sweep-{param}",
-                                                f"value-{value}"))
+        try:
+            rows = _run_seeds(variant, os.path.join(
+                run_dir, f"sweep-{param}", f"value-{value}"))
+        except NumericsError as exc:
+            raise NumericsError(f"value {value}: {exc}") from exc
         out_rows.append((float(value), *_seed_mean(rows)))
     _write_csv(os.path.join(run_dir, f"sweep-{param}.csv"), "value,last,avg",
                out_rows)

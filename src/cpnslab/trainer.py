@@ -238,6 +238,17 @@ class RehearsalBuffer:
         return np.concatenate(xs), np.concatenate(ys)
 
 
+def _herding_scores(total, rows, k, mu):
+    """The herding score of each row at pick k: `((total + f) / k - mu)
+    ** 2` summed per row. Elementwise steps and one per-row
+    `np.add.reduce` give a row the same bits whatever rows come with it."""
+    d = total + rows
+    d /= k
+    d -= mu
+    d *= d
+    return np.add.reduce(d, axis=1)
+
+
 def herding_order(features, m):
     """Greedy exemplar sequence over feature rows.
 
@@ -245,31 +256,63 @@ def herding_order(features, m):
     to the class mean; ties go to the lowest remaining index. Returns the
     selected row indices in selection order.
 
-    Each pick scores only the untaken rows. They stay compacted at the
-    front of a work copy in ascending index order, so argmin's first
-    minimum is still the lowest index, and each row's score runs the same
-    elementwise steps, `((total + f) / k - mu) ** 2` summed per row, as
-    over all n rows: the order is the same, ties included.
+    The score that decides a pick is `_herding_scores`; a pick finds its
+    candidates with a cheaper key, and scores them only when there is more
+    than one. With v = total - k mu, a row f scores (‖f‖² + 2 f·v +
+    ‖v‖²) / k², so the key ‖f‖² / 2 + f·v, one matrix-vector product per
+    pick, ranks the rows as the score does in exact arithmetic; taken rows
+    get +inf. The candidates are the rows whose key is within `margin` of
+    the smallest, and the pick is the lone candidate or the first minimum
+    of the candidates' scores in ascending index order, which is the pick
+    of a scan over every untaken row, ties included:
+
+    - span = k (max‖f‖ + ‖mu‖) bounds ‖total‖ + ‖f‖ + k ‖mu‖, and so
+      ‖f‖² / 2 + ‖f‖ ‖v‖ and k² times each score's terms, for every row.
+    - With u = 2⁻⁵³, in any summation order the key is off by at most
+      0.51 (D + 2) u span² and k² times the score by 1.02 (D + 7) u
+      span²; underflow adds under 6 D 2⁻¹⁰⁷⁵ (span + k + 1)².
+    - If the scan picks row i, its score is not above that of the row
+      with the smallest key, so its key exceeds the smallest by at most
+      twice the key's error plus k² times the score's: under 2.5 (D + 8)
+      u span², plus the underflow term and the rounding of the
+      comparison.
+    - `margin` = 32 (D + 8) (u span² + tiny (span + k + 1)²), with tiny
+      the smallest normal float, is over 12 times that.
+
+    When 4 span² or `margin` is not finite (non-finite or huge features),
+    the pick scores every untaken row instead, so the order is the full
+    scan's for every input.
     """
     feats = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    n = len(feats)
+    n, dim = feats.shape
     m = int(min(m, n))
     mu = feats.mean(axis=0)
     total = np.zeros_like(mu)
-    rest, live = feats.copy(), np.arange(n)
-    work, d2 = np.empty_like(feats), np.empty(n)
+    # ‖f‖² / 2 of each row, +inf once it is taken
+    half = 0.5 * np.einsum("ij,ij->i", feats, feats)
+    # max‖f‖ + ‖mu‖; einsum, unlike matmul, does not warn on overflow
+    reach = (math.sqrt(2.0 * half.max(initial=0.0))
+             + math.sqrt(np.einsum("i,i", mu, mu)))
+    taken = np.zeros(n, dtype=bool)
     order = []
     for k in range(1, m + 1):
-        cand = np.add(total, rest[:n], out=work[:n])
-        cand /= k
-        cand -= mu
-        cand *= cand
-        j = int(np.add.reduce(cand, axis=1, out=d2[:n]).argmin())
-        order.append(int(live[j]))
-        total += rest[j]
-        rest[j:n - 1] = rest[j + 1:n]
-        live[j:n - 1] = live[j + 1:n]
-        n -= 1
+        span = k * reach
+        margin = 32.0 * (dim + 8) * (2.0 ** -53 * span * span + 2.0 ** -1022
+                                     * (span + k + 1) * (span + k + 1))
+        if math.isfinite(4.0 * span * span + margin):
+            key = feats @ (total - k * mu)
+            key += half
+            j = int(key.argmin())
+            near = key <= key[j] + margin
+            rows = np.flatnonzero(near) if np.count_nonzero(near) > 1 else None
+        else:
+            rows = np.flatnonzero(~taken)
+        if rows is not None:
+            j = int(rows[_herding_scores(total, feats[rows], k, mu).argmin()])
+        order.append(j)
+        total += feats[j]
+        taken[j] = True
+        half[j] = np.inf
     return order
 
 
@@ -533,15 +576,19 @@ def _objective(model, xb, yb, n_c, frozen, config: TrainConfig, use_cls,
     *hiddens, c_hat = ext.activations_np(xb)
     ins = [xb, *hiddens]  # the input of each layer
     z = np.concatenate([frozen, c_hat], axis=1) if mixed else c_hat
+    # z's gradient is needed in c_hat's columns only: the products into it
+    # take those columns of each head's weight
+    own = slice(z.shape[1] - c_hat.shape[1], None)
     losses, grads = {}, {}
-    # contributions by consumer: into z (c_hat itself when not mixed), into
-    # the current rows of c_hat, and into the classifier
+    # contributions by consumer: into c_hat's columns of z (c_hat itself
+    # when not mixed), into the current rows of c_hat, and into the
+    # classifier
     z_parts, cur_parts, cls_w_parts, cls_b_parts = [], [], [], []
     if use_cls:
         cls_w, cls_b = heads["cls_w"], heads["cls_b"]
         _check_labels(yb, len(cls_b))
         losses["cls"], g_cls = _ce(z @ cls_w.T + cls_b, yb)
-        z_parts.append(g_cls @ cls_w)
+        z_parts.append(g_cls @ cls_w[:, own])
         cls_w_parts.append(g_cls.T @ z)
         cls_b_parts.append(np.add.reduce(g_cls, axis=0))
     if mixed:
@@ -593,7 +640,7 @@ def _objective(model, xb, yb, n_c, frozen, config: TrainConfig, use_cls,
         nec, g_nec = _nlcp(cbar_e @ w_e.T + b_e, yb, config.lam * config.nu)
         losses["inter"] = suff + nec * config.nu
         g_suff = g_suff * config.lam
-        z_parts += [g_suff @ w_e, g_nec @ w_e]
+        z_parts += [g_suff @ w_e[:, own], g_nec @ w_e[:, own]]
         w_parts = [g_suff.T @ z, g_nec.T @ cbar_e]
         b_parts = [np.add.reduce(g_suff, axis=0),
                    np.add.reduce(g_nec, axis=0)]
@@ -631,7 +678,7 @@ def _objective(model, xb, yb, n_c, frozen, config: TrainConfig, use_cls,
     if not mixed:
         c_parts = z_parts + cur_parts
     else:
-        z_part = _sum_in_order(z_parts)[:, frozen.shape[1]:]
+        z_part = _sum_in_order(z_parts)
         cur = (n_c, _sum_in_order(cur_parts)) if cur_parts else None
         if not use_inter:
             c_parts = [z_part, aux_part, cur]
@@ -766,7 +813,9 @@ def _baseline_step(model, xb, yb, frozen, lo, cur_count):
     losses["cls"], g_cls = _ce(z @ cls_w.T + cls_b, yb)
     grads["cls_w"] = g_cls.T @ z
     grads["cls_b"] = g_cls.sum(axis=0)
-    g = g_cls @ cls_w
+    # c_hat's columns of the classifier's input gradient, from its columns
+    # of cls_w alone
+    g = g_cls @ cls_w[:, z.shape[1] - c_hat.shape[1]:]
     if frozen is not None:
         aux_w, aux_b = model.heads["aux_w"].values, model.heads["aux_b"].values
         aux_labels = np.where(yb >= lo, yb - lo, cur_count)
@@ -774,7 +823,7 @@ def _baseline_step(model, xb, yb, frozen, lo, cur_count):
         losses["aux"], g_aux = _ce(c_hat @ aux_w.T + aux_b, aux_labels)
         grads["aux_w"] = g_aux.T @ c_hat
         grads["aux_b"] = g_aux.sum(axis=0)
-        g = g[:, frozen.shape[1]:] + g_aux @ aux_w
+        g += g_aux @ aux_w
     prefix = f"f{model.current_task}/"
     for i in reversed(range(ext.n_layers)):
         grads[f"{prefix}w{i}"] = g.T @ ins[i]

@@ -15,6 +15,7 @@ concatenated into one probe; the per-set `metrics.masking_curve` is held
 to it. `per_array_step` is the optimizer step as it ran one parameter at
 a time, before the flat layout; `trainer.optimizer_step` is held to it.
 `masked_herding_order` is herding as it scored every row at every pick,
+`compacted_herding_order` as it scored every untaken row at every pick,
 and `plain_checkpoint_text` the checkpoint document as one `json.dumps`
 that encodes every array afresh; `trainer.herding_order` and
 `model.save_checkpoint` are held to them exactly.
@@ -443,6 +444,33 @@ def masked_herding_order(features, m):
         order.append(i)
         total += feats[i]
         taken[i] = True
+    return order
+
+
+def compacted_herding_order(features, m):
+    """`trainer.herding_order` scoring every untaken row at every pick,
+    the untaken rows compacted at the front of a work copy in ascending
+    index order. On finite scores it agrees with `masked_herding_order`;
+    where every untaken row scores inf it still picks an untaken one."""
+    feats = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    n = len(feats)
+    m = int(min(m, n))
+    mu = feats.mean(axis=0)
+    total = np.zeros_like(mu)
+    rest, live = feats.copy(), np.arange(n)
+    work, d2 = np.empty_like(feats), np.empty(n)
+    order = []
+    for k in range(1, m + 1):
+        cand = np.add(total, rest[:n], out=work[:n])
+        cand /= k
+        cand -= mu
+        cand *= cand
+        j = int(np.add.reduce(cand, axis=1, out=d2[:n]).argmin())
+        order.append(int(live[j]))
+        total += rest[j]
+        rest[j:n - 1] = rest[j + 1:n]
+        live[j:n - 1] = live[j + 1:n]
+        n -= 1
     return order
 
 

@@ -545,6 +545,19 @@ class TestCli:
         assert "non-finite gradient in 'f0/w0'" in err
         assert "Traceback" not in err
 
+    def test_a_diverging_sweep_names_the_value(self, tmp_path, capsys):
+        doc = tiny_doc(tmp_path / "out")
+        doc["train"]["lr"] = 1e6
+        cfg_path = write_config(tmp_path, doc)
+        assert cli.main(["sweep", cfg_path, "--param", "lambda",
+                         "--values", "0,1"]) == 4
+        out, err = capsys.readouterr()
+        assert not out
+        assert err.count("\n") == 1
+        assert err.startswith(
+            "cpnslab: training diverged: value 0.0: seed 0, task 0: ")
+        assert not (tmp_path / "out" / "t" / "sweep-lambda.csv").exists()
+
     @pytest.mark.parametrize("overrides", [
         {"train": {"batch_size": "32"}},
         {"model": {"hidden_dims": 5}},

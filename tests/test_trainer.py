@@ -4,9 +4,12 @@ projector stop-gradient contract, and the two-stage loop invariants
 
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import all_params
@@ -272,6 +275,158 @@ def test_herding_equals_the_masked_scan_at_benchmark_sizes(d, m, rows):
     assert tr.herding_order(feats, m) == oracles.masked_herding_order(feats, m)
 
 
+def _benchmark_rows(d, rows):
+    """The 150 rows of the benchmark-size herding fixture above, or with
+    near twins: the second 75 rows the first ones scaled by 1 + 2**-20."""
+    rng = np.random.default_rng(d + 150)
+    feats = rng.normal(size=(150, d))
+    if rows == "duplicated":
+        feats[75:] = feats[:75]
+        feats[[3, 40, 149]] = feats.mean(axis=0)
+    elif rows == "near twins":
+        feats[75:] = feats[:75] * (1 + 2.0 ** -20)
+    return feats
+
+
+@pytest.mark.parametrize("d", [16, 64, 192])
+@pytest.mark.parametrize("rows", ["distinct", "duplicated", "near twins"])
+def test_herding_scores_few_rows_exactly_at_benchmark_sizes(monkeypatch, d,
+                                                            rows):
+    # a pick runs the exact score only when its row has untaken copies,
+    # over those copies (72 pairs and a triple take 72 * 2 + 3 + 2 rows),
+    # or, once in the widest case, when a near twin comes within the
+    # margin. A margin 100 times wider scores 8 and 36 rows of near twins
+    # at d = 64 and 192, and 1000 times wider 84 to 104 at every d.
+    feats = _benchmark_rows(d, rows)
+    scored = []
+    scores = tr._herding_scores
+
+    def counting(total, rows_, k, mu):
+        scored.append(len(rows_))
+        return scores(total, rows_, k, mu)
+
+    monkeypatch.setattr(tr, "_herding_scores", counting)
+    order = tr.herding_order(feats, 150)
+    assert order == oracles.masked_herding_order(feats, 150)
+    taken = np.zeros(150, dtype=bool)
+    copies = []
+    for j in order:
+        count = np.count_nonzero((feats == feats[j]).all(axis=1) & ~taken)
+        if count > 1:
+            copies.append(count)
+        taken[j] = True
+    if rows != "near twins":
+        assert scored == copies
+    want = {"distinct": 0, "duplicated": 149, "near twins": 0}[rows]
+    assert sum(scored) == (2 if (rows, d) == ("near twins", 192) else want)
+
+
+@pytest.mark.parametrize("exponent", [-539, -530, -520])
+def test_herding_orders_rows_with_subnormal_scores_as_the_scan_does(
+        exponent):
+    # scores and keys round to multiples of the smallest subnormal, so the
+    # scan's pick need not have the smallest key, and the margin's
+    # underflow term must reach it
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        feats = rng.normal(size=(30, 6)) * 2.0 ** exponent
+        assert tr.herding_order(feats, 30) == oracles.masked_herding_order(
+            feats, 30)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e8])
+def test_herding_orders_rows_one_ulp_apart_as_the_scan_does(offset):
+    # 75 rows and a twin of each, one ulp up or down in one column, in
+    # shuffled positions; picks run to k = 150, where the running total is
+    # 150 times the offset
+    rng = np.random.default_rng(11)
+    base = offset + rng.normal(size=(75, 64))
+    twin = base.copy()
+    at = (np.arange(75), rng.integers(0, 64, size=75))
+    twin[at] = np.nextafter(twin[at], rng.choice([-np.inf, np.inf], size=75))
+    feats = np.concatenate([base, twin])[rng.permutation(150)]
+    assert tr.herding_order(feats, 150) == oracles.masked_herding_order(
+        feats, 150)
+
+
+def test_herding_breaks_ties_only_rounding_makes_as_the_scan_does():
+    # rows 2**30 plus a multiple of 2**-20: once the running total is large,
+    # (total + f) / k loses the difference, and distinct rows score alike
+    rng = np.random.default_rng(12)
+    feats = 2.0 ** 30 + rng.integers(0, 8, size=(120, 6)) * 2.0 ** -20
+    order = oracles.masked_herding_order(feats, 120)
+    assert tr.herding_order(feats, 120) == order
+    mu = feats.mean(axis=0)
+    total = np.zeros(6)
+    rounded_ties = 0
+    for k, j in enumerate(order, start=1):
+        rest = np.setdiff1d(np.arange(120), order[:k - 1])
+        scores = tr._herding_scores(total, feats[rest], k, mu)
+        best = rest[scores == scores.min()]
+        rounded_ties += len(np.unique(feats[best], axis=0)) > 1
+        total += feats[j]
+    assert rounded_ties > 10
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40),
+       d=st.integers(1, 24), exponent=st.integers(-560, 500),
+       rows=st.sampled_from(["random", "duplicated", "offset"]),
+       extra=st.integers(-2, 3))
+def test_herding_equals_the_masked_scan_on_random_rows(seed, n, d, exponent,
+                                                       rows, extra):
+    # scaled by 2**exponent, exactly: scores that underflow at the bottom,
+    # and squared norms that overflow at the top, which the key filter
+    # hands to the full scan
+    rng = np.random.default_rng(seed)
+    feats = rng.normal(size=(n, d))
+    if rows == "duplicated":
+        feats = feats[rng.integers(0, n // 3 + 1, size=n)]
+    elif rows == "offset":
+        feats += rng.normal(scale=1e4, size=d)
+    feats *= 2.0 ** exponent
+    m = n + extra
+    assert tr.herding_order(feats, m) == oracles.masked_herding_order(feats,
+                                                                      m)
+
+
+def _result_and_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("case", ["nan", "inf", "both infinities", "huge"])
+def test_herding_of_non_finite_or_huge_rows_is_the_full_scan(case):
+    # the full scan's order and warnings; at 1e200 every score overflows to
+    # inf, and the scan still takes the lowest untaken row
+    feats = np.random.default_rng(3).normal(size=(20, 6))
+    if case == "nan":
+        feats[7, 2] = np.nan
+    elif case == "inf":
+        feats[4] = np.inf
+    elif case == "both infinities":
+        feats[4, 0], feats[9, 0] = np.inf, -np.inf
+    else:
+        feats *= 1e200
+    got = _result_and_warnings(tr.herding_order, feats, 12)
+    assert got == _result_and_warnings(oracles.compacted_herding_order,
+                                       feats, 12)
+    assert len(got[0]) == 12 and len(set(got[0])) == 12
+
+
+@pytest.mark.parametrize("shape, m", [((5, 3), 0), ((5, 3), -3), ((0, 3), 4),
+                                      ((1, 0), 2)])
+def test_herding_of_no_picks_no_rows_or_no_columns_is_the_full_scan(shape,
+                                                                    m):
+    feats = np.random.default_rng(4).normal(size=shape)
+    got = _result_and_warnings(tr.herding_order, feats, m)
+    assert got == _result_and_warnings(oracles.compacted_herding_order,
+                                       feats, m)
+    assert got[0] == ([0] if shape == (1, 0) else [])
+
+
 # ---------------------------------------------------------------------------
 # rehearsal buffer
 
@@ -470,18 +625,34 @@ def _objective_model(task, separate, hidden):
     return model, buf, tasks[task]
 
 
-@pytest.mark.parametrize("hidden", [(16,), (16, 8)], ids=["1-layer", "2-layer"])
-@pytest.mark.parametrize("separate", [False, True], ids=["tied", "separate"])
-@pytest.mark.parametrize("task", [0, 1])
-@pytest.mark.parametrize("stage", [1, 2])
-def test_objective_matches_the_graph_bitwise(stage, task, separate, hidden):
+def _long_stream_model(separate):
+    """A model at the last task of a 12-task stream at the benchmark
+    widths: 11 frozen extractors, so the representation is 192 wide and
+    c_hat its last 16 columns, a buffer with one or two rows of each of
+    the 44 old classes, and the task's 20 rows."""
+    dim, hidden, feat = WIDE
+    rng = np.random.default_rng(47)
+    model = ExpandableModel(input_dim=dim, feature_dim=feat,
+                            hidden_dims=hidden, separate_inter_head=separate,
+                            seed=5)
+    buf = tr.RehearsalBuffer(48)
+    for t in range(12):
+        model.expand(4)
+        task = blob_task(rng, range(4 * t, 4 * t + 4), 5, dim)
+        if t < 11:
+            tr.buffer_commit(buf, task, model)
+    assert model.frozen_concat_np(task[0]).shape[1] == 176
+    return model, buf, task
+
+
+def _objective_epochs_match_the_graph(make_model, stage, task):
     # every loss value and gradient of every step of an epoch, for each of
     # nu, gamma, lam off or on; the steps apply the fused gradients, so
     # later batches see trained parameters
     knobs = itertools.product([0.0, 0.7], [0.0, 1.3], [0.0, 0.5])
     for nu, gamma, lam in knobs:
         rng = np.random.default_rng(17)
-        model, buf, (x, y) = _objective_model(task, separate, hidden)
+        model, buf, (x, y) = make_model()
         cfg = full_cfg(nu=nu, gamma=gamma, lam=lam, batch_size=8)
         use_intra = nu > 0 or gamma > 0
         flags = ((not use_intra, use_intra, False) if stage == 1
@@ -503,6 +674,23 @@ def test_objective_matches_the_graph_bitwise(stage, task, separate, hidden):
             for name in params:
                 assert _same_bits(grads[name], want[name]), (case, name)
             tr.optimizer_step(params, grads, state, cfg)
+
+
+@pytest.mark.parametrize("hidden", [(16,), (16, 8)], ids=["1-layer", "2-layer"])
+@pytest.mark.parametrize("separate", [False, True], ids=["tied", "separate"])
+@pytest.mark.parametrize("task", [0, 1])
+@pytest.mark.parametrize("stage", [1, 2])
+def test_objective_matches_the_graph_bitwise(stage, task, separate, hidden):
+    _objective_epochs_match_the_graph(
+        lambda: _objective_model(task, separate, hidden), stage, task)
+
+
+@pytest.mark.parametrize("separate", [False, True], ids=["tied", "separate"])
+def test_objective_matches_the_graph_bitwise_at_a_long_stream_width(
+        separate):
+    # z's gradient comes from c_hat's 16 of the 192 columns of each head
+    _objective_epochs_match_the_graph(
+        lambda: _long_stream_model(separate), 2, 11)
 
 
 @pytest.mark.parametrize("stage, want", [(1, 5), (2, 11)])
@@ -554,19 +742,17 @@ def test_objective_rejects_a_label_outside_its_head():
             tr._objective(model, x, y, 4, None, full_cfg(), *flags)
 
 
-@pytest.mark.parametrize("hidden", [(16,), (16, 8)], ids=["1-layer", "2-layer"])
-@pytest.mark.parametrize("task", [0, 1, 2])
-def test_baseline_step_matches_the_graph_bitwise(task, hidden):
-    # every step of two epochs against the graph of the cls flag alone,
-    # which is the baseline's; the steps apply the gradients, so later
-    # batches see trained parameters
+def _baseline_steps_match_the_graph(model, buf, x, y):
+    """Every step of two epochs against the graph of the cls flag alone,
+    which is the baseline's; the steps apply the gradients, so later
+    batches see trained parameters. Returns the batches' (n_c, rows)."""
     rng = np.random.default_rng(19)
-    model, buf, (x, y) = _objective_model(task, False, hidden)
     cfg = baseline_cfg(batch_size=8)
     lo, cur_count = model.class_offsets[-1][0], model.current_class_count
     params = tr._param_set(model, True, False, False)
     state = tr.make_optimizer_state(params)
-    tables = tr._rehearsal_tables(model, x, buf) if task else None
+    tables = (tr._rehearsal_tables(model, x, buf) if model.current_task
+              else None)
     sizes = set()
     for _ in range(2):
         for xb, yb, n_c, frozen in tr._batches(x, y, tables, cfg.batch_size,
@@ -583,9 +769,24 @@ def test_baseline_step_matches_the_graph_bitwise(task, hidden):
                 assert np.array_equal(grads[name], want[name]), (n_c, name)
                 assert _same_bits(grads[name], want[name]), (n_c, name)
             tr.optimizer_step(params, grads, state, cfg)
+    return sizes
+
+
+@pytest.mark.parametrize("hidden", [(16,), (16, 8)], ids=["1-layer", "2-layer"])
+@pytest.mark.parametrize("task", [0, 1, 2])
+def test_baseline_step_matches_the_graph_bitwise(task, hidden):
+    model, buf, (x, y) = _objective_model(task, False, hidden)
+    sizes = _baseline_steps_match_the_graph(model, buf, x, y)
     # a short last batch, and from task 1 on a buffer smaller than a batch
     assert sizes == ({(8, 8), (5, 5)} if task == 0
                      else {(8, 14), (5, 10)})
+
+
+def test_baseline_step_matches_the_graph_bitwise_at_a_long_stream_width():
+    # the classifier's input gradient from c_hat's 16 of its 192 columns
+    model, buf, (x, y) = _long_stream_model(False)
+    sizes = _baseline_steps_match_the_graph(model, buf, x, y)
+    assert sizes == {(8, 16), (4, 8)}
 
 
 def test_baseline_step_rejects_a_label_outside_its_head():
