@@ -261,19 +261,21 @@ def load_config(path) -> ExperimentConfig:
 # evaluation helpers
 
 def _extend_activations(model, test_sets, acts):
-    """Bring acts[j][t], extractor t's `activations_np` on test set j, up
-    to every extractor of the model and every set in `test_sets`.
+    """Bring acts[j][t], extractor t's `masks_np` on test set j (its hidden
+    layers' bool ReLU masks, then its float64 feature), up to every
+    extractor of the model and every set in `test_sets`.
 
     An extractor is final once its task is trained (`trainer._check_frozen`
     enforces it), so entries already in `acts` stay valid and only the
     missing ones are computed: after task t, extractor t on sets 0..t and
-    extractors 0..t-1 on set t, 2t+1 forwards.
+    extractors 0..t-1 on set t, 2t+1 forwards. Evaluation reads a hidden
+    activation only through its mask, so that is all an entry keeps.
     """
     for j, (x, _) in enumerate(test_sets):
         if j == len(acts):
             acts.append([])
         done = len(acts[j])
-        acts[j].extend(ext.activations_np(x) for ext in model.extractors[done:])
+        acts[j].extend(ext.masks_np(x) for ext in model.extractors[done:])
 
 
 def _seen_set_outputs(model, acts, test_sets):
@@ -312,10 +314,11 @@ def evaluate_task(model, stream, task_index, history, acts,
     `history` and `acts` carry state from one task's evaluation to the
     next, so both start empty and see every task of one run in order:
     `history` gains this task's pooled accuracy, and `acts[j][t]`,
-    extractor t's activations on test set j, gains the 2t+1 entries the
-    new extractor and the new test set add (`_extend_activations`). The
-    accuracies, the prototypes, the saliency and the k = 0 masking point
-    read `acts`; only the masked passes (k > 0) run every extractor again.
+    extractor t's ReLU masks and feature on test set j, gains the 2t+1
+    entries the new extractor and the new test set add
+    (`_extend_activations`). The accuracies, the prototypes, the saliency
+    and the k = 0 masking point read `acts`; only the masked passes
+    (k > 0) run every extractor again.
 
     Each diagnostic is computed whenever its inputs allow: old-to-new
     error and CKA from the second task on, the masking curve when the

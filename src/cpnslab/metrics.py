@@ -201,17 +201,19 @@ def input_saliency(model, acts):
     """|d logit_pred / d x| per sample and input dimension, in closed form,
     and the predicted class per sample.
 
-    `acts[t]` is extractor t's `activations_np` on the rows, one entry per
-    extractor in task order. The gradient of the predicted logit in the
-    concatenated features is the predicted class's row of the classifier
-    weight; its d-wide block t is the gradient in extractor t's feature.
-    Each block goes back through its extractor's layers as `g @ w_i`, and
-    below a hidden layer times that layer's ReLU mask `acts > 0`. The
-    extractors' input gradients are summed in task order 0..T-1, the order
-    in which the autodiff graph of the same logit adds them, so the result
-    is that graph's to the bit; from three extractors on another order
-    moves bits. The tests keep the graph as the reference. Returns
-    (saliency, predicted classes).
+    `acts[t]` is extractor t's `masks_np` on the rows (each hidden
+    layer's bool ReLU mask, then the feature), one entry per extractor in
+    task order. Its `activations_np` gives the same bits, since a hidden
+    layer is read only through `> 0.0`. The gradient of the predicted
+    logit in the concatenated features is the predicted class's row of
+    the classifier weight; its d-wide block t is the gradient in
+    extractor t's feature. Each block goes back through its extractor's
+    layers as `g @ w_i`, and below a hidden layer times that layer's ReLU
+    mask. The extractors' input gradients are summed in task order
+    0..T-1, the order in which the autodiff graph of the same logit adds
+    them, so the result is that graph's to the bit; from three extractors
+    on another order moves bits. The tests keep the graph as the
+    reference. Returns (saliency, predicted classes).
     """
     if len(acts) != model.task_count:
         raise InputError(f"{len(acts)} activation sets for "
@@ -235,9 +237,10 @@ def masking_curve(model, test_sets, acts, dim_tags, ks):
 
     Causal dims are those tagged causal or minimal_causal; they are ranked
     per sample by input-gradient magnitude. `test_sets` holds (x, y)
-    pairs and `acts[j][t]` is extractor t's `activations_np` on test set
-    j, so the unmasked forward is not run again: the saliency and the
-    k = 0 predictions come from those activations. Each set is masked and
+    pairs and `acts[j][t]` is extractor t's `masks_np` (or
+    `activations_np`) on test set j, so the unmasked forward is not run
+    again: the saliency and the k = 0 predictions come from those ReLU
+    masks and features (`input_saliency`). Each set is masked and
     scored on its own, and the hits are summed over the sets, which gives
     the accuracy over all their rows exactly. Returns [(k, acc)].
     """

@@ -95,6 +95,12 @@ class FeatureExtractor:
             acts.append(h)
         return acts
 
+    def masks_np(self, x):
+        """What evaluation keeps of `activations_np`: each hidden layer's
+        ReLU mask `h > 0.0` (bool), then the float64 feature."""
+        *hiddens, feature = self.activations_np(x)
+        return [h > 0.0 for h in hiddens] + [feature]
+
 
 class ExpandableModel:
     """Holds the extractor stack, the widening classifier, and the heads.
@@ -204,11 +210,19 @@ class ExpandableModel:
                 f"input dim {x.shape[-1]} does not match model input {self.input_dim}")
         return x
 
+    def _feature_table(self, extractors, x):
+        """The features of `extractors` in order, side by side: each one's
+        block is written into one table, the bits `np.concatenate` gives."""
+        x = self._check_input(x)
+        d = self.feature_dim
+        table = np.empty(x.shape[:-1] + (len(extractors) * d,))
+        for t, ext in enumerate(extractors):
+            table[..., t * d:(t + 1) * d] = ext.forward_np(x)
+        return table
+
     def concat_features_np(self, x):
         """Per-extractor features in task order, concatenated."""
-        x = self._check_input(x)
-        return np.concatenate([ext.forward_np(x) for ext in self.extractors],
-                              axis=-1)
+        return self._feature_table(self.extractors, x)
 
     def current_feature_np(self, x):
         x = self._check_input(x)
@@ -218,9 +232,7 @@ class ExpandableModel:
         """Concatenated frozen features [f_0 .. f_{t-1}], numpy only."""
         if self.task_count < 2:
             raise UsageError("no frozen extractors before the second task")
-        x = self._check_input(x)
-        return np.concatenate(
-            [ext.forward_np(x) for ext in self.extractors[:-1]], axis=-1)
+        return self._feature_table(self.extractors[:-1], x)
 
     def forward_concat_np(self, x):
         if not self.extractors:

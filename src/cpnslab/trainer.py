@@ -653,7 +653,8 @@ def _objective(model, xb, yb, n_c, frozen, config: TrainConfig, use_cls,
         if config.gamma > 0:
             kl_e, g_a_e, g_b_e = _kl(ref_e, c_hat + (cfs_e - c_hat),
                                      config.gamma)
-            losses["kl"] = losses["kl"] + kl_e
+            # the graph sums the kl terms from 0, as Python's `sum` does
+            losses["kl"] = losses.get("kl", 0) + kl_e
         # projector fit; the target c_hat enters as a plain value
         diff = proj - c_hat
         k = 1.0 / len(c_hat)

@@ -1,5 +1,6 @@
 """Shared test helpers: numeric differentiation oracle, error metrics, a
-by-name view of a model's parameters and every extractor's activations."""
+by-name view of a model's parameters and every extractor's evaluation
+entry (ReLU masks and feature)."""
 
 import numpy as np
 
@@ -44,6 +45,7 @@ def all_params(model):
 
 
 def activations(model, x):
-    """`activations_np` of every extractor on x, in task order: the
-    per-set entry `metrics.input_saliency` and `masking_curve` read."""
-    return [ext.activations_np(x) for ext in model.extractors]
+    """`masks_np` of every extractor on x, in task order (hidden ReLU masks,
+    then the feature): the per-set entry that evaluation keeps and
+    `metrics.input_saliency` and `masking_curve` read."""
+    return [ext.masks_np(x) for ext in model.extractors]

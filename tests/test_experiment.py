@@ -434,6 +434,38 @@ class TestRunSeed:
             assert len(got) == 2 * t + 1
             assert got == want
 
+    def test_evaluation_keeps_relu_masks_and_features(self, tmp_path):
+        # what evaluation reads of an extractor's activations on a test
+        # set: each hidden layer's ReLU mask, as bools, and the feature
+        doc = tiny_doc(tmp_path, model={"feature_dim": 8,
+                                        "hidden_dims": [16, 8]})
+        doc["data"]["num_tasks"] = 3
+        cfg = ex.config_from_dict(doc)
+        stream = cfg.build_stream(0)
+        model = mdl.ExpandableModel(input_dim=cfg.input_dim(stream),
+                                    feature_dim=8, hidden_dims=(16, 8),
+                                    seed=0)
+        history, acts = [], []
+        for t, (_, _, (lo, hi)) in enumerate(stream.tasks):
+            model.expand(hi - lo)
+            ex.evaluate_task(model, stream, t, history, acts, cfg.metrics,
+                             cfg.train.gen)
+        test_xs = [x for _, (x, _), _ in stream.tasks]
+        assert [len(set_acts) for set_acts in acts] == [3, 3, 3]
+        for x, set_acts in zip(test_xs, acts):
+            for ext, entry in zip(model.extractors, set_acts):
+                *hiddens, feature = ext.activations_np(x)
+                assert len(entry) == 3
+                for mask, h in zip(entry, hiddens):
+                    assert mask.dtype == bool
+                    np.testing.assert_array_equal(mask, h > 0)
+                assert entry[-1].dtype == np.float64
+                assert entry[-1].tobytes() == feature.tobytes()
+        # per row and extractor: one byte per hidden unit, eight per feature
+        nbytes = sum(a.nbytes for set_acts in acts for entry in set_acts
+                     for a in entry)
+        assert nbytes == 3 * sum(len(x) * (16 + 8 + 8 * 8) for x in test_xs)
+
 
 # ---------------------------------------------------------------------------
 # sweeps and ablations

@@ -313,6 +313,32 @@ def test_per_set_masking_matches_the_concatenated_probe():
         assert curve[0] == (0, float(np.mean(pred == y_all)))
 
 
+@pytest.mark.parametrize("hidden", [(12,), (12, 7)], ids=["1-layer", "2-layer"])
+def test_mask_entries_give_the_bits_of_full_activations(hidden):
+    # evaluation keeps each hidden layer as its bool ReLU mask; the
+    # saliency multiplies by that mask, so it and the curve keep every bit
+    tags = ["causal", "noise", "minimal_causal", "causal", "spurious"] * 2
+    model = ExpandableModel(input_dim=10, feature_dim=6, hidden_dims=hidden,
+                            seed=11)
+    for _ in range(3):
+        model.expand(3)
+    rng = np.random.default_rng(12)
+    sets = [(rng.normal(size=(n, 10)), rng.integers(0, 9, n))
+            for n in (60, 45, 80)]
+    masks = [activations(model, x) for x, _ in sets]
+    full = [[ext.activations_np(x) for ext in model.extractors]
+            for x, _ in sets]
+    assert all(m.dtype == bool for entry in masks[0] for m in entry[:-1])
+    for m, f in zip(masks, full):
+        sal_m, pred_m = mt.input_saliency(model, m)
+        sal_f, pred_f = mt.input_saliency(model, f)
+        assert sal_m.tobytes() == sal_f.tobytes()
+        assert pred_m.tobytes() == pred_f.tobytes()
+    ks = [0, 1, 2, 5]
+    assert (mt.masking_curve(model, sets, masks, tags, ks)
+            == mt.masking_curve(model, sets, full, tags, ks))
+
+
 def test_per_set_saliency_on_small_sets_is_close_to_the_concatenated():
     # below a few hundred rows BLAS may take another kernel for a set's
     # products than for the concatenated ones, so the last bit can differ

@@ -61,6 +61,24 @@ def test_expand_inherits_classifier_block():
     assert m.heads["proj_w0"].shape[1] == 4  # t*d with t=1
 
 
+@pytest.mark.parametrize("shape", [(5, 8), (8,), (0, 8)],
+                         ids=["rows", "one-row-1d", "no-rows"])
+def test_feature_tables_equal_the_concatenated_features(shape):
+    # each extractor's block is written into one table; the bits are those
+    # of concatenating the per-extractor features
+    m = md.ExpandableModel(input_dim=8, feature_dim=4, hidden_dims=(6, 5),
+                           seed=2)
+    for _ in range(3):
+        m.expand(2)
+    x = np.random.default_rng(4).normal(size=shape)
+    feats = [ext.forward_np(x) for ext in m.extractors]
+    for got, want in ((m.concat_features_np(x), np.concatenate(feats, axis=-1)),
+                      (m.frozen_concat_np(x),
+                       np.concatenate(feats[:-1], axis=-1))):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_expansion_alone_preserves_old_logits():
     rng = np.random.default_rng(0)
     m = fresh()

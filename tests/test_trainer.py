@@ -647,16 +647,24 @@ def _long_stream_model(separate):
 
 def _objective_epochs_match_the_graph(make_model, stage, task):
     # every loss value and gradient of every step of an epoch, for each of
-    # nu, gamma, lam off or on; the steps apply the fused gradients, so
-    # later batches see trained parameters
-    knobs = itertools.product([0.0, 0.7], [0.0, 1.3], [0.0, 0.5])
-    for nu, gamma, lam in knobs:
+    # nu, gamma, lam off or on, with the flags train_task derives from
+    # them; the steps apply the fused gradients, so later batches see
+    # trained parameters. In stage 2 from the second task on, gamma > 0
+    # with lam > 0 also runs the inter KL alone (no intra term), which
+    # train_task never asks for
+    cases = []
+    for nu, gamma, lam in itertools.product([0.0, 0.7], [0.0, 1.3],
+                                            [0.0, 0.5]):
+        use_intra = nu > 0 or gamma > 0
+        cases.append((nu, gamma, lam,
+                      (not use_intra, use_intra, False) if stage == 1
+                      else (True, use_intra, lam > 0 and task >= 1)))
+        if stage == 2 and task >= 1 and gamma > 0 and lam > 0:
+            cases.append((nu, gamma, lam, (True, False, True)))
+    for nu, gamma, lam, flags in cases:
         rng = np.random.default_rng(17)
         model, buf, (x, y) = make_model()
         cfg = full_cfg(nu=nu, gamma=gamma, lam=lam, batch_size=8)
-        use_intra = nu > 0 or gamma > 0
-        flags = ((not use_intra, use_intra, False) if stage == 1
-                 else (True, use_intra, lam > 0 and task >= 1))
         mixed = flags[0] and task >= 1
         params = tr._param_set(model, *flags)
         state = tr.make_optimizer_state(params)
@@ -666,7 +674,7 @@ def _objective_epochs_match_the_graph(make_model, stage, task):
             args = (model, xb, yb, n_c, frozen, cfg, *flags)
             want_losses, want = oracles.graph_objective(*args)
             losses, grads = tr._objective(*args)
-            case = (nu, gamma, lam, n_c)
+            case = (nu, gamma, lam, flags, n_c)
             assert losses.keys() == want_losses.keys(), case
             assert all(_same_bits(losses[k], want_losses[k])
                        for k in losses), case
