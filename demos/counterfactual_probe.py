@@ -12,6 +12,7 @@ Run from the repository root:
 """
 
 import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,6 @@ from cpnslab import counterfactual as cf
 from cpnslab import experiment as ex
 from cpnslab import metrics as mt
 from cpnslab import model as mdl
-from cpnslab import trainer as tr
 
 CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                       "configs", "trap-full.json")
@@ -28,21 +28,15 @@ CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
 
 def train_two_task(seed=0):
     """(model, stream, config): a model trained on the first two tasks of
-    configs/trap-full.json's stream, that stream and the config."""
+    configs/trap-full.json's stream, that stream and the config. The run
+    is the package's own (`run_seed`), in a temporary directory, and the
+    model is its checkpoint after the second task."""
     config = ex.load_config(CONFIG)
     config = replace(config, data=dict(config.data, num_tasks=2))
-    stream = config.build_stream(seed)
-    cfg = config.train
-    model = mdl.ExpandableModel(config.input_dim(stream),
-                                config.model.feature_dim,
-                                config.model.hidden_dims, seed=seed)
-    buffer = tr.RehearsalBuffer(cfg.buffer_capacity)
-    rng = np.random.default_rng(seed + 1)
-    for t, (train, _, (lo, hi)) in enumerate(stream.tasks):
-        model.expand(hi - lo)
-        tr.train_task(model, train, buffer if t else None, cfg, rng)
-        tr.buffer_commit(buffer, train, model)
-    return model, stream, config
+    with tempfile.TemporaryDirectory() as out_dir:
+        ex.run_seed(config, seed, out_dir=out_dir)
+        model = mdl.load_checkpoint(os.path.join(out_dir, "task-1.ckpt"))
+    return model, config.build_stream(seed), config
 
 
 def main():

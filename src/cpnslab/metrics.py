@@ -197,52 +197,49 @@ def extractor_cka(ext_a, ext_b, x):
 # ---------------------------------------------------------------------------
 # saliency masking
 
-def input_saliency(model, acts):
-    """|d logit_pred / d x| per sample and input dimension, in closed form,
-    and the predicted class per sample.
+def input_saliency(model, acts, pred):
+    """|d logit_pred / d x| per sample and input dimension, in closed form.
 
     `acts[t]` is extractor t's `masks_np` on the rows (each hidden
     layer's bool ReLU mask, then the feature), one entry per extractor in
-    task order. Its `activations_np` gives the same bits, since a hidden
-    layer is read only through `> 0.0`. The gradient of the predicted
-    logit in the concatenated features is the predicted class's row of
-    the classifier weight; its d-wide block t is the gradient in
-    extractor t's feature. Each block goes back through its extractor's
-    layers as `g @ w_i`, and below a hidden layer times that layer's ReLU
-    mask. The extractors' input gradients are summed in task order
-    0..T-1, the order in which the autodiff graph of the same logit adds
-    them, so the result is that graph's to the bit; from three extractors
-    on another order moves bits. The tests keep the graph as the
-    reference. Returns (saliency, predicted classes).
+    task order, and `pred` the predicted class per row. The gradient of
+    the predicted logit in the concatenated features is the predicted
+    class's row of the classifier weight; its d-wide block t is the
+    gradient in extractor t's feature. Each block goes back through its
+    extractor's layers as `g @ w_i`, and below a hidden layer times that
+    layer's ReLU mask. The extractors' input gradients are summed in task
+    order 0..T-1, the order in which the autodiff graph of the same logit
+    adds them, so the result is that graph's to the bit; from three
+    extractors on another order moves bits. The tests keep the graph as
+    the reference.
     """
     if len(acts) != model.task_count:
         raise InputError(f"{len(acts)} activation sets for "
                          f"{model.task_count} extractors")
     d = model.feature_dim
-    logits = model.head_np("cls", np.concatenate([a[-1] for a in acts], axis=1))
-    pred = np.argmax(logits, axis=1)
     g_feat = model.heads["cls_w"].values[pred]
     for t, (ext, a) in enumerate(zip(model.extractors, acts)):
         g = g_feat[:, t * d:(t + 1) * d]
         for i in reversed(range(ext.n_layers)):
             g = g @ ext.params[f"w{i}"].values
             if i:
-                g = g * (a[i - 1] > 0.0)
+                g = g * a[i - 1]
         grad = g if t == 0 else grad + g
-    return np.abs(grad), pred
+    return np.abs(grad)
 
 
-def masking_curve(model, test_sets, acts, dim_tags, ks):
+def masking_curve(model, test_sets, acts, preds, dim_tags, ks):
     """Accuracy after zeroing each sample's top-k salient causal dims.
 
     Causal dims are those tagged causal or minimal_causal; they are ranked
     per sample by input-gradient magnitude. `test_sets` holds (x, y)
-    pairs and `acts[j][t]` is extractor t's `masks_np` (or
-    `activations_np`) on test set j, so the unmasked forward is not run
-    again: the saliency and the k = 0 predictions come from those ReLU
-    masks and features (`input_saliency`). Each set is masked and
-    scored on its own, and the hits are summed over the sets, which gives
-    the accuracy over all their rows exactly. Returns [(k, acc)].
+    pairs, `acts[j][t]` is extractor t's `masks_np` on test set j and
+    `preds[j]` the model's predictions on set j, so the unmasked forward
+    is not run again: the saliency comes from those ReLU masks and
+    predictions (`input_saliency`), and the k = 0 point is the
+    predictions' accuracy. Each set is masked and scored on its own, and
+    the hits are summed over the sets, which gives the accuracy over all
+    their rows exactly. Returns [(k, acc)].
     """
     causal_cols = np.array([i for i, t in enumerate(dim_tags)
                             if t in ("causal", "minimal_causal")], dtype=np.int64)
@@ -256,16 +253,16 @@ def masking_curve(model, test_sets, acts, dim_tags, ks):
     if ks[-1] > len(causal_cols):
         raise ConfigurationError(
             f"k up to {ks[-1]} exceeds the {len(causal_cols)} annotated dims")
-    if len(acts) != len(test_sets):
-        raise InputError(f"{len(acts)} activation sets for "
-                         f"{len(test_sets)} test sets")
+    if not len(acts) == len(preds) == len(test_sets):
+        raise InputError(f"{len(acts)} activation sets and {len(preds)} "
+                         f"prediction sets for {len(test_sets)} test sets")
 
     hits = [0] * len(ks)
     total = 0
-    for (x, y), set_acts in zip(test_sets, acts):
+    for (x, y), set_acts, pred in zip(test_sets, acts, preds):
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
-        sal, pred = input_saliency(model, set_acts)
+        sal = input_saliency(model, set_acts, pred)
         # per-sample causal cols, most salient first
         order = np.argsort(-sal[:, causal_cols], axis=1)
         for i, k in enumerate(ks):

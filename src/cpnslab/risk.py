@@ -22,8 +22,6 @@ which treats each perturbation as a constant offset, so no second-order
 terms arise.
 """
 
-from __future__ import annotations
-
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -100,15 +98,14 @@ def _build_report(r_intra, m_intra, pns_intra, n_intra,
 # ---------------------------------------------------------------------------
 # indicator computation
 
-def _intra_indicators(model, x, y_global, cfg: GenConfig, label_policy="true"):
+def _intra_indicators(model, x, y_global, cfg: GenConfig, on_prediction):
     """Returns (factual_correct, cf_correct, degenerate) as boolean arrays
     over the current-task batch.
 
-    label_policy picks which label the generator ascends: "true" for the
-    training-aligned counterfactuals of the risk definition, "predicted"
-    for an outcome-independent intervention policy (used by the
-    interventional estimator, where conditioning the intervention on the
-    true label would bias the accuracy difference)."""
+    The generator ascends the true label, as in the risk definition, or
+    with `on_prediction` the model's predicted one: the outcome-independent
+    intervention of the interventional estimator, where conditioning the
+    intervention on the true label would bias the accuracy difference."""
     lo, hi = model.class_offsets[-1]
     y = np.asarray(y_global, dtype=np.int64)
     if y.min() < lo or y.max() >= hi:
@@ -116,7 +113,7 @@ def _intra_indicators(model, x, y_global, cfg: GenConfig, label_policy="true"):
     y_local = y - lo
     feats = model.current_feature_np(x)
     pred_f = np.argmax(model.head_np("intra", feats), axis=1)
-    gen_labels = y_local if label_policy == "true" else pred_f
+    gen_labels = pred_f if on_prediction else y_local
     cfs, _, _, degenerate = cf.generate_intra_batch(
         feats, gen_labels, model.heads["intra_w"].values,
         b=model.heads["intra_b"].values, alpha=cfg.alpha, epsilon=cfg.epsilon)
@@ -165,7 +162,7 @@ def _is_empty(batch):
 
 
 def empirical_cpns_risk(current_batch, buffer_batch, model,
-                        cfg: GenConfig | None = None) -> CpnsReport:
+                        cfg: GenConfig) -> CpnsReport:
     """Indicator risk per scope, averaged 1/n over the current task and
     1/N over the buffer-plus-current pool; the returned report also
     carries the interventional estimates over the same pools.
@@ -173,12 +170,12 @@ def empirical_cpns_risk(current_batch, buffer_batch, model,
     On the first task the inter scope does not exist and is reported with
     count 0. `buffer_batch` may be None there, never afterwards.
     """
-    cfg = cfg or GenConfig()
     if _is_empty(current_batch):
         raise InputError("current batch is empty")
     x_cur = np.asarray(current_batch[0], dtype=np.float64)
     y_cur = np.asarray(current_batch[1], dtype=np.int64)
-    intra = _scope(*_intra_indicators(model, x_cur, y_cur, cfg))
+    intra = _scope(*_intra_indicators(model, x_cur, y_cur, cfg,
+                                     on_prediction=False))
     n = len(y_cur)
 
     if model.task_count < 2:
@@ -192,27 +189,23 @@ def empirical_cpns_risk(current_batch, buffer_batch, model,
 
 
 def estimate_pns_interventional(eval_set, model, scope,
-                                cfg: GenConfig | None = None,
-                                label_policy="predicted") -> float:
+                                cfg: GenConfig) -> float:
     """Accuracy with factual representations minus accuracy with the
     generated counterfactual ones; the do() interventions are simulated by
     feature replacement. Value in [-1, 1] by construction.
 
-    The default intervention policy perturbs against the model's own
-    prediction rather than the true label: a do() proxy must not condition
-    on the outcome it is scoring, or an untrained model already shows a
-    spurious positive effect. Pass label_policy="true" for the
-    training-aligned generation that the risk report uses.
+    The intra intervention perturbs against the model's own prediction
+    rather than the true label: a do() proxy must not condition on the
+    outcome it is scoring, or an untrained model already shows a spurious
+    positive effect. The training-aligned generation is the risk report's
+    `pns_intra_est`.
     """
-    if label_policy not in ("true", "predicted"):
-        raise UsageError(f"unknown label_policy {label_policy!r}")
-    cfg = cfg or GenConfig()
     if _is_empty(eval_set):
         raise InputError("eval set is empty")
     x = np.asarray(eval_set[0], dtype=np.float64)
     y = np.asarray(eval_set[1], dtype=np.int64)
     if scope == "intra":
-        indicators = _intra_indicators(model, x, y, cfg, label_policy)
+        indicators = _intra_indicators(model, x, y, cfg, on_prediction=True)
     elif scope == "inter":
         if model.task_count < 2:
             raise UsageError("inter scope requires at least two tasks")

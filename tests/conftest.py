@@ -1,6 +1,7 @@
 """Shared test helpers: numeric differentiation oracle, error metrics, a
-by-name view of a model's parameters and every extractor's evaluation
-entry (ReLU masks and feature)."""
+by-name view of a model's parameters, every extractor's evaluation
+entry (ReLU masks and feature) and the predictions evaluation takes from
+those entries."""
 
 import numpy as np
 
@@ -49,3 +50,11 @@ def activations(model, x):
     then the feature): the per-set entry that evaluation keeps and
     `metrics.input_saliency` and `masking_curve` read."""
     return [ext.masks_np(x) for ext in model.extractors]
+
+
+def predictions(model, acts):
+    """The predicted classes on one set from its entries, as evaluation
+    takes them (`experiment._seen_set_outputs`): the classifier on the
+    concatenated features."""
+    feats = np.concatenate([a[-1] for a in acts], axis=1)
+    return np.argmax(model.head_np("cls", feats), axis=1)

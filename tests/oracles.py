@@ -277,8 +277,9 @@ def concat_masking_curve(model, x, y, dim_tags, ks):
     y = np.asarray(y, dtype=np.int64)
     causal_cols = np.array([i for i, t in enumerate(dim_tags)
                             if t in ("causal", "minimal_causal")], dtype=np.int64)
-    acts = [ext.activations_np(x) for ext in model.extractors]
-    sal = input_saliency(model, acts)[0][:, causal_cols]
+    acts = [ext.masks_np(x) for ext in model.extractors]
+    pred = np.argmax(model.forward_concat_np(x), axis=1)
+    sal = input_saliency(model, acts, pred)[:, causal_cols]
     order = np.argsort(-sal, axis=1)  # per-sample causal cols, most salient first
     curve = []
     for k in ks:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import activations, numeric_grad, rel_err
+from conftest import activations, numeric_grad, predictions, rel_err
 import oracles
 
 from cpnslab import autodiff as ad
@@ -550,5 +550,6 @@ def test_lazy_buffers_match_eager_pass_bitwise():
         case = f"hidden_dims={hidden_dims}, tasks={tasks}"
         np.testing.assert_array_equal(oracles.graph_saliency(model, xv), want,
                                       err_msg=case)
-        saliency, _ = input_saliency(model, activations(model, xv))
+        acts = activations(model, xv)
+        saliency = input_saliency(model, acts, predictions(model, acts))
         np.testing.assert_array_equal(saliency, want, err_msg=case)

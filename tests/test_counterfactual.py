@@ -27,7 +27,7 @@ def kl_rows(a, b):
     return np.sum(np.exp(la) * (la - lb), axis=-1)
 
 
-def intra_one(c, label, w, b=None, alpha=GEN.alpha, epsilon=GEN.epsilon):
+def intra_one(c, label, w, b, alpha=GEN.alpha, epsilon=GEN.epsilon):
     """The intra generator on a one-row batch: (cf, value, scale, degenerate)."""
     return tuple(a[0] for a in cf.generate_intra_batch([c], [label], w, b,
                                                        alpha, epsilon))
@@ -45,7 +45,7 @@ def inter_one(c, proj, beta=GEN.beta, epsilon=GEN.epsilon):
 def test_gen_intra_zero_gradient_degenerate():
     w = np.zeros((3, 4))  # flat loss surface: gradient vanishes everywhere
     c = np.array([1.0, 2.0, 3.0, 4.0])
-    cfv, val, scale, degenerate = intra_one(c, 1, w)
+    cfv, val, scale, degenerate = intra_one(c, 1, w, np.zeros(3))
     assert degenerate
     np.testing.assert_array_equal(cfv, c)
     assert val == 0.0
@@ -58,11 +58,12 @@ def test_gen_intra_hand_oracle_2d():
     w = np.array([[1.0, 0.0], [-1.0, 0.0]])
     c = np.array([1.0, 0.0])
     p1 = np.exp(-1.0) / (np.exp(1.0) + np.exp(-1.0))
-    g = cf.intra_directions(c, [0], w)[0]
+    g = cf.intra_directions(c, [0], w, np.zeros(2))[0]
     np.testing.assert_allclose(g, [-2.0 * p1, 0.0], atol=1e-15)
     assert g[0] < 0  # pushes the decisive coordinate down, toward the boundary
 
-    cfv, _, scale, _ = intra_one(c, 0, w, alpha=1.0, epsilon=10.0)
+    cfv, _, scale, _ = intra_one(c, 0, w, np.zeros(2), alpha=1.0,
+                                 epsilon=10.0)
     np.testing.assert_allclose(cfv, c + g, atol=1e-15)
     assert scale == 1.0
 
@@ -117,9 +118,9 @@ def test_gen_intra_backtracking_halves_scale():
 def test_gen_intra_validates_config():
     w = np.eye(3)
     with pytest.raises(ConfigurationError):
-        intra_one(np.ones(3), 0, w, alpha=0.0)
+        intra_one(np.ones(3), 0, w, np.zeros(3), alpha=0.0)
     with pytest.raises(ConfigurationError):
-        intra_one(np.ones(3), 0, w, epsilon=-1.0)
+        intra_one(np.ones(3), 0, w, np.zeros(3), epsilon=-1.0)
 
 
 def test_gen_intra_deterministic():
@@ -284,8 +285,9 @@ def test_intra_live_rows_match_all_rows_reference():
     w = np.eye(4)
     # alpha so large that the widest-margin rows stay infeasible even after
     # MAX_HALVINGS halvings
-    got = cf.generate_intra_batch(feats, labels, w, None, 1e9, 1e-6)
-    directions = cf.intra_directions(feats, labels, w)
+    b = np.zeros(4)
+    got = cf.generate_intra_batch(feats, labels, w, b, 1e9, 1e-6)
+    directions = cf.intra_directions(feats, labels, w, b)
     want = _reference_backtrack(feats, directions, 1e9, 1e-6)
     _assert_same_and_mixed(got, want, directions, 1e9)
 

@@ -265,6 +265,19 @@ def test_table_sidecar_roundtrip(tmp_path):
     assert loaded.dim_tags == tags
 
 
+def test_untagged_save_over_a_tagged_table_reads_back_untagged(tmp_path):
+    # the earlier save's sidecar must not lend its tags to the new table
+    path = tmp_path / "t.tab"
+    dt.save_table(path, np.ones((2, 2)), np.array([0, 1]), 2,
+                  dim_tags=["causal", "noise"])
+    x = np.array([[1.5, -2.25], [3.0, 4.0]])
+    dt.save_table(path, x, np.array([1, 0]), 2)
+    loaded = dt.load_table(path)
+    assert loaded.dim_tags is None
+    np.testing.assert_array_equal(loaded.x, x)
+    assert os.listdir(tmp_path) == ["t.tab"]
+
+
 def test_table_two_rows(tmp_path):
     path = tmp_path / "t.tab"
     path.write_text("cpns-tab v1 dims=2 classes=3\n0 1.0 2.0\n2 -1.0 0.5\n")

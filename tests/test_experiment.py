@@ -23,6 +23,7 @@ from cpnslab import data as dt
 from cpnslab import experiment as ex
 from cpnslab import metrics as mt
 from cpnslab import model as mdl
+from cpnslab import risk as rk
 from cpnslab.errors import ConfigurationError, NumericsError, ParseError
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -577,6 +578,20 @@ class TestCli:
         assert "non-finite gradient in 'f0/w0'" in err
         assert "Traceback" not in err
 
+    def test_a_breached_risk_bound_exits_three(self, tmp_path, capsys,
+                                               monkeypatch):
+        # a scope whose violation mean exceeds its risk mean, m > r, breaks
+        # the bound in the first per-epoch report
+        monkeypatch.setattr(rk, "_scope", lambda *indicators: (0.0, 1.0, 0.0))
+        cfg_path = write_config(tmp_path, tiny_doc(tmp_path / "out"))
+        assert cli.main(["run", cfg_path]) == 3
+        out, err = capsys.readouterr()
+        assert not out
+        assert err.count("\n") == 1
+        assert err.startswith("cpnslab: invariant breach: violation total "
+                              "1.0 exceeds risk total 0.0")
+        assert not (tmp_path / "out" / "t" / "summary.csv").exists()
+
     def test_a_diverging_sweep_names_the_value(self, tmp_path, capsys):
         doc = tiny_doc(tmp_path / "out")
         doc["train"]["lr"] = 1e6
@@ -639,6 +654,10 @@ class TestCli:
         ("model", "projector_hidden", -1),
         ("metrics", "masking_ks", [2, 0]),
         ("metrics", "masking_ks", [-1, 0]),
+        (None, "seeds", [0, 0]),
+        (None, "run_id", "."),
+        (None, "run_id", ".."),
+        (None, "run_id", "a/b"),
     ], ids=["baseline flag string", "seeds string", "seeds float",
             "inter head string", "two_stage unknown",
             "old_new removed", "cka removed", "masking removed",
@@ -650,7 +669,8 @@ class TestCli:
             "seeds negative", "data seed negative", "hidden_dims zero",
             "hidden_dims negative", "projector_hidden zero",
             "projector_hidden negative", "masking_ks decreasing",
-            "masking_ks negative"])
+            "masking_ks negative", "seeds repeat", "run_id dot",
+            "run_id dotdot", "run_id slash"])
     def test_mistyped_value_exits_two_before_any_output(self, tmp_path,
                                                         section, key, value):
         doc = tiny_doc(tmp_path / "out")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import activations
+from conftest import activations, predictions
 
 import oracles
 from cpnslab import counterfactual as cf
@@ -238,8 +238,20 @@ def handcrafted_model():
     return model
 
 
+def set_curve(model, sets, tags, ks):
+    """The masking curve over (x, y) sets, from their evaluation entries."""
+    acts = [activations(model, x) for x, _ in sets]
+    preds = [predictions(model, a) for a in acts]
+    return mt.masking_curve(model, sets, acts, preds, tags, ks)
+
+
 def one_set_curve(model, x, y, tags, ks):
-    return mt.masking_curve(model, [(x, y)], [activations(model, x)], tags, ks)
+    return set_curve(model, [(x, y)], tags, ks)
+
+
+def saliency(model, x):
+    acts = activations(model, x)
+    return mt.input_saliency(model, acts, predictions(model, acts))
 
 
 def test_masking_exact_handcrafted_curve():
@@ -254,9 +266,7 @@ def test_masking_exact_handcrafted_curve():
     assert one_set_curve(model, x, y, tags, [0, 1]) == [(0, 1.0), (1, 0.5)]
     # split into unequal sets, the hits still pool over all 40 rows
     sets = [(x[:7], y[:7]), (x[7:], y[7:])]
-    acts = [activations(model, xs) for xs, _ in sets]
-    assert mt.masking_curve(model, sets, acts, tags, [0, 1]) == [(0, 1.0),
-                                                                 (1, 0.5)]
+    assert set_curve(model, sets, tags, [0, 1]) == [(0, 1.0), (1, 0.5)]
 
 
 def test_masking_k0_equals_unmasked_accuracy():
@@ -299,16 +309,14 @@ def test_per_set_masking_matches_the_concatenated_probe():
         rng = np.random.default_rng(10 + tasks)
         sets = [(rng.normal(size=(400, 10)), rng.integers(0, 3 * tasks, 400))
                 for _ in range(tasks)]
-        acts = [activations(model, x) for x, _ in sets]
         x_all = np.concatenate([x for x, _ in sets])
         y_all = np.concatenate([y for _, y in sets])
         ks = [0, 1, 2, 5]
-        curve = mt.masking_curve(model, sets, acts, tags, ks)
+        curve = set_curve(model, sets, tags, ks)
         assert curve == oracles.concat_masking_curve(model, x_all, y_all,
                                                      tags, ks)
-        per_set = np.concatenate([mt.input_saliency(model, a)[0] for a in acts])
-        whole = mt.input_saliency(model, activations(model, x_all))[0]
-        np.testing.assert_array_equal(per_set, whole)
+        per_set = np.concatenate([saliency(model, x) for x, _ in sets])
+        np.testing.assert_array_equal(per_set, saliency(model, x_all))
         pred = np.argmax(model.forward_concat_np(x_all), axis=1)
         assert curve[0] == (0, float(np.mean(pred == y_all)))
 
@@ -316,27 +324,19 @@ def test_per_set_masking_matches_the_concatenated_probe():
 @pytest.mark.parametrize("hidden", [(12,), (12, 7)], ids=["1-layer", "2-layer"])
 def test_mask_entries_give_the_bits_of_full_activations(hidden):
     # evaluation keeps each hidden layer as its bool ReLU mask; the
-    # saliency multiplies by that mask, so it and the curve keep every bit
-    tags = ["causal", "noise", "minimal_causal", "causal", "spurious"] * 2
+    # saliency multiplies by that mask, and it keeps every bit of the
+    # autodiff graph over the full activations, at any depth
     model = ExpandableModel(input_dim=10, feature_dim=6, hidden_dims=hidden,
                             seed=11)
     for _ in range(3):
         model.expand(3)
     rng = np.random.default_rng(12)
-    sets = [(rng.normal(size=(n, 10)), rng.integers(0, 9, n))
-            for n in (60, 45, 80)]
-    masks = [activations(model, x) for x, _ in sets]
-    full = [[ext.activations_np(x) for ext in model.extractors]
-            for x, _ in sets]
-    assert all(m.dtype == bool for entry in masks[0] for m in entry[:-1])
-    for m, f in zip(masks, full):
-        sal_m, pred_m = mt.input_saliency(model, m)
-        sal_f, pred_f = mt.input_saliency(model, f)
-        assert sal_m.tobytes() == sal_f.tobytes()
-        assert pred_m.tobytes() == pred_f.tobytes()
-    ks = [0, 1, 2, 5]
-    assert (mt.masking_curve(model, sets, masks, tags, ks)
-            == mt.masking_curve(model, sets, full, tags, ks))
+    for n in (60, 45, 80):
+        x = rng.normal(size=(n, 10))
+        masks = activations(model, x)
+        assert all(m.dtype == bool for entry in masks for m in entry[:-1])
+        sal = mt.input_saliency(model, masks, predictions(model, masks))
+        assert sal.tobytes() == oracles.graph_saliency(model, x).tobytes()
 
 
 def test_per_set_saliency_on_small_sets_is_close_to_the_concatenated():
@@ -346,9 +346,8 @@ def test_per_set_saliency_on_small_sets_is_close_to_the_concatenated():
     model = stream_model(3, seed=7)
     rng = np.random.default_rng(8)
     xs = [rng.normal(size=(n, 10)) for n in (1, 37, 150)]
-    per_set = np.concatenate([mt.input_saliency(model, activations(model, x))[0]
-                              for x in xs])
-    whole = mt.input_saliency(model, activations(model, np.concatenate(xs)))[0]
+    per_set = np.concatenate([saliency(model, x) for x in xs])
+    whole = saliency(model, np.concatenate(xs))
     np.testing.assert_allclose(per_set, whole, rtol=1e-12, atol=1e-15)
 
 
@@ -365,9 +364,12 @@ def test_masking_curve_validation():
     with pytest.raises(ConfigurationError):
         one_set_curve(model, x, y, ["noise"] * 3, [0])
     with pytest.raises(InputError, match="activation sets"):
-        mt.masking_curve(model, [(x, y)], [], ["causal"] * 3, [0])
+        mt.masking_curve(model, [(x, y)], [], [], ["causal"] * 3, [0])
+    with pytest.raises(InputError, match="prediction sets"):
+        mt.masking_curve(model, [(x, y)], [activations(model, x)], [],
+                         ["causal"] * 3, [0])
     with pytest.raises(InputError, match="activation sets"):
-        mt.input_saliency(model, [])
+        mt.input_saliency(model, [], np.zeros(0, dtype=np.int64))
     empty = np.zeros((0, 3))
     with pytest.raises(InputError, match="no test rows"):
         one_set_curve(model, empty, np.zeros(0, dtype=int), ["causal"] * 3, [0])
@@ -425,7 +427,7 @@ def test_quality_gradient_beats_random_flips():
         feats = rng.normal(size=(60, 2))
         labels = np.argmax(feats, axis=1)
         grad, grad_vals, _, _ = cf.generate_intra_batch(
-            feats, labels, w, None, alpha=1.0, epsilon=0.05)
+            feats, labels, w, np.zeros(len(w)), alpha=1.0, epsilon=0.05)
         rand, rand_vals, _, _ = cf.perturb_random(feats, 0.05, rng)
         pfr_g, _, _ = mt.counterfactual_quality(model, feats, grad, grad_vals)
         pfr_r, _, _ = mt.counterfactual_quality(model, feats, rand, rand_vals)

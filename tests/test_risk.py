@@ -194,12 +194,12 @@ def test_empty_batches_and_label_ranges():
     m = controlled_model(tasks=2)
     with pytest.raises(InputError):
         rk.empirical_cpns_risk((np.empty((0, 2)), np.empty(0, dtype=int)),
-                               None, m)
+                               None, m, rk.GenConfig())
     x = np.ones((2, 2))
-    with pytest.raises(InputError):
-        rk.empirical_cpns_risk((x, np.array([0, 1])), None, m)  # old labels
-    with pytest.raises(InputError):
-        rk.empirical_cpns_risk((x, np.array([2, 3])), None, m)  # no buffer
+    with pytest.raises(InputError):  # old labels
+        rk.empirical_cpns_risk((x, np.array([0, 1])), None, m, rk.GenConfig())
+    with pytest.raises(InputError):  # no buffer
+        rk.empirical_cpns_risk((x, np.array([2, 3])), None, m, rk.GenConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +210,8 @@ def test_estimate_zero_when_counterfactual_equals_factual():
     m.heads["intra_w"].values[:] = np.array([[1.0, 1.0], [1.0, 1.0]])
     x = np.array([[2.0, 0.0], [0.0, 2.0]])
     y = np.array([0, 1])
-    assert rk.estimate_pns_interventional((x, y), m, "intra") == 0.0
+    assert rk.estimate_pns_interventional((x, y), m, "intra",
+                                          rk.GenConfig()) == 0.0
 
 
 def test_estimate_near_zero_for_random_model():
@@ -221,7 +222,8 @@ def test_estimate_near_zero_for_random_model():
         m = random_model(rng, tasks=1, k=4)
         x = rng.normal(size=(n, 6))
         y = rng.integers(0, 4, size=n)
-        diffs.append(rk.estimate_pns_interventional((x, y), m, "intra"))
+        diffs.append(rk.estimate_pns_interventional((x, y), m, "intra",
+                                                    rk.GenConfig()))
     # each per-sample difference is in {-1, 0, 1}, so 3 sigma <= 3/sqrt(n)
     assert np.abs(diffs).max() <= 3.0 / np.sqrt(n)
 
@@ -230,24 +232,14 @@ def test_estimate_scope_validation():
     m = controlled_model(tasks=1)
     x = np.ones((2, 2))
     y = np.array([0, 1])
+    cfg = rk.GenConfig()
     with pytest.raises(UsageError):
-        rk.estimate_pns_interventional((x, y), m, "inter")
+        rk.estimate_pns_interventional((x, y), m, "inter", cfg)
     with pytest.raises(UsageError):
-        rk.estimate_pns_interventional((x, y), m, "both")
+        rk.estimate_pns_interventional((x, y), m, "both", cfg)
     with pytest.raises(InputError):
-        rk.estimate_pns_interventional((np.empty((0, 2)), np.empty(0)), m, "intra")
-
-
-def test_estimate_rejects_an_unknown_label_policy():
-    m = controlled_model(tasks=2)
-    x = np.ones((2, 2))
-    y = np.array([2, 3])
-    for policy in ("true", "predicted"):
-        rk.estimate_pns_interventional((x, y), m, "intra", label_policy=policy)
-    for scope in ("intra", "inter"):
-        with pytest.raises(UsageError, match="label_policy"):
-            rk.estimate_pns_interventional((x, y), m, scope,
-                                           label_policy="bogus")
+        rk.estimate_pns_interventional((np.empty((0, 2)), np.empty(0)), m,
+                                       "intra", cfg)
 
 
 def test_estimate_bounded():
@@ -256,7 +248,7 @@ def test_estimate_bounded():
         m = random_model(rng, tasks=2)
         x = rng.normal(size=(10, 6))
         y = rng.integers(0, 4, size=10)
-        v = rk.estimate_pns_interventional((x, y), m, "inter")
+        v = rk.estimate_pns_interventional((x, y), m, "inter", rk.GenConfig())
         assert -1.0 <= v <= 1.0
 
 
