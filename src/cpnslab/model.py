@@ -210,15 +210,20 @@ class ExpandableModel:
                 f"input dim {x.shape[-1]} does not match model input {self.input_dim}")
         return x
 
-    def _feature_table(self, extractors, x):
+    def _feature_table(self, extractors, x, out=None):
         """The features of `extractors` in order, side by side: each one's
-        block is written into one table, the bits `np.concatenate` gives."""
+        block is written into one table, the bits `np.concatenate` gives.
+        The table is `out` when given, which must have exactly its shape."""
         x = self._check_input(x)
         d = self.feature_dim
-        table = np.empty(x.shape[:-1] + (len(extractors) * d,))
+        shape = x.shape[:-1] + (len(extractors) * d,)
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape:
+            raise UsageError(f"feature table of shape {out.shape}, not {shape}")
         for t, ext in enumerate(extractors):
-            table[..., t * d:(t + 1) * d] = ext.forward_np(x)
-        return table
+            out[..., t * d:(t + 1) * d] = ext.forward_np(x)
+        return out
 
     def concat_features_np(self, x):
         """Per-extractor features in task order, concatenated."""
@@ -228,11 +233,12 @@ class ExpandableModel:
         x = self._check_input(x)
         return self.extractors[-1].forward_np(x)
 
-    def frozen_concat_np(self, x):
-        """Concatenated frozen features [f_0 .. f_{t-1}], numpy only."""
+    def frozen_concat_np(self, x, out=None):
+        """Concatenated frozen features [f_0 .. f_{t-1}], numpy only; with
+        `out`, written into it (a row slice of a larger table, say)."""
         if self.task_count < 2:
             raise UsageError("no frozen extractors before the second task")
-        return self._feature_table(self.extractors[:-1], x)
+        return self._feature_table(self.extractors[:-1], x, out)
 
     def forward_concat_np(self, x):
         if not self.extractors:

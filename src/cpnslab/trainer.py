@@ -9,22 +9,28 @@ optimizes the full objective: classification, auxiliary discrimination,
 both surrogate scopes, the KL budget terms, and the projector fit.
 
 Each step of either stage runs one numpy function, `_objective`, that
-returns the loss values and every trained parameter's gradient; it is
-differentiated by hand, with the arithmetic and summation order of the
-equivalent `autodiff` graph, so it gives that graph's bits. The rehearsal
-baseline, `train_task_baseline`, steps the same way through its own
-`_baseline_step`, so no training step builds a graph. `optimizer_step`
-updates the trained parameters as one flat vector: `make_optimizer_state`
-lays them out contiguously and re-points their values at views of it,
-and each training loop copies them back out when it ends.
+returns the loss values and writes every trained parameter's gradient;
+it is differentiated by hand, with the arithmetic and summation order of
+the equivalent `autodiff` graph, so it gives that graph's bits. The
+rehearsal baseline, `train_task_baseline`, steps the same way through
+its own `_baseline_step`, so no training step builds a graph.
+`optimizer_step` updates the trained parameters as one flat vector:
+`make_optimizer_state` lays them out contiguously, re-points their
+values at views of it, and hands out views of a gradient buffer of the
+same layout, into which the steps write each gradient in place (a
+product with `out=`); each training loop copies the parameters back out
+when it ends.
 
 Both trainers draw their batches through the same plumbing, which holds
-no counterfactual code. From the second task on a batch appends
-rehearsal rows to the current ones, and the frozen extractors' block of
-its representation is gathered from two tables that the loop computes
-once, over all current rows and all buffer rows (`_rehearsal_tables`):
-the frozen extractors and the buffer do not change within a task, so
-no step runs a frozen extractor.
+no counterfactual code. Before its first step, each training loop builds
+what every step reuses (`_rehearsal_tables`): the labels, each row's
+label among the current task's classes, and, from the second task on,
+one table of the frozen features of all current rows and all buffer
+rows. It range-checks every label a step can draw there, once. The
+frozen extractors and the buffer do not change within a task, so no
+step runs a frozen extractor or checks a label. From the second task on
+a batch appends rehearsal rows to the current ones, and its labels and
+frozen block are gathered from the tables by one index.
 
 Training writes no files: both trainers return their per-epoch records,
 and the caller logs them.
@@ -108,50 +114,25 @@ def make_optimizer_state(params: dict[str, ad.Tensor]):
     The parameters are laid out in the map's order in one contiguous
     float64 vector, `state["values"]`, and each leaf's `values` is
     re-pointed at the reshaped view of its slice, `state["slices"][name]`;
-    the gradient gather buffer and the momentum vector (allocated on the
-    first step) share that layout. A leaf whose `values` is rebound later
-    no longer sees the updates.
+    the gradient gather buffer `state["grad"]` and the momentum vector
+    (allocated on the first step) share that layout. `state["grads"]` maps
+    each name to its reshaped view of the gather buffer, so the names and
+    shapes a step must fill are fixed here, once: a training step writes
+    each gradient straight into its view. The buffer starts as NaN. A leaf
+    whose `values` is rebound later no longer sees the updates.
     """
-    names = tuple(params)
-    shapes = tuple(params[name].values.shape for name in names)
-    flat = np.concatenate([params[name].values.ravel() for name in names])
-    slices, lo = {}, 0
-    for name, shape in zip(names, shapes):
+    flat = np.concatenate([p.values.ravel() for p in params.values()])
+    grad = np.full_like(flat, np.nan)
+    slices, grads, lo = {}, {}, 0
+    for name, p in params.items():
+        shape = p.values.shape
         hi = lo + math.prod(shape)
         slices[name] = slice(lo, hi)
-        params[name].values = flat[lo:hi].reshape(shape)
+        p.values = flat[lo:hi].reshape(shape)
+        grads[name] = grad[lo:hi].reshape(shape)
         lo = hi
-    return {"step": 0, "slices": slices, "shapes": shapes, "values": flat,
-            "grad": np.empty_like(flat), "m": None}
-
-
-def _gather_grads(params, grads, state):
-    """The gradients in the state's layout, in its reused gather buffer;
-    a missing, misshapen, unknown or non-finite one raises, naming it,
-    before anything moves."""
-    names = state["slices"]
-    if params.keys() != names.keys():
-        raise UsageError("the optimizer state was made for other parameters")
-    try:
-        gs = [grads[name] for name in names]
-    except KeyError:
-        missing = next(name for name in names if name not in grads)
-        raise UsageError(f"parameter {missing!r} got no gradient") from None
-    if len(grads) != len(names):
-        unknown = next(name for name in grads if name not in params)
-        raise UsageError(f"gradient {unknown!r} names no parameter")
-    if tuple(g.shape for g in gs) != state["shapes"]:
-        name = next(name for name, g, shape in zip(names, gs, state["shapes"])
-                    if g.shape != shape)
-        raise UsageError(f"gradient of {name!r} has shape {grads[name].shape}, "
-                         f"not {params[name].values.shape}")
-    g = np.concatenate([g.ravel() for g in gs], out=state["grad"])
-    if not np.isfinite(g).all():
-        name = next(name for name, g in zip(names, gs)
-                    if not np.isfinite(g).all())
-        raise NumericsError(
-            f"non-finite gradient in {name!r} at step {state['step'] + 1}")
-    return g
+    return {"step": 0, "slices": slices, "values": flat, "grad": grad,
+            "grads": grads, "m": None}
 
 
 def optimizer_step(params: dict[str, ad.Tensor], grads: dict[str, np.ndarray],
@@ -160,16 +141,41 @@ def optimizer_step(params: dict[str, ad.Tensor], grads: dict[str, np.ndarray],
     map, with its gradient from `grads` under the same name; `state` is
     `make_optimizer_state(params)`.
 
-    The gradients are gathered into the flat layout, and weight decay and
-    the momentum update each run as single elementwise passes over the
-    flat vectors; every element sees the arithmetic of a per-parameter
-    update. Weight decay is decoupled (applied to the value, not folded
-    into the gradient). A missing, misshapen or non-finite gradient, or
-    one whose name is no parameter, raises naming it before a single
-    value is touched.
+    A gradient that is its own view in `state["grads"]` (the training
+    steps write them there) stays in place; any other is shape-checked
+    and copied into its view. One finiteness check then runs over the
+    flat gradient, and weight decay and the momentum update each run as
+    single elementwise passes over the flat vectors; every element sees
+    the arithmetic of a per-parameter update. Weight decay is decoupled
+    (applied to the value, not folded into the gradient). A missing,
+    misshapen or non-finite gradient, or one whose name is no parameter,
+    raises naming it before a single value is touched. After the update
+    the gather buffer is refilled with NaN, so a view that the next step
+    leaves unwritten fails that step's finiteness check, named.
     """
+    views = state["grads"]
+    if params.keys() != views.keys():
+        raise UsageError("the optimizer state was made for other parameters")
+    for name, view in views.items():
+        g = grads.get(name)
+        if g is view:
+            continue
+        if g is None:
+            raise UsageError(f"parameter {name!r} got no gradient")
+        if g.shape != view.shape:
+            raise UsageError(f"gradient of {name!r} has shape {g.shape}, "
+                             f"not {view.shape}")
+        view[...] = g
+    if len(grads) != len(views):
+        unknown = next(name for name in grads if name not in views)
+        raise UsageError(f"gradient {unknown!r} names no parameter")
+    g = state["grad"]
+    if not np.isfinite(g).all():
+        name = next(name for name, view in views.items()
+                    if not np.isfinite(view).all())
+        raise NumericsError(
+            f"non-finite gradient in {name!r} at step {state['step'] + 1}")
     lr = float(config.lr)
-    g = _gather_grads(params, grads, state)
     state["step"] += 1
     values = state["values"]
     if config.weight_decay > 0.0:
@@ -182,6 +188,7 @@ def optimizer_step(params: dict[str, ad.Tensor], grads: dict[str, np.ndarray],
         m *= config.momentum
         m += g
     values -= lr * m
+    g.fill(np.nan)
     return state
 
 
@@ -348,13 +355,32 @@ def buffer_commit(buffer: RehearsalBuffer, task_data, model):
 
 
 # ---------------------------------------------------------------------------
-# batch plumbing shared by both code paths: the frozen-feature tables and
-# index arithmetic over them and the rows; no counterfactual machinery
+# batch plumbing shared by both code paths: the per-loop tables and index
+# arithmetic over them and the rows; no counterfactual machinery
 
-def _rehearsal_tables(model, x_cur, buffer):
-    """What a mixed loop draws from: (buf_x, buf_y, frozen_cur,
-    frozen_buf), the buffer's rows and `frozen_concat_np` of every current
-    and every buffer row.
+def _check_labels(labels, k):
+    if labels.min() < 0 or labels.max() >= k:
+        raise InputError(f"label out of range for {k} classes")
+
+
+def _rehearsal_tables(model, x_cur, y_cur, buffer, use_cls, use_intra,
+                      use_inter):
+    """What every step of one training loop with the given terms on
+    (`_param_set`'s flags) draws from, computed before its first step:
+    (x_cur, buf_x, y, local, frozen).
+
+    A loop with use_cls from the second task on mixes in rehearsal rows:
+    `buf_x` is the buffer's rows, `y` the current labels then the
+    buffer's, and `frozen` the frozen features of those rows in that
+    order, one table that `frozen_concat_np` fills in place, once over the
+    current rows and once over the buffer's. Otherwise the loop holds
+    current rows only: `y` is `y_cur`, and `buf_x` and `frozen` are None.
+    `local` is each row's label among the current task's classes, with a
+    rehearsal row's the class count: the aux head's labels, and on the
+    current rows the intra head's.
+
+    Every label a step can draw is range-checked here, once, against each
+    head the loop's steps score with it; no step checks a label.
 
     Within a task no frozen extractor moves (`_check_frozen`) and the
     buffer is fixed, so a row's frozen features are the same at every
@@ -363,37 +389,54 @@ def _rehearsal_tables(model, x_cur, buffer):
     (BLAS takes another kernel path for short products), which is why
     both trainers take their frozen blocks from here.
     """
-    buf_x, buf_y = buffer.samples()
-    return (buf_x, buf_y, model.frozen_concat_np(x_cur),
-            model.frozen_concat_np(buf_x))
+    lo = model.class_offsets[-1][0]
+    n_cur = len(x_cur)
+    mixed = use_cls and model.current_task >= 1
+    buf_x = frozen = None
+    y = y_cur
+    if mixed:
+        buf_x, buf_y = buffer.samples()
+        y = np.concatenate([y_cur, buf_y])
+    local = np.where(y >= lo, y - lo, model.current_class_count)
+    for head, labels, on in (("cls", y, use_cls), ("aux", local, mixed),
+                             ("intra", local[:n_cur], use_intra),
+                             (model.inter_head, y, use_inter)):
+        if on:
+            _check_labels(labels, len(model.heads[f"{head}_b"].values))
+    if mixed:
+        frozen = np.empty((len(y), model.feature_dim * model.current_task))
+        model.frozen_concat_np(x_cur, out=frozen[:n_cur])
+        model.frozen_concat_np(buf_x, out=frozen[n_cur:])
+    return x_cur, buf_x, y, local, frozen
 
 
-def _batches(x_cur, y_cur, tables, batch_size, rng):
-    """One epoch's steps as (xb, yb, n_c, frozen), the batch's first n_c
-    rows from the current task.
+def _batches(tables, batch_size, rng):
+    """One epoch's steps over `_rehearsal_tables`, as (xb, yb, n_c,
+    frozen, local), the batch's first n_c rows from the current task.
 
-    The epoch draws one permutation of the current rows, then one buffer
-    selection per batch. Without `tables` a batch holds current rows only
-    and `frozen` is None. With them (`_rehearsal_tables`) each batch
-    appends as many buffer rows as it has current ones, drawn without
-    replacement (the whole buffer when it is no larger), and `frozen` is
-    the tables' rows for the batch's rows, in its order.
+    The epoch draws one permutation of the current rows, then, in a mixed
+    loop, one buffer selection per batch: each batch appends as many
+    buffer rows as it has current ones, drawn without replacement (the
+    whole buffer when it is no larger). `yb`, `frozen` and `local` are
+    gathered from the tables by one index over both parts; `xb` is
+    gathered from the task's rows and the buffer's apart, so the task's
+    rows are never copied whole. Unmixed, `frozen` is None.
     """
+    x_cur, buf_x, y, local, frozen = tables
     n = len(x_cur)
     perm = rng.permutation(n)
     for s in range(0, n, batch_size):
         idx = perm[s:s + batch_size]
-        xb, yb, n_c = x_cur[idx], y_cur[idx], len(idx)
-        if tables is None:
-            yield xb, yb, n_c, None
+        n_c = len(idx)
+        if buf_x is None:
+            yield x_cur[idx], y[idx], n_c, None, local[idx]
             continue
-        buf_x, buf_y, frozen_cur, frozen_buf = tables
         n_buf = len(buf_x)
         bsel = (np.arange(n_buf) if n_buf <= n_c
                 else rng.choice(n_buf, size=n_c, replace=False))
-        yield (np.concatenate([xb, buf_x[bsel]]),
-               np.concatenate([yb, buf_y[bsel]]), n_c,
-               np.concatenate([frozen_cur[idx], frozen_buf[bsel]]))
+        rows = np.concatenate([idx, n + bsel])
+        yield (np.concatenate([x_cur[idx], buf_x[bsel]]), y[rows], n_c,
+               frozen[rows], local[rows])
 
 
 def _param_set(model, use_cls, use_intra, use_inter) -> dict[str, ad.Tensor]:
@@ -472,23 +515,21 @@ def _record(task, stage, epoch, sums, n_batches, report, wall_ms):
 # ---------------------------------------------------------------------------
 # the objective of one step, differentiated by hand
 
-def _check_labels(labels, k):
-    if labels.min() < 0 or labels.max() >= k:
-        raise InputError(f"label out of range for {k} classes")
-
-
-def _sum_in_order(parts):
+def _sum_in_order(parts, out=None):
     """A gradient with several contributions, summed as `autodiff.backward`
-    sums it: in the given order, the first copied and the rest added in
-    place. A part `(k, g)` comes through a row slice and adds into the
-    first k rows only; it is never the first part."""
-    total = np.array(parts[0])
+    sums it: in the given order, the first copied (into `out` when given)
+    and the rest added in place. A part `(k, g)` comes through a row slice
+    and adds into the first k rows only; it is never the first part."""
+    if out is None:
+        out = np.array(parts[0])
+    else:
+        out[...] = parts[0]
     for part in parts[1:]:
         if isinstance(part, tuple):
-            total[:part[0]] += part[1]
+            out[:part[0]] += part[1]
         else:
-            total += part
-    return total
+            out += part
+    return out
 
 
 def _ce_error(logits, labels):
@@ -539,17 +580,19 @@ def _kl(la, b, weight):
             go * p * (r - row_kl), go * (np.exp(lb) - p))
 
 
-def _objective(model, xb, yb, n_c, frozen, config: TrainConfig, use_cls,
-               use_intra, use_inter):
+def _objective(model, xb, yb, n_c, frozen, local, config: TrainConfig,
+               use_cls, use_intra, use_inter, grads):
     """Loss values and gradients of one step of the objective.
 
-    `xb`/`yb` are the batch, its first `n_c` rows from the current task.
-    `frozen` is the frozen block of the combined representation, or None
-    when the batch holds current rows only; with it come the rehearsal
-    rows' share of the terms and the auxiliary loss. Returns (losses,
-    grads): the value of each enabled term of LOSS_KEYS (inter before its
-    weight lam), and the gradient of the weighted total for every entry of
-    `_param_set`.
+    `xb`/`yb` are the batch, its first `n_c` rows from the current task,
+    and `local` its labels among the current task's classes
+    (`_rehearsal_tables`). `frozen` is the frozen block of the combined
+    representation, or None when the batch holds current rows only; with
+    it come the rehearsal rows' share of the terms and the auxiliary loss.
+    Returns the value of each enabled term of LOSS_KEYS (inter before its
+    weight lam), and writes the gradient of the weighted total for every
+    entry of `_param_set` into its array in `grads` (the optimizer state's
+    views of its gather buffer, `make_optimizer_state`).
 
     Each value and gradient is computed with the numpy expression of the
     `autodiff` op the same term would use, and a gradient with several
@@ -569,7 +612,6 @@ def _objective(model, xb, yb, n_c, frozen, config: TrainConfig, use_cls,
     to it and is the `la` of its scope's KL term. Each one is the array
     the generator or the term would have computed.
     """
-    lo = model.class_offsets[-1][0]
     mixed = frozen is not None
     heads = {name: h.values for name, h in model.heads.items()}
     ext = model.extractors[-1]
@@ -579,31 +621,27 @@ def _objective(model, xb, yb, n_c, frozen, config: TrainConfig, use_cls,
     # z's gradient is needed in c_hat's columns only: the products into it
     # take those columns of each head's weight
     own = slice(z.shape[1] - c_hat.shape[1], None)
-    losses, grads = {}, {}
+    losses = {}
     # contributions by consumer: into c_hat's columns of z (c_hat itself
     # when not mixed), into the current rows of c_hat, and into the
     # classifier
     z_parts, cur_parts, cls_w_parts, cls_b_parts = [], [], [], []
     if use_cls:
         cls_w, cls_b = heads["cls_w"], heads["cls_b"]
-        _check_labels(yb, len(cls_b))
         losses["cls"], g_cls = _ce(z @ cls_w.T + cls_b, yb)
         z_parts.append(g_cls @ cls_w[:, own])
         cls_w_parts.append(g_cls.T @ z)
         cls_b_parts.append(np.add.reduce(g_cls, axis=0))
     if mixed:
         aux_w, aux_b = heads["aux_w"], heads["aux_b"]
-        aux_labels = np.where(yb >= lo, yb - lo, model.current_class_count)
-        _check_labels(aux_labels, len(aux_b))
-        losses["aux"], g_aux = _ce(c_hat @ aux_w.T + aux_b, aux_labels)
+        losses["aux"], g_aux = _ce(c_hat @ aux_w.T + aux_b, local)
         aux_part = g_aux @ aux_w
-        grads["aux_w"] = g_aux.T @ c_hat
-        grads["aux_b"] = np.add.reduce(g_aux, axis=0)
+        np.matmul(g_aux.T, c_hat, out=grads["aux_w"])
+        np.add.reduce(g_aux, axis=0, out=grads["aux_b"])
     if use_intra:
         w_i, b_i = heads["intra_w"], heads["intra_b"]
         c_cur = c_hat[:n_c] if mixed else c_hat
-        y_local = yb[:n_c] - lo
-        _check_labels(y_local, len(b_i))
+        y_local = local[:n_c]
         # the sufficiency term's softmax error is also the generator's
         # direction, (softmax - onehot) @ w_i
         suff, g_suff = _ce_error(c_cur @ w_i.T + b_i, y_local)
@@ -615,9 +653,10 @@ def _objective(model, xb, yb, n_c, frozen, config: TrainConfig, use_cls,
         cbar_i = c_cur + (cfs_i - c_cur)
         nec, g_nec = _nlcp(cbar_i @ w_i.T + b_i, y_local, config.nu)
         losses["intra"] = suff + nec * config.nu
-        grads["intra_w"] = _sum_in_order([g_suff.T @ c_cur, g_nec.T @ cbar_i])
-        grads["intra_b"] = _sum_in_order([np.add.reduce(g_suff, axis=0),
-                                          np.add.reduce(g_nec, axis=0)])
+        _sum_in_order([g_suff.T @ c_cur, g_nec.T @ cbar_i],
+                      out=grads["intra_w"])
+        _sum_in_order([np.add.reduce(g_suff, axis=0),
+                       np.add.reduce(g_nec, axis=0)], out=grads["intra_b"])
         cur_parts += [g_suff @ w_i, g_nec @ w_i]
         if config.gamma > 0:
             losses["kl"], g_a, g_b = _kl(ref_i, cbar_i, config.gamma)
@@ -648,8 +687,8 @@ def _objective(model, xb, yb, n_c, frozen, config: TrainConfig, use_cls,
             cls_w_parts += w_parts
             cls_b_parts += b_parts
         else:
-            grads["inter_w"] = _sum_in_order(w_parts)
-            grads["inter_b"] = _sum_in_order(b_parts)
+            _sum_in_order(w_parts, out=grads["inter_w"])
+            _sum_in_order(b_parts, out=grads["inter_b"])
         if config.gamma > 0:
             kl_e, g_a_e, g_b_e = _kl(ref_e, c_hat + (cfs_e - c_hat),
                                      config.gamma)
@@ -660,14 +699,14 @@ def _objective(model, xb, yb, n_c, frozen, config: TrainConfig, use_cls,
         k = 1.0 / len(c_hat)
         losses["proj"] = float(np.add.reduce(diff * diff, axis=None) * k)
         g_pred = 2.0 * diff * k
-        grads["proj_w1"] = g_pred.T @ hidden
-        grads["proj_b1"] = np.add.reduce(g_pred, axis=0)
+        np.matmul(g_pred.T, hidden, out=grads["proj_w1"])
+        np.add.reduce(g_pred, axis=0, out=grads["proj_b1"])
         g_pre = (g_pred @ w1) * (hidden > 0.0)
-        grads["proj_w0"] = g_pre.T @ frozen
-        grads["proj_b0"] = np.add.reduce(g_pre, axis=0)
+        np.matmul(g_pre.T, frozen, out=grads["proj_w0"])
+        np.add.reduce(g_pre, axis=0, out=grads["proj_b0"])
     if use_cls:
-        grads["cls_w"] = _sum_in_order(cls_w_parts)
-        grads["cls_b"] = _sum_in_order(cls_b_parts)
+        _sum_in_order(cls_w_parts, out=grads["cls_w"])
+        _sum_in_order(cls_b_parts, out=grads["cls_b"])
     # c_hat's gradient sums its consumers' contributions in the order the
     # graph's backward reaches them: the reverse of the order in which its
     # depth-first toposort finishes them. That search takes the terms
@@ -691,11 +730,11 @@ def _objective(model, xb, yb, n_c, frozen, config: TrainConfig, use_cls,
     g = _sum_in_order(c_parts)
     prefix = f"f{model.current_task}/"
     for i in reversed(range(ext.n_layers)):
-        grads[f"{prefix}w{i}"] = g.T @ ins[i]
-        grads[f"{prefix}b{i}"] = np.add.reduce(g, axis=0)
+        np.matmul(g.T, ins[i], out=grads[f"{prefix}w{i}"])
+        np.add.reduce(g, axis=0, out=grads[f"{prefix}b{i}"])
         if i:
             g = (g @ ext.params[f"w{i}"].values) * (ins[i] > 0.0)
-    return losses, grads
+    return losses
 
 
 # ---------------------------------------------------------------------------
@@ -704,15 +743,17 @@ def _objective(model, xb, yb, n_c, frozen, config: TrainConfig, use_cls,
 def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
                           rng, records, stage, epochs, use_cls, use_intra,
                           use_inter):
-    """Epochs of the objective with the enabled terms; returns the last
-    epoch's report (None in stage 1).
+    """Epochs of the objective with the enabled terms, one record each
+    appended to `records`.
 
     use_cls turns on classification and, from the second task on, the
     auxiliary loss and the rehearsal rows mixed into each batch; without
     it a batch holds current rows only and nothing is drawn from the
-    buffer. A mixed loop computes the frozen features of every current
-    and buffer row once, before its first epoch (`_rehearsal_tables`),
-    and its batches come from `_batches`, as the baseline's do; with both
+    buffer. Before its first step the loop builds its tables and checks
+    every label its steps can draw (`_rehearsal_tables`); a mixed loop's
+    tables hold the frozen features of every current and buffer row. Its
+    batches come from `_batches`, as the baseline's do, and each step
+    writes its gradients into the optimizer's gather buffer; with both
     scopes off this is arithmetically the baseline path. Only stage 2
     writes per-epoch reports (`_report_pool`), which generate inter-scope
     counterfactuals; stage 1 refuses use_inter with AssertionError.
@@ -721,21 +762,21 @@ def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
         raise AssertionError(
             "inter-scope counterfactuals requested during stage 1")
     t = model.current_task
+    tables = _rehearsal_tables(model, x_cur, y_cur, buffer, use_cls,
+                               use_intra, use_inter)
     params = _param_set(model, use_cls, use_intra, use_inter)
     state = make_optimizer_state(params)
-    tables = (_rehearsal_tables(model, x_cur, buffer)
-              if use_cls and t >= 1 else None)
+    grads = state["grads"]
     pool = (_report_pool(model, x_cur, y_cur, buffer, config)
             if stage == 2 else None)
     n_batches = len(range(0, len(x_cur), config.batch_size))
-    report = None
     for epoch in range(epochs):
         t0 = time.perf_counter()
         sums = dict.fromkeys(LOSS_KEYS, 0.0)
-        for xb, yb, n_c, frozen in _batches(x_cur, y_cur, tables,
-                                            config.batch_size, rng):
-            losses, grads = _objective(model, xb, yb, n_c, frozen, config,
-                                       use_cls, use_intra, use_inter)
+        for xb, yb, n_c, frozen, local in _batches(tables, config.batch_size,
+                                                   rng):
+            losses = _objective(model, xb, yb, n_c, frozen, local, config,
+                                use_cls, use_intra, use_inter, grads)
             for key, value in losses.items():
                 sums[key] += value
             optimizer_step(params, grads, state, config)
@@ -744,19 +785,18 @@ def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
         wall = (time.perf_counter() - t0) * 1000.0
         records.append(_record(t, stage, epoch, sums, n_batches, report, wall))
     _own_values(params)
-    return report
 
 
 def train_task(model, task_data, buffer, config: TrainConfig, rng):
     """Run the two-stage objective for the freshly expanded task.
 
-    Returns {"task", "records", "final_report"}: one record per epoch,
-    with per-epoch indicator reports during stage 2; nothing is written
-    to disk. Both stages run `_run_objective_epochs` with different terms
-    on: stage 1 (skipped when stage1_epochs is 0) trains the intra term
-    alone over current rows (or, with it off, warms the base losses),
-    stage 2 every enabled term. The frozen extractor stack is
-    snapshot-checked for exact stability.
+    Returns {"task", "records"}: one record per epoch, with per-epoch
+    indicator reports during stage 2; nothing is written to disk. Both
+    stages run `_run_objective_epochs` with different terms on: stage 1
+    (skipped when stage1_epochs is 0) trains the intra term alone over
+    current rows (or, with it off, warms the base losses), stage 2 every
+    enabled term. The frozen extractor stack is snapshot-checked for
+    exact stability.
     """
     t = model.current_task
     x_cur, y_cur = _task_arrays(model, task_data, buffer)
@@ -777,26 +817,27 @@ def train_task(model, task_data, buffer, config: TrainConfig, rng):
                               use_cls=not use_intra, use_intra=use_intra,
                               use_inter=False)
 
-    final_report = _run_objective_epochs(
-        model, x_cur, y_cur, buffer, config, rng, records, stage=2,
-        epochs=config.stage2_epochs, use_cls=True, use_intra=use_intra,
-        use_inter=use_inter)
+    _run_objective_epochs(model, x_cur, y_cur, buffer, config, rng, records,
+                          stage=2, epochs=config.stage2_epochs, use_cls=True,
+                          use_intra=use_intra, use_inter=use_inter)
 
     _check_frozen(model, snap)
-    return {"task": t, "records": records, "final_report": final_report}
+    return {"task": t, "records": records}
 
 
 # ---------------------------------------------------------------------------
 # the rehearsal baseline
 
-def _baseline_step(model, xb, yb, frozen, lo, cur_count):
+def _baseline_step(model, xb, yb, frozen, local, grads):
     """Loss values and gradients of one rehearsal-baseline step.
 
     The classifier's cross-entropy over [frozen, c_hat] and, when `frozen`
     is given (from the second task on), the auxiliary cross-entropy on
-    c_hat, whose labels are the current classes from `lo` on and
-    `cur_count` for a rehearsal row. Returns ({"cls"[, "aux"]}, the
-    gradient of their sum for the current extractor, cls and aux).
+    c_hat against `local`, the batch's labels among the current classes
+    with a rehearsal row's the class count (`_rehearsal_tables`). Returns
+    {"cls"[, "aux"]}, and writes the gradient of their sum for the current
+    extractor, cls and aux into its array in `grads`, the optimizer
+    state's views of its gather buffer.
 
     Written apart from `_objective` on purpose (see train_task_baseline),
     with the arithmetic of the equivalent autodiff graph: c_hat's gradient
@@ -809,66 +850,63 @@ def _baseline_step(model, xb, yb, frozen, lo, cur_count):
     ins = [xb, *hiddens]  # the input of each layer
     z = c_hat if frozen is None else np.concatenate([frozen, c_hat], axis=1)
     cls_w, cls_b = model.heads["cls_w"].values, model.heads["cls_b"].values
-    _check_labels(yb, len(cls_b))
-    losses, grads = {}, {}
+    losses = {}
     losses["cls"], g_cls = _ce(z @ cls_w.T + cls_b, yb)
-    grads["cls_w"] = g_cls.T @ z
-    grads["cls_b"] = g_cls.sum(axis=0)
+    np.matmul(g_cls.T, z, out=grads["cls_w"])
+    np.add.reduce(g_cls, axis=0, out=grads["cls_b"])
     # c_hat's columns of the classifier's input gradient, from its columns
     # of cls_w alone
     g = g_cls @ cls_w[:, z.shape[1] - c_hat.shape[1]:]
     if frozen is not None:
         aux_w, aux_b = model.heads["aux_w"].values, model.heads["aux_b"].values
-        aux_labels = np.where(yb >= lo, yb - lo, cur_count)
-        _check_labels(aux_labels, len(aux_b))
-        losses["aux"], g_aux = _ce(c_hat @ aux_w.T + aux_b, aux_labels)
-        grads["aux_w"] = g_aux.T @ c_hat
-        grads["aux_b"] = g_aux.sum(axis=0)
+        losses["aux"], g_aux = _ce(c_hat @ aux_w.T + aux_b, local)
+        np.matmul(g_aux.T, c_hat, out=grads["aux_w"])
+        np.add.reduce(g_aux, axis=0, out=grads["aux_b"])
         g += g_aux @ aux_w
     prefix = f"f{model.current_task}/"
     for i in reversed(range(ext.n_layers)):
-        grads[f"{prefix}w{i}"] = g.T @ ins[i]
-        grads[f"{prefix}b{i}"] = g.sum(axis=0)
+        np.matmul(g.T, ins[i], out=grads[f"{prefix}w{i}"])
+        np.add.reduce(g, axis=0, out=grads[f"{prefix}b{i}"])
         if i:
             g = (g @ ext.params[f"w{i}"].values) * (ins[i] > 0.0)
-    return losses, grads
+    return losses
 
 
 def train_task_baseline(model, task_data, buffer, config: TrainConfig, rng):
     """Rehearsal baseline: classification plus auxiliary loss, one stage.
 
     Runs stage1_epochs + stage2_epochs epochs so comparisons against the
-    two-stage objective are epoch-matched. Written as its own plain loop
-    on purpose: the degeneracy check compares its final parameters
-    bit-for-bit against train_task with the counterfactual machinery
-    zeroed, and that check only means something if this path does not
-    share that machinery. Each step is `_baseline_step`, differentiated by
-    hand apart from `_objective`, and one `optimizer_step` over the flat
-    parameter layout. What it does share with `_run_objective_epochs` is
-    the batch plumbing, which holds no counterfactual code: the frozen
-    feature tables (`_rehearsal_tables`), built once from the second task
-    on, and the batches (`_batches`), so both paths feed their steps the
-    same rows and frozen bits.
+    two-stage objective are epoch-matched; returns {"task", "records"}, as
+    train_task does. Written as its own plain loop on purpose: the
+    degeneracy check compares its final parameters bit-for-bit against
+    train_task with the counterfactual machinery zeroed, and that check
+    only means something if this path does not share that machinery.
+    Each step is `_baseline_step`, differentiated by hand apart from
+    `_objective`, and one `optimizer_step` over the flat parameter layout.
+    What it does share with `_run_objective_epochs` is the batch plumbing,
+    which holds no counterfactual code: the per-loop tables and label
+    checks (`_rehearsal_tables`), with the frozen features from the second
+    task on, and the batches (`_batches`), so both paths feed their steps
+    the same rows, labels and frozen bits.
     """
     t = model.current_task
-    lo = model.class_offsets[-1][0]
     x_cur, y_cur = _task_arrays(model, task_data, buffer)
     snap = model.frozen_snapshot()
-    cur_count = model.current_class_count
+    tables = _rehearsal_tables(model, x_cur, y_cur, buffer, use_cls=True,
+                               use_intra=False, use_inter=False)
     params = _param_set(model, use_cls=True, use_intra=False, use_inter=False)
     state = make_optimizer_state(params)
-    tables = _rehearsal_tables(model, x_cur, buffer) if t >= 1 else None
+    grads = state["grads"]
     pool = _report_pool(model, x_cur, y_cur, buffer, config)
     n_batches = len(range(0, len(x_cur), config.batch_size))
     records = []
-    report = None
     epochs = config.stage1_epochs + config.stage2_epochs
     for epoch in range(epochs):
         t0 = time.perf_counter()
         sums = dict.fromkeys(LOSS_KEYS, 0.0)
-        for xb, yb, _, frozen in _batches(x_cur, y_cur, tables,
-                                          config.batch_size, rng):
-            losses, grads = _baseline_step(model, xb, yb, frozen, lo, cur_count)
+        for xb, yb, _, frozen, local in _batches(tables, config.batch_size,
+                                                 rng):
+            losses = _baseline_step(model, xb, yb, frozen, local, grads)
             for key, value in losses.items():
                 sums[key] += value
             optimizer_step(params, grads, state, config)
@@ -878,4 +916,4 @@ def train_task_baseline(model, task_data, buffer, config: TrainConfig, rng):
         records.append(_record(t, 2, epoch, sums, n_batches, report, wall))
     _own_values(params)
     _check_frozen(model, snap)
-    return {"task": t, "records": records, "final_report": report}
+    return {"task": t, "records": records}

@@ -366,17 +366,23 @@ def test_gradients_match_finite_differences(monkeypatch):
         xb = rng.normal(size=(n, 6))
         yb = np.concatenate([rng.integers(2, 4, n_c), rng.integers(0, 2, n - n_c)])
         frozen = model.frozen_concat_np(xb)
+        # each row's label among the current classes 2-3; 2 for a rehearsal row
+        local = np.where(yb >= 2, yb - 2, 2)
         offsets.update(intra=0.1 * rng.normal(size=(n_c, 4)),
                        inter=0.1 * rng.normal(size=(n, 4)))
+        params = tr._param_set(model, *flags)
+        views = tr.make_optimizer_state(params)["grads"]
 
         def total(name):
-            losses, _ = tr._objective(model, xb, yb, n_c, frozen, cfg, *flags)
+            losses = tr._objective(model, xb, yb, n_c, frozen, local, cfg,
+                                   *flags, views)
             if name.startswith("f1/"):
                 del losses["proj"]
             return sum(weights.get(k, 1.0) * v for k, v in losses.items())
 
-        _, grads = tr._objective(model, xb, yb, n_c, frozen, cfg, *flags)
-        params = tr._param_set(model, *flags)
+        tr._objective(model, xb, yb, n_c, frozen, local, cfg, *flags, views)
+        # copies: each difference below runs the objective into the views
+        grads = {name: g.copy() for name, g in views.items()}
         assert grads.keys() == params.keys()
         for name, p in params.items():
             base = p.values.copy()

@@ -72,11 +72,18 @@ def test_feature_tables_equal_the_concatenated_features(shape):
         m.expand(2)
     x = np.random.default_rng(4).normal(size=shape)
     feats = [ext.forward_np(x) for ext in m.extractors]
+    # with `out`, the frozen table is written into the given array
+    out = np.empty(shape[:-1] + (8,))
     for got, want in ((m.concat_features_np(x), np.concatenate(feats, axis=-1)),
                       (m.frozen_concat_np(x),
+                       np.concatenate(feats[:-1], axis=-1)),
+                      (m.frozen_concat_np(x, out=out),
                        np.concatenate(feats[:-1], axis=-1))):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+    assert got is out
+    with pytest.raises(UsageError, match="shape"):
+        m.frozen_concat_np(x, out=np.empty(shape[:-1] + (12,)))
 
 
 def test_expansion_alone_preserves_old_logits():

@@ -208,6 +208,28 @@ def test_flat_step_matches_the_per_array_step_bitwise(weight_decay):
     assert not np.array_equal(flat["w"].values, init["w"])
 
 
+@pytest.mark.parametrize("step", [1, 2])
+def test_a_view_left_unwritten_is_named_and_nothing_moves(step):
+    # the steps write into `state["grads"]`; the gather buffer is NaN until
+    # they do, on the first step and again after every update
+    cfg = tr.TrainConfig(lr=0.1, momentum=0.5)
+    params = {"a": ad.leaf([1.0, 2.0]), "b": ad.leaf([3.0])}
+    state = tr.make_optimizer_state(params)
+    grads = state["grads"]
+    for _ in range(step - 1):
+        grads["a"][...], grads["b"][...] = [0.1, 0.2], [0.3]
+        tr.optimizer_step(params, grads, state, cfg)
+    assert np.isnan(state["grad"]).all()
+    values = state["values"].copy()
+    m = None if state["m"] is None else state["m"].copy()
+    grads["a"][...] = [0.1, 0.2]  # b left unwritten
+    with pytest.raises(NumericsError, match=f"'b' at step {step}"):
+        tr.optimizer_step(params, grads, state, cfg)
+    assert np.array_equal(state["values"], values)
+    assert state["step"] == step - 1
+    assert (m is None and state["m"] is None) or np.array_equal(state["m"], m)
+
+
 def test_finite_check_names_the_bad_parameter():
     params = {"a": ad.leaf([1.0]), "w": ad.leaf([1.0, 2.0])}
     tr._check_finite(params)
@@ -665,16 +687,20 @@ def _objective_epochs_match_the_graph(make_model, stage, task):
         rng = np.random.default_rng(17)
         model, buf, (x, y) = make_model()
         cfg = full_cfg(nu=nu, gamma=gamma, lam=lam, batch_size=8)
-        mixed = flags[0] and task >= 1
         params = tr._param_set(model, *flags)
         state = tr.make_optimizer_state(params)
-        tables = tr._rehearsal_tables(model, x, buf) if mixed else None
-        for xb, yb, n_c, frozen in tr._batches(x, y, tables, cfg.batch_size,
-                                               rng):
-            args = (model, xb, yb, n_c, frozen, cfg, *flags)
-            want_losses, want = oracles.graph_objective(*args)
-            losses, grads = tr._objective(*args)
+        grads = state["grads"]
+        tables = tr._rehearsal_tables(model, x, y, buf, *flags)
+        for xb, yb, n_c, frozen, local in tr._batches(tables, cfg.batch_size,
+                                                      rng):
+            want_losses, want = oracles.graph_objective(
+                model, xb, yb, n_c, frozen, cfg, *flags)
             case = (nu, gamma, lam, flags, n_c)
+            # the step fills every view of the NaN gather buffer
+            assert np.isnan(state["grad"]).all(), case
+            losses = tr._objective(model, xb, yb, n_c, frozen, local, cfg,
+                                   *flags, grads)
+            assert not np.isnan(state["grad"]).any(), case
             assert losses.keys() == want_losses.keys(), case
             assert all(_same_bits(losses[k], want_losses[k])
                        for k in losses), case
@@ -716,9 +742,10 @@ def test_a_first_scale_step_takes_each_log_softmax_once(monkeypatch, stage,
     cfg = full_cfg(batch_size=8, gen=GenConfig(epsilon=1e6))
     assert cfg.gamma > 0 and cfg.lam > 0 and cfg.nu > 0
     flags = (False, True, False) if stage == 1 else (True, True, True)
-    tables = tr._rehearsal_tables(model, x, buf) if stage == 2 else None
-    xb, yb, n_c, frozen = next(tr._batches(x, y, tables, cfg.batch_size,
-                                           np.random.default_rng(5)))
+    tables = tr._rehearsal_tables(model, x, y, buf, *flags)
+    xb, yb, n_c, frozen, local = next(tr._batches(tables, cfg.batch_size,
+                                                  np.random.default_rng(5)))
+    grads = tr.make_optimizer_state(tr._param_set(model, *flags))["grads"]
     scales = []
     for name, init in (("generate_intra_batch", cfg.gen.alpha),
                        ("generate_inter_batch", cfg.gen.beta)):
@@ -736,18 +763,9 @@ def test_a_first_scale_step_takes_each_log_softmax_once(monkeypatch, stage,
         return log_softmax(a)
 
     monkeypatch.setattr(ad, "log_softmax", counting)
-    tr._objective(model, xb, yb, n_c, frozen, cfg, *flags)
+    tr._objective(model, xb, yb, n_c, frozen, local, cfg, *flags, grads)
     assert scales == [True] * stage
     assert len(calls) == want
-
-
-def test_objective_rejects_a_label_outside_its_head():
-    model = small_model(seed=7)
-    model.expand(3)
-    x, y = np.zeros((4, 8)), np.array([0, 1, 2, 3])
-    for flags in ((True, False, False), (False, True, False)):
-        with pytest.raises(InputError, match="out of range"):
-            tr._objective(model, x, y, 4, None, full_cfg(), *flags)
 
 
 def _baseline_steps_match_the_graph(model, buf, x, y):
@@ -756,20 +774,21 @@ def _baseline_steps_match_the_graph(model, buf, x, y):
     batches see trained parameters. Returns the batches' (n_c, rows)."""
     rng = np.random.default_rng(19)
     cfg = baseline_cfg(batch_size=8)
-    lo, cur_count = model.class_offsets[-1][0], model.current_class_count
     params = tr._param_set(model, True, False, False)
     state = tr.make_optimizer_state(params)
-    tables = (tr._rehearsal_tables(model, x, buf) if model.current_task
-              else None)
+    grads = state["grads"]
+    tables = tr._rehearsal_tables(model, x, y, buf, True, False, False)
     sizes = set()
     for _ in range(2):
-        for xb, yb, n_c, frozen in tr._batches(x, y, tables, cfg.batch_size,
-                                               rng):
+        for xb, yb, n_c, frozen, local in tr._batches(tables, cfg.batch_size,
+                                                      rng):
             sizes.add((n_c, len(xb)))
             want_losses, want = oracles.graph_objective(
                 model, xb, yb, n_c, frozen, cfg, True, False, False)
-            losses, grads = tr._baseline_step(model, xb, yb, frozen, lo,
-                                              cur_count)
+            # the step fills every view of the NaN gather buffer
+            assert np.isnan(state["grad"]).all(), n_c
+            losses = tr._baseline_step(model, xb, yb, frozen, local, grads)
+            assert not np.isnan(state["grad"]).any(), n_c
             assert losses.keys() == want_losses.keys(), n_c
             assert all(_same_bits(losses[k], want_losses[k]) for k in losses)
             assert grads.keys() == want.keys() == params.keys(), n_c
@@ -795,24 +814,6 @@ def test_baseline_step_matches_the_graph_bitwise_at_a_long_stream_width():
     model, buf, (x, y) = _long_stream_model(False)
     sizes = _baseline_steps_match_the_graph(model, buf, x, y)
     assert sizes == {(8, 16), (4, 8)}
-
-
-def test_baseline_step_rejects_a_label_outside_its_head():
-    model = small_model(seed=7)
-    model.expand(3)
-    x = np.zeros((4, 8))
-    with pytest.raises(InputError, match="out of range"):
-        tr._baseline_step(model, x, np.array([0, 1, 2, 3]), None, 0, 3)
-    model.expand(3)
-    frozen = model.frozen_concat_np(x)
-    y = np.array([0, 3, 4, 5])
-    tr._baseline_step(model, x, y, frozen, 3, 3)
-    with pytest.raises(InputError, match="out of range"):
-        tr._baseline_step(model, x, np.array([0, 3, 4, 6]), frozen, 3, 3)
-    # a rehearsal row's aux label is the class count, one past the aux
-    # head's last current class; one more is outside the head
-    with pytest.raises(InputError, match="out of range"):
-        tr._baseline_step(model, x, y, frozen, 3, 4)
 
 
 def test_baseline_trainer_runs_no_objective_generator_or_graph(monkeypatch):
@@ -932,9 +933,9 @@ def test_a_mixed_loop_computes_the_frozen_features_twice(
     rows = []
     frozen_concat_np = ExpandableModel.frozen_concat_np
 
-    def counting(self, x):
+    def counting(self, x, **kwargs):
         rows.append(len(x))
-        return frozen_concat_np(self, x)
+        return frozen_concat_np(self, x, **kwargs)
 
     monkeypatch.setattr(ExpandableModel, "frozen_concat_np", counting)
     cfg = make_cfg(batch_size=batch_size, **kw)
@@ -1008,6 +1009,110 @@ def test_the_trainers_draw_the_same_random_stream(train_fn, make_cfg, kw,
             if len(buf) > k:
                 want.choice(len(buf), size=k, replace=False)
     assert rng.bit_generator.state == want.bit_generator.state
+
+
+def _old_two_table_batches(x, y, buf, model, batch_size, rng):
+    """The mixed batches as the trainers gathered them before the per-loop
+    tables: from the task's table and the buffer's apart, concatenated,
+    with the aux labels derived per batch."""
+    lo, count = model.class_offsets[-1][0], model.current_class_count
+    buf_x, buf_y = buf.samples()
+    frozen_cur, frozen_buf = (model.frozen_concat_np(x),
+                              model.frozen_concat_np(buf_x))
+    perm = rng.permutation(len(x))
+    for s in range(0, len(x), batch_size):
+        idx = perm[s:s + batch_size]
+        n_buf = len(buf_x)
+        bsel = (np.arange(n_buf) if n_buf <= len(idx)
+                else rng.choice(n_buf, size=len(idx), replace=False))
+        yb = np.concatenate([y[idx], buf_y[bsel]])
+        yield (np.concatenate([x[idx], buf_x[bsel]]), yb, len(idx),
+               np.concatenate([frozen_cur[idx], frozen_buf[bsel]]),
+               np.where(yb >= lo, yb - lo, count))
+
+
+@pytest.mark.parametrize("widths", [NARROW, WIDE], ids=["narrow", "wide"])
+def test_the_batches_are_the_two_table_gather_bitwise(widths):
+    # 72 rows in batches of 16 leave a short last batch of 8; a 12-row
+    # buffer goes whole into each full batch (n_buf <= n_c) and is drawn
+    # from for the short one
+    dim, hidden, feat = widths
+    t0, (x, y) = two_task_data(dim=dim)
+    model = small_model(seed=2, dim=dim, feat=feat, hidden=hidden)
+    model.expand(3)
+    buf = tr.RehearsalBuffer(12)
+    tr.buffer_commit(buf, t0, model)
+    model.expand(3)
+    tables = tr._rehearsal_tables(model, x, y, buf, True, False, False)
+    rng, old_rng = np.random.default_rng(8), np.random.default_rng(8)
+    sizes = []
+    for _ in range(2):
+        batches = zip(tr._batches(tables, 16, rng),
+                      _old_two_table_batches(x, y, buf, model, 16, old_rng),
+                      strict=True)
+        for got, want in batches:
+            xb, yb, n_c, frozen, local = got
+            sizes.append((n_c, len(xb)))
+            assert n_c == want[2]
+            for a, b in zip((xb, yb, frozen, local),
+                            (want[0], want[1], want[3], want[4])):
+                assert _same_bits(a, b)
+    assert sizes == [(16, 28)] * 4 + [(8, 16)] + [(16, 28)] * 4 + [(8, 16)]
+    assert rng.bit_generator.state == old_rng.bit_generator.state
+
+
+def _shrunk(model, head):
+    """`model` with the last class of `head` dropped, so that the head's
+    last label is one past it."""
+    for name in (f"{head}_w", f"{head}_b"):
+        model.heads[name] = ad.leaf(model.heads[name].values[:-1].copy())
+    return model
+
+
+def _label_case(case):
+    """A model, buffer and task whose first training loop can draw a
+    label outside one of the heads it scores."""
+    t0, t1 = two_task_data()
+    model = small_model(seed=7)
+    model.expand(3)
+    if case in ("cls", "intra"):  # a current label of the first task
+        return _shrunk(model, case), None, t0
+    if case == "buffer":  # class 6 in the buffer of a model with classes 0-5
+        t0 = (t0[0], np.where(t0[1] == 2, 6, t0[1]))
+    buf = tr.RehearsalBuffer(30)
+    tr.buffer_commit(buf, t0, model)
+    model.expand(3)
+    if case == "aux":
+        # a rehearsal row's aux label is the class count, one past the
+        # current classes; with the head one class short it is outside
+        _shrunk(model, "aux")
+    return model, buf, t1
+
+
+# the baseline scores no intra head, so that case runs on train_task alone
+@pytest.mark.parametrize("train_fn, case", [
+    (tr.train_task, "cls"), (tr.train_task, "intra"),
+    (tr.train_task, "buffer"), (tr.train_task, "aux"),
+    (tr.train_task_baseline, "cls"), (tr.train_task_baseline, "buffer"),
+    (tr.train_task_baseline, "aux")])
+def test_a_loop_checks_its_labels_before_its_first_step(monkeypatch, train_fn,
+                                                        case):
+    steps = []
+    monkeypatch.setattr(tr, "optimizer_step", lambda *args: steps.append(1))
+    model, buf, task = _label_case(case)
+    before = values_of(all_params(model))
+    if train_fn is tr.train_task_baseline:
+        cfg = baseline_cfg()
+    else:
+        # stage 1 scores the intra head alone, over the current rows; the
+        # other cases need stage 2, the loop that scores cls and aux
+        cfg = full_cfg(stage1_epochs=2 if case == "intra" else 0)
+    with pytest.raises(InputError, match="out of range"):
+        train_fn(model, task, buf, cfg, np.random.default_rng(0))
+    assert steps == []
+    after = values_of(all_params(model))
+    for key in before:
+        assert _same_bits(before[key], after[key]), key
 
 
 def test_stage_one_generates_no_inter_counterfactuals(monkeypatch):
@@ -1247,13 +1352,13 @@ def test_non_finite_parameter_stops_training_at_epoch_end(monkeypatch,
 
 def test_default_style_run_completes_with_reports():
     # lam 0.5, gamma 1, beta 0.03: the bound assertion never fires and the
-    # final report is populated for the second task
+    # last epoch's report is populated for the second task
     cfg = full_cfg(lam=0.5, gamma=1.0)
     assert cfg.gen.beta == 0.03
     _, res = run_two_tasks(tr.train_task, cfg)
-    rep = res["final_report"]
-    assert rep is not None and rep.n_inter > 0
-    assert rep.m_total <= rep.r_total
+    rep = res["records"][-1]["cpns_report"]
+    assert rep is not None and rep["n_inter"] > 0
+    assert rep["m_total"] <= rep["r_total"]
 
 
 def test_train_config_validation():
