@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import ConfigurationError, FormatError, InputError, ParseError
 
 DIM_TAGS = ("causal", "minimal_causal", "spurious", "noise")
@@ -391,7 +392,8 @@ def save_table(path, x, y, n_classes, dim_tags=None):
     per dimension; without, removes one an earlier save left. The shapes,
     the finiteness of x, the label range and the tags are checked first,
     so bad input raises InputError before any file is written, and what
-    is written `load_table` reads back.
+    is written `load_table` reads back. Each file is replaced whole
+    (`atomic_open`), so a save stopped midway leaves the earlier one.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -416,11 +418,11 @@ def save_table(path, x, y, n_classes, dim_tags=None):
     for label, row in zip(y, x):
         lines.append(str(int(label)) + " "
                      + " ".join(repr(float(v)) for v in row))
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
     sidecar = str(path) + ".factors"
     if dim_tags is not None:
-        with open(sidecar, "w") as fh:
+        with atomic_open(sidecar) as fh:
             fh.write("\n".join(dim_tags) + "\n")
     elif os.path.exists(sidecar):
         os.remove(sidecar)

@@ -14,12 +14,13 @@ it is differentiated by hand, with the arithmetic and summation order of
 the equivalent `autodiff` graph, so it gives that graph's bits. The
 rehearsal baseline, `train_task_baseline`, steps the same way through
 its own `_baseline_step`, so no training step builds a graph.
-`optimizer_step` updates the trained parameters as one flat vector:
-`make_optimizer_state` lays them out contiguously, re-points their
-values at views of it, and hands out views of a gradient buffer of the
-same layout, into which the steps write each gradient in place (a
-product with `out=`); each training loop copies the parameters back out
-when it ends.
+`make_optimizer_state` lays the trained parameters out in one flat
+vector, re-points their values at views of it, and hands out views of a
+gradient buffer of the same layout, into which the steps write each
+gradient in place (a product with `out=`); `optimizer_step(state,
+config)` then reads that buffer alone and updates the flat vector, the
+only way a gradient reaches a parameter. Each training loop copies the
+parameters back out when it ends.
 
 Both trainers draw their batches through the same plumbing, which holds
 no counterfactual code. Before its first step, each training loop builds
@@ -51,7 +52,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import counterfactual as cf
-from .errors import ConfigurationError, InputError, NumericsError, UsageError
+from .errors import ConfigurationError, InputError, NumericsError
 from .risk import GenConfig, empirical_cpns_risk
 
 LOSS_KEYS = ("cls", "aux", "intra", "inter", "kl", "proj")
@@ -113,68 +114,62 @@ def make_optimizer_state(params: dict[str, ad.Tensor]):
 
     The parameters are laid out in the map's order in one contiguous
     float64 vector, `state["values"]`, and each leaf's `values` is
-    re-pointed at the reshaped view of its slice, `state["slices"][name]`;
-    the gradient gather buffer `state["grad"]` and the momentum vector
-    (allocated on the first step) share that layout. `state["grads"]` maps
-    each name to its reshaped view of the gather buffer, so the names and
-    shapes a step must fill are fixed here, once: a training step writes
-    each gradient straight into its view. The buffer starts as NaN. A leaf
-    whose `values` is rebound later no longer sees the updates.
+    re-pointed at the reshaped view of its stretch of it, which
+    `state["params"]` maps by name. The gradient buffer `state["grad"]`
+    and the momentum vector (allocated on the first step) share that
+    layout, and `state["grads"]` maps each name to its reshaped view of
+    the gradient buffer, so the names and shapes a step must fill are
+    fixed here, once: a training step writes each gradient straight into
+    its view. The buffer starts as NaN. A leaf whose `values` is rebound
+    later no longer sees the updates.
     """
     flat = np.concatenate([p.values.ravel() for p in params.values()])
     grad = np.full_like(flat, np.nan)
-    slices, grads, lo = {}, {}, 0
+    views, grads, lo = {}, {}, 0
     for name, p in params.items():
         shape = p.values.shape
         hi = lo + math.prod(shape)
-        slices[name] = slice(lo, hi)
-        p.values = flat[lo:hi].reshape(shape)
+        p.values = views[name] = flat[lo:hi].reshape(shape)
         grads[name] = grad[lo:hi].reshape(shape)
         lo = hi
-    return {"step": 0, "slices": slices, "values": flat, "grad": grad,
+    return {"step": 0, "values": flat, "params": views, "grad": grad,
             "grads": grads, "m": None}
 
 
-def optimizer_step(params: dict[str, ad.Tensor], grads: dict[str, np.ndarray],
-                   state, config: TrainConfig):
-    """One SGD-momentum step at `config.lr` over every parameter in the
-    map, with its gradient from `grads` under the same name; `state` is
-    `make_optimizer_state(params)`.
+def _non_finite(views):
+    """The names of the views that hold a NaN or an infinity, in layout
+    order; run once an `isfinite` over their flat vector has failed."""
+    return [name for name, view in views.items()
+            if not np.isfinite(view).all()]
 
-    A gradient that is its own view in `state["grads"]` (the training
-    steps write them there) stays in place; any other is shape-checked
-    and copied into its view. One finiteness check then runs over the
-    flat gradient, and weight decay and the momentum update each run as
-    single elementwise passes over the flat vectors; every element sees
-    the arithmetic of a per-parameter update. Weight decay is decoupled
-    (applied to the value, not folded into the gradient). A missing,
-    misshapen or non-finite gradient, or one whose name is no parameter,
-    raises naming it before a single value is touched. After the update
-    the gather buffer is refilled with NaN, so a view that the next step
-    leaves unwritten fails that step's finiteness check, named.
+
+def optimizer_step(state, config: TrainConfig):
+    """One SGD-momentum step at `config.lr` over the flat parameter vector
+    of `state` (`make_optimizer_state`), with the gradient the training
+    step wrote into the views in `state["grads"]`.
+
+    One finiteness check runs over the flat gradient, and weight decay and
+    the momentum update each run as single elementwise passes over the
+    flat vectors; every element sees the arithmetic of a per-parameter
+    update. Weight decay is decoupled (applied to the value, not folded
+    into the gradient). A non-finite gradient raises before a single value
+    is touched, naming the first parameter it is in, how many are
+    non-finite, and the parameter of largest magnitude, which in a
+    divergence is likelier the cause than the first in the layout. After
+    the update the gradient buffer is refilled with NaN, so a view that
+    the next step leaves unwritten fails that step's check, named.
     """
-    views = state["grads"]
-    if params.keys() != views.keys():
-        raise UsageError("the optimizer state was made for other parameters")
-    for name, view in views.items():
-        g = grads.get(name)
-        if g is view:
-            continue
-        if g is None:
-            raise UsageError(f"parameter {name!r} got no gradient")
-        if g.shape != view.shape:
-            raise UsageError(f"gradient of {name!r} has shape {g.shape}, "
-                             f"not {view.shape}")
-        view[...] = g
-    if len(grads) != len(views):
-        unknown = next(name for name in grads if name not in views)
-        raise UsageError(f"gradient {unknown!r} names no parameter")
     g = state["grad"]
     if not np.isfinite(g).all():
-        name = next(name for name, view in views.items()
-                    if not np.isfinite(view).all())
+        bad = _non_finite(state["grads"])
+        # the magnitude of each parameter, its NaN entries skipped
+        size = {name: np.fmax.reduce(np.abs(view), axis=None, initial=0.0)
+                for name, view in state["params"].items()}
+        big = max(size, key=size.get)
         raise NumericsError(
-            f"non-finite gradient in {name!r} at step {state['step'] + 1}")
+            f"non-finite gradient in {bad[0]!r} at step {state['step'] + 1} "
+            f"({len(bad)} of {len(size)} parameters; largest |value| "
+            f"{size[big]:.3g} in {big!r})")
     lr = float(config.lr)
     state["step"] += 1
     values = state["values"]
@@ -182,7 +177,7 @@ def optimizer_step(params: dict[str, ad.Tensor], grads: dict[str, np.ndarray],
         values -= lr * config.weight_decay * values
     m = state["m"]
     if m is None:
-        # a copy: g is the gather buffer the next step overwrites
+        # a copy: g is the gradient buffer the next step overwrites
         state["m"] = m = g.copy()
     else:
         m *= config.momentum
@@ -472,11 +467,12 @@ def _task_arrays(model, task_data, buffer):
     return x_cur, y_cur
 
 
-def _check_finite(params):
-    """Raise NumericsError if any parameter value is NaN or infinite."""
-    for name, p in params.items():
-        if not np.all(np.isfinite(p.values)):
-            raise NumericsError(f"parameter {name!r} contains non-finite values")
+def _check_finite(state):
+    """Raise NumericsError if any value in the optimizer state's flat
+    parameter vector is NaN or infinite, naming the first such parameter."""
+    if not np.isfinite(state["values"]).all():
+        name = _non_finite(state["params"])[0]
+        raise NumericsError(f"parameter {name!r} contains non-finite values")
 
 
 def _check_frozen(model, snap):
@@ -592,7 +588,7 @@ def _objective(model, xb, yb, n_c, frozen, local, config: TrainConfig,
     Returns the value of each enabled term of LOSS_KEYS (inter before its
     weight lam), and writes the gradient of the weighted total for every
     entry of `_param_set` into its array in `grads` (the optimizer state's
-    views of its gather buffer, `make_optimizer_state`).
+    views of its gradient buffer, `make_optimizer_state`).
 
     Each value and gradient is computed with the numpy expression of the
     `autodiff` op the same term would use, and a gradient with several
@@ -753,7 +749,7 @@ def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
     every label its steps can draw (`_rehearsal_tables`); a mixed loop's
     tables hold the frozen features of every current and buffer row. Its
     batches come from `_batches`, as the baseline's do, and each step
-    writes its gradients into the optimizer's gather buffer; with both
+    writes its gradients into the optimizer's gradient buffer; with both
     scopes off this is arithmetically the baseline path. Only stage 2
     writes per-epoch reports (`_report_pool`), which generate inter-scope
     counterfactuals; stage 1 refuses use_inter with AssertionError.
@@ -779,8 +775,8 @@ def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
                                 use_cls, use_intra, use_inter, grads)
             for key, value in losses.items():
                 sums[key] += value
-            optimizer_step(params, grads, state, config)
-        _check_finite(params)
+            optimizer_step(state, config)
+        _check_finite(state)
         report = _probe_report(model, pool, config) if stage == 2 else None
         wall = (time.perf_counter() - t0) * 1000.0
         records.append(_record(t, stage, epoch, sums, n_batches, report, wall))
@@ -837,7 +833,7 @@ def _baseline_step(model, xb, yb, frozen, local, grads):
     with a rehearsal row's the class count (`_rehearsal_tables`). Returns
     {"cls"[, "aux"]}, and writes the gradient of their sum for the current
     extractor, cls and aux into its array in `grads`, the optimizer
-    state's views of its gather buffer.
+    state's views of its gradient buffer.
 
     Written apart from `_objective` on purpose (see train_task_baseline),
     with the arithmetic of the equivalent autodiff graph: c_hat's gradient
@@ -909,8 +905,8 @@ def train_task_baseline(model, task_data, buffer, config: TrainConfig, rng):
             losses = _baseline_step(model, xb, yb, frozen, local, grads)
             for key, value in losses.items():
                 sums[key] += value
-            optimizer_step(params, grads, state, config)
-        _check_finite(params)
+            optimizer_step(state, config)
+        _check_finite(state)
         report = _probe_report(model, pool, config)
         wall = (time.perf_counter() - t0) * 1000.0
         records.append(_record(t, 2, epoch, sums, n_batches, report, wall))

@@ -2,6 +2,7 @@
 shortcut trap audited by a linear probe, split arithmetic, and the tabular
 round trip."""
 
+import builtins
 import os
 
 import numpy as np
@@ -373,6 +374,55 @@ def test_save_table_refuses_non_finite_features(tmp_path, value):
     with pytest.raises(InputError, match="finite"):
         dt.save_table(tmp_path / "t.tab", x, np.array([0, 1]), 2)
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("fail_at", [1, 2], ids=["table", "sidecar"])
+def test_a_save_stopped_midway_leaves_whole_files(tmp_path, monkeypatch,
+                                                  fail_at):
+    # the fail_at-th file opened for writing takes half its text, then the
+    # disk fills: the file it would replace keeps its bytes, the table
+    # written before it has its new ones, and no temp file is left
+    path = tmp_path / "t.tab"
+    dt.save_table(path, np.ones((2, 2)), np.array([0, 1]), 2,
+                  dim_tags=["causal", "noise"])
+    old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real_open = builtins.open
+    opened = []
+
+    class HalfWrite:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            raise OSError("No space left on device")
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" in mode:
+            opened.append(file)
+            if len(opened) == fail_at:
+                return HalfWrite(fh)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    x = np.array([[1.5, -2.25], [3.0, 4.0]])
+    with pytest.raises(OSError, match="No space"):
+        dt.save_table(path, x, np.array([1, 0]), 2,
+                      dim_tags=["spurious", "causal"])
+    monkeypatch.undo()
+    assert sorted(os.listdir(tmp_path)) == ["t.tab", "t.tab.factors"]
+    if fail_at == 1:
+        assert path.read_bytes() == old["t.tab"]
+    else:
+        np.testing.assert_array_equal(dt.load_table(path).x, x)
+    assert (tmp_path / "t.tab.factors").read_bytes() == old["t.tab.factors"]
 
 
 def test_table_bad_sidecar_tag(tmp_path):

@@ -42,9 +42,13 @@ def blob_task(rng, labels, n_per, dim, spread=3.0, sigma=0.5):
 
 
 def one_param(values):
-    """A one-entry parameter map, its leaf, and a zero gradient for it."""
+    """The optimizer state over one leaf, the leaf, and the leaf's view of
+    the state's gradient buffer, zeroed."""
     t = ad.leaf(values)
-    return {"p": t}, t, np.zeros_like(t.values)
+    state = tr.make_optimizer_state({"p": t})
+    g = state["grads"]["p"]
+    g[...] = 0.0
+    return state, t, g
 
 
 def values_of(ps):
@@ -67,27 +71,26 @@ def counts(buf, labels):
 
 def test_sgd_zero_grad_zero_momentum_unchanged():
     cfg = tr.TrainConfig(momentum=0.0, weight_decay=0.0)
-    ps, t, g = one_param([1.0, -2.0])
-    tr.optimizer_step(ps, {"p": g}, tr.make_optimizer_state(ps), cfg)
+    state, t, _ = one_param([1.0, -2.0])
+    tr.optimizer_step(state, cfg)
     np.testing.assert_array_equal(t.values, [1.0, -2.0])
 
 
 def test_sgd_single_step_matches_hand_computation():
     cfg = tr.TrainConfig(lr=0.1, momentum=0.0, weight_decay=0.0)
-    ps, t, g = one_param([1.0, -2.0])
+    state, t, g = one_param([1.0, -2.0])
     g[:] = [0.5, -1.0]
-    tr.optimizer_step(ps, {"p": g}, tr.make_optimizer_state(ps), cfg)
+    tr.optimizer_step(state, cfg)
     np.testing.assert_array_equal(t.values, [1.0 - 0.1 * 0.5, -2.0 + 0.1 * 1.0])
 
 
 def test_sgd_momentum_accumulates_over_steps():
     cfg = tr.TrainConfig(lr=0.1, momentum=0.9, weight_decay=0.0)
-    ps, t, g = one_param([0.0])
-    state = tr.make_optimizer_state(ps)
+    state, t, g = one_param([0.0])
     g[:] = [1.0]
-    tr.optimizer_step(ps, {"p": g}, state, cfg)
+    tr.optimizer_step(state, cfg)
     g[:] = [1.0]
-    tr.optimizer_step(ps, {"p": g}, state, cfg)
+    tr.optimizer_step(state, cfg)
     expected = 0.0 - 0.1 * 1.0
     expected -= 0.1 * (0.9 * 1.0 + 1.0)
     np.testing.assert_array_equal(t.values, [expected])
@@ -95,70 +98,51 @@ def test_sgd_momentum_accumulates_over_steps():
 
 def test_sgd_momentum_does_not_alias_gradient_buffer():
     cfg = tr.TrainConfig(lr=0.1, momentum=0.9, weight_decay=0.0)
-    ps, t, g = one_param([0.0, 1.0])
-    state = tr.make_optimizer_state(ps)
+    state, t, g = one_param([0.0, 1.0])
     g[:] = [1.0, -2.0]
-    tr.optimizer_step(ps, {"p": g}, state, cfg)
+    tr.optimizer_step(state, cfg)
     g[...] = 0.0  # zeroing in place must leave the momentum alone
-    p = state["slices"]["p"]
-    np.testing.assert_array_equal(state["m"][p], [1.0, -2.0])
+    np.testing.assert_array_equal(state["m"], [1.0, -2.0])
 
 
 def test_weight_decay_is_decoupled():
     # zero gradient still shrinks the value by lr * wd * value
     cfg = tr.TrainConfig(lr=0.1, momentum=0.0, weight_decay=0.5)
-    ps, t, g = one_param([2.0, -4.0])
-    tr.optimizer_step(ps, {"p": g}, tr.make_optimizer_state(ps), cfg)
+    state, t, _ = one_param([2.0, -4.0])
+    tr.optimizer_step(state, cfg)
     expected = np.array([2.0, -4.0])
     expected = expected - 0.1 * 0.5 * expected
     np.testing.assert_array_equal(t.values, expected)
 
 
 def test_nan_gradient_aborts_without_touching_values():
-    cfg = tr.TrainConfig()
-    (_, a, _), (_, b, _) = one_param([1.0, 2.0]), one_param([3.0])
-    params = {"a": a, "b": b}
-    grads = {"a": np.array([0.1, 0.2]), "b": np.array([np.nan])}
-    with pytest.raises(NumericsError, match="b"):
-        tr.optimizer_step(params, grads, tr.make_optimizer_state(params), cfg)
-    np.testing.assert_array_equal(a.values, [1.0, 2.0])
-    np.testing.assert_array_equal(b.values, [3.0])
-
-
-def test_missing_gradient_names_the_parameter_without_touching_values():
-    _, a, _ = one_param([1.0, 2.0])
-    p = ad.leaf([1.0])  # no gradient was computed for it
-    params = {"a": a, "p": p}
-    state = tr.make_optimizer_state(params)
-    with pytest.raises(UsageError, match="'p'"):
-        tr.optimizer_step(params, {"a": np.array([0.1, 0.2])}, state,
-                          tr.TrainConfig())
-    np.testing.assert_array_equal(a.values, [1.0, 2.0])
-    assert state["step"] == 0
-
-
-def test_unknown_gradient_is_named_without_touching_values():
-    params = {"a": ad.leaf([1.0, 2.0])}
-    state = tr.make_optimizer_state(params)
-    grads = {"a": np.array([0.1, 0.2]), "stray": np.array([1.0])}
-    with pytest.raises(UsageError, match="'stray'"):
-        tr.optimizer_step(params, grads, state, tr.TrainConfig())
-    np.testing.assert_array_equal(params["a"].values, [1.0, 2.0])
-    assert state["step"] == 0
-
-
-def test_misshapen_gradient_or_foreign_state_is_refused():
     params = {"a": ad.leaf([1.0, 2.0]), "b": ad.leaf([3.0])}
     state = tr.make_optimizer_state(params)
-    # same total size, so only the per-parameter shapes tell them apart
-    grads = {"a": np.array([0.1]), "b": np.array([0.2, 0.3])}
-    with pytest.raises(UsageError, match="'a'"):
-        tr.optimizer_step(params, grads, state, tr.TrainConfig())
-    with pytest.raises(UsageError, match="other parameters"):
-        tr.optimizer_step({"a": params["a"]}, {"a": np.zeros(2)}, state,
-                          tr.TrainConfig())
+    state["grads"]["a"][...] = [0.1, 0.2]
+    state["grads"]["b"][...] = [np.nan]
+    with pytest.raises(NumericsError, match="'b' at step 1"):
+        tr.optimizer_step(state, tr.TrainConfig())
     np.testing.assert_array_equal(state["values"], [1.0, 2.0, 3.0])
-    assert state["step"] == 0
+    assert state["step"] == 0 and state["m"] is None
+
+
+def test_a_non_finite_gradient_names_the_largest_parameter():
+    # a diverging run: one huge but finite parameter and NaN gradients in
+    # most others. The first non-finite gradient in the layout is named,
+    # then how many there are and the parameter of largest magnitude; a
+    # NaN value does not hide the finite magnitude beside it.
+    params = {"a": ad.leaf([1.0, -2.0]), "big": ad.leaf([np.nan, -4.5e255]),
+              "c": ad.leaf([3.0, 5.0])}
+    state = tr.make_optimizer_state(params)
+    state["grads"]["a"][...] = [np.nan, 0.0]
+    state["grads"]["big"][...] = np.nan
+    state["grads"]["c"][...] = 0.0
+    want = ("non-finite gradient in 'a' at step 1 (2 of 3 parameters; "
+            "largest |value| 4.5e+255 in 'big')")
+    with pytest.raises(NumericsError) as err:
+        tr.optimizer_step(state, tr.TrainConfig())
+    assert str(err.value) == want
+    assert state["step"] == 0 and state["values"][3] == -4.5e255
 
 
 def test_state_lays_the_parameters_out_in_one_vector():
@@ -166,21 +150,26 @@ def test_state_lays_the_parameters_out_in_one_vector():
               "v": ad.leaf([7.0, 8.0, 9.0])}
     state = tr.make_optimizer_state(params)
     np.testing.assert_array_equal(state["values"], np.arange(10.0))
+    assert state["params"].keys() == state["grads"].keys() == params.keys()
     for name, p in params.items():
+        assert p.values is state["params"][name]
         assert np.shares_memory(p.values, state["values"])
-        np.testing.assert_array_equal(
-            p.values.ravel(), state["values"][state["slices"][name]])
+        assert np.shares_memory(state["grads"][name], state["grad"])
+        assert state["grads"][name].shape == p.values.shape
     assert params["w"].values.shape == (2, 3)
+    assert np.isnan(state["grad"]).all()
 
 
 def test_momentum_does_not_alias_the_reused_gather_buffer():
     cfg = tr.TrainConfig(lr=0.1, momentum=0.5, weight_decay=0.0)
-    ps, t, _ = one_param([0.0, 0.0])
-    state = tr.make_optimizer_state(ps)
-    tr.optimizer_step(ps, {"p": np.array([1.0, 2.0])}, state, cfg)
+    state, t, g = one_param([0.0, 0.0])
+    g[...] = [1.0, 2.0]
+    tr.optimizer_step(state, cfg)
     assert not np.shares_memory(state["m"], state["grad"])
-    tr.optimizer_step(ps, {"p": np.array([4.0, -8.0])}, state, cfg)
-    # aliased, the second gather would overwrite the first step's momentum
+    g[...] = [4.0, -8.0]
+    tr.optimizer_step(state, cfg)
+    # aliased, the second step's gradient would overwrite the first step's
+    # momentum
     np.testing.assert_array_equal(state["m"], [0.5 * 1.0 + 4.0,
                                                0.5 * 2.0 - 8.0])
 
@@ -199,43 +188,50 @@ def test_flat_step_matches_the_per_array_step_bitwise(weight_decay):
         grads = {name: rng.normal(scale=10.0 ** rng.integers(-3, 2),
                                   size=shape)
                  for name, shape in shapes.items()}
-        tr.optimizer_step(flat, grads, state, cfg)
+        for name, g in grads.items():
+            state["grads"][name][...] = g
+        tr.optimizer_step(state, cfg)
         oracles.per_array_step(ref, grads, ref_state, cfg)
     for name in shapes:
         assert np.array_equal(flat[name].values, ref[name].values), name
-        assert np.array_equal(state["m"][state["slices"][name]],
-                              ref_state["m"][name].ravel()), name
+    # the momentum vector has the parameters' layout, in the map's order
+    assert np.array_equal(state["m"], np.concatenate(
+        [ref_state["m"][name].ravel() for name in shapes]))
     assert not np.array_equal(flat["w"].values, init["w"])
 
 
 @pytest.mark.parametrize("step", [1, 2])
 def test_a_view_left_unwritten_is_named_and_nothing_moves(step):
-    # the steps write into `state["grads"]`; the gather buffer is NaN until
-    # they do, on the first step and again after every update
+    # the steps write into `state["grads"]`; the gradient buffer is NaN
+    # until they do, on the first step and again after every update
     cfg = tr.TrainConfig(lr=0.1, momentum=0.5)
     params = {"a": ad.leaf([1.0, 2.0]), "b": ad.leaf([3.0])}
     state = tr.make_optimizer_state(params)
     grads = state["grads"]
     for _ in range(step - 1):
         grads["a"][...], grads["b"][...] = [0.1, 0.2], [0.3]
-        tr.optimizer_step(params, grads, state, cfg)
+        tr.optimizer_step(state, cfg)
     assert np.isnan(state["grad"]).all()
     values = state["values"].copy()
     m = None if state["m"] is None else state["m"].copy()
     grads["a"][...] = [0.1, 0.2]  # b left unwritten
-    with pytest.raises(NumericsError, match=f"'b' at step {step}"):
-        tr.optimizer_step(params, grads, state, cfg)
+    with pytest.raises(NumericsError, match=f"'b' at step {step} "):
+        tr.optimizer_step(state, cfg)
     assert np.array_equal(state["values"], values)
     assert state["step"] == step - 1
     assert (m is None and state["m"] is None) or np.array_equal(state["m"], m)
 
 
 def test_finite_check_names_the_bad_parameter():
-    params = {"a": ad.leaf([1.0]), "w": ad.leaf([1.0, 2.0])}
-    tr._check_finite(params)
-    params["w"].values[0] = np.nan
-    with pytest.raises(NumericsError, match="'w'"):
-        tr._check_finite(params)
+    params = {"a": ad.leaf([1.0]), "w": ad.leaf([1.0, 2.0]),
+              "v": ad.leaf([3.0])}
+    state = tr.make_optimizer_state(params)
+    tr._check_finite(state)
+    params["v"].values[0] = np.inf
+    params["w"].values[1] = np.nan
+    with pytest.raises(NumericsError,
+                       match="parameter 'w' contains non-finite values"):
+        tr._check_finite(state)
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +692,7 @@ def _objective_epochs_match_the_graph(make_model, stage, task):
             want_losses, want = oracles.graph_objective(
                 model, xb, yb, n_c, frozen, cfg, *flags)
             case = (nu, gamma, lam, flags, n_c)
-            # the step fills every view of the NaN gather buffer
+            # the step fills every view of the NaN gradient buffer
             assert np.isnan(state["grad"]).all(), case
             losses = tr._objective(model, xb, yb, n_c, frozen, local, cfg,
                                    *flags, grads)
@@ -707,7 +703,7 @@ def _objective_epochs_match_the_graph(make_model, stage, task):
             assert grads.keys() == want.keys() == params.keys(), case
             for name in params:
                 assert _same_bits(grads[name], want[name]), (case, name)
-            tr.optimizer_step(params, grads, state, cfg)
+            tr.optimizer_step(state, cfg)
 
 
 @pytest.mark.parametrize("hidden", [(16,), (16, 8)], ids=["1-layer", "2-layer"])
@@ -785,7 +781,7 @@ def _baseline_steps_match_the_graph(model, buf, x, y):
             sizes.add((n_c, len(xb)))
             want_losses, want = oracles.graph_objective(
                 model, xb, yb, n_c, frozen, cfg, True, False, False)
-            # the step fills every view of the NaN gather buffer
+            # the step fills every view of the NaN gradient buffer
             assert np.isnan(state["grad"]).all(), n_c
             losses = tr._baseline_step(model, xb, yb, frozen, local, grads)
             assert not np.isnan(state["grad"]).any(), n_c
@@ -795,7 +791,7 @@ def _baseline_steps_match_the_graph(model, buf, x, y):
             for name in params:
                 assert np.array_equal(grads[name], want[name]), (n_c, name)
                 assert _same_bits(grads[name], want[name]), (n_c, name)
-            tr.optimizer_step(params, grads, state, cfg)
+            tr.optimizer_step(state, cfg)
     return sizes
 
 
@@ -1211,8 +1207,8 @@ def test_frozen_extractor_drift_fails_both_trainers(monkeypatch, train_fn):
     model.expand(3)
     step = tr.optimizer_step
 
-    def drifting_step(params, grads, state, config):
-        step(params, grads, state, config)
+    def drifting_step(state, config):
+        step(state, config)
         model.extractors[0].params["w0"].values[0, 0] += 1e-12
 
     monkeypatch.setattr(tr, "optimizer_step", drifting_step)
@@ -1335,9 +1331,9 @@ def test_non_finite_parameter_stops_training_at_epoch_end(monkeypatch,
                                                           train_fn):
     step = tr.optimizer_step
 
-    def poisoning_step(params, grads, state, config):
-        step(params, grads, state, config)
-        params["f0/w0"].values[0, 0] = np.inf
+    def poisoning_step(state, config):
+        step(state, config)
+        state["params"]["f0/w0"][0, 0] = np.inf
 
     monkeypatch.setattr(tr, "optimizer_step", poisoning_step)
     t0, _ = two_task_data()
