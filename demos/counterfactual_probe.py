@@ -48,8 +48,8 @@ def main():
     n = 128
     xs, ys = xte[:n], yte[:n]
     feats = model.current_feature_np(xs)
-    w = model.heads["intra_w"].values
-    b = model.heads["intra_b"].values
+    w = model.heads["intra_w"]
+    b = model.heads["intra_b"]
 
     cfs, vals, _, _ = cf.generate_intra_batch(feats, ys - lo, w, b, gen.alpha,
                                               gen.epsilon)

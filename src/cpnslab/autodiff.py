@@ -6,9 +6,8 @@ input-saliency diagnostic is in closed form (`metrics.input_saliency`).
 This module is the tests' reference graph, which they hold those
 hand-derived versions to bit for bit. It stays in the package because
 the benchmark's tracer (`perfbench/spans.py`) wraps `backward` and
-`model.ExpandableModel.current_feature_graph` by name; `Tensor` and
-`leaf` still hold every parameter, and `log_softmax`/`softmax` are the
-numerics the trainer shares.
+`model.ExpandableModel.current_feature_graph` by name, and
+`log_softmax`/`softmax` are the numerics the trainer shares.
 
 The graph is built eagerly: every operation returns a `Tensor` node holding
 values, a gradient slot, and a backward closure. The operations here are
@@ -32,8 +31,9 @@ an earlier call. A constant, a node with `op == "const"`, never gets a
 gradient: `backward` does not visit it, and no operation computes a
 contribution for it.
 
-Parameters are plain `dict[str, Tensor]` maps of leaves; the tensors hold
-no optimizer or freezing state.
+The model's parameters are plain float64 arrays, never nodes. A graph
+wraps the ones it differentiates in leaves of its own (`leaf` does not
+copy a float64 array) and reads their gradients off those leaves.
 
 Log-sum-exp is always computed with max subtraction.
 """

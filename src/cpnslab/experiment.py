@@ -295,8 +295,8 @@ def _seen_set_outputs(model, acts, test_sets):
 def _cf_quality_probe(model, x, y, lo, cfgm: MetricsConfig, gen: GenConfig):
     xs, ys = x[:cfgm.probe_limit], y[:cfgm.probe_limit]
     feats = model.current_feature_np(xs)
-    w = model.heads["intra_w"].values
-    b = model.heads["intra_b"].values
+    w = model.heads["intra_w"]
+    b = model.heads["intra_b"]
     cfs, vals, _, _ = cf.generate_intra_batch(feats, ys - lo, w, b, gen.alpha,
                                               gen.epsilon)
     if model.task_count < 2:

@@ -217,11 +217,11 @@ def input_saliency(model, acts, pred):
         raise InputError(f"{len(acts)} activation sets for "
                          f"{model.task_count} extractors")
     d = model.feature_dim
-    g_feat = model.heads["cls_w"].values[pred]
+    g_feat = model.heads["cls_w"][pred]
     for t, (ext, a) in enumerate(zip(model.extractors, acts)):
         g = g_feat[:, t * d:(t + 1) * d]
         for i in reversed(range(ext.n_layers)):
-            g = g @ ext.params[f"w{i}"].values
+            g = g @ ext.params[f"w{i}"]
             if i:
                 g = g * a[i - 1]
         grad = g if t == 0 else grad + g
@@ -299,7 +299,7 @@ def counterfactual_quality(model, factual, counterfactual, values,
     counter = np.atleast_2d(np.asarray(counterfactual, dtype=np.float64))
     if factual.size == 0:
         raise InputError("no counterfactual rows supplied")
-    dim = model.heads["intra_w"].values.shape[1]
+    dim = model.heads["intra_w"].shape[1]
     if factual.shape[1] != dim or counter.shape != factual.shape:
         raise InputError(
             f"factual {factual.shape} and counterfactual {counter.shape} rows "

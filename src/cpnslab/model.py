@@ -56,29 +56,19 @@ class FeatureExtractor:
     """Small MLP mapping inputs to a d-dimensional feature vector.
 
     Hidden layers use ReLU; the feature output is linear. `params` maps
-    `w{i}`/`b{i}` to leaves over the given arrays. `_encoded` is the
+    `w{i}`/`b{i}` to the given float64 arrays. `_encoded` is the
     checkpoint text of `params` with the bytes it encodes, or None
     (`_params_text`).
     """
 
     def __init__(self, layer_dims, arrays):
         self.layer_dims = list(int(v) for v in layer_dims)
-        self.params: dict[str, ad.Tensor] = {name: ad.leaf(a)
-                                             for name, a in arrays.items()}
+        self.params: dict[str, np.ndarray] = dict(arrays)
         self._encoded = None
 
     @property
     def n_layers(self):
         return len(self.layer_dims) - 1
-
-    def forward(self, x: ad.Tensor) -> ad.Tensor:
-        """Graph-mode forward; gradients flow into x and the parameters."""
-        h = x
-        for i in range(self.n_layers):
-            h = ad.linear(h, self.params[f"w{i}"], self.params[f"b{i}"])
-            if i < self.n_layers - 1:
-                h = ad.relu(h)
-        return h
 
     def forward_np(self, x):
         """Plain-numpy forward for frozen/evaluation paths."""
@@ -89,7 +79,7 @@ class FeatureExtractor:
         acts = []
         h = np.asarray(x, dtype=np.float64)
         for i in range(self.n_layers):
-            h = h @ self.params[f"w{i}"].values.T + self.params[f"b{i}"].values
+            h = h @ self.params[f"w{i}"].T + self.params[f"b{i}"]
             if i < self.n_layers - 1:
                 h = np.maximum(h, 0.0)
             acts.append(h)
@@ -112,6 +102,9 @@ class ExpandableModel:
       intra head over f_t -> |C_t| logits;
       inter head: weight-tied to cls by default, separate on request;
       projector: t*d -> d (absent at t=0).
+
+    `heads` maps `{head}_w`/`{head}_b` to plain float64 arrays, as each
+    extractor's `params` does; no parameter is a graph node.
     """
 
     def __init__(self, input_dim, feature_dim, hidden_dims,
@@ -125,7 +118,7 @@ class ExpandableModel:
         self.seed = int(seed)
         self.rng = np.random.default_rng(seed)
         self.extractors: list[FeatureExtractor] = []
-        self.heads: dict[str, ad.Tensor] = {}
+        self.heads: dict[str, np.ndarray] = {}
         self.class_offsets: list[tuple[int, int]] = []
 
     # -- bookkeeping ---------------------------------------------------
@@ -190,15 +183,13 @@ class ExpandableModel:
         w = np.zeros((new_total, width))
         b = np.zeros(new_total)
         if old_total:
-            w[:old_total, :width - self.feature_dim] = (
-                self.heads["cls_w"].values)
-            b[:old_total] = self.heads["cls_b"].values
+            w[:old_total, :width - self.feature_dim] = self.heads["cls_w"]
+            b[:old_total] = self.heads["cls_b"]
         w[old_total:] = _init_matrix(self.rng, new_class_count, width)
         b[old_total:] = _init_bias(self.rng, new_class_count, width)
-        self.heads["cls_w"] = ad.leaf(w)
-        self.heads["cls_b"] = ad.leaf(b)
-        self.heads.update((name, ad.leaf(a))
-                          for name, a in _draw(self.rng, rest).items())
+        self.heads["cls_w"] = w
+        self.heads["cls_b"] = b
+        self.heads.update(_draw(self.rng, rest))
         return self
 
     # -- forward passes (plain numpy) -----------------------------------
@@ -253,26 +244,35 @@ class ExpandableModel:
     def head_np(self, name, z):
         """Logits of head `name` from already-computed features."""
         w, b = self._head(name)
-        return z @ w.values.T + b.values
+        return z @ w.T + b
 
     def project_values(self, z_old):
         """Apply the projector to already-computed frozen features."""
         if "proj_w0" not in self.heads:
             raise UsageError("projector is absent on the first task")
-        h = np.asarray(z_old) @ self.heads["proj_w0"].values.T + self.heads["proj_b0"].values
+        h = np.asarray(z_old) @ self.heads["proj_w0"].T + self.heads["proj_b0"]
         h = np.maximum(h, 0.0)
-        return h @ self.heads["proj_w1"].values.T + self.heads["proj_b1"].values
+        return h @ self.heads["proj_w1"].T + self.heads["proj_b1"]
 
     # -- graph-mode builder (the tests' reference graphs, no run path) ---
 
-    def current_feature_graph(self, x_node: ad.Tensor) -> ad.Tensor:
-        return self.extractors[-1].forward(x_node)
+    def current_feature_graph(self, x_node, leaves):
+        """The current extractor's forward as a graph from `x_node`, with
+        `leaves` mapping its `w{i}`/`b{i}` to nodes over its arrays; the
+        gradients flow into x_node and those nodes."""
+        h = x_node
+        n = self.extractors[-1].n_layers
+        for i in range(n):
+            h = ad.linear(h, leaves[f"w{i}"], leaves[f"b{i}"])
+            if i < n - 1:
+                h = ad.relu(h)
+        return h
 
     # -- parameter views -------------------------------------------------
 
     def frozen_snapshot(self):
         """Copies of every frozen extractor parameter, for stability checks."""
-        return {f"f{t}/{name}": p.values.copy()
+        return {f"f{t}/{name}": p.copy()
                 for t, ext in enumerate(self.extractors[:-1])
                 for name, p in ext.params.items()}
 
@@ -310,10 +310,9 @@ def _params_text(ext):
     are unchanged: a run encodes each extractor once, when its task is
     checkpointed, not again at every later task.
     """
-    key = [(name, p.values.shape, p.values.tobytes())
-           for name, p in ext.params.items()]
+    key = [(name, p.shape, p.tobytes()) for name, p in ext.params.items()]
     if ext._encoded is None or ext._encoded[0] != key:
-        ext._encoded = (key, _dumps({name: _array_out(p.values)
+        ext._encoded = (key, _dumps({name: _array_out(p)
                                      for name, p in ext.params.items()}))
     return ext._encoded[1]
 
@@ -347,8 +346,7 @@ def save_checkpoint(model: ExpandableModel, path):
         "class_offsets": [list(pair) for pair in model.class_offsets],
         "rng_state": model.rng.bit_generator.state,
         "extractors": None,
-        "heads": {name: _array_out(t.values)
-                  for name, t in model.heads.items()},
+        "heads": {name: _array_out(a) for name, a in model.heads.items()},
     }
     text = _dumps(doc).replace('"extractors":null',
                                f'"extractors":[{extractors}]', 1)
@@ -433,7 +431,6 @@ def _model_from_doc(doc):
         arrays = _arrays_in(ext_doc["params"], layers, f"extractor {t}: params")
         model.extractors.append(FeatureExtractor(dims, arrays))
     model.class_offsets = offsets
-    heads = _arrays_in(doc["heads"], model._head_table(), "heads")
-    model.heads.update((name, ad.leaf(a)) for name, a in heads.items())
+    model.heads.update(_arrays_in(doc["heads"], model._head_table(), "heads"))
     model.rng.bit_generator.state = doc["rng_state"]
     return model

@@ -115,8 +115,8 @@ def _intra_indicators(model, x, y_global, cfg: GenConfig, on_prediction):
     pred_f = np.argmax(model.head_np("intra", feats), axis=1)
     gen_labels = pred_f if on_prediction else y_local
     cfs, _, _, degenerate = cf.generate_intra_batch(
-        feats, gen_labels, model.heads["intra_w"].values,
-        b=model.heads["intra_b"].values, alpha=cfg.alpha, epsilon=cfg.epsilon)
+        feats, gen_labels, model.heads["intra_w"],
+        b=model.heads["intra_b"], alpha=cfg.alpha, epsilon=cfg.epsilon)
     pred_c = np.argmax(model.head_np("intra", cfs), axis=1)
     return pred_f == y_local, pred_c == y_local, degenerate
 

@@ -14,8 +14,9 @@ it is differentiated by hand, with the arithmetic and summation order of
 the equivalent `autodiff` graph, so it gives that graph's bits. The
 rehearsal baseline, `train_task_baseline`, steps the same way through
 its own `_baseline_step`, so no training step builds a graph.
-`make_optimizer_state` lays the trained parameters out in one flat
-vector, re-points their values at views of it, and hands out views of a
+The parameters are plain float64 arrays in the model's dicts.
+`make_optimizer_state` lays the trained ones out in one flat vector,
+rebinds their model entries to views of it, and hands out views of a
 gradient buffer of the same layout, into which the steps write each
 gradient in place (a product with `out=`); `optimizer_step(state,
 config)` then reads that buffer alone and updates the flat vector, the
@@ -109,27 +110,28 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 # optimizer
 
-def make_optimizer_state(params: dict[str, ad.Tensor]):
-    """Fresh state over `params`, whose values move into one flat vector.
+def make_optimizer_state(params):
+    """Fresh state over `params` (`_param_set`: name -> the model's dict
+    and key that hold the array), whose arrays move into one flat vector.
 
     The parameters are laid out in the map's order in one contiguous
-    float64 vector, `state["values"]`, and each leaf's `values` is
-    re-pointed at the reshaped view of its stretch of it, which
+    float64 vector, `state["values"]`, and each one's model entry is
+    rebound to the reshaped view of its stretch of it, which
     `state["params"]` maps by name. The gradient buffer `state["grad"]`
     and the momentum vector (allocated on the first step) share that
     layout, and `state["grads"]` maps each name to its reshaped view of
     the gradient buffer, so the names and shapes a step must fill are
     fixed here, once: a training step writes each gradient straight into
-    its view. The buffer starts as NaN. A leaf whose `values` is rebound
-    later no longer sees the updates.
+    its view. The buffer starts as NaN. An array taken from the model
+    before this call no longer sees the updates.
     """
-    flat = np.concatenate([p.values.ravel() for p in params.values()])
+    flat = np.concatenate([d[k].ravel() for d, k in params.values()])
     grad = np.full_like(flat, np.nan)
     views, grads, lo = {}, {}, 0
-    for name, p in params.items():
-        shape = p.values.shape
+    for name, (d, k) in params.items():
+        shape = d[k].shape
         hi = lo + math.prod(shape)
-        p.values = views[name] = flat[lo:hi].reshape(shape)
+        d[k] = views[name] = flat[lo:hi].reshape(shape)
         grads[name] = grad[lo:hi].reshape(shape)
         lo = hi
     return {"step": 0, "values": flat, "params": views, "grad": grad,
@@ -191,8 +193,8 @@ def _own_values(params):
     """Copy each parameter out of the optimizer's flat layout once its
     training loop ends, so a frozen extractor does not keep its task's
     whole vector, heads included, alive for the rest of the run."""
-    for p in params.values():
-        p.values = p.values.copy()
+    for d, k in params.values():
+        d[k] = d[k].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +399,7 @@ def _rehearsal_tables(model, x_cur, y_cur, buffer, use_cls, use_intra,
                              ("intra", local[:n_cur], use_intra),
                              (model.inter_head, y, use_inter)):
         if on:
-            _check_labels(labels, len(model.heads[f"{head}_b"].values))
+            _check_labels(labels, len(model.heads[f"{head}_b"]))
     if mixed:
         frozen = np.empty((len(y), model.feature_dim * model.current_task))
         model.frozen_concat_np(x_cur, out=frozen[:n_cur])
@@ -434,20 +436,22 @@ def _batches(tables, batch_size, rng):
                frozen[rows], local[rows])
 
 
-def _param_set(model, use_cls, use_intra, use_inter) -> dict[str, ad.Tensor]:
-    """The current extractor plus the heads the enabled terms train.
+def _param_set(model, use_cls, use_intra, use_inter):
+    """The current extractor plus the heads the enabled terms train, as
+    name -> (dict, key), the model entry that holds each array; the
+    optimizer rebinds those entries (`make_optimizer_state`).
 
     A head the model does not have (aux on the first task, a tied inter
     head) is skipped. Keeping unused heads out means decoupled weight
     decay cannot silently move them. The frozen extractors are never in
     it; `_check_frozen` guards that nothing moves them anyway.
     """
-    params = {f"f{model.current_task}/{name}": p
-              for name, p in model.extractors[-1].params.items()}
+    ext = model.extractors[-1].params
+    params = {f"f{model.current_task}/{name}": (ext, name) for name in ext}
     enabled = {"cls": use_cls, "intra": use_intra, "inter": use_inter}
     for term, heads in TERM_HEADS.items():
         if enabled[term]:
-            params.update((name, model.heads[name]) for name in heads
+            params.update((name, (model.heads, name)) for name in heads
                           if name in model.heads)
     return params
 
@@ -490,10 +494,6 @@ def _report_pool(model, x_cur, y_cur, buffer, config: TrainConfig):
     cap = config.report_limit
     cur = (x_cur[:cap], y_cur[:cap])
     return cur, (buffer.samples(cap) if model.task_count >= 2 else None)
-
-
-def _probe_report(model, pool, config: TrainConfig):
-    return empirical_cpns_risk(*pool, model, config.gen)
 
 
 def _record(task, stage, epoch, sums, n_batches, report, wall_ms):
@@ -609,7 +609,7 @@ def _objective(model, xb, yb, n_c, frozen, local, config: TrainConfig,
     the generator or the term would have computed.
     """
     mixed = frozen is not None
-    heads = {name: h.values for name, h in model.heads.items()}
+    heads = model.heads
     ext = model.extractors[-1]
     *hiddens, c_hat = ext.activations_np(xb)
     ins = [xb, *hiddens]  # the input of each layer
@@ -729,7 +729,7 @@ def _objective(model, xb, yb, n_c, frozen, local, config: TrainConfig,
         np.matmul(g.T, ins[i], out=grads[f"{prefix}w{i}"])
         np.add.reduce(g, axis=0, out=grads[f"{prefix}b{i}"])
         if i:
-            g = (g @ ext.params[f"w{i}"].values) * (ins[i] > 0.0)
+            g = (g @ ext.params[f"w{i}"]) * (ins[i] > 0.0)
     return losses
 
 
@@ -777,7 +777,8 @@ def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
                 sums[key] += value
             optimizer_step(state, config)
         _check_finite(state)
-        report = _probe_report(model, pool, config) if stage == 2 else None
+        report = (empirical_cpns_risk(*pool, model, config.gen)
+                  if stage == 2 else None)
         wall = (time.perf_counter() - t0) * 1000.0
         records.append(_record(t, stage, epoch, sums, n_batches, report, wall))
     _own_values(params)
@@ -845,7 +846,7 @@ def _baseline_step(model, xb, yb, frozen, local, grads):
     *hiddens, c_hat = ext.activations_np(xb)
     ins = [xb, *hiddens]  # the input of each layer
     z = c_hat if frozen is None else np.concatenate([frozen, c_hat], axis=1)
-    cls_w, cls_b = model.heads["cls_w"].values, model.heads["cls_b"].values
+    cls_w, cls_b = model.heads["cls_w"], model.heads["cls_b"]
     losses = {}
     losses["cls"], g_cls = _ce(z @ cls_w.T + cls_b, yb)
     np.matmul(g_cls.T, z, out=grads["cls_w"])
@@ -854,7 +855,7 @@ def _baseline_step(model, xb, yb, frozen, local, grads):
     # of cls_w alone
     g = g_cls @ cls_w[:, z.shape[1] - c_hat.shape[1]:]
     if frozen is not None:
-        aux_w, aux_b = model.heads["aux_w"].values, model.heads["aux_b"].values
+        aux_w, aux_b = model.heads["aux_w"], model.heads["aux_b"]
         losses["aux"], g_aux = _ce(c_hat @ aux_w.T + aux_b, local)
         np.matmul(g_aux.T, c_hat, out=grads["aux_w"])
         np.add.reduce(g_aux, axis=0, out=grads["aux_b"])
@@ -864,7 +865,7 @@ def _baseline_step(model, xb, yb, frozen, local, grads):
         np.matmul(g.T, ins[i], out=grads[f"{prefix}w{i}"])
         np.add.reduce(g, axis=0, out=grads[f"{prefix}b{i}"])
         if i:
-            g = (g @ ext.params[f"w{i}"].values) * (ins[i] > 0.0)
+            g = (g @ ext.params[f"w{i}"]) * (ins[i] > 0.0)
     return losses
 
 
@@ -907,7 +908,7 @@ def train_task_baseline(model, task_data, buffer, config: TrainConfig, rng):
                 sums[key] += value
             optimizer_step(state, config)
         _check_finite(state)
-        report = _probe_report(model, pool, config)
+        report = empirical_cpns_risk(*pool, model, config.gen)
         wall = (time.perf_counter() - t0) * 1000.0
         records.append(_record(t, 2, epoch, sums, n_batches, report, wall))
     _own_values(params)

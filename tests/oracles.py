@@ -6,9 +6,11 @@ Both trainers compute their steps' gradients by hand
 versions live here: `constant` and the autodiff ops only they used,
 `head_graph`, the surrogate loss, the projector fit, `graph_objective`,
 which assembles one training step as an autodiff graph (with only the cls
-flag on, it is the baseline's step), `take_grads`, which moves its
-gradients off the leaves, and `graph_saliency`, the predicted logit's
-input gradient through every extractor. The tests hold the hand-derived versions to them bit for bit,
+flag on, it is the baseline's step), and `graph_saliency`, the predicted
+logit's input gradient through every extractor. The model's parameters
+are plain arrays, so each graph wraps the ones it differentiates in
+leaves of its own (`leaves_over`) and reads their gradients off those
+leaves. The tests hold the hand-derived versions to them bit for bit,
 and hold these ops to finite differences. `concat_masking_curve` is the
 masking curve as evaluation used to run it, over every test set
 concatenated into one probe; the per-set `metrics.masking_curve` is held
@@ -46,10 +48,21 @@ def constant(values) -> Tensor:
     return Tensor(values, op="const")
 
 
-def head_graph(model, name, feat_node: Tensor) -> Tensor:
+def leaves_over(arrays):
+    """A leaf over each array of a name -> array map, by the same names.
+    A leaf shares its float64 array's memory, so an in-place update of
+    its values is an update of the array."""
+    return {name: ad.leaf(a) for name, a in arrays.items()}
+
+
+def head_graph(model, name, feat_node: Tensor, leaves=None) -> Tensor:
     """Logits of the model's head `name` as a graph node; the graph twin of
-    `ExpandableModel.head_np`."""
-    return ad.linear(feat_node, *model._head(name))
+    `ExpandableModel.head_np`. Its weight and bias are the nodes of that
+    name in `leaves`, or fresh leaves over the model's arrays."""
+    w, b = model._head(name)
+    if leaves is None:
+        leaves = {f"{name}_w": ad.leaf(w), f"{name}_b": ad.leaf(b)}
+    return ad.linear(feat_node, leaves[f"{name}_w"], leaves[f"{name}_b"])
 
 
 def add_scalars(terms) -> Tensor:
@@ -255,14 +268,14 @@ def graph_saliency(model, x, backward=ad.backward):
     for ext in model.extractors:
         h = node
         for i in range(ext.n_layers):
-            h = ad.linear(h, constant(ext.params[f"w{i}"].values),
-                          constant(ext.params[f"b{i}"].values))
+            h = ad.linear(h, constant(ext.params[f"w{i}"]),
+                          constant(ext.params[f"b{i}"]))
             if i < ext.n_layers - 1:
                 h = ad.relu(h)
         feats.append(h)
     z = feats[0] if len(feats) == 1 else concat(feats)
-    logits = ad.linear(z, constant(model.heads["cls_w"].values),
-                       constant(model.heads["cls_b"].values))
+    logits = ad.linear(z, constant(model.heads["cls_w"]),
+                       constant(model.heads["cls_b"]))
     backward(sum_picked(logits, np.argmax(logits.values, axis=1)))
     return np.abs(node.grad)
 
@@ -308,17 +321,24 @@ def surrogate_intra_loss(factual: Tensor, counterfactual_values, labels,
     return add_scalars([suff, scale(nec, nu)])
 
 
-def projector_graph(model, zold_node: Tensor) -> Tensor:
+PROJECTOR = ("proj_w0", "proj_b0", "proj_w1", "proj_b1")
+
+
+def projector_graph(model, zold_node: Tensor, leaves=None) -> Tensor:
+    """`ExpandableModel.project_values` as a graph over the nodes of the
+    projector's names in `leaves`, or fresh leaves over its arrays."""
     if "proj_w0" not in model.heads:
         raise UsageError("projector is absent on the first task")
-    h = ad.relu(ad.linear(zold_node, model.heads["proj_w0"],
-                          model.heads["proj_b0"]))
-    return ad.linear(h, model.heads["proj_w1"], model.heads["proj_b1"])
+    if leaves is None:
+        leaves = leaves_over({name: model.heads[name] for name in PROJECTOR})
+    h = ad.relu(ad.linear(zold_node, leaves["proj_w0"], leaves["proj_b0"]))
+    return ad.linear(h, leaves["proj_w1"], leaves["proj_b1"])
 
 
-def projector_loss(model, z_old_values, target_values):
-    """Mean squared projector residual; target enters as a plain value."""
-    pred = projector_graph(model, constant(z_old_values))
+def projector_loss(model, z_old_values, target_values, leaves=None):
+    """Mean squared projector residual; target enters as a plain value.
+    The projector's parameters are as in `projector_graph`."""
+    pred = projector_graph(model, constant(z_old_values), leaves)
     diff = sub(pred, constant(target_values))
     return scale(sum_squares(diff), 1.0 / len(target_values))
 
@@ -326,27 +346,30 @@ def projector_loss(model, z_old_values, target_values):
 def graph_objective(model, xb, yb, n_c, frozen, config, use_cls, use_intra,
                     use_inter):
     """`trainer._objective` as an autodiff graph: same arguments, same
-    (losses, grads) result. The gradients are taken off the leaves."""
+    (losses, grads) result. The graph's parameters are fresh leaves over
+    the model's arrays, and the gradients are read off them."""
     lo = model.class_offsets[-1][0]
     cur_count = model.current_class_count
     mixed = frozen is not None
-    params = tr._param_set(model, use_cls, use_intra, use_inter)
-    w_i, b_i = model.heads["intra_w"], model.heads["intra_b"]
+    ext_leaves = leaves_over(model.extractors[-1].params)
+    heads = leaves_over(model.heads)
+    w_i, b_i = heads["intra_w"], heads["intra_b"]
     if use_inter:
         head = model.inter_head
-        w_e, b_e = model.heads[f"{head}_w"], model.heads[f"{head}_b"]
+        w_e, b_e = heads[f"{head}_w"], heads[f"{head}_b"]
     losses = {}
-    c_hat = model.current_feature_graph(constant(xb))
+    c_hat = model.current_feature_graph(constant(xb), ext_leaves)
     z = concat([constant(frozen), c_hat]) if mixed else c_hat
     terms = []
     if use_cls:
-        cls_loss = softmax_cross_entropy(head_graph(model, "cls", z), yb)
+        cls_loss = softmax_cross_entropy(
+            head_graph(model, "cls", z, heads), yb)
         losses["cls"] = float(cls_loss.values)
         terms.append(cls_loss)
     if mixed:
         aux_labels = np.where(yb >= lo, yb - lo, cur_count)
-        aux_loss = softmax_cross_entropy(head_graph(model, "aux", c_hat),
-                                            aux_labels)
+        aux_loss = softmax_cross_entropy(
+            head_graph(model, "aux", c_hat, heads), aux_labels)
         losses["aux"] = float(aux_loss.values)
         terms.append(aux_loss)
     kl_terms = []
@@ -380,20 +403,14 @@ def graph_objective(model, xb, yb, n_c, frozen, config, use_cls, use_intra,
         losses["kl"] = float(kl_total.values)
         terms.append(scale(kl_total, config.gamma))
     if use_inter:
-        proj_loss = projector_loss(model, frozen, c_hat.values)
+        proj_loss = projector_loss(model, frozen, c_hat.values, heads)
         losses["proj"] = float(proj_loss.values)
         terms.append(proj_loss)
     ad.backward(terms[0] if len(terms) == 1 else add_scalars(terms))
-    return losses, take_grads(params)
-
-
-def take_grads(params):
-    """The gradients the last `backward` left on the leaves, moved off them
-    so that no leaf keeps one."""
-    grads = {}
-    for name, p in params.items():
-        grads[name], p.grad = p.grad, None
-    return grads
+    prefix = f"f{model.current_task}/"
+    heads.update((prefix + name, leaf) for name, leaf in ext_leaves.items())
+    return losses, {name: heads[name].grad for name in
+                    tr._param_set(model, use_cls, use_intra, use_inter)}
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +418,8 @@ def take_grads(params):
 
 def per_array_step(params, grads, state, config):
     """`trainer.optimizer_step` as it ran before the flat layout: a loop
-    over the parameters with per-name momentum slots. `state` starts as
-    {"step": 0, "m": {}}."""
+    over the parameters (name -> array, updated in place) with per-name
+    momentum slots. `state` starts as {"step": 0, "m": {}}."""
     lr = float(config.lr)
     for name in params:
         g = grads.get(name)
@@ -415,12 +432,12 @@ def per_array_step(params, grads, state, config):
     for name, t in params.items():
         g = grads[name]
         if config.weight_decay > 0.0:
-            t.values -= lr * config.weight_decay * t.values
+            t -= lr * config.weight_decay * t
         buf = state["m"].get(name)
         # a copy on the first step: the momentum must not alias g
         buf = g.copy() if buf is None else config.momentum * buf + g
         state["m"][name] = buf
-        t.values -= lr * buf
+        t -= lr * buf
     return state
 
 
@@ -495,9 +512,8 @@ def plain_checkpoint_text(model):
         "extractors": [
             {"task_index": t, "layer_dims": ext.layer_dims,
              "frozen": t < model.task_count - 1,
-             "params": {name: array(p.values)
-                        for name, p in ext.params.items()}}
+             "params": {name: array(p) for name, p in ext.params.items()}}
             for t, ext in enumerate(model.extractors)],
-        "heads": {name: array(t.values) for name, t in model.heads.items()},
+        "heads": {name: array(a) for name, a in model.heads.items()},
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

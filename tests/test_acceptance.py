@@ -384,15 +384,16 @@ def test_gradients_match_finite_differences(monkeypatch):
         # copies: each difference below runs the objective into the views
         grads = {name: g.copy() for name, g in views.items()}
         assert grads.keys() == params.keys()
-        for name, p in params.items():
-            base = p.values.copy()
+        for name, (held, key) in params.items():
+            p = held[key]  # the optimizer's view, written in place
+            base = p.copy()
 
             def at(v):
-                p.values[...] = v
+                p[...] = v
                 return total(name)
 
             want = numeric_grad(at, base)
-            p.values[...] = base
+            p[...] = base
             assert rel_err(grads[name], want) < 1e-4, (separate, name)
 
     assert time.perf_counter() - start < 10.0
@@ -580,8 +581,8 @@ def test_flip_rate_ordering_at_matched_budget(quality_models):
         n = 128
         xs, ys = xte[:n], yte[:n]
         feats = model.current_feature_np(xs)
-        w = model.heads["intra_w"].values
-        b = model.heads["intra_b"].values
+        w = model.heads["intra_w"]
+        b = model.heads["intra_b"]
         intra, intra_vals, _, _ = cf.generate_intra_batch(
             feats, ys - lo, w, b=b, alpha=gen.alpha, epsilon=gen.epsilon)
         p_i, lkld_i, _ = mt.counterfactual_quality(model, feats, intra,

@@ -230,11 +230,11 @@ def handcrafted_model():
     model = ExpandableModel(input_dim=3, feature_dim=3, hidden_dims=(), seed=0)
     model.expand(2)
     ext = model.extractors[0].params
-    ext["w0"].values[:] = np.eye(3)
-    ext["b0"].values[:] = 0.0
-    model.heads["cls_w"].values[:] = np.array([[10.0, 0.0, 0.0],
+    ext["w0"][:] = np.eye(3)
+    ext["b0"][:] = 0.0
+    model.heads["cls_w"][:] = np.array([[10.0, 0.0, 0.0],
                                                [-10.0, 0.0, 0.0]])
-    model.heads["cls_b"].values[:] = 0.0
+    model.heads["cls_b"][:] = 0.0
     return model
 
 
@@ -381,8 +381,8 @@ def test_masking_curve_validation():
 def quality_model():
     model = ExpandableModel(input_dim=2, feature_dim=2, hidden_dims=(), seed=0)
     model.expand(2)
-    model.heads["intra_w"].values[:] = np.eye(2)
-    model.heads["intra_b"].values[:] = 0.0
+    model.heads["intra_w"][:] = np.eye(2)
+    model.heads["intra_b"][:] = 0.0
     return model
 
 
@@ -420,7 +420,7 @@ def test_quality_gradient_beats_random_flips():
     # paired comparison at the same budget: loss-ascending interventions
     # flip more predictions than isotropic noise, pooled over 5 seeds
     model = quality_model()
-    w = model.heads["intra_w"].values
+    w = model.heads["intra_w"]
     flips_grad, flips_rand = [], []
     for seed in range(5):
         rng = np.random.default_rng(seed)

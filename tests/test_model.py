@@ -45,15 +45,15 @@ def test_expand_base_case():
 def test_expand_inherits_classifier_block():
     m = fresh()
     m.expand(10)
-    old_w = m.heads["cls_w"].values.copy()
-    old_b = m.heads["cls_b"].values.copy()
+    old_w = m.heads["cls_w"].copy()
+    old_b = m.heads["cls_b"].copy()
     m.expand(10)
     assert m.task_count == 2
     assert m.heads["cls_w"].shape == (20, 8)
-    np.testing.assert_array_equal(m.heads["cls_w"].values[:10, :4], old_w)
-    np.testing.assert_array_equal(m.heads["cls_b"].values[:10], old_b)
+    np.testing.assert_array_equal(m.heads["cls_w"][:10, :4], old_w)
+    np.testing.assert_array_equal(m.heads["cls_b"][:10], old_b)
     # old rows see nothing from the new feature block
-    np.testing.assert_array_equal(m.heads["cls_w"].values[:10, 4:],
+    np.testing.assert_array_equal(m.heads["cls_w"][:10, 4:],
                                   np.zeros((10, 4)))
     assert set(m.frozen_snapshot()) == {f"f0/{name}"
                                         for name in m.extractors[0].params}
@@ -117,7 +117,7 @@ def test_expand_rejects_nonpositive_counts():
 def _manual_extractor(ext, x):
     h = x
     for i in range(ext.n_layers):
-        h = h @ ext.params[f"w{i}"].values.T + ext.params[f"b{i}"].values
+        h = h @ ext.params[f"w{i}"].T + ext.params[f"b{i}"]
         if i < ext.n_layers - 1:
             h = np.maximum(h, 0.0)
     return h
@@ -129,7 +129,7 @@ def test_forward_concat_single_task_degenerate():
     m.expand(3)
     x = _probe(rng, 4, 8)
     f0 = _manual_extractor(m.extractors[0], x)
-    want = f0 @ m.heads["cls_w"].values.T + m.heads["cls_b"].values
+    want = f0 @ m.heads["cls_w"].T + m.heads["cls_b"]
     np.testing.assert_array_equal(m.forward_concat_np(x), want)
 
 
@@ -140,7 +140,7 @@ def test_forward_concat_matches_independent_oracle():
     m.expand(3)
     x = _probe(rng, 6, 8)
     z = np.concatenate([_manual_extractor(e, x) for e in m.extractors], axis=1)
-    want = z @ m.heads["cls_w"].values.T + m.heads["cls_b"].values
+    want = z @ m.heads["cls_w"].T + m.heads["cls_b"]
     np.testing.assert_array_equal(m.forward_concat_np(x), want)
 
 
@@ -151,7 +151,7 @@ def test_forward_concat_zero_new_block_reduces_to_single_task():
     x = _probe(rng, 4, 8)
     single = m.forward_concat_np(x)
     m.expand(3)
-    m.heads["cls_w"].values[:, 4:] = 0.0  # silence the new feature block
+    m.heads["cls_w"][:, 4:] = 0.0  # silence the new feature block
     np.testing.assert_array_equal(m.forward_concat_np(x)[:, :3], single)
 
 
@@ -183,7 +183,7 @@ def test_forward_aux_shape_and_oracle():
     out = m.head_np("aux", m.current_feature_np(x))
     assert out.shape == (2, 6)  # |C_t| + 1
     c = _manual_extractor(m.extractors[-1], x)
-    want = c @ m.heads["aux_w"].values.T + m.heads["aux_b"].values
+    want = c @ m.heads["aux_w"].T + m.heads["aux_b"]
     np.testing.assert_array_equal(out, want)
 
 
@@ -193,13 +193,16 @@ def test_aux_loss_gradient_skips_frozen_extractors():
     m.expand(3)
     m.expand(3)
     x = ad.leaf(_probe(rng, 4, 8))
-    feat = m.current_feature_graph(x)
+    leaves = oracles.leaves_over(m.extractors[1].params)
+    feat = m.current_feature_graph(x, leaves)
     logits = oracles.head_graph(m, "aux", feat)
     loss = oracles.softmax_cross_entropy(logits, [0, 1, 2, 3])
     ad.backward(loss)
-    for name, t in m.extractors[0].params.items():
-        assert t.grad is None, f"frozen param {name} got gradient"
-    assert any(t.grad.any() for t in m.extractors[1].params.values())
+    reached = [n.values for n in ad._toposort(loss) if n.op == "leaf"]
+    for name, p in m.extractors[0].params.items():
+        assert not any(np.shares_memory(p, v) for v in reached), \
+            f"frozen param {name} got gradient"
+    assert any(leaf.grad.any() for leaf in leaves.values())
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +214,12 @@ def test_forward_intra_oracle_and_uniform_ce():
     m.expand(4)
     x = _probe(rng, 3, 8)
     c = _manual_extractor(m.extractors[-1], x)
-    want = c @ m.heads["intra_w"].values.T + m.heads["intra_b"].values
+    want = c @ m.heads["intra_w"].T + m.heads["intra_b"]
     np.testing.assert_array_equal(m.head_np("intra", m.current_feature_np(x)),
                                   want)
 
-    m.heads["intra_w"].values[:] = 0.0
-    m.heads["intra_b"].values[:] = 0.0
+    m.heads["intra_w"][:] = 0.0
+    m.heads["intra_b"][:] = 0.0
     logits = m.head_np("intra", m.current_feature_np(x))
     ce = oracles.softmax_cross_entropy(ad.leaf(logits), np.zeros(3, dtype=int))
     assert abs(float(ce.values) - np.log(4.0)) < 1e-12
@@ -229,7 +232,7 @@ def test_forward_intra_ignores_frozen_extractors():
     m.expand(3)
     x = _probe(rng, 3, 8)
     before = m.head_np("intra", m.current_feature_np(x))
-    m.extractors[0].params["w0"].values[:] += 100.0  # vandalize frozen weights
+    m.extractors[0].params["w0"][:] += 100.0  # vandalize frozen weights
     np.testing.assert_array_equal(m.head_np("intra", m.current_feature_np(x)),
                                   before)
 
@@ -255,8 +258,8 @@ def test_project_old_zero_map_and_shape():
     x = _probe(rng, 5, 8)
     out = m.project_values(m.frozen_concat_np(x))
     assert out.shape == (5, 4)  # d regardless of t
-    m.heads["proj_w1"].values[:] = 0.0
-    m.heads["proj_b1"].values[:] = 0.0
+    m.heads["proj_w1"][:] = 0.0
+    m.heads["proj_b1"][:] = 0.0
     np.testing.assert_array_equal(m.project_values(m.frozen_concat_np(x)),
                                   np.zeros((5, 4)))
 
@@ -276,17 +279,19 @@ def test_projector_fits_realizable_target():
     z_old = m.frozen_concat_np(x)
     target = teacher.project_values(z_old)
 
-    params = [m.heads[k] for k in ("proj_w0", "proj_b0", "proj_w1", "proj_b1")]
+    # leaves over the model's arrays: a step on a leaf's values is a step
+    # on the model
+    leaves = oracles.leaves_over({k: m.heads[k] for k in oracles.PROJECTOR})
     first_err = None
     for _ in range(1200):
         zn = oracles.constant(z_old)
-        pred = oracles.projector_graph(m, zn)
+        pred = oracles.projector_graph(m, zn, leaves)
         diff = oracles.sub(pred, oracles.constant(target))
         loss = oracles.scale(oracles.sum_squares(diff), 1.0 / len(x))
         if first_err is None:
             first_err = float(loss.values)
         ad.backward(loss)
-        for p in params:
+        for p in leaves.values():
             p.values -= 0.05 * p.grad
     final_err = float(np.mean(np.sum((m.project_values(z_old) - target) ** 2, axis=1)))
     assert final_err < 0.02 * first_err
@@ -303,7 +308,7 @@ def test_frozen_features_stable_under_current_task_updates():
     x = _probe(rng, 4, 8)
     before = m.extractors[0].forward_np(x).copy()
     for t in trainable(m):
-        t.values += rng.normal(size=t.values.shape)
+        t += rng.normal(size=t.shape)
     np.testing.assert_array_equal(m.extractors[0].forward_np(x), before)
 
 
@@ -322,7 +327,7 @@ def test_stage_param_views():
     everything = all_params(m)
     names = {name for name, _ in everything.items()}
     assert {"cls_w", "aux_w", "proj_w0", "f0/w0"} <= names
-    # the view shares tensors with the model
+    # the view holds the model's arrays
     assert everything["cls_w"] is m.heads["cls_w"]
 
 
@@ -355,7 +360,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     m.expand(5)
     # make values non-trivial
     for t in trainable(m):
-        t.values += rng.normal(size=t.values.shape)
+        t += rng.normal(size=t.shape)
     p1 = tmp_path / "a.ckpt"
     p2 = tmp_path / "b.ckpt"
     md.save_checkpoint(m, p1)
@@ -456,13 +461,12 @@ def test_checkpoint_bytes_equal_one_plain_dump_across_a_stream(tmp_path, kw):
     for classes in (3, 2, 4):
         m.expand(classes)
         for t in trainable(m):
-            t.values += rng.normal(size=t.values.shape)
+            t += rng.normal(size=t.shape)
         md.save_checkpoint(m, path)
         assert path.read_text() == oracles.plain_checkpoint_text(m)
     loaded = md.load_checkpoint(path)
     for name, p in all_params(m).items():
-        np.testing.assert_array_equal(all_params(loaded)[name].values,
-                                      p.values)
+        np.testing.assert_array_equal(all_params(loaded)[name], p)
 
 
 @pytest.mark.parametrize("change", ["in place", "new array", "reshaped"])
@@ -470,7 +474,7 @@ def test_checkpoint_text_follows_a_changed_frozen_extractor(tmp_path, change):
     rng = np.random.default_rng(4)
     m = fresh(seed=2).expand(3).expand(2)
     for t in all_params(m).values():
-        t.values += rng.normal(size=t.values.shape)
+        t += rng.normal(size=t.shape)
     path = tmp_path / "m.ckpt"
     md.save_checkpoint(m, path)
     text = m.extractors[0]._encoded[1]
@@ -478,11 +482,11 @@ def test_checkpoint_text_follows_a_changed_frozen_extractor(tmp_path, change):
     assert m.extractors[0]._encoded[1] is text  # reused, not re-encoded
     p = m.extractors[0].params["b0"]
     if change == "in place":
-        p.values[1] = np.nextafter(p.values[1], np.inf)
+        p[1] = np.nextafter(p[1], np.inf)
     elif change == "new array":
-        p.values = p.values * 2.0
-    else:
-        p.values = p.values.reshape(1, -1)  # same bytes, other shape
+        m.extractors[0].params["b0"] = p * 2.0
+    else:  # same bytes, other shape
+        m.extractors[0].params["b0"] = p.reshape(1, -1)
     md.save_checkpoint(m, path)
     assert path.read_text() == oracles.plain_checkpoint_text(m)
 

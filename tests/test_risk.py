@@ -22,8 +22,8 @@ def controlled_model(k=2, d=2, tasks=1):
     for _ in range(tasks):
         m.expand(k)
     for ext in m.extractors:
-        ext.params["w0"].values[:] = np.eye(d)
-        ext.params["b0"].values[:] = 0.0
+        ext.params["w0"][:] = np.eye(d)
+        ext.params["b0"][:] = 0.0
     return m
 
 
@@ -40,8 +40,8 @@ def random_model(rng, tasks=2, k=2, input_dim=6, d=4):
 
 def test_perfect_factual_plus_flipping_counterfactual():
     m = controlled_model()
-    m.heads["intra_w"].values[:] = np.eye(2)
-    m.heads["intra_b"].values[:] = 0.0
+    m.heads["intra_w"][:] = np.eye(2)
+    m.heads["intra_b"][:] = 0.0
     x = np.array([[2.0, 0.0], [0.0, 2.0]])
     y = np.array([0, 1])
     cfg = rk.GenConfig(alpha=30.0, epsilon=1e6)
@@ -58,8 +58,8 @@ def test_degenerate_with_perfect_classifier_forces_risk_one():
     # while the loss gradient cancels exactly, so the generator degenerates
     # and the necessity indicator fires on every sample
     m = controlled_model()
-    m.heads["intra_w"].values[:] = np.array([[1.0, 1.0], [1.0, 1.0]])
-    m.heads["intra_b"].values[:] = 0.0
+    m.heads["intra_w"][:] = np.array([[1.0, 1.0], [1.0, 1.0]])
+    m.heads["intra_b"][:] = 0.0
     x = np.array([[2.0, 0.0], [0.5, 1.5], [3.0, 3.0]])
     y = np.zeros(3, dtype=int)
     report = rk.empirical_cpns_risk((x, y), None, m, rk.GenConfig())
@@ -70,8 +70,8 @@ def test_degenerate_with_perfect_classifier_forces_risk_one():
 
 def test_factual_wrong_counterfactual_right_maximizes_violation():
     m = controlled_model()
-    m.heads["intra_w"].values[:] = np.array([[1.0, 1.0], [1.0, 1.0]])
-    m.heads["intra_b"].values[:] = 0.0
+    m.heads["intra_w"][:] = np.array([[1.0, 1.0], [1.0, 1.0]])
+    m.heads["intra_b"][:] = 0.0
     x = np.array([[2.0, 0.0], [1.0, 1.0]])
     y = np.ones(2, dtype=int)  # tie-break predicts 0, always wrong
     report = rk.empirical_cpns_risk((x, y), None, m, rk.GenConfig())
@@ -94,8 +94,8 @@ def test_eight_sample_report_matches_enumeration():
     report = rk.empirical_cpns_risk((x_cur, y_cur), (x_buf, y_buf), m, cfg)
 
     # independent per-sample recomputation with explicit python logic
-    wi = m.heads["intra_w"].values
-    bi = m.heads["intra_b"].values
+    wi = m.heads["intra_w"]
+    bi = m.heads["intra_b"]
     suff_i = nec_i = mono_i = fc_i = cc_i = 0
     for xi, yi in zip(x_cur, y_cur):
         c = m.extractors[-1].forward_np(xi)
@@ -207,7 +207,7 @@ def test_empty_batches_and_label_ranges():
 
 def test_estimate_zero_when_counterfactual_equals_factual():
     m = controlled_model()
-    m.heads["intra_w"].values[:] = np.array([[1.0, 1.0], [1.0, 1.0]])
+    m.heads["intra_w"][:] = np.array([[1.0, 1.0], [1.0, 1.0]])
     x = np.array([[2.0, 0.0], [0.0, 2.0]])
     y = np.array([0, 1])
     assert rk.estimate_pns_interventional((x, y), m, "intra",

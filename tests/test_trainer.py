@@ -41,19 +41,25 @@ def blob_task(rng, labels, n_per, dim, spread=3.0, sigma=0.5):
     return x[perm], y[perm]
 
 
+def state_over(**values):
+    """The optimizer state over one float64 array per keyword, and the dict
+    that holds the arrays, whose entries the state rebinds to its views."""
+    held = {name: np.array(v, dtype=np.float64) for name, v in values.items()}
+    return tr.make_optimizer_state({name: (held, name) for name in held}), held
+
+
 def one_param(values):
-    """The optimizer state over one leaf, the leaf, and the leaf's view of
-    the state's gradient buffer, zeroed."""
-    t = ad.leaf(values)
-    state = tr.make_optimizer_state({"p": t})
+    """The optimizer state over one array, the array's view of the state's
+    parameter vector, and its view of the gradient buffer, zeroed."""
+    state, held = state_over(p=values)
     g = state["grads"]["p"]
     g[...] = 0.0
-    return state, t, g
+    return state, held["p"], g
 
 
 def values_of(ps):
     """Copies of every parameter value, by name."""
-    return {name: t.values.copy() for name, t in ps.items()}
+    return {name: p.copy() for name, p in ps.items()}
 
 
 def exemplars(buf, label):
@@ -73,7 +79,7 @@ def test_sgd_zero_grad_zero_momentum_unchanged():
     cfg = tr.TrainConfig(momentum=0.0, weight_decay=0.0)
     state, t, _ = one_param([1.0, -2.0])
     tr.optimizer_step(state, cfg)
-    np.testing.assert_array_equal(t.values, [1.0, -2.0])
+    np.testing.assert_array_equal(t, [1.0, -2.0])
 
 
 def test_sgd_single_step_matches_hand_computation():
@@ -81,7 +87,7 @@ def test_sgd_single_step_matches_hand_computation():
     state, t, g = one_param([1.0, -2.0])
     g[:] = [0.5, -1.0]
     tr.optimizer_step(state, cfg)
-    np.testing.assert_array_equal(t.values, [1.0 - 0.1 * 0.5, -2.0 + 0.1 * 1.0])
+    np.testing.assert_array_equal(t, [1.0 - 0.1 * 0.5, -2.0 + 0.1 * 1.0])
 
 
 def test_sgd_momentum_accumulates_over_steps():
@@ -93,16 +99,7 @@ def test_sgd_momentum_accumulates_over_steps():
     tr.optimizer_step(state, cfg)
     expected = 0.0 - 0.1 * 1.0
     expected -= 0.1 * (0.9 * 1.0 + 1.0)
-    np.testing.assert_array_equal(t.values, [expected])
-
-
-def test_sgd_momentum_does_not_alias_gradient_buffer():
-    cfg = tr.TrainConfig(lr=0.1, momentum=0.9, weight_decay=0.0)
-    state, t, g = one_param([0.0, 1.0])
-    g[:] = [1.0, -2.0]
-    tr.optimizer_step(state, cfg)
-    g[...] = 0.0  # zeroing in place must leave the momentum alone
-    np.testing.assert_array_equal(state["m"], [1.0, -2.0])
+    np.testing.assert_array_equal(t, [expected])
 
 
 def test_weight_decay_is_decoupled():
@@ -112,12 +109,11 @@ def test_weight_decay_is_decoupled():
     tr.optimizer_step(state, cfg)
     expected = np.array([2.0, -4.0])
     expected = expected - 0.1 * 0.5 * expected
-    np.testing.assert_array_equal(t.values, expected)
+    np.testing.assert_array_equal(t, expected)
 
 
 def test_nan_gradient_aborts_without_touching_values():
-    params = {"a": ad.leaf([1.0, 2.0]), "b": ad.leaf([3.0])}
-    state = tr.make_optimizer_state(params)
+    state, _ = state_over(a=[1.0, 2.0], b=[3.0])
     state["grads"]["a"][...] = [0.1, 0.2]
     state["grads"]["b"][...] = [np.nan]
     with pytest.raises(NumericsError, match="'b' at step 1"):
@@ -131,9 +127,7 @@ def test_a_non_finite_gradient_names_the_largest_parameter():
     # most others. The first non-finite gradient in the layout is named,
     # then how many there are and the parameter of largest magnitude; a
     # NaN value does not hide the finite magnitude beside it.
-    params = {"a": ad.leaf([1.0, -2.0]), "big": ad.leaf([np.nan, -4.5e255]),
-              "c": ad.leaf([3.0, 5.0])}
-    state = tr.make_optimizer_state(params)
+    state, _ = state_over(a=[1.0, -2.0], big=[np.nan, -4.5e255], c=[3.0, 5.0])
     state["grads"]["a"][...] = [np.nan, 0.0]
     state["grads"]["big"][...] = np.nan
     state["grads"]["c"][...] = 0.0
@@ -146,17 +140,17 @@ def test_a_non_finite_gradient_names_the_largest_parameter():
 
 
 def test_state_lays_the_parameters_out_in_one_vector():
-    params = {"w": ad.leaf(np.arange(6.0).reshape(2, 3)), "b": ad.leaf([6.0]),
-              "v": ad.leaf([7.0, 8.0, 9.0])}
-    state = tr.make_optimizer_state(params)
+    state, held = state_over(w=np.arange(6.0).reshape(2, 3), b=[6.0],
+                             v=[7.0, 8.0, 9.0])
     np.testing.assert_array_equal(state["values"], np.arange(10.0))
-    assert state["params"].keys() == state["grads"].keys() == params.keys()
-    for name, p in params.items():
-        assert p.values is state["params"][name]
-        assert np.shares_memory(p.values, state["values"])
+    assert state["params"].keys() == state["grads"].keys() == held.keys()
+    for name, p in held.items():
+        # the dict entry is rebound to the state's view
+        assert p is state["params"][name]
+        assert np.shares_memory(p, state["values"])
         assert np.shares_memory(state["grads"][name], state["grad"])
-        assert state["grads"][name].shape == p.values.shape
-    assert params["w"].values.shape == (2, 3)
+        assert state["grads"][name].shape == p.shape
+    assert held["w"].shape == (2, 3)
     assert np.isnan(state["grad"]).all()
 
 
@@ -180,9 +174,9 @@ def test_flat_step_matches_the_per_array_step_bitwise(weight_decay):
     rng = np.random.default_rng(23)
     shapes = {"one": (1,), "w": (5, 3), "b": (5,), "u": (2, 4)}
     init = {name: rng.normal(size=shape) for name, shape in shapes.items()}
-    flat = {name: ad.leaf(v.copy()) for name, v in init.items()}
-    ref = {name: ad.leaf(v.copy()) for name, v in init.items()}
-    state = tr.make_optimizer_state(flat)
+    flat = {name: v.copy() for name, v in init.items()}
+    ref = {name: v.copy() for name, v in init.items()}
+    state = tr.make_optimizer_state({name: (flat, name) for name in flat})
     ref_state = {"step": 0, "m": {}}
     for _ in range(50):
         grads = {name: rng.normal(scale=10.0 ** rng.integers(-3, 2),
@@ -193,11 +187,11 @@ def test_flat_step_matches_the_per_array_step_bitwise(weight_decay):
         tr.optimizer_step(state, cfg)
         oracles.per_array_step(ref, grads, ref_state, cfg)
     for name in shapes:
-        assert np.array_equal(flat[name].values, ref[name].values), name
+        assert np.array_equal(flat[name], ref[name]), name
     # the momentum vector has the parameters' layout, in the map's order
     assert np.array_equal(state["m"], np.concatenate(
         [ref_state["m"][name].ravel() for name in shapes]))
-    assert not np.array_equal(flat["w"].values, init["w"])
+    assert not np.array_equal(flat["w"], init["w"])
 
 
 @pytest.mark.parametrize("step", [1, 2])
@@ -205,8 +199,7 @@ def test_a_view_left_unwritten_is_named_and_nothing_moves(step):
     # the steps write into `state["grads"]`; the gradient buffer is NaN
     # until they do, on the first step and again after every update
     cfg = tr.TrainConfig(lr=0.1, momentum=0.5)
-    params = {"a": ad.leaf([1.0, 2.0]), "b": ad.leaf([3.0])}
-    state = tr.make_optimizer_state(params)
+    state, _ = state_over(a=[1.0, 2.0], b=[3.0])
     grads = state["grads"]
     for _ in range(step - 1):
         grads["a"][...], grads["b"][...] = [0.1, 0.2], [0.3]
@@ -223,12 +216,10 @@ def test_a_view_left_unwritten_is_named_and_nothing_moves(step):
 
 
 def test_finite_check_names_the_bad_parameter():
-    params = {"a": ad.leaf([1.0]), "w": ad.leaf([1.0, 2.0]),
-              "v": ad.leaf([3.0])}
-    state = tr.make_optimizer_state(params)
+    state, held = state_over(a=[1.0], w=[1.0, 2.0], v=[3.0])
     tr._check_finite(state)
-    params["v"].values[0] = np.inf
-    params["w"].values[1] = np.nan
+    held["v"][0] = np.inf
+    held["w"][1] = np.nan
     with pytest.raises(NumericsError,
                        match="parameter 'w' contains non-finite values"):
         tr._check_finite(state)
@@ -573,10 +564,10 @@ def test_projector_exact_fit_gives_zero_loss():
     model = small_model(seed=1)
     model.expand(2)
     model.expand(2)
-    for t in model.extractors[-1].params.values():
-        t.values[:] = 0.0
-    model.heads["proj_w1"].values[:] = 0.0
-    model.heads["proj_b1"].values[:] = 0.0
+    for p in model.extractors[-1].params.values():
+        p[:] = 0.0
+    model.heads["proj_w1"][:] = 0.0
+    model.heads["proj_b1"][:] = 0.0
     x = np.random.default_rng(0).normal(size=(5, 8))
     loss = oracles.projector_loss(model, model.frozen_concat_np(x),
                               model.current_feature_np(x))
@@ -594,21 +585,23 @@ def test_projector_fits_linear_ground_truth():
     x = rng.normal(size=(64, 4))
     z_old = model.frozen_concat_np(x)
     target = model.current_feature_np(x)
-    heads = [model.heads[k] for k in ("proj_w0", "proj_b0", "proj_w1",
-                                      "proj_b1")]
+    # leaves over the model's projector arrays: a step on a leaf's values
+    # is a step on the model
+    heads = oracles.leaves_over({k: model.heads[k]
+                                 for k in oracles.PROJECTOR})
     losses = []
     for _ in range(4000):
-        loss = oracles.projector_loss(model, z_old, target)
+        loss = oracles.projector_loss(model, z_old, target, heads)
         ad.backward(loss)
-        for head in heads:
+        for head in heads.values():
             head.values -= 0.05 * head.grad
         losses.append(float(loss.values))
     assert losses[-1] < 1e-3
     assert losses[-1] < losses[0] * 1e-2
-    # stop-gradient contract: the target is a value, so the current
-    # extractor never receives a gradient
-    for t in model.extractors[-1].params.values():
-        assert t.grad is None
+    # stop-gradient contract: the target is a value, so the projector's
+    # are the only leaves the loss reaches
+    reached = {id(n) for n in ad._toposort(loss) if n.op == "leaf"}
+    assert reached == {id(head) for head in heads.values()}
 
 
 def test_projector_loss_requires_second_task():
@@ -818,7 +811,7 @@ def test_baseline_trainer_runs_no_objective_generator_or_graph(monkeypatch):
 
     # the per-epoch risk report runs the generators on purpose; it is
     # outside the step and stubbed here
-    monkeypatch.setattr(tr, "_probe_report", lambda *args: None)
+    monkeypatch.setattr(tr, "empirical_cpns_risk", lambda *args: None)
     for owner, name in ((tr, "_objective"), (cf, "generate_intra_batch"),
                         (cf, "generate_inter_batch"), (ad, "backward"),
                         (ad, "linear")):
@@ -925,7 +918,7 @@ def test_a_mixed_loop_computes_the_frozen_features_twice(
     # once over the task's rows and once over the buffer's, however many
     # batches the loop runs; the risk reports score frozen features of
     # their own and are stubbed here
-    monkeypatch.setattr(tr, "_probe_report", lambda *args: None)
+    monkeypatch.setattr(tr, "empirical_cpns_risk", lambda *args: None)
     rows = []
     frozen_concat_np = ExpandableModel.frozen_concat_np
 
@@ -1061,7 +1054,7 @@ def _shrunk(model, head):
     """`model` with the last class of `head` dropped, so that the head's
     last label is one past it."""
     for name in (f"{head}_w", f"{head}_b"):
-        model.heads[name] = ad.leaf(model.heads[name].values[:-1].copy())
+        model.heads[name] = model.heads[name][:-1].copy()
     return model
 
 
@@ -1209,7 +1202,7 @@ def test_frozen_extractor_drift_fails_both_trainers(monkeypatch, train_fn):
 
     def drifting_step(state, config):
         step(state, config)
-        model.extractors[0].params["w0"].values[0, 0] += 1e-12
+        model.extractors[0].params["w0"][0, 0] += 1e-12
 
     monkeypatch.setattr(tr, "optimizer_step", drifting_step)
     cfg = full_cfg(stage1_epochs=1, stage2_epochs=1)
@@ -1223,14 +1216,13 @@ def test_param_set_never_holds_a_frozen_extractor():
                             separate_inter_head=True, seed=4)
     for _ in range(3):
         model.expand(2)
-    frozen = {id(p) for ext in model.extractors[:-1]
-              for p in ext.params.values()}
+    frozen = {id(ext.params) for ext in model.extractors[:-1]}
     current = {f"f2/{name}" for name in model.extractors[-1].params}
     # every (use_cls, use_intra, use_inter) train_task or the baseline pass
     for flags in itertools.product([False, True], repeat=3):
         params = tr._param_set(model, *flags)
         assert current <= params.keys()
-        assert not frozen & {id(p) for p in params.values()}, flags
+        assert not frozen & {id(d) for d, _ in params.values()}, flags
 
 
 def test_training_converges_on_separable_task():
@@ -1313,7 +1305,7 @@ def test_trained_parameters_own_their_memory(train_fn):
     # a view would keep the whole flat optimizer vector of its task alive
     model, _ = run_two_tasks(train_fn, full_cfg())
     for name, p in all_params(model).items():
-        assert p.values.flags.owndata, name
+        assert p.flags.owndata, name
 
 
 def test_training_is_deterministic_given_seeds():
