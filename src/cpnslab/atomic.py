@@ -5,6 +5,11 @@ renames it over `path` when the block ends without an exception. On an
 exception the temp file is removed and `path` is untouched. The rename is
 atomic within one directory, so a run stopped at any point leaves no
 truncated artifact, only whole files of the old run or the new one.
+Every file the package writes goes through it, the epoch log included.
+Two nested blocks, with the outer file's text written before the inner
+block opens, write both files before either is renamed: a pair stopped
+while writing keeps both old files, and only a kill between the two
+renames can split it.
 """
 
 import contextlib

@@ -1,13 +1,14 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 No run path builds a graph: both trainers differentiate their steps by
-hand (`trainer._objective`, `trainer._baseline_step`) and the
-input-saliency diagnostic is in closed form (`metrics.input_saliency`).
-This module is the tests' reference graph, which they hold those
-hand-derived versions to bit for bit. It stays in the package because
-the benchmark's tracer (`perfbench/spans.py`) wraps `backward` and
-`model.ExpandableModel.current_feature_graph` by name, and
-`log_softmax`/`softmax` are the numerics the trainer shares.
+hand (`trainer._objective`, `trainer._baseline_step`), the
+input-saliency diagnostic is in closed form (`metrics.input_saliency`),
+and the softmax numerics they share live in `counterfactual`. Only
+`model` imports this module, for `current_feature_graph`. This module is
+the tests' reference graph, which they hold those hand-derived versions
+to bit for bit. Its one reason to stay in the package is the
+benchmark's tracer (`perfbench/spans.py`), which wraps `backward` and
+`model.ExpandableModel.current_feature_graph` by name.
 
 The graph is built eagerly: every operation returns a `Tensor` node holding
 values, a gradient slot, and a backward closure. The operations here are
@@ -34,8 +35,6 @@ contribution for it.
 The model's parameters are plain float64 arrays, never nodes. A graph
 wraps the ones it differentiates in leaves of its own (`leaf` does not
 copy a float64 array) and reads their gradients off those leaves.
-
-Log-sum-exp is always computed with max subtraction.
 """
 
 from __future__ import annotations
@@ -83,27 +82,6 @@ class Tensor:
 
 def leaf(values):
     return Tensor(values, op="leaf")
-
-
-# ---------------------------------------------------------------------------
-# numerically stable primitives (plain numpy, shared by forward and backward)
-
-def log_softmax(x):
-    """Row-wise (or vector) log softmax of a float array, with max
-    subtraction.
-
-    The reductions are the ufunc reductions `max`/`sum` call, without
-    their wrappers, and the last subtraction reuses the shifted array; the
-    bits are those of `shifted - lse`.
-    """
-    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
-    lse = np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
-    shifted -= lse
-    return shifted
-
-
-def softmax(x):
-    return np.exp(log_softmax(x))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,9 @@ is the same to the bit.
 One reference perturber, an isotropic random direction under the same
 budget, is the baseline for flip-rate comparisons.
 
+`log_softmax` and `softmax` are the row-wise numerics the generators and
+the trainer's objective share.
+
 Every generator returns the same four arrays, one row per input row:
 (counterfactuals, KL values, applied scales, degenerate mask). All are
 pure functions of their inputs; `perturb_random` takes an explicit numpy
@@ -31,10 +34,27 @@ Generator.
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import ConfigurationError
 
 MAX_HALVINGS = 30
+
+
+def log_softmax(x):
+    """Row-wise (or vector) log softmax of a float array, with max
+    subtraction.
+
+    The reductions are the ufunc reductions `max`/`sum` call, without
+    their wrappers, and the last subtraction reuses the shifted array; the
+    bits are those of `shifted - lse`.
+    """
+    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    lse = np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    shifted -= lse
+    return shifted
+
+
+def softmax(x):
+    return np.exp(log_softmax(x))
 
 
 def intra_directions(feats, labels, w, b):
@@ -47,7 +67,7 @@ def intra_directions(feats, labels, w, b):
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     w = np.asarray(w, dtype=np.float64)
     logits = feats @ w.T + np.asarray(b, dtype=np.float64)
-    p = ad.softmax(logits)
+    p = softmax(logits)
     p[np.arange(len(feats)), labels] -= 1.0
     return p @ w
 
@@ -55,7 +75,7 @@ def intra_directions(feats, labels, w, b):
 def _kl_rows(cand, ref):
     """KL(softmax(cand) || softmax(factual)) per row, from the factual
     log-softmax rows `ref`."""
-    la = ad.log_softmax(cand)
+    la = log_softmax(cand)
     return np.add.reduce(np.exp(la) * (la - ref), axis=-1)
 
 
@@ -78,7 +98,7 @@ def _backtrack_batch(feats, directions, init_scale, epsilon, ref=None):
     with a direction; no round is scored twice.
     """
     if ref is None:
-        ref = ad.log_softmax(feats)
+        ref = log_softmax(feats)
     n = len(feats)
     scale = float(init_scale)
     nonzero = np.add.reduce(directions * directions, axis=-1) != 0.0
@@ -113,7 +133,7 @@ def generate_intra_batch(feats, labels, w, b, alpha, epsilon, *,
     Returns (counterfactuals, KL values, applied scales, degenerate mask);
     degenerate rows carry the factual feature and KL value 0. A caller
     that already holds `intra_directions(feats, labels, w, b)` or the
-    factual log-softmax `ad.log_softmax(feats)` passes them as
+    factual log-softmax `log_softmax(feats)` passes them as
     `directions`/`ref`, and they are not computed again.
     """
     if alpha <= 0 or epsilon <= 0:

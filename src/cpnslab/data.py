@@ -393,7 +393,8 @@ def save_table(path, x, y, n_classes, dim_tags=None):
     the finiteness of x, the label range and the tags are checked first,
     so bad input raises InputError before any file is written, and what
     is written `load_table` reads back. Each file is replaced whole
-    (`atomic_open`), so a save stopped midway leaves the earlier one.
+    (`atomic_open`), and both are written before either replaces its
+    target, so a save stopped midway leaves the earlier pair.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -418,14 +419,14 @@ def save_table(path, x, y, n_classes, dim_tags=None):
     for label, row in zip(y, x):
         lines.append(str(int(label)) + " "
                      + " ".join(repr(float(v)) for v in row))
+    sidecar = str(path) + ".factors"
     with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
-    sidecar = str(path) + ".factors"
-    if dim_tags is not None:
-        with atomic_open(sidecar) as fh:
-            fh.write("\n".join(dim_tags) + "\n")
-    elif os.path.exists(sidecar):
-        os.remove(sidecar)
+        if dim_tags is not None:
+            with atomic_open(sidecar) as tags:
+                tags.write("\n".join(dim_tags) + "\n")
+        elif os.path.exists(sidecar):
+            os.remove(sidecar)
 
 
 class Table:

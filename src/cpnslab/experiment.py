@@ -366,14 +366,16 @@ def evaluate_task(model, stream, task_index, history, acts,
 # ---------------------------------------------------------------------------
 # the incremental loop
 
-def _write_json_lines(path, docs, mode="w"):
-    """Write, or append with mode "a", each doc as one canonical JSON line:
-    sorted keys, no spaces. A write replaces the file whole
-    (`atomic_open`); an append extends it in place."""
-    with (atomic_open(path) if mode == "w" else open(path, mode)) as fh:
-        for doc in docs:
-            fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+def _json_lines(docs):
+    """Each doc as one canonical JSON line: sorted keys, no spaces."""
+    return "".join(json.dumps(doc, sort_keys=True, separators=(",", ":"))
+                   + "\n" for doc in docs)
+
+
+def _write_json_lines(path, docs):
+    """Replace the file whole (`atomic_open`) with one JSON line per doc."""
+    with atomic_open(path) as fh:
+        fh.write(_json_lines(docs))
 
 
 def _write_csv(path, header, rows):
@@ -393,9 +395,11 @@ def run_seed(config: ExperimentConfig, seed: int, out_dir=None):
     Artifacts land under out_dir (default output_dir/run_id/seed-{seed}):
     epochs.jsonl, task-{t}.eval.json, task-{t}.ckpt, summary.csv. Files
     of those names left there by an earlier run are removed first, so a
-    shorter rerun keeps none of the old tasks. A stream with an empty
-    train or test split in any task raises ConfigurationError before
-    out_dir is made.
+    shorter rerun keeps none of the old tasks. Every file is replaced
+    whole (`atomic_open`); the epoch log is rewritten after each task from
+    the lines already encoded, so a stopped run leaves it ending at the
+    last trained task. A stream with an empty train or test split in any
+    task raises ConfigurationError before out_dir is made.
     """
     stream = config.build_stream(seed)
     for t, (train, test, _) in enumerate(stream.tasks):
@@ -427,6 +431,7 @@ def run_seed(config: ExperimentConfig, seed: int, out_dir=None):
     history = []
     acts = []
     records = []
+    log_text = ""
     for t, (train_split, _, (lo, hi)) in enumerate(stream.tasks):
         model.expand(hi - lo)
         try:
@@ -434,7 +439,9 @@ def run_seed(config: ExperimentConfig, seed: int, out_dir=None):
                               config.train, rng)
         except NumericsError as exc:
             raise NumericsError(f"seed {seed}, task {t}: {exc}") from exc
-        _write_json_lines(log_path, result["records"], mode="a")
+        log_text += _json_lines(result["records"])
+        with atomic_open(log_path) as fh:
+            fh.write(log_text)
         tr.buffer_commit(buffer, train_split, model)
 
         record = evaluate_task(model, stream, t, history, acts,

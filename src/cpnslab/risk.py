@@ -6,8 +6,8 @@ sufficiency violation (factual representation predicted wrong) and a
 necessity violation (counterfactual representation still predicted right);
 the violation measure multiplies the same two indicators instead of adding
 them. Product <= sum holds per sample for 0/1 values, so the aggregate
-bound m_total <= r_total is exact, and every constructed report asserts
-it: a breach is a bug, never data.
+bound m_total <= r_total is exact. `CpnsReport` derives both totals and
+refuses a breach when it is built: a breach is a bug, never data.
 
 Degenerate counterfactuals (the generator could not move the feature)
 count as automatic necessity violations, the conservative reading.
@@ -22,7 +22,7 @@ which treats each perturbation as a constant offset, so no second-order
 terms arise.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -52,47 +52,31 @@ class CpnsReport:
     r_* lie in [0, 2] (two indicators per sample), m_* in [0, 1],
     pns_*_est in [-1, 1]; n_* are the sample counts per scope, with
     n_inter = 0 on the first task where the inter scope does not exist.
+    The totals are derived, and building a report with m_total above
+    r_total raises PropositionViolation.
     """
 
     r_intra: float
     r_inter: float
-    r_total: float
+    r_total: float = field(init=False)
     m_intra: float
     m_inter: float
-    m_total: float
+    m_total: float = field(init=False)
     pns_intra_est: float
     pns_inter_est: float
     n_intra: int
     n_inter: int
 
+    def __post_init__(self):
+        self.r_total = self.r_intra + self.r_inter
+        self.m_total = self.m_intra + self.m_inter
+        if not self.m_total <= self.r_total:
+            raise PropositionViolation(
+                f"violation total {self.m_total} exceeds risk total "
+                f"{self.r_total}; this indicates a bug")
+
     def to_json_dict(self):
         return asdict(self)
-
-
-def check_proposition1(report: CpnsReport) -> bool:
-    """True iff the violation total is bounded by the risk total.
-
-    The bound is a theorem for reports produced by this module; a False
-    return on one of those indicates a bug in the pipeline.
-    """
-    return report.m_total <= report.r_total
-
-
-def _build_report(r_intra, m_intra, pns_intra, n_intra,
-                  r_inter, m_inter, pns_inter, n_inter) -> CpnsReport:
-    report = CpnsReport(
-        r_intra=float(r_intra), r_inter=float(r_inter),
-        r_total=float(r_intra) + float(r_inter),
-        m_intra=float(m_intra), m_inter=float(m_inter),
-        m_total=float(m_intra) + float(m_inter),
-        pns_intra_est=float(pns_intra), pns_inter_est=float(pns_inter),
-        n_intra=int(n_intra), n_inter=int(n_inter),
-    )
-    if not check_proposition1(report):
-        raise PropositionViolation(
-            f"violation total {report.m_total} exceeds risk total "
-            f"{report.r_total}; this indicates a bug")
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -148,19 +132,6 @@ def _scope(factual_correct, cf_correct, degenerate):
     return r, m, float(np.mean(factual_correct) - np.mean(cf_correct))
 
 
-def _combine_pool(buffer_batch, current_batch):
-    xb, yb = buffer_batch
-    xc, yc = current_batch
-    return (np.concatenate([np.asarray(xb, dtype=np.float64),
-                            np.asarray(xc, dtype=np.float64)]),
-            np.concatenate([np.asarray(yb, dtype=np.int64),
-                            np.asarray(yc, dtype=np.int64)]))
-
-
-def _is_empty(batch):
-    return batch is None or len(batch[0]) == 0
-
-
 def empirical_cpns_risk(current_batch, buffer_batch, model,
                         cfg: GenConfig) -> CpnsReport:
     """Indicator risk per scope, averaged 1/n over the current task and
@@ -170,22 +141,29 @@ def empirical_cpns_risk(current_batch, buffer_batch, model,
     On the first task the inter scope does not exist and is reported with
     count 0. `buffer_batch` may be None there, never afterwards.
     """
-    if _is_empty(current_batch):
+    if current_batch is None or not len(current_batch[0]):
         raise InputError("current batch is empty")
     x_cur = np.asarray(current_batch[0], dtype=np.float64)
     y_cur = np.asarray(current_batch[1], dtype=np.int64)
-    intra = _scope(*_intra_indicators(model, x_cur, y_cur, cfg,
-                                     on_prediction=False))
-    n = len(y_cur)
-
-    if model.task_count < 2:
-        return _build_report(*intra, n, 0.0, 0.0, 0.0, 0)
-
-    if _is_empty(buffer_batch):
-        raise InputError("inter scope requested with an empty buffer batch")
-    x_all, y_all = _combine_pool(buffer_batch, current_batch)
-    inter = _scope(*_inter_indicators(model, x_all, y_all, cfg))
-    return _build_report(*intra, n, *inter, len(y_all))
+    r_intra, m_intra, pns_intra = _scope(*_intra_indicators(
+        model, x_cur, y_cur, cfg, on_prediction=False))
+    r_inter = m_inter = pns_inter = 0.0
+    n_inter = 0
+    if model.task_count > 1:
+        if buffer_batch is None or not len(buffer_batch[0]):
+            raise InputError(
+                "inter scope requested with an empty buffer batch")
+        x_all = np.concatenate(
+            [np.asarray(buffer_batch[0], dtype=np.float64), x_cur])
+        y_all = np.concatenate(
+            [np.asarray(buffer_batch[1], dtype=np.int64), y_cur])
+        r_inter, m_inter, pns_inter = _scope(
+            *_inter_indicators(model, x_all, y_all, cfg))
+        n_inter = len(y_all)
+    return CpnsReport(r_intra=r_intra, r_inter=r_inter, m_intra=m_intra,
+                      m_inter=m_inter, pns_intra_est=pns_intra,
+                      pns_inter_est=pns_inter, n_intra=len(y_cur),
+                      n_inter=n_inter)
 
 
 def estimate_pns_interventional(eval_set, model, scope,
@@ -200,7 +178,7 @@ def estimate_pns_interventional(eval_set, model, scope,
     positive effect. The training-aligned generation is the risk report's
     `pns_intra_est`.
     """
-    if _is_empty(eval_set):
+    if eval_set is None or not len(eval_set[0]):
         raise InputError("eval set is empty")
     x = np.asarray(eval_set[0], dtype=np.float64)
     y = np.asarray(eval_set[1], dtype=np.int64)

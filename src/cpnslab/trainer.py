@@ -51,7 +51,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from . import counterfactual as cf
 from .errors import ConfigurationError, InputError, NumericsError
 from .risk import GenConfig, empirical_cpns_risk
@@ -533,7 +532,7 @@ def _ce_error(logits, labels):
     error softmax - onehot: (value, error), one log-softmax for both."""
     n = len(labels)
     rows = np.arange(n)
-    ls = ad.log_softmax(logits)
+    ls = cf.log_softmax(logits)
     value = float(-np.add.reduce(ls[rows, labels]) / n)
     e = np.exp(ls)
     e[rows, labels] -= 1.0
@@ -553,7 +552,7 @@ def _nlcp(logits, labels, weight, eps=1e-12):
     half of the surrogate: (value, gradient at `weight`)."""
     n = len(labels)
     rows = np.arange(n)
-    p = ad.softmax(logits)
+    p = cf.softmax(logits)
     py = p[rows, labels]
     s = 1.0 - py + eps
     q = py / s
@@ -567,7 +566,7 @@ def _kl(la, b, weight):
     log-softmax of a: (value, gradient in a, gradient in b), both at
     `weight`."""
     n = len(la)
-    lb = ad.log_softmax(b)
+    lb = cf.log_softmax(b)
     p = np.exp(la)
     r = la - lb
     row_kl = np.add.reduce(p * r, axis=-1, keepdims=True)
@@ -641,7 +640,7 @@ def _objective(model, xb, yb, n_c, frozen, local, config: TrainConfig,
         # the sufficiency term's softmax error is also the generator's
         # direction, (softmax - onehot) @ w_i
         suff, g_suff = _ce_error(c_cur @ w_i.T + b_i, y_local)
-        ref_i = ad.log_softmax(c_cur)
+        ref_i = cf.log_softmax(c_cur)
         cfs_i, _, _, _ = cf.generate_intra_batch(
             c_cur, y_local, w_i, b_i, alpha=config.gen.alpha,
             epsilon=config.gen.epsilon, directions=g_suff @ w_i, ref=ref_i)
@@ -663,7 +662,7 @@ def _objective(model, xb, yb, n_c, frozen, local, config: TrainConfig,
         w0, w1 = heads["proj_w0"], heads["proj_w1"]
         hidden = np.maximum(frozen @ w0.T + heads["proj_b0"], 0.0)
         proj = hidden @ w1.T + heads["proj_b1"]
-        ref_e = ad.log_softmax(c_hat)
+        ref_e = cf.log_softmax(c_hat)
         cfs_e, _, _, _ = cf.generate_inter_batch(
             c_hat, proj, beta=config.gen.beta, epsilon=config.gen.epsilon,
             ref=ref_e)

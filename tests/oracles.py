@@ -121,7 +121,7 @@ def softmax_cross_entropy(logits: Tensor, label) -> Tensor:
     """
     labels = _batch_labels(logits, label, "softmax_cross_entropy")
     n = logits.shape[0]
-    ls = ad.log_softmax(logits.values)
+    ls = cf.log_softmax(logits.values)
     picked = ls[np.arange(n), labels]
     p = np.exp(ls)
 
@@ -204,8 +204,8 @@ def kl_softmax(a: Tensor, b: Tensor) -> Tensor:
     _require_batch(a, "kl_softmax")
     if a.shape != b.shape:
         raise ConfigurationError(f"kl_softmax: shape mismatch {a.shape} vs {b.shape}")
-    la = ad.log_softmax(a.values)
-    lb = ad.log_softmax(b.values)
+    la = cf.log_softmax(a.values)
+    lb = cf.log_softmax(b.values)
     p = np.exp(la)
     r = la - lb
     n = a.shape[0]
@@ -225,7 +225,7 @@ def neglog_complement_prob(logits: Tensor, label, eps=1e-12) -> Tensor:
     """Mean over rows of -log(1 - softmax(logits)[label] + eps)."""
     labels = _batch_labels(logits, label, "neglog_complement_prob")
     n = logits.shape[0]
-    p = ad.softmax(logits.values)
+    p = cf.softmax(logits.values)
     py = p[np.arange(n), labels]
     s = 1.0 - py + eps
 

@@ -423,7 +423,7 @@ def test_violation_bound_holds_on_fuzzed_triples():
                            beta=float(rng.uniform(0.01, 0.3)),
                            epsilon=float(rng.uniform(0.01, 0.2)))
         report = rk.empirical_cpns_risk(cur, buf, model, cfg)
-        if not rk.check_proposition1(report):
+        if not report.m_total <= report.r_total:
             violations += 1
         assert -1.0 <= report.pns_intra_est <= 1.0
         assert -1.0 <= report.pns_inter_est <= 1.0

@@ -99,3 +99,29 @@ def test_docstrings_are_not_callers():
     code = '"""Calls f."""\ndef g():\n    """Also f."""\n    return "mod.h"\n'
     words = {word for word, _ in _references(ast.parse(code))}
     assert "f" not in words and "h" in words
+
+
+def _imported_names(tree):
+    """Every dotted part of every module and name a module imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            yield from name.split(".")
+
+
+def test_only_the_model_imports_autodiff():
+    # the run path's softmax numerics live in counterfactual; the graph
+    # stays for the tests and for perfbench's tracer, which wraps
+    # model.ExpandableModel.current_feature_graph
+    for code in ("from . import autodiff as ad", "from .autodiff import leaf",
+                 "import cpnslab.autodiff"):
+        assert "autodiff" in _imported_names(ast.parse(code))
+    importers = [os.path.basename(path) for path, tree in _trees()
+                 if os.path.dirname(path) == PACKAGE
+                 and "autodiff" in _imported_names(tree)]
+    assert importers == ["model.py"]

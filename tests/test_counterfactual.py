@@ -22,8 +22,8 @@ def _rand_head(rng, k=4, d=6):
 
 def kl_rows(a, b):
     """KL(softmax(a) || softmax(b)) per row, in plain numpy."""
-    la = ad.log_softmax(np.asarray(a, dtype=np.float64))
-    lb = ad.log_softmax(np.asarray(b, dtype=np.float64))
+    la = cf.log_softmax(np.asarray(a, dtype=np.float64))
+    lb = cf.log_softmax(np.asarray(b, dtype=np.float64))
     return np.sum(np.exp(la) * (la - lb), axis=-1)
 
 
@@ -416,7 +416,7 @@ def test_caller_held_intermediates_give_the_same_arrays(epsilon):
     labels = rng.integers(4, size=9)
     projected = feats + rng.normal(size=(9, 6))
     projected[4] = 0.0  # a zero direction
-    ref = ad.log_softmax(feats)
+    ref = cf.log_softmax(feats)
     directions = cf.intra_directions(feats, labels, w, b)
     want = cf.generate_intra_batch(feats, labels, w, b, alpha=2.0,
                                    epsilon=epsilon)

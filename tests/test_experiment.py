@@ -99,12 +99,17 @@ class _StopsMidWrite:
         self.fh.close()
 
 
-def _stop_writing(monkeypatch, name):
-    """Make `atomic_open`'s write of the file `name` stop midway."""
+def _stop_writing(monkeypatch, name, at=1):
+    """Make `atomic_open`'s `at`-th write of the file `name` stop midway."""
+    hits = []
+
     def fake_open(path, *args, **kwargs):
         fh = open(path, *args, **kwargs)
-        hit = os.path.basename(path).startswith(f".{name}.")
-        return _StopsMidWrite(fh) if hit else fh
+        if os.path.basename(path).startswith(f".{name}."):
+            hits.append(path)
+            if len(hits) == at:
+                return _StopsMidWrite(fh)
+        return fh
     monkeypatch.setattr(atomic, "open", fake_open, raising=False)
 
 
@@ -272,6 +277,28 @@ class TestRunSeed:
         assert {"task-0.ckpt", "task-0.eval.json"} <= set(names)
         mdl.load_checkpoint(str(seed_dir / "task-0.ckpt"))
         json.loads((seed_dir / "task-0.eval.json").read_text())
+
+    def test_a_stopped_epoch_log_write_keeps_the_earlier_tasks(
+            self, tmp_path, monkeypatch):
+        cfg = ex.config_from_dict(tiny_doc(tmp_path))
+        whole = tmp_path / "whole"
+        ex.run_seed(cfg, 0, out_dir=str(whole))
+        want = [json.loads(line) for line in
+                (whole / "epochs.jsonl").read_text().splitlines()]
+        seed_dir = tmp_path / "t" / "seed-0"
+        # the log is rewritten whole after each task: its second write is
+        # the one after task 1
+        _stop_writing(monkeypatch, "epochs.jsonl", at=2)
+        with pytest.raises(OSError, match="disk full"):
+            ex.run_seed(cfg, 0)
+        text = (seed_dir / "epochs.jsonl").read_text()
+        assert text.endswith("\n")
+        got = [json.loads(line) for line in text.splitlines()]
+        for doc in got + want:
+            doc.pop("wall_ms")
+        assert got == [doc for doc in want if doc["task"] == 0]
+        assert len(got) == 2 + 3
+        assert not [n for n in os.listdir(seed_dir) if n.startswith(".")]
 
     def test_a_stopped_rewrite_keeps_the_old_file(self, tmp_path,
                                                   monkeypatch):

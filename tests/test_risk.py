@@ -77,7 +77,7 @@ def test_factual_wrong_counterfactual_right_maximizes_violation():
     report = rk.empirical_cpns_risk((x, y), None, m, rk.GenConfig())
     assert report.r_intra == 2.0
     assert report.m_intra == 1.0
-    assert rk.check_proposition1(report)
+    assert report.m_total <= report.r_total
 
 
 # ---------------------------------------------------------------------------
@@ -149,21 +149,33 @@ def test_eight_sample_report_matches_enumeration():
 # proposition 1
 
 def test_check_proposition1_negative_control():
-    good = rk.CpnsReport(r_intra=0.5, r_inter=0.5, r_total=1.0,
-                         m_intra=0.2, m_inter=0.1, m_total=0.3,
+    # the totals are derived from the scopes, and the bound holds on them
+    good = rk.CpnsReport(r_intra=0.5, r_inter=0.5, m_intra=0.2, m_inter=0.1,
                          pns_intra_est=0.1, pns_inter_est=0.1,
                          n_intra=4, n_inter=8)
-    assert rk.check_proposition1(good)
-    bad = rk.CpnsReport(r_intra=0.5, r_inter=0.5, r_total=1.0,
-                        m_intra=0.9, m_inter=0.9, m_total=1.8,
-                        pns_intra_est=0.0, pns_inter_est=0.0,
-                        n_intra=4, n_inter=8)
-    assert not rk.check_proposition1(bad)
+    assert (good.r_total, good.m_total) == (1.0, 0.2 + 0.1)
+    with pytest.raises(TypeError):
+        rk.CpnsReport(r_intra=0.5, r_inter=0.5, r_total=9.0, m_intra=0.2,
+                      m_inter=0.1, pns_intra_est=0.1, pns_inter_est=0.1,
+                      n_intra=4, n_inter=8)
+    with pytest.raises(PropositionViolation,
+                       match="violation total 1.8 exceeds risk total 1.0"):
+        rk.CpnsReport(r_intra=0.5, r_inter=0.5, m_intra=0.9, m_inter=0.9,
+                      pns_intra_est=0.0, pns_inter_est=0.0,
+                      n_intra=4, n_inter=8)
 
 
 def test_report_construction_asserts_bound():
+    # one scope alone breaches it, on the first task's shape of report
+    with pytest.raises(PropositionViolation, match="indicates a bug"):
+        rk.CpnsReport(r_intra=0.1, r_inter=0.0, m_intra=0.9, m_inter=0.0,
+                      pns_intra_est=0.0, pns_inter_est=0.0,
+                      n_intra=4, n_inter=0)
+    # a NaN total is no bound either
     with pytest.raises(PropositionViolation):
-        rk._build_report(0.1, 0.9, 0.0, 4, 0.0, 0.0, 0.0, 0)
+        rk.CpnsReport(r_intra=float("nan"), r_inter=0.0, m_intra=0.0,
+                      m_inter=0.0, pns_intra_est=0.0, pns_inter_est=0.0,
+                      n_intra=4, n_inter=0)
 
 
 def test_proposition1_fuzz_small():
@@ -184,7 +196,7 @@ def test_proposition1_fuzz_small():
             buf = (rng.normal(size=(n_buf, 6)),
                    rng.integers(0, lo, size=n_buf))
         report = rk.empirical_cpns_risk(cur, buf, m, cfg)
-        assert rk.check_proposition1(report)
+        assert report.m_total <= report.r_total
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +399,13 @@ def test_indicators_invariant_to_positive_head_rescaling():
 # serialization
 
 def test_report_serializes_flat_with_exact_field_names():
-    report = rk.CpnsReport(r_intra=0.25, r_inter=0.5, r_total=0.75,
-                           m_intra=0.0, m_inter=0.25, m_total=0.25,
-                           pns_intra_est=0.5, pns_inter_est=0.25,
-                           n_intra=4, n_inter=8)
+    report = rk.CpnsReport(r_intra=0.25, r_inter=0.5, m_intra=0.0,
+                           m_inter=0.25, pns_intra_est=0.5,
+                           pns_inter_est=0.25, n_intra=4, n_inter=8)
     d = report.to_json_dict()
     assert list(d) == ["r_intra", "r_inter", "r_total", "m_intra", "m_inter",
                        "m_total", "pns_intra_est", "pns_inter_est",
                        "n_intra", "n_inter"]
+    assert (d["r_total"], d["m_total"]) == (0.75, 0.25)
     round_tripped = json.loads(json.dumps(d))
     assert round_tripped == d

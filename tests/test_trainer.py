@@ -745,13 +745,13 @@ def test_a_first_scale_step_takes_each_log_softmax_once(monkeypatch, stage,
             return out
         monkeypatch.setattr(cf, name, recording)
     calls = []
-    log_softmax = ad.log_softmax
+    log_softmax = cf.log_softmax
 
     def counting(a):
         calls.append(a.shape)
         return log_softmax(a)
 
-    monkeypatch.setattr(ad, "log_softmax", counting)
+    monkeypatch.setattr(cf, "log_softmax", counting)
     tr._objective(model, xb, yb, n_c, frozen, local, cfg, *flags, grads)
     assert scales == [True] * stage
     assert len(calls) == want
