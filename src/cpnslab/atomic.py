@@ -9,11 +9,19 @@ Every file the package writes goes through it, the epoch log included.
 Two nested blocks, with the outer file's text written before the inner
 block opens, write both files before either is renamed: a pair stopped
 while writing keeps both old files, and only a kill between the two
-renames can split it.
+renames can split it. `canonical_json` is the one encoder of the JSON
+artifacts (checkpoints, eval records, the epoch log): sorted keys, no
+spaces, so equal documents give equal bytes.
 """
 
 import contextlib
+import json
 import os
+
+
+def canonical_json(doc):
+    """`doc` as canonical JSON text: sorted keys, no spaces."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 @contextlib.contextmanager

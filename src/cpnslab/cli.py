@@ -124,12 +124,11 @@ def main(argv=None):
                 return 0
 
             config = ex.load_config(args.config)
-            out = args.out or os.environ.get("CPNSLAB_OUT")
-            if out:
-                config.output_dir = out
-            if args.seed is not None:
-                # through the constructor, so the seed is validated
-                config = dataclasses.replace(config, seeds=(args.seed,))
+            out = (args.out or os.environ.get("CPNSLAB_OUT")
+                   or config.output_dir)
+            seeds = config.seeds if args.seed is None else (args.seed,)
+            # through the constructor, so the overrides are validated
+            config = dataclasses.replace(config, output_dir=out, seeds=seeds)
 
             if args.command == "run":
                 rows = ex.run_experiment(config)

@@ -25,8 +25,8 @@ from . import data as dt
 from . import metrics as mt
 from . import model as mdl
 from . import trainer as tr
-from .atomic import atomic_open
-from .errors import ConfigurationError, NumericsError, ParseError
+from .atomic import atomic_open, canonical_json
+from .errors import ConfigurationError, NumericsError, ParseError, UsageError
 from .risk import GenConfig
 
 SUMMARY_HEADER = "method,scenario,seed,last,avg"
@@ -262,34 +262,29 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # evaluation helpers
 
-def _extend_activations(model, test_sets, acts):
-    """Bring acts[j][t], extractor t's `masks_np` on test set j (its hidden
-    layers' bool ReLU masks, then its float64 feature), up to every
-    extractor of the model and every set in `test_sets`.
+def _seen_set_outputs(model, test_sets, acts):
+    """Predictions per test set and each class's mean concatenated feature.
 
-    An extractor is final once its task is trained (`trainer._check_frozen`
-    enforces it), so entries already in `acts` stay valid and only the
-    missing ones are computed: after task t, extractor t on sets 0..t and
-    extractors 0..t-1 on set t, 2t+1 forwards. Evaluation reads a hidden
-    activation only through its mask, so that is all an entry keeps.
+    First brings acts[j][t], extractor t's `masks_np` on test set j (its
+    hidden layers' bool ReLU masks, then its float64 feature), up to every
+    extractor of the model and every set in `test_sets`. An extractor is
+    final once its task is trained (`trainer._check_frozen` enforces it),
+    so entries already in `acts` stay valid and only the missing ones are
+    computed: after task t, extractor t on sets 0..t and extractors
+    0..t-1 on set t, 2t+1 forwards. Evaluation reads a hidden activation
+    only through its mask, so that is all an entry keeps. A class's
+    prototype is its mean in its own test set; no class spans two sets.
     """
-    for j, (x, _) in enumerate(test_sets):
+    preds, protos = [], {}
+    for j, (x, y) in enumerate(test_sets):
         if j == len(acts):
             acts.append([])
-        done = len(acts[j])
-        acts[j].extend(ext.masks_np(x) for ext in model.extractors[done:])
-
-
-def _seen_set_outputs(model, acts, test_sets):
-    """Predictions per test set and class-mean concatenated features."""
-    preds, sums, counts = [], {}, {}
-    for set_acts, (_, y) in zip(acts, test_sets):
-        feats = np.concatenate([a[-1] for a in set_acts], axis=1)
+        acts[j] += [ext.masks_np(x) for ext in model.extractors[len(acts[j]):]]
+        feats = np.concatenate([a[-1] for a in acts[j]], axis=1)
         preds.append(np.argmax(model.head_np("cls", feats), axis=1))
         for c in np.unique(y):
-            sums[int(c)] = sums.get(int(c), 0.0) + feats[y == c].sum(axis=0)
-            counts[int(c)] = counts.get(int(c), 0) + int(np.sum(y == c))
-    return preds, {c: sums[c] / counts[c] for c in sums}
+            protos[int(c)] = feats[y == c].mean(axis=0)
+    return preds, protos
 
 
 def _cf_quality_probe(model, x, y, lo, cfgm: MetricsConfig, gen: GenConfig):
@@ -309,34 +304,37 @@ def _cf_quality_probe(model, x, y, lo, cfgm: MetricsConfig, gen: GenConfig):
         np.concatenate([vals, vals_e]), references=proj)
 
 
-def evaluate_task(model, stream, task_index, history, acts,
+def evaluate_task(model, stream, task_index, records, acts,
                   cfgm: MetricsConfig, gen: GenConfig) -> mt.EvalRecord:
     """Build the EvalRecord after training task `task_index`.
 
-    `history` and `acts` carry state from one task's evaluation to the
-    next, so both start empty and see every task of one run in order:
-    `history` gains this task's pooled accuracy, and `acts[j][t]`,
-    extractor t's ReLU masks and feature on test set j, gains the 2t+1
-    entries the new extractor and the new test set add
-    (`_extend_activations`). The predictions and prototypes read `acts`
-    once per set; the accuracies, the saliency and the k = 0 masking point
-    read those predictions and masks, and only the masked passes (k > 0)
-    run every extractor again.
+    `records` holds the records of tasks 0..task_index-1 and is only
+    read: `avg_acc` is the mean of their `last_acc` and this task's pooled
+    accuracy, so records reloaded from their eval files serve as well.
+    `acts`, the evaluation cache, starts empty: `acts[j][t]`, extractor
+    t's ReLU masks and feature on test set j, gains the entries the new
+    extractor and the new test set add (`_seen_set_outputs`), and an
+    empty cache is rebuilt whole, to the same bits. The predictions and
+    prototypes read `acts` once per set; the accuracies, the saliency and
+    the k = 0 masking point read those predictions and masks, and only
+    the masked passes (k > 0) run every extractor again.
 
     Each diagnostic is computed whenever its inputs allow: old-to-new
     error and CKA from the second task on, the masking curve when the
     stream's `dim_tags` hold a causal dimension that some `masking_ks`
     entry fits, and counterfactual quality after every task.
     """
+    if len(records) != task_index:
+        raise UsageError(f"{len(records)} earlier records for task "
+                         f"{task_index}")
     seen = stream.tasks[:task_index + 1]
     test_sets = [test for _, test, _ in seen]
-    _extend_activations(model, test_sets, acts)
-    preds, protos = _seen_set_outputs(model, acts, test_sets)
-    per_task = [float(np.mean(p == y)) for p, (_, y) in zip(preds, test_sets)]
-    hits = sum(int(np.sum(p == y)) for p, (_, y) in zip(preds, test_sets))
-    total = sum(len(y) for _, y in test_sets)
-    history.append(hits / total)
-    last, avg = mt.incremental_accuracy(history)
+    preds, protos = _seen_set_outputs(model, test_sets, acts)
+    hits = [int(np.sum(p == y)) for p, (_, y) in zip(preds, test_sets)]
+    per_task = [h / len(y) for h, (_, y) in zip(hits, test_sets)]
+    pooled = sum(hits) / sum(len(y) for _, y in test_sets)
+    last, avg = mt.incremental_accuracy(
+        [r.last_acc for r in records] + [pooled])
 
     (x_cur, y_cur), _, (lo, hi) = stream.tasks[task_index]
     old_new = cka = None
@@ -350,7 +348,7 @@ def evaluate_task(model, stream, task_index, history, acts,
                                model.extractors[task_index], probe_x)
 
     tags = (stream.factor_annotations or {}).get("dim_tags") or ()
-    n_causal = sum(t in ("causal", "minimal_causal") for t in tags)
+    n_causal = len(mt.causal_columns(tags))
     ks = [k for k in cfgm.masking_ks if k <= n_causal]
     masking = (mt.masking_curve(model, test_sets, acts, preds, tags, ks)
                if n_causal and ks else None)
@@ -368,8 +366,7 @@ def evaluate_task(model, stream, task_index, history, acts,
 
 def _json_lines(docs):
     """Each doc as one canonical JSON line: sorted keys, no spaces."""
-    return "".join(json.dumps(doc, sort_keys=True, separators=(",", ":"))
-                   + "\n" for doc in docs)
+    return "".join(canonical_json(doc) + "\n" for doc in docs)
 
 
 def _write_json_lines(path, docs):
@@ -428,7 +425,6 @@ def run_seed(config: ExperimentConfig, seed: int, out_dir=None):
     train_fn = (tr.train_task_baseline if config.use_baseline_trainer
                 else tr.train_task)
 
-    history = []
     acts = []
     records = []
     log_text = ""
@@ -444,7 +440,7 @@ def run_seed(config: ExperimentConfig, seed: int, out_dir=None):
             fh.write(log_text)
         tr.buffer_commit(buffer, train_split, model)
 
-        record = evaluate_task(model, stream, t, history, acts,
+        record = evaluate_task(model, stream, t, records, acts,
                                config.metrics, config.train.gen)
         _write_json_lines(os.path.join(out_dir, f"task-{t}.eval.json"),
                           [record.to_json_dict()])

@@ -116,38 +116,32 @@ def old_new_error(old_predictions, new_class_range, prototypes):
     if not lo < hi:
         raise InputError(f"empty new-class range [{lo}, {hi})")
 
-    preds = [np.asarray(p, dtype=np.int64) for p, _ in old_predictions]
-    ys = [np.asarray(y, dtype=np.int64) for _, y in old_predictions]
-    old_classes = sorted({int(c) for y in ys for c in np.unique(y)})
-    new_classes = list(range(lo, hi))
-    for c in old_classes + new_classes:
+    if any(len(p) != len(y) for p, y in old_predictions):
+        raise InputError("predictions and labels differ in length")
+    pred = np.concatenate([np.asarray(p, dtype=np.int64)
+                           for p, _ in old_predictions])
+    y = np.concatenate([np.asarray(y, dtype=np.int64)
+                        for _, y in old_predictions])
+    if not len(y):
+        raise InputError("no old test rows supplied")
+    old_classes = np.unique(y)
+    new_classes = range(lo, hi)
+    for c in [*old_classes.tolist(), *new_classes]:
         if c not in prototypes:
             raise InputError(f"missing prototype for class {c}")
 
-    overlap = {c: max(_cosine(prototypes[c], prototypes[n]) for n in new_classes)
-               for c in old_classes}
-    values = np.array([overlap[c] for c in old_classes])
-    q1, q2 = np.quantile(values, [1.0 / 3.0, 2.0 / 3.0])
-    group_of = {}
-    for c in old_classes:
-        if overlap[c] <= q1:
-            group_of[c] = "low"
-        elif overlap[c] <= q2:
-            group_of[c] = "medium"
-        else:
-            group_of[c] = "high"
-
-    hits = {g: 0 for g in OVERLAP_GROUPS}
-    totals = {g: 0 for g in OVERLAP_GROUPS}
-    for pred, y in zip(preds, ys):
-        into_new = (pred >= lo) & (pred < hi)
-        for c in np.unique(y):
-            g = group_of[int(c)]
-            mask = y == c
-            hits[g] += int(np.sum(into_new[mask]))
-            totals[g] += int(np.sum(mask))
-    return {g: (hits[g] / totals[g] if totals[g] else float("nan"))
-            for g in OVERLAP_GROUPS}
+    overlap = np.array([max(_cosine(prototypes[c], prototypes[n])
+                            for n in new_classes)
+                        for c in old_classes.tolist()])
+    q1, q2 = np.quantile(overlap, [1.0 / 3.0, 2.0 / 3.0])
+    # 0 low, 1 medium, 2 high; a NaN fails both tests and lands in high
+    group = np.where(overlap <= q1, 0, np.where(overlap <= q2, 1, 2))
+    row_group = group[np.searchsorted(old_classes, y)]
+    into_new = (pred >= lo) & (pred < hi)
+    hits = np.bincount(row_group[into_new], minlength=3).tolist()
+    totals = np.bincount(row_group, minlength=3).tolist()
+    return {g: (h / n if n else float("nan"))
+            for g, h, n in zip(OVERLAP_GROUPS, hits, totals)}
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +222,12 @@ def input_saliency(model, acts, pred):
     return np.abs(grad)
 
 
+def causal_columns(dim_tags):
+    """The indices of the dimensions tagged causal or minimal_causal."""
+    return np.array([i for i, t in enumerate(dim_tags)
+                     if t in ("causal", "minimal_causal")], dtype=np.int64)
+
+
 def masking_curve(model, test_sets, acts, preds, dim_tags, ks):
     """Accuracy after zeroing each sample's top-k salient causal dims.
 
@@ -241,8 +241,7 @@ def masking_curve(model, test_sets, acts, preds, dim_tags, ks):
     the hits are summed over the sets, which gives the accuracy over all
     their rows exactly. Returns [(k, acc)].
     """
-    causal_cols = np.array([i for i, t in enumerate(dim_tags)
-                            if t in ("causal", "minimal_causal")], dtype=np.int64)
+    causal_cols = causal_columns(dim_tags)
     if len(causal_cols) == 0:
         raise ConfigurationError("no dimensions are annotated causal")
     ks = [int(k) for k in ks]

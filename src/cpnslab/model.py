@@ -20,7 +20,7 @@ import json
 import numpy as np
 
 from . import autodiff as ad
-from .atomic import atomic_open
+from .atomic import atomic_open, canonical_json
 from .errors import ConfigurationError, FormatError, InputError, UsageError
 
 CHECKPOINT_MAGIC = "CPNSLAB1"
@@ -292,11 +292,6 @@ def _array_in(entry, shape=None):
     return arr
 
 
-def _dumps(doc):
-    """Canonical JSON: sorted keys, no spaces."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
 def _array_out(values):
     return {"shape": list(values.shape), "data": values.tolist()}
 
@@ -312,8 +307,8 @@ def _params_text(ext):
     """
     key = [(name, p.shape, p.tobytes()) for name, p in ext.params.items()]
     if ext._encoded is None or ext._encoded[0] != key:
-        ext._encoded = (key, _dumps({name: _array_out(p)
-                                     for name, p in ext.params.items()}))
+        ext._encoded = (key, canonical_json(
+            {name: _array_out(p) for name, p in ext.params.items()}))
     return ext._encoded[1]
 
 
@@ -330,8 +325,8 @@ def save_checkpoint(model: ExpandableModel, path):
     """
     last = model.task_count - 1
     extractors = ",".join(
-        _dumps({"task_index": t, "layer_dims": ext.layer_dims,
-                "frozen": t < last, "params": None})
+        canonical_json({"task_index": t, "layer_dims": ext.layer_dims,
+                        "frozen": t < last, "params": None})
         .replace('"params":null', '"params":' + _params_text(ext), 1)
         for t, ext in enumerate(model.extractors))
     doc = {
@@ -348,8 +343,8 @@ def save_checkpoint(model: ExpandableModel, path):
         "extractors": None,
         "heads": {name: _array_out(a) for name, a in model.heads.items()},
     }
-    text = _dumps(doc).replace('"extractors":null',
-                               f'"extractors":[{extractors}]', 1)
+    text = canonical_json(doc).replace('"extractors":null',
+                                       f'"extractors":[{extractors}]', 1)
     with atomic_open(path) as fh:
         fh.write(text)
         fh.write("\n")

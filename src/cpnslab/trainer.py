@@ -71,9 +71,12 @@ class TrainConfig:
     Every step is SGD with momentum at the constant rate lr, and the
     rehearsal buffer keeps herding exemplars. lam weights the inter-scope
     surrogate, gamma the KL budget terms, nu the necessity half of each
-    surrogate. stage1_epochs = 0 trains in a single stage; a single-stage
-    ablation folds the stage-1 epochs into stage2_epochs, so epoch totals
-    stay comparable across ablations.
+    surrogate. The gamma terms are KL(softmax(c) || softmax(cbar)) of a
+    factual feature c and its counterfactual cbar, the reverse of the
+    generators' budget KL(softmax(cbar) || softmax(c)) <= gen.epsilon.
+    stage1_epochs = 0 trains in a single stage; a single-stage ablation
+    folds the stage-1 epochs into stage2_epochs, so epoch totals stay
+    comparable across ablations.
     """
 
     stage1_epochs: int = 20
@@ -117,12 +120,12 @@ def make_optimizer_state(params):
     float64 vector, `state["values"]`, and each one's model entry is
     rebound to the reshaped view of its stretch of it, which
     `state["params"]` maps by name. The gradient buffer `state["grad"]`
-    and the momentum vector (allocated on the first step) share that
-    layout, and `state["grads"]` maps each name to its reshaped view of
-    the gradient buffer, so the names and shapes a step must fill are
-    fixed here, once: a training step writes each gradient straight into
-    its view. The buffer starts as NaN. An array taken from the model
-    before this call no longer sees the updates.
+    and the momentum vector `state["m"]` share that layout, and
+    `state["grads"]` maps each name to its reshaped view of the gradient
+    buffer, so the names and shapes a step must fill are fixed here,
+    once: a training step writes each gradient straight into its view.
+    The buffer starts as NaN and the momentum as zeros. An array taken
+    from the model before this call no longer sees the updates.
     """
     flat = np.concatenate([d[k].ravel() for d, k in params.values()])
     grad = np.full_like(flat, np.nan)
@@ -134,7 +137,7 @@ def make_optimizer_state(params):
         grads[name] = grad[lo:hi].reshape(shape)
         lo = hi
     return {"step": 0, "values": flat, "params": views, "grad": grad,
-            "grads": grads, "m": None}
+            "grads": grads, "m": np.zeros_like(flat)}
 
 
 def _non_finite(views):
@@ -177,12 +180,8 @@ def optimizer_step(state, config: TrainConfig):
     if config.weight_decay > 0.0:
         values -= lr * config.weight_decay * values
     m = state["m"]
-    if m is None:
-        # a copy: g is the gradient buffer the next step overwrites
-        state["m"] = m = g.copy()
-    else:
-        m *= config.momentum
-        m += g
+    m *= config.momentum
+    m += g
     values -= lr * m
     g.fill(np.nan)
     return state
@@ -564,7 +563,9 @@ def _nlcp(logits, labels, weight, eps=1e-12):
 def _kl(la, b, weight):
     """Mean KL(softmax(a) || softmax(b)) over the rows, from `la`, the
     log-softmax of a: (value, gradient in a, gradient in b), both at
-    `weight`."""
+    `weight`. The budget terms call it with the factual feature as a and
+    the counterfactual as b, the reverse of the direction the generators
+    hold under epsilon (`counterfactual._kl_rows`)."""
     n = len(la)
     lb = cf.log_softmax(b)
     p = np.exp(la)

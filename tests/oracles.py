@@ -20,7 +20,9 @@ a time, before the flat layout; `trainer.optimizer_step` is held to it.
 `compacted_herding_order` as it scored every untaken row at every pick,
 and `plain_checkpoint_text` the checkpoint document as one `json.dumps`
 that encodes every array afresh; `trainer.herding_order` and
-`model.save_checkpoint` are held to them exactly.
+`model.save_checkpoint` are held to them exactly. `looped_old_new_error`
+is the old-to-new error as it counted hits one class of one set at a
+time; `metrics.old_new_error` is held to it exactly.
 
 The ops follow the closure convention of `cpnslab.autodiff`: a backward
 closure takes its node's gradient and refers only to the parents.
@@ -32,6 +34,7 @@ import numpy as np
 
 from cpnslab import autodiff as ad
 from cpnslab import counterfactual as cf
+from cpnslab import metrics as mt
 from cpnslab import trainer as tr
 from cpnslab.autodiff import Tensor, _accumulate, _require_batch
 from cpnslab.errors import (ConfigurationError, InputError, NumericsError,
@@ -517,3 +520,29 @@ def plain_checkpoint_text(model):
         "heads": {name: array(a) for name, a in model.heads.items()},
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def looped_old_new_error(old_predictions, new_class_range, prototypes):
+    """`metrics.old_new_error` (well-formed inputs only) as it ran with a
+    dict of groups and a loop over every class of every set."""
+    lo, hi = new_class_range
+    ys = [np.asarray(y, dtype=np.int64) for _, y in old_predictions]
+    old_classes = sorted({int(c) for y in ys for c in np.unique(y)})
+    overlap = {c: max(mt._cosine(prototypes[c], prototypes[n])
+                      for n in range(lo, hi)) for c in old_classes}
+    q1, q2 = np.quantile([overlap[c] for c in old_classes],
+                         [1.0 / 3.0, 2.0 / 3.0])
+    group_of = {c: ("low" if overlap[c] <= q1 else
+                    "medium" if overlap[c] <= q2 else "high")
+                for c in old_classes}
+    hits = {g: 0 for g in mt.OVERLAP_GROUPS}
+    totals = {g: 0 for g in mt.OVERLAP_GROUPS}
+    for (pred, _), y in zip(old_predictions, ys):
+        pred = np.asarray(pred, dtype=np.int64)
+        into_new = (pred >= lo) & (pred < hi)
+        for c in np.unique(y):
+            g = group_of[int(c)]
+            hits[g] += int(np.sum(into_new[y == c]))
+            totals[g] += int(np.sum(y == c))
+    return {g: (hits[g] / totals[g] if totals[g] else float("nan"))
+            for g in mt.OVERLAP_GROUPS}

@@ -125,3 +125,37 @@ def test_only_the_model_imports_autodiff():
                  if os.path.dirname(path) == PACKAGE
                  and "autodiff" in _imported_names(tree)]
     assert importers == ["model.py"]
+
+
+def _json_dumps_users(tree):
+    """The name of the function around each `json.dumps` in a module,
+    and "<module>" for one outside any function; an import of `dumps`
+    from json counts as a use where it stands."""
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "dumps"
+                    and isinstance(child.value, ast.Name)
+                    and child.value.id == "json"):
+                yield where
+            elif (isinstance(child, ast.ImportFrom) and child.module == "json"
+                    and any(a.name == "dumps" for a in child.names)):
+                yield where
+            yield from walk(child, where)
+    return list(walk(tree, "<module>"))
+
+
+def test_one_encoder_writes_the_json_artifacts():
+    # every JSON artifact is encoded by atomic.canonical_json, so its
+    # bytes are decided in one place; the CLI's stdout print is no artifact
+    code = ("import json\nfrom json import dumps\n"
+            "def f():\n    def g():\n        return json.dumps(1)\n"
+            "    return json.loads('1')\n")
+    assert _json_dumps_users(ast.parse(code)) == ["<module>", "g"]
+    users = sorted((os.path.basename(path), where)
+                   for path, tree in _trees()
+                   if os.path.dirname(path) == PACKAGE
+                   for where in _json_dumps_users(tree))
+    assert users == [("atomic.py", "canonical_json"), ("cli.py", "main")]

@@ -26,7 +26,8 @@ from cpnslab import experiment as ex
 from cpnslab import metrics as mt
 from cpnslab import model as mdl
 from cpnslab import risk as rk
-from cpnslab.errors import ConfigurationError, NumericsError, ParseError
+from cpnslab.errors import (ConfigurationError, NumericsError, ParseError,
+                            UsageError)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -483,11 +484,11 @@ class TestRunSeed:
         model = mdl.ExpandableModel(input_dim=cfg.input_dim(stream),
                                     feature_dim=8, hidden_dims=(16, 8),
                                     seed=0)
-        history, acts = [], []
+        records, acts = [], []
         for t, (_, _, (lo, hi)) in enumerate(stream.tasks):
             model.expand(hi - lo)
-            ex.evaluate_task(model, stream, t, history, acts, cfg.metrics,
-                             cfg.train.gen)
+            records.append(ex.evaluate_task(model, stream, t, records, acts,
+                                            cfg.metrics, cfg.train.gen))
         test_xs = [x for _, (x, _), _ in stream.tasks]
         assert [len(set_acts) for set_acts in acts] == [3, 3, 3]
         for x, set_acts in zip(test_xs, acts):
@@ -503,6 +504,34 @@ class TestRunSeed:
         nbytes = sum(a.nbytes for set_acts in acts for entry in set_acts
                      for a in entry)
         assert nbytes == 3 * sum(len(x) * (16 + 8 + 8 * 8) for x in test_xs)
+
+    def test_evaluation_rebuilds_from_the_files_a_run_leaves(self, tmp_path):
+        # what a run resumed at task k has: task k's checkpoint and the
+        # eval records of the tasks before it. From those alone, with the
+        # evaluation cache rebuilt from empty, task k's record comes out
+        # to the byte
+        doc = tiny_doc(tmp_path)
+        doc["data"]["num_tasks"] = 3
+        cfg = ex.config_from_dict(doc)
+        seed_dir = tmp_path / "run"
+        ex.run_seed(cfg, 0, out_dir=str(seed_dir))
+        stream = cfg.build_stream(0)
+        texts = [(seed_dir / f"task-{k}.eval.json").read_text()
+                 for k in range(3)]
+        for k in range(3):
+            model = mdl.load_checkpoint(str(seed_dir / f"task-{k}.ckpt"))
+            records = [mt.EvalRecord(**json.loads(text))
+                       for text in texts[:k]]
+            record = ex.evaluate_task(model, stream, k, records, [],
+                                      cfg.metrics, cfg.train.gen)
+            assert record.masking_curve is not None
+            assert ex._json_lines([record.to_json_dict()]) == texts[k]
+            accs = [r.last_acc for r in records] + [record.last_acc]
+            assert record.avg_acc == float(np.mean(accs))
+        # the records must be exactly those of the earlier tasks
+        with pytest.raises(UsageError, match="2 earlier records for task 1"):
+            ex.evaluate_task(model, stream, 1, records, [], cfg.metrics,
+                             cfg.train.gen)
 
 
 # ---------------------------------------------------------------------------

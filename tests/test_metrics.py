@@ -138,6 +138,32 @@ def test_old_new_error_groups_by_overlap_tertiles():
     assert rates == {"low": 0.0, "medium": 0.0, "high": 1.0}
 
 
+@pytest.mark.parametrize("case", range(12))
+def test_old_new_error_matches_the_per_class_loop(case):
+    # several sets, tied prototypes (empty groups come back NaN) and, in
+    # some cases, a NaN prototype, whose overlap falls in "high"
+    rng = np.random.default_rng(case)
+    n_old, n_new, dim = int(rng.integers(1, 9)), int(rng.integers(1, 4)), 4
+    protos = {c: rng.normal(size=dim) for c in range(n_old + n_new)}
+    for c in range(n_old):
+        if rng.random() < 0.3:
+            protos[c] = protos[0]
+    if case % 3 == 2:
+        protos[int(rng.integers(n_old))] = np.full(dim, np.nan)
+    bounds = np.sort(rng.choice(np.arange(1, n_old), size=min(2, n_old - 1),
+                                replace=False)) if n_old > 1 else []
+    old = []
+    for classes in np.split(np.arange(n_old), bounds):
+        y = rng.choice(classes, size=int(rng.integers(1, 40)))
+        y[:len(classes)] = classes[:len(y)]
+        old.append((rng.integers(0, n_old + n_new, size=len(y)), y))
+    want = oracles.looped_old_new_error(old, (n_old, n_old + n_new), protos)
+    got = mt.old_new_error(old, (n_old, n_old + n_new), protos)
+    assert list(got) == list(want)
+    np.testing.assert_equal(got, want)
+    assert all(type(v) is float for v in got.values())
+
+
 def test_old_new_error_validation():
     protos = spread_prototypes(2, 2)
     old = [(np.array([0, 2]), np.array([0, 1]))]
@@ -147,6 +173,11 @@ def test_old_new_error_validation():
         mt.old_new_error(old, (4, 4), protos)
     with pytest.raises(InputError):
         mt.old_new_error(old, (2, 4), {0: np.ones(3)})
+    with pytest.raises(InputError, match="differ in length"):
+        mt.old_new_error([(np.array([0]), np.array([0, 1]))], (2, 4), protos)
+    with pytest.raises(InputError, match="no old test rows"):
+        mt.old_new_error([(np.array([], int), np.array([], int))], (2, 4),
+                         protos)
 
 
 # ---------------------------------------------------------------------------
