@@ -14,6 +14,7 @@ Run from the repository root:
 
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,8 +26,8 @@ CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
 
 def run(out, name):
     """Every seed of configs/<name>.json, its output under `out`."""
-    config = ex.load_config(os.path.join(CONFIGS, f"{name}.json"))
-    config.output_dir = out
+    config = replace(ex.load_config(os.path.join(CONFIGS, f"{name}.json")),
+                     output_dir=out)
     records, rows = [], []
     for seed in config.seeds:
         recs, row = ex.run_seed(config, seed)

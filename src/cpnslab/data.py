@@ -10,7 +10,9 @@ The synthetic stream is built so that two things hold exactly by
 construction: the maximum cosine between consecutive tasks' class prototypes
 (restricted to causal dimensions) equals the configured overlap, and the
 spurious dimensions carry the label signal at the configured rate in the
-train split while being label-independent in the test split.
+train split while being label-independent in the test split. The stream
+keeps the ground truth in its `factor_annotations`; the tests audit both
+properties against it.
 """
 
 import math
@@ -115,14 +117,6 @@ class TaskStream:
                 if len(y) and (y.min() < lo or y.max() >= hi):
                     raise InputError(
                         f"task {i} {split_name}: labels outside [{lo}, {hi})")
-
-    @property
-    def num_tasks(self):
-        return len(self.tasks)
-
-    @property
-    def total_classes(self):
-        return max(hi for _, _, (_, hi) in self.tasks)
 
 
 def _orthonormal_rows(rng, k, dim, orthogonal_to=None):
@@ -252,85 +246,6 @@ def gen_scm_stream(config: SyntheticScmConfig) -> TaskStream:
         "margins": margins,
     }
     return TaskStream(tasks=tasks, factor_annotations=annotations)
-
-
-def consecutive_overlap(stream: TaskStream) -> np.ndarray:
-    """Max prototype cosine for each consecutive task pair.
-
-    Uses the ground-truth prototypes from the annotations (already restricted
-    to causal dimensions), so on a generated stream this reproduces the
-    configured overlap to machine precision.
-    """
-    ann = stream.factor_annotations
-    if not ann or "class_prototypes" not in ann:
-        raise InputError("stream carries no prototype annotations")
-    protos = ann["class_prototypes"]
-    out = []
-    for t in range(stream.num_tasks - 1):
-        _, _, (lo_a, hi_a) = stream.tasks[t]
-        _, _, (lo_b, hi_b) = stream.tasks[t + 1]
-        best = 0.0
-        for a in range(lo_a, hi_a):
-            pa = protos[a]
-            na = np.linalg.norm(pa)
-            for b in range(lo_b, hi_b):
-                pb = protos[b]
-                cos = abs(pa @ pb) / (na * np.linalg.norm(pb))
-                best = max(best, cos)
-        out.append(best)
-    return np.array(out)
-
-
-def linear_probe_accuracy(x_train, y_train, x_eval, y_eval, n_classes,
-                          epochs=300, lr=0.5):
-    """Accuracy of a full-batch softmax regression probe.
-
-    Features are standardized by train statistics. Used to audit which
-    dimension blocks carry label signal.
-    """
-    x_train = np.asarray(x_train, dtype=np.float64)
-    x_eval = np.asarray(x_eval, dtype=np.float64)
-    mu = x_train.mean(axis=0)
-    sd = x_train.std(axis=0) + 1e-8
-    xt = (x_train - mu) / sd
-    xe = (x_eval - mu) / sd
-    n, d = xt.shape
-    w = np.zeros((d, n_classes))
-    b = np.zeros(n_classes)
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), np.asarray(y_train, dtype=np.int64)] = 1.0
-    for _ in range(epochs):
-        logits = xt @ w + b
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        p /= p.sum(axis=1, keepdims=True)
-        g = (p - onehot) / n
-        w -= lr * (xt.T @ g)
-        b -= lr * g.sum(axis=0)
-    pred = np.argmax(xe @ w + b, axis=1)
-    return float(np.mean(pred == np.asarray(y_eval)))
-
-
-def spurious_gap(stream: TaskStream, **probe_kw):
-    """Train accuracy minus test accuracy of a probe on spurious dims only.
-
-    A large gap certifies the stream contains a shortcut trap: the spurious
-    block predicts train labels but carries nothing at test time.
-    """
-    ann = stream.factor_annotations
-    if not ann:
-        raise InputError("stream carries no dimension annotations")
-    cols = [i for i, tag in enumerate(ann["dim_tags"]) if tag == "spurious"]
-    if not cols:
-        raise InputError("stream has no spurious dimensions")
-    xtr = np.concatenate([train[0][:, cols] for train, _, _ in stream.tasks])
-    ytr = np.concatenate([train[1] for train, _, _ in stream.tasks])
-    xte = np.concatenate([test[0][:, cols] for _, test, _ in stream.tasks])
-    yte = np.concatenate([test[1] for _, test, _ in stream.tasks])
-    n_classes = stream.total_classes
-    train_acc = linear_probe_accuracy(xtr, ytr, xtr, ytr, n_classes, **probe_kw)
-    test_acc = linear_probe_accuracy(xtr, ytr, xte, yte, n_classes, **probe_kw)
-    return train_acc - test_acc, train_acc, test_acc
 
 
 def split_tasks(dataset, B: int, I: int, seed=0) -> TaskStream:

@@ -26,7 +26,8 @@ from . import metrics as mt
 from . import model as mdl
 from . import trainer as tr
 from .atomic import atomic_open, canonical_json
-from .errors import ConfigurationError, NumericsError, ParseError, UsageError
+from .errors import (ConfigurationError, InputError, NumericsError, ParseError,
+                     UsageError)
 from .risk import GenConfig
 
 SUMMARY_HEADER = "method,scenario,seed,last,avg"
@@ -551,9 +552,12 @@ def run_ablation(config: ExperimentConfig):
 
 
 def evaluate_checkpoint(ckpt_path, table_path):
-    """Accuracy of a saved model over one tabular file."""
+    """Accuracy of a saved model over one tabular file; a table with no
+    rows has none, and raises InputError."""
     model = mdl.load_checkpoint(ckpt_path)
     table = dt.load_table(table_path)
+    if not len(table):
+        raise InputError(f"table {table_path} has no rows to score")
     pred = np.argmax(model.forward_concat_np(table.x), axis=1)
     return {"accuracy": float(np.mean(pred == table.y)),
             "n_samples": int(len(table)),

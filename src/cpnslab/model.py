@@ -52,6 +52,18 @@ def _draw(rng, table):
     return arrays
 
 
+def mlp_activations(params, prefix, n_layers, x):
+    """Per-layer activations of the MLP `{prefix}w{i}`/`{prefix}b{i}` of
+    `params`: post-ReLU hiddens, then the linear output."""
+    acts = []
+    for i in range(n_layers):
+        x = x @ params[f"{prefix}w{i}"].T + params[f"{prefix}b{i}"]
+        if i < n_layers - 1:
+            x = np.maximum(x, 0.0)
+        acts.append(x)
+    return acts
+
+
 class FeatureExtractor:
     """Small MLP mapping inputs to a d-dimensional feature vector.
 
@@ -76,14 +88,8 @@ class FeatureExtractor:
 
     def activations_np(self, x):
         """Per-layer activations (post-ReLU hiddens, then the feature)."""
-        acts = []
-        h = np.asarray(x, dtype=np.float64)
-        for i in range(self.n_layers):
-            h = h @ self.params[f"w{i}"].T + self.params[f"b{i}"]
-            if i < self.n_layers - 1:
-                h = np.maximum(h, 0.0)
-            acts.append(h)
-        return acts
+        return mlp_activations(self.params, "", self.n_layers,
+                               np.asarray(x, dtype=np.float64))
 
     def masks_np(self, x):
         """What evaluation keeps of `activations_np`: each hidden layer's
@@ -250,9 +256,7 @@ class ExpandableModel:
         """Apply the projector to already-computed frozen features."""
         if "proj_w0" not in self.heads:
             raise UsageError("projector is absent on the first task")
-        h = np.asarray(z_old) @ self.heads["proj_w0"].T + self.heads["proj_b0"]
-        h = np.maximum(h, 0.0)
-        return h @ self.heads["proj_w1"].T + self.heads["proj_b1"]
+        return mlp_activations(self.heads, "proj_", 2, np.asarray(z_old))[-1]
 
     # -- graph-mode builder (the tests' reference graphs, no run path) ---
 
@@ -397,10 +401,24 @@ def _arrays_in(entries, table, what):
     return arrays
 
 
+def _integers(value):
+    """Whether `value` is an int (no bool) or a list of them at any depth."""
+    if isinstance(value, list):
+        return all(map(_integers, value))
+    return type(value) is int
+
+
 def _model_from_doc(doc):
-    """Build the model and check that its parts fit: the class offsets,
-    each extractor's position and the set and shapes of its parameters,
-    and the set and shapes of the heads."""
+    """Build the model and check that its parts fit: the types of the
+    architecture fields, the class offsets, each extractor's position and
+    the set and shapes of its parameters, and the set and shapes of the
+    heads."""
+    for key in ("input_dim", "feature_dim", "hidden_dims",
+                "projector_hidden", "seed", "class_offsets"):
+        if not _integers(doc[key]):
+            raise FormatError(f"{key} {doc[key]!r} is not made of integers")
+    if type(doc["separate_inter_head"]) is not bool:
+        raise FormatError("separate_inter_head is not a boolean")
     model = ExpandableModel(
         input_dim=doc["input_dim"],
         feature_dim=doc["feature_dim"],
@@ -420,7 +438,9 @@ def _model_from_doc(doc):
     layers = _layer_table(dims)
     for t, ext_doc in enumerate(doc["extractors"]):
         if (ext_doc["task_index"] != t or ext_doc["frozen"] is not (t < last)
-                or ext_doc["layer_dims"] != dims):
+                or ext_doc["layer_dims"] != dims
+                or not _integers([ext_doc["task_index"],
+                                  ext_doc["layer_dims"]])):
             raise FormatError(f"extractor {t}: task_index, frozen or layer_dims "
                               f"disagree with its position or the model")
         arrays = _arrays_in(ext_doc["params"], layers, f"extractor {t}: params")

@@ -1,5 +1,5 @@
 """Empirical risk over counterfactual pairs, its monotonicity-violation
-companion, interventional estimates, and the differentiable surrogate.
+companion, and the per-scope accuracy differences the report carries.
 
 Two scopes share one indicator pattern. Per sample the risk adds a
 sufficiency violation (factual representation predicted wrong) and a
@@ -27,8 +27,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import counterfactual as cf
-from .errors import (ConfigurationError, InputError, PropositionViolation,
-                     UsageError)
+from .errors import ConfigurationError, InputError, PropositionViolation
 
 
 @dataclass
@@ -82,14 +81,10 @@ class CpnsReport:
 # ---------------------------------------------------------------------------
 # indicator computation
 
-def _intra_indicators(model, x, y_global, cfg: GenConfig, on_prediction):
+def _intra_indicators(model, x, y_global, cfg: GenConfig):
     """Returns (factual_correct, cf_correct, degenerate) as boolean arrays
-    over the current-task batch.
-
-    The generator ascends the true label, as in the risk definition, or
-    with `on_prediction` the model's predicted one: the outcome-independent
-    intervention of the interventional estimator, where conditioning the
-    intervention on the true label would bias the accuracy difference."""
+    over the current-task batch; the generator ascends the true label, as
+    in the risk definition."""
     lo, hi = model.class_offsets[-1]
     y = np.asarray(y_global, dtype=np.int64)
     if y.min() < lo or y.max() >= hi:
@@ -97,9 +92,8 @@ def _intra_indicators(model, x, y_global, cfg: GenConfig, on_prediction):
     y_local = y - lo
     feats = model.current_feature_np(x)
     pred_f = np.argmax(model.head_np("intra", feats), axis=1)
-    gen_labels = pred_f if on_prediction else y_local
     cfs, _, _, degenerate = cf.generate_intra_batch(
-        feats, gen_labels, model.heads["intra_w"],
+        feats, y_local, model.heads["intra_w"],
         b=model.heads["intra_b"], alpha=cfg.alpha, epsilon=cfg.epsilon)
     pred_c = np.argmax(model.head_np("intra", cfs), axis=1)
     return pred_f == y_local, pred_c == y_local, degenerate
@@ -145,8 +139,8 @@ def empirical_cpns_risk(current_batch, buffer_batch, model,
         raise InputError("current batch is empty")
     x_cur = np.asarray(current_batch[0], dtype=np.float64)
     y_cur = np.asarray(current_batch[1], dtype=np.int64)
-    r_intra, m_intra, pns_intra = _scope(*_intra_indicators(
-        model, x_cur, y_cur, cfg, on_prediction=False))
+    r_intra, m_intra, pns_intra = _scope(
+        *_intra_indicators(model, x_cur, y_cur, cfg))
     r_inter = m_inter = pns_inter = 0.0
     n_inter = 0
     if model.task_count > 1:
@@ -164,30 +158,3 @@ def empirical_cpns_risk(current_batch, buffer_batch, model,
                       m_inter=m_inter, pns_intra_est=pns_intra,
                       pns_inter_est=pns_inter, n_intra=len(y_cur),
                       n_inter=n_inter)
-
-
-def estimate_pns_interventional(eval_set, model, scope,
-                                cfg: GenConfig) -> float:
-    """Accuracy with factual representations minus accuracy with the
-    generated counterfactual ones; the do() interventions are simulated by
-    feature replacement. Value in [-1, 1] by construction.
-
-    The intra intervention perturbs against the model's own prediction
-    rather than the true label: a do() proxy must not condition on the
-    outcome it is scoring, or an untrained model already shows a spurious
-    positive effect. The training-aligned generation is the risk report's
-    `pns_intra_est`.
-    """
-    if eval_set is None or not len(eval_set[0]):
-        raise InputError("eval set is empty")
-    x = np.asarray(eval_set[0], dtype=np.float64)
-    y = np.asarray(eval_set[1], dtype=np.int64)
-    if scope == "intra":
-        indicators = _intra_indicators(model, x, y, cfg, on_prediction=True)
-    elif scope == "inter":
-        if model.task_count < 2:
-            raise UsageError("inter scope requires at least two tasks")
-        indicators = _inter_indicators(model, x, y, cfg)
-    else:
-        raise UsageError(f"unknown scope {scope!r}")
-    return _scope(*indicators)[2]

@@ -53,6 +53,7 @@ import numpy as np
 
 from . import counterfactual as cf
 from .errors import ConfigurationError, InputError, NumericsError
+from .model import mlp_activations
 from .risk import GenConfig, empirical_cpns_risk
 
 LOSS_KEYS = ("cls", "aux", "intra", "inter", "kl", "proj")
@@ -576,6 +577,17 @@ def _kl(la, b, weight):
             go * p * (r - row_kl), go * (np.exp(lb) - p))
 
 
+def _mlp_grads(params, prefix, name_prefix, ins, g, grads):
+    """Backward through an MLP of `model.mlp_activations` from `ins`, the
+    input of each layer, and `g`, its output's gradient, into `grads` at
+    `{name_prefix}w{i}`/`b{i}`; a ReLU passes where its output is > 0."""
+    for i in reversed(range(len(ins))):
+        np.matmul(g.T, ins[i], out=grads[f"{name_prefix}w{i}"])
+        np.add.reduce(g, axis=0, out=grads[f"{name_prefix}b{i}"])
+        if i:
+            g = (g @ params[f"{prefix}w{i}"]) * (ins[i] > 0.0)
+
+
 def _objective(model, xb, yb, n_c, frozen, local, config: TrainConfig,
                use_cls, use_intra, use_inter, grads):
     """Loss values and gradients of one step of the objective.
@@ -595,10 +607,10 @@ def _objective(model, xb, yb, n_c, frozen, local, config: TrainConfig,
     contributions sums them in the order that graph's reverse topological
     order visits the consumers; the result is the graph's to the bit, and
     the tests keep the graph as the reference. (The ReLUs are
-    `np.maximum`, as in `FeatureExtractor.activations_np`; on finite
-    values it gives the bits of the graph's `np.where`.) The
-    counterfactuals enter as constant offsets from the factual
-    representation, so no gradient reaches the generators.
+    `np.maximum`, as in `model.mlp_activations`; on finite values it
+    gives the bits of the graph's `np.where`.) The counterfactuals enter
+    as constant offsets from the factual representation, so no gradient
+    reaches the generators.
 
     A quantity two consumers need is computed once: the intra head's
     logits and log-softmax give both the sufficiency loss and, through
@@ -660,9 +672,7 @@ def _objective(model, xb, yb, n_c, frozen, local, config: TrainConfig,
     if use_inter:
         head = model.inter_head
         w_e, b_e = heads[f"{head}_w"], heads[f"{head}_b"]
-        w0, w1 = heads["proj_w0"], heads["proj_w1"]
-        hidden = np.maximum(frozen @ w0.T + heads["proj_b0"], 0.0)
-        proj = hidden @ w1.T + heads["proj_b1"]
+        hidden, proj = mlp_activations(heads, "proj_", 2, frozen)
         ref_e = cf.log_softmax(c_hat)
         cfs_e, _, _, _ = cf.generate_inter_batch(
             c_hat, proj, beta=config.gen.beta, epsilon=config.gen.epsilon,
@@ -694,12 +704,8 @@ def _objective(model, xb, yb, n_c, frozen, local, config: TrainConfig,
         diff = proj - c_hat
         k = 1.0 / len(c_hat)
         losses["proj"] = float(np.add.reduce(diff * diff, axis=None) * k)
-        g_pred = 2.0 * diff * k
-        np.matmul(g_pred.T, hidden, out=grads["proj_w1"])
-        np.add.reduce(g_pred, axis=0, out=grads["proj_b1"])
-        g_pre = (g_pred @ w1) * (hidden > 0.0)
-        np.matmul(g_pre.T, frozen, out=grads["proj_w0"])
-        np.add.reduce(g_pre, axis=0, out=grads["proj_b0"])
+        _mlp_grads(heads, "proj_", "proj_", [frozen, hidden], 2.0 * diff * k,
+                   grads)
     if use_cls:
         _sum_in_order(cls_w_parts, out=grads["cls_w"])
         _sum_in_order(cls_b_parts, out=grads["cls_b"])
@@ -723,13 +729,8 @@ def _objective(model, xb, yb, n_c, frozen, local, config: TrainConfig,
         else:
             c_parts = [aux_part, cur, z_part]
         c_parts = [part for part in c_parts if part is not None]
-    g = _sum_in_order(c_parts)
-    prefix = f"f{model.current_task}/"
-    for i in reversed(range(ext.n_layers)):
-        np.matmul(g.T, ins[i], out=grads[f"{prefix}w{i}"])
-        np.add.reduce(g, axis=0, out=grads[f"{prefix}b{i}"])
-        if i:
-            g = (g @ ext.params[f"w{i}"]) * (ins[i] > 0.0)
+    _mlp_grads(ext.params, "", f"f{model.current_task}/", ins,
+               _sum_in_order(c_parts), grads)
     return losses
 
 
@@ -839,8 +840,7 @@ def _baseline_step(model, xb, yb, frozen, local, grads):
     Written apart from `_objective` on purpose (see train_task_baseline),
     with the arithmetic of the equivalent autodiff graph: c_hat's gradient
     is its slice of the classifier's input gradient plus the auxiliary
-    head's, in that order, and the ReLU passes where its output is
-    positive.
+    head's, in that order.
     """
     ext = model.extractors[-1]
     *hiddens, c_hat = ext.activations_np(xb)
@@ -860,12 +860,7 @@ def _baseline_step(model, xb, yb, frozen, local, grads):
         np.matmul(g_aux.T, c_hat, out=grads["aux_w"])
         np.add.reduce(g_aux, axis=0, out=grads["aux_b"])
         g += g_aux @ aux_w
-    prefix = f"f{model.current_task}/"
-    for i in reversed(range(ext.n_layers)):
-        np.matmul(g.T, ins[i], out=grads[f"{prefix}w{i}"])
-        np.add.reduce(g, axis=0, out=grads[f"{prefix}b{i}"])
-        if i:
-            g = (g @ ext.params[f"w{i}"]) * (ins[i] > 0.0)
+    _mlp_grads(ext.params, "", f"f{model.current_task}/", ins, g, grads)
     return losses
 
 

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from conftest import numeric_grad, rel_err
+import audits
 import oracles
 
 from cpnslab import autodiff as ad
@@ -649,8 +650,8 @@ def test_estimates_are_bounded_on_random_inputs():
         model.expand(3)
         x = rng.standard_normal((16, 8))
         y = rng.integers(0, 3, 16)
-        est = rk.estimate_pns_interventional((x, y), model, "intra",
-                                             rk.GenConfig())
+        est = audits.estimate_pns_interventional((x, y), model, "intra",
+                                                 rk.GenConfig())
         assert -1.0 <= est <= 1.0
 
 
@@ -660,8 +661,8 @@ def test_converged_model_shows_strong_intra_effect():
     model = _trap_model(config, stream, 0)
     model.expand(hi - lo)
     tr.train_task(model, train, None, config.train, np.random.default_rng(1))
-    assert rk.estimate_pns_interventional(test, model, "intra",
-                                          rk.GenConfig()) > 0.5
+    assert audits.estimate_pns_interventional(test, model, "intra",
+                                              rk.GenConfig()) > 0.5
 
 
 def test_untrained_model_shows_no_effect_on_signal_free_data():
@@ -678,8 +679,8 @@ def test_untrained_model_shows_no_effect_on_signal_free_data():
         model = mdl.ExpandableModel(d, feature_dim=16, hidden_dims=(32,),
                                     seed=seed)
         model.expand(c)
-        est = rk.estimate_pns_interventional((x, y), model, "intra",
-                                             rk.GenConfig())
+        est = audits.estimate_pns_interventional((x, y), model, "intra",
+                                                 rk.GenConfig())
         assert abs(est) < three_sigma
 
 

@@ -18,12 +18,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "cpnslab")
 
 KEPT_WITHOUT_CALLER = {
-    "estimate_pns_interventional":
-        "backs the acceptance gate's interventional PNS checks",
-    "consecutive_overlap":
-        "data audit: checks that gen_scm_stream gives the configured overlap",
-    "spurious_gap":
-        "data audit: checks that gen_scm_stream sets a shortcut trap",
     "save_table":
         "writes the documented table format that `load_table` reads",
 }

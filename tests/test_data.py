@@ -8,6 +8,8 @@ import os
 import numpy as np
 import pytest
 
+import audits
+
 from cpnslab import data as dt
 from cpnslab.errors import (ConfigurationError, FormatError, InputError,
                             ParseError)
@@ -53,7 +55,7 @@ def test_infeasible_geometry_rejected():
 def test_overlap_matches_configuration():
     for target in (0.0, 0.3, 0.7, 1.0):
         stream = dt.gen_scm_stream(cfg(overlap=target, seed=3))
-        measured = dt.consecutive_overlap(stream)
+        measured = audits.consecutive_overlap(stream)
         assert measured.shape == (2,)
         np.testing.assert_allclose(measured, target, atol=1e-6)
 
@@ -97,21 +99,14 @@ def test_empirical_prototypes_track_annotations():
 
 def test_full_strength_spurious_block_separates_train_only():
     stream = dt.gen_scm_stream(cfg(spurious_strength=1.0, seed=5))
-    ann = stream.factor_annotations
-    cols = [i for i, t in enumerate(ann["dim_tags"]) if t == "spurious"]
-    xtr = np.concatenate([tr[0][:, cols] for tr, _, _ in stream.tasks])
-    ytr = np.concatenate([tr[1] for tr, _, _ in stream.tasks])
-    xte = np.concatenate([te[0][:, cols] for _, te, _ in stream.tasks])
-    yte = np.concatenate([te[1] for _, te, _ in stream.tasks])
-    train_acc = dt.linear_probe_accuracy(xtr, ytr, xtr, ytr, 6)
-    test_acc = dt.linear_probe_accuracy(xtr, ytr, xte, yte, 6)
+    _, train_acc, test_acc = audits.spurious_gap(stream)
     assert train_acc == 1.0
     assert abs(test_acc - 1.0 / 6.0) < 0.1  # chance for 6 classes
 
 
 def test_spurious_gap_certifies_the_trap():
     stream = dt.gen_scm_stream(cfg(spurious_strength=0.95, seed=6))
-    gap, train_acc, test_acc = dt.spurious_gap(stream)
+    gap, train_acc, test_acc = audits.spurious_gap(stream)
     assert gap > 0.4
     assert train_acc > 0.9
 
@@ -122,7 +117,7 @@ def test_minimal_causal_block_alone_separates_train():
     cols = [i for i, t in enumerate(ann["dim_tags"]) if t == "minimal_causal"]
     xtr = np.concatenate([tr[0][:, cols] for tr, _, _ in stream.tasks])
     ytr = np.concatenate([tr[1] for tr, _, _ in stream.tasks])
-    assert dt.linear_probe_accuracy(xtr, ytr, xtr, ytr, 6) >= 0.95
+    assert audits.linear_probe_accuracy(xtr, ytr, xtr, ytr, 6) >= 0.95
 
 
 def test_noise_block_carries_no_signal():
@@ -131,7 +126,7 @@ def test_noise_block_carries_no_signal():
     cols = [i for i, t in enumerate(ann["dim_tags"]) if t == "noise"]
     assert cols, "configuration should leave pure-noise dimensions"
     (xtr, ytr), (xte, yte), _ = stream.tasks[0]
-    acc = dt.linear_probe_accuracy(xtr[:, cols], ytr, xte[:, cols], yte, 2)
+    acc = audits.linear_probe_accuracy(xtr[:, cols], ytr, xte[:, cols], yte, 2)
     assert abs(acc - 0.5) < 0.2
 
 
@@ -140,7 +135,7 @@ def test_noise_block_carries_no_signal():
 
 def test_stream_shapes_ranges_and_tags():
     stream = dt.gen_scm_stream(cfg(seed=9))
-    assert stream.num_tasks == 3 and stream.total_classes == 6
+    assert len(stream.tasks) == 3
     for t, ((xtr, ytr), (xte, yte), (lo, hi)) in enumerate(stream.tasks):
         assert (lo, hi) == (2 * t, 2 * t + 2)
         assert xtr.shape == (120, 32) and xte.shape == (80, 32)
@@ -176,6 +171,14 @@ def test_stream_rejects_labels_outside_range():
         dt.TaskStream(tasks=[t0])
 
 
+def test_stream_rejects_a_count_mismatch_and_an_empty_range():
+    x, y = np.zeros((3, 3)), np.array([0, 1])
+    with pytest.raises(InputError, match="train: 3 samples vs 2 labels"):
+        dt.TaskStream(tasks=[((x, y), (x[:2], y), (0, 2))])
+    with pytest.raises(InputError, match="empty label range"):
+        dt.TaskStream(tasks=[((x[:2], y), (x[:2], y), (2, 2))])
+
+
 # ---------------------------------------------------------------------------
 # split_tasks
 
@@ -188,20 +191,20 @@ def fake_dataset(n_classes, n_per=6, dim=4, seed=0):
 
 def test_split_equal_ten_ten():
     stream = dt.split_tasks(fake_dataset(100), 10, 10)
-    assert stream.num_tasks == 10
+    assert len(stream.tasks) == 10
     assert all(hi - lo == 10 for _, _, (lo, hi) in stream.tasks)
 
 
 def test_split_half_fifty_ten():
     stream = dt.split_tasks(fake_dataset(100), 50, 10)
-    assert stream.num_tasks == 6
+    assert len(stream.tasks) == 6
     widths = [hi - lo for _, _, (lo, hi) in stream.tasks]
     assert widths == [50, 10, 10, 10, 10, 10]
 
 
 def test_split_drops_surplus_classes():
     stream = dt.split_tasks(fake_dataset(101), 10, 10)
-    assert stream.num_tasks == 10
+    assert len(stream.tasks) == 10
     kept = sum(len(tr[1]) for tr, _, _ in stream.tasks)
     assert kept == 100 * 6  # one class's samples are gone
 
@@ -209,7 +212,7 @@ def test_split_drops_surplus_classes():
 def test_split_relabels_consistently():
     (xtr, ytr), test = fake_dataset(7, n_per=4)
     stream = dt.split_tasks(((xtr, ytr), test), 3, 2, seed=5)
-    assert stream.num_tasks == 3
+    assert len(stream.tasks) == 3
     for (sx, sy), _, (lo, hi) in stream.tasks:
         assert set(np.unique(sy)) == set(range(lo, hi))
         # samples that shared an original class still share a label

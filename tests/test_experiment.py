@@ -834,7 +834,9 @@ class TestCli:
         assert rc == 2
         assert "zap" in capsys.readouterr().err
         # a bad value anywhere in the list stops the sweep before any run
-        for param, values, shown in [("epsilon", "nan", "nan"),
+        for param, values, shown in [("beta", "a,b", "a,b"),
+                                     ("beta", ",", "','"),
+                                     ("epsilon", "nan", "nan"),
                                      ("epsilon", "0.1,inf", "inf"),
                                      ("lambda", "0.1,-1", "non-negative"),
                                      ("lambda", "0.1,0.10,1e-1", "repeat")]:
@@ -960,10 +962,20 @@ class TestCli:
         _drop_heads("proj_w0", "proj_b0", "proj_w1", "proj_b1"),
         _add_first_extractor_param("zzz"),
         lambda doc: doc["heads"]["cls_b"]["data"].__setitem__(0, math.nan),
+        lambda doc: doc["heads"]["cls_b"]["shape"].__setitem__(0, 5),
+        lambda doc: doc.update(feature_dim="8"),
+        lambda doc: doc.update(hidden_dims=["16"]),
+        lambda doc: doc.update(class_offsets=[[0.0, 2.0], [2.0, 4.0]]),
+        lambda doc: doc.update(separate_inter_head=0),
+        lambda doc: doc.update(seed=0.0),
+        _set_first_extractor("task_index", 0.0),
     ], ids=["cls one column short", "layer_dims", "overlapping offsets",
             "extractor 0 not frozen", "aux head missing", "intra_w 1x2",
             "extra head", "projector missing", "extra extractor param",
-            "nan in cls_b"])
+            "nan in cls_b", "cls_b data not its shape header",
+            "feature_dim a string", "hidden_dims strings",
+            "class_offsets floats", "separate_inter_head 0", "seed a float",
+            "task_index a float"])
     def test_eval_of_a_checkpoint_whose_parts_disagree_exits_two(
             self, tmp_path, capsys, edit):
         ckpt, table_path = self._eval_inputs(tmp_path)
@@ -1012,6 +1024,13 @@ class TestCli:
         assert cli.main(["eval", str(ckpt), str(table_path)]) == 2
         out, err = capsys.readouterr()
         assert not out and "line 4: non-finite feature" in err
+
+    def test_eval_of_a_table_without_rows_exits_two(self, tmp_path, capsys):
+        ckpt, table_path = self._eval_inputs(tmp_path)
+        dt.save_table(str(table_path), np.empty((0, 16)), [], 4)
+        assert cli.main(["eval", str(ckpt), str(table_path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"cpnslab: table {table_path} has no rows to score\n")
 
     def test_ablate_writes_six_rows(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, tiny_doc(tmp_path / "out"))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import numeric_grad, rel_err
+import audits
 import oracles
 
 from cpnslab import autodiff as ad
@@ -222,8 +223,8 @@ def test_estimate_zero_when_counterfactual_equals_factual():
     m.heads["intra_w"][:] = np.array([[1.0, 1.0], [1.0, 1.0]])
     x = np.array([[2.0, 0.0], [0.0, 2.0]])
     y = np.array([0, 1])
-    assert rk.estimate_pns_interventional((x, y), m, "intra",
-                                          rk.GenConfig()) == 0.0
+    assert audits.estimate_pns_interventional((x, y), m, "intra",
+                                              rk.GenConfig()) == 0.0
 
 
 def test_estimate_near_zero_for_random_model():
@@ -234,8 +235,8 @@ def test_estimate_near_zero_for_random_model():
         m = random_model(rng, tasks=1, k=4)
         x = rng.normal(size=(n, 6))
         y = rng.integers(0, 4, size=n)
-        diffs.append(rk.estimate_pns_interventional((x, y), m, "intra",
-                                                    rk.GenConfig()))
+        diffs.append(audits.estimate_pns_interventional((x, y), m, "intra",
+                                                        rk.GenConfig()))
     # each per-sample difference is in {-1, 0, 1}, so 3 sigma <= 3/sqrt(n)
     assert np.abs(diffs).max() <= 3.0 / np.sqrt(n)
 
@@ -246,12 +247,12 @@ def test_estimate_scope_validation():
     y = np.array([0, 1])
     cfg = rk.GenConfig()
     with pytest.raises(UsageError):
-        rk.estimate_pns_interventional((x, y), m, "inter", cfg)
+        audits.estimate_pns_interventional((x, y), m, "inter", cfg)
     with pytest.raises(UsageError):
-        rk.estimate_pns_interventional((x, y), m, "both", cfg)
+        audits.estimate_pns_interventional((x, y), m, "both", cfg)
     with pytest.raises(InputError):
-        rk.estimate_pns_interventional((np.empty((0, 2)), np.empty(0)), m,
-                                       "intra", cfg)
+        audits.estimate_pns_interventional(
+            (np.empty((0, 2)), np.empty(0)), m, "intra", cfg)
 
 
 def test_estimate_bounded():
@@ -260,7 +261,8 @@ def test_estimate_bounded():
         m = random_model(rng, tasks=2)
         x = rng.normal(size=(10, 6))
         y = rng.integers(0, 4, size=10)
-        v = rk.estimate_pns_interventional((x, y), m, "inter", rk.GenConfig())
+        v = audits.estimate_pns_interventional((x, y), m, "inter",
+                                               rk.GenConfig())
         assert -1.0 <= v <= 1.0
 
 
