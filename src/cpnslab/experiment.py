@@ -119,6 +119,15 @@ class ExperimentConfig:
         # a run's directory must be a new name inside output_dir
         if self.run_id in ("", ".", "..") or "/" in self.run_id:
             raise ConfigurationError(f"bad run_id {self.run_id!r}")
+        for key in ("run_id", "output_dir"):
+            value = getattr(self, key)
+            try:
+                ok = b"\0" not in os.fsencode(value)
+            except UnicodeEncodeError:
+                ok = False
+            if not ok:
+                raise ConfigurationError(f"{key} {value!r} cannot be a path: "
+                                         "a NUL byte or an unencodable character")
         kind = self.data.get("kind")
         if kind not in ("synthetic", "table"):
             raise ConfigurationError(
@@ -269,7 +278,7 @@ def _seen_set_outputs(model, test_sets, acts):
     First brings acts[j][t], extractor t's `masks_np` on test set j (its
     hidden layers' bool ReLU masks, then its float64 feature), up to every
     extractor of the model and every set in `test_sets`. An extractor is
-    final once its task is trained (`trainer._check_frozen` enforces it),
+    final once its task is trained (`expand` makes its arrays read-only),
     so entries already in `acts` stay valid and only the missing ones are
     computed: after task t, extractor t on sets 0..t and extractors
     0..t-1 on set t, 2t+1 forwards. Evaluation reads a hidden activation
@@ -432,11 +441,10 @@ def run_seed(config: ExperimentConfig, seed: int, out_dir=None):
     for t, (train_split, _, (lo, hi)) in enumerate(stream.tasks):
         model.expand(hi - lo)
         try:
-            result = train_fn(model, train_split, buffer if t else None,
-                              config.train, rng)
+            log_text += _json_lines(train_fn(
+                model, train_split, buffer if t else None, config.train, rng))
         except NumericsError as exc:
             raise NumericsError(f"seed {seed}, task {t}: {exc}") from exc
-        log_text += _json_lines(result["records"])
         with atomic_open(log_path) as fh:
             fh.write(log_text)
         tr.buffer_commit(buffer, train_split, model)
@@ -464,7 +472,13 @@ def _run_seeds(config: ExperimentConfig, base_dir):
             for seed in config.seeds]
 
 
-def _seed_mean(rows):
+def _seed_mean(label, config: ExperimentConfig, base_dir):
+    """(last, avg) over the seeds of one sweep value or ablation variant,
+    run under base_dir; a NumericsError is raised again led by `label`."""
+    try:
+        rows = _run_seeds(config, base_dir)
+    except NumericsError as exc:
+        raise NumericsError(f"{label}: {exc}") from exc
     return (float(np.mean([r["last"] for r in rows])),
             float(np.mean([r["avg"] for r in rows])))
 
@@ -506,14 +520,10 @@ def run_sweep(config: ExperimentConfig, param, values):
         raise ConfigurationError(f"sweep values repeat: {values}")
     variants = [_with_param(config, param, value) for value in values]
     run_dir = os.path.join(config.output_dir, config.run_id)
-    out_rows = []
-    for value, variant in zip(values, variants):
-        try:
-            rows = _run_seeds(variant, os.path.join(
-                run_dir, f"sweep-{param}", f"value-{value}"))
-        except NumericsError as exc:
-            raise NumericsError(f"value {value}: {exc}") from exc
-        out_rows.append((float(value), *_seed_mean(rows)))
+    out_rows = [(float(value), *_seed_mean(
+        f"value {value}", variant,
+        os.path.join(run_dir, f"sweep-{param}", f"value-{value}")))
+        for value, variant in zip(values, variants)]
     _write_csv(os.path.join(run_dir, f"sweep-{param}.csv"), "value,last,avg",
                out_rows)
     return out_rows
@@ -540,11 +550,9 @@ def run_ablation(config: ExperimentConfig):
         sub = replace(config, method_label=variant,
                       use_baseline_trainer=(variant == "baseline"),
                       train=ablation_train_config(config.train, variant))
-        try:
-            rows = _run_seeds(sub, os.path.join(run_dir, "ablation", variant))
-        except NumericsError as exc:
-            raise NumericsError(f"variant {variant}: {exc}") from exc
-        table.append((variant, *_seed_mean(rows)))
+        table.append((variant, *_seed_mean(
+            f"variant {variant}", sub,
+            os.path.join(run_dir, "ablation", variant))))
     _write_csv(os.path.join(run_dir, "ablation.csv"), SUMMARY_HEADER,
                [(variant, config.scenario, "mean", last, avg)
                 for variant, last, avg in table])

@@ -98,11 +98,18 @@ class FeatureExtractor:
         return [h > 0.0 for h in hiddens] + [feature]
 
 
+def _freeze(extractors):
+    """Make every array of `extractors` read-only: a write to one raises."""
+    for ext in extractors:
+        for p in ext.params.values():
+            p.flags.writeable = False
+
+
 class ExpandableModel:
     """Holds the extractor stack, the widening classifier, and the heads.
 
     Task t state after `expand` was called t+1 times:
-      extractors[0..t-1] frozen (by position alone), extractors[t] trainable;
+      extractors[0..t-1] frozen (read-only arrays), extractors[t] trainable;
       cls head over (t+1)*d concatenated features -> all seen classes;
       aux head over f_t -> |C_t|+1 logits (absent at t=0);
       intra head over f_t -> |C_t| logits;
@@ -179,6 +186,7 @@ class ExpandableModel:
         if new_class_count <= 0:
             raise ConfigurationError(
                 f"new_class_count must be positive, got {new_class_count}")
+        _freeze(self.extractors[-1:])  # the finished extractor, if any
         dims = [self.input_dim, *self.hidden_dims, self.feature_dim]
         self.extractors.append(
             FeatureExtractor(dims, _draw(self.rng, _layer_table(dims))))
@@ -271,14 +279,6 @@ class ExpandableModel:
             if i < n - 1:
                 h = ad.relu(h)
         return h
-
-    # -- parameter views -------------------------------------------------
-
-    def frozen_snapshot(self):
-        """Copies of every frozen extractor parameter, for stability checks."""
-        return {f"f{t}/{name}": p.copy()
-                for t, ext in enumerate(self.extractors[:-1])
-                for name, p in ext.params.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +380,7 @@ def _read_checkpoint(path):
         raise FormatError(f"unsupported version {doc.get('format_version')!r}")
     try:
         return _model_from_doc(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(
             f"malformed field: {type(exc).__name__}: {exc}") from exc
 
@@ -410,15 +410,19 @@ def _integers(value):
 
 def _model_from_doc(doc):
     """Build the model and check that its parts fit: the types of the
-    architecture fields, the class offsets, each extractor's position and
-    the set and shapes of its parameters, and the set and shapes of the
-    heads."""
+    architecture and RNG fields, the class offsets, each extractor's
+    position and the set and shapes of its parameters, and the set and
+    shapes of the heads. Every extractor but the last is loaded frozen."""
     for key in ("input_dim", "feature_dim", "hidden_dims",
                 "projector_hidden", "seed", "class_offsets"):
         if not _integers(doc[key]):
             raise FormatError(f"{key} {doc[key]!r} is not made of integers")
     if type(doc["separate_inter_head"]) is not bool:
         raise FormatError("separate_inter_head is not a boolean")
+    rng = doc["rng_state"]
+    if not _integers([rng["state"]["state"], rng["state"]["inc"],
+                      rng["has_uint32"], rng["uinteger"]]):
+        raise FormatError("rng_state is not made of integers")
     model = ExpandableModel(
         input_dim=doc["input_dim"],
         feature_dim=doc["feature_dim"],
@@ -445,7 +449,8 @@ def _model_from_doc(doc):
                               f"disagree with its position or the model")
         arrays = _arrays_in(ext_doc["params"], layers, f"extractor {t}: params")
         model.extractors.append(FeatureExtractor(dims, arrays))
+    _freeze(model.extractors[:-1])
     model.class_offsets = offsets
     model.heads.update(_arrays_in(doc["heads"], model._head_table(), "heads"))
-    model.rng.bit_generator.state = doc["rng_state"]
+    model.rng.bit_generator.state = rng
     return model

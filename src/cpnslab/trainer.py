@@ -1,8 +1,8 @@
 """Two-stage incremental trainer with class-balanced herding rehearsal.
 
 Each task gets a fresh extractor from the expansion step; training here
-never touches the frozen ones, which an exact snapshot check enforces on
-every run. Stage 1 pretrains the new extractor and the intra-scope head
+never touches the frozen ones, whose arrays `ExpandableModel.expand` made
+read-only. Stage 1 pretrains the new extractor and the intra-scope head
 on the counterfactual surrogate alone, so the features separate factual
 from counterfactual before the shared classifier sees them; stage 2
 optimizes the full objective: classification, auxiliary discrimination,
@@ -378,12 +378,12 @@ def _rehearsal_tables(model, x_cur, y_cur, buffer, use_cls, use_intra,
     Every label a step can draw is range-checked here, once, against each
     head the loop's steps score with it; no step checks a label.
 
-    Within a task no frozen extractor moves (`_check_frozen`) and the
-    buffer is fixed, so a row's frozen features are the same at every
-    step; two products per loop replace one per step. A table row can
-    differ in its last bits from the same row of a batch-sized product
-    (BLAS takes another kernel path for short products), which is why
-    both trainers take their frozen blocks from here.
+    A frozen extractor's arrays are read-only and the buffer is fixed
+    within a task, so a row's frozen features are the same at every step;
+    two products per loop replace one per step. A table row can differ in
+    its last bits from the same row of a batch-sized product (BLAS takes
+    another kernel path for short products), which is why both trainers
+    take their frozen blocks from here.
     """
     lo = model.class_offsets[-1][0]
     n_cur = len(x_cur)
@@ -443,7 +443,7 @@ def _param_set(model, use_cls, use_intra, use_inter):
     A head the model does not have (aux on the first task, a tied inter
     head) is skipped. Keeping unused heads out means decoupled weight
     decay cannot silently move them. The frozen extractors are never in
-    it; `_check_frozen` guards that nothing moves them anyway.
+    it, and their arrays are read-only anyway.
     """
     ext = model.extractors[-1].params
     params = {f"f{model.current_task}/{name}": (ext, name) for name in ext}
@@ -476,13 +476,6 @@ def _check_finite(state):
     if not np.isfinite(state["values"]).all():
         name = _non_finite(state["params"])[0]
         raise NumericsError(f"parameter {name!r} contains non-finite values")
-
-
-def _check_frozen(model, snap):
-    after = model.frozen_snapshot()
-    drift = sum(float(np.abs(after[k] - snap[k]).sum()) for k in snap)
-    if drift != 0.0:
-        raise AssertionError(f"frozen extractors drifted by {drift}")
 
 
 def _report_pool(model, x_cur, y_cur, buffer, config: TrainConfig):
@@ -788,22 +781,19 @@ def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
 def train_task(model, task_data, buffer, config: TrainConfig, rng):
     """Run the two-stage objective for the freshly expanded task.
 
-    Returns {"task", "records"}: one record per epoch, with per-epoch
-    indicator reports during stage 2; nothing is written to disk. Both
-    stages run `_run_objective_epochs` with different terms on: stage 1
-    (skipped when stage1_epochs is 0) trains the intra term alone over
-    current rows (or, with it off, warms the base losses), stage 2 every
-    enabled term. The frozen extractor stack is snapshot-checked for
-    exact stability.
+    Returns the records, one per epoch, with per-epoch indicator reports
+    during stage 2; nothing is written to disk. Both stages run
+    `_run_objective_epochs` with different terms on: stage 1 (skipped
+    when stage1_epochs is 0) trains the intra term alone over current
+    rows (or, with it off, warms the base losses), stage 2 every enabled
+    term.
     """
-    t = model.current_task
     x_cur, y_cur = _task_arrays(model, task_data, buffer)
     # nu and gamma both zero leaves nothing of the intra objective, and a
     # zero lam nothing of the inter one; dropping the machinery entirely
     # is what makes the baseline reduction exact
     use_intra = config.nu > 0 or config.gamma > 0
-    use_inter = config.lam > 0 and t >= 1
-    snap = model.frozen_snapshot()
+    use_inter = config.lam > 0 and model.current_task >= 1
     records = []
 
     if config.stage1_epochs > 0:
@@ -818,9 +808,7 @@ def train_task(model, task_data, buffer, config: TrainConfig, rng):
     _run_objective_epochs(model, x_cur, y_cur, buffer, config, rng, records,
                           stage=2, epochs=config.stage2_epochs, use_cls=True,
                           use_intra=use_intra, use_inter=use_inter)
-
-    _check_frozen(model, snap)
-    return {"task": t, "records": records}
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -868,7 +856,7 @@ def train_task_baseline(model, task_data, buffer, config: TrainConfig, rng):
     """Rehearsal baseline: classification plus auxiliary loss, one stage.
 
     Runs stage1_epochs + stage2_epochs epochs so comparisons against the
-    two-stage objective are epoch-matched; returns {"task", "records"}, as
+    two-stage objective are epoch-matched; returns its records, as
     train_task does. Written as its own plain loop on purpose: the
     degeneracy check compares its final parameters bit-for-bit against
     train_task with the counterfactual machinery zeroed, and that check
@@ -883,7 +871,6 @@ def train_task_baseline(model, task_data, buffer, config: TrainConfig, rng):
     """
     t = model.current_task
     x_cur, y_cur = _task_arrays(model, task_data, buffer)
-    snap = model.frozen_snapshot()
     tables = _rehearsal_tables(model, x_cur, y_cur, buffer, use_cls=True,
                                use_intra=False, use_inter=False)
     params = _param_set(model, use_cls=True, use_intra=False, use_inter=False)
@@ -907,5 +894,4 @@ def train_task_baseline(model, task_data, buffer, config: TrainConfig, rng):
         wall = (time.perf_counter() - t0) * 1000.0
         records.append(_record(t, 2, epoch, sums, n_batches, report, wall))
     _own_values(params)
-    _check_frozen(model, snap)
-    return {"task": t, "records": records}
+    return records

@@ -752,6 +752,10 @@ class TestCli:
         (None, "run_id", "."),
         (None, "run_id", ".."),
         (None, "run_id", "a/b"),
+        (None, "run_id", "a\x00b"),
+        (None, "run_id", "\ud800"),
+        (None, "output_dir", "\x00"),
+        (None, "output_dir", "\ud800"),
     ], ids=["baseline flag string", "seeds string", "seeds float",
             "inter head string", "two_stage unknown",
             "old_new removed", "cka removed", "masking removed",
@@ -764,10 +768,13 @@ class TestCli:
             "hidden_dims negative", "projector_hidden zero",
             "projector_hidden negative", "masking_ks decreasing",
             "masking_ks negative", "seeds repeat", "run_id dot",
-            "run_id dotdot", "run_id slash"])
+            "run_id dotdot", "run_id slash", "run_id nul", "run_id surrogate",
+            "output_dir nul", "output_dir surrogate"])
     def test_mistyped_value_exits_two_before_any_output(self, tmp_path,
                                                         section, key, value):
         doc = tiny_doc(tmp_path / "out")
+        if key == "output_dir":  # a path that would have made `out`
+            value = doc[key] + value
         (doc if section is None else doc[section])[key] = value
         cfg_path = write_config(tmp_path, doc)
         with pytest.raises(ConfigurationError, match=key):
@@ -969,13 +976,15 @@ class TestCli:
         lambda doc: doc.update(separate_inter_head=0),
         lambda doc: doc.update(seed=0.0),
         _set_first_extractor("task_index", 0.0),
+        lambda doc: doc["rng_state"]["state"].update(inc=-1),
+        lambda doc: doc["rng_state"].update(uinteger=1.5),
     ], ids=["cls one column short", "layer_dims", "overlapping offsets",
             "extractor 0 not frozen", "aux head missing", "intra_w 1x2",
             "extra head", "projector missing", "extra extractor param",
             "nan in cls_b", "cls_b data not its shape header",
             "feature_dim a string", "hidden_dims strings",
             "class_offsets floats", "separate_inter_head 0", "seed a float",
-            "task_index a float"])
+            "task_index a float", "rng inc negative", "rng uinteger a float"])
     def test_eval_of_a_checkpoint_whose_parts_disagree_exits_two(
             self, tmp_path, capsys, edit):
         ckpt, table_path = self._eval_inputs(tmp_path)
@@ -983,7 +992,8 @@ class TestCli:
         edit(doc)
         ckpt.write_text(json.dumps(doc))
         assert cli.main(["eval", str(ckpt), str(table_path)]) == 2
-        assert capsys.readouterr().err.startswith("cpnslab: ")
+        err = capsys.readouterr().err
+        assert err.startswith("cpnslab: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("position", ["run config", "eval checkpoint",
                                           "eval table"])

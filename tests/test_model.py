@@ -24,9 +24,10 @@ def _probe(rng, n, dim):
 
 
 def trainable(m):
-    """The current extractor, every head and the projector."""
-    frozen = m.frozen_snapshot()
-    return [t for name, t in all_params(m).items() if name not in frozen]
+    """The current extractor, every head and the projector: the arrays an
+    in-place write may change, as `all_params` orders them."""
+    return [*m.extractors[-1].params.values(),
+            *(m.heads[name] for name in sorted(m.heads))]
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +56,10 @@ def test_expand_inherits_classifier_block():
     # old rows see nothing from the new feature block
     np.testing.assert_array_equal(m.heads["cls_w"][:10, 4:],
                                   np.zeros((10, 4)))
-    assert set(m.frozen_snapshot()) == {f"f0/{name}"
-                                        for name in m.extractors[0].params}
+    # expanding froze the first extractor and no other array
+    assert [name for name, p in all_params(m).items()
+            if not p.flags.writeable] == [f"f0/{name}"
+                                          for name in m.extractors[0].params]
     assert m.heads["aux_w"].shape == (11, 4)
     assert m.heads["proj_w0"].shape[1] == 4  # t*d with t=1
 
@@ -232,7 +235,12 @@ def test_forward_intra_ignores_frozen_extractors():
     m.expand(3)
     x = _probe(rng, 3, 8)
     before = m.head_np("intra", m.current_feature_np(x))
-    m.extractors[0].params["w0"][:] += 100.0  # vandalize frozen weights
+    # vandalize the frozen weights: a copy, since the arrays are read-only
+    old = m.extractors[0]
+    vandal = {name: p + 100.0 for name, p in old.params.items()}
+    m.extractors[0] = md.FeatureExtractor(old.layer_dims, vandal)
+    assert not np.array_equal(m.extractors[0].forward_np(x),
+                              old.forward_np(x))
     np.testing.assert_array_equal(m.head_np("intra", m.current_feature_np(x)),
                                   before)
 
@@ -312,6 +320,25 @@ def test_frozen_features_stable_under_current_task_updates():
     np.testing.assert_array_equal(m.extractors[0].forward_np(x), before)
 
 
+def test_frozen_extractors_refuse_in_place_writes(tmp_path):
+    # expand freezes the finished extractor, and loading a checkpoint every
+    # extractor but the last; the current extractor and the heads stay
+    # writable
+    m = fresh().expand(3).expand(2).expand(4)
+    path = tmp_path / "m.ckpt"
+    md.save_checkpoint(m, path)
+    for model in (m, md.load_checkpoint(path)):
+        for ext in model.extractors[:-1]:
+            for p in ext.params.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    p[0] = 0.0
+                with pytest.raises(ValueError, match="read-only"):
+                    p += 1.0
+        for p in trainable(model):
+            p[0] = p[0]
+            p += 0.0
+
+
 def test_label_ranges_disjoint_and_complete():
     m = fresh()
     m.expand(3)
@@ -378,7 +405,8 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
 
     for a, b in zip(aux_and_projection(loaded), aux_and_projection(m)):
         np.testing.assert_array_equal(a, b)
-    assert loaded.frozen_snapshot().keys() == m.frozen_snapshot().keys()
+    assert ({name: p.flags.writeable for name, p in all_params(loaded).items()}
+            == {name: p.flags.writeable for name, p in all_params(m).items()})
     assert loaded.class_offsets == m.class_offsets
 
 
@@ -471,22 +499,25 @@ def test_checkpoint_bytes_equal_one_plain_dump_across_a_stream(tmp_path, kw):
 
 @pytest.mark.parametrize("change", ["in place", "new array", "reshaped"])
 def test_checkpoint_text_follows_a_changed_frozen_extractor(tmp_path, change):
+    # the cached text of an extractor is that of its bytes when it is saved;
+    # a frozen one refuses an in-place write, so the current one is changed
     rng = np.random.default_rng(4)
     m = fresh(seed=2).expand(3).expand(2)
-    for t in all_params(m).values():
+    for t in trainable(m):
         t += rng.normal(size=t.shape)
     path = tmp_path / "m.ckpt"
     md.save_checkpoint(m, path)
-    text = m.extractors[0]._encoded[1]
+    ext = m.extractors[-1]
+    text = ext._encoded[1]
     md.save_checkpoint(m, path)
-    assert m.extractors[0]._encoded[1] is text  # reused, not re-encoded
-    p = m.extractors[0].params["b0"]
+    assert ext._encoded[1] is text  # reused, not re-encoded
+    p = ext.params["b0"]
     if change == "in place":
         p[1] = np.nextafter(p[1], np.inf)
     elif change == "new array":
-        m.extractors[0].params["b0"] = p * 2.0
+        ext.params["b0"] = p * 2.0
     else:  # same bytes, other shape
-        m.extractors[0].params["b0"] = p.reshape(1, -1)
+        ext.params["b0"] = p.reshape(1, -1)
     md.save_checkpoint(m, path)
     assert path.read_text() == oracles.plain_checkpoint_text(m)
 

@@ -22,9 +22,9 @@ def controlled_model(k=2, d=2, tasks=1):
     m = md.ExpandableModel(input_dim=d, feature_dim=d, hidden_dims=(), seed=0)
     for _ in range(tasks):
         m.expand(k)
-    for ext in m.extractors:
-        ext.params["w0"][:] = np.eye(d)
-        ext.params["b0"][:] = 0.0
+        # set while it is current: expand freezes it, read-only, at the next
+        m.extractors[-1].params["w0"][:] = np.eye(d)
+        m.extractors[-1].params["b0"][:] = 0.0
     return m
 
 
