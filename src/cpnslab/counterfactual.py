@@ -46,8 +46,18 @@ def log_softmax(x):
     The reductions are the ufunc reductions `max`/`sum` call, without
     their wrappers, and the last subtraction reuses the shifted array; the
     bits are those of `shifted - lse`.
+
+    A 2-D input takes its row maxima down the columns of a contiguous
+    transposed copy, since a reduction along short rows is slow. A
+    maximum is exact in any order; where +0.0 and -0.0 tie at the top the
+    order can pick either, but then the row holds two exp(0) = 1 terms,
+    so lse >= log 2 and every output is the same.
     """
-    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    if x.ndim == 2:
+        top = np.maximum.reduce(np.ascontiguousarray(x.T), axis=0)[:, None]
+    else:
+        top = np.maximum.reduce(x, axis=-1, keepdims=True)
+    shifted = x - top
     lse = np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
     shifted -= lse
     return shifted

@@ -44,6 +44,8 @@ ABLATION_VARIANTS = {
 }
 # the variants that train in one stage, on the stage-1 epochs as well
 _SINGLE_STAGE_VARIANTS = ("baseline", "+inter_no2stage", "both_no2stage")
+# the most float64 values (1 GiB) one array of a synthetic run may hold
+MAX_ARRAY_ELEMENTS = 2 ** 27
 
 
 @dataclass
@@ -135,6 +137,12 @@ class ExperimentConfig:
         cls = TableDataConfig if kind == "table" else dt.SyntheticScmConfig
         keys = {k: v for k, v in self.data.items() if k != "kind"}
         self._source = cls(**_section_values("data", keys, cls))
+        if kind == "synthetic":
+            for what, size in _array_sizes(self._source, self.model):
+                if size > MAX_ARRAY_ELEMENTS:
+                    raise ConfigurationError(
+                        f"{what} would hold {size} float64 values, over the "
+                        f"limit of 2**27 = {MAX_ARRAY_ELEMENTS}")
 
     @property
     def scenario(self):
@@ -173,6 +181,23 @@ class ExperimentConfig:
 
     def input_dim(self, stream):
         return stream.tasks[0][0][0].shape[1]
+
+
+def _array_sizes(s: dt.SyntheticScmConfig, m: ModelConfig):
+    """(what, element count) of each of the largest arrays a run on the
+    synthetic stream `s` with the model `m` builds, counted from the
+    config alone so that a run too large to fit is refused before any
+    array exists."""
+    classes = s.classes_per_task * s.num_tasks
+    d, t = m.feature_dim, s.num_tasks
+    rows = classes * (s.n_train_per_class + s.n_test_per_class)
+    yield "the stream's train and test inputs", rows * s.input_dim
+    dims = [s.input_dim, *m.hidden_dims, d]
+    for i, (n_in, n_out) in enumerate(zip(dims, dims[1:])):
+        yield f"extractor layer {i}", n_in * n_out
+    yield "the last task's classifier", classes * t * d
+    hidden = d if m.projector_hidden is None else m.projector_hidden
+    yield "the projector's first layer", hidden * (t - 1) * d
 
 
 # JSON type a config value must have, by the annotation of its field

@@ -54,12 +54,16 @@ def _draw(rng, table):
 
 def mlp_activations(params, prefix, n_layers, x):
     """Per-layer activations of the MLP `{prefix}w{i}`/`{prefix}b{i}` of
-    `params`: post-ReLU hiddens, then the linear output."""
+    `params`: post-ReLU hiddens, then the linear output. Each layer adds
+    its bias and applies its ReLU in place on its fresh product, the
+    elementwise operations of `x @ w.T + b` and `np.maximum(x, 0.0)`
+    without their temporaries."""
     acts = []
     for i in range(n_layers):
-        x = x @ params[f"{prefix}w{i}"].T + params[f"{prefix}b{i}"]
+        x = x @ params[f"{prefix}w{i}"].T
+        x += params[f"{prefix}b{i}"]
         if i < n_layers - 1:
-            x = np.maximum(x, 0.0)
+            np.maximum(x, 0.0, out=x)
         acts.append(x)
     return acts
 

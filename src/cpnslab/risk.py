@@ -99,11 +99,11 @@ def _intra_indicators(model, x, y_global, cfg: GenConfig):
     return pred_f == y_local, pred_c == y_local, degenerate
 
 
-def _inter_indicators(model, x, y_global, cfg: GenConfig):
-    """Same indicator triple over the combined buffer+current pool; the
-    inter-scope generator is label-free (it pulls toward the projection)."""
+def _inter_indicators(model, x, y_global, cfg: GenConfig, z_old):
+    """Same indicator triple over the combined buffer+current pool, from
+    `z_old`, the frozen features of its rows; the inter-scope generator is
+    label-free (it pulls toward the projection)."""
     y = np.asarray(y_global, dtype=np.int64)
-    z_old = model.frozen_concat_np(x)
     c_hat = model.current_feature_np(x)
     proj = model.project_values(z_old)
     z_f = np.concatenate([z_old, c_hat], axis=1)
@@ -118,22 +118,36 @@ def _inter_indicators(model, x, y_global, cfg: GenConfig):
 def _scope(factual_correct, cf_correct, degenerate):
     """(r, m, pns) of one scope from its indicator triple: the mean of
     sufficiency plus necessity violations, the mean of their product, and
-    the factual minus the counterfactual accuracy."""
+    the factual minus the counterfactual accuracy.
+
+    Each mean is taken as a count over n. That has the bits of the mean
+    of 0/1/2 floats, whose sum is an exact integer and whose mean is one
+    correctly rounded division."""
+    n = len(factual_correct)
+    count = np.count_nonzero
     suff = ~factual_correct
     nec = cf_correct | degenerate
-    r = float(np.mean(suff.astype(np.float64) + nec.astype(np.float64)))
-    m = float(np.mean((suff & nec).astype(np.float64)))
-    return r, m, float(np.mean(factual_correct) - np.mean(cf_correct))
+    return (float((count(suff) + count(nec)) / n),
+            float(count(suff & nec) / n),
+            float(count(factual_correct) / n - count(cf_correct) / n))
 
 
 def empirical_cpns_risk(current_batch, buffer_batch, model,
-                        cfg: GenConfig) -> CpnsReport:
+                        cfg: GenConfig, frozen=None) -> CpnsReport:
     """Indicator risk per scope, averaged 1/n over the current task and
     1/N over the buffer-plus-current pool; the returned report also
     carries the interventional estimates over the same pools.
 
     On the first task the inter scope does not exist and is reported with
     count 0. `buffer_batch` may be None there, never afterwards.
+
+    The inter scope reads the frozen features of the pool's rows, buffer
+    rows first. A caller that scores the same pool again and again (a
+    training loop's per-epoch reports) passes them as `frozen`, computed
+    once by `frozen_concat_np` over the same rows, so they are the same
+    bits; a table of another row count or width raises InputError, and so
+    does one passed on the first task. Without it the report computes the
+    table itself.
     """
     if current_batch is None or not len(current_batch[0]):
         raise InputError("current batch is empty")
@@ -151,9 +165,19 @@ def empirical_cpns_risk(current_batch, buffer_batch, model,
             [np.asarray(buffer_batch[0], dtype=np.float64), x_cur])
         y_all = np.concatenate(
             [np.asarray(buffer_batch[1], dtype=np.int64), y_cur])
+        if frozen is None:
+            frozen = model.frozen_concat_np(x_all)
+        elif frozen.shape != (len(x_all),
+                              model.feature_dim * model.current_task):
+            raise InputError(
+                f"frozen table of shape {frozen.shape} for a pool of "
+                f"{len(x_all)} rows and {model.current_task} frozen "
+                "extractors")
         r_inter, m_inter, pns_inter = _scope(
-            *_inter_indicators(model, x_all, y_all, cfg))
+            *_inter_indicators(model, x_all, y_all, cfg, frozen))
         n_inter = len(y_all)
+    elif frozen is not None:
+        raise InputError("no frozen features exist on the first task")
     return CpnsReport(r_intra=r_intra, r_inter=r_inter, m_intra=m_intra,
                       m_inter=m_inter, pns_intra_est=pns_intra,
                       pns_inter_est=pns_inter, n_intra=len(y_cur),

@@ -28,11 +28,14 @@ no counterfactual code. Before its first step, each training loop builds
 what every step reuses (`_rehearsal_tables`): the labels, each row's
 label among the current task's classes, and, from the second task on,
 one table of the frozen features of all current rows and all buffer
-rows. It range-checks every label a step can draw there, once. The
-frozen extractors and the buffer do not change within a task, so no
-step runs a frozen extractor or checks a label. From the second task on
-a batch appends rehearsal rows to the current ones, and its labels and
-frozen block are gathered from the tables by one index.
+rows. It range-checks every label a step can draw there, once. A loop
+that reports also takes its report pool before its first step
+(`_report_pool`), from the second task on with the frozen features of
+the pool's rows. The frozen extractors and the buffer do not change
+within a task, so no step or report runs a frozen extractor, and no
+step checks a label. From the second task on a batch appends rehearsal
+rows to the current ones, and its labels and frozen block are gathered
+from the tables by one index.
 
 Training writes no files: both trainers return their per-epoch records,
 and the caller logs them.
@@ -479,13 +482,24 @@ def _check_finite(state):
 
 
 def _report_pool(model, x_cur, y_cur, buffer, config: TrainConfig):
-    """The rows each per-epoch risk report of a loop scores: the first
-    report_limit current rows, and from the second task on up to
-    report_limit buffer rows with every buffered class's leading
-    exemplars in them (`RehearsalBuffer.samples`)."""
+    """What each per-epoch risk report of a loop scores, as (cur, buf,
+    frozen), the arguments of `empirical_cpns_risk` but the model and the
+    generator knobs: the first report_limit current rows, and from the
+    second task on up to report_limit buffer rows with every buffered
+    class's leading exemplars in them (`RehearsalBuffer.samples`) and
+    the frozen features of the buffer rows then the current ones.
+
+    The frozen extractors and the pool do not change within a loop, so
+    one `frozen_concat_np` here, over the rows the report would run it
+    on, gives every report its table; no report runs a frozen extractor.
+    On the first task buf and frozen are None.
+    """
     cap = config.report_limit
     cur = (x_cur[:cap], y_cur[:cap])
-    return cur, (buffer.samples(cap) if model.task_count >= 2 else None)
+    if model.task_count < 2:
+        return cur, None, None
+    buf = buffer.samples(cap)
+    return cur, buf, model.frozen_concat_np(np.concatenate([buf[0], cur[0]]))
 
 
 def _record(task, stage, epoch, sums, n_batches, report, wall_ms):
@@ -554,15 +568,17 @@ def _nlcp(logits, labels, weight, eps=1e-12):
     return float(-np.add.reduce(np.log(s)) / n), g * (weight / n)
 
 
-def _kl(la, b, weight):
+def _kl(la, b, weight, p=None):
     """Mean KL(softmax(a) || softmax(b)) over the rows, from `la`, the
-    log-softmax of a: (value, gradient in a, gradient in b), both at
-    `weight`. The budget terms call it with the factual feature as a and
-    the counterfactual as b, the reverse of the direction the generators
-    hold under epsilon (`counterfactual._kl_rows`)."""
+    log-softmax of a, and `p`, its exp unless the caller holds it: (value,
+    gradient in a, gradient in b), both at `weight`. The budget terms
+    call it with the factual feature as a and the counterfactual as b,
+    the reverse of the direction the generators hold under epsilon
+    (`counterfactual._kl_rows`)."""
     n = len(la)
     lb = cf.log_softmax(b)
-    p = np.exp(la)
+    if p is None:
+        p = np.exp(la)
     r = la - lb
     row_kl = np.add.reduce(p * r, axis=-1, keepdims=True)
     go = weight / n
@@ -610,8 +626,12 @@ def _objective(model, xb, yb, n_c, frozen, local, config: TrainConfig,
     its softmax error `e = softmax - onehot`, the generator's direction
     `e @ w_i` and that loss's gradient `e / n`; each generator's factual
     log-softmax (`ref_i` of the current rows, `ref_e` of c_hat) is passed
-    to it and is the `la` of its scope's KL term. Each one is the array
-    the generator or the term would have computed.
+    to it and is the `la` of its scope's KL term, with its exp the KL
+    term's `p`. With both scopes on, c_hat's log-softmax and exp are
+    taken once, and the intra scope's are their first n_c rows: both are
+    row by row, so a row's bits do not depend on the rows beside it. The
+    inter KL term reads its counterfactual as c_hat's columns of cbar_e.
+    Each one is the array the generator or the term would have computed.
     """
     mixed = frozen is not None
     heads = model.heads
@@ -639,6 +659,11 @@ def _objective(model, xb, yb, n_c, frozen, local, config: TrainConfig,
         aux_part = g_aux @ aux_w
         np.matmul(g_aux.T, c_hat, out=grads["aux_w"])
         np.add.reduce(g_aux, axis=0, out=grads["aux_b"])
+    if use_inter:
+        # c_hat's log-softmax and softmax serve both scopes: the intra
+        # ones are their current rows
+        ref_e = cf.log_softmax(c_hat)
+        p_e = np.exp(ref_e)
     if use_intra:
         w_i, b_i = heads["intra_w"], heads["intra_b"]
         c_cur = c_hat[:n_c] if mixed else c_hat
@@ -646,7 +671,7 @@ def _objective(model, xb, yb, n_c, frozen, local, config: TrainConfig,
         # the sufficiency term's softmax error is also the generator's
         # direction, (softmax - onehot) @ w_i
         suff, g_suff = _ce_error(c_cur @ w_i.T + b_i, y_local)
-        ref_i = cf.log_softmax(c_cur)
+        ref_i = ref_e[:n_c] if use_inter else cf.log_softmax(c_cur)
         cfs_i, _, _, _ = cf.generate_intra_batch(
             c_cur, y_local, w_i, b_i, alpha=config.gen.alpha,
             epsilon=config.gen.epsilon, directions=g_suff @ w_i, ref=ref_i)
@@ -660,13 +685,13 @@ def _objective(model, xb, yb, n_c, frozen, local, config: TrainConfig,
                        np.add.reduce(g_nec, axis=0)], out=grads["intra_b"])
         cur_parts += [g_suff @ w_i, g_nec @ w_i]
         if config.gamma > 0:
-            losses["kl"], g_a, g_b = _kl(ref_i, cbar_i, config.gamma)
+            losses["kl"], g_a, g_b = _kl(ref_i, cbar_i, config.gamma,
+                                         p_e[:n_c] if use_inter else None)
             cur_parts += [g_a, g_b]
     if use_inter:
         head = model.inter_head
         w_e, b_e = heads[f"{head}_w"], heads[f"{head}_b"]
         hidden, proj = mlp_activations(heads, "proj_", 2, frozen)
-        ref_e = cf.log_softmax(c_hat)
         cfs_e, _, _, _ = cf.generate_inter_batch(
             c_hat, proj, beta=config.gen.beta, epsilon=config.gen.epsilon,
             ref=ref_e)
@@ -689,8 +714,8 @@ def _objective(model, xb, yb, n_c, frozen, local, config: TrainConfig,
             _sum_in_order(w_parts, out=grads["inter_w"])
             _sum_in_order(b_parts, out=grads["inter_b"])
         if config.gamma > 0:
-            kl_e, g_a_e, g_b_e = _kl(ref_e, c_hat + (cfs_e - c_hat),
-                                     config.gamma)
+            # c_hat's columns of cbar_e are c_hat + (cfs_e - c_hat)
+            kl_e, g_a_e, g_b_e = _kl(ref_e, cbar_e[:, own], config.gamma, p_e)
             # the graph sums the kl terms from 0, as Python's `sum` does
             losses["kl"] = losses.get("kl", 0) + kl_e
         # projector fit; the target c_hat enters as a plain value
@@ -757,8 +782,9 @@ def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
     params = _param_set(model, use_cls, use_intra, use_inter)
     state = make_optimizer_state(params)
     grads = state["grads"]
-    pool = (_report_pool(model, x_cur, y_cur, buffer, config)
-            if stage == 2 else None)
+    if stage == 2:
+        cur, buf, pool_frozen = _report_pool(model, x_cur, y_cur, buffer,
+                                             config)
     n_batches = len(range(0, len(x_cur), config.batch_size))
     for epoch in range(epochs):
         t0 = time.perf_counter()
@@ -771,8 +797,8 @@ def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
                 sums[key] += value
             optimizer_step(state, config)
         _check_finite(state)
-        report = (empirical_cpns_risk(*pool, model, config.gen)
-                  if stage == 2 else None)
+        report = (empirical_cpns_risk(cur, buf, model, config.gen,
+                                      pool_frozen) if stage == 2 else None)
         wall = (time.perf_counter() - t0) * 1000.0
         records.append(_record(t, stage, epoch, sums, n_batches, report, wall))
     _own_values(params)
@@ -876,7 +902,7 @@ def train_task_baseline(model, task_data, buffer, config: TrainConfig, rng):
     params = _param_set(model, use_cls=True, use_intra=False, use_inter=False)
     state = make_optimizer_state(params)
     grads = state["grads"]
-    pool = _report_pool(model, x_cur, y_cur, buffer, config)
+    cur, buf, pool_frozen = _report_pool(model, x_cur, y_cur, buffer, config)
     n_batches = len(range(0, len(x_cur), config.batch_size))
     records = []
     epochs = config.stage1_epochs + config.stage2_epochs
@@ -890,7 +916,8 @@ def train_task_baseline(model, task_data, buffer, config: TrainConfig, rng):
                 sums[key] += value
             optimizer_step(state, config)
         _check_finite(state)
-        report = empirical_cpns_risk(*pool, model, config.gen)
+        report = empirical_cpns_risk(cur, buf, model, config.gen,
+                                     pool_frozen)
         wall = (time.perf_counter() - t0) * 1000.0
         records.append(_record(t, 2, epoch, sums, n_batches, report, wall))
     _own_values(params)

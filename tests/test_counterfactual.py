@@ -432,3 +432,71 @@ def test_caller_held_intermediates_give_the_same_arrays(epsilon):
                                    epsilon=epsilon)
     _assert_same(cf.generate_inter_batch(feats, projected, beta=0.4,
                                          epsilon=epsilon, ref=ref), want)
+
+
+# ---------------------------------------------------------------------------
+# log_softmax: row maxima from a transposed copy, the bits of a row reduction
+
+def _row_reduced_log_softmax(x):
+    """log_softmax with its row maxima reduced along each row, as it was
+    computed before it took them down the columns of a transposed copy."""
+    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    lse = np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    shifted -= lse
+    return shifted
+
+
+def _same_bits_nan_aware(a, b):
+    """Same shape and dtype, NaN in the same places, every other value
+    with the same bits (a NaN's payload may come from either operand)."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+def _awkward_rows(shape, seed):
+    """Normal values with rows planted that probe the maximum: ties of
+    +0.0 and -0.0 at the top in both orders, +inf, -inf, all -inf, NaN,
+    and a row of zeros."""
+    x = np.random.default_rng(seed).normal(size=shape) * 3.0
+    k = shape[1]
+    x[0] = -np.abs(x[0]) - 1.0
+    x[0, 0], x[0, k - 1] = 0.0, -0.0
+    x[1] = -np.abs(x[1]) - 1.0
+    x[1, 0], x[1, k - 1] = -0.0, 0.0
+    x[2, k // 2] = np.inf
+    x[3, 1] = -np.inf
+    x[4] = -np.inf
+    x[5, k // 3] = np.nan
+    x[6, 0], x[6, k - 1] = np.inf, np.nan
+    x[7] = -0.0
+    x[7, k // 2] = 0.0
+    # at widths 16 and 20 a row reduction and a column one pick different
+    # zeros here, so the outputs must agree despite unequal maxima
+    x[8] = -np.abs(x[8]) - 1.0
+    x[8, 0], x[8, 1] = 0.0, -0.0
+    return x
+
+
+@pytest.mark.parametrize("shape", [(32, 4), (64, 20), (256, 16)])
+def test_log_softmax_keeps_the_bits_of_a_row_reduction(shape):
+    x = _awkward_rows(shape, shape[0])
+    with np.errstate(invalid="ignore"):
+        cases = [x, x[:, :1], x[3:40], x[:, 1:3], x[:, ::2], x.T.copy().T,
+                 x[10], x[0], x[1], x[7], x[8]]
+        for case in cases:
+            got, want = cf.log_softmax(case), _row_reduced_log_softmax(case)
+            assert _same_bits_nan_aware(got, want), case.shape
+
+
+def test_log_softmax_of_leading_rows_is_the_leading_rows_of_it():
+    # trainer._objective takes the intra scope's factual log-softmax and
+    # its exp as the first n_c rows of those of the whole batch
+    c_hat = np.random.default_rng(29).normal(size=(64, 16)) * 4.0
+    whole = cf.log_softmax(c_hat)
+    for n_c in (1, 5, 31, 32, 63, 64):
+        part = cf.log_softmax(c_hat[:n_c])
+        assert part.tobytes() == whole[:n_c].tobytes(), n_c
+        assert np.exp(part).tobytes() == np.exp(whole)[:n_c].tobytes(), n_c

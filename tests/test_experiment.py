@@ -186,6 +186,39 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             ex.config_from_dict(doc)
 
+    # per array of tiny_doc's run (16 inputs, 2 tasks of 2 classes, 45 rows
+    # per class, widths 16 -> 16 -> 8): the section values that make it
+    # hold n float64 values times its other sizes, and the n that brings
+    # it to 2**27 exactly
+    @pytest.mark.parametrize("what,k,sections", [
+        ("the stream's train and test inputs", 2 ** 21 - 15,
+         lambda n: {"data": {"n_train_per_class": n}}),
+        ("extractor layer 0", 2 ** 23,
+         lambda n: {"model": {"hidden_dims": [n]}}),
+        ("extractor layer 1", 2 ** 23,
+         lambda n: {"model": {"feature_dim": n, "projector_hidden": 1}}),
+        ("the last task's classifier", 2 ** 20,
+         lambda n: {"data": {"num_tasks": 8},
+                    "model": {"feature_dim": n, "hidden_dims": [],
+                              "projector_hidden": 1}}),
+        ("the projector's first layer", 2 ** 24,
+         lambda n: {"model": {"projector_hidden": n}}),
+    ], ids=["inputs", "layer 0", "layer 1", "classifier", "projector"])
+    def test_each_array_may_reach_the_size_cap_and_no_more(self, tmp_path,
+                                                           what, k, sections):
+        # only configs are built here, never the arrays they describe
+        assert ex.MAX_ARRAY_ELEMENTS == 2 ** 27
+        for n in (k, k + 1):
+            doc = tiny_doc(tmp_path)
+            for section, values in sections(n).items():
+                doc[section].update(values)
+            if n == k:
+                ex.config_from_dict(doc)
+                continue
+            with pytest.raises(ConfigurationError,
+                               match=re.escape(f"{what} would hold")):
+                ex.config_from_dict(doc)
+
 
 # ---------------------------------------------------------------------------
 # the incremental loop
@@ -824,6 +857,25 @@ class TestCli:
         with pytest.raises(ConfigurationError):
             ex.load_config(cfg_path)
         assert cli.main(["run", cfg_path]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section,key,value,what", [
+        ("data", "input_dim", 1_000_000_000, "inputs"),
+        ("model", "hidden_dims", [1_000_000_000], "extractor layer 0"),
+        ("data", "n_train_per_class", 1_000_000_000, "inputs"),
+    ], ids=["input_dim", "hidden_dims", "n_train_per_class"])
+    def test_oversized_config_exits_two_before_allocating(
+            self, tmp_path, capsys, section, key, value, what):
+        doc = tiny_doc(tmp_path / "out")
+        doc[section][key] = value
+        cfg_path = write_config(tmp_path, doc)
+        # the load must refuse it: run unchecked, the config would try to
+        # allocate gigabytes
+        with pytest.raises(ConfigurationError, match=what):
+            ex.load_config(cfg_path)
+        assert cli.main(["run", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cpnslab: ") and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_exits_two(self, tmp_path):

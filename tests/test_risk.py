@@ -216,6 +216,66 @@ def test_empty_batches_and_label_ranges():
 
 
 # ---------------------------------------------------------------------------
+# what a caller hands the report, and the counts it takes its means from
+
+def _scope_by_float_means(factual_correct, cf_correct, degenerate):
+    """`_scope` as means of 0/1/2 floats, the form it had before counting."""
+    suff = ~factual_correct
+    nec = cf_correct | degenerate
+    r = float(np.mean(suff.astype(np.float64) + nec.astype(np.float64)))
+    m = float(np.mean((suff & nec).astype(np.float64)))
+    return r, m, float(np.mean(factual_correct) - np.mean(cf_correct))
+
+
+@pytest.mark.parametrize("n", [1, 7, 128, 255])
+def test_scope_counts_give_the_bits_of_float_means(n):
+    rng = np.random.default_rng(n)
+    triples = [np.ones((3, n), dtype=bool), np.zeros((3, n), dtype=bool)]
+    triples += [rng.random((3, n)) < p for p in (0.1, 0.5, 0.9)
+                for _ in range(20)]
+    for fc, cc, deg in triples:
+        got = rk._scope(fc, cc, deg)
+        want = _scope_by_float_means(fc, cc, deg)
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def _three_task_pool(seed=31):
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, tasks=3)
+    cur = (rng.normal(size=(9, 6)), rng.integers(4, 6, size=9))
+    buf = (rng.normal(size=(7, 6)), rng.integers(0, 4, size=7))
+    return m, cur, buf
+
+
+def test_a_report_given_its_pools_frozen_table_is_the_same_report():
+    m, cur, buf = _three_task_pool()
+    cfg = rk.GenConfig(beta=0.2)
+    table = m.frozen_concat_np(np.concatenate([buf[0], cur[0]]))
+    want = rk.empirical_cpns_risk(cur, buf, m, cfg).to_json_dict()
+    assert want["n_inter"] == 16
+    got = rk.empirical_cpns_risk(cur, buf, m, cfg, table).to_json_dict()
+    assert json.dumps(got) == json.dumps(want)
+
+
+def test_a_frozen_table_of_another_shape_is_refused():
+    m, cur, buf = _three_task_pool()
+    cfg = rk.GenConfig()
+    table = m.frozen_concat_np(np.concatenate([buf[0], cur[0]]))
+    assert table.shape == (16, 2 * m.feature_dim)
+    for bad in (table[:-1], table[:, :-1], np.vstack([table, table[:1]]),
+                table[:, :m.feature_dim]):
+        with pytest.raises(InputError, match="frozen table"):
+            rk.empirical_cpns_risk(cur, buf, m, cfg, bad)
+    # and any table on the first task, which has no frozen extractor
+    first = controlled_model(tasks=1)
+    x = np.ones((2, 2))
+    with pytest.raises(InputError, match="first task"):
+        rk.empirical_cpns_risk((x, np.array([0, 1])), None, first, cfg,
+                               np.empty((2, 0)))
+
+
+# ---------------------------------------------------------------------------
 # interventional estimates
 
 def test_estimate_zero_when_counterfactual_equals_factual():

@@ -549,13 +549,19 @@ def test_report_pool_covers_every_buffered_class():
     model.expand(2)
     x, y = blob_task(rng, [4, 5], 40, 4)
     cfg = full_cfg(report_limit=32)
-    (cx, cy), (bx, by) = tr._report_pool(model, x, y, buf, cfg)
+    (cx, cy), (bx, by), frozen = tr._report_pool(model, x, y, buf, cfg)
     np.testing.assert_array_equal(cx, x[:32])
     assert len(by) == 32 and set(by.tolist()) == {0, 1, 2, 3}
     assert counts(buf, range(4)) == [60] * 4
     assert [int(np.sum(by == c)) for c in range(4)] == [8] * 4
+    # the pool's frozen table: buffer rows first, as the report stacks them
+    assert _same_bits(frozen,
+                      model.frozen_concat_np(np.concatenate([bx, cx])))
     model_first = small_model(seed=2, dim=4).expand(4)
-    assert tr._report_pool(model_first, x, y, None, cfg)[1] is None
+    cur, buf_first, frozen_first = tr._report_pool(model_first, x, y, None,
+                                                   cfg)
+    np.testing.assert_array_equal(cur[0], x[:32])
+    assert buf_first is None and frozen_first is None
 
 
 # ---------------------------------------------------------------------------
@@ -717,17 +723,19 @@ def test_objective_matches_the_graph_bitwise_at_a_long_stream_width(
         lambda: _long_stream_model(separate), 2, 11)
 
 
-@pytest.mark.parametrize("stage, want", [(1, 5), (2, 11)])
+@pytest.mark.parametrize("stage, want", [(1, 5), (2, 10)])
 def test_a_first_scale_step_takes_each_log_softmax_once(monkeypatch, stage,
                                                          want):
     # a stage-1 step, and a mixed stage-2 step with both scopes, the tied
     # head and gamma > 0, in which every row is feasible at the initial
     # scale. Each log-softmax is of one quantity: the intra logits (shared
-    # by the sufficiency loss and the generator's direction), each
-    # generator's factual features (shared by the generator and its KL
-    # term), one scoring round per generator, each necessity term's
-    # counterfactual logits, each KL term's counterfactual, and stage 2's
-    # cls and aux logits. Computing the shared ones twice made 7 and 14.
+    # by the sufficiency loss and the generator's direction), the factual
+    # features (shared by the generators and their KL terms; with both
+    # scopes the intra scope's are the current rows of c_hat's), one
+    # scoring round per generator, each necessity term's counterfactual
+    # logits, each KL term's counterfactual, and stage 2's cls and aux
+    # logits. Computing the shared ones twice made 7 and 14, and taking
+    # the intra scope's factual rows apart from c_hat's made 11.
     model, buf, (x, y) = _objective_model(1, False, (16,))
     cfg = full_cfg(batch_size=8, gen=GenConfig(epsilon=1e6))
     assert cfg.gamma > 0 and cfg.lam > 0 and cfg.nu > 0
@@ -917,9 +925,9 @@ MIXED_IDS = ["baseline", "full", "full, no intra"]
 def test_a_mixed_loop_computes_the_frozen_features_twice(
         monkeypatch, train_fn, make_cfg, kw, loops, batch_size):
     # once over the task's rows and once over the buffer's, however many
-    # batches the loop runs; the risk reports score frozen features of
-    # their own and are stubbed here
-    monkeypatch.setattr(tr, "empirical_cpns_risk", lambda *args: None)
+    # batches the loop runs, and a loop that reports once more over its
+    # report pool, however many epochs it reports: the reports run
+    # unstubbed and no report runs a frozen extractor itself
     rows = []
     frozen_concat_np = ExpandableModel.frozen_concat_np
 
@@ -929,9 +937,16 @@ def test_a_mixed_loop_computes_the_frozen_features_twice(
 
     monkeypatch.setattr(ExpandableModel, "frozen_concat_np", counting)
     cfg = make_cfg(batch_size=batch_size, **kw)
-    run_two_tasks(train_fn, cfg)
+    _, records = run_two_tasks(train_fn, cfg)
     n_cur, n_buf = len(two_task_data()[1][0]), cfg.buffer_capacity
-    assert rows == [n_cur, n_buf] * loops
+    # the report pool: every buffer row and every current row
+    n_pool = min(n_buf, cfg.report_limit) + min(n_cur, cfg.report_limit)
+    # the last loop reports; in "no intra" stage 1 mixes without reporting
+    assert rows == [n_cur, n_buf] * (loops - 1) + [n_cur, n_buf, n_pool]
+    reports = [r["cpns_report"] for r in records if r["stage"] == 2]
+    assert len(reports) == cfg.stage2_epochs + (
+        cfg.stage1_epochs if train_fn is tr.train_task_baseline else 0)
+    assert all(r["n_inter"] == n_pool for r in reports)
 
 
 def _mixed_epochs(train_fn, cfg, loops):
