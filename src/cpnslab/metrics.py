@@ -130,9 +130,15 @@ def old_new_error(old_predictions, new_class_range, prototypes):
         if c not in prototypes:
             raise InputError(f"missing prototype for class {c}")
 
-    overlap = np.array([max(_cosine(prototypes[c], prototypes[n])
-                            for n in new_classes)
-                        for c in old_classes.tolist()])
+    # `_cosine` of every (old, new) pair: one product over the outer
+    # product of the norms, 0 where either prototype is zero
+    old_p = np.array([prototypes[c] for c in old_classes.tolist()])
+    new_p = np.array([prototypes[n] for n in new_classes])
+    n_old, n_new = (np.linalg.norm(p, axis=1) for p in (old_p, new_p))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = old_p @ new_p.T / np.outer(n_old, n_new)
+    cos[(n_old == 0.0)[:, None] | (n_new == 0.0)] = 0.0
+    overlap = cos.max(axis=1)
     q1, q2 = np.quantile(overlap, [1.0 / 3.0, 2.0 / 3.0])
     # 0 low, 1 medium, 2 high; a NaN fails both tests and lands in high
     group = np.where(overlap <= q1, 0, np.where(overlap <= q2, 1, 2))

@@ -12,6 +12,11 @@ refuses a breach when it is built: a breach is a bug, never data.
 Degenerate counterfactuals (the generator could not move the feature)
 count as automatic necessity violations, the conservative reading.
 
+A report scores one pool, current-task rows first and rehearsal rows
+after them, with the frozen features its caller already holds; the
+intra scope reads the current rows, the inter scope every row
+(`empirical_cpns_risk`).
+
 Training never touches the indicators (no gradient). One differentiable
 surrogate stands in for them in both scopes: cross-entropy on the factual
 representation (sufficiency) plus nu times -log(1 - p_label) on the
@@ -81,16 +86,14 @@ class CpnsReport:
 # ---------------------------------------------------------------------------
 # indicator computation
 
-def _intra_indicators(model, x, y_global, cfg: GenConfig):
+def _intra_indicators(model, feats, y_global, cfg: GenConfig):
     """Returns (factual_correct, cf_correct, degenerate) as boolean arrays
-    over the current-task batch; the generator ascends the true label, as
-    in the risk definition."""
+    over current-task rows, from their current features `feats`; the
+    generator ascends the true label, as in the risk definition."""
     lo, hi = model.class_offsets[-1]
-    y = np.asarray(y_global, dtype=np.int64)
-    if y.min() < lo or y.max() >= hi:
+    if y_global.min() < lo or y_global.max() >= hi:
         raise InputError("intra scope expects current-task labels only")
-    y_local = y - lo
-    feats = model.current_feature_np(x)
+    y_local = y_global - lo
     pred_f = np.argmax(model.head_np("intra", feats), axis=1)
     cfs, _, _, degenerate = cf.generate_intra_batch(
         feats, y_local, model.heads["intra_w"],
@@ -99,12 +102,10 @@ def _intra_indicators(model, x, y_global, cfg: GenConfig):
     return pred_f == y_local, pred_c == y_local, degenerate
 
 
-def _inter_indicators(model, x, y_global, cfg: GenConfig, z_old):
-    """Same indicator triple over the combined buffer+current pool, from
-    `z_old`, the frozen features of its rows; the inter-scope generator is
-    label-free (it pulls toward the projection)."""
-    y = np.asarray(y_global, dtype=np.int64)
-    c_hat = model.current_feature_np(x)
+def _inter_indicators(model, z_old, c_hat, y, cfg: GenConfig):
+    """Same indicator triple over rows of any task, from their frozen
+    features `z_old` and current features `c_hat`; the inter-scope
+    generator is label-free (it pulls toward the projection)."""
     proj = model.project_values(z_old)
     z_f = np.concatenate([z_old, c_hat], axis=1)
     pred_f = np.argmax(model.head_np(model.inter_head, z_f), axis=1)
@@ -132,53 +133,30 @@ def _scope(factual_correct, cf_correct, degenerate):
             float(count(factual_correct) / n - count(cf_correct) / n))
 
 
-def empirical_cpns_risk(current_batch, buffer_batch, model,
-                        cfg: GenConfig, frozen=None) -> CpnsReport:
-    """Indicator risk per scope, averaged 1/n over the current task and
-    1/N over the buffer-plus-current pool; the returned report also
-    carries the interventional estimates over the same pools.
+def empirical_cpns_risk(model, x, y, n_cur, frozen,
+                        cfg: GenConfig) -> CpnsReport:
+    """Indicator risk per scope over one report pool, with the
+    interventional estimates over the same rows.
 
-    On the first task the inter scope does not exist and is reported with
-    count 0. `buffer_batch` may be None there, never afterwards.
-
-    The inter scope reads the frozen features of the pool's rows, buffer
-    rows first. A caller that scores the same pool again and again (a
-    training loop's per-epoch reports) passes them as `frozen`, computed
-    once by `frozen_concat_np` over the same rows, so they are the same
-    bits; a table of another row count or width raises InputError, and so
-    does one passed on the first task. Without it the report computes the
-    table itself.
+    The pool is `x` and its int64 labels `y`: its first `n_cur` rows are
+    the current task's, the rest rehearsal rows. `frozen` holds the
+    frozen features of every pool row, and is None on the first task,
+    where the inter scope does not exist and is reported with count 0.
+    The current extractor runs once over the pool: the intra scope
+    averages over its first n_cur rows, the inter scope over all of them.
     """
-    if current_batch is None or not len(current_batch[0]):
-        raise InputError("current batch is empty")
-    x_cur = np.asarray(current_batch[0], dtype=np.float64)
-    y_cur = np.asarray(current_batch[1], dtype=np.int64)
+    if not n_cur:
+        raise InputError("report pool has no current rows")
+    feats = model.current_feature_np(x)
     r_intra, m_intra, pns_intra = _scope(
-        *_intra_indicators(model, x_cur, y_cur, cfg))
+        *_intra_indicators(model, feats[:n_cur], y[:n_cur], cfg))
     r_inter = m_inter = pns_inter = 0.0
     n_inter = 0
-    if model.task_count > 1:
-        if buffer_batch is None or not len(buffer_batch[0]):
-            raise InputError(
-                "inter scope requested with an empty buffer batch")
-        x_all = np.concatenate(
-            [np.asarray(buffer_batch[0], dtype=np.float64), x_cur])
-        y_all = np.concatenate(
-            [np.asarray(buffer_batch[1], dtype=np.int64), y_cur])
-        if frozen is None:
-            frozen = model.frozen_concat_np(x_all)
-        elif frozen.shape != (len(x_all),
-                              model.feature_dim * model.current_task):
-            raise InputError(
-                f"frozen table of shape {frozen.shape} for a pool of "
-                f"{len(x_all)} rows and {model.current_task} frozen "
-                "extractors")
+    if frozen is not None:
         r_inter, m_inter, pns_inter = _scope(
-            *_inter_indicators(model, x_all, y_all, cfg, frozen))
-        n_inter = len(y_all)
-    elif frozen is not None:
-        raise InputError("no frozen features exist on the first task")
+            *_inter_indicators(model, frozen, feats, y, cfg))
+        n_inter = len(y)
     return CpnsReport(r_intra=r_intra, r_inter=r_inter, m_intra=m_intra,
                       m_inter=m_inter, pns_intra_est=pns_intra,
-                      pns_inter_est=pns_inter, n_intra=len(y_cur),
+                      pns_inter_est=pns_inter, n_intra=n_cur,
                       n_inter=n_inter)

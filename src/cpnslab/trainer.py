@@ -28,14 +28,13 @@ no counterfactual code. Before its first step, each training loop builds
 what every step reuses (`_rehearsal_tables`): the labels, each row's
 label among the current task's classes, and, from the second task on,
 one table of the frozen features of all current rows and all buffer
-rows. It range-checks every label a step can draw there, once. A loop
-that reports also takes its report pool before its first step
-(`_report_pool`), from the second task on with the frozen features of
-the pool's rows. The frozen extractors and the buffer do not change
-within a task, so no step or report runs a frozen extractor, and no
-step checks a label. From the second task on a batch appends rehearsal
-rows to the current ones, and its labels and frozen block are gathered
-from the tables by one index.
+rows. It range-checks every label a step can draw there, once. The
+frozen extractors and the buffer do not change within a task, so no
+step or report runs a frozen extractor, and no step checks a label.
+From the second task on a batch appends rehearsal rows to the current
+ones, and its rows, labels and frozen block are gathered from the
+tables by one index. A loop that reports gathers its report pool the
+same way, once, before its first step (`_report_pool` lays it out).
 
 Training writes no files: both trainers return their per-epoch records,
 and the caller logs them.
@@ -219,29 +218,32 @@ class RehearsalBuffer:
     def __len__(self):
         return sum(len(v) for v in self._store.values())
 
-    def samples(self, limit=None):
+    def samples(self):
         """The exemplars as (x, y), classes in first-seen order, each in
-        its herding order.
-
-        With `limit`, at most that many rows: the same leading share of
-        every class, a class too short for it leaving its rest to the
-        others, and the rows left over one each to the earliest-seen
-        classes that still have one.
-        """
+        its herding order."""
         if not self._store:
             return np.zeros((0, 0)), np.zeros(0, dtype=np.int64)
-        counts = np.array([len(v) for v in self._store.values()])
-        take = counts
-        if limit is not None:
-            take = np.zeros_like(counts)
-            left = min(int(limit), int(counts.sum()))
-            while left:  # one round per rank of the herding order
-                room = np.flatnonzero(take < counts)[:left]
-                take[room] += 1
-                left -= len(room)
-        xs = [v[:k] for v, k in zip(self._store.values(), take)]
-        ys = [np.full(k, c, dtype=np.int64) for c, k in zip(self._store, take)]
-        return np.concatenate(xs), np.concatenate(ys)
+        ys = [np.full(len(v), c, dtype=np.int64)
+              for c, v in self._store.items()]
+        return np.concatenate(list(self._store.values())), np.concatenate(ys)
+
+    def leading(self, limit):
+        """Positions in `samples()` order of at most `limit` rows: the
+        same leading share of every class, a class too short for it
+        leaving its rest to the others, and the rows left over one each
+        to the earliest-seen classes that still have one."""
+        counts = np.array([len(v) for v in self._store.values()],
+                          dtype=np.int64)
+        take = np.zeros_like(counts)
+        left = min(int(limit), int(counts.sum()))
+        while left:  # one round per rank of the herding order
+            room = np.flatnonzero(take < counts)[:left]
+            take[room] += 1
+            left -= len(room)
+        # each row's class and its rank in that class's herding order
+        cls = np.repeat(np.arange(len(counts)), counts)
+        rank = np.arange(len(cls)) - (np.cumsum(counts) - counts)[cls]
+        return np.flatnonzero(rank < take[cls])
 
 
 def _herding_scores(total, rows, k, mu):
@@ -481,25 +483,25 @@ def _check_finite(state):
         raise NumericsError(f"parameter {name!r} contains non-finite values")
 
 
-def _report_pool(model, x_cur, y_cur, buffer, config: TrainConfig):
-    """What each per-epoch risk report of a loop scores, as (cur, buf,
+def _report_pool(tables, buffer, config: TrainConfig):
+    """What each per-epoch risk report of a loop scores, as (x, y, n_cur,
     frozen), the arguments of `empirical_cpns_risk` but the model and the
-    generator knobs: the first report_limit current rows, and from the
-    second task on up to report_limit buffer rows with every buffered
-    class's leading exemplars in them (`RehearsalBuffer.samples`) and
-    the frozen features of the buffer rows then the current ones.
-
-    The frozen extractors and the pool do not change within a loop, so
-    one `frozen_concat_np` here, over the rows the report would run it
-    on, gives every report its table; no report runs a frozen extractor.
-    On the first task buf and frozen are None.
+    generator knobs, gathered from the loop's `_rehearsal_tables` by one
+    index, as `_batches` gathers a batch: the first report_limit current
+    rows, n_cur of them, then, in a mixed loop, up to report_limit buffer
+    rows with every buffered class's leading exemplars in them
+    (`RehearsalBuffer.leading`). `frozen` is those rows' frozen features
+    from the tables, so no report runs a frozen extractor; unmixed (the
+    first task) it is None.
     """
-    cap = config.report_limit
-    cur = (x_cur[:cap], y_cur[:cap])
-    if model.task_count < 2:
-        return cur, None, None
-    buf = buffer.samples(cap)
-    return cur, buf, model.frozen_concat_np(np.concatenate([buf[0], cur[0]]))
+    x_cur, buf_x, y, _, frozen = tables
+    idx = np.arange(min(len(x_cur), config.report_limit))
+    if buf_x is None:
+        return x_cur[idx], y[idx], len(idx), None
+    bsel = buffer.leading(config.report_limit)
+    rows = np.concatenate([idx, len(x_cur) + bsel])
+    return (np.concatenate([x_cur[idx], buf_x[bsel]]), y[rows], len(idx),
+            frozen[rows])
 
 
 def _record(task, stage, epoch, sums, n_batches, report, wall_ms):
@@ -783,8 +785,7 @@ def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
     state = make_optimizer_state(params)
     grads = state["grads"]
     if stage == 2:
-        cur, buf, pool_frozen = _report_pool(model, x_cur, y_cur, buffer,
-                                             config)
+        pool = _report_pool(tables, buffer, config)
     n_batches = len(range(0, len(x_cur), config.batch_size))
     for epoch in range(epochs):
         t0 = time.perf_counter()
@@ -797,8 +798,8 @@ def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
                 sums[key] += value
             optimizer_step(state, config)
         _check_finite(state)
-        report = (empirical_cpns_risk(cur, buf, model, config.gen,
-                                      pool_frozen) if stage == 2 else None)
+        report = (empirical_cpns_risk(model, *pool, config.gen)
+                  if stage == 2 else None)
         wall = (time.perf_counter() - t0) * 1000.0
         records.append(_record(t, stage, epoch, sums, n_batches, report, wall))
     _own_values(params)
@@ -902,7 +903,7 @@ def train_task_baseline(model, task_data, buffer, config: TrainConfig, rng):
     params = _param_set(model, use_cls=True, use_intra=False, use_inter=False)
     state = make_optimizer_state(params)
     grads = state["grads"]
-    cur, buf, pool_frozen = _report_pool(model, x_cur, y_cur, buffer, config)
+    pool = _report_pool(tables, buffer, config)
     n_batches = len(range(0, len(x_cur), config.batch_size))
     records = []
     epochs = config.stage1_epochs + config.stage2_epochs
@@ -916,8 +917,7 @@ def train_task_baseline(model, task_data, buffer, config: TrainConfig, rng):
                 sums[key] += value
             optimizer_step(state, config)
         _check_finite(state)
-        report = empirical_cpns_risk(cur, buf, model, config.gen,
-                                     pool_frozen)
+        report = empirical_cpns_risk(model, *pool, config.gen)
         wall = (time.perf_counter() - t0) * 1000.0
         records.append(_record(t, 2, epoch, sums, n_batches, report, wall))
     _own_values(params)

@@ -109,7 +109,8 @@ def estimate_pns_interventional(eval_set, model, scope,
         if model.task_count < 2:
             raise UsageError("inter scope requires at least two tasks")
         return rk._scope(*rk._inter_indicators(
-            model, x, y, cfg, model.frozen_concat_np(x)))[2]
+            model, model.frozen_concat_np(x), model.current_feature_np(x), y,
+            cfg))[2]
     if scope != "intra":
         raise UsageError(f"unknown scope {scope!r}")
     lo, hi = model.class_offsets[-1]

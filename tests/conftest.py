@@ -1,9 +1,12 @@
 """Shared test helpers: numeric differentiation oracle, error metrics, a
 by-name view of a model's parameters, every extractor's evaluation
 entry (ReLU masks and feature) and the predictions evaluation takes from
-those entries."""
+those entries, and a risk report over a (current, buffer) pair laid out
+as the trainer lays out its report pool."""
 
 import numpy as np
+
+from cpnslab import risk as rk
 
 
 def numeric_grad(f, x, h=1e-5):
@@ -58,3 +61,17 @@ def predictions(model, acts):
     concatenated features."""
     feats = np.concatenate([a[-1] for a in acts], axis=1)
     return np.argmax(model.head_np("cls", feats), axis=1)
+
+
+def pool_report(model, cur, buf, cfg):
+    """`risk.empirical_cpns_risk` over the current rows `cur` then the
+    rehearsal rows `buf` (None on the first task), with the pool's frozen
+    features from one `frozen_concat_np`, as `trainer._report_pool` lays
+    a pool out."""
+    x, y = (np.asarray(v) for v in cur)
+    frozen = None
+    if buf is not None:
+        x = np.concatenate([x, buf[0]])
+        y = np.concatenate([y, buf[1]])
+        frozen = model.frozen_concat_np(x)
+    return rk.empirical_cpns_risk(model, x, y, len(cur[1]), frozen, cfg)

@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import numeric_grad, rel_err
+from conftest import numeric_grad, pool_report, rel_err
 import audits
 import oracles
 
@@ -423,7 +423,7 @@ def test_violation_bound_holds_on_fuzzed_triples():
         cfg = rk.GenConfig(alpha=float(rng.uniform(0.1, 2.0)),
                            beta=float(rng.uniform(0.01, 0.3)),
                            epsilon=float(rng.uniform(0.01, 0.2)))
-        report = rk.empirical_cpns_risk(cur, buf, model, cfg)
+        report = pool_report(model, cur, buf, cfg)
         if not report.m_total <= report.r_total:
             violations += 1
         assert -1.0 <= report.pns_intra_est <= 1.0

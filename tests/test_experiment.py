@@ -681,6 +681,15 @@ class TestSweepAndAblate:
 # CLI
 
 
+def unset_thread_vars(monkeypatch):
+    """Unset every variable `cli._pin_threads` writes, so that teardown
+    restores each: `delenv` of an unset variable records nothing to undo,
+    so each is first set through the monkeypatch."""
+    for var in cli._THREAD_VARS:
+        monkeypatch.setenv(var, "")
+        monkeypatch.delenv(var)
+
+
 class TestCli:
     def test_run_exit_zero(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, tiny_doc(tmp_path / "out"))
@@ -943,13 +952,13 @@ class TestCli:
         assert not (tmp_path / "from_env").exists()
 
     def test_threads_flag_pins_env(self, tmp_path, monkeypatch):
-        for var in cli._THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
+        unset_thread_vars(monkeypatch)
         cfg_path = write_config(tmp_path, tiny_doc(tmp_path / "out"))
         assert cli.main(["run", cfg_path, "--threads", "1"]) == 0
         assert os.environ["OMP_NUM_THREADS"] == "1"
 
     def test_threads_env_var(self, tmp_path, monkeypatch):
+        unset_thread_vars(monkeypatch)
         monkeypatch.setenv("CPNSLAB_THREADS", "2")
         cfg_path = write_config(tmp_path, tiny_doc(tmp_path / "out"))
         assert cli.main(["run", cfg_path]) == 0

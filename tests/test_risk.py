@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import numeric_grad, rel_err
+from conftest import numeric_grad, pool_report, rel_err
 import audits
 import oracles
 
@@ -46,7 +46,7 @@ def test_perfect_factual_plus_flipping_counterfactual():
     x = np.array([[2.0, 0.0], [0.0, 2.0]])
     y = np.array([0, 1])
     cfg = rk.GenConfig(alpha=30.0, epsilon=1e6)
-    report = rk.empirical_cpns_risk((x, y), None, m, cfg)
+    report = pool_report(m, (x, y), None, cfg)
     assert report.r_intra == 0.0
     assert report.m_intra == 0.0
     assert report.pns_intra_est == 1.0
@@ -63,7 +63,7 @@ def test_degenerate_with_perfect_classifier_forces_risk_one():
     m.heads["intra_b"][:] = 0.0
     x = np.array([[2.0, 0.0], [0.5, 1.5], [3.0, 3.0]])
     y = np.zeros(3, dtype=int)
-    report = rk.empirical_cpns_risk((x, y), None, m, rk.GenConfig())
+    report = pool_report(m, (x, y), None, rk.GenConfig())
     assert report.r_intra == 1.0
     assert report.m_intra == 0.0  # factual is right, so no joint violation
     assert report.pns_intra_est == 0.0  # counterfactual equals factual
@@ -75,7 +75,7 @@ def test_factual_wrong_counterfactual_right_maximizes_violation():
     m.heads["intra_b"][:] = 0.0
     x = np.array([[2.0, 0.0], [1.0, 1.0]])
     y = np.ones(2, dtype=int)  # tie-break predicts 0, always wrong
-    report = rk.empirical_cpns_risk((x, y), None, m, rk.GenConfig())
+    report = pool_report(m, (x, y), None, rk.GenConfig())
     assert report.r_intra == 2.0
     assert report.m_intra == 1.0
     assert report.m_total <= report.r_total
@@ -92,7 +92,7 @@ def test_eight_sample_report_matches_enumeration():
     y_buf = rng.integers(0, 2, size=4)  # task-0 labels
     x_cur = rng.normal(size=(4, 6))
     y_cur = rng.integers(2, 4, size=4)  # task-1 labels
-    report = rk.empirical_cpns_risk((x_cur, y_cur), (x_buf, y_buf), m, cfg)
+    report = pool_report(m, (x_cur, y_cur), (x_buf, y_buf), cfg)
 
     # independent per-sample recomputation with explicit python logic
     wi = m.heads["intra_w"]
@@ -196,7 +196,7 @@ def test_proposition1_fuzz_small():
             n_buf = int(rng.integers(1, 6))
             buf = (rng.normal(size=(n_buf, 6)),
                    rng.integers(0, lo, size=n_buf))
-        report = rk.empirical_cpns_risk(cur, buf, m, cfg)
+        report = pool_report(m, cur, buf, cfg)
         assert report.m_total <= report.r_total
 
 
@@ -206,13 +206,11 @@ def test_proposition1_fuzz_small():
 def test_empty_batches_and_label_ranges():
     m = controlled_model(tasks=2)
     with pytest.raises(InputError):
-        rk.empirical_cpns_risk((np.empty((0, 2)), np.empty(0, dtype=int)),
-                               None, m, rk.GenConfig())
+        pool_report(m, (np.empty((0, 2)), np.empty(0, dtype=int)), None,
+                    rk.GenConfig())
     x = np.ones((2, 2))
     with pytest.raises(InputError):  # old labels
-        rk.empirical_cpns_risk((x, np.array([0, 1])), None, m, rk.GenConfig())
-    with pytest.raises(InputError):  # no buffer
-        rk.empirical_cpns_risk((x, np.array([2, 3])), None, m, rk.GenConfig())
+        pool_report(m, (x, np.array([0, 1])), None, rk.GenConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -238,41 +236,6 @@ def test_scope_counts_give_the_bits_of_float_means(n):
         want = _scope_by_float_means(fc, cc, deg)
         assert all(type(v) is float for v in got)
         assert np.array(got).tobytes() == np.array(want).tobytes()
-
-
-def _three_task_pool(seed=31):
-    rng = np.random.default_rng(seed)
-    m = random_model(rng, tasks=3)
-    cur = (rng.normal(size=(9, 6)), rng.integers(4, 6, size=9))
-    buf = (rng.normal(size=(7, 6)), rng.integers(0, 4, size=7))
-    return m, cur, buf
-
-
-def test_a_report_given_its_pools_frozen_table_is_the_same_report():
-    m, cur, buf = _three_task_pool()
-    cfg = rk.GenConfig(beta=0.2)
-    table = m.frozen_concat_np(np.concatenate([buf[0], cur[0]]))
-    want = rk.empirical_cpns_risk(cur, buf, m, cfg).to_json_dict()
-    assert want["n_inter"] == 16
-    got = rk.empirical_cpns_risk(cur, buf, m, cfg, table).to_json_dict()
-    assert json.dumps(got) == json.dumps(want)
-
-
-def test_a_frozen_table_of_another_shape_is_refused():
-    m, cur, buf = _three_task_pool()
-    cfg = rk.GenConfig()
-    table = m.frozen_concat_np(np.concatenate([buf[0], cur[0]]))
-    assert table.shape == (16, 2 * m.feature_dim)
-    for bad in (table[:-1], table[:, :-1], np.vstack([table, table[:1]]),
-                table[:, :m.feature_dim]):
-        with pytest.raises(InputError, match="frozen table"):
-            rk.empirical_cpns_risk(cur, buf, m, cfg, bad)
-    # and any table on the first task, which has no frozen extractor
-    first = controlled_model(tasks=1)
-    x = np.ones((2, 2))
-    with pytest.raises(InputError, match="first task"):
-        rk.empirical_cpns_risk((x, np.array([0, 1])), None, first, cfg,
-                               np.empty((2, 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -529,8 +529,9 @@ def _uneven_buffer():
 def test_limited_samples_take_a_leading_share_of_every_class(limit, want):
     # equal shares rank by rank of the herding order; a short class leaves
     # its rest to the others, and a partial round goes to the earliest
+    # `leading` gives positions in samples() order
     buf = _uneven_buffer()
-    x, y = buf.samples(limit)
+    x, y = (v[buf.leading(limit)] for v in buf.samples())
     assert [int(np.sum(y == c)) for c in (0, 1, 2)] == want
     # classes in first-seen order, each its leading exemplars
     np.testing.assert_array_equal(y, np.repeat([0, 1, 2], want))
@@ -549,19 +550,31 @@ def test_report_pool_covers_every_buffered_class():
     model.expand(2)
     x, y = blob_task(rng, [4, 5], 40, 4)
     cfg = full_cfg(report_limit=32)
-    (cx, cy), (bx, by), frozen = tr._report_pool(model, x, y, buf, cfg)
-    np.testing.assert_array_equal(cx, x[:32])
+    tables = tr._rehearsal_tables(model, x, y, buf, True, False, False)
+    px, py, n_cur, frozen = tr._report_pool(tables, buf, cfg)
+    # the first report_limit current rows, then the buffer's
+    assert n_cur == 32
+    np.testing.assert_array_equal(px[:32], x[:32])
+    np.testing.assert_array_equal(py[:32], y[:32])
+    by = py[32:]
     assert len(by) == 32 and set(by.tolist()) == {0, 1, 2, 3}
     assert counts(buf, range(4)) == [60] * 4
     assert [int(np.sum(by == c)) for c in range(4)] == [8] * 4
-    # the pool's frozen table: buffer rows first, as the report stacks them
-    assert _same_bits(frozen,
-                      model.frozen_concat_np(np.concatenate([bx, cx])))
+    # each pool row's frozen features are its row of the loop's table,
+    # bit for bit
+    x_cur, buf_x, _, _, table = tables
+    rows = {r.tobytes(): f.tobytes()
+            for r, f in zip(np.concatenate([x_cur, buf_x]), table)}
+    assert frozen.dtype == table.dtype
+    assert frozen.shape == (64, model.feature_dim)
+    assert [rows[r.tobytes()] for r in px] == [f.tobytes() for f in frozen]
     model_first = small_model(seed=2, dim=4).expand(4)
-    cur, buf_first, frozen_first = tr._report_pool(model_first, x, y, None,
-                                                   cfg)
-    np.testing.assert_array_equal(cur[0], x[:32])
-    assert buf_first is None and frozen_first is None
+    tables_first = tr._rehearsal_tables(model_first, x, y - 4, None, True,
+                                        False, False)
+    px, py, n_cur, frozen = tr._report_pool(tables_first, None, cfg)
+    np.testing.assert_array_equal(px, x[:32])
+    np.testing.assert_array_equal(py, y[:32] - 4)
+    assert n_cur == 32 and frozen is None
 
 
 # ---------------------------------------------------------------------------
@@ -925,9 +938,8 @@ MIXED_IDS = ["baseline", "full", "full, no intra"]
 def test_a_mixed_loop_computes_the_frozen_features_twice(
         monkeypatch, train_fn, make_cfg, kw, loops, batch_size):
     # once over the task's rows and once over the buffer's, however many
-    # batches the loop runs, and a loop that reports once more over its
-    # report pool, however many epochs it reports: the reports run
-    # unstubbed and no report runs a frozen extractor itself
+    # batches the loop runs; the reports run unstubbed and gather their
+    # pool's frozen rows from the loop's table, running no frozen extractor
     rows = []
     frozen_concat_np = ExpandableModel.frozen_concat_np
 
@@ -941,12 +953,45 @@ def test_a_mixed_loop_computes_the_frozen_features_twice(
     n_cur, n_buf = len(two_task_data()[1][0]), cfg.buffer_capacity
     # the report pool: every buffer row and every current row
     n_pool = min(n_buf, cfg.report_limit) + min(n_cur, cfg.report_limit)
-    # the last loop reports; in "no intra" stage 1 mixes without reporting
-    assert rows == [n_cur, n_buf] * (loops - 1) + [n_cur, n_buf, n_pool]
+    assert rows == [n_cur, n_buf] * loops
     reports = [r["cpns_report"] for r in records if r["stage"] == 2]
     assert len(reports) == cfg.stage2_epochs + (
         cfg.stage1_epochs if train_fn is tr.train_task_baseline else 0)
     assert all(r["n_inter"] == n_pool for r in reports)
+
+
+@pytest.mark.parametrize("train_fn, make_cfg, kw, loops", MIXED_LOOPS,
+                         ids=MIXED_IDS)
+def test_a_report_runs_the_current_extractor_once_over_its_pool(
+        monkeypatch, train_fn, make_cfg, kw, loops):
+    # both scopes score from that one product, the intra scope its leading
+    # current rows; no step runs current_feature_np
+    rows, pools = [], []
+    current_feature_np = ExpandableModel.current_feature_np
+    report = tr.empirical_cpns_risk
+
+    def counting(self, x):
+        rows.append(len(x))
+        return current_feature_np(self, x)
+
+    def reporting(model, x, *args):
+        before = len(rows)
+        result = report(model, x, *args)
+        assert rows[before:] == [len(x)]
+        pools.append((model.current_task, len(x)))
+        return result
+
+    monkeypatch.setattr(ExpandableModel, "current_feature_np", counting)
+    monkeypatch.setattr(tr, "empirical_cpns_risk", reporting)
+    cfg = make_cfg(report_limit=20, **kw)
+    _, records = run_two_tasks(train_fn, cfg)
+    # 72 rows a task and 30 in the buffer, each capped at 20
+    n_reports = cfg.stage2_epochs + (
+        cfg.stage1_epochs if train_fn is tr.train_task_baseline else 0)
+    assert len(rows) == len(pools)
+    assert pools == [(0, 20)] * n_reports + [(1, 40)] * n_reports
+    assert [r["cpns_report"]["n_inter"] for r in records
+            if r["cpns_report"] is not None] == [40] * n_reports
 
 
 def _mixed_epochs(train_fn, cfg, loops):
