@@ -44,7 +44,7 @@ ABLATION_VARIANTS = {
 }
 # the variants that train in one stage, on the stage-1 epochs as well
 _SINGLE_STAGE_VARIANTS = ("baseline", "+inter_no2stage", "both_no2stage")
-# the most float64 values (1 GiB) one array of a synthetic run may hold
+# the most float64 values (1 GiB) one array of a run may hold
 MAX_ARRAY_ELEMENTS = 2 ** 27
 
 
@@ -138,11 +138,20 @@ class ExperimentConfig:
         keys = {k: v for k, v in self.data.items() if k != "kind"}
         self._source = cls(**_section_values("data", keys, cls))
         if kind == "synthetic":
-            for what, size in _array_sizes(self._source, self.model):
-                if size > MAX_ARRAY_ELEMENTS:
-                    raise ConfigurationError(
-                        f"{what} would hold {size} float64 values, over the "
-                        f"limit of 2**27 = {MAX_ARRAY_ELEMENTS}")
+            s = self._source
+            classes = s.classes_per_task * s.num_tasks
+            rows = classes * (s.n_train_per_class + s.n_test_per_class)
+            self._check_sizes(s.input_dim, s.num_tasks, classes, rows)
+
+    def _check_sizes(self, input_dim, num_tasks, classes, rows):
+        """Refuse a run whose model would build an array over the cap
+        (`_array_sizes`), before any model array exists."""
+        for what, size in _array_sizes(self.model, input_dim, num_tasks,
+                                       classes, rows):
+            if size > MAX_ARRAY_ELEMENTS:
+                raise ConfigurationError(
+                    f"{what} would hold {size} float64 values, over the "
+                    f"limit of 2**27 = {MAX_ARRAY_ELEMENTS}")
 
     @property
     def scenario(self):
@@ -175,6 +184,9 @@ class ExperimentConfig:
         dataset = ((table.x[tr_idx], table.y[tr_idx]),
                    (table.x[te_idx], table.y[te_idx]))
         stream = dt.split_tasks(dataset, s.B, s.I, seed=int(seed))
+        # a table's width and class count are known once it is read
+        self._check_sizes(table.x.shape[1], len(stream.tasks),
+                          stream.tasks[-1][2][1], n)
         if table.dim_tags is not None:
             stream.factor_annotations = {"dim_tags": table.dim_tags}
         return stream
@@ -183,16 +195,15 @@ class ExperimentConfig:
         return stream.tasks[0][0][0].shape[1]
 
 
-def _array_sizes(s: dt.SyntheticScmConfig, m: ModelConfig):
-    """(what, element count) of each of the largest arrays a run on the
-    synthetic stream `s` with the model `m` builds, counted from the
-    config alone so that a run too large to fit is refused before any
-    array exists."""
-    classes = s.classes_per_task * s.num_tasks
-    d, t = m.feature_dim, s.num_tasks
-    rows = classes * (s.n_train_per_class + s.n_test_per_class)
-    yield "the stream's train and test inputs", rows * s.input_dim
-    dims = [s.input_dim, *m.hidden_dims, d]
+def _array_sizes(m: ModelConfig, input_dim, num_tasks, classes, rows):
+    """(what, element count) of each of the largest arrays a run with the
+    model `m` builds over a stream of `rows` train and test inputs of
+    width `input_dim`, in `num_tasks` tasks of `classes` classes in all,
+    counted from those numbers alone so that a run too large to fit is
+    refused before any array exists."""
+    d, t = m.feature_dim, num_tasks
+    yield "the stream's train and test inputs", rows * input_dim
+    dims = [input_dim, *m.hidden_dims, d]
     for i, (n_in, n_out) in enumerate(zip(dims, dims[1:])):
         yield f"extractor layer {i}", n_in * n_out
     yield "the last task's classifier", classes * t * d

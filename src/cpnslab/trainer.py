@@ -24,17 +24,19 @@ only way a gradient reaches a parameter. Each training loop copies the
 parameters back out when it ends.
 
 Both trainers draw their batches through the same plumbing, which holds
-no counterfactual code. Before its first step, each training loop builds
-what every step reuses (`_rehearsal_tables`): the labels, each row's
-label among the current task's classes, and, from the second task on,
-one table of the frozen features of all current rows and all buffer
-rows. It range-checks every label a step can draw there, once. The
-frozen extractors and the buffer do not change within a task, so no
-step or report runs a frozen extractor, and no step checks a label.
-From the second task on a batch appends rehearsal rows to the current
-ones, and its rows, labels and frozen block are gathered from the
-tables by one index. A loop that reports gathers its report pool the
-same way, once, before its first step (`_report_pool` lays it out).
+no counterfactual code. Before its first step, each training loop checks
+the preconditions of training and builds what every step reuses
+(`_rehearsal_tables`): one table each of the rows, their labels, each
+row's label among the current task's classes, and, from the second task
+on, their frozen features, over the current task's rows followed, in a
+loop that mixes in rehearsal rows, by all the buffer's. It range-checks
+every label a step can draw there, once. The frozen extractors and the
+buffer do not change within a task, so no step or report runs a frozen
+extractor, and no step checks a label. From the second task on a batch
+appends rehearsal rows to the current ones, and every array of it is
+gathered from its table by one index. A loop that reports gathers its
+report pool the same way, once, before its first step (`_report_pool`
+lays it out).
 
 Training writes no files: both trainers return their per-epoch records,
 and the caller logs them.
@@ -364,24 +366,27 @@ def _check_labels(labels, k):
         raise InputError(f"label out of range for {k} classes")
 
 
-def _rehearsal_tables(model, x_cur, y_cur, buffer, use_cls, use_intra,
+def _rehearsal_tables(model, task_data, buffer, use_cls, use_intra,
                       use_inter):
     """What every step of one training loop with the given terms on
-    (`_param_set`'s flags) draws from, computed before its first step:
-    (x_cur, buf_x, y, local, frozen).
+    (`_param_set`'s flags) draws from, built and checked before its first
+    step: (x, y, local, frozen, n), one table of rows each.
 
-    A loop with use_cls from the second task on mixes in rehearsal rows:
-    `buf_x` is the buffer's rows, `y` the current labels then the
-    buffer's, and `frozen` the frozen features of those rows in that
-    order, one table that `frozen_concat_np` fills in place, once over the
-    current rows and once over the buffer's. Otherwise the loop holds
-    current rows only: `y` is `y_cur`, and `buf_x` and `frozen` are None.
+    The task's rows come first, n of them. A loop with use_cls from the
+    second task on mixes in rehearsal rows: the buffer's rows and labels
+    follow the task's in `x` and `y`, and `frozen` is the frozen features
+    of those rows in that order, one table that `frozen_concat_np` fills
+    in place, once over the task's rows and once over the buffer's.
+    Otherwise `x` and `y` are the task's alone and `frozen` is None.
     `local` is each row's label among the current task's classes, with a
     rehearsal row's the class count: the aux head's labels, and on the
-    current rows the intra head's.
+    task's rows the intra head's.
 
-    Every label a step can draw is range-checked here, once, against each
-    head the loop's steps score with it; no step checks a label.
+    The preconditions of training are checked here: the task has rows,
+    its labels are the current task's classes, and from the second task
+    on the buffer is not empty. Every label a step can draw is then
+    range-checked, once, against each head the loop's steps score with
+    it; no step checks a label.
 
     A frozen extractor's arrays are read-only and the buffer is fixed
     within a task, so a row's frozen features are the same at every step;
@@ -390,25 +395,32 @@ def _rehearsal_tables(model, x_cur, y_cur, buffer, use_cls, use_intra,
     another kernel path for short products), which is why both trainers
     take their frozen blocks from here.
     """
-    lo = model.class_offsets[-1][0]
-    n_cur = len(x_cur)
+    lo, hi = model.class_offsets[-1]
+    x = np.asarray(task_data[0], dtype=np.float64)
+    y = np.asarray(task_data[1], dtype=np.int64)
+    n = len(x)
+    if n == 0:
+        raise InputError("task data is empty")
+    if y.min() < lo or y.max() >= hi:
+        raise InputError(f"labels outside the current task range [{lo}, {hi})")
+    if model.current_task >= 1 and (buffer is None or len(buffer) == 0):
+        raise ConfigurationError(
+            f"task {model.current_task} requires a non-empty rehearsal buffer")
     mixed = use_cls and model.current_task >= 1
-    buf_x = frozen = None
-    y = y_cur
-    if mixed:
-        buf_x, buf_y = buffer.samples()
-        y = np.concatenate([y_cur, buf_y])
+    if mixed:  # the buffer's copies from `samples` die with the statement
+        x, y = (np.concatenate(pair) for pair in zip((x, y), buffer.samples()))
     local = np.where(y >= lo, y - lo, model.current_class_count)
     for head, labels, on in (("cls", y, use_cls), ("aux", local, mixed),
-                             ("intra", local[:n_cur], use_intra),
+                             ("intra", local[:n], use_intra),
                              (model.inter_head, y, use_inter)):
         if on:
             _check_labels(labels, len(model.heads[f"{head}_b"]))
+    frozen = None
     if mixed:
-        frozen = np.empty((len(y), model.feature_dim * model.current_task))
-        model.frozen_concat_np(x_cur, out=frozen[:n_cur])
-        model.frozen_concat_np(buf_x, out=frozen[n_cur:])
-    return x_cur, buf_x, y, local, frozen
+        frozen = np.empty((len(x), model.feature_dim * model.current_task))
+        model.frozen_concat_np(x[:n], out=frozen[:n])
+        model.frozen_concat_np(x[n:], out=frozen[n:])
+    return x, y, local, frozen, n
 
 
 def _batches(tables, batch_size, rng):
@@ -418,26 +430,21 @@ def _batches(tables, batch_size, rng):
     The epoch draws one permutation of the current rows, then, in a mixed
     loop, one buffer selection per batch: each batch appends as many
     buffer rows as it has current ones, drawn without replacement (the
-    whole buffer when it is no larger). `yb`, `frozen` and `local` are
-    gathered from the tables by one index over both parts; `xb` is
-    gathered from the task's rows and the buffer's apart, so the task's
-    rows are never copied whole. Unmixed, `frozen` is None.
+    whole buffer when it is no larger). Every array of the batch is
+    gathered from its table by one index over both parts; unmixed the
+    index holds current rows only and `frozen` is None.
     """
-    x_cur, buf_x, y, local, frozen = tables
-    n = len(x_cur)
+    x, y, local, frozen, n = tables
+    n_buf = len(x) - n
     perm = rng.permutation(n)
     for s in range(0, n, batch_size):
         idx = perm[s:s + batch_size]
         n_c = len(idx)
-        if buf_x is None:
-            yield x_cur[idx], y[idx], n_c, None, local[idx]
-            continue
-        n_buf = len(buf_x)
         bsel = (np.arange(n_buf) if n_buf <= n_c
                 else rng.choice(n_buf, size=n_c, replace=False))
         rows = np.concatenate([idx, n + bsel])
-        yield (np.concatenate([x_cur[idx], buf_x[bsel]]), y[rows], n_c,
-               frozen[rows], local[rows])
+        yield (x[rows], y[rows], n_c, None if frozen is None else frozen[rows],
+               local[rows])
 
 
 def _param_set(model, use_cls, use_intra, use_inter):
@@ -460,21 +467,6 @@ def _param_set(model, use_cls, use_intra, use_inter):
     return params
 
 
-def _task_arrays(model, task_data, buffer):
-    """The current task's (x, y), after the preconditions of training."""
-    lo, hi = model.class_offsets[-1]
-    x_cur = np.asarray(task_data[0], dtype=np.float64)
-    y_cur = np.asarray(task_data[1], dtype=np.int64)
-    if len(x_cur) == 0:
-        raise InputError("task data is empty")
-    if y_cur.min() < lo or y_cur.max() >= hi:
-        raise InputError(f"labels outside the current task range [{lo}, {hi})")
-    if model.current_task >= 1 and (buffer is None or len(buffer) == 0):
-        raise ConfigurationError(
-            f"task {model.current_task} requires a non-empty rehearsal buffer")
-    return x_cur, y_cur
-
-
 def _check_finite(state):
     """Raise NumericsError if any value in the optimizer state's flat
     parameter vector is NaN or infinite, naming the first such parameter."""
@@ -494,14 +486,13 @@ def _report_pool(tables, buffer, config: TrainConfig):
     from the tables, so no report runs a frozen extractor; unmixed (the
     first task) it is None.
     """
-    x_cur, buf_x, y, _, frozen = tables
-    idx = np.arange(min(len(x_cur), config.report_limit))
-    if buf_x is None:
-        return x_cur[idx], y[idx], len(idx), None
-    bsel = buffer.leading(config.report_limit)
-    rows = np.concatenate([idx, len(x_cur) + bsel])
-    return (np.concatenate([x_cur[idx], buf_x[bsel]]), y[rows], len(idx),
-            frozen[rows])
+    x, y, _, frozen, n = tables
+    n_cur = min(n, config.report_limit)
+    rows = np.arange(n_cur)
+    if frozen is not None:
+        rows = np.concatenate([rows, n + buffer.leading(config.report_limit)])
+        frozen = frozen[rows]
+    return x[rows], y[rows], n_cur, frozen
 
 
 def _record(task, stage, epoch, sums, n_batches, report, wall_ms):
@@ -757,8 +748,8 @@ def _objective(model, xb, yb, n_c, frozen, local, config: TrainConfig,
 # ---------------------------------------------------------------------------
 # the two-stage objective
 
-def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
-                          rng, records, stage, epochs, use_cls, use_intra,
+def _run_objective_epochs(model, task_data, buffer, config: TrainConfig, rng,
+                          records, stage, epochs, use_cls, use_intra,
                           use_inter):
     """Epochs of the objective with the enabled terms, one record each
     appended to `records`.
@@ -766,9 +757,10 @@ def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
     use_cls turns on classification and, from the second task on, the
     auxiliary loss and the rehearsal rows mixed into each batch; without
     it a batch holds current rows only and nothing is drawn from the
-    buffer. Before its first step the loop builds its tables and checks
-    every label its steps can draw (`_rehearsal_tables`); a mixed loop's
-    tables hold the frozen features of every current and buffer row. Its
+    buffer. Before its first step the loop checks the preconditions of
+    training and every label its steps can draw, and builds its tables
+    (`_rehearsal_tables`); a mixed loop's tables hold every current and
+    buffer row, with their frozen features. Its
     batches come from `_batches`, as the baseline's do, and each step
     writes its gradients into the optimizer's gradient buffer; with both
     scopes off this is arithmetically the baseline path. Only stage 2
@@ -779,14 +771,14 @@ def _run_objective_epochs(model, x_cur, y_cur, buffer, config: TrainConfig,
         raise AssertionError(
             "inter-scope counterfactuals requested during stage 1")
     t = model.current_task
-    tables = _rehearsal_tables(model, x_cur, y_cur, buffer, use_cls,
-                               use_intra, use_inter)
+    tables = _rehearsal_tables(model, task_data, buffer, use_cls, use_intra,
+                               use_inter)
     params = _param_set(model, use_cls, use_intra, use_inter)
     state = make_optimizer_state(params)
     grads = state["grads"]
     if stage == 2:
         pool = _report_pool(tables, buffer, config)
-    n_batches = len(range(0, len(x_cur), config.batch_size))
+    n_batches = len(range(0, tables[-1], config.batch_size))
     for epoch in range(epochs):
         t0 = time.perf_counter()
         sums = dict.fromkeys(LOSS_KEYS, 0.0)
@@ -815,7 +807,6 @@ def train_task(model, task_data, buffer, config: TrainConfig, rng):
     rows (or, with it off, warms the base losses), stage 2 every enabled
     term.
     """
-    x_cur, y_cur = _task_arrays(model, task_data, buffer)
     # nu and gamma both zero leaves nothing of the intra objective, and a
     # zero lam nothing of the inter one; dropping the machinery entirely
     # is what makes the baseline reduction exact
@@ -827,12 +818,12 @@ def train_task(model, task_data, buffer, config: TrainConfig, rng):
         # nothing to pretrain without the intra term; warm the base losses
         # instead so delayed inter-scope training still means something in
         # ablations
-        _run_objective_epochs(model, x_cur, y_cur, buffer, config, rng,
-                              records, stage=1, epochs=config.stage1_epochs,
+        _run_objective_epochs(model, task_data, buffer, config, rng, records,
+                              stage=1, epochs=config.stage1_epochs,
                               use_cls=not use_intra, use_intra=use_intra,
                               use_inter=False)
 
-    _run_objective_epochs(model, x_cur, y_cur, buffer, config, rng, records,
+    _run_objective_epochs(model, task_data, buffer, config, rng, records,
                           stage=2, epochs=config.stage2_epochs, use_cls=True,
                           use_intra=use_intra, use_inter=use_inter)
     return records
@@ -891,20 +882,19 @@ def train_task_baseline(model, task_data, buffer, config: TrainConfig, rng):
     Each step is `_baseline_step`, differentiated by hand apart from
     `_objective`, and one `optimizer_step` over the flat parameter layout.
     What it does share with `_run_objective_epochs` is the batch plumbing,
-    which holds no counterfactual code: the per-loop tables and label
-    checks (`_rehearsal_tables`), with the frozen features from the second
-    task on, and the batches (`_batches`), so both paths feed their steps
-    the same rows, labels and frozen bits.
+    which holds no counterfactual code: the per-loop checks and tables
+    (`_rehearsal_tables`), with the frozen features from the second task
+    on, and the batches (`_batches`), so both paths feed their steps the
+    same rows, labels and frozen bits.
     """
     t = model.current_task
-    x_cur, y_cur = _task_arrays(model, task_data, buffer)
-    tables = _rehearsal_tables(model, x_cur, y_cur, buffer, use_cls=True,
+    tables = _rehearsal_tables(model, task_data, buffer, use_cls=True,
                                use_intra=False, use_inter=False)
     params = _param_set(model, use_cls=True, use_intra=False, use_inter=False)
     state = make_optimizer_state(params)
     grads = state["grads"]
     pool = _report_pool(tables, buffer, config)
-    n_batches = len(range(0, len(x_cur), config.batch_size))
+    n_batches = len(range(0, tables[-1], config.batch_size))
     records = []
     epochs = config.stage1_epochs + config.stage2_epochs
     for epoch in range(epochs):

@@ -868,20 +868,34 @@ class TestCli:
         assert cli.main(["run", cfg_path]) == 2
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("section,key,value,what", [
-        ("data", "input_dim", 1_000_000_000, "inputs"),
-        ("model", "hidden_dims", [1_000_000_000], "extractor layer 0"),
-        ("data", "n_train_per_class", 1_000_000_000, "inputs"),
-    ], ids=["input_dim", "hidden_dims", "n_train_per_class"])
+    # the table case's layer would ask for 2**47 values at once, a request
+    # that fails without allocating
+    @pytest.mark.parametrize("table,section,key,value,what", [
+        (False, "data", "input_dim", 1_000_000_000, "inputs"),
+        (False, "model", "hidden_dims", [1_000_000_000], "extractor layer 0"),
+        (False, "data", "n_train_per_class", 1_000_000_000, "inputs"),
+        (True, "model", "hidden_dims", [2 ** 45], "extractor layer 0"),
+    ], ids=["input_dim", "hidden_dims", "n_train_per_class",
+            "table hidden_dims"])
     def test_oversized_config_exits_two_before_allocating(
-            self, tmp_path, capsys, section, key, value, what):
+            self, tmp_path, capsys, table, section, key, value, what):
         doc = tiny_doc(tmp_path / "out")
+        if table:  # 4 columns, 4 classes in two tasks
+            path = tmp_path / "t.txt"
+            y = np.repeat(np.arange(4), 10)
+            dt.save_table(str(path), np.random.default_rng(0).normal(
+                size=(len(y), 4)), y, 4)
+            doc["data"] = {"kind": "table", "path": str(path), "B": 2,
+                           "I": 2}
         doc[section][key] = value
         cfg_path = write_config(tmp_path, doc)
-        # the load must refuse it: run unchecked, the config would try to
-        # allocate gigabytes
+        # run unchecked, the config would try to allocate gigabytes. A
+        # synthetic config is refused at load; a table's width is known
+        # once the file is read, when the stream is built
         with pytest.raises(ConfigurationError, match=what):
-            ex.load_config(cfg_path)
+            config = ex.load_config(cfg_path)
+            assert table
+            config.build_stream(0)
         assert cli.main(["run", cfg_path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("cpnslab: ") and len(err.splitlines()) == 1

@@ -550,7 +550,7 @@ def test_report_pool_covers_every_buffered_class():
     model.expand(2)
     x, y = blob_task(rng, [4, 5], 40, 4)
     cfg = full_cfg(report_limit=32)
-    tables = tr._rehearsal_tables(model, x, y, buf, True, False, False)
+    tables = tr._rehearsal_tables(model, (x, y), buf, True, False, False)
     px, py, n_cur, frozen = tr._report_pool(tables, buf, cfg)
     # the first report_limit current rows, then the buffer's
     assert n_cur == 32
@@ -562,14 +562,13 @@ def test_report_pool_covers_every_buffered_class():
     assert [int(np.sum(by == c)) for c in range(4)] == [8] * 4
     # each pool row's frozen features are its row of the loop's table,
     # bit for bit
-    x_cur, buf_x, _, _, table = tables
-    rows = {r.tobytes(): f.tobytes()
-            for r, f in zip(np.concatenate([x_cur, buf_x]), table)}
+    table_x, _, _, table, _ = tables
+    rows = {r.tobytes(): f.tobytes() for r, f in zip(table_x, table)}
     assert frozen.dtype == table.dtype
     assert frozen.shape == (64, model.feature_dim)
     assert [rows[r.tobytes()] for r in px] == [f.tobytes() for f in frozen]
     model_first = small_model(seed=2, dim=4).expand(4)
-    tables_first = tr._rehearsal_tables(model_first, x, y - 4, None, True,
+    tables_first = tr._rehearsal_tables(model_first, (x, y - 4), None, True,
                                         False, False)
     px, py, n_cur, frozen = tr._report_pool(tables_first, None, cfg)
     np.testing.assert_array_equal(px, x[:32])
@@ -699,7 +698,7 @@ def _objective_epochs_match_the_graph(make_model, stage, task):
         params = tr._param_set(model, *flags)
         state = tr.make_optimizer_state(params)
         grads = state["grads"]
-        tables = tr._rehearsal_tables(model, x, y, buf, *flags)
+        tables = tr._rehearsal_tables(model, (x, y), buf, *flags)
         for xb, yb, n_c, frozen, local in tr._batches(tables, cfg.batch_size,
                                                       rng):
             want_losses, want = oracles.graph_objective(
@@ -753,7 +752,7 @@ def test_a_first_scale_step_takes_each_log_softmax_once(monkeypatch, stage,
     cfg = full_cfg(batch_size=8, gen=GenConfig(epsilon=1e6))
     assert cfg.gamma > 0 and cfg.lam > 0 and cfg.nu > 0
     flags = (False, True, False) if stage == 1 else (True, True, True)
-    tables = tr._rehearsal_tables(model, x, y, buf, *flags)
+    tables = tr._rehearsal_tables(model, (x, y), buf, *flags)
     xb, yb, n_c, frozen, local = next(tr._batches(tables, cfg.batch_size,
                                                   np.random.default_rng(5)))
     grads = tr.make_optimizer_state(tr._param_set(model, *flags))["grads"]
@@ -788,7 +787,7 @@ def _baseline_steps_match_the_graph(model, buf, x, y):
     params = tr._param_set(model, True, False, False)
     state = tr.make_optimizer_state(params)
     grads = state["grads"]
-    tables = tr._rehearsal_tables(model, x, y, buf, True, False, False)
+    tables = tr._rehearsal_tables(model, (x, y), buf, True, False, False)
     sizes = set()
     for _ in range(2):
         for xb, yb, n_c, frozen, local in tr._batches(tables, cfg.batch_size,
@@ -1093,7 +1092,7 @@ def test_the_batches_are_the_two_table_gather_bitwise(widths):
     buf = tr.RehearsalBuffer(12)
     tr.buffer_commit(buf, t0, model)
     model.expand(3)
-    tables = tr._rehearsal_tables(model, x, y, buf, True, False, False)
+    tables = tr._rehearsal_tables(model, (x, y), buf, True, False, False)
     rng, old_rng = np.random.default_rng(8), np.random.default_rng(8)
     sizes = []
     for _ in range(2):
@@ -1202,8 +1201,8 @@ def test_stage_one_refuses_inter_scope_work():
     tr.buffer_commit(buf, t0, model)
     model.expand(3)
     with pytest.raises(AssertionError, match="stage 1"):
-        tr._run_objective_epochs(model, t1[0], t1[1], buf, full_cfg(), rng,
-                                 [], stage=1, epochs=1, use_cls=True,
+        tr._run_objective_epochs(model, t1, buf, full_cfg(), rng, [],
+                                 stage=1, epochs=1, use_cls=True,
                                  use_intra=False, use_inter=True)
 
 
@@ -1302,26 +1301,48 @@ def test_training_converges_on_separable_task():
     assert stage2[-1]["loss_terms"]["cls"] < stage2[0]["loss_terms"]["cls"]
 
 
-def test_empty_buffer_on_second_task_rejected():
+TRAINERS = [tr.train_task, tr.train_task_baseline]
+
+
+@pytest.mark.parametrize("train_fn", TRAINERS)
+def test_empty_buffer_on_second_task_rejected(monkeypatch, train_fn):
     t0, t1 = two_task_data()
     model = small_model(seed=6)
     rng = np.random.default_rng(0)
     model.expand(3)
     tr.train_task(model, t0, None, baseline_cfg(stage2_epochs=1), rng)
     model.expand(3)
-    with pytest.raises(ConfigurationError):
-        tr.train_task(model, t1, None, full_cfg(), rng)
-    with pytest.raises(ConfigurationError):
-        tr.train_task(model, t1, tr.RehearsalBuffer(30), full_cfg(), rng)
+    steps = []
+    monkeypatch.setattr(tr, "optimizer_step", lambda *args: steps.append(1))
+    for buf in (None, tr.RehearsalBuffer(30)):
+        with pytest.raises(ConfigurationError, match="non-empty rehearsal"):
+            train_fn(model, t1, buf, full_cfg(), rng)
+    assert steps == []
 
 
-def test_labels_outside_current_range_rejected():
+@pytest.mark.parametrize("train_fn", TRAINERS)
+def test_labels_outside_current_range_rejected(monkeypatch, train_fn):
+    steps = []
+    monkeypatch.setattr(tr, "optimizer_step", lambda *args: steps.append(1))
     model = small_model(seed=7)
     model.expand(3)
     x = np.zeros((4, 8))
     y = np.array([5, 6, 5, 6])
-    with pytest.raises(InputError):
-        tr.train_task(model, (x, y), None, full_cfg(), np.random.default_rng(0))
+    with pytest.raises(InputError, match="outside the current task range"):
+        train_fn(model, (x, y), None, full_cfg(), np.random.default_rng(0))
+    assert steps == []
+
+
+@pytest.mark.parametrize("train_fn", TRAINERS)
+def test_an_empty_task_rejected(monkeypatch, train_fn):
+    steps = []
+    monkeypatch.setattr(tr, "optimizer_step", lambda *args: steps.append(1))
+    model = small_model(seed=7)
+    model.expand(3)
+    empty = (np.zeros((0, 8)), np.zeros(0, dtype=np.int64))
+    with pytest.raises(InputError, match="task data is empty"):
+        train_fn(model, empty, None, full_cfg(), np.random.default_rng(0))
+    assert steps == []
 
 
 def test_jsonl_records_follow_the_schema():
