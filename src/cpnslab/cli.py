@@ -132,8 +132,7 @@ def main(argv=None):
 
             if args.command == "run":
                 rows = ex.run_experiment(config)
-                path = os.path.join(config.output_dir, config.run_id,
-                                    "summary.csv")
+                path = os.path.join(config.run_dir, "summary.csv")
                 print(f"wrote {len(rows)} seed row(s) to {path}")
             elif args.command == "sweep":
                 try:
@@ -143,13 +142,11 @@ def main(argv=None):
                         f"--values must be comma-separated numbers, "
                         f"got {args.values!r}")
                 ex.run_sweep(config, args.param, values)
-                path = os.path.join(config.output_dir, config.run_id,
-                                    f"sweep-{args.param}.csv")
+                path = os.path.join(config.run_dir, f"sweep-{args.param}.csv")
                 print(f"wrote {len(values)} sweep row(s) to {path}")
             else:  # ablate
                 table = ex.run_ablation(config)
-                path = os.path.join(config.output_dir, config.run_id,
-                                    "ablation.csv")
+                path = os.path.join(config.run_dir, "ablation.csv")
                 print(f"wrote {len(table)} variant row(s) to {path}")
             return 0
         except PropositionViolation as exc:

@@ -14,11 +14,12 @@ always accepts the first scale, so round one scores the whole batch as
 it is, and a batch feasible there returns round one's candidates
 without entering the halving loop.
 
-The trainer already holds some of what a generator computes: the intra
-head's softmax error and the factual log-softmax it needs for its own KL
-term. It passes them as the keyword-only `directions` (intra) and `ref`
-(both generators), and the generator skips computing them; the result
-is the same to the bit.
+`ce_error` owns the intra head's softmax error `softmax - onehot`; the
+intra direction is that error times the head's weight. The trainer's
+sufficiency loss and the risk report already hold the error, so they
+pass the direction as the keyword-only `directions`, and the trainer
+passes its KL term's factual log-softmax as `ref` (both generators); the
+generator skips computing them, and the result is the same to the bit.
 
 One reference perturber, an isotropic random direction under the same
 budget, is the baseline for flip-rate comparisons.
@@ -67,19 +68,29 @@ def softmax(x):
     return np.exp(log_softmax(x))
 
 
+def ce_error(logits, labels):
+    """Mean cross-entropy of the softmax rows against the labels, and the
+    error softmax - onehot: (value, error), one log-softmax for both."""
+    n = len(labels)
+    rows = np.arange(n)
+    ls = log_softmax(logits)
+    value = float(-np.add.reduce(ls[rows, labels]) / n)
+    e = np.exp(ls)
+    e[rows, labels] -= 1.0
+    return value, e
+
+
 def intra_directions(feats, labels, w, b):
     """Exact gradient of the cross-entropy of w·c + b at each feature row.
 
-    Closed form w.T @ (softmax - onehot); identical to running the graph
-    engine, which the tests assert.
+    Closed form (softmax - onehot) @ w from `ce_error`; identical to
+    running the graph engine, which the tests assert.
     """
     feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     w = np.asarray(w, dtype=np.float64)
     logits = feats @ w.T + np.asarray(b, dtype=np.float64)
-    p = softmax(logits)
-    p[np.arange(len(feats)), labels] -= 1.0
-    return p @ w
+    return ce_error(logits, labels)[1] @ w
 
 
 def _kl_rows(cand, ref):

@@ -414,7 +414,10 @@ def load_table(path) -> Table:
         ys.append(label)
         xs.append(row)
 
-    x = np.array(xs, dtype=np.float64).reshape(len(xs), dims)
+    try:
+        x = np.array(xs, dtype=np.float64).reshape(len(xs), dims)
+    except ValueError:  # only a table without rows gets here
+        raise FormatError(f"{path} line 1: no array is dims={dims} wide")
     y = np.array(ys, dtype=np.int64)
 
     dim_tags = None

@@ -154,6 +154,11 @@ class ExperimentConfig:
                     f"limit of 2**27 = {MAX_ARRAY_ELEMENTS}")
 
     @property
+    def run_dir(self):
+        """The directory of the run's artifacts: output_dir/run_id."""
+        return os.path.join(self.output_dir, self.run_id)
+
+    @property
     def scenario(self):
         s = self._source
         if isinstance(s, TableDataConfig):
@@ -415,12 +420,6 @@ def _json_lines(docs):
     return "".join(canonical_json(doc) + "\n" for doc in docs)
 
 
-def _write_json_lines(path, docs):
-    """Replace the file whole (`atomic_open`) with one JSON line per doc."""
-    with atomic_open(path) as fh:
-        fh.write(_json_lines(docs))
-
-
 def _write_csv(path, header, rows):
     """The header line, then one line per row; a float cell is written as
     its shortest exact repr. The file is replaced whole (`atomic_open`)."""
@@ -450,8 +449,7 @@ def run_seed(config: ExperimentConfig, seed: int, out_dir=None):
             if not len(y):
                 raise ConfigurationError(f"task {t}: empty {split} split")
     if out_dir is None:
-        out_dir = os.path.join(config.output_dir, config.run_id,
-                               f"seed-{seed}")
+        out_dir = os.path.join(config.run_dir, f"seed-{seed}")
     os.makedirs(out_dir, exist_ok=True)
     for pattern in ("task-*.eval.json", "task-*.ckpt", "summary.csv",
                     "epochs.jsonl"):
@@ -487,8 +485,8 @@ def run_seed(config: ExperimentConfig, seed: int, out_dir=None):
 
         record = evaluate_task(model, stream, t, records, acts,
                                config.metrics, config.train.gen)
-        _write_json_lines(os.path.join(out_dir, f"task-{t}.eval.json"),
-                          [record.to_json_dict()])
+        with atomic_open(os.path.join(out_dir, f"task-{t}.eval.json")) as fh:
+            fh.write(_json_lines([record.to_json_dict()]))
         mdl.save_checkpoint(model, os.path.join(out_dir, f"task-{t}.ckpt"))
         records.append(record)
 
@@ -521,9 +519,8 @@ def _seed_mean(label, config: ExperimentConfig, base_dir):
 
 def run_experiment(config: ExperimentConfig):
     """All seeds of a run; writes the run-level summary.csv and returns rows."""
-    run_dir = os.path.join(config.output_dir, config.run_id)
-    rows = _run_seeds(config, run_dir)
-    _write_csv(os.path.join(run_dir, "summary.csv"), SUMMARY_HEADER,
+    rows = _run_seeds(config, config.run_dir)
+    _write_csv(os.path.join(config.run_dir, "summary.csv"), SUMMARY_HEADER,
                [row.values() for row in rows])
     return rows
 
@@ -555,13 +552,12 @@ def run_sweep(config: ExperimentConfig, param, values):
     if len(set(values)) != len(values):
         raise ConfigurationError(f"sweep values repeat: {values}")
     variants = [_with_param(config, param, value) for value in values]
-    run_dir = os.path.join(config.output_dir, config.run_id)
     out_rows = [(float(value), *_seed_mean(
         f"value {value}", variant,
-        os.path.join(run_dir, f"sweep-{param}", f"value-{value}")))
+        os.path.join(config.run_dir, f"sweep-{param}", f"value-{value}")))
         for value, variant in zip(values, variants)]
-    _write_csv(os.path.join(run_dir, f"sweep-{param}.csv"), "value,last,avg",
-               out_rows)
+    _write_csv(os.path.join(config.run_dir, f"sweep-{param}.csv"),
+               "value,last,avg", out_rows)
     return out_rows
 
 
@@ -580,7 +576,6 @@ def ablation_train_config(base: tr.TrainConfig, variant) -> tr.TrainConfig:
 
 def run_ablation(config: ExperimentConfig):
     """Six-variant ablation; emits ablation.csv with one row per variant."""
-    run_dir = os.path.join(config.output_dir, config.run_id)
     table = []
     for variant in ABLATION_VARIANTS:
         sub = replace(config, method_label=variant,
@@ -588,8 +583,8 @@ def run_ablation(config: ExperimentConfig):
                       train=ablation_train_config(config.train, variant))
         table.append((variant, *_seed_mean(
             f"variant {variant}", sub,
-            os.path.join(run_dir, "ablation", variant))))
-    _write_csv(os.path.join(run_dir, "ablation.csv"), SUMMARY_HEADER,
+            os.path.join(config.run_dir, "ablation", variant))))
+    _write_csv(os.path.join(config.run_dir, "ablation.csv"), SUMMARY_HEADER,
                [(variant, config.scenario, "mean", last, avg)
                 for variant, last, avg in table])
     return table

@@ -20,8 +20,8 @@ from .errors import ConfigurationError, InputError, UsageError
 OVERLAP_GROUPS = ("low", "medium", "high")
 
 
-def _check_unit(name, value, slack=1e-9):
-    if not -slack <= value <= 1.0 + slack:
+def _check_unit(name, value):
+    if not -1e-9 <= value <= 1.0 + 1e-9:
         raise InputError(f"{name} must lie in [0, 1], got {value}")
 
 

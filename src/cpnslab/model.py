@@ -26,14 +26,10 @@ from .errors import ConfigurationError, FormatError, InputError, UsageError
 CHECKPOINT_MAGIC = "CPNSLAB1"
 
 
-def _init_matrix(rng, n_out, n_in):
-    bound = 1.0 / np.sqrt(n_in)
-    return rng.uniform(-bound, bound, size=(n_out, n_in))
-
-
-def _init_bias(rng, n_out, n_in):
-    bound = 1.0 / np.sqrt(n_in)
-    return rng.uniform(-bound, bound, size=n_out)
+def _init(rng, shape, fan_in):
+    """A fresh array of `shape` drawn uniform in +-1/sqrt(fan_in)."""
+    bound = 1.0 / np.sqrt(fan_in)
+    return rng.uniform(-bound, bound, size=shape)
 
 
 def _layer_table(dims):
@@ -47,8 +43,8 @@ def _draw(rng, table):
     """Fresh arrays for every layer of a layout table, drawn in its order."""
     arrays = {}
     for w, b, rows, fan_in in table:
-        arrays[w] = _init_matrix(rng, rows, fan_in)
-        arrays[b] = _init_bias(rng, rows, fan_in)
+        arrays[w] = _init(rng, (rows, fan_in), fan_in)
+        arrays[b] = _init(rng, rows, fan_in)
     return arrays
 
 
@@ -203,8 +199,8 @@ class ExpandableModel:
         if old_total:
             w[:old_total, :width - self.feature_dim] = self.heads["cls_w"]
             b[:old_total] = self.heads["cls_b"]
-        w[old_total:] = _init_matrix(self.rng, new_class_count, width)
-        b[old_total:] = _init_bias(self.rng, new_class_count, width)
+        w[old_total:] = _init(self.rng, (new_class_count, width), width)
+        b[old_total:] = _init(self.rng, new_class_count, width)
         self.heads["cls_w"] = w
         self.heads["cls_b"] = b
         self.heads.update(_draw(self.rng, rest))
@@ -288,14 +284,14 @@ class ExpandableModel:
 # ---------------------------------------------------------------------------
 # checkpointing
 
-def _array_in(entry, shape=None):
+def _array_in(entry, shape):
     """The array of a `{"shape", "data"}` entry; its data must match its
-    header, and the header `shape` when one is given."""
+    header, and the header must be `shape`."""
     arr = np.asarray(entry["data"], dtype=np.float64)
     if arr.shape != tuple(entry["shape"]):
         raise FormatError(
-            f"array shape {arr.shape} does not match header {entry['shape']}")
-    if shape is not None and arr.shape != shape:
+            f"array shape {arr.shape} does not match header {entry['shape']!r}")
+    if arr.shape != shape:
         raise FormatError(f"array shape {arr.shape} is not {shape}")
     return arr
 

@@ -89,15 +89,19 @@ class CpnsReport:
 def _intra_indicators(model, feats, y_global, cfg: GenConfig):
     """Returns (factual_correct, cf_correct, degenerate) as boolean arrays
     over current-task rows, from their current features `feats`; the
-    generator ascends the true label, as in the risk definition."""
+    generator ascends the true label, as in the risk definition. One
+    product of the head gives the factual predictions and the generator's
+    direction, its logits' softmax error (`cf.ce_error`) times the weight."""
     lo, hi = model.class_offsets[-1]
     if y_global.min() < lo or y_global.max() >= hi:
         raise InputError("intra scope expects current-task labels only")
     y_local = y_global - lo
-    pred_f = np.argmax(model.head_np("intra", feats), axis=1)
+    w, b = model.heads["intra_w"], model.heads["intra_b"]
+    logits = model.head_np("intra", feats)
+    pred_f = np.argmax(logits, axis=1)
     cfs, _, _, degenerate = cf.generate_intra_batch(
-        feats, y_local, model.heads["intra_w"],
-        b=model.heads["intra_b"], alpha=cfg.alpha, epsilon=cfg.epsilon)
+        feats, y_local, w, b, alpha=cfg.alpha, epsilon=cfg.epsilon,
+        directions=cf.ce_error(logits, y_local)[1] @ w)
     pred_c = np.argmax(model.head_np("intra", cfs), axis=1)
     return pred_f == y_local, pred_c == y_local, degenerate
 

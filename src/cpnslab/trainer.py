@@ -233,7 +233,10 @@ class RehearsalBuffer:
         """Positions in `samples()` order of at most `limit` rows: the
         same leading share of every class, a class too short for it
         leaving its rest to the others, and the rows left over one each
-        to the earliest-seen classes that still have one."""
+        to the earliest-seen classes that still have one. A negative
+        limit raises InputError."""
+        if limit < 0:
+            raise InputError(f"leading limit {limit} is negative")
         counts = np.array([len(v) for v in self._store.values()],
                           dtype=np.int64)
         take = np.zeros_like(counts)
@@ -527,34 +530,22 @@ def _sum_in_order(parts, out=None):
     return out
 
 
-def _ce_error(logits, labels):
-    """Mean cross-entropy of the softmax rows against the labels, and the
-    error softmax - onehot: (value, error), one log-softmax for both."""
-    n = len(labels)
-    rows = np.arange(n)
-    ls = cf.log_softmax(logits)
-    value = float(-np.add.reduce(ls[rows, labels]) / n)
-    e = np.exp(ls)
-    e[rows, labels] -= 1.0
-    return value, e
-
-
 def _ce(logits, labels):
-    """Mean cross-entropy of the softmax rows against the labels:
-    (value, gradient at weight 1, which is (softmax - onehot) / n)."""
-    value, g = _ce_error(logits, labels)
+    """`cf.ce_error` with the error scaled to the gradient at weight 1:
+    (value, (softmax - onehot) / n)."""
+    value, g = cf.ce_error(logits, labels)
     g /= len(labels)
     return value, g
 
 
-def _nlcp(logits, labels, weight, eps=1e-12):
-    """Mean -log(1 - softmax[label] + eps) over the rows, the necessity
+def _nlcp(logits, labels, weight):
+    """Mean -log(1 - softmax[label] + 1e-12) over the rows, the necessity
     half of the surrogate: (value, gradient at `weight`)."""
     n = len(labels)
     rows = np.arange(n)
     p = cf.softmax(logits)
     py = p[rows, labels]
-    s = 1.0 - py + eps
+    s = 1.0 - py + 1e-12
     q = py / s
     g = -q[:, None] * p
     g[rows, labels] += q
@@ -663,7 +654,7 @@ def _objective(model, xb, yb, n_c, frozen, local, config: TrainConfig,
         y_local = local[:n_c]
         # the sufficiency term's softmax error is also the generator's
         # direction, (softmax - onehot) @ w_i
-        suff, g_suff = _ce_error(c_cur @ w_i.T + b_i, y_local)
+        suff, g_suff = cf.ce_error(c_cur @ w_i.T + b_i, y_local)
         ref_i = ref_e[:n_c] if use_inter else cf.log_softmax(c_cur)
         cfs_i, _, _, _ = cf.generate_intra_batch(
             c_cur, y_local, w_i, b_i, alpha=config.gen.alpha,

@@ -17,6 +17,7 @@ from conftest import all_params
 from cpnslab import autodiff as ad
 from cpnslab import counterfactual as cf
 from cpnslab import experiment as ex
+from cpnslab import risk as rk
 from cpnslab import trainer as tr
 from cpnslab.errors import (ConfigurationError, InputError, NumericsError,
                             UsageError)
@@ -525,7 +526,7 @@ def _uneven_buffer():
 @pytest.mark.parametrize("limit, want", [
     (1, [1, 0, 0]), (2, [1, 1, 0]), (3, [1, 1, 1]), (8, [2, 3, 3]),
     (21, [2, 10, 9]), (26, [2, 12, 12]), (27, [2, 12, 13]),
-    (500, [2, 12, 13])])
+    (500, [2, 12, 13]), (0, [0, 0, 0])])
 def test_limited_samples_take_a_leading_share_of_every_class(limit, want):
     # equal shares rank by rank of the herding order; a short class leaves
     # its rest to the others, and a partial round goes to the earliest
@@ -537,6 +538,13 @@ def test_limited_samples_take_a_leading_share_of_every_class(limit, want):
     np.testing.assert_array_equal(y, np.repeat([0, 1, 2], want))
     for c, k in zip((0, 1, 2), want):
         np.testing.assert_array_equal(x[y == c], exemplars(buf, c)[:k])
+
+
+@pytest.mark.parametrize("limit", [-1, -27])
+def test_a_negative_leading_limit_rejected(limit):
+    # a negative limit used to start the rounds below zero and never end
+    with pytest.raises(InputError, match=f"limit {limit} is negative"):
+        _uneven_buffer().leading(limit)
 
 
 def test_report_pool_covers_every_buffered_class():
@@ -574,6 +582,47 @@ def test_report_pool_covers_every_buffered_class():
     np.testing.assert_array_equal(px, x[:32])
     np.testing.assert_array_equal(py, y[:32] - 4)
     assert n_cur == 32 and frozen is None
+
+
+def test_a_report_takes_the_intra_direction_from_its_own_logits(monkeypatch):
+    # the report's factual intra logits give the generator's direction, so
+    # the head's product over the pool runs once and `intra_directions`,
+    # which would run it again, is never called
+    rng = np.random.default_rng(10)
+    model = small_model(seed=3, dim=4)
+    buf = tr.RehearsalBuffer(60)
+    for task in range(3):
+        model.expand(2)
+        x, y = blob_task(rng, [2 * task, 2 * task + 1], 30, 4)
+        if task < 2:
+            tr.buffer_commit(buf, (x, y), model)
+    cfg = full_cfg(report_limit=32)
+    tables = tr._rehearsal_tables(model, (x, y), buf, True, True, True)
+    px, py, n_cur, frozen = tr._report_pool(tables, buf, cfg)
+    assert n_cur == 32 and len(py) == 64 and frozen is not None
+    # the reference report, its intra directions from `intra_directions`
+    feats = model.current_feature_np(px)
+    cur, y_local = feats[:n_cur], py[:n_cur] - 4
+    w, b = model.heads["intra_w"], model.heads["intra_b"]
+    cfs, _, _, degenerate = cf.generate_intra_batch(
+        cur, y_local, w, b, cfg.gen.alpha, cfg.gen.epsilon,
+        directions=cf.intra_directions(cur, y_local, w, b))
+    right = [np.argmax(model.head_np("intra", c), axis=1) == y_local
+             for c in (cur, cfs)]
+    r_intra, m_intra, pns_intra = rk._scope(*right, degenerate)
+    r_inter, m_inter, pns_inter = rk._scope(
+        *rk._inter_indicators(model, frozen, feats, py, cfg.gen))
+    want = rk.CpnsReport(r_intra=r_intra, r_inter=r_inter, m_intra=m_intra,
+                         m_inter=m_inter, pns_intra_est=pns_intra,
+                         pns_inter_est=pns_inter, n_intra=n_cur, n_inter=64)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the report called intra_directions")
+
+    monkeypatch.setattr(cf, "intra_directions", refuse)
+    got = tr.empirical_cpns_risk(model, px, py, n_cur, frozen, cfg.gen)
+    assert (json.dumps(got.to_json_dict(), sort_keys=True)
+            == json.dumps(want.to_json_dict(), sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
